@@ -100,8 +100,6 @@ from .statmech import (
     mb_free_energy,
     mb_ln_Z_continuum,
     momentum_multiset_sum,
-    nfactor_correction,
-    nfactor_correction_ln,
     occupation_count,
     single_particle_z,
     spectrum_from_csv,

@@ -280,12 +280,6 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
 
 def cmd_occupations(args, cfg: RunConfig) -> Report:
     stat = statmech.Statistics.parse(args.stat)
-    if args.n_particles > cfg.max_n:
-        raise CapacityExceeded(f"N = {args.n_particles} exceeds configured cap {cfg.max_n}")
-    if args.n_levels > cfg.max_levels:
-        raise CapacityExceeded(
-            f"{args.n_levels} levels exceed configured cap {cfg.max_levels}"
-        )
     states = list(statmech.enumerate_occupations(args.n_levels, args.n_particles, stat))
     closed = statmech.occupation_count(args.n_levels, args.n_particles, stat)
     data = {
@@ -412,22 +406,12 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
     if args.N is None:
         raise InputError("canonical ensemble needs -N (or --mu for the grand ensemble)")
     n = args.N
-    if stat.quantum:
-        if n > cfg.max_n or len(spectrum) > cfg.max_levels:
-            if n > statmech.MAX_RECURSION_N:
-                raise CapacityExceeded(
-                    f"N = {n} exceeds the recursion cap {statmech.MAX_RECURSION_N}"
-                )
-            Z = statmech.canonical_Z_recursive(spectrum, n, beta, stat)
-            method = "recursion"
-        else:
-            Z = statmech.canonical_Z(spectrum, n, beta, stat)
-            method = "enumeration"
-        ln_Z = math.log(Z) if Z > 0 else None
+    ln_Z = statmech.canonical_ln_Z(spectrum, n, beta, stat)
+    if ln_Z == -math.inf:  # more fermions than levels
+        Z, ln_Z = 0.0, None
     else:
-        ln_Z = statmech.canonical_ln_Z(spectrum, n, beta, stat)
         Z = math.exp(ln_Z) if abs(ln_Z) < 700 else None
-        method = "closed-form"
+    method = "generating-function" if stat.quantum else "closed-form"
     T = 1.0 / (k * beta)
     F = statmech.free_energy_from_ln_Z(ln_Z, T, k) if ln_Z is not None else None
     data = {
@@ -556,8 +540,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--mode", choices=MODES, help="unit system")
-    common.add_argument("--max-n", type=int, dest="max_n", help="particle-number cap")
-    common.add_argument("--max-levels", type=int, dest="max_levels", help="level-count cap")
     common.add_argument("--output", choices=OUTPUT_FORMATS, help="output format")
     common.add_argument("--seed", type=int, help="seed for randomized sweeps")
     common.add_argument("--out", help="write output to this file instead of stdout")
@@ -638,8 +620,6 @@ def main(argv=None) -> int:
             getattr(args, "config", None),
             overrides={
                 "mode": getattr(args, "mode", None),
-                "max_n": getattr(args, "max_n", None),
-                "max_levels": getattr(args, "max_levels", None),
                 "output": getattr(args, "output", None),
                 "seed": getattr(args, "seed", None),
             },

@@ -7,14 +7,13 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import InputError
-from .statmech import MAX_LEVELS, MAX_PARTICLES
 
 MODES = ("dimensionless", "si")
 OUTPUT_FORMATS = ("json", "csv", "pretty")
 
 ENV_PREFIX = "IDSTAT_"
 
-_FIELDS = ("mode", "max_n", "max_levels", "output", "seed")
+_FIELDS = ("mode", "output", "seed")
 
 
 @dataclass(frozen=True)
@@ -22,8 +21,6 @@ class RunConfig:
     """Execution settings shared by the command-line entry points."""
 
     mode: str = "dimensionless"
-    max_n: int = MAX_PARTICLES
-    max_levels: int = MAX_LEVELS
     output: str = "pretty"
     seed: int = 0
 
@@ -34,19 +31,13 @@ class RunConfig:
             raise InputError(
                 f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}"
             )
-        if not 1 <= self.max_n <= MAX_PARTICLES:
-            raise InputError(f"max_n must be in 1..{MAX_PARTICLES}, got {self.max_n}")
-        if not 1 <= self.max_levels <= MAX_LEVELS:
-            raise InputError(
-                f"max_levels must be in 1..{MAX_LEVELS}, got {self.max_levels}"
-            )
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _coerce(key: str, value: str):
     value = value.strip()
-    if key in ("max_n", "max_levels", "seed"):
+    if key == "seed":
         try:
             return int(value)
         except ValueError:

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
 
 MAX_PARTICLES = 12      # exhaustive occupation enumeration cap
 MAX_LEVELS = 20         # level count cap for enumeration
-MAX_RECURSION_N = 50    # cap for the one-body-trace recursion
+MAX_CANONICAL_N = 50    # particle-number cap of the canonical BE/FD kernel
 MAX_CUTOFF = 10**4      # spectrum length cap
 
 PLANCK_H_SI = 6.62607015e-34
@@ -231,43 +232,73 @@ def single_particle_z(spectrum: Spectrum, beta: float) -> float:
     return math.fsum(math.exp(-beta * e) for e in spectrum.energies)
 
 
+def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -> list[float]:
+    """ln Z_0 .. ln Z_n_max for BE/FD: Z_n is the t^n coefficient of
+    prod_k (1 - x_k t)^-1 (BE, h_n) or prod_k (1 + x_k t) (FD, e_n), with
+    x_k = exp(-beta (e_k - e_0)).  Row n, over the first 1..K levels, is the
+    prefix sums of the multipliers times row n-1: only positive terms are
+    added.  BE entries lie in [1, C(K+n-1, n)].  FD row n is divided by its
+    n-fermion ground weight, kept as a log, so its entries lie in [1, C(K, n)]
+    and its multipliers exp(-beta (e_k - e_{n-1})) <= 1 cannot underflow on
+    cold, nearly filled spectra.  Within the caps every entry is below 1e136,
+    so no row needs rescaling.  More fermions than levels give -inf."""
+    if n_max > MAX_CANONICAL_N:
+        raise CapacityExceeded(f"N = {n_max} exceeds the canonical cap {MAX_CANONICAL_N}")
+    energies = spectrum.energies
+    ln_Z = [0.0]
+    if stat is Statistics.BE:
+        e0 = energies[0]
+        x = [math.exp(-beta * (e - e0)) for e in energies]
+        row = [1.0] * len(energies)
+        for n in range(1, n_max + 1):
+            row = list(itertools.accumulate(map(mul, x, row)))
+            ln_Z.append(math.log(row[-1]) - beta * n * e0)
+        return ln_Z
+    row = [1.0] * (len(energies) + 1)  # e_0 of the first 0..K levels
+    ground = 0.0
+    for n in range(1, min(n_max, len(energies)) + 1):
+        top = energies[n - 1]  # highest level of the n-fermion ground state
+        ground += top
+        x = [math.exp(-beta * (e - top)) for e in energies[n - 1:]]
+        row = list(itertools.accumulate(map(mul, x, row)))
+        ln_Z.append(math.log(row[-1]) - beta * ground)
+    return ln_Z + [-math.inf] * (n_max - len(energies))
+
+
 def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics) -> float:
-    """ln Z; BE/FD by exhaustive occupation sum, MB kinds in closed form."""
-    if beta <= 0:
-        raise InputError("beta must be positive")
+    """ln Z at integer particle number: BE/FD from the generating-function
+    kernel (-inf for more fermions than levels), MB kinds in closed form
+    with the single-particle sum taken relative to the ground level."""
+    if not 0 < beta < math.inf:
+        raise InputError("beta must be positive and finite")
+    if n_particles < 0:
+        raise InputError("N must be nonnegative")
     if n_particles == 0:
         return 0.0
     if stat.quantum:
-        return math.log(canonical_Z(spectrum, n_particles, beta, stat))
-    ln_z1 = math.log(single_particle_z(spectrum, beta))
+        return _ln_Z_table(spectrum, n_particles, beta, stat)[-1]
+    e0 = spectrum.offset
+    ln_z1 = math.log(math.fsum(math.exp(-beta * (e - e0)) for e in spectrum.energies)) - beta * e0
     if stat is Statistics.MB_NN:
         return n_particles * ln_z1 - n_particles * math.log(n_particles)
     return n_particles * ln_z1 - math.lgamma(n_particles + 1)
 
 
 def canonical_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics) -> float:
-    """Canonical Z at integer particle number."""
-    if beta <= 0:
-        raise InputError("beta must be positive")
-    if n_particles == 0:
-        return 1.0
-    if stat.quantum:
-        return math.fsum(
-            math.exp(-beta * occ.energy(spectrum))
-            for occ in enumerate_occupations(len(spectrum), n_particles, stat)
-        )
+    """Canonical Z at integer particle number, exp(canonical_ln_Z)."""
     return math.exp(canonical_ln_Z(spectrum, n_particles, beta, stat))
 
 
 def canonical_Z_recursive(
     spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics
 ) -> float:
-    """Independent route for BE/FD: Z_N = (1/N) sum_{k=1..N} (+-1)^{k+1}
-    z(k beta) Z_{N-k}, with + for BE and - for FD."""
+    """Cross-check oracle for BE/FD: Z_N = (1/N) sum_{k=1..N} (+-1)^{k+1}
+    z(k beta) Z_{N-k}, with + for BE and - for FD.  The FD terms alternate
+    in sign, so it is accurate only where they do not cancel."""
     if not stat.quantum:
         raise InputError("recursion applies to BE/FD only")
-    if n_particles > MAX_RECURSION_N:
-        raise CapacityExceeded(f"recursion capped at N = {MAX_RECURSION_N}")
+    if n_particles > MAX_CANONICAL_N:
+        raise CapacityExceeded(f"recursion capped at N = {MAX_CANONICAL_N}")
     sign = 1.0 if stat is Statistics.BE else -1.0
     z_powers = [0.0] + [single_particle_z(spectrum, k * beta) for k in range(1, n_particles + 1)]
     Z = [1.0] + [0.0] * n_particles
@@ -291,19 +322,19 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
         raise InputError("beta must be positive")
     if not stat.quantum:
         raise InputError("grand product defined here for BE/FD only")
+    if stat is Statistics.BE and mu >= spectrum.offset:
+        raise BoseDivergence(f"mu = {mu} is not below the lowest level {spectrum.offset}")
     total = 0.0
     for e in spectrum.energies:
-        x = math.exp(-beta * (e - mu))
+        a = beta * (mu - e)
         if stat is Statistics.BE:
+            x = math.exp(a)
             if x >= 1.0:
-                raise BoseDivergence(
-                    f"mu = {mu} is not below the lowest level {spectrum.offset}"
-                    if mu >= spectrum.offset
-                    else f"occupation factor {x} >= 1"
-                )
+                raise BoseDivergence(f"occupation factor {x} >= 1")
             total -= math.log1p(-x)
         else:
-            total += math.log1p(x)
+            # softplus log(1 + e^a), stable for either sign of a
+            total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
     return total
 
 
@@ -314,19 +345,17 @@ def grand_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) -> fl
 def grand_Xi_series(
     spectrum: Spectrum, beta: float, mu: float, stat: Statistics, n_max: int | None = None
 ) -> float:
-    """Fugacity-series route: sum_N z^N Z_N with z = exp(beta mu) and Z_N
-    from the recursion.  Exact finite sum for FD (Z_N = 0 beyond the level
-    count); truncated at n_max (default recursion cap) for BE."""
+    """Fugacity-series route: sum_N z^N Z_N with z = exp(beta mu) and
+    Z_0 .. Z_n_max from one kernel table.  Exact finite sum for FD (Z_N = 0
+    beyond the level count); truncated at n_max (default canonical cap) for
+    BE."""
     if not stat.quantum:
         raise InputError("fugacity series defined here for BE/FD only")
     if n_max is None:
-        n_max = len(spectrum) if stat is Statistics.FD else MAX_RECURSION_N
-    n_max = min(n_max, MAX_RECURSION_N)
-    z = math.exp(beta * mu)
-    total = 0.0
-    for n in range(n_max + 1):
-        total += z**n * canonical_Z_recursive(spectrum, n, beta, stat)
-    return total
+        n_max = len(spectrum) if stat is Statistics.FD else MAX_CANONICAL_N
+    n_max = min(n_max, MAX_CANONICAL_N)
+    ln_Z = _ln_Z_table(spectrum, n_max, beta, stat)
+    return math.fsum(math.exp(n * beta * mu + v) for n, v in enumerate(ln_Z))
 
 
 # -- thermodynamic points and Boltzmann closed forms ------------------------
@@ -388,17 +417,6 @@ def free_energy_from_ln_Z(ln_Z: float, T: float, k: float = 1.0) -> float:
 
 def mb_free_energy(tp: ThermoPoint, stat: Statistics = Statistics.MB_NN) -> float:
     return free_energy_from_ln_Z(mb_ln_Z_continuum(tp, stat), tp.T, tp.k)
-
-
-def nfactor_correction(Z: float, n_particles: int, a: float = 0.0) -> float:
-    """Z * N^N * e^(a N); `a` is left configurable (default 0)."""
-    return Z * math.exp(nfactor_correction_ln(0.0, n_particles, a))
-
-
-def nfactor_correction_ln(ln_Z: float, n_particles: int, a: float = 0.0) -> float:
-    if n_particles < 1:
-        raise InputError("N must be at least 1")
-    return ln_Z + n_particles * math.log(n_particles) + a * n_particles
 
 
 def momentum_multiset_sum(energies: Sequence[float], n_particles: int, beta: float) -> float:
@@ -477,7 +495,7 @@ def extensivity_report(
 ) -> ExtensivityReport:
     """F, F/N and the extensivity defect F(T,V,N) - N F(T,V/N,1) across
     system sizes.  Continuum mode supports the MB kinds in closed form;
-    discrete mode builds a spectrum per volume and enumerates."""
+    discrete mode builds a spectrum per volume and uses canonical_ln_Z."""
     if continuum and stat.quantum:
         raise InputError("continuum closed form applies to MB kinds only")
     if not continuum and spectrum_builder is None:
@@ -487,8 +505,10 @@ def extensivity_report(
         if continuum:
             return mb_ln_Z_continuum(ThermoPoint(T=T, V=V, N=N, mass=mass, h=h, k=k), stat)
         spec = spectrum_builder(V)
-        beta = 1.0 / (k * T)
-        return canonical_ln_Z(spec, N, beta, stat)
+        ln_Z = canonical_ln_Z(spec, N, 1.0 / (k * T), stat)
+        if ln_Z == -math.inf:
+            raise InputError(f"{N} fermions do not fit in {len(spec)} levels")
+        return ln_Z
 
     rows = []
     checks = []

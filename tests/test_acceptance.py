@@ -213,7 +213,7 @@ def test_criterion_08_ensemble_identities():
         except BoseDivergence:
             raised = True
         assert raised
-    _ok(8, "enumeration = recursion @ 1e-12 (BE+FD, N<=5, 8 levels); fugacity FD 1e-12 / BE 1e-10; Bose guard")
+    _ok(8, "canonical kernel = recursion @ 1e-12 (BE+FD, N<=5, 8 levels); fugacity FD 1e-12 / BE 1e-10; Bose guard")
 
 
 def test_criterion_09_extensivity():

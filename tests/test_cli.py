@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -51,16 +53,15 @@ def test_config_defaults_and_validation():
     with pytest.raises(InputError):
         RunConfig(mode="imperial")
     with pytest.raises(InputError):
-        RunConfig(max_n=13)
-    with pytest.raises(InputError):
         RunConfig(output="yaml")
+    assert [f.name for f in fields(RunConfig)] == ["mode", "output", "seed"]
 
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "idstat.cfg"
-    path.write_text("# comment\noutput = json\nmax_n=5\n\nseed=9  # inline\n")
-    assert parse_config_file(str(path)) == {"output": "json", "max_n": 5, "seed": 9}
-    path.write_text("max_n=not-a-number\n")
+    path.write_text("# comment\noutput = json\nmode=si\n\nseed=9  # inline\n")
+    assert parse_config_file(str(path)) == {"output": "json", "mode": "si", "seed": 9}
+    path.write_text("seed=not-a-number\n")
     with pytest.raises(InputError):
         parse_config_file(str(path))
     path.write_text("volume=3\n")
@@ -179,7 +180,7 @@ def test_partition_canonical_fd(capsys):
         capsys,
     )
     data = json.loads(out)
-    assert code == 0 and data["method"] == "enumeration"
+    assert code == 0 and data["method"] == "generating-function"
     expected = math.exp(-1) + math.exp(-2) + math.exp(-3)
     assert math.isclose(data["Z"], expected, rel_tol=1e-15)
     assert math.isclose(data["F"], -math.log(expected), rel_tol=1e-14)
@@ -209,13 +210,85 @@ def test_partition_continuum_mb(capsys):
     assert math.isclose(data["thermal_wavelength"], lam, rel_tol=1e-15)
 
 
-def test_partition_recursion_path(capsys):
+def test_partition_wide_spectrum(capsys):
     code, out, _ = run_cli(
         ["partition", "--stat", "be", "--dimensionless", "30", "-N", "2", "--beta", "0.5", "--output", "json"],
         capsys,
     )
     data = json.loads(out)
-    assert code == 0 and data["method"] == "recursion" and data["Z"] > 0
+    assert code == 0 and data["method"] == "generating-function"
+    z = lambda beta: math.fsum(math.exp(-beta * n * n) for n in range(1, 31))
+    assert math.isclose(data["Z"], (z(0.5) ** 2 + z(1.0)) / 2, rel_tol=1e-13)  # h_2
+
+
+def _fd_ln_Z_50_digits(levels, n, beta):
+    """ln e_n(x) with x_k = exp(-beta e_k) in 50-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+        for level in levels:
+            x = mpmath.exp(-mpmath.mpf(beta) * level)
+            for j in range(n, 0, -1):
+                e[j] += x * e[j - 1]
+        return float(mpmath.log(e[n]))
+
+
+@pytest.mark.parametrize("beta", ["1", "0.2"])
+def test_partition_fd_cold_filled_against_mpmath(beta, capsys):
+    code, out, _ = run_cli(
+        ["partition", "--stat", "fd", "--dimensionless", "30", "-N", "10", "--beta", beta, "--output", "json"],
+        capsys,
+    )
+    data = json.loads(out)
+    ref = _fd_ln_Z_50_digits([n * n for n in range(1, 31)], 10, float(beta))
+    assert code == 0 and abs(data["ln_Z"] - ref) <= 1e-9
+    assert math.isclose(data["F"], -ref / float(beta), rel_tol=1e-12)
+    if beta == "1":
+        assert math.isclose(data["Z"], 6.26e-168, rel_tol=1e-3)
+
+
+def test_partition_be_high_ground_level(capsys):
+    code, out, _ = run_cli(
+        ["partition", "--stat", "be", "--levels", "1000,1001,1002", "-N", "2", "--beta", "1", "--output", "json"],
+        capsys,
+    )
+    data = json.loads(out)
+    h2 = sum(math.exp(-k) for k in (0, 1, 2, 2, 3, 4))
+    assert code == 0 and data["Z"] is None
+    assert math.isclose(data["ln_Z"], math.log(h2) - 2000.0, rel_tol=1e-15)
+    assert data["F"] == -data["ln_Z"]
+
+
+def test_partition_mb_high_ground_level(capsys):
+    code, out, _ = run_cli(
+        ["partition", "--stat", "mb-nn", "--levels", "1000,1001", "-N", "2", "--beta", "1", "--output", "json"],
+        capsys,
+    )
+    data = json.loads(out)
+    assert code == 0 and data["method"] == "closed-form"
+    assert math.isclose(data["ln_Z"], 2 * (math.log1p(math.exp(-1)) - 1000.0) - 2 * math.log(2), rel_tol=1e-15)
+
+
+def test_partition_be_twelve_in_twenty_levels_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["partition", "--stat", "be", "--dimensionless", "20", "-N", "12", "--beta", "0.01", "--output", "json"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and math.isfinite(json.loads(out)["ln_Z"])
+
+
+def test_partition_grand_fd_far_above_levels(capsys):
+    # beta * mu = 800: log(1 + e^a) must not overflow
+    code, out, _ = run_cli(
+        ["partition", "--stat", "fd", "--levels", "0,0.001", "--mu", "800", "--beta", "1", "--output", "json"],
+        capsys,
+    )
+    data = json.loads(out)
+    assert code == 0 and data["Xi"] is None
+    assert math.isclose(data["ln_Xi"], 800.0 + 799.999, rel_tol=1e-15)
 
 
 def test_partition_fd_overfilled_reports_zero(capsys):
@@ -248,6 +321,14 @@ def test_extensivity_discrete_fd(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["rows"][1]["extensivity_defect"] != 0.0
+
+
+def test_extensivity_fd_overfilled_refused(capsys):
+    code, out, err = run_cli(
+        ["extensivity", "--stat", "fd", "--T", "1", "--discrete", "--box1d", "2", "--sizes", "3:5"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 # -- determinism, config plumbing, --out ----------------------------------
@@ -325,6 +406,7 @@ def test_exit_2_on_bad_inputs(capsys):
         ["partition", "--stat", "fd", "--levels", "0,1", "-N", "1"],
         ["partition", "--stat", "mb-nn", "--levels", "0,1", "--mu", "0", "--beta", "1"],
         ["decompose", "--product", "--levels", "a,a,b"],
+        ["occupations", "--n-levels", "4", "-N", "3", "--stat", "be", "--max-n", "2"],
         ["not-a-command"],
     ]
     for args in cases:
@@ -338,13 +420,19 @@ def test_exit_3_on_bose_divergence(capsys):
         ["partition", "--stat", "be", "--levels", "0,1", "--mu", "0", "--beta", "1"], capsys
     )
     assert code == 3 and "mu" in err
+    code, _, err = run_cli(
+        ["partition", "--stat", "be", "--levels", "0,1", "--mu", "800", "--beta", "1"], capsys
+    )
+    assert code == 3 and "mu" in err  # exp(beta * mu) would overflow
 
 
 def test_exit_4_on_capacity(capsys):
     code, _, _ = run_cli(["occupations", "--n-levels", "4", "-N", "13", "--stat", "be"], capsys)
     assert code == 4
+    code, _, _ = run_cli(["occupations", "--n-levels", "21", "-N", "2", "--stat", "be"], capsys)
+    assert code == 4
     code, _, _ = run_cli(
-        ["occupations", "--n-levels", "4", "-N", "3", "--stat", "be", "--max-n", "2"], capsys
+        ["partition", "--stat", "be", "--dimensionless", "30", "-N", "51", "--beta", "1"], capsys
     )
     assert code == 4
     code, _, _ = run_cli(

@@ -13,10 +13,10 @@ from idstat.errors import (
     InputError,
 )
 from idstat.statmech import (
+    MAX_CANONICAL_N,
     MAX_CUTOFF,
     MAX_LEVELS,
     MAX_PARTICLES,
-    MAX_RECURSION_N,
     Spectrum,
     Statistics,
     ThermoPoint,
@@ -35,8 +35,6 @@ from idstat.statmech import (
     mb_free_energy,
     mb_ln_Z_continuum,
     momentum_multiset_sum,
-    nfactor_correction,
-    nfactor_correction_ln,
     occupation_count,
     single_particle_z,
     spectrum_from_csv,
@@ -50,6 +48,14 @@ BE, FD, MB_NN, MB_FACT = (
     Statistics.MB_NN,
     Statistics.MB_FACT,
 )
+
+
+def enumerated_Z(spec, n, beta, stat):
+    """Reference Z: the Boltzmann sum over every occupation state."""
+    return math.fsum(
+        math.exp(-beta * occ.energy(spec))
+        for occ in enumerate_occupations(len(spec), n, stat)
+    )
 
 
 def test_statistics_parse():
@@ -172,6 +178,12 @@ def test_canonical_edge_cases():
     assert canonical_Z(spectrum_from_levels([0.0]), 3, 1.0, BE) == 1.0
     with pytest.raises(InputError):
         canonical_Z(spec, 2, 0.0, BE)
+    with pytest.raises(InputError):
+        canonical_ln_Z(spec, 2, math.nan, FD)
+    with pytest.raises(InputError):
+        canonical_ln_Z(spec, -1, 1.0, MB_NN)
+    with pytest.raises(CapacityExceeded):
+        canonical_ln_Z(spec, MAX_CANONICAL_N + 1, 1.0, BE)
 
 
 def test_canonical_mb_closed_forms():
@@ -186,11 +198,26 @@ def test_canonical_mb_closed_forms():
 
 
 @pytest.mark.parametrize("stat", [BE, FD])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 20.0])
+def test_kernel_matches_enumeration(stat, beta):
+    # prefixes of a spectrum with a degenerate pair, every K <= 8 and N <= 5
+    levels = [0.0, 0.37, 0.37, 1.1, 1.8, 2.6, 3.5, 4.5]
+    for k in range(1, 9):
+        spec = spectrum_from_levels(levels[:k])
+        for n in range(0, 6):
+            if stat is FD and n > k:
+                assert canonical_ln_Z(spec, n, beta, stat) == -math.inf
+                continue
+            ref = math.log(enumerated_Z(spec, n, beta, stat))
+            assert abs(canonical_ln_Z(spec, n, beta, stat) - ref) <= 1e-12, (k, n)
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
 @pytest.mark.parametrize("beta", [0.3, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_recursion_matches_enumeration(stat, beta, n):
     spec = spectrum_from_levels([0.0, 0.5, 1.3, 2.0, 3.1])
-    direct = canonical_Z(spec, n, beta, stat)
+    direct = enumerated_Z(spec, n, beta, stat)
     rec = canonical_Z_recursive(spec, n, beta, stat)
     assert math.isclose(direct, rec, rel_tol=1e-12)
 
@@ -200,7 +227,7 @@ def test_recursion_matches_enumeration_be_cold(n):
     # BE recursion terms are all positive, so no cancellation at any beta
     spec = spectrum_from_levels([0.0, 0.5, 1.3, 2.0, 3.1])
     assert math.isclose(
-        canonical_Z(spec, n, 2.7, BE), canonical_Z_recursive(spec, n, 2.7, BE), rel_tol=1e-12
+        enumerated_Z(spec, n, 2.7, BE), canonical_Z_recursive(spec, n, 2.7, BE), rel_tol=1e-12
     )
 
 
@@ -212,10 +239,10 @@ def test_recursion_fd_cold_conditioning(n):
     # that conditioning bound instead of a fixed tolerance.
     spec = spectrum_from_levels([0.0, 0.5, 1.3, 2.0, 3.1])
     beta = 2.7
-    direct = canonical_Z(spec, n, beta, FD)
+    direct = enumerated_Z(spec, n, beta, FD)
     rec = canonical_Z_recursive(spec, n, beta, FD)
     kappa = sum(
-        single_particle_z(spec, k * beta) * canonical_Z(spec, n - k, beta, FD)
+        single_particle_z(spec, k * beta) * enumerated_Z(spec, n - k, beta, FD)
         for k in range(1, n + 1)
     ) / (n * direct)
     assert abs(direct - rec) / direct <= 1e-13 * kappa
@@ -226,7 +253,7 @@ def test_recursion_base_and_caps():
     spec = spectrum_from_levels([0.0, 1.0])
     assert math.isclose(canonical_Z_recursive(spec, 1, 2.0, BE), single_particle_z(spec, 2.0))
     with pytest.raises(CapacityExceeded):
-        canonical_Z_recursive(spec, MAX_RECURSION_N + 1, 1.0, BE)
+        canonical_Z_recursive(spec, MAX_CANONICAL_N + 1, 1.0, BE)
     with pytest.raises(InputError):
         canonical_Z_recursive(spec, 2, 1.0, MB_NN)
 
@@ -307,30 +334,6 @@ def test_mb_ln_z_rejects_quantum_kinds():
 
 def test_free_energy_sign_convention():
     assert free_energy_from_ln_Z(2.0, 1.5, k=1.0) == -3.0
-
-
-def test_nfactor_correction_trivial_cases():
-    assert nfactor_correction(1.0, 2, 0.0) == 4.0
-    assert math.isclose(nfactor_correction(0.7, 1, 1.3), 0.7 * math.exp(1.3), rel_tol=1e-15)
-    with pytest.raises(InputError):
-        nfactor_correction(1.0, 0)
-
-
-def test_nfactor_stirling_bridge():
-    # N^N e^{-N} ~= N!: correcting the factorial convention with a = -1
-    # reproduces the full-volume Boltzmann Z up to the Stirling error,
-    # pinned here with the exact remainder bounds.
-    spec = spectrum_from_levels([0.0, 0.3, 1.1, 2.4])
-    beta = 0.8
-    z1 = single_particle_z(spec, beta)
-    for n in range(2, 51):
-        ln_fact = canonical_ln_Z(spec, n, beta, MB_FACT)
-        corrected = nfactor_correction_ln(ln_fact, n, a=-1.0)
-        target = nfactor_correction_ln(canonical_ln_Z(spec, n, beta, MB_NN), n, a=0.0)
-        assert math.isclose(target, n * math.log(z1), rel_tol=1e-12)
-        diff = target - corrected  # = ln N! - N ln N + N
-        stirling = 0.5 * math.log(2.0 * math.pi * n)
-        assert stirling + 1.0 / (12 * n + 1) - 1e-9 < diff < stirling + 1.0 / (12 * n) + 1e-9
 
 
 def test_momentum_multiset_sum_equals_z1_power():
