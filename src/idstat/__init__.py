@@ -40,13 +40,11 @@ from .exactnum import (
 from .perm import (
     MAX_ENUM_N,
     Permutation,
-    apply,
-    compose,
     enumerate_permutations,
     noncommutation_witness,
-    sign,
 )
 from .symmetry import (
+    MAX_ORBIT,
     MIXED_BASIS_NAMES,
     ORBIT_BASIS_NAMES,
     StateVector,

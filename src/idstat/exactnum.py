@@ -273,3 +273,53 @@ def rmul(a, b) -> RadicalRational:
 def rsqrt_of_rational(q) -> RadicalRational:
     """Exact sqrt of a nonnegative rational as a single-term value."""
     return RadicalRational.sqrt_rational(q)
+
+
+def sum_of_products(triples) -> RadicalRational:
+    """Exact sum of ``a * b * w`` over ``(a, b, w)`` triples, with ``a`` and
+    ``b`` ring elements and ``w`` an int or Rational weight.
+
+    Equal to folding the products with ``+``, but nothing is reduced per
+    term.  Weights are first summed as unreduced numerators per (a, b,
+    weight denominator), so a vector whose amplitudes share a few objects
+    costs a few products however long it is.  The products' integer
+    numerators are then accumulated per (radicand, denominator), and one
+    Fraction is built per key at the end.  Product radicands are capped at
+    MAX_RADICAND as in ``__mul__``.
+    """
+    pairs: dict[tuple[int, int, int], list] = {}
+    for a, b, w in triples:
+        if isinstance(w, int):
+            wn, wd = w, 1
+        else:
+            w = _coerce(w)
+            wn, wd = w.numerator, w.denominator
+        key = (id(a), id(b), wd)
+        slot = pairs.get(key)
+        if slot is None:
+            pairs[key] = [a, b, wn]  # holding a and b keeps their ids unique
+        else:
+            slot[2] += wn
+    acc: dict[tuple[int, int], int] = {}
+    for (_, _, wd), (a, b, wn) in pairs.items():
+        if not wn:
+            continue
+        for r1, q1 in a._terms.items():
+            n1, d1 = q1.numerator * wn, q1.denominator * wd
+            for r2, q2 in b._terms.items():
+                if r1 == r2:
+                    rad, g = 1, r1
+                else:
+                    g = math.gcd(r1, r2)
+                    rad = (r1 // g) * (r2 // g)
+                    if rad > MAX_RADICAND:
+                        raise CapacityExceeded(f"product radicand {rad} exceeds cap {MAX_RADICAND}")
+                key = (rad, d1 * q2.denominator)
+                acc[key] = acc.get(key, 0) + n1 * q2.numerator * g
+    terms: dict[int, Fraction] = {}
+    for (rad, den), num in acc.items():
+        if num:
+            terms[rad] = terms.get(rad, 0) + Fraction(num, den)
+    out = RadicalRational()
+    out._terms = {r: q for r, q in terms.items() if q}
+    return out

@@ -17,10 +17,11 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
+    InputError,
     NotNormalized,
     ZeroVectorInput,
 )
-from .exactnum import ONE, ZERO, RadicalRational, Rational
+from .exactnum import ONE, ZERO, RadicalRational, Rational, sum_of_products
 from .symmetry import Parity, StateVector, symmetrize
 
 
@@ -72,19 +73,17 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
     """
     if n_levels < 1:
         raise ValueError("need at least one level")
-    rows = []
+    if not (length > 0 and math.isfinite(length)):
+        raise InputError(f"box length must be positive and finite, got {length!r}")
+    rows = [[0.0] * n_levels for _ in range(n_levels)]
     for i in range(n_levels):
-        row = []
-        for j in range(n_levels):
+        rows[i][i] = length / 2.0
+        # Each entry is computed once, with m < n, and mirrored: evaluating
+        # (n, m) separately can round differently and break the symmetry.
+        for j in range(i + 1, n_levels, 2):
             m, n = i + 1, j + 1
-            if m == n:
-                row.append(length / 2.0)
-            elif (m - n) % 2 == 0:
-                row.append(0.0)
-            else:
-                row.append(-8.0 * length * m * n / (math.pi**2 * (m * m - n * n) ** 2))
-        rows.append(tuple(row))
-    return OneBodyOperator(tuple(rows), exact=False)
+            rows[i][j] = rows[j][i] = -8.0 * length * m * n / (math.pi**2 * (m * m - n * n) ** 2)
+    return OneBodyOperator(tuple(map(tuple, rows)), exact=False)
 
 
 def _check_state(v: StateVector, op: OneBodyOperator, particle: int) -> None:
@@ -110,14 +109,12 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
         spectator = state[:particle] + state[particle + 1 :]
         buckets.setdefault(spectator, []).append((state[particle], amp))
     if op.exact:
-        total = ZERO
-        for group in buckets.values():
-            for li, ai in group:
-                for lj, aj in group:
-                    e = op.entry(li, lj)
-                    if e:
-                        total = total + ai * aj * e
-        return total
+        return sum_of_products(
+            (ai, aj, op.entry(li, lj))
+            for group in buckets.values()
+            for li, ai in group
+            for lj, aj in group
+        )
     total_f = 0.0
     for group in buckets.values():
         floats = [(lv, float(a)) for lv, a in group]
@@ -136,11 +133,10 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
         raise ZeroVectorInput("weights undefined on the zero vector")
     if not (0 <= particle < v.n_particles):
         raise ValueError(f"particle index {particle} out of range")
-    weights = [ZERO] * v.basis_size
+    by_level: list[list[RadicalRational]] = [[] for _ in range(v.basis_size)]
     for state, amp in v.items():
-        k = state[particle]
-        weights[k] = weights[k] + amp * amp
-    return weights
+        by_level[state[particle]].append(amp)
+    return [sum_of_products((a, a, 1) for a in amps) for amps in by_level]
 
 
 def energy_sum_rule(v: StateVector, op: OneBodyOperator):

@@ -1,9 +1,9 @@
 """Permutations of particle labels and their action on product states.
 
 Positions are 0-based internally; cycle notation is rendered 1-based for
-display.  The action convention is ``apply(p, s)[p(i)] == s[i]``: particle
-``i``'s level moves to slot ``p(i)``, so ``apply(compose(p, q), s) ==
-apply(p, apply(q, s))``.
+display.  The action convention is ``p.apply(s)[p(i)] == s[i]``: particle
+``i``'s level moves to slot ``p(i)``, so ``p.compose(q).apply(s) ==
+p.apply(q.apply(s))``.
 """
 
 from __future__ import annotations
@@ -115,18 +115,6 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     if n > MAX_ENUM_N:
         raise CapacityExceeded(f"permutation enumeration capped at n = {MAX_ENUM_N}")
     return (Permutation(m) for m in itertools.permutations(range(n)))
-
-
-def sign(p: Permutation) -> int:
-    return p.sign()
-
-
-def apply(p: Permutation, state: Sequence) -> tuple:
-    return p.apply(state)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p.compose(q)
 
 
 def noncommutation_witness(n: int) -> tuple[Permutation, Permutation]:

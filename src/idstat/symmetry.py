@@ -18,12 +18,11 @@ from typing import Iterable, Literal, Sequence
 from .errors import (
     BasisNotOrthonormal,
     CapacityExceeded,
-    NotRepresentable,
     RequiresDistinctLevels,
     ZeroVectorInput,
 )
-from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
-from .perm import MAX_ENUM_N, Permutation, enumerate_permutations
+from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational, sum_of_products
+from .perm import Permutation
 
 Parity = Literal["S", "A"]
 
@@ -55,6 +54,15 @@ class StateVector:
                 top = max(top, max(state, default=-1))
         self._amps = clean
         self.basis_size = max(basis_size, top + 1)
+
+    @classmethod
+    def _trusted(cls, n_particles: int, amps: dict, basis_size: int) -> "StateVector":
+        """Skip __init__'s checks: every key of `amps` must already be a
+        tuple of n_particles nonnegative ints below basis_size, and every
+        value a nonzero RadicalRational."""
+        v = cls.__new__(cls)
+        v.n_particles, v._amps, v.basis_size = n_particles, amps, basis_size
+        return v
 
     # -- inspection ----------------------------------------------------
 
@@ -106,22 +114,10 @@ class StateVector:
         )
 
     def norm_squared(self) -> RadicalRational:
-        total = ZERO
-        for a in self._amps.values():
-            total = total + a * a
-        return total
-
-    def normalized(self) -> "StateVector":
-        if self.is_zero:
-            raise ZeroVectorInput("cannot normalize the zero vector")
-        n2 = self.norm_squared()
-        norm = rsqrt_of_rational(n2.as_rational())
-        return StateVector(
-            self.n_particles, {s: a / norm for s, a in self._amps.items()}, self.basis_size
-        )
+        return sum_of_products((a, a, 1) for a in self._amps.values())
 
     def permuted(self, p: Permutation) -> "StateVector":
-        return StateVector(
+        return StateVector._trusted(
             self.n_particles,
             {p.apply(s): a for s, a in self._amps.items()},
             self.basis_size,
@@ -158,16 +154,82 @@ def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
     if u.n_particles != v.n_particles:
         raise ValueError("particle counts differ")
     small, big = (u, v) if len(u) <= len(v) else (v, u)
-    total = ZERO
-    for s, a in small._amps.items():
-        b = big._amps.get(s)
-        if b is not None:
-            total = total + a * b
-    return total
+    amps = big._amps
+    return sum_of_products(
+        (a, b, 1) for s, a in small._amps.items() if (b := amps.get(s)) is not None
+    )
 
 
 def permute_vector(p: Permutation, v: StateVector) -> StateVector:
     return v.permuted(p)
+
+
+#: Largest permutation orbit (number of distinct orderings of the levels)
+#: that symmetrization builds; the work and memory grow with it, not with N!.
+MAX_ORBIT = math.factorial(9)
+
+
+def _orbit(levels: Sequence[int], parity: Parity) -> tuple[tuple[int, ...], int, int, RadicalRational]:
+    """Checked levels, their orbit size N!/prod(m_k!), prod(m_k!) and the
+    1/sqrt(N!) weight of the raw sum, refused before any state is built.
+
+    The weight must be a ring element, so the ring's square-free split cap
+    refuses N >= 15 even when the orbit is small.
+    """
+    levels = _check_levels(levels)
+    if parity not in ("S", "A"):
+        raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
+    orbit = exchange_degeneracy_dimension(levels)
+    if orbit > MAX_ORBIT:
+        raise CapacityExceeded(
+            f"symmetrization orbit of {orbit} product states exceeds cap {MAX_ORBIT} = 9!"
+        )
+    n_fact = math.factorial(len(levels))
+    try:
+        weight = rsqrt_of_rational(Fraction(1, n_fact))
+    except CapacityExceeded as exc:
+        raise CapacityExceeded(
+            f"symmetrization weight 1/sqrt({len(levels)}!) is not representable: {exc}"
+        ) from exc
+    return levels, orbit, n_fact // orbit, weight
+
+
+def _orderings(levels: tuple[int, ...]):
+    """Each distinct ordering of `levels` once, in lexicographic order, with
+    the sign of the permutation taking `levels` to it (meaningful only for
+    distinct levels).
+
+    Narayana's next-permutation step on the sorted levels: one swap and the
+    reversal of a suffix of length L, so the sign flips 1 + L // 2 times.
+    """
+    inversions = sum(x > y for i, x in enumerate(levels) for y in levels[i + 1 :])
+    sign = -1 if inversions % 2 else 1
+    a = sorted(levels)
+    n = len(a)
+    while True:
+        yield tuple(a), sign
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[: i : -1]
+        if (n - i - 1) // 2 % 2 == 0:
+            sign = -sign
+
+
+def _orbit_vector(levels: tuple[int, ...], amp: RadicalRational, signed: bool) -> StateVector:
+    """amp (times the ordering's sign when `signed`) on every distinct ordering."""
+    if signed:
+        neg = -amp
+        amps = {s: amp if sg > 0 else neg for s, sg in _orderings(levels)}
+    else:
+        amps = {s: amp for s, _ in _orderings(levels)}
+    return StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1)
 
 
 @dataclass(frozen=True)
@@ -182,35 +244,36 @@ class SymmetrizeResult:
 
 
 def symmetrize_raw(levels: Sequence[int], parity: Parity) -> StateVector:
-    """(1/sqrt(N!)) * sum_P (+-1)^P P|levels>, not renormalized."""
-    levels = _check_levels(levels)
-    n = len(levels)
-    if n > MAX_ENUM_N:
-        raise CapacityExceeded(f"symmetrization capped at N = {MAX_ENUM_N}")
-    if parity not in ("S", "A"):
-        raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
-    counts: dict[tuple, int] = {}
-    for p in enumerate_permutations(n):
-        s = p.apply(levels)
-        w = 1 if parity == "S" else p.sign()
-        counts[s] = counts.get(s, 0) + w
-    scale = rsqrt_of_rational(Fraction(1, math.factorial(n)))
-    return StateVector(n, {s: scale * k for s, k in counts.items() if k})
+    """(1/sqrt(N!)) * sum_P (+-1)^P P|levels>, not renormalized.
+
+    Closed form over the orbit: prod(m_k!)/sqrt(N!) on each distinct ordering
+    for 'S'; +-1/sqrt(N!) for 'A' on distinct levels, and the zero vector
+    when a level repeats.
+    """
+    levels, _, repeats, weight = _orbit(levels, parity)
+    if parity == "A":
+        if repeats > 1:
+            return StateVector(len(levels))
+        return _orbit_vector(levels, weight, True)
+    return _orbit_vector(levels, weight * repeats, False)
 
 
 def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     """Symmetrized (parity 'S') or antisymmetrized ('A') unit vector.
 
     Repeated levels under 'A' cancel to the zero vector, which is reported
-    with is_zero rather than raised.  When repeats make the raw norm differ
-    from 1 the vector is renormalized and the raw norm squared kept.
+    with is_zero rather than raised.  Built directly in normalized form:
+    1/sqrt(|orbit|) on each distinct ordering for 'S', with the raw norm
+    squared prod(m_k!); +-1/sqrt(N!) for 'A' on distinct levels, raw norm
+    squared 1.  Cost and memory scale with |orbit| = N!/prod(m_k!).
     """
-    raw = symmetrize_raw(levels, parity)
-    n2 = raw.norm_squared()
-    if raw.is_zero:
-        return SymmetrizeResult(raw, ZERO, True)
-    vec = raw if n2 == ONE else raw.normalized()
-    return SymmetrizeResult(vec, n2, False)
+    levels, orbit, repeats, weight = _orbit(levels, parity)
+    if parity == "A":
+        if repeats > 1:
+            return SymmetrizeResult(StateVector(len(levels)), ZERO, True)
+        return SymmetrizeResult(_orbit_vector(levels, weight, True), ONE, False)
+    amp = rsqrt_of_rational(Fraction(1, orbit))
+    return SymmetrizeResult(_orbit_vector(levels, amp, False), RadicalRational.of(repeats), False)
 
 
 # Coefficient patterns for the N = 3 distinct-level orbit basis.  Keys are
@@ -367,22 +430,8 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
 
 def symmetric_antisymmetric_dimensions(levels: Sequence[int]) -> tuple[int, int]:
     """Dimensions of the symmetric and antisymmetric sectors inside the
-    span of the permutation orbit of `levels`, computed by projecting every
-    distinct ordering and checking exact collinearity of the images."""
+    span of the permutation orbit of `levels`: the symmetrizer maps every
+    ordering onto one line, and the antisymmetrizer does too when the
+    levels are distinct and cancels every ordering when a level repeats."""
     levels = _check_levels(levels)
-    orbit = sorted({p.apply(levels) for p in enumerate_permutations(len(levels))})
-    dims = []
-    for parity in ("S", "A"):
-        images = [symmetrize_raw(s, parity) for s in orbit]
-        images = [u for u in images if not u.is_zero]
-        if not images:
-            dims.append(0)
-            continue
-        u0 = images[0]
-        g00 = inner_product(u0, u0)
-        for u in images[1:]:
-            # collinearity without division: u <u0|u0> == u0 <u0|u>
-            if u.scale(g00) != u0.scale(inner_product(u0, u)):
-                raise NotRepresentable("projector images unexpectedly span > 1 dimension")
-        dims.append(1)
-    return tuple(dims)
+    return (1, 1 if len(set(levels)) == len(levels) else 0)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import observables, statmech, symmetry
 from .exactnum import ONE, RadicalRational, ZERO, rsqrt_of_rational
+from .perm import enumerate_permutations
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def _check_pair_planes():
     for pair in (("s1", "s2"), ("s1p", "s2p")):
         plane = [basis[pair[0]], basis[pair[1]]]
         for name in pair:
-            for p in symmetry.enumerate_permutations(3):
+            for p in enumerate_permutations(3):
                 image = basis[name].permuted(p)
                 coeffs, residual = symmetry.decompose(image, plane)
                 total = ZERO

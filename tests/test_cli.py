@@ -167,6 +167,18 @@ def test_expect_box_position(capsys):
     assert abs(data["float"] - 0.5) <= 1e-10
 
 
+def test_expect_box_position_where_entries_round_apart(capsys):
+    # At L = 0.7 the box-x entries (5, 6) and (6, 5), evaluated separately,
+    # round to different floats.
+    code, out, err = run_cli(
+        ["expect", "--parity", "S", "--levels", "1,2,6", "--box-x", "--length", "0.7",
+         "--particle", "1", "--output", "json"],
+        capsys,
+    )
+    assert code == 0, err
+    assert abs(json.loads(out)["float"] - 0.35) <= 1e-10
+
+
 def test_occupations_fd(capsys):
     code, out, _ = run_cli(["occupations", "--n-levels", "4", "-N", "2", "--stat", "fd", "--output", "json"], capsys)
     data = json.loads(out)
@@ -402,6 +414,8 @@ def test_exit_2_on_bad_inputs(capsys):
          "--epsilon", "1,2"],
         ["expect", "--parity", "A", "--levels", "a,a,b", "--particle", "1",
          "--epsilon", "1,2"],
+        *(["expect", "--parity", "S", "--levels", "1,2", "--box-x", "--length", length,
+           "--particle", "1"] for length in ("nan", "inf", "0", "-1")),
         ["partition", "--stat", "fd", "--levels", "0,1", "-N", "1", "--beta", "1", "--mu", "0"],
         ["partition", "--stat", "fd", "--levels", "0,1", "-N", "1"],
         ["partition", "--stat", "mb-nn", "--levels", "0,1", "--mu", "0", "--beta", "1"],
@@ -439,6 +453,8 @@ def test_exit_4_on_capacity(capsys):
         ["partition", "--stat", "fd", "--dimensionless", "10001", "-N", "2", "--beta", "1"], capsys
     )
     assert code == 4
+    code, _, err = run_cli(["symmetrize", "-l", "a,b,c,d,e,f,g,h,i,j", "-p", "S"], capsys)
+    assert code == 4 and "9!" in err
 
 
 def test_help_exits_zero(capsys):

@@ -19,6 +19,7 @@ from idstat.exactnum import (
     rmul,
     rsqrt_of_rational,
     square_free_split,
+    sum_of_products,
 )
 
 
@@ -159,6 +160,50 @@ def test_capacity_radicand_cap():
     with pytest.raises(CapacityExceeded):
         rmul(rsqrt_of_rational(999983), rsqrt_of_rational(3))
     assert MAX_RADICAND == 10**6
+
+
+def _fold(triples):
+    return sum((a * b * w for a, b, w in triples), ZERO)
+
+
+def test_sum_of_products_matches_ring_fold():
+    rng = random.Random(20261018)
+    radicands = (1, 2, 3, 5, 6, 10, 15, 30)
+
+    def element():
+        return sum(
+            (rsqrt_of_rational(r) * Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             for r in rng.sample(radicands, rng.randint(0, 4))),
+            ZERO,
+        )
+
+    shared = [element() for _ in range(4)]  # repeated objects, as in a state vector
+    for _ in range(200):
+        pool = shared + [element() for _ in range(3)]
+        triples = [
+            (rng.choice(pool), rng.choice(pool),
+             rng.choice([0, 1, -2, Fraction(rng.randint(-7, 7), rng.randint(1, 9))]))
+            for _ in range(rng.randint(0, 12))
+        ]
+        assert sum_of_products(triples) == _fold(triples)
+        assert sum_of_products(iter(triples)) == _fold(triples)
+
+
+def test_sum_of_products_cancels_to_the_empty_map():
+    a = rsqrt_of_rational(Fraction(1, 6)) + Fraction(2, 3)
+    b = rsqrt_of_rational(10) - 1
+    total = sum_of_products([(a, b, 3), (b, a, Fraction(-3, 2)), (a, b, Fraction(-3, 2))])
+    assert total.is_zero and total.items() == [] and total == ZERO
+    assert sum_of_products([]) == ZERO
+    half = rsqrt_of_rational(Fraction(1, 2))  # (1/2)*sqrt(2)
+    assert sum_of_products([(half, half, 1), (half, half, 1)]) == ONE
+
+
+def test_sum_of_products_refuses_past_the_radicand_cap():
+    with pytest.raises(CapacityExceeded):
+        sum_of_products([(ONE, ONE, 1), (rsqrt_of_rational(999983), rsqrt_of_rational(3), 1)])
+    with pytest.raises(TypeError):
+        sum_of_products([(ONE, ONE, 0.5)])
 
 
 def test_json_round_trip_and_order():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,26 @@ def test_box_position_closed_form_values():
     assert math.isclose(op.entry(0, 1), -16.0 / (9.0 * math.pi**2), rel_tol=1e-15)
     assert op.entry(0, 1) == op.entry(1, 0)  # hermitian builder
     assert box_position_operator(1.0, 3).entry(0, 2) == 0.0  # even difference
+
+
+@pytest.mark.parametrize("size", [2, 3, 6, 9, 12])
+def test_box_position_matrix_is_exactly_symmetric(size):
+    for step in range(1, 301):
+        length = step / 100
+        op = box_position_operator(length, size)  # the hermitian check runs here
+        assert all(op.entry(i, j) == op.entry(j, i) for i in range(size) for j in range(size))
+    # At L = 0.7, (m, n) = (5, 6) and (6, 5) round to different floats when
+    # each is evaluated separately; both take the m < n value.
+    op = box_position_operator(0.7, 6)
+    assert op.entry(5, 4) == op.entry(4, 5) == -8.0 * 0.7 * 5 * 6 / (math.pi**2 * (25 - 36) ** 2)
+
+
+def test_symmetrized_eight_levels_expectation_is_fast():
+    start = time.perf_counter()
+    res = symmetrize(tuple(range(8)), "A")
+    value = one_body_expectation(res.vector, OneBodyOperator.diagonal(range(1, 9)), 3)
+    assert time.perf_counter() - start < 2.0
+    assert len(res.vector) == 40320 and value == Fraction(9, 2)
 
 
 @pytest.mark.parametrize("parity", ["S", "A"])

@@ -11,11 +11,8 @@ from idstat.errors import CapacityExceeded, LengthMismatch, NoWitness
 from idstat.perm import (
     MAX_ENUM_N,
     Permutation,
-    apply,
-    compose,
     enumerate_permutations,
     noncommutation_witness,
-    sign,
 )
 
 
@@ -36,9 +33,9 @@ def test_enumeration_streams_and_caps():
 
 
 def test_sign_examples():
-    assert sign(Permutation.identity(4)) == 1
-    assert sign(Permutation.transposition(3, 0, 1)) == -1
-    assert sign(Permutation((1, 2, 0))) == 1  # 3-cycle
+    assert Permutation.identity(4).sign() == 1
+    assert Permutation.transposition(3, 0, 1).sign() == -1
+    assert Permutation((1, 2, 0)).sign() == 1  # 3-cycle
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -46,7 +43,7 @@ def test_sign_homomorphism_exhaustive(n):
     perms = list(enumerate_permutations(n))
     for p in perms:
         for q in perms:
-            assert sign(compose(p, q)) == sign(p) * sign(q)
+            assert p.compose(q).sign() == p.sign() * q.sign()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -55,17 +52,17 @@ def test_group_axioms_exhaustive(n):
     table = set(p.mapping for p in perms)
     e = Permutation.identity(n)
     for p in perms:
-        assert compose(p, p.inverse()) == e
-        assert compose(p.inverse(), p) == e
+        assert p.compose(p.inverse()) == e
+        assert p.inverse().compose(p) == e
         for q in perms:
-            assert compose(p, q).mapping in table
+            assert p.compose(q).mapping in table
 
 
 def test_apply_convention():
     # particle i's level lands in slot p(i)
     p = Permutation((2, 0, 1))
     s = ("a", "b", "c")
-    out = apply(p, s)
+    out = p.apply(s)
     for i in range(3):
         assert out[p(i)] == s[i]
     assert out == ("b", "c", "a")
@@ -75,30 +72,30 @@ def test_apply_composition_consistency():
     s = (10, 20, 30, 40)
     for p in enumerate_permutations(4):
         for q in [Permutation((1, 0, 3, 2)), Permutation((3, 2, 1, 0))]:
-            assert apply(compose(p, q), s) == apply(p, apply(q, s))
+            assert p.compose(q).apply(s) == p.apply(q.apply(s))
 
 
 def test_apply_preserves_multiset():
     s = (5, 5, 1, 3)
     for p in enumerate_permutations(4):
-        assert sorted(apply(p, s)) == sorted(s)
+        assert sorted(p.apply(s)) == sorted(s)
 
 
 def test_apply_length_mismatch():
     with pytest.raises(LengthMismatch):
-        apply(Permutation((0, 1)), (1, 2, 3))
+        Permutation((0, 1)).apply((1, 2, 3))
 
 
 def test_transposition_swap():
     p = Permutation.transposition(2, 0, 1)
-    assert apply(p, ("a", "b")) == ("b", "a")
+    assert p.apply(("a", "b")) == ("b", "a")
 
 
 def test_noncommutation_witness():
     p, q = noncommutation_witness(3)
-    assert compose(p, q) != compose(q, p)
+    assert p.compose(q) != q.compose(p)
     p, q = noncommutation_witness(5)
-    assert compose(p, q) != compose(q, p)
+    assert p.compose(q) != q.compose(p)
     with pytest.raises(NoWitness):
         noncommutation_witness(2)
 

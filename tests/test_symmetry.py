@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from idstat.errors import (
     BasisNotOrthonormal,
+    CapacityExceeded,
     RequiresDistinctLevels,
     ZeroVectorInput,
 )
 from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from idstat.perm import Permutation, enumerate_permutations
 from idstat.symmetry import (
+    MAX_ORBIT,
     StateVector,
     SymmetryTag,
     classify_symmetry,
@@ -262,6 +267,97 @@ def test_parity_sector_dimensions():
     assert symmetric_antisymmetric_dimensions((0, 1, 2)) == (1, 1)
     assert symmetric_antisymmetric_dimensions((0, 0, 1)) == (1, 0)
     assert sum(symmetric_antisymmetric_dimensions((0, 1, 2))) == 2  # of 6 orbit dims
+
+
+# -- oracles: the sum over all of S_N that the closed forms replace -----------
+
+
+@functools.cache
+def _group(n):
+    return [(p, p.sign()) for p in enumerate_permutations(n)]
+
+
+def _fold_dot(u, v):
+    """<u|v> by folding ring products with +, independent of sum_of_products."""
+    return sum((a * v.amplitude(s) for s, a in u.items()), ZERO)
+
+
+def _walk_counts(levels, parity):
+    """sum_P (+-1)^P P|levels> as integer coefficients, walking all of S_N."""
+    counts = {}
+    for p, sign in _group(len(levels)):
+        s = p.apply(levels)
+        counts[s] = counts.get(s, 0) + (1 if parity == "S" else sign)
+    return {s: k for s, k in counts.items() if k}
+
+
+def _walk_raw(levels, parity):
+    """(1/sqrt(N!)) sum_P (+-1)^P P|levels>."""
+    scale = rsqrt_of_rational(Fraction(1, math.factorial(len(levels))))
+    return StateVector(len(levels), {s: scale * k for s, k in _walk_counts(levels, parity).items()})
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_symmetrize_matches_symmetric_group_walk(n):
+    for multiset in combinations_with_replacement(range(4), n):
+        for levels in (multiset, multiset[::-1], multiset[1:] + multiset[:1]):
+            for parity in ("S", "A"):
+                raw = _walk_raw(levels, parity)
+                got_raw = symmetrize_raw(levels, parity)
+                assert got_raw == raw and got_raw.basis_size == raw.basis_size, (levels, parity)
+                n2 = _fold_dot(raw, raw)
+                res = symmetrize(levels, parity)
+                assert res.is_zero == raw.is_zero and res.raw_norm_squared == n2
+                if raw.is_zero:
+                    want = raw
+                else:
+                    norm = rsqrt_of_rational(n2.as_rational())
+                    want = StateVector(len(levels), {s: a / norm for s, a in raw.items()})
+                assert res.vector == want and res.vector.basis_size == want.basis_size, (levels, parity)
+
+
+def _projector_dimensions(levels):
+    """Rank of the S and A projector images of every ordering in the orbit,
+    each image a walk over S_N (integer coefficients, the common 1/sqrt(N!)
+    dropped), by exact collinearity with the first."""
+    orbit = sorted({p.apply(levels) for p, _ in _group(len(levels))})
+    dims = []
+    for parity in ("S", "A"):
+        images = [u for u in (_walk_counts(s, parity) for s in orbit) if u]
+        if not images:
+            dims.append(0)
+            continue
+        u0 = images[0]
+        g00 = sum(a * a for a in u0.values())
+        for u in images[1:]:
+            # collinearity without division: u <u0|u0> == u0 <u0|u>
+            g0u = sum(a * u.get(s, 0) for s, a in u0.items())
+            assert {s: a * g00 for s, a in u.items()} == {s: a * g0u for s, a in u0.items()}
+        dims.append(1)
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_parity_sector_dimensions_match_projector_images(n):
+    # The dimensions depend on the multiset only through its multiplicities:
+    # one multiset per multiplicity pattern, in two orders.
+    for shape in _partitions(n):
+        levels = tuple(lv for lv, mult in enumerate(shape) for _ in range(mult))
+        for ordered in (levels, levels[::-1]):
+            assert symmetric_antisymmetric_dimensions(ordered) == _projector_dimensions(ordered), ordered
+
+
+def test_orbit_cap_counts_orderings_not_particles():
+    assert MAX_ORBIT == math.factorial(9)
+    with pytest.raises(CapacityExceeded):
+        symmetrize(tuple(range(10)), "S")
+    with pytest.raises(CapacityExceeded):
+        symmetrize_raw((0, 0) + tuple(range(1, 9)), "A")  # 10!/2 orderings
+    res = symmetrize((0,) * 11 + (1,), "S")  # N = 12, orbit 12
+    assert len(res.vector) == 12 and res.raw_norm_squared == math.factorial(11)
+    assert symmetrize((0,) * 11 + (1,), "A").is_zero
+    with pytest.raises(CapacityExceeded):  # the 1/sqrt(15!) weight exceeds the ring
+        symmetrize((0,) * 15, "S")
 
 
 def test_state_vector_json_round_trip():
