@@ -626,13 +626,13 @@ def main(argv=None) -> int:
         )
         report = HANDLERS[args.command](args, cfg)
         text = report.render(cfg.output)
+        if not text.endswith("\n"):
+            text += "\n"
         if getattr(args, "out", None):
             with open(args.out, "w") as fh:
                 fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
         else:
-            print(text)
+            sys.stdout.write(text)
         if args.command == "verify-paper" and not report.data["summary"]["ok"]:
             return 1
         return 0

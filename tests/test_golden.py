@@ -98,6 +98,16 @@ def test_stdout_matches_golden(name, fmt):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_out_file_equals_stdout(fmt, tmp_path):
+    for name, argv in CORPUS.items():
+        target = tmp_path / f"{name}.{fmt}"
+        code, out = _stdout(argv + ["--output", fmt, "--out", str(target)])
+        assert code == 0 and out == ""
+        with open(target, newline="") as fh:
+            assert fh.read() == _stdout(argv + ["--output", fmt])[1], name
+
+
 if __name__ == "__main__":
     for fmt in FORMATS:
         os.makedirs(os.path.join(GOLDEN, fmt), exist_ok=True)
