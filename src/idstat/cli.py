@@ -15,12 +15,8 @@ from fractions import Fraction
 
 from . import observables, statmech, symmetry
 from .config import MODES, OUTPUT_FORMATS, RunConfig, load_config
-from .errors import (
-    BoseDivergence,
-    CapacityExceeded,
-    IdstatError,
-    InputError,
-)
+from .errors import IdstatError, InputError
+from .exactnum import sum_of_products
 from .render import Report, fmt_float, table_text
 from .verify import noted_count, run_verification, verification_passed
 
@@ -55,25 +51,36 @@ def _parse_levels(text: str) -> tuple[tuple[int, ...], list[str]]:
     raise InputError(f"mixed symbolic/numeric level labels in {text!r}")
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
+def _parse_list(text: str, convert, what: str) -> list:
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational list {text!r}: {exc}") from exc
+        raise InputError(f"bad {what} list {text!r}: {exc}") from exc
 
 
-def _parse_floats(text: str) -> list[float]:
+def _finite(text: str) -> float:
+    """argparse type: a finite number."""
     try:
-        return [float(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad number list {text!r}: {exc}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad integer list {text!r}: {exc}") from exc
+def _positive(text: str) -> float:
+    """argparse type: a positive finite number (temperature, volume, mass,
+    length)."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _size(token: str) -> tuple[float, int]:
+    v_text, n_text = token.split(":")
+    return float(v_text), int(n_text)
 
 
 def _parse_parity(text: str) -> str:
@@ -83,26 +90,132 @@ def _parse_parity(text: str) -> str:
     return parity
 
 
+# -- views: CSV rows and pretty text, each a function of the JSON data --------
+
+
 def _amp_json(value) -> dict:
     return {"exact": str(value), "float": float(value)}
 
 
-def _state_label(state, labels) -> list[str]:
-    return [labels[i] for i in state]
-
-
 def _vector_terms(vec, labels) -> list[dict]:
-    return [
-        {"state": _state_label(s, labels), "exact": str(a), "float": float(a)}
-        for s, a in vec.items()
-    ]
+    return [{"state": [labels[i] for i in s], **_amp_json(a)} for s, a in vec.items()]
 
 
-def _vector_lines(vec, labels) -> list[str]:
-    return [
-        f"  |{','.join(_state_label(s, labels))}>  {a}  ({fmt_float(float(a))})"
-        for s, a in vec.items()
-    ]
+def _table(columns, items) -> list:
+    """A header row of `columns`, then one row of those keys per item."""
+    return [list(columns)] + [[item[key] for key in columns] for item in items]
+
+
+def _term_row(t: dict) -> list:
+    return [",".join(t["state"]), t["exact"], t["float"]]
+
+
+def _term_line(t: dict) -> str:
+    return f"  |{','.join(t['state'])}>  {t['exact']}  ({fmt_float(t['float'])})"
+
+
+def _symmetrize_text(data: dict) -> str:
+    parity, levels = data["parity"], ",".join(data["levels"])
+    if data["zero_vector"]:
+        return f"parity {parity} on ({levels}): zero vector (alternating sum cancels)"
+    return "\n".join(
+        [f"parity {parity} unit vector on ({levels}):", *map(_term_line, data["terms"]),
+         f"  raw_norm_squared = {data['raw_norm_squared']['exact']}"]
+    )
+
+
+def _basis_text(data: dict) -> str:
+    return "\n".join(
+        line for v in data["vectors"] for line in [f"{v['name']}:", *map(_term_line, v["terms"])]
+    )
+
+
+def _decompose_text(data: dict) -> str:
+    return "\n".join(
+        [f"decomposition of {data['state']} state on ({data['levels']}):"]
+        + [f"  {c['basis']:8} {c['exact']}  ({fmt_float(c['float'])})" for c in data["coefficients"]]
+        + [f"  {key} = {data[key]['exact']}" for key in ("residual_norm_squared", "sum_of_squares")]
+    )
+
+
+_CLASS_KEYS = ("tag", "pair", "member")
+
+
+def _classify_text(data: dict) -> str:
+    bits = [f"{key} = {data[key]}" for key in _CLASS_KEYS if data[key] is not None]
+    return f"{data['state']} state on ({data['levels']}): " + ", ".join(bits)
+
+
+def _expect_text(data: dict) -> str:
+    shown = fmt_float(data["float"])
+    if data["exact"]:
+        shown = f"{data['exact']} = {shown}"
+    return f"<{data['operator']}> for particle {data['particle']} of {data['state']} state: {shown}"
+
+
+def _occupations_text(data: dict) -> str:
+    return "\n".join(
+        [f"{data['statistics']} occupation states for N = {data['n_particles']} "
+         f"on {data['n_levels']} levels: {data['count']} (closed form {data['closed_form']})"]
+        + ["  " + " ".join(str(c) for c in row) for row in data["states"]]
+    )
+
+
+_QUANTITIES = {
+    "continuum": ("ln_Z", "F", "thermal_wavelength"),
+    "grand": ("ln_Xi", "Xi"),
+    "canonical": ("Z", "ln_Z", "F"),
+}
+
+
+def _quantities(data: dict) -> list:
+    """The (key, value) pairs of a `partition` result that are not None."""
+    return [(key, data[key]) for key in _QUANTITIES[data["kind"]] if data[key] is not None]
+
+
+def _partition_rows(data: dict) -> list:
+    return [["quantity", "value"], *map(list, _quantities(data))]
+
+
+def _partition_text(data: dict) -> str:
+    kind, stat = data["kind"], data["statistics"]
+    if kind == "continuum":
+        head = f"T = {fmt_float(data['T'])}, V = {fmt_float(data['V'])}, N = {data['N']}"
+    elif kind == "grand":
+        head = f"beta = {fmt_float(data['beta'])}, mu = {fmt_float(data['mu'])}, {data['n_levels']} levels"
+    else:
+        head = (f"N = {data['N']}, beta = {fmt_float(data['beta'])}, "
+                f"{data['n_levels']} levels ({data['method']})")
+    lines = [f"{kind} {stat}: {head}"]
+    lines += [f"  {key} = {fmt_float(value)}" for key, value in _quantities(data)]
+    if "note" in data:
+        lines.append(f"  note: {data['note']}")
+    return "\n".join(lines)
+
+
+_EXTENSIVITY_COLUMNS = ("V", "N", "ln_Z", "F", "F_per_particle", "extensivity_defect")
+
+
+def _extensivity_text(data: dict, discrete: bool) -> str:
+    return "\n".join(
+        [f"extensivity of F for {data['statistics']} at T = {fmt_float(data['T'])} "
+         f"({'discrete box' if discrete else 'continuum'}):",
+         table_text(_table(_EXTENSIVITY_COLUMNS, data["rows"])),
+         f"  note: {data['note']}"]
+        + [f"  [{'pass' if c['passed'] else 'FAIL'}] {c['name']}" for c in data["checks"]]
+    )
+
+
+_LEDGER_COLUMNS = ("id", "status", "claim", "lhs", "rhs", "tolerance")
+
+
+def _ledger_text(data: dict) -> str:
+    summary = data["summary"]
+    return "\n".join(
+        [f"{c['status'].upper():6} {c['id']:24} {c['claim']} | {c['lhs']} | expected: {c['rhs']}"
+         for c in data["checks"]]
+        + [f"summary: {summary['passed']} passed, {summary['failed']} failed, {summary['noted']} noted"]
+    )
 
 
 # -- state construction shared by decompose / classify / expect --------------
@@ -112,11 +225,8 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--levels", "-l", required=True, help="comma-separated level labels")
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--product", action="store_true", help="bare product state")
-    kind.add_argument(
-        "--member",
-        choices=symmetry.ORBIT_BASIS_NAMES,
-        help="distinct-level 3-particle basis member",
-    )
+    kind.add_argument("--member", choices=symmetry.ORBIT_BASIS_NAMES,
+                      help="distinct-level 3-particle basis member")
     kind.add_argument("--parity", "-p", help="S or A: (anti)symmetrized state")
 
 
@@ -129,9 +239,7 @@ def _build_state(args):
         parity = _parse_parity(args.parity)
         res = symmetry.symmetrize(levels, parity)
         if res.is_zero:
-            raise InputError(
-                "antisymmetrization cancels for repeated levels; nothing to analyze"
-            )
+            raise InputError("antisymmetrization cancels for repeated levels; nothing to analyze")
         return res.vector, labels, f"parity:{parity}"
     return symmetry.product_state_vector(levels), labels, "product"
 
@@ -142,9 +250,7 @@ def _build_state(args):
 def cmd_symmetrize(args, cfg: RunConfig) -> Report:
     levels, labels = _parse_levels(args.levels)
     if args.n_particles is not None and args.n_particles != len(levels):
-        raise InputError(
-            f"-n {args.n_particles} disagrees with {len(levels)} level labels"
-        )
+        raise InputError(f"-n {args.n_particles} disagrees with {len(levels)} level labels")
     parity = _parse_parity(args.parity)
     res = symmetry.symmetrize(levels, parity)
     data = {
@@ -157,21 +263,8 @@ def cmd_symmetrize(args, cfg: RunConfig) -> Report:
         "norm_squared": _amp_json(res.vector.norm_squared()),
         "terms": _vector_terms(res.vector, labels),
     }
-    table = [["state", "exact", "float"]] + [
-        [",".join(t["state"]), t["exact"], t["float"]] for t in data["terms"]
-    ]
-    if res.is_zero:
-        text = (
-            f"parity {parity} on ({','.join(data['levels'])}): "
-            "zero vector (alternating sum cancels)"
-        )
-    else:
-        text = "\n".join(
-            [f"parity {parity} unit vector on ({','.join(data['levels'])}):"]
-            + _vector_lines(res.vector, labels)
-            + [f"  raw_norm_squared = {res.raw_norm_squared}"]
-        )
-    return Report(data, table, text)
+    return Report(data, lambda d: [["state", "exact", "float"], *map(_term_row, d["terms"])],
+                  _symmetrize_text)
 
 
 def cmd_mixed_basis(args, cfg: RunConfig) -> Report:
@@ -181,19 +274,11 @@ def cmd_mixed_basis(args, cfg: RunConfig) -> Report:
     data = {
         "command": "mixed-basis",
         "levels": [labels[i] for i in levels],
-        "vectors": [
-            {"name": name, "terms": _vector_terms(basis[name], labels)}
-            for name in names
-        ],
+        "vectors": [{"name": name, "terms": _vector_terms(basis[name], labels)} for name in names],
     }
-    table = [["vector", "state", "exact", "float"]]
-    lines = []
-    for name in names:
-        lines.append(f"{name}:")
-        lines.extend(_vector_lines(basis[name], labels))
-        for s, a in basis[name].items():
-            table.append([name, ",".join(_state_label(s, labels)), str(a), float(a)])
-    return Report(data, table, "\n".join(lines))
+    rows = lambda d: [["vector", "state", "exact", "float"]] + [
+        [v["name"], *_term_row(t)] for v in d["vectors"] for t in v["terms"]]
+    return Report(data, rows, _basis_text)
 
 
 def cmd_decompose(args, cfg: RunConfig) -> Report:
@@ -201,29 +286,18 @@ def cmd_decompose(args, cfg: RunConfig) -> Report:
     levels, _ = _parse_levels(args.levels)
     basis = symmetry.orbit_basis_n3(levels)
     coeffs, residual = symmetry.decompose(vec, list(basis))
-    total = coeffs[0] * coeffs[0]
-    for c in coeffs[1:]:
-        total = total + c * c
     data = {
         "command": "decompose",
         "state": state_desc,
         "levels": args.levels,
         "coefficients": [
-            {"basis": name, "exact": str(c), "float": float(c)}
+            {"basis": name, **_amp_json(c)}
             for name, c in zip(symmetry.ORBIT_BASIS_NAMES, coeffs)
         ],
         "residual_norm_squared": _amp_json(residual.norm_squared()),
-        "sum_of_squares": _amp_json(total),
+        "sum_of_squares": _amp_json(sum_of_products((c, c, 1) for c in coeffs)),
     }
-    table = [["basis", "exact", "float"]] + [
-        [c["basis"], c["exact"], c["float"]] for c in data["coefficients"]
-    ]
-    lines = [f"decomposition of {state_desc} state on ({args.levels}):"]
-    for c in data["coefficients"]:
-        lines.append(f"  {c['basis']:8} {c['exact']}  ({fmt_float(c['float'])})")
-    lines.append(f"  residual_norm_squared = {residual.norm_squared()}")
-    lines.append(f"  sum_of_squares = {total}")
-    return Report(data, table, "\n".join(lines))
+    return Report(data, lambda d: _table(("basis", "exact", "float"), d["coefficients"]), _decompose_text)
 
 
 def cmd_classify(args, cfg: RunConfig) -> Report:
@@ -231,139 +305,102 @@ def cmd_classify(args, cfg: RunConfig) -> Report:
     cls = symmetry.classify_symmetry(vec)
     data = {"command": "classify", "state": state_desc, "levels": args.levels}
     data.update(cls.to_json())
-    table = [["tag", "pair", "member"], [cls.tag.value, cls.pair, cls.member]]
-    bits = [f"tag = {cls.tag.value}"]
-    if cls.pair is not None:
-        bits.append(f"pair = {cls.pair}")
-    if cls.member is not None:
-        bits.append(f"member = {cls.member}")
-    return Report(data, table, f"{state_desc} state on ({args.levels}): " + ", ".join(bits))
+    return Report(data, lambda d: _table(_CLASS_KEYS, [d]), _classify_text)
 
 
 def cmd_expect(args, cfg: RunConfig) -> Report:
     vec, labels, state_desc = _build_state(args)
     if args.particle < 1 or args.particle > vec.n_particles:
-        raise InputError(
-            f"--particle must be in 1..{vec.n_particles}, got {args.particle}"
-        )
+        raise InputError(f"--particle must be in 1..{vec.n_particles}, got {args.particle}")
     particle = args.particle - 1
     if (args.epsilon is None) == (not args.box_x):
         raise InputError("choose exactly one operator: --epsilon values or --box-x")
     if args.epsilon is not None:
-        eps = _parse_fractions(args.epsilon)
+        eps = _parse_list(args.epsilon, Fraction, "rational")
         if len(eps) < vec.basis_size:
-            raise InputError(
-                f"--epsilon needs at least {vec.basis_size} values, got {len(eps)}"
-            )
+            raise InputError(f"--epsilon needs at least {vec.basis_size} values, got {len(eps)}")
         op = observables.OneBodyOperator.diagonal(eps)
         op_desc = "diag(" + ",".join(str(e) for e in eps) + ")"
     else:
         op = observables.box_position_operator(args.length, vec.basis_size)
         op_desc = f"box-x(L={args.length})"
     value = observables.one_body_expectation(vec, op, particle)
-    exact = str(value) if op.exact else None
     data = {
         "command": "expect",
         "state": state_desc,
         "levels": args.levels,
         "operator": op_desc,
         "particle": args.particle,
-        "exact": exact,
+        "exact": str(value) if op.exact else None,
         "float": float(value),
     }
-    table = [["particle", "operator", "exact", "float"],
-             [args.particle, op_desc, exact if exact else "", float(value)]]
-    shown = f"{exact} = {fmt_float(float(value))}" if exact else fmt_float(float(value))
-    text = f"<{op_desc}> for particle {args.particle} of {state_desc} state: {shown}"
-    return Report(data, table, text)
+    rows = lambda d: [["particle", "operator", "exact", "float"],
+                     [d["particle"], d["operator"], d["exact"] or "", d["float"]]]
+    return Report(data, rows, _expect_text)
 
 
 def cmd_occupations(args, cfg: RunConfig) -> Report:
     stat = statmech.Statistics.parse(args.stat)
     states = list(statmech.enumerate_occupations(args.n_levels, args.n_particles, stat))
-    closed = statmech.occupation_count(args.n_levels, args.n_particles, stat)
     data = {
         "command": "occupations",
         "statistics": stat.value,
         "n_levels": args.n_levels,
         "n_particles": args.n_particles,
         "count": len(states),
-        "closed_form": closed,
+        "closed_form": statmech.occupation_count(args.n_levels, args.n_particles, stat),
         "states": [list(s.as_vector(args.n_levels)) for s in states],
     }
-    table = [[f"level_{i+1}" for i in range(args.n_levels)]] + data["states"]
-    lines = [
-        f"{stat.value} occupation states for N = {args.n_particles} "
-        f"on {args.n_levels} levels: {len(states)} (closed form {closed})"
-    ] + ["  " + " ".join(str(c) for c in row) for row in data["states"]]
-    return Report(data, table, "\n".join(lines))
+    rows = lambda d: [[f"level_{i+1}" for i in range(d["n_levels"])], *d["states"]]
+    return Report(data, rows, _occupations_text)
 
 
-def _constants(cfg: RunConfig, mass: float) -> tuple[float, float, float]:
+def _units(cfg: RunConfig) -> tuple[float, float]:
+    """Planck's and Boltzmann's constants: SI values, or 1 when dimensionless."""
     if cfg.mode == "si":
-        return mass, statmech.PLANCK_H_SI, statmech.BOLTZMANN_K_SI
-    return mass, 1.0, 1.0
+        return statmech.PLANCK_H_SI, statmech.BOLTZMANN_K_SI
+    return 1.0, 1.0
 
 
-def _build_spectrum(args, cfg: RunConfig, mass: float, h: float) -> statmech.Spectrum:
-    sources = [
-        args.levels is not None,
-        args.spectrum_file is not None,
-        args.box1d is not None,
-        args.box3d is not None,
-        args.dimensionless is not None,
-    ]
-    if sum(sources) != 1:
+def _build_spectrum(args, h: float) -> statmech.Spectrum:
+    sources = (args.levels, args.spectrum_file, args.box1d, args.box3d, args.dimensionless)
+    if sum(source is not None for source in sources) != 1:
         raise InputError(
             "choose exactly one spectrum source: --levels, --spectrum-file, "
             "--box1d, --box3d, or --dimensionless"
         )
     if args.levels is not None:
-        return statmech.spectrum_from_levels(_parse_floats(args.levels))
+        return statmech.spectrum_from_levels(_parse_list(args.levels, float, "number"))
     if args.spectrum_file is not None:
         return statmech.spectrum_from_csv(args.spectrum_file)
     if args.box1d is not None:
-        return statmech.box1d_spectrum(args.box1d, args.length, mass, h)
+        return statmech.box1d_spectrum(args.box1d, args.length, args.mass, h)
     if args.box3d is not None:
-        return statmech.box3d_spectrum(args.box3d, args.length, mass, h)
+        return statmech.box3d_spectrum(args.box3d, args.length, args.mass, h)
     return statmech.dimensionless_spectrum(args.dimensionless)
 
 
 def cmd_partition(args, cfg: RunConfig) -> Report:
     stat = statmech.Statistics.parse(args.stat)
-    mass, h, k = _constants(cfg, args.mass)
+    h, k = _units(cfg)
+    data = {"command": "partition", "statistics": stat.value}
 
     if args.continuum:
         if args.V is None or args.N is None or args.T is None:
             raise InputError("--continuum needs --V, --N, and --T")
-        tp = statmech.ThermoPoint(T=args.T, V=args.V, N=args.N, mass=mass, h=h, k=k)
+        tp = statmech.ThermoPoint(T=args.T, V=args.V, N=args.N, mass=args.mass, h=h, k=k)
         ln_Z = statmech.mb_ln_Z_continuum(tp, stat)
-        data = {
-            "command": "partition",
-            "kind": "continuum",
-            "statistics": stat.value,
-            "T": args.T,
-            "V": args.V,
-            "N": args.N,
-            "ln_Z": ln_Z,
-            "F": statmech.free_energy_from_ln_Z(ln_Z, args.T, k),
-            "thermal_wavelength": statmech.thermal_wavelength(tp),
-            "note": statmech.FREE_ENERGY_NOTE,
-        }
-        table = [["quantity", "value"]] + [
-            [key, data[key]] for key in ("ln_Z", "F", "thermal_wavelength")
-        ]
-        text = "\n".join(
-            [
-                f"continuum {stat.value}: T = {fmt_float(args.T)}, "
-                f"V = {fmt_float(args.V)}, N = {args.N}",
-                f"  ln_Z = {fmt_float(ln_Z)}",
-                f"  F = {fmt_float(data['F'])}",
-                f"  thermal_wavelength = {fmt_float(data['thermal_wavelength'])}",
-                f"  note: {statmech.FREE_ENERGY_NOTE}",
-            ]
+        data.update(
+            kind="continuum",
+            T=args.T,
+            V=args.V,
+            N=args.N,
+            ln_Z=ln_Z,
+            F=statmech.free_energy_from_ln_Z(ln_Z, args.T, k),
+            thermal_wavelength=statmech.thermal_wavelength(tp),
+            note=statmech.FREE_ENERGY_NOTE,
         )
-        return Report(data, table, text)
+        return Report(data, _partition_rows, _partition_text)
 
     if args.T is not None and args.beta is not None:
         raise InputError("give either --beta or --T, not both")
@@ -373,108 +410,55 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
         beta = args.beta
     else:
         raise InputError("canonical and grand ensembles need --beta or --T")
-
-    spectrum = _build_spectrum(args, cfg, mass, h)
+    spectrum = _build_spectrum(args, h)
+    data.update(beta=beta, n_levels=len(spectrum))
 
     if args.mu is not None:
         if args.N is not None:
             raise InputError("give either -N (canonical) or --mu (grand), not both")
         ln_Xi = statmech.grand_ln_Xi(spectrum, beta, args.mu, stat)
-        data = {
-            "command": "partition",
-            "kind": "grand",
-            "statistics": stat.value,
-            "beta": beta,
-            "mu": args.mu,
-            "n_levels": len(spectrum),
-            "ln_Xi": ln_Xi,
-            "Xi": math.exp(ln_Xi) if abs(ln_Xi) < 700 else None,
-        }
-        table = [["quantity", "value"], ["ln_Xi", ln_Xi]]
-        if data["Xi"] is not None:
-            table.append(["Xi", data["Xi"]])
-        text = "\n".join(
-            [
-                f"grand {stat.value}: beta = {fmt_float(beta)}, mu = {fmt_float(args.mu)}, "
-                f"{len(spectrum)} levels",
-                f"  ln_Xi = {fmt_float(ln_Xi)}",
-            ]
-            + ([f"  Xi = {fmt_float(data['Xi'])}"] if data["Xi"] is not None else [])
-        )
-        return Report(data, table, text)
+        data.update(kind="grand", mu=args.mu, ln_Xi=ln_Xi,
+                    Xi=math.exp(ln_Xi) if abs(ln_Xi) < 700 else None)
+        return Report(data, _partition_rows, _partition_text)
 
     if args.N is None:
         raise InputError("canonical ensemble needs -N (or --mu for the grand ensemble)")
-    n = args.N
-    ln_Z = statmech.canonical_ln_Z(spectrum, n, beta, stat)
+    ln_Z = statmech.canonical_ln_Z(spectrum, args.N, beta, stat)
     if ln_Z == -math.inf:  # more fermions than levels
         Z, ln_Z = 0.0, None
     else:
         Z = math.exp(ln_Z) if abs(ln_Z) < 700 else None
-    method = "generating-function" if stat.quantum else "closed-form"
-    T = 1.0 / (k * beta)
-    F = statmech.free_energy_from_ln_Z(ln_Z, T, k) if ln_Z is not None else None
-    data = {
-        "command": "partition",
-        "kind": "canonical",
-        "statistics": stat.value,
-        "beta": beta,
-        "N": n,
-        "n_levels": len(spectrum),
-        "method": method,
-        "Z": Z,
-        "ln_Z": ln_Z,
-        "F": F,
-        "note": statmech.FREE_ENERGY_NOTE,
-    }
-    table = [["quantity", "value"]]
-    text_lines = [
-        f"canonical {stat.value}: N = {n}, beta = {fmt_float(beta)}, "
-        f"{len(spectrum)} levels ({method})"
-    ]
-    if Z is not None:
-        table.append(["Z", Z])
-        text_lines.append(f"  Z = {fmt_float(Z)}")
-    if ln_Z is not None:
-        table.append(["ln_Z", ln_Z])
-        table.append(["F", F])
-        text_lines.append(f"  ln_Z = {fmt_float(ln_Z)}")
-        text_lines.append(f"  F = {fmt_float(F)}")
-    text_lines.append(f"  note: {statmech.FREE_ENERGY_NOTE}")
-    return Report(data, table, "\n".join(text_lines))
+    data.update(
+        kind="canonical",
+        N=args.N,
+        method="generating-function" if stat.quantum else "closed-form",
+        Z=Z,
+        ln_Z=ln_Z,
+        F=statmech.free_energy_from_ln_Z(ln_Z, 1.0 / (k * beta), k) if ln_Z is not None else None,
+        note=statmech.FREE_ENERGY_NOTE,
+    )
+    return Report(data, _partition_rows, _partition_text)
 
 
 def cmd_extensivity(args, cfg: RunConfig) -> Report:
     stat = statmech.Statistics.parse(args.stat)
-    mass, h, k = _constants(cfg, args.mass)
+    h, k = _units(cfg)
     if args.sizes is not None:
-        sizes = []
-        for token in args.sizes.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if ":" not in token:
-                raise InputError(f"--sizes entries are V:N pairs, got {token!r}")
-            v_text, n_text = token.split(":", 1)
-            try:
-                sizes.append((float(v_text), int(n_text)))
-            except ValueError as exc:
-                raise InputError(f"bad --sizes entry {token!r}: {exc}") from exc
+        sizes = _parse_list(args.sizes, _size, "V:N")
     else:
-        n_list = _parse_ints(args.n_list)
-        sizes = [(args.per_volume * n, n) for n in n_list]
+        sizes = [(args.per_volume * n, n) for n in _parse_list(args.n_list, int, "integer")]
     if not sizes:
         raise InputError("no system sizes given")
 
     builder = None
     if args.discrete:
         cutoff = args.box1d if args.box1d is not None else 12
-        builder = lambda V: statmech.box1d_spectrum(cutoff, V, mass, h)
+        builder = lambda V: statmech.box1d_spectrum(cutoff, V, args.mass, h)
     report = statmech.extensivity_report(
         stat,
         args.T,
         sizes,
-        mass=mass,
+        mass=args.mass,
         h=h,
         k=k,
         continuum=not args.discrete,
@@ -482,44 +466,23 @@ def cmd_extensivity(args, cfg: RunConfig) -> Report:
     )
     data = {"command": "extensivity"}
     data.update(report.to_json())
-    table = report.table()
-    lines = [
-        f"extensivity of F for {stat.value} at T = {fmt_float(args.T)} "
-        f"({'discrete box' if args.discrete else 'continuum'}):",
-        table_text(table),
-        f"  note: {report.note}",
-    ]
-    for check in report.checks:
-        status = "pass" if check["passed"] else "FAIL"
-        lines.append(f"  [{status}] {check['name']}")
-    return Report(data, table, "\n".join(lines))
+    return Report(data, lambda d: _table(_EXTENSIVITY_COLUMNS, d["rows"]),
+                  lambda d: _extensivity_text(d, args.discrete))
 
 
 def cmd_verify_paper(args, cfg: RunConfig) -> Report:
     results = run_verification(cfg.seed)
-    failed = sum(1 for r in results if r.status == "fail")
-    passed = sum(1 for r in results if r.status == "pass")
     data = {
         "command": "verify-paper",
         "checks": [r.to_json() for r in results],
         "summary": {
-            "passed": passed,
-            "failed": failed,
+            "passed": sum(1 for r in results if r.status == "pass"),
+            "failed": sum(1 for r in results if r.status == "fail"),
             "noted": noted_count(results),
             "ok": verification_passed(results),
         },
     }
-    table = [["id", "status", "claim", "lhs", "rhs", "tolerance"]] + [
-        [r.check_id, r.status, r.claim, r.lhs, r.rhs, r.tolerance] for r in results
-    ]
-    lines = [
-        f"{r.status.upper():6} {r.check_id:24} {r.claim} | {r.lhs} | expected: {r.rhs}"
-        for r in results
-    ]
-    lines.append(
-        f"summary: {passed} passed, {failed} failed, {noted_count(results)} noted"
-    )
-    return Report(data, table, "\n".join(lines))
+    return Report(data, lambda d: _table(_LEDGER_COLUMNS, d["checks"]), _ledger_text)
 
 
 HANDLERS = {
@@ -566,7 +529,7 @@ def build_parser() -> _Parser:
     p.add_argument("--particle", type=int, required=True, help="1-based particle index")
     p.add_argument("--epsilon", help="diagonal operator values, comma-separated rationals")
     p.add_argument("--box-x", action="store_true", help="box position operator")
-    p.add_argument("--length", type=float, default=1.0, help="box length for --box-x")
+    p.add_argument("--length", type=_positive, default=1.0, help="box length for --box-x")
 
     p = sub.add_parser("occupations", parents=[common], help="enumerate occupation states")
     p.add_argument("--n-levels", type=int, required=True, dest="n_levels")
@@ -580,26 +543,26 @@ def build_parser() -> _Parser:
     p.add_argument("--box1d", type=int, help="1-D box spectrum with this many levels")
     p.add_argument("--box3d", type=int, help="3-D box spectrum with this many levels")
     p.add_argument("--dimensionless", type=int, help="n^2 spectrum with this many levels")
-    p.add_argument("--length", type=float, default=1.0, help="box length")
-    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--length", type=_positive, default=1.0, help="box length")
+    p.add_argument("--mass", type=_positive, default=1.0)
     p.add_argument("-N", "--N", type=int, dest="N", help="particle number (canonical)")
-    p.add_argument("--mu", type=float, help="chemical potential (grand)")
-    p.add_argument("--beta", type=float, help="inverse temperature")
-    p.add_argument("--T", type=float, dest="T", help="temperature")
+    p.add_argument("--mu", type=_finite, help="chemical potential (grand)")
+    p.add_argument("--beta", type=_positive, help="inverse temperature")
+    p.add_argument("--T", type=_positive, dest="T", help="temperature")
     p.add_argument("--continuum", action="store_true", help="closed-form Boltzmann gas")
-    p.add_argument("--V", type=float, dest="V", help="volume (continuum)")
+    p.add_argument("--V", type=_positive, dest="V", help="volume (continuum)")
 
     p = sub.add_parser("extensivity", parents=[common], help="F(T,V,N) vs N*F(T,V/N,1) table")
     p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
-    p.add_argument("--T", type=float, required=True, dest="T")
+    p.add_argument("--T", type=_positive, required=True, dest="T")
     p.add_argument("--sizes", help="comma-separated V:N pairs")
-    p.add_argument("--per-volume", type=float, default=1.0, dest="per_volume",
+    p.add_argument("--per-volume", type=_positive, default=1.0, dest="per_volume",
                    help="volume per particle when using --n-list")
     p.add_argument("--n-list", dest="n_list", default="1,2,10,100,10000",
                    help="particle numbers when --sizes is not given")
     p.add_argument("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
     p.add_argument("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
-    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--mass", type=_positive, default=1.0)
 
     sub.add_parser("verify-paper", parents=[common], help="replay every identity and report a ledger")
 
@@ -607,47 +570,28 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
-        return 0 if not exc.code else int(exc.code)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(
-            getattr(args, "config", None),
-            overrides={
-                "mode": getattr(args, "mode", None),
-                "output": getattr(args, "output", None),
-                "seed": getattr(args, "seed", None),
-            },
+            args.config, overrides={"mode": args.mode, "output": args.output, "seed": args.seed}
         )
         report = HANDLERS[args.command](args, cfg)
         text = report.render(cfg.output)
         if not text.endswith("\n"):
             text += "\n"
-        if getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        if args.command == "verify-paper" and not report.data["summary"]["ok"]:
-            return 1
-        return 0
-    except InputError as exc:
+    except SystemExit as exc:  # --help
+        return 0 if not exc.code else int(exc.code)
+    except (IdstatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BoseDivergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except IdstatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
+    if args.command == "verify-paper" and not report.data["summary"]["ok"]:
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

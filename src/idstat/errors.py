@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by idstat derives from IdstatError so callers (and the
-CLI exit-code mapper) can catch one base class.
+CLI error boundary) can catch one base class; `exit_code` is the CLI's exit
+status for the class.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 class IdstatError(Exception):
     """Base class for all idstat errors."""
+
+    exit_code = 2
 
 
 class InputError(IdstatError):
@@ -18,6 +21,8 @@ class InputError(IdstatError):
 class CapacityExceeded(IdstatError):
     """A documented hard cap was exceeded (permutation order, particle
     count, level count, radicand size)."""
+
+    exit_code = 4
 
 
 class CutoffTooLarge(CapacityExceeded):
@@ -63,3 +68,5 @@ class NotRepresentable(IdstatError):
 class BoseDivergence(IdstatError):
     """Bose-Einstein grand sum diverges (chemical potential at or above
     the lowest level)."""
+
+    exit_code = 3

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from .errors import InputError
 
@@ -27,7 +28,7 @@ def _emit(obj, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -41,7 +42,7 @@ def _emit(obj, out: list) -> None:
             if not first:
                 out.append(",")
             first = False
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
@@ -94,17 +95,19 @@ def table_text(rows, indent: str = "  ") -> str:
 
 @dataclass(frozen=True)
 class Report:
-    """One command result in all three output shapes."""
+    """One command result: `data` is the JSON output, and the CSV rows and
+    the pretty text are functions of it, built only for the format asked
+    for."""
 
     data: dict
-    table: list
-    text: str
+    rows: Callable[[dict], list]
+    text: Callable[[dict], str]
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
             return canonical_json(self.data)
         if fmt == "csv":
-            return csv_text(self.table)
+            return csv_text(self.rows(self.data))
         if fmt == "pretty":
-            return self.text
+            return self.text(self.data)
         raise InputError(f"unknown output format {fmt!r}")

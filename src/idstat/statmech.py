@@ -112,10 +112,19 @@ def dimensionless_spectrum(cutoff: int) -> Spectrum:
     return Spectrum(tuple(float(n * n) for n in range(1, cutoff + 1)), "dimensionless")
 
 
+def _box_scale(length: float, mass: float, h: float) -> float:
+    """h^2 / (8 m L^2); a box needs a positive finite length, mass and h."""
+    if not all(math.isfinite(x) and x > 0 for x in (length, mass, h)):
+        raise InputError(
+            f"box length, mass and h must be positive and finite, got {length!r}, {mass!r}, {h!r}"
+        )
+    return h * h / (8.0 * mass * length * length)
+
+
 def box1d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
     """1-D hard-wall box: e_n = n^2 h^2 / (8 m L^2)."""
     cutoff = _check_cutoff(cutoff)
-    scale = h * h / (8.0 * mass * length * length)
+    scale = _box_scale(length, mass, h)
     return Spectrum(
         tuple(scale * n * n for n in range(1, cutoff + 1)),
         f"box1d(L={length},m={mass},h={h})",
@@ -126,6 +135,7 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
     """3-D cubic box: e = (h^2 / 8 m L^2)(nx^2+ny^2+nz^2), degeneracies
     expanded, lowest `cutoff` levels kept."""
     cutoff = _check_cutoff(cutoff)
+    scale = _box_scale(length, mass, h)
     bound = 2
     while True:
         # every triple with nx^2+ny^2+nz^2 <= bound^2 + 2 has all n <= bound,
@@ -139,7 +149,6 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
         if len(sums) >= cutoff:
             break
         bound *= 2
-    scale = h * h / (8.0 * mass * length * length)
     return Spectrum(
         tuple(scale * s for s in sums[:cutoff]),
         f"box3d(L={length},m={mass},h={h})",
@@ -375,12 +384,12 @@ class ThermoPoint:
     k: float = 1.0
 
     def __post_init__(self):
-        if self.T <= 0 or self.V <= 0:
-            raise InputError("T and V must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.T, self.V)):
+            raise InputError("T and V must be positive and finite")
         if self.N < 0:
             raise InputError("N must be nonnegative")
-        if self.mass <= 0 or self.h <= 0 or self.k <= 0:
-            raise InputError("constants must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.mass, self.h, self.k)):
+            raise InputError("constants must be positive and finite")
 
     @property
     def beta(self) -> float:

@@ -41,7 +41,7 @@ def test_fmt_float_17_digits():
 
 def test_report_rejects_unknown_format():
     with pytest.raises(InputError):
-        Report({}, [], "").render("xml")
+        Report({}, lambda data: [], lambda data: "").render("xml")
 
 
 # -- config layer -------------------------------------------------------
@@ -399,7 +399,7 @@ def test_si_mode_thermal_wavelength(capsys):
 # -- exit codes ------------------------------------------------------------
 
 
-def test_exit_2_on_bad_inputs(capsys):
+def test_exit_2_on_bad_inputs(tmp_path, capsys):
     cases = [
         ["symmetrize", "-l", "a,b", "-p", "Q"],
         ["symmetrize", "-n", "3", "-l", "a,b", "-p", "S"],
@@ -422,11 +422,48 @@ def test_exit_2_on_bad_inputs(capsys):
         ["decompose", "--product", "--levels", "a,a,b"],
         ["occupations", "--n-levels", "4", "-N", "3", "--stat", "be", "--max-n", "2"],
         ["not-a-command"],
+        ["partition", "--stat", "be", "--spectrum-file", str(tmp_path / "missing.csv"), "-N", "2", "--beta", "1"],
+        ["partition", "--stat", "fd", "--levels", "0,1,2", "-N", "2", "--beta", "1",
+         "--out", str(tmp_path / "missing-dir" / "x.txt")],
     ]
     for args in cases:
-        code, _, err = run_cli(args, capsys)
+        code, out, err = run_cli(args, capsys)
         assert code == 2, f"{args} gave {code}"
-        assert err.strip(), f"{args} printed no diagnostic"
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, f"{args}: {err!r}"
+
+
+BOX = ["partition", "--stat", "fd", "--box1d", "4", "-N", "2"]
+CONTINUUM = ["partition", "--stat", "mb-nn", "--continuum", "--N", "2"]
+PHYSICAL_FLAG_CASES = {
+    "--T": [CONTINUUM + ["--V", "1"], BOX,
+            ["extensivity", "--stat", "be", "--discrete", "--box1d", "4", "--sizes", "1:2"]],
+    "--V": [CONTINUUM + ["--T", "1"]],
+    "--beta": [BOX],
+    "--mass": [BOX + ["--beta", "1"], CONTINUUM + ["--V", "1", "--T", "1"]],
+    "--length": [BOX + ["--beta", "1"]],
+    "--per-volume": [["extensivity", "--stat", "mb-nn", "--T", "1", "--n-list", "1,2"]],
+    "--mu": [["partition", "--stat", "fd", "--levels", "0,1", "--beta", "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [(flag, value) for flag in sorted(PHYSICAL_FLAG_CASES) for value in ("nan", "inf", "-inf", "0", "-1")
+     if flag != "--mu" or value in ("nan", "inf", "-inf")],  # mu may be zero or negative
+)
+def test_exit_2_on_non_positive_or_non_finite_physical_flags(flag, value, capsys):
+    for args in PHYSICAL_FLAG_CASES[flag]:
+        code, out, err = run_cli(args + [f"{flag}={value}"], capsys)
+        assert code == 2 and out == "", f"{args} {flag}={value} gave {code}"
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def test_box_spectra_refuse_non_positive_volumes(capsys):
+    for size in ("0:1", "-1:1"):
+        code, out, err = run_cli(
+            ["extensivity", "--stat", "be", "--T", "1", "--discrete", f"--sizes={size}"], capsys
+        )
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, err
 
 
 def test_exit_3_on_bose_divergence(capsys):

@@ -387,4 +387,7 @@ def test_thermo_point_validation():
         ThermoPoint(T=0.0, V=1.0, N=1)
     with pytest.raises(InputError):
         ThermoPoint(T=1.0, V=-1.0, N=1)
+    for bad in ({"T": math.inf}, {"V": math.nan}, {"mass": math.inf}, {"h": math.nan}):
+        with pytest.raises(InputError):
+            ThermoPoint(**{"T": 1.0, "V": 1.0, "N": 1, **bad})
     assert ThermoPoint.dimensionless(T=2.0).beta == 0.5
