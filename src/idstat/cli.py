@@ -405,7 +405,7 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
     if args.T is not None and args.beta is not None:
         raise InputError("give either --beta or --T, not both")
     if args.T is not None:
-        beta = 1.0 / (k * args.T)
+        beta = 1.0 / (k * args.T) if k * args.T else math.inf  # the kernels refuse inf
     elif args.beta is not None:
         beta = args.beta
     else:

@@ -319,7 +319,8 @@ def sum_of_products(triples) -> RadicalRational:
     terms: dict[int, Fraction] = {}
     for (rad, den), num in acc.items():
         if num:
-            terms[rad] = terms.get(rad, 0) + Fraction(num, den)
+            q = Fraction(num, den)
+            terms[rad] = terms[rad] + q if rad in terms else q
     out = RadicalRational()
     out._terms = {r: q for r, q in terms.items() if q}
     return out

@@ -100,28 +100,29 @@ def _check_state(v: StateVector, op: OneBodyOperator, particle: int) -> None:
 def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     """<v| O acting on `particle` |v>; exact when the operator is exact.
 
+    The diagonal part sum_k w_k O_kk, with the level weights w_k of
+    `occupancy_weights`, is summed exactly: a float O_kk converts to a
+    Fraction without rounding, so a float result is rounded once there.
     Cross terms only connect product states that agree on every slot
-    except `particle`, so terms are bucketed by their spectator levels.
+    except `particle`, so they come from those groups alone; float ones
+    are added with math.fsum.
     """
     _check_state(v, op, particle)
-    buckets: dict[tuple, list[tuple[int, RadicalRational]]] = {}
-    for state, amp in v.items():
-        spectator = state[:particle] + state[particle + 1 :]
-        buckets.setdefault(spectator, []).append((state[particle], amp))
+    tally, groups = v._one_body(particle)
+    diagonal = [(a, a, n * Fraction(op.entry(lv, lv))) for lv, a, n in tally]
+    cross = [
+        (li, ai, lj, aj)
+        for group in groups
+        for li, ai in group
+        for lj, aj in group
+        if li != lj
+    ]
     if op.exact:
-        return sum_of_products(
-            (ai, aj, op.entry(li, lj))
-            for group in buckets.values()
-            for li, ai in group
-            for lj, aj in group
-        )
-    total_f = 0.0
-    for group in buckets.values():
-        floats = [(lv, float(a)) for lv, a in group]
-        for li, ai in floats:
-            for lj, aj in floats:
-                total_f += ai * aj * op.entry(li, lj)
-    return total_f
+        return sum_of_products(diagonal + [(ai, aj, op.entry(li, lj)) for li, ai, lj, aj in cross])
+    return math.fsum(
+        [float(sum_of_products(diagonal))]
+        + [float(ai) * float(aj) * op.entry(li, lj) for li, ai, lj, aj in cross]
+    )
 
 
 def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
@@ -133,10 +134,10 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
         raise ZeroVectorInput("weights undefined on the zero vector")
     if not (0 <= particle < v.n_particles):
         raise ValueError(f"particle index {particle} out of range")
-    by_level: list[list[RadicalRational]] = [[] for _ in range(v.basis_size)]
-    for state, amp in v.items():
-        by_level[state[particle]].append(amp)
-    return [sum_of_products((a, a, 1) for a in amps) for amps in by_level]
+    by_level: list[list] = [[] for _ in range(v.basis_size)]
+    for lv, a, n in v._one_body(particle)[0]:
+        by_level[lv].append((a, a, n))
+    return [sum_of_products(triples) if triples else ZERO for triples in by_level]
 
 
 def energy_sum_rule(v: StateVector, op: OneBodyOperator):

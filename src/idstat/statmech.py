@@ -158,19 +158,24 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
 def spectrum_from_csv(path: str) -> Spectrum:
     """CSV with header column `energy`, optional `degeneracy` (expanded)."""
     energies: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "energy" not in reader.fieldnames:
-            raise InputError(f"{path}: missing required CSV column 'energy'")
-        for row in reader:
-            try:
-                e = float(row["energy"])
-                g = int(row.get("degeneracy") or 1)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{path}: bad spectrum row {row}") from exc
-            if g < 1:
-                raise InputError(f"{path}: degeneracy must be positive, got {g}")
-            energies.extend([e] * g)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "energy" not in reader.fieldnames:
+                raise InputError(f"{path}: missing required CSV column 'energy'")
+            for row in reader:
+                if None in row:  # DictReader files the extra fields under the key None
+                    raise InputError(f"{path}: line {reader.line_num} has more fields than the header")
+                try:
+                    e = float(row["energy"])
+                    g = int(row.get("degeneracy") or 1)
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"{path}: bad spectrum row {row}") from exc
+                if g < 1:
+                    raise InputError(f"{path}: degeneracy must be positive, got {g}")
+                energies.extend([e] * g)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: not a readable CSV text file ({exc})") from exc
     if len(energies) > MAX_CUTOFF:
         raise CutoffTooLarge(f"{path}: {len(energies)} levels exceed cap {MAX_CUTOFF}")
     return spectrum_from_levels(energies, f"file:{path}")
@@ -327,8 +332,8 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
 
     BE requires mu strictly below the lowest level; at or above it the
     geometric occupation series diverges."""
-    if beta <= 0:
-        raise InputError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise InputError("beta must be positive and finite")
     if not stat.quantum:
         raise InputError("grand product defined here for BE/FD only")
     if stat is Statistics.BE and mu >= spectrum.offset:
@@ -402,7 +407,10 @@ class ThermoPoint:
 
 def thermal_wavelength(tp: ThermoPoint) -> float:
     """Lambda = h / sqrt(2 pi m k T)."""
-    return tp.h / math.sqrt(2.0 * math.pi * tp.mass * tp.k * tp.T)
+    scale = 2.0 * math.pi * tp.mass * tp.k * tp.T
+    if not scale > 0:
+        raise InputError(f"2 pi m k T underflows to zero at T = {tp.T!r}, mass = {tp.mass!r}")
+    return tp.h / math.sqrt(scale)
 
 
 def mb_ln_Z_continuum(tp: ThermoPoint, stat: Statistics = Statistics.MB_NN) -> float:
@@ -411,12 +419,21 @@ def mb_ln_Z_continuum(tp: ThermoPoint, stat: Statistics = Statistics.MB_NN) -> f
     factorial convention."""
     if tp.N == 0:
         return 0.0
-    lam = thermal_wavelength(tp)
-    if stat is Statistics.MB_NN:
-        return tp.N * math.log(tp.V / (tp.N * lam**3))
-    if stat is Statistics.MB_FACT:
-        return tp.N * math.log(tp.V / lam**3) - math.lgamma(tp.N + 1)
-    raise InputError("continuum closed form applies to MB kinds only")
+    if stat not in (Statistics.MB_NN, Statistics.MB_FACT):
+        raise InputError("continuum closed form applies to MB kinds only")
+    try:
+        cube = thermal_wavelength(tp) ** 3
+        if stat is Statistics.MB_NN:
+            ln_Z = tp.N * math.log(tp.V / (tp.N * cube))
+        else:
+            ln_Z = tp.N * math.log(tp.V / cube) - math.lgamma(tp.N + 1)
+    except (ArithmeticError, ValueError):  # Lambda^3 or V / Lambda^3 left the float range
+        ln_Z = math.nan
+    if not math.isfinite(ln_Z):
+        raise InputError(
+            f"continuum ln Z is out of float range at T = {tp.T!r}, V = {tp.V!r}, mass = {tp.mass!r}"
+        )
+    return ln_Z
 
 
 def free_energy_from_ln_Z(ln_Z: float, T: float, k: float = 1.0) -> float:
@@ -464,13 +481,6 @@ class ExtensivityReport:
     rows: tuple[ExtensivityRow, ...]
     checks: tuple[dict, ...]
 
-    def table(self) -> list[list]:
-        head = ["V", "N", "ln_Z", "F", "F_per_particle", "extensivity_defect"]
-        body = [
-            [r.V, r.N, r.ln_Z, r.F, r.F_per_particle, r.defect] for r in self.rows
-        ]
-        return [head] + body
-
     def to_json(self) -> dict:
         return {
             "statistics": self.statistics.value,
@@ -514,7 +524,7 @@ def extensivity_report(
         if continuum:
             return mb_ln_Z_continuum(ThermoPoint(T=T, V=V, N=N, mass=mass, h=h, k=k), stat)
         spec = spectrum_builder(V)
-        ln_Z = canonical_ln_Z(spec, N, 1.0 / (k * T), stat)
+        ln_Z = canonical_ln_Z(spec, N, 1.0 / (k * T) if k * T else math.inf, stat)
         if ln_Z == -math.inf:
             raise InputError(f"{N} fermions do not fit in {len(spec)} levels")
         return ln_Z

@@ -10,9 +10,11 @@ means the amplitude map is empty, not "small".
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Literal, Sequence
 
 from .errors import (
@@ -36,9 +38,13 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
 
 
 class StateVector:
-    """Sparse map from product states to exact amplitudes."""
+    """Sparse map from product states to exact amplitudes.
 
-    __slots__ = ("n_particles", "basis_size", "_amps")
+    A vector is never changed after it is built, so the norm and the
+    one-body tallies of each slot are computed once and kept in `_memo`.
+    """
+
+    __slots__ = ("n_particles", "basis_size", "_amps", "_memo")
 
     def __init__(self, n_particles: int, amps: dict | None = None, basis_size: int = 0):
         self.n_particles = n_particles
@@ -54,6 +60,7 @@ class StateVector:
                 top = max(top, max(state, default=-1))
         self._amps = clean
         self.basis_size = max(basis_size, top + 1)
+        self._memo = {}
 
     @classmethod
     def _trusted(cls, n_particles: int, amps: dict, basis_size: int) -> "StateVector":
@@ -62,6 +69,7 @@ class StateVector:
         value a nonzero RadicalRational."""
         v = cls.__new__(cls)
         v.n_particles, v._amps, v.basis_size = n_particles, amps, basis_size
+        v._memo = {}
         return v
 
     # -- inspection ----------------------------------------------------
@@ -113,8 +121,51 @@ class StateVector:
             self.n_particles, {s: a * c for s, a in self._amps.items()}, self.basis_size
         )
 
+    def _objects(self) -> dict:
+        """The distinct amplitude objects by id; a symmetrized vector has
+        one or two however many terms it has."""
+        values = self._amps.values()
+        return dict(zip(map(id, values), values))
+
     def norm_squared(self) -> RadicalRational:
-        return sum_of_products((a, a, 1) for a in self._amps.values())
+        norm = self._memo.get("norm")
+        if norm is None:
+            objs = self._objects()
+            counts = Counter(map(id, self._amps.values()))
+            norm = self._memo["norm"] = sum_of_products(
+                (objs[k], objs[k], n) for k, n in counts.items()
+            )
+        return norm
+
+    def _one_body(self, slot: int) -> tuple[list, list]:
+        """What a one-body quantity of `slot` needs, computed once.
+
+        The tally [(level, amp, count)] counts the terms by the level in
+        `slot` and the amplitude object.  The cross groups [[(level, amp),
+        ...]] hold the terms that agree on every other slot, two or more
+        per group.  Two terms that differ in one slot only have different
+        level sums, so when every term has the same sum (as on a permutation
+        orbit) there are no groups and the spectators are never counted.
+        """
+        key = ("slot", slot)
+        memo = self._memo.get(key)
+        if memo is None:
+            states, values = self._amps.keys(), self._amps.values()
+            objs = self._objects()
+            tally = Counter(zip(map(itemgetter(slot), states), map(id, values)))
+            groups: dict = {}
+            if len(set(map(sum, states))) > 1:
+                others = [j for j in range(self.n_particles) if j != slot]
+                spectator = itemgetter(*others) if others else (lambda s: ())
+                seen = Counter(map(spectator, states))
+                for s, a in self._amps.items():
+                    if seen[spec := spectator(s)] > 1:
+                        groups.setdefault(spec, []).append((s[slot], a))
+            memo = self._memo[key] = (
+                [(lv, objs[k], n) for (lv, k), n in tally.items()],
+                list(groups.values()),
+            )
+        return memo
 
     def permuted(self, p: Permutation) -> "StateVector":
         return StateVector._trusted(

@@ -156,15 +156,16 @@ def test_expect_symmetric_energy(capsys):
 
 
 def test_expect_box_position(capsys):
-    code, out, _ = run_cli(
-        ["expect", "--parity", "S", "--levels", "1,2", "--box-x", "--length", "1",
-         "--particle", "1", "--output", "json"],
-        capsys,
-    )
+    # Each level weight is 1/2 exactly and the diagonal entry 0.5, so the
+    # float path has no rounding to do and prints the box center itself.
+    args = ["expect", "--parity", "S", "--levels", "1,2", "--box-x", "--length", "1", "--particle", "1"]
+    code, out, _ = run_cli(args + ["--output", "json"], capsys)
     data = json.loads(out)
     assert code == 0
     assert data["exact"] is None
-    assert abs(data["float"] - 0.5) <= 1e-10
+    assert data["float"] == 0.5
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and out == "<box-x(L=1.0)> for particle 1 of parity:S state: 0.5\n"
 
 
 def test_expect_box_position_where_entries_round_apart(capsys):
@@ -464,6 +465,47 @@ def test_box_spectra_refuse_non_positive_volumes(capsys):
             ["extensivity", "--stat", "be", "--T", "1", "--discrete", f"--sizes={size}"], capsys
         )
         assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+
+
+EXTREME_FINITE_CASES = {
+    # the thermal wavelength underflows to 0, so V / Lambda^3 divides by zero
+    "continuum-huge-T": CONTINUUM + ["--V", "1", "--T", "1e308"],
+    # the thermal wavelength is about 4e153 and its cube overflows
+    "continuum-tiny-mass": CONTINUUM + ["--V", "1", "--T", "1", "--mass", "1e-308"],
+    # 2 pi m k T underflows to 0: no ln Z to compute, but the wavelength is printed
+    "continuum-no-particles-tiny-mass-T": ["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "0",
+                                           "--T", "1e-200", "--mass", "1e-200"],
+    # k T underflows to 0 in SI units
+    "canonical-si-tiny-T": ["partition", "--stat", "fd", "--levels", "0,1,2", "-N", "2",
+                            "--T", "1e-320", "--mode", "si"],
+    # 1 / T overflows to an infinite beta, which the grand sum must refuse
+    "grand-tiny-T": ["partition", "--stat", "fd", "--levels", "0,1,2", "--mu", "0.5", "--T", "1e-310"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_FINITE_CASES))
+def test_exit_2_on_extreme_finite_values(name, capsys):
+    code, out, err = run_cli(EXTREME_FINITE_CASES[name], capsys)
+    assert code == 2 and out == "", f"{name} gave {code}"
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "non-finite" not in err  # refused as input, not at render time
+
+
+BAD_SPECTRUM_FILES = {
+    "undecodable-bytes": b"\xff" + bytes(range(199)),
+    "row-longer-than-header": b"energy,degeneracy\n1,2,3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECTRUM_FILES))
+def test_exit_2_on_a_bad_spectrum_file(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(BAD_SPECTRUM_FILES[name])
+    code, out, err = run_cli(
+        ["partition", "--stat", "be", "--spectrum-file", str(path), "-N", "2", "--beta", "1"], capsys
+    )
+    assert code == 2 and out == "", f"{name} gave {code}"
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_exit_3_on_bose_divergence(capsys):

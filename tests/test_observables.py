@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from scipy import integrate
 
 from idstat.errors import DimensionMismatch, NotNormalized, ZeroVectorInput
-from idstat.exactnum import ZERO, RadicalRational
+from idstat.exactnum import ZERO, RadicalRational, rsqrt_of_rational
 from idstat.observables import (
     OneBodyOperator,
     PlaneWaveState,
@@ -25,7 +26,7 @@ from idstat.observables import (
     position_expectation_symmetrized,
     wave_coefficients,
 )
-from idstat.symmetry import mixed_basis_n3, product_state_vector, symmetrize
+from idstat.symmetry import mixed_basis_n3, orbit_basis_n3, product_state_vector, symmetrize
 
 H123 = OneBodyOperator.diagonal([1, 2, 3])
 THIRD = Fraction(1, 3)
@@ -91,6 +92,115 @@ def test_expectation_validation_errors():
         one_body_expectation(v - v, H123, 0)
     with pytest.raises(ValueError):
         one_body_expectation(v, H123, 3)
+
+
+def bucket_walk(v, op, particle):
+    """Oracle: every pair of terms that agree on all slots but `particle`,
+    found by slicing each term's spectator levels, folded with `+`."""
+    buckets = {}
+    for state, amp in v.items():
+        spectator = state[:particle] + state[particle + 1 :]
+        buckets.setdefault(spectator, []).append((state[particle], amp))
+    pairs = [(li, ai, lj, aj) for g in buckets.values() for li, ai in g for lj, aj in g]
+    if op.exact:
+        total = ZERO
+        for li, ai, lj, aj in pairs:
+            total = total + ai * aj * op.entry(li, lj)
+        return total
+    return sum(float(ai) * float(aj) * op.entry(li, lj) for li, ai, lj, aj in pairs)
+
+
+def _half_sum(*vectors):
+    """The unit vector along the sum of orthonormal vectors."""
+    total = vectors[0]
+    for v in vectors[1:]:
+        total = total + v
+    return total.scale(rsqrt_of_rational(Fraction(1, len(vectors))))
+
+
+def _oracle_vectors(family):
+    if family in ("S", "A"):
+        vectors = [
+            symmetrize(levels, family)
+            for n in range(1, 6)
+            for levels in combinations_with_replacement(range(4), n)
+        ]
+        return [r.vector for r in vectors if not r.is_zero]
+    if family == "basis":
+        return [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
+    if family == "product":
+        return [product_state_vector(s) for s in [(2,), (0, 3), (1, 1, 2), (3, 0, 2, 1)]]
+    S = lambda *levels: symmetrize(levels, "S").vector
+    A = lambda *levels: symmetrize(levels, "A").vector
+    return [
+        _half_sum(S(0, 0, 1), S(0, 0, 2)),  # (0, 0, 1) and (0, 0, 2) differ in one slot
+        _half_sum(A(0, 1, 2), A(0, 1, 3), S(1, 1, 3), S(3, 3, 3)),
+        _half_sum(S(0, 3), S(1, 2)),  # equal level sums: no two terms differ in one slot
+        _half_sum(S(0, 1), A(2, 3)),  # unequal level sums and still no such pair
+        _half_sum(product_state_vector((0, 1, 2)), product_state_vector((0, 3, 2)), A(0, 1, 3)),
+        _half_sum(product_state_vector((1,)), product_state_vector((3,))),  # no spectator slots
+    ]
+
+
+ORACLE_OPERATORS = [
+    OneBodyOperator.diagonal([Fraction(-3, 2), 5, Fraction(7, 3), 0]),
+    OneBodyOperator(
+        tuple(tuple(Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(4)) for i in range(4)),
+        exact=True,
+    ),
+    box_position_operator(1.7, 4),
+]
+
+
+@pytest.mark.parametrize("family", ["S", "A", "basis", "product", "sums"])
+def test_one_body_expectation_matches_bucket_walk(family):
+    vectors = _oracle_vectors(family)
+    assert vectors
+    for v in vectors:
+        for op in ORACLE_OPERATORS:
+            for i in range(v.n_particles):
+                got, want = one_body_expectation(v, op, i), bucket_walk(v, op, i)
+                if op.exact:
+                    assert got == want, (v, i)
+                else:
+                    assert abs(got - want) <= 1e-12, (v, i)
+
+
+def test_sums_of_symmetrized_states_have_cross_terms():
+    # Guards the "sums" family above: an off-diagonal operator must see
+    # pairs of terms that differ in one slot, or it would only test the tally.
+    v = _oracle_vectors("sums")[0]
+    op = ORACLE_OPERATORS[1]
+    diagonal_only = OneBodyOperator(
+        tuple(tuple(op.entry(i, j) if i == j else Fraction(0) for j in range(4)) for i in range(4)),
+        exact=True,
+    )
+    assert one_body_expectation(v, op, 2) != one_body_expectation(v, diagonal_only, 2)
+
+
+@pytest.mark.parametrize("family", ["S", "A", "basis", "product", "sums"])
+def test_weights_and_norm_match_a_fold_of_plus(family):
+    for v in _oracle_vectors(family):
+        norm = ZERO
+        for _, a in v.items():
+            norm = norm + a * a
+        assert v.norm_squared() == norm
+        for i in range(v.n_particles):
+            weights = [ZERO] * v.basis_size
+            for state, a in v.items():
+                weights[state[i]] = weights[state[i]] + a * a
+            assert occupancy_weights(v, i) == weights
+
+
+def test_norm_is_memoised_per_vector():
+    v = symmetrize((0, 1, 1, 2), "S").vector
+    first = v.norm_squared()
+    assert v.norm_squared() is first and first == 1
+    assert one_body_expectation(v, H123, 1) == one_body_expectation(v, H123, 1)
+    doubled = v.scale(2)
+    assert doubled.norm_squared() == 4
+    with pytest.raises(NotNormalized):
+        one_body_expectation(doubled, H123, 0)
 
 
 def _box_quadrature(m: int, n: int, L: float) -> float:

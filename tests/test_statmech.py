@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -105,6 +106,24 @@ def test_spectrum_csv_round(tmp_path):
     q = tmp_path / "plain.csv"
     q.write_text("energy\n3.0\n1.0\n")
     assert spectrum_from_csv(str(q)).energies == (1.0, 3.0)
+
+
+def test_spectrum_csv_refuses_undecodable_bytes(tmp_path):
+    p = tmp_path / "random.csv"
+    rng = random.Random(200)
+    p.write_bytes(b"\xff" + bytes(rng.randrange(256) for _ in range(199)))
+    with pytest.raises(InputError):
+        spectrum_from_csv(str(p))
+
+
+def test_spectrum_csv_refuses_a_row_longer_than_the_header(tmp_path):
+    p = tmp_path / "extra.csv"
+    p.write_text("energy,degeneracy\n1,2,3\n")
+    with pytest.raises(InputError, match="more fields than the header"):
+        spectrum_from_csv(str(p))
+    p.write_text("energy\n1,2\n")
+    with pytest.raises(InputError, match="more fields than the header"):
+        spectrum_from_csv(str(p))
 
 
 def test_spectrum_csv_rejects_bad_input(tmp_path):
@@ -284,6 +303,22 @@ def test_bose_divergence_iff_mu_reaches_ground_state():
         grand_Xi(spec, 1.0, 0.0, MB_NN)
 
 
+def test_grand_ln_xi_refuses_a_non_finite_beta():
+    spec = spectrum_from_levels([0.0, 1.0, 2.0])
+    for stat in (BE, FD):
+        for beta in (math.inf, math.nan, 0.0):
+            with pytest.raises(InputError):
+                grand_ln_Xi(spec, beta, -0.5, stat)
+
+
+def test_continuum_ln_z_refuses_a_wavelength_out_of_float_range():
+    for point in (ThermoPoint(T=1e308, V=1.0, N=2), ThermoPoint(T=1.0, V=1.0, N=2, mass=1e-308),
+                  ThermoPoint(T=1e-300, V=1e-300, N=2)):
+        for stat in (MB_NN, MB_FACT):
+            with pytest.raises(InputError):
+                mb_ln_Z_continuum(point, stat)
+
+
 def test_fugacity_series_matches_product_fd():
     spec = spectrum_from_levels([0.0, 0.4, 1.1, 2.2])
     beta, mu = 1.3, 0.2
@@ -371,8 +406,11 @@ def test_extensivity_report_discrete_fd():
         FD, 1.0, [(1.0, 2), (2.0, 4)], continuum=False, spectrum_builder=builder
     )
     assert report.rows[1].defect != 0.0
-    table = report.table()
-    assert table[0][0] == "V" and len(table) == 3
+    rows = report.to_json()["rows"]
+    assert [list(row) for row in rows] == [["V", "N", "ln_Z", "F", "F_per_particle", "extensivity_defect"]] * 2
+    assert [list(row.values()) for row in rows] == [
+        [r.V, r.N, r.ln_Z, r.F, r.F_per_particle, r.defect] for r in report.rows
+    ]
 
 
 def test_extensivity_report_input_errors():
