@@ -8,103 +8,65 @@ expectation values and degeneracy counts exactly, and cross-checks
 canonical and grand-canonical partition functions for Bose-Einstein,
 Fermi-Dirac, and Maxwell-Boltzmann statistics, including the extensivity
 of the free energy.  `idstat verify-paper` replays the full identity suite.
+
+Importing the package loads no submodule: each exported name is imported
+from its submodule on first use (PEP 562), so `from idstat import X` works
+as before and a command-line run loads only the modules it needs.
 """
 
-from .errors import (
-    BasisNotOrthonormal,
-    BoseDivergence,
-    CapacityExceeded,
-    CutoffTooLarge,
-    DimensionMismatch,
-    IdstatError,
-    InputError,
-    LengthMismatch,
-    NegativeRadicand,
-    NoWitness,
-    NotNormalized,
-    NotRepresentable,
-    RequiresDistinctLevels,
-    ZeroVectorInput,
-)
-from .exactnum import (
-    MAX_RADICAND,
-    ONE,
-    Rational,
-    RadicalRational,
-    ZERO,
-    radd,
-    rmul,
-    rsqrt_of_rational,
-    square_free_split,
-)
-from .perm import (
-    MAX_ENUM_N,
-    Permutation,
-    enumerate_permutations,
-    noncommutation_witness,
-)
-from .symmetry import (
-    MAX_ORBIT,
-    MIXED_BASIS_NAMES,
-    ORBIT_BASIS_NAMES,
-    StateVector,
-    SymmetrizeResult,
-    SymmetryClass,
-    SymmetryTag,
-    classify_symmetry,
-    decompose,
-    exchange_degeneracy_dimension,
-    inner_product,
-    mixed_basis_n3,
-    orbit_basis_n3,
-    permute_vector,
-    product_state_vector,
-    symmetric_antisymmetric_dimensions,
-    symmetrize,
-    symmetrize_raw,
-)
-from .observables import (
-    OneBodyOperator,
-    PlaneWaveState,
-    box_position_operator,
-    energy_from_wave_coefficients,
-    energy_sum_rule,
-    laplacian_condition_residual,
-    momentum_degeneracy,
-    occupancy_weights,
-    one_body_expectation,
-    plane_wave_energy,
-    position_expectation_symmetrized,
-    wave_coefficients,
-)
-from .statmech import (
-    FREE_ENERGY_NOTE,
-    OccupationState,
-    Spectrum,
-    Statistics,
-    ThermoPoint,
-    box1d_spectrum,
-    box3d_spectrum,
-    canonical_Z,
-    canonical_Z_recursive,
-    canonical_ln_Z,
-    dimensionless_spectrum,
-    enumerate_occupations,
-    extensivity_report,
-    free_energy_from_ln_Z,
-    grand_Xi,
-    grand_Xi_series,
-    grand_ln_Xi,
-    mb_free_energy,
-    mb_ln_Z_continuum,
-    momentum_multiset_sum,
-    occupation_count,
-    single_particle_z,
-    spectrum_from_csv,
-    spectrum_from_levels,
-    thermal_wavelength,
-)
-from .config import RunConfig, load_config
-from .verify import CheckResult, run_verification, verification_passed
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "errors": (
+        "BasisNotOrthonormal", "BoseDivergence", "CapacityExceeded", "CutoffTooLarge",
+        "DimensionMismatch", "IdstatError", "InputError", "LengthMismatch", "NegativeRadicand",
+        "NotNormalized", "NotRepresentable", "RequiresDistinctLevels", "ZeroVectorInput",
+    ),
+    "exactnum": (
+        "MAX_RADICAND", "ONE", "Rational", "RadicalRational", "ZERO", "rsqrt_of_rational",
+        "square_free_split",
+    ),
+    "perm": ("MAX_ENUM_N", "Permutation", "enumerate_permutations"),
+    "symmetry": (
+        "MAX_ORBIT", "MIXED_BASIS_NAMES", "ORBIT_BASIS_NAMES", "StateVector", "SymmetrizeResult",
+        "SymmetryClass", "SymmetryTag", "classify_symmetry", "decompose",
+        "exchange_degeneracy_dimension", "inner_product", "mixed_basis_n3", "orbit_basis_n3",
+        "product_state_vector", "symmetric_antisymmetric_dimensions", "symmetrize",
+    ),
+    "observables": (
+        "OneBodyOperator", "PlaneWaveState", "box_position_operator",
+        "energy_from_wave_coefficients", "energy_sum_rule", "laplacian_condition_residual",
+        "occupancy_weights", "one_body_expectation", "plane_wave_energy",
+        "position_expectation_symmetrized", "wave_coefficients",
+    ),
+    "statmech": (
+        "FREE_ENERGY_NOTE", "OccupationState", "Spectrum", "Statistics", "ThermoPoint",
+        "box1d_spectrum", "box3d_spectrum", "canonical_Z", "canonical_Z_recursive",
+        "canonical_ln_Z", "dimensionless_spectrum", "enumerate_occupations", "extensivity_report",
+        "free_energy_from_ln_Z", "grand_Xi", "grand_Xi_series", "grand_ln_Xi", "mb_ln_Z_continuum",
+        "momentum_multiset_sum", "occupation_count", "single_particle_z", "spectrum_from_csv",
+        "spectrum_from_levels", "thermal_wavelength",
+    ),
+    "config": ("RunConfig", "load_config"),
+    "verify": ("CheckResult", "run_verification", "verification_passed"),
+}
+
+#: exported name -> the submodule that defines it
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

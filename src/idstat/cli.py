@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
-from . import observables, statmech, symmetry
-from .config import MODES, OUTPUT_FORMATS, RunConfig, load_config
+from .config import MODES, ORBIT_BASIS_NAMES, OUTPUT_FORMATS, RunConfig, load_config
 from .errors import IdstatError, InputError
-from .exactnum import sum_of_products
 from .render import Report, fmt_float, table_text
-from .verify import noted_count, run_verification, verification_passed
+
+# Each handler imports the library modules it uses when it runs, so a fresh
+# process loads only what its command needs.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,15 +224,17 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--levels", "-l", required=True, help="comma-separated level labels")
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--product", action="store_true", help="bare product state")
-    kind.add_argument("--member", choices=symmetry.ORBIT_BASIS_NAMES,
+    kind.add_argument("--member", choices=ORBIT_BASIS_NAMES,
                       help="distinct-level 3-particle basis member")
     kind.add_argument("--parity", "-p", help="S or A: (anti)symmetrized state")
 
 
 def _build_state(args):
+    from . import symmetry
+
     levels, labels = _parse_levels(args.levels)
     if args.member:
-        basis = dict(zip(symmetry.ORBIT_BASIS_NAMES, symmetry.orbit_basis_n3(levels)))
+        basis = dict(zip(ORBIT_BASIS_NAMES, symmetry.orbit_basis_n3(levels)))
         return basis[args.member], labels, f"member:{args.member}"
     if args.parity:
         parity = _parse_parity(args.parity)
@@ -248,6 +249,8 @@ def _build_state(args):
 
 
 def cmd_symmetrize(args, cfg: RunConfig) -> Report:
+    from . import symmetry
+
     levels, labels = _parse_levels(args.levels)
     if args.n_particles is not None and args.n_particles != len(levels):
         raise InputError(f"-n {args.n_particles} disagrees with {len(levels)} level labels")
@@ -268,9 +271,11 @@ def cmd_symmetrize(args, cfg: RunConfig) -> Report:
 
 
 def cmd_mixed_basis(args, cfg: RunConfig) -> Report:
+    from . import symmetry
+
     levels, labels = _parse_levels(args.levels)
-    names = symmetry.ORBIT_BASIS_NAMES if args.full else symmetry.MIXED_BASIS_NAMES
-    basis = dict(zip(symmetry.ORBIT_BASIS_NAMES, symmetry.orbit_basis_n3(levels)))
+    names = ORBIT_BASIS_NAMES if args.full else symmetry.MIXED_BASIS_NAMES
+    basis = dict(zip(ORBIT_BASIS_NAMES, symmetry.orbit_basis_n3(levels)))
     data = {
         "command": "mixed-basis",
         "levels": [labels[i] for i in levels],
@@ -282,6 +287,8 @@ def cmd_mixed_basis(args, cfg: RunConfig) -> Report:
 
 
 def cmd_decompose(args, cfg: RunConfig) -> Report:
+    from . import exactnum, symmetry
+
     vec, labels, state_desc = _build_state(args)
     levels, _ = _parse_levels(args.levels)
     basis = symmetry.orbit_basis_n3(levels)
@@ -292,15 +299,17 @@ def cmd_decompose(args, cfg: RunConfig) -> Report:
         "levels": args.levels,
         "coefficients": [
             {"basis": name, **_amp_json(c)}
-            for name, c in zip(symmetry.ORBIT_BASIS_NAMES, coeffs)
+            for name, c in zip(ORBIT_BASIS_NAMES, coeffs)
         ],
         "residual_norm_squared": _amp_json(residual.norm_squared()),
-        "sum_of_squares": _amp_json(sum_of_products((c, c, 1) for c in coeffs)),
+        "sum_of_squares": _amp_json(exactnum.sum_of_products((c, c, 1) for c in coeffs)),
     }
     return Report(data, lambda d: _table(("basis", "exact", "float"), d["coefficients"]), _decompose_text)
 
 
 def cmd_classify(args, cfg: RunConfig) -> Report:
+    from . import symmetry
+
     vec, labels, state_desc = _build_state(args)
     cls = symmetry.classify_symmetry(vec)
     data = {"command": "classify", "state": state_desc, "levels": args.levels}
@@ -309,6 +318,10 @@ def cmd_classify(args, cfg: RunConfig) -> Report:
 
 
 def cmd_expect(args, cfg: RunConfig) -> Report:
+    from fractions import Fraction
+
+    from . import observables
+
     vec, labels, state_desc = _build_state(args)
     if args.particle < 1 or args.particle > vec.n_particles:
         raise InputError(f"--particle must be in 1..{vec.n_particles}, got {args.particle}")
@@ -340,6 +353,8 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
 
 
 def cmd_occupations(args, cfg: RunConfig) -> Report:
+    from . import statmech
+
     stat = statmech.Statistics.parse(args.stat)
     states = list(statmech.enumerate_occupations(args.n_levels, args.n_particles, stat))
     data = {
@@ -357,12 +372,16 @@ def cmd_occupations(args, cfg: RunConfig) -> Report:
 
 def _units(cfg: RunConfig) -> tuple[float, float]:
     """Planck's and Boltzmann's constants: SI values, or 1 when dimensionless."""
+    from . import statmech
+
     if cfg.mode == "si":
         return statmech.PLANCK_H_SI, statmech.BOLTZMANN_K_SI
     return 1.0, 1.0
 
 
 def _build_spectrum(args, h: float) -> statmech.Spectrum:
+    from . import statmech
+
     sources = (args.levels, args.spectrum_file, args.box1d, args.box3d, args.dimensionless)
     if sum(source is not None for source in sources) != 1:
         raise InputError(
@@ -381,6 +400,8 @@ def _build_spectrum(args, h: float) -> statmech.Spectrum:
 
 
 def cmd_partition(args, cfg: RunConfig) -> Report:
+    from . import statmech
+
     stat = statmech.Statistics.parse(args.stat)
     h, k = _units(cfg)
     data = {"command": "partition", "statistics": stat.value}
@@ -441,6 +462,8 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
 
 
 def cmd_extensivity(args, cfg: RunConfig) -> Report:
+    from . import statmech
+
     stat = statmech.Statistics.parse(args.stat)
     h, k = _units(cfg)
     if args.sizes is not None:
@@ -471,15 +494,17 @@ def cmd_extensivity(args, cfg: RunConfig) -> Report:
 
 
 def cmd_verify_paper(args, cfg: RunConfig) -> Report:
-    results = run_verification(cfg.seed)
+    from . import verify
+
+    results = verify.run_verification(cfg.seed)
     data = {
         "command": "verify-paper",
         "checks": [r.to_json() for r in results],
         "summary": {
             "passed": sum(1 for r in results if r.status == "pass"),
             "failed": sum(1 for r in results if r.status == "fail"),
-            "noted": noted_count(results),
-            "ok": verification_passed(results),
+            "noted": verify.noted_count(results),
+            "ok": verify.verification_passed(results),
         },
     }
     return Report(data, lambda d: _table(_LEDGER_COLUMNS, d["checks"]), _ledger_text)

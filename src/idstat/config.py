@@ -11,6 +11,10 @@ from .errors import InputError
 MODES = ("dimensionless", "si")
 OUTPUT_FORMATS = ("json", "csv", "pretty")
 
+#: Member order of the distinct-level three-particle basis, everywhere a
+#: six-vector decomposition is reported; the `--member` choices.
+ORBIT_BASIS_NAMES = ("sym", "antisym", "s1", "s2", "s1p", "s2p")
+
 ENV_PREFIX = "IDSTAT_"
 
 _FIELDS = ("mode", "output", "seed")

@@ -37,10 +37,6 @@ class LengthMismatch(IdstatError):
     """Permutation order and state length disagree."""
 
 
-class NoWitness(IdstatError):
-    """No non-commuting permutation pair exists (n < 3)."""
-
-
 class RequiresDistinctLevels(IdstatError):
     """Operation defined only for states with pairwise distinct levels."""
 

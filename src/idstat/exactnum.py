@@ -260,16 +260,6 @@ ZERO = RadicalRational()
 ONE = RadicalRational.of(1)
 
 
-def radd(a, b) -> RadicalRational:
-    """Exact sum; radicand maps merged, cancellations dropped."""
-    return RadicalRational.of(a) + RadicalRational.of(b)
-
-
-def rmul(a, b) -> RadicalRational:
-    """Exact product; cross terms reduced back to square-free radicands."""
-    return RadicalRational.of(a) * RadicalRational.of(b)
-
-
 def rsqrt_of_rational(q) -> RadicalRational:
     """Exact sqrt of a nonnegative rational as a single-term value."""
     return RadicalRational.sqrt_rational(q)

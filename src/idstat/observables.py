@@ -10,7 +10,6 @@ the result is a ring element; with a float-entry operator it is a float.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -229,12 +228,3 @@ def laplacian_condition_residual(linear_coeffs, quadratic_coeffs=None) -> Fracti
             for c in b:
                 total += 2 * Fraction(c)
     return total
-
-
-def momentum_degeneracy(pw: PlaneWaveState) -> int:
-    """Distinct orderings of the momentum multiset: N! / prod(n_j!)."""
-    counts = Counter(pw.momenta)
-    deg = math.factorial(pw.n_particles)
-    for mult in counts.values():
-        deg //= math.factorial(mult)
-    return deg

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CapacityExceeded, LengthMismatch, NoWitness
+from .errors import CapacityExceeded, LengthMismatch
 
 #: Hard cap on the symmetric group order for enumeration (10! = 3.6M).
 MAX_ENUM_N = 10
@@ -115,13 +115,3 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     if n > MAX_ENUM_N:
         raise CapacityExceeded(f"permutation enumeration capped at n = {MAX_ENUM_N}")
     return (Permutation(m) for m in itertools.permutations(range(n)))
-
-
-def noncommutation_witness(n: int) -> tuple[Permutation, Permutation]:
-    """A pair of transpositions with p*q != q*p; exists iff n >= 3."""
-    if n < 3:
-        raise NoWitness(f"S_{n} is abelian; no witness")
-    p = Permutation.transposition(n, 0, 1)
-    q = Permutation.transposition(n, 1, 2)
-    assert p.compose(q) != q.compose(p)
-    return p, q

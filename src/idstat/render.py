@@ -16,8 +16,7 @@ from .errors import InputError
 def fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise InputError(f"cannot render non-finite float {x!r}")
-    text = format(float(x), ".17g")
-    return text
+    return format(float(x) + 0.0, ".17g")  # + 0.0 turns -0.0 into 0.0
 
 
 def _emit(obj, out: list) -> None:

@@ -266,7 +266,10 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
         row = [1.0] * len(energies)
         for n in range(1, n_max + 1):
             row = list(itertools.accumulate(map(mul, x, row)))
-            ln_Z.append(math.log(row[-1]) - beta * n * e0)
+            # n beta e0; where beta n overflows, a zero or small e0 still gives
+            # the exact 0 or a finite term
+            ground = beta * n * e0 if beta * n < math.inf else n * (beta * e0)
+            ln_Z.append(math.log(row[-1]) - ground)
         return ln_Z
     row = [1.0] * (len(energies) + 1)  # e_0 of the first 0..K levels
     ground = 0.0
@@ -282,7 +285,8 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
 def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics) -> float:
     """ln Z at integer particle number: BE/FD from the generating-function
     kernel (-inf for more fermions than levels), MB kinds in closed form
-    with the single-particle sum taken relative to the ground level."""
+    with the single-particle sum taken relative to the ground level.  Any
+    other ln Z outside the float range is refused."""
     if not 0 < beta < math.inf:
         raise InputError("beta must be positive and finite")
     if n_particles < 0:
@@ -290,12 +294,19 @@ def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Stat
     if n_particles == 0:
         return 0.0
     if stat.quantum:
-        return _ln_Z_table(spectrum, n_particles, beta, stat)[-1]
-    e0 = spectrum.offset
-    ln_z1 = math.log(math.fsum(math.exp(-beta * (e - e0)) for e in spectrum.energies)) - beta * e0
-    if stat is Statistics.MB_NN:
-        return n_particles * ln_z1 - n_particles * math.log(n_particles)
-    return n_particles * ln_z1 - math.lgamma(n_particles + 1)
+        ln_Z = _ln_Z_table(spectrum, n_particles, beta, stat)[-1]
+        if stat is Statistics.FD and n_particles > len(spectrum):
+            return ln_Z
+    else:
+        e0 = spectrum.offset
+        ln_z1 = math.log(math.fsum(math.exp(-beta * (e - e0)) for e in spectrum.energies)) - beta * e0
+        if stat is Statistics.MB_NN:
+            ln_Z = n_particles * ln_z1 - n_particles * math.log(n_particles)
+        else:
+            ln_Z = n_particles * ln_z1 - math.lgamma(n_particles + 1)
+    if not math.isfinite(ln_Z):
+        raise InputError(f"canonical ln Z is out of float range at beta = {beta!r}, N = {n_particles}")
+    return ln_Z
 
 
 def canonical_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics) -> float:
@@ -439,10 +450,6 @@ def mb_ln_Z_continuum(tp: ThermoPoint, stat: Statistics = Statistics.MB_NN) -> f
 def free_energy_from_ln_Z(ln_Z: float, T: float, k: float = 1.0) -> float:
     """F = -k T ln Z (thermodynamic standard sign)."""
     return -k * T * ln_Z
-
-
-def mb_free_energy(tp: ThermoPoint, stat: Statistics = Statistics.MB_NN) -> float:
-    return free_energy_from_ln_Z(mb_ln_Z_continuum(tp, stat), tp.T, tp.k)
 
 
 def momentum_multiset_sum(energies: Sequence[float], n_particles: int, beta: float) -> float:

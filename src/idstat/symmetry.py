@@ -17,6 +17,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Literal, Sequence
 
+from .config import ORBIT_BASIS_NAMES
 from .errors import (
     BasisNotOrthonormal,
     CapacityExceeded,
@@ -211,10 +212,6 @@ def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
     )
 
 
-def permute_vector(p: Permutation, v: StateVector) -> StateVector:
-    return v.permuted(p)
-
-
 #: Largest permutation orbit (number of distinct orderings of the levels)
 #: that symmetrization builds; the work and memory grow with it, not with N!.
 MAX_ORBIT = math.factorial(9)
@@ -294,21 +291,6 @@ class SymmetrizeResult:
     is_zero: bool
 
 
-def symmetrize_raw(levels: Sequence[int], parity: Parity) -> StateVector:
-    """(1/sqrt(N!)) * sum_P (+-1)^P P|levels>, not renormalized.
-
-    Closed form over the orbit: prod(m_k!)/sqrt(N!) on each distinct ordering
-    for 'S'; +-1/sqrt(N!) for 'A' on distinct levels, and the zero vector
-    when a level repeats.
-    """
-    levels, _, repeats, weight = _orbit(levels, parity)
-    if parity == "A":
-        if repeats > 1:
-            return StateVector(len(levels))
-        return _orbit_vector(levels, weight, True)
-    return _orbit_vector(levels, weight * repeats, False)
-
-
 def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     """Symmetrized (parity 'S') or antisymmetrized ('A') unit vector.
 
@@ -361,8 +343,6 @@ _BASIS_PATTERNS: dict[str, tuple[Fraction, dict[tuple[int, int, int], int]]] = {
     ),
 }
 
-#: Basis member order used everywhere a six-vector decomposition is reported.
-ORBIT_BASIS_NAMES = ("sym", "antisym", "s1", "s2", "s1p", "s2p")
 MIXED_BASIS_NAMES = ("s1", "s2", "s1p", "s2p")
 
 

@@ -35,6 +35,7 @@ def test_canonical_json_shape():
 def test_fmt_float_17_digits():
     assert fmt_float(1.0) == "1"
     assert fmt_float(0.1) == "0.10000000000000001"
+    assert fmt_float(-0.0) == "0"
     with pytest.raises(InputError):
         fmt_float(float("nan"))
 
@@ -311,6 +312,47 @@ def test_partition_fd_overfilled_reports_zero(capsys):
     )
     data = json.loads(out)
     assert code == 0 and data["Z"] == 0.0 and data["ln_Z"] is None
+
+
+# huge finite --beta: a zero ground level adds exactly 0 to ln Z, and an ln Z
+# beyond the float range is refused rather than printed as the overfilled-FD Z = 0
+HUGE_BETA = ["partition", "--stat", "be", "-N", "2", "--beta", "1e308", "--output", "json"]
+
+
+def test_partition_be_huge_beta_on_a_zero_ground_level(capsys):
+    code, out, _ = run_cli(HUGE_BETA + ["--levels", "0,1,2"], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["ln_Z"] == 0.0 and data["Z"] == 1.0
+    assert '"F":0,' in out
+
+
+def test_partition_be_huge_beta_on_a_tiny_ground_level(capsys):
+    # beta * N overflows, but ln Z = -beta N e0 = -2e8 does not
+    code, out, _ = run_cli(HUGE_BETA + ["--levels", "1e-300,2e-300"], capsys)
+    data = json.loads(out)
+    assert code == 0 and math.isclose(data["ln_Z"], -2e8, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("stat", ["be", "mb-nn"])
+def test_partition_huge_beta_ln_z_out_of_float_range_refused(stat, capsys):
+    # the true ln Z is about -2e308
+    argv = ["partition", "--stat", stat, "--levels", "1,2", "-N", "2", "--beta", "1e308"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "out of float range" in err
+
+
+NEGATIVE_ZERO_F = ["partition", "--stat", "be", "--levels", "0,1,2", "-N", "2", "--beta", "1e300"]
+ZERO_F = {"json": '"F":0,', "csv": "\nF,0\n", "pretty": "\n  F = 0\n"}
+
+
+@pytest.mark.parametrize("fmt", sorted(ZERO_F))
+def test_partition_negative_zero_F_prints_0(fmt, capsys):
+    # F = -kT ln Z = -(1e-300) * 0.0 is a negative zero
+    code, out, _ = run_cli(NEGATIVE_ZERO_F + ["--output", fmt], capsys)
+    assert code == 0 and "-0" not in out
+    assert ZERO_F[fmt] in out
 
 
 def test_extensivity_cli(capsys):

@@ -15,8 +15,6 @@ from idstat.exactnum import (
     ZERO,
     RadicalRational,
     Rational,
-    radd,
-    rmul,
     rsqrt_of_rational,
     square_free_split,
     sum_of_products,
@@ -42,7 +40,7 @@ def test_square_free_split(n, expected):
 def test_radd_half_sqrt2_twice_is_sqrt2():
     h = rsqrt_of_rational(Fraction(1, 2))
     assert h.items() == [(2, Fraction(1, 2))]
-    assert radd(h, h).items() == [(2, Fraction(1, 1))]
+    assert (h + h).items() == [(2, Fraction(1, 1))]
 
 
 def test_radd_cancellation_gives_canonical_zero():
@@ -56,14 +54,14 @@ def test_rmul_normalizer_product():
     # 1/(2*sqrt(3)) times 1/sqrt(6) = sqrt(2)/12
     a = rsqrt_of_rational(Fraction(1, 12))
     b = rsqrt_of_rational(Fraction(1, 6))
-    prod = rmul(a, b)
+    prod = a * b
     assert prod.items() == [(2, Fraction(1, 12))]
     assert math.isclose(float(prod), 1 / (2 * math.sqrt(3)) / math.sqrt(6), rel_tol=1e-15)
 
 
 def test_rmul_reduces_radicand():
     # sqrt(6)*sqrt(10) = 2*sqrt(15)
-    prod = rmul(rsqrt_of_rational(6), rsqrt_of_rational(10))
+    prod = rsqrt_of_rational(6) * rsqrt_of_rational(10)
     assert prod.items() == [(15, Fraction(2))]
 
 
@@ -89,7 +87,7 @@ def test_rsqrt_of_negative_raises():
 def test_sqrt_squares_back():
     for q in [Fraction(1, 6), Fraction(3, 7), Fraction(25), Fraction(8, 9)]:
         root = rsqrt_of_rational(q)
-        assert rmul(root, root) == RadicalRational.of(q)
+        assert root * root == RadicalRational.of(q)
 
 
 def test_unique_representation_equality():
@@ -158,7 +156,7 @@ def test_capacity_radicand_cap():
     with pytest.raises(CapacityExceeded):
         rsqrt_of_rational(1000003)  # prime above the cap
     with pytest.raises(CapacityExceeded):
-        rmul(rsqrt_of_rational(999983), rsqrt_of_rational(3))
+        rsqrt_of_rational(999983) * rsqrt_of_rational(3)
     assert MAX_RADICAND == 10**6
 
 
@@ -229,7 +227,7 @@ def test_human_form():
 
 def test_hash_consistent_with_equality():
     a = rsqrt_of_rational(8)
-    b = rmul(rsqrt_of_rational(2), 2)
+    b = rsqrt_of_rational(2) * 2
     assert a == b and hash(a) == hash(b)
     assert hash(RadicalRational.of(7)) == hash(7)
     assert len({a, b}) == 1

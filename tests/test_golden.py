@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from idstat.cli import main
+from idstat.cli import HANDLERS, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FORMATS = ("pretty", "json", "csv")
@@ -78,6 +78,12 @@ CORPUS = {
 }
 
 
+#: One command per subcommand, for the fresh-process check.
+FRESH = ("symmetrize-ab-S", "mixed-basis-full", "decompose-product", "classify-s2p", "expect-s1-epsilon",
+         "occupations-fd", "partition-canonical-fd", "extensivity-mb-nn", "verify-paper")
+ENTRY = "import sys\nfrom idstat.cli import main\nsys.exit(main())"  # the console script
+
+
 def _stdout(argv) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -96,6 +102,20 @@ def test_stdout_matches_golden(name, fmt):
     assert code == 0
     with open(_path(name, fmt), newline="") as fh:
         assert out == fh.read()
+
+
+def test_fresh_commands_cover_every_subcommand():
+    assert sorted(CORPUS[name][0] for name in FRESH) == sorted(HANDLERS)
+
+
+@pytest.mark.parametrize("name", FRESH)
+def test_fresh_process_stdout_matches_golden(name, fresh_python):
+    # A new interpreter has loaded only what the handler imports, which the
+    # in-process test cannot show once other tests have loaded every module.
+    proc = fresh_python(ENTRY, *CORPUS[name], "--output", "json")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with open(_path(name, "json"), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -19,14 +19,19 @@ from idstat.observables import (
     energy_from_wave_coefficients,
     energy_sum_rule,
     laplacian_condition_residual,
-    momentum_degeneracy,
     occupancy_weights,
     one_body_expectation,
     plane_wave_energy,
     position_expectation_symmetrized,
     wave_coefficients,
 )
-from idstat.symmetry import mixed_basis_n3, orbit_basis_n3, product_state_vector, symmetrize
+from idstat.symmetry import (
+    exchange_degeneracy_dimension,
+    mixed_basis_n3,
+    orbit_basis_n3,
+    product_state_vector,
+    symmetrize,
+)
 
 H123 = OneBodyOperator.diagonal([1, 2, 3])
 THIRD = Fraction(1, 3)
@@ -310,11 +315,10 @@ def test_laplacian_finite_difference_oracle():
 
 
 def test_momentum_degeneracy_counts():
-    p = lambda *xs: tuple(Fraction(x) for x in xs)
-    assert momentum_degeneracy(PlaneWaveState((p(1), p(2), p(3)))) == 6
-    assert momentum_degeneracy(PlaneWaveState((p(1), p(1), p(3)))) == 3
-    assert momentum_degeneracy(PlaneWaveState((p(1), p(1), p(1)))) == 1
-    assert momentum_degeneracy(PlaneWaveState((p(1), p(1), p(2), p(2)))) == 6
+    # the distinct orderings of a momentum multiset, N!/prod(n_j!), are its
+    # exchange degeneracy
+    for momenta, count in (((1, 2, 3), 6), ((1, 1, 3), 3), ((1, 1, 1), 1), ((1, 1, 2, 2), 6)):
+        assert exchange_degeneracy_dimension(momenta) == count
 
 
 def test_operator_shape_validation():

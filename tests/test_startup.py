@@ -1,0 +1,80 @@
+"""Package start-up: `import idstat` loads no submodule, each exported name
+resolves lazily to its submodule's object, and a command loads only the
+library modules it uses."""
+
+from __future__ import annotations
+
+import importlib
+import json
+
+import pytest
+
+import idstat
+
+#: What a fresh `import idstat, idstat.cli` must leave unloaded.
+LIBRARY = ("idstat.verify", "idstat.symmetry", "idstat.observables", "idstat.exactnum",
+           "idstat.perm", "idstat.statmech", "fractions")
+
+DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vector",
+           "symmetrize_raw", "mb_free_energy", "momentum_degeneracy")
+
+
+START = "import json, sys\nimport idstat, idstat.cli\n"
+
+
+def _printed(fresh_python, code: str) -> list:
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_start_up_loads_no_library_module(fresh_python):
+    loaded = _printed(fresh_python, START + "print(json.dumps(sorted(sys.modules)))")
+    assert not set(LIBRARY) & set(loaded)
+    assert {m for m in loaded if m.startswith("idstat")} == {
+        "idstat", "idstat.cli", "idstat.config", "idstat.errors", "idstat.render"}
+
+
+def test_partition_adds_only_statmech(fresh_python):
+    added = _printed(
+        fresh_python,
+        START
+        + "import contextlib, io\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = idstat.cli.main(['partition', '--stat', 'fd', '--levels', '0,1,2', '-N', '2',"
+        " '--beta', '1'])\n"
+        "assert code == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert [m for m in added if m.startswith("idstat")] == ["idstat.statmech"]
+    assert "fractions" not in added
+
+
+def test_every_export_is_its_submodule_attribute():
+    for name in idstat.__all__:
+        module = importlib.import_module(f"idstat.{idstat._SOURCE[name]}")
+        assert getattr(idstat, name) is getattr(module, name), name
+
+
+def test_each_export_has_one_source():
+    assert sum(map(len, idstat._EXPORTS.values())) == len(idstat.__all__)
+
+
+def test_dir_lists_the_exports():
+    assert set(idstat.__all__) <= set(dir(idstat))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from idstat import *", namespace)
+    for name in idstat.__all__:
+        assert namespace[name] is getattr(idstat, name), name
+
+
+@pytest.mark.parametrize("name", ("no_such_name",) + DELETED)
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError):
+        getattr(idstat, name)
+    with pytest.raises(ImportError):
+        exec(f"from idstat import {name}", {})

@@ -33,7 +33,6 @@ from idstat.statmech import (
     grand_Xi,
     grand_Xi_series,
     grand_ln_Xi,
-    mb_free_energy,
     mb_ln_Z_continuum,
     momentum_multiset_sum,
     occupation_count,
@@ -356,9 +355,12 @@ def test_thermal_wavelength_si_against_mpmath():
 
 def test_mb_free_energy_extensive_closed_form():
     v_per_n, T = 1.7, 0.9
-    f1 = mb_free_energy(ThermoPoint.dimensionless(T=T, V=v_per_n, N=1))
+    F_at = lambda V, N: free_energy_from_ln_Z(
+        mb_ln_Z_continuum(ThermoPoint.dimensionless(T=T, V=V, N=N)), T
+    )
+    f1 = F_at(v_per_n, 1)
     for n in (1, 2, 10, 100, 10**4):
-        F = mb_free_energy(ThermoPoint.dimensionless(T=T, V=v_per_n * n, N=n))
+        F = F_at(v_per_n * n, n)
         assert abs(F - n * f1) <= 1e-12 * abs(F)
 
 
