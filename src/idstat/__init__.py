@@ -28,7 +28,7 @@ _EXPORTS = {
         "MAX_RADICAND", "ONE", "Rational", "RadicalRational", "ZERO", "rsqrt_of_rational",
         "square_free_split",
     ),
-    "perm": ("MAX_ENUM_N", "Permutation", "enumerate_permutations"),
+    "perm": ("Permutation",),
     "symmetry": (
         "MAX_ORBIT", "MIXED_BASIS_NAMES", "ORBIT_BASIS_NAMES", "StateVector", "SymmetrizeResult",
         "SymmetryClass", "SymmetryTag", "classify_symmetry", "decompose",
@@ -43,11 +43,10 @@ _EXPORTS = {
     ),
     "statmech": (
         "FREE_ENERGY_NOTE", "OccupationState", "Spectrum", "Statistics", "ThermoPoint",
-        "box1d_spectrum", "box3d_spectrum", "canonical_Z", "canonical_Z_recursive",
-        "canonical_ln_Z", "dimensionless_spectrum", "enumerate_occupations", "extensivity_report",
-        "free_energy_from_ln_Z", "grand_Xi", "grand_Xi_series", "grand_ln_Xi", "mb_ln_Z_continuum",
-        "momentum_multiset_sum", "occupation_count", "single_particle_z", "spectrum_from_csv",
-        "spectrum_from_levels", "thermal_wavelength",
+        "box1d_spectrum", "box3d_spectrum", "canonical_Z", "canonical_ln_Z",
+        "dimensionless_spectrum", "enumerate_occupations", "extensivity_report",
+        "free_energy_from_ln_Z", "grand_ln_Xi", "mb_ln_Z_continuum", "occupation_count",
+        "spectrum_from_csv", "spectrum_from_levels", "thermal_wavelength",
     ),
     "config": ("RunConfig", "load_config"),
     "verify": ("CheckResult", "run_verification", "verification_passed"),

@@ -19,8 +19,8 @@ class InputError(IdstatError):
 
 
 class CapacityExceeded(IdstatError):
-    """A documented hard cap was exceeded (permutation order, particle
-    count, level count, radicand size)."""
+    """A documented hard cap was exceeded (orbit size, particle count,
+    level count, spectrum cutoff, radicand size)."""
 
     exit_code = 4
 

@@ -220,26 +220,6 @@ class RadicalRational:
     def __float__(self) -> float:
         return float(sum(float(q) * math.sqrt(r) for r, q in self._terms.items()))
 
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> dict:
-        """JSON form ``{"terms": [[r, "p/q"], ...]}`` sorted by radicand."""
-        return {"terms": [[r, str(q)] for r, q in self.items()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RadicalRational":
-        terms: dict[int, Fraction] = {}
-        prev = 0
-        for r, q in data["terms"]:
-            r = int(r)
-            if r <= prev:
-                raise ValueError("radicands must be strictly increasing")
-            if square_free_split(r)[0] != 1:
-                raise ValueError(f"radicand {r} is not square-free")
-            terms[r] = Fraction(q)
-            prev = r
-        return cls(terms)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -242,10 +242,6 @@ def occupation_count(n_levels: int, n_particles: int, stat: Statistics) -> int:
 # -- canonical partition functions ----------------------------------------
 
 
-def single_particle_z(spectrum: Spectrum, beta: float) -> float:
-    return math.fsum(math.exp(-beta * e) for e in spectrum.energies)
-
-
 def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -> list[float]:
     """ln Z_0 .. ln Z_n_max for BE/FD: Z_n is the t^n coefficient of
     prod_k (1 - x_k t)^-1 (BE, h_n) or prod_k (1 + x_k t) (FD, e_n), with
@@ -314,27 +310,6 @@ def canonical_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Statist
     return math.exp(canonical_ln_Z(spectrum, n_particles, beta, stat))
 
 
-def canonical_Z_recursive(
-    spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics
-) -> float:
-    """Cross-check oracle for BE/FD: Z_N = (1/N) sum_{k=1..N} (+-1)^{k+1}
-    z(k beta) Z_{N-k}, with + for BE and - for FD.  The FD terms alternate
-    in sign, so it is accurate only where they do not cancel."""
-    if not stat.quantum:
-        raise InputError("recursion applies to BE/FD only")
-    if n_particles > MAX_CANONICAL_N:
-        raise CapacityExceeded(f"recursion capped at N = {MAX_CANONICAL_N}")
-    sign = 1.0 if stat is Statistics.BE else -1.0
-    z_powers = [0.0] + [single_particle_z(spectrum, k * beta) for k in range(1, n_particles + 1)]
-    Z = [1.0] + [0.0] * n_particles
-    for n in range(1, n_particles + 1):
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += (sign ** (k + 1)) * z_powers[k] * Z[n - k]
-        Z[n] = acc / n
-    return Z[n_particles]
-
-
 # -- grand canonical --------------------------------------------------------
 
 
@@ -363,38 +338,17 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     return total
 
 
-def grand_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) -> float:
-    return math.exp(grand_ln_Xi(spectrum, beta, mu, stat))
-
-
-def grand_Xi_series(
-    spectrum: Spectrum, beta: float, mu: float, stat: Statistics, n_max: int | None = None
-) -> float:
-    """Fugacity-series route: sum_N z^N Z_N with z = exp(beta mu) and
-    Z_0 .. Z_n_max from one kernel table.  Exact finite sum for FD (Z_N = 0
-    beyond the level count); truncated at n_max (default canonical cap) for
-    BE."""
-    if not stat.quantum:
-        raise InputError("fugacity series defined here for BE/FD only")
-    if n_max is None:
-        n_max = len(spectrum) if stat is Statistics.FD else MAX_CANONICAL_N
-    n_max = min(n_max, MAX_CANONICAL_N)
-    ln_Z = _ln_Z_table(spectrum, n_max, beta, stat)
-    return math.fsum(math.exp(n * beta * mu + v) for n, v in enumerate(ln_Z))
-
-
 # -- thermodynamic points and Boltzmann closed forms ------------------------
 
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Temperature, volume, particle number and constants; dimensionless
-    mode is h = k = m = 1."""
+    """Temperature, volume, particle number and constants; the defaults
+    h = k = m = 1 are the dimensionless mode."""
 
     T: float
     V: float
     N: int
-    mu: float | None = None
     mass: float = 1.0
     h: float = 1.0
     k: float = 1.0
@@ -410,10 +364,6 @@ class ThermoPoint:
     @property
     def beta(self) -> float:
         return 1.0 / (self.k * self.T)
-
-    @classmethod
-    def dimensionless(cls, T: float = 1.0, V: float = 1.0, N: int = 1, mu: float | None = None):
-        return cls(T=T, V=V, N=N, mu=mu, mass=1.0, h=1.0, k=1.0)
 
 
 def thermal_wavelength(tp: ThermoPoint) -> float:
@@ -448,23 +398,15 @@ def mb_ln_Z_continuum(tp: ThermoPoint, stat: Statistics = Statistics.MB_NN) -> f
 
 
 def free_energy_from_ln_Z(ln_Z: float, T: float, k: float = 1.0) -> float:
-    """F = -k T ln Z (thermodynamic standard sign)."""
-    return -k * T * ln_Z
-
-
-def momentum_multiset_sum(energies: Sequence[float], n_particles: int, beta: float) -> float:
-    """Sum over unordered momentum multisets of (distinct-ordering count)
-    x Boltzmann weight; equals single-particle-z^N by the multinomial
-    theorem, which the verification suite checks."""
-    if n_particles > MAX_PARTICLES:
-        raise CapacityExceeded(f"multiset sum capped at N = {MAX_PARTICLES}")
-    total = 0.0
-    for multiset in itertools.combinations_with_replacement(range(len(energies)), n_particles):
-        deg = math.factorial(n_particles)
-        for lv in set(multiset):
-            deg //= math.factorial(multiset.count(lv))
-        total += deg * math.exp(-beta * sum(energies[lv] for lv in multiset))
-    return total
+    """F = -k T ln Z (thermodynamic standard sign); an F outside the float
+    range is refused."""
+    F = -k * T * ln_Z
+    if not math.isfinite(F):
+        raise InputError(
+            f"F = -kT*ln(Z) is out of float range at T = {T!r}, k = {k!r}: "
+            "T is too large or beta too small"
+        )
+    return F
 
 
 # -- extensivity report ------------------------------------------------------
@@ -545,6 +487,8 @@ def extensivity_report(
         F = free_energy_from_ln_Z(ln_Z, T, k)
         F_single = free_energy_from_ln_Z(ln_Z_at(V / N, 1), T, k)
         defect = F - N * F_single
+        if not math.isfinite(defect):
+            raise InputError(f"extensivity defect is out of float range at T = {T!r}, V = {V!r}, N = {N}")
         rows.append(ExtensivityRow(V, N, ln_Z, F, F / N, defect))
         if stat is Statistics.MB_NN and continuum:
             rel = abs(defect) / abs(F) if F else abs(defect)

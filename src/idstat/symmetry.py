@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
 from .errors import (
@@ -174,21 +174,6 @@ class StateVector:
             {p.apply(s): a for s, a in self._amps.items()},
             self.basis_size,
         )
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n_particles,
-            "terms": [{"state": list(s), "amp": a.to_json()} for s, a in self.items()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StateVector":
-        amps = {
-            tuple(t["state"]): RadicalRational.from_json(t["amp"]) for t in data["terms"]
-        }
-        return cls(int(data["n"]), amps)
 
     def __repr__(self) -> str:
         body = " ".join(f"{s}:{a}" for s, a in self.items())

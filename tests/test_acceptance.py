@@ -19,19 +19,14 @@ from idstat import (
     Statistics,
     ZERO,
     canonical_Z,
-    canonical_Z_recursive,
     decompose,
     energy_from_wave_coefficients,
     energy_sum_rule,
-    enumerate_permutations,
     exchange_degeneracy_dimension,
     extensivity_report,
-    grand_Xi,
-    grand_Xi_series,
     grand_ln_Xi,
     inner_product,
     laplacian_condition_residual,
-    momentum_multiset_sum,
     occupancy_weights,
     one_body_expectation,
     orbit_basis_n3,
@@ -39,7 +34,6 @@ from idstat import (
     position_expectation_symmetrized,
     product_state_vector,
     rsqrt_of_rational,
-    single_particle_z,
     spectrum_from_levels,
     symmetric_antisymmetric_dimensions,
     symmetrize,
@@ -47,7 +41,14 @@ from idstat import (
 )
 from idstat.cli import main
 from idstat.errors import BoseDivergence
-from idstat.verify import run_verification
+from idstat.perm import Permutation
+from idstat.verify import (
+    _canonical_Z_recursive,
+    _grand_Xi_series,
+    _momentum_multiset_sum,
+    _z1,
+    run_verification,
+)
 
 
 def _ok(num: int, description: str) -> None:
@@ -97,8 +98,8 @@ def test_criterion_03_basis_structure():
     for pair in (("s1", "s2"), ("s1p", "s2p")):
         plane = [basis[pair[0]], basis[pair[1]]]
         for name in pair:
-            for p in enumerate_permutations(3):
-                coeffs, residual = decompose(basis[name].permuted(p), plane)
+            for mapping in itertools.permutations(range(3)):
+                coeffs, residual = decompose(basis[name].permuted(Permutation(mapping)), plane)
                 assert residual.is_zero
                 total = ZERO
                 for c in coeffs:
@@ -181,9 +182,9 @@ def test_criterion_07_plane_wave_sector():
             wave_coefficients(pw, h), Fraction(3), h
         )
     energies = [0.0, 0.4, 0.9, 1.6, 2.5]
-    z1 = single_particle_z(spectrum_from_levels(energies), 1.0)
+    z1 = _z1(spectrum_from_levels(energies), 1.0)
     for n in range(1, 5):
-        lhs = momentum_multiset_sum(energies, n, 1.0)
+        lhs = _momentum_multiset_sum(energies, n, 1.0)
         assert abs(lhs - z1**n) <= 1e-12 * z1**n
     _ok(7, "Laplacian residual 0 (linear), E = sum p^2/2m exact, multiset sum = z1^N @ 1e-12")
 
@@ -194,18 +195,18 @@ def test_criterion_08_ensemble_identities():
         for beta in (0.3, 1.0):
             for n in range(1, 6):
                 direct = canonical_Z(spec, n, beta, stat)
-                rec = canonical_Z_recursive(spec, n, beta, stat)
+                rec = _canonical_Z_recursive(spec, n, beta, stat)
                 assert abs(direct - rec) <= 1e-12 * direct
     spec_fd = spectrum_from_levels([0.0, 0.4, 1.1, 2.2])
-    lhs = grand_Xi(spec_fd, 1.3, 0.2, Statistics.FD)
-    rhs = grand_Xi_series(spec_fd, 1.3, 0.2, Statistics.FD)
+    lhs = math.exp(grand_ln_Xi(spec_fd, 1.3, 0.2, Statistics.FD))
+    rhs = _grand_Xi_series(spec_fd, 1.3, 0.2, Statistics.FD)
     assert abs(lhs - rhs) <= 1e-12 * lhs
     spec_be = spectrum_from_levels([0.0, 0.6, 1.5])
-    lhs = grand_Xi(spec_be, 1.0, -0.8, Statistics.BE)
-    rhs = grand_Xi_series(spec_be, 1.0, -0.8, Statistics.BE)
+    lhs = math.exp(grand_ln_Xi(spec_be, 1.0, -0.8, Statistics.BE))
+    rhs = _grand_Xi_series(spec_be, 1.0, -0.8, Statistics.BE)
     assert abs(lhs - rhs) <= 1e-10 * lhs
     guard = spectrum_from_levels([0.5, 1.0])
-    assert grand_Xi(guard, 2.0, 0.5 - 1e-9, Statistics.BE) > 0
+    assert math.exp(grand_ln_Xi(guard, 2.0, 0.5 - 1e-9, Statistics.BE)) > 0
     for mu in (0.5, 0.9):
         raised = False
         try:

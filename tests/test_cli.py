@@ -343,6 +343,34 @@ def test_partition_huge_beta_ln_z_out_of_float_range_refused(stat, capsys):
     assert "out of float range" in err
 
 
+@pytest.mark.parametrize("beta", ["5e-324", "1e-310"])
+def test_partition_tiny_beta_F_out_of_float_range_refused(beta, capsys):
+    # kT = 1 / beta overflows, so F = -kT ln Z is not finite
+    argv = ["partition", "--stat", "be", "--levels", "0,1,2", "-N", "2", "--beta", beta]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "out of float range" in err and "beta" in err
+
+
+EXTENSIVITY_OVERFLOW = {
+    # -kT ln Z overflows for every row
+    "F": ("1e308", "1,2"),
+    # F = -1.3e308 is finite, but N F(V/N, 1) = -2.5e308 is not
+    "defect": ("1e307", "10"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTENSIVITY_OVERFLOW))
+def test_extensivity_huge_T_out_of_float_range_refused(case, capsys):
+    T, n_list = EXTENSIVITY_OVERFLOW[case]
+    argv = ["extensivity", "--stat", "be", "--discrete", "--T", T, "--n-list", n_list]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "out of float range" in err and f"T = {float(T)!r}" in err
+
+
 NEGATIVE_ZERO_F = ["partition", "--stat", "be", "--levels", "0,1,2", "-N", "2", "--beta", "1e300"]
 ZERO_F = {"json": '"F":0,', "csv": "\nF,0\n", "pretty": "\n  F = 0\n"}
 

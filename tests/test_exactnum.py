@@ -204,20 +204,6 @@ def test_sum_of_products_refuses_past_the_radicand_cap():
         sum_of_products([(ONE, ONE, 0.5)])
 
 
-def test_json_round_trip_and_order():
-    x = rsqrt_of_rational(Fraction(1, 6)) - Fraction(1, 2) + rsqrt_of_rational(2)
-    data = x.to_json()
-    assert data == {"terms": [[1, "-1/2"], [2, "1"], [6, "1/6"]]}
-    assert RadicalRational.from_json(data) == x
-
-
-def test_json_rejects_bad_terms():
-    with pytest.raises(ValueError):
-        RadicalRational.from_json({"terms": [[4, "1"]]})
-    with pytest.raises(ValueError):
-        RadicalRational.from_json({"terms": [[3, "1"], [2, "1"]]})
-
-
 def test_human_form():
     assert str(ZERO) == "0"
     assert str(rsqrt_of_rational(Fraction(1, 2))) == "1/2*sqrt(2)"

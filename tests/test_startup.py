@@ -16,7 +16,17 @@ LIBRARY = ("idstat.verify", "idstat.symmetry", "idstat.observables", "idstat.exa
            "idstat.perm", "idstat.statmech", "fractions")
 
 DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vector",
-           "symmetrize_raw", "mb_free_energy", "momentum_degeneracy")
+           "symmetrize_raw", "mb_free_energy", "momentum_degeneracy", "MAX_ENUM_N",
+           "enumerate_permutations", "canonical_Z_recursive", "grand_Xi", "grand_Xi_series",
+           "momentum_multiset_sum", "single_particle_z")
+
+#: Methods deleted from exported classes: class name -> method names.
+DELETED_METHODS = {
+    "Permutation": ("identity", "compose", "__mul__", "inverse", "cycles", "cycle_notation", "to_json"),
+    "StateVector": ("to_json", "from_json"),
+    "RadicalRational": ("to_json", "from_json"),
+    "ThermoPoint": ("dimensionless", "mu"),
+}
 
 
 START = "import json, sys\nimport idstat, idstat.cli\n"
@@ -78,3 +88,12 @@ def test_unknown_name_raises_attribute_error(name):
         getattr(idstat, name)
     with pytest.raises(ImportError):
         exec(f"from idstat import {name}", {})
+
+
+def test_deleted_names_are_gone_from_every_submodule():
+    for name in idstat._EXPORTS:
+        module = importlib.import_module(f"idstat.{name}")
+        assert not set(DELETED) & set(vars(module)), module.__name__
+    for cls, methods in DELETED_METHODS.items():
+        for method in methods:
+            assert not hasattr(getattr(idstat, cls), method), (cls, method)

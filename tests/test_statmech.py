@@ -24,23 +24,19 @@ from idstat.statmech import (
     box1d_spectrum,
     box3d_spectrum,
     canonical_Z,
-    canonical_Z_recursive,
     canonical_ln_Z,
     dimensionless_spectrum,
     enumerate_occupations,
     extensivity_report,
     free_energy_from_ln_Z,
-    grand_Xi,
-    grand_Xi_series,
     grand_ln_Xi,
     mb_ln_Z_continuum,
-    momentum_multiset_sum,
     occupation_count,
-    single_particle_z,
     spectrum_from_csv,
     spectrum_from_levels,
     thermal_wavelength,
 )
+from idstat.verify import _canonical_Z_recursive, _grand_Xi_series, _momentum_multiset_sum, _z1
 
 BE, FD, MB_NN, MB_FACT = (
     Statistics.BE,
@@ -207,7 +203,7 @@ def test_canonical_edge_cases():
 def test_canonical_mb_closed_forms():
     spec = spectrum_from_levels([0.0, 0.7, 1.9])
     beta, n = 1.3, 3
-    z1 = single_particle_z(spec, beta)
+    z1 = _z1(spec, beta)
     assert math.isclose(canonical_Z(spec, n, beta, MB_NN), z1**n / n**n, rel_tol=1e-13)
     assert math.isclose(
         canonical_Z(spec, n, beta, MB_FACT), z1**n / math.factorial(n), rel_tol=1e-13
@@ -236,7 +232,7 @@ def test_kernel_matches_enumeration(stat, beta):
 def test_recursion_matches_enumeration(stat, beta, n):
     spec = spectrum_from_levels([0.0, 0.5, 1.3, 2.0, 3.1])
     direct = enumerated_Z(spec, n, beta, stat)
-    rec = canonical_Z_recursive(spec, n, beta, stat)
+    rec = _canonical_Z_recursive(spec, n, beta, stat)
     assert math.isclose(direct, rec, rel_tol=1e-12)
 
 
@@ -245,7 +241,7 @@ def test_recursion_matches_enumeration_be_cold(n):
     # BE recursion terms are all positive, so no cancellation at any beta
     spec = spectrum_from_levels([0.0, 0.5, 1.3, 2.0, 3.1])
     assert math.isclose(
-        enumerated_Z(spec, n, 2.7, BE), canonical_Z_recursive(spec, n, 2.7, BE), rel_tol=1e-12
+        enumerated_Z(spec, n, 2.7, BE), _canonical_Z_recursive(spec, n, 2.7, BE), rel_tol=1e-12
     )
 
 
@@ -258,22 +254,13 @@ def test_recursion_fd_cold_conditioning(n):
     spec = spectrum_from_levels([0.0, 0.5, 1.3, 2.0, 3.1])
     beta = 2.7
     direct = enumerated_Z(spec, n, beta, FD)
-    rec = canonical_Z_recursive(spec, n, beta, FD)
+    rec = _canonical_Z_recursive(spec, n, beta, FD)
     kappa = sum(
-        single_particle_z(spec, k * beta) * enumerated_Z(spec, n - k, beta, FD)
+        _z1(spec, k * beta) * enumerated_Z(spec, n - k, beta, FD)
         for k in range(1, n + 1)
     ) / (n * direct)
     assert abs(direct - rec) / direct <= 1e-13 * kappa
     assert math.isclose(direct, rec, rel_tol=1e-8)
-
-
-def test_recursion_base_and_caps():
-    spec = spectrum_from_levels([0.0, 1.0])
-    assert math.isclose(canonical_Z_recursive(spec, 1, 2.0, BE), single_particle_z(spec, 2.0))
-    with pytest.raises(CapacityExceeded):
-        canonical_Z_recursive(spec, MAX_CANONICAL_N + 1, 1.0, BE)
-    with pytest.raises(InputError):
-        canonical_Z_recursive(spec, 2, 1.0, MB_NN)
 
 
 def test_monotonic_in_beta():
@@ -286,20 +273,20 @@ def test_monotonic_in_beta():
 def test_grand_xi_frozen_single_level():
     spec = spectrum_from_levels([0.0])
     mu = -math.log(2.0)  # occupation factor exactly 1/2
-    assert math.isclose(grand_Xi(spec, 1.0, mu, BE), 2.0, rel_tol=1e-15)
-    assert math.isclose(grand_Xi(spec, 1.0, mu, FD), 1.5, rel_tol=1e-15)
+    assert math.isclose(math.exp(grand_ln_Xi(spec, 1.0, mu, BE)), 2.0, rel_tol=1e-15)
+    assert math.isclose(math.exp(grand_ln_Xi(spec, 1.0, mu, FD)), 1.5, rel_tol=1e-15)
 
 
 def test_bose_divergence_iff_mu_reaches_ground_state():
     spec = spectrum_from_levels([0.5, 1.0])
-    assert grand_Xi(spec, 2.0, 0.4999, BE) > 0
+    assert math.exp(grand_ln_Xi(spec, 2.0, 0.4999, BE)) > 0
     for mu in (0.5, 0.7):
         with pytest.raises(BoseDivergence):
             grand_ln_Xi(spec, 2.0, mu, BE)
     # FD never diverges
-    assert grand_Xi(spec, 2.0, 5.0, FD) > 0
+    assert math.exp(grand_ln_Xi(spec, 2.0, 5.0, FD)) > 0
     with pytest.raises(InputError):
-        grand_Xi(spec, 1.0, 0.0, MB_NN)
+        grand_ln_Xi(spec, 1.0, 0.0, MB_NN)
 
 
 def test_grand_ln_xi_refuses_a_non_finite_beta():
@@ -322,7 +309,7 @@ def test_fugacity_series_matches_product_fd():
     spec = spectrum_from_levels([0.0, 0.4, 1.1, 2.2])
     beta, mu = 1.3, 0.2
     assert math.isclose(
-        grand_Xi(spec, beta, mu, FD), grand_Xi_series(spec, beta, mu, FD), rel_tol=1e-12
+        math.exp(grand_ln_Xi(spec, beta, mu, FD)), _grand_Xi_series(spec, beta, mu, FD), rel_tol=1e-12
     )
 
 
@@ -330,12 +317,12 @@ def test_fugacity_series_matches_product_be():
     spec = spectrum_from_levels([0.0, 0.6, 1.5])
     beta, mu = 1.0, -0.8
     assert math.isclose(
-        grand_Xi(spec, beta, mu, BE), grand_Xi_series(spec, beta, mu, BE), rel_tol=1e-10
+        math.exp(grand_ln_Xi(spec, beta, mu, BE)), _grand_Xi_series(spec, beta, mu, BE), rel_tol=1e-10
     )
 
 
 def test_thermal_wavelength_dimensionless():
-    tp = ThermoPoint.dimensionless(T=1.0 / (2.0 * math.pi))
+    tp = ThermoPoint(T=1.0 / (2.0 * math.pi), V=1.0, N=1)
     assert math.isclose(thermal_wavelength(tp), 1.0, rel_tol=1e-15)
 
 
@@ -356,7 +343,7 @@ def test_thermal_wavelength_si_against_mpmath():
 def test_mb_free_energy_extensive_closed_form():
     v_per_n, T = 1.7, 0.9
     F_at = lambda V, N: free_energy_from_ln_Z(
-        mb_ln_Z_continuum(ThermoPoint.dimensionless(T=T, V=V, N=N)), T
+        mb_ln_Z_continuum(ThermoPoint(T=T, V=V, N=N)), T
     )
     f1 = F_at(v_per_n, 1)
     for n in (1, 2, 10, 100, 10**4):
@@ -366,11 +353,14 @@ def test_mb_free_energy_extensive_closed_form():
 
 def test_mb_ln_z_rejects_quantum_kinds():
     with pytest.raises(InputError):
-        mb_ln_Z_continuum(ThermoPoint.dimensionless(), BE)
+        mb_ln_Z_continuum(ThermoPoint(T=1.0, V=1.0, N=1), BE)
 
 
 def test_free_energy_sign_convention():
     assert free_energy_from_ln_Z(2.0, 1.5, k=1.0) == -3.0
+    for ln_Z, T in ((2.0, 1e308), (0.0, math.inf), (-1.0, math.inf)):
+        with pytest.raises(InputError):
+            free_energy_from_ln_Z(ln_Z, T)
 
 
 def test_momentum_multiset_sum_equals_z1_power():
@@ -378,7 +368,7 @@ def test_momentum_multiset_sum_equals_z1_power():
     beta = 1.1
     z1 = math.fsum(math.exp(-beta * e) for e in energies)
     for n in (1, 2, 3, 4):
-        lhs = momentum_multiset_sum(energies, n, beta)
+        lhs = _momentum_multiset_sum(energies, n, beta)
         assert abs(lhs - z1**n) <= 1e-12 * z1**n
 
 
@@ -430,4 +420,4 @@ def test_thermo_point_validation():
     for bad in ({"T": math.inf}, {"V": math.nan}, {"mass": math.inf}, {"h": math.nan}):
         with pytest.raises(InputError):
             ThermoPoint(**{"T": 1.0, "V": 1.0, "N": 1, **bad})
-    assert ThermoPoint.dimensionless(T=2.0).beta == 0.5
+    assert ThermoPoint(T=2.0, V=1.0, N=1).beta == 0.5
