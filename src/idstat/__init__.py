@@ -30,10 +30,10 @@ _EXPORTS = {
     ),
     "perm": ("Permutation",),
     "symmetry": (
-        "MAX_ORBIT", "MIXED_BASIS_NAMES", "ORBIT_BASIS_NAMES", "StateVector", "SymmetrizeResult",
-        "SymmetryClass", "SymmetryTag", "classify_symmetry", "decompose",
-        "exchange_degeneracy_dimension", "inner_product", "mixed_basis_n3", "orbit_basis_n3",
-        "product_state_vector", "symmetric_antisymmetric_dimensions", "symmetrize",
+        "MAX_ORBIT", "ORBIT_BASIS_NAMES", "StateVector", "SymmetrizeResult", "SymmetryClass",
+        "SymmetryTag", "classify_symmetry", "decompose", "exchange_degeneracy_dimension",
+        "inner_product", "orbit_basis_n3", "product_state_vector",
+        "symmetric_antisymmetric_dimensions", "symmetrize",
     ),
     "observables": (
         "OneBodyOperator", "PlaneWaveState", "box_position_operator",

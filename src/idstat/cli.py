@@ -30,23 +30,22 @@ class _Parser(argparse.ArgumentParser):
 # -- argument parsing helpers ------------------------------------------------
 
 
-def _parse_levels(text: str) -> tuple[tuple[int, ...], list[str]]:
+def _parse_levels(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
     """Comma-separated level labels: all symbolic (a,b,c) or all numeric
     1-based quantum numbers; mixing kinds is an input error.  Returns the
-    0-based internal levels plus a display label per level index."""
+    0-based internal levels plus the display label of each level given."""
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise InputError("empty level list")
     if all(t.isalpha() for t in tokens):
         ordered = sorted(set(tokens))
         index = {label: i for i, label in enumerate(ordered)}
-        return tuple(index[t] for t in tokens), ordered
+        return tuple(index[t] for t in tokens), dict(enumerate(ordered))
     if all(t.lstrip("+-").isdigit() for t in tokens):
         values = [int(t) for t in tokens]
         if any(v < 1 for v in values):
             raise InputError("numeric levels are 1-based quantum numbers")
-        top = max(values)
-        return tuple(v - 1 for v in values), [str(i + 1) for i in range(top)]
+        return tuple(v - 1 for v in values), {v - 1: str(v) for v in values}
     raise InputError(f"mixed symbolic/numeric level labels in {text!r}")
 
 
@@ -274,7 +273,7 @@ def cmd_mixed_basis(args, cfg: RunConfig) -> Report:
     from . import symmetry
 
     levels, labels = _parse_levels(args.levels)
-    names = ORBIT_BASIS_NAMES if args.full else symmetry.MIXED_BASIS_NAMES
+    names = ORBIT_BASIS_NAMES if args.full else ORBIT_BASIS_NAMES[2:]
     basis = dict(zip(ORBIT_BASIS_NAMES, symmetry.orbit_basis_n3(levels)))
     data = {
         "command": "mixed-basis",

@@ -96,22 +96,6 @@ class RadicalRational:
             return value
         return cls({1: _coerce(value)})
 
-    @classmethod
-    def sqrt_rational(cls, value) -> "RadicalRational":
-        """Exact square root of a nonnegative rational.
-
-        sqrt(p/d) = (s/d) * sqrt(r) where p*d = s*s*r with r square-free.
-        """
-        q = _coerce(value)
-        if q < 0:
-            raise NegativeRadicand(f"sqrt of negative rational {q}")
-        if q == 0:
-            return cls()
-        s, r = square_free_split(q.numerator * q.denominator)
-        if r > MAX_RADICAND:
-            raise CapacityExceeded(f"square-free radicand {r} exceeds cap {MAX_RADICAND}")
-        return cls({r: Fraction(s, q.denominator)})
-
     # -- inspection ---------------------------------------------------
 
     def items(self) -> list[tuple[int, Fraction]]:
@@ -240,9 +224,20 @@ ZERO = RadicalRational()
 ONE = RadicalRational.of(1)
 
 
-def rsqrt_of_rational(q) -> RadicalRational:
-    """Exact sqrt of a nonnegative rational as a single-term value."""
-    return RadicalRational.sqrt_rational(q)
+def rsqrt_of_rational(value) -> RadicalRational:
+    """Exact sqrt of a nonnegative rational as a single-term value.
+
+    sqrt(p/d) = (s/d) * sqrt(r) where p*d = s*s*r with r square-free.
+    """
+    q = _coerce(value)
+    if q < 0:
+        raise NegativeRadicand(f"sqrt of negative rational {q}")
+    if q == 0:
+        return RadicalRational()
+    s, r = square_free_split(q.numerator * q.denominator)
+    if r > MAX_RADICAND:
+        raise CapacityExceeded(f"square-free radicand {r} exceeds cap {MAX_RADICAND}")
+    return RadicalRational({r: Fraction(s, q.denominator)})
 
 
 def sum_of_products(triples) -> RadicalRational:

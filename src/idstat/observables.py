@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -26,63 +26,60 @@ from .symmetry import Parity, StateVector, symmetrize
 
 @dataclass(frozen=True)
 class OneBodyOperator:
-    """Square single-particle matrix; entries all Rational (exact=True)
-    or all float (exact=False)."""
+    """Symmetric single-particle operator on levels 0..dim-1, given by a
+    rule for its entries rather than a table: `rule(i, j)` is asked only for
+    i <= j, so entry(i, j) == entry(j, i) by construction.  Entries are all
+    Rational (exact=True) or all float (exact=False)."""
 
-    entries: tuple[tuple, ...]
+    rule: Callable[[int, int], object]
+    dim: int
     exact: bool
-    hermitian: bool = True
-
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("operator matrix must be square")
-        if self.hermitian:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ValueError("hermitian flag set but matrix is not symmetric")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        return self.rule(i, j) if i <= j else self.rule(j, i)
+
+    @classmethod
+    def matrix(cls, rows: Sequence[Sequence], exact: bool) -> "OneBodyOperator":
+        """A caller's square matrix, refused unless it is symmetric."""
+        rows = tuple(map(tuple, rows))
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("operator matrix must be square")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("operator matrix is not symmetric")
+        return cls(lambda i, j: rows[i][j], n, exact)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "OneBodyOperator":
         """Exact diagonal operator, e.g. a single-particle Hamiltonian
         with caller-chosen rational level energies."""
-        vals = [Fraction(v) for v in values]
-        n = len(vals)
-        entries = tuple(
-            tuple(vals[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
-        )
-        return cls(entries, exact=True)
+        vals = tuple(map(Fraction, values))
+        zero = Fraction(0)
+        return cls(lambda i, j: vals[i] if i == j else zero, len(vals), True)
 
 
 def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
-    """Position matrix for a 1-D hard-wall box of the given length.
+    """Position operator of a 1-D hard-wall box of the given length.
 
     Level index i stands for quantum number n = i + 1.  Diagonal entries
     are length/2; off-diagonal entries vanish for even n - m and are
-    -8*length*m*n / (pi^2 (m^2 - n^2)^2) for odd n - m.
+    -8*length*m*n / (pi^2 (m^2 - n^2)^2) for odd n - m, evaluated for
+    m < n only: evaluating (n, m) separately can round differently.
     """
     if n_levels < 1:
         raise ValueError("need at least one level")
     if not (length > 0 and math.isfinite(length)):
         raise InputError(f"box length must be positive and finite, got {length!r}")
-    rows = [[0.0] * n_levels for _ in range(n_levels)]
-    for i in range(n_levels):
-        rows[i][i] = length / 2.0
-        # Each entry is computed once, with m < n, and mirrored: evaluating
-        # (n, m) separately can round differently and break the symmetry.
-        for j in range(i + 1, n_levels, 2):
-            m, n = i + 1, j + 1
-            rows[i][j] = rows[j][i] = -8.0 * length * m * n / (math.pi**2 * (m * m - n * n) ** 2)
-    return OneBodyOperator(tuple(map(tuple, rows)), exact=False)
+
+    def rule(i: int, j: int) -> float:
+        if i == j:
+            return length / 2.0
+        if (j - i) % 2 == 0:
+            return 0.0
+        m, n = i + 1, j + 1
+        return -8.0 * length * m * n / (math.pi**2 * (m * m - n * n) ** 2)
+
+    return OneBodyOperator(rule, n_levels, exact=False)
 
 
 def _check_state(v: StateVector, op: OneBodyOperator, particle: int) -> None:

@@ -27,6 +27,7 @@ from .errors import (
 
 MAX_PARTICLES = 12      # exhaustive occupation enumeration cap
 MAX_LEVELS = 20         # level count cap for enumeration
+MAX_OCCUPATION_STATES = math.comb(20, 10)  # enumerated states; FD's most under MAX_LEVELS
 MAX_CANONICAL_N = 50    # particle-number cap of the canonical BE/FD kernel
 MAX_CUTOFF = 10**4      # spectrum length cap
 
@@ -83,9 +84,6 @@ class Spectrum:
     def offset(self) -> float:
         """Ground-state energy; energies - offset is nonnegative."""
         return self.energies[0]
-
-    def shifted(self) -> tuple[float, ...]:
-        return tuple(e - self.offset for e in self.energies)
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -173,11 +171,11 @@ def spectrum_from_csv(path: str) -> Spectrum:
                     raise InputError(f"{path}: bad spectrum row {row}") from exc
                 if g < 1:
                     raise InputError(f"{path}: degeneracy must be positive, got {g}")
+                if len(energies) + g > MAX_CUTOFF:  # refused before the row is expanded
+                    raise CutoffTooLarge(f"{path}: {len(energies) + g} levels exceed cap {MAX_CUTOFF}")
                 energies.extend([e] * g)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: not a readable CSV text file ({exc})") from exc
-    if len(energies) > MAX_CUTOFF:
-        raise CutoffTooLarge(f"{path}: {len(energies)} levels exceed cap {MAX_CUTOFF}")
     return spectrum_from_levels(energies, f"file:{path}")
 
 
@@ -204,13 +202,16 @@ class OccupationState:
         return math.fsum(c * spectrum.energies[lv] for lv, c in self.counts)
 
 
-def _check_enumeration_caps(n_levels: int, n_particles: int) -> None:
+def _check_enumeration_caps(n_levels: int, n_particles: int, stat: Statistics) -> None:
     if n_particles > MAX_PARTICLES:
         raise CapacityExceeded(f"occupation enumeration capped at N = {MAX_PARTICLES}")
     if n_levels > MAX_LEVELS:
         raise CapacityExceeded(f"occupation enumeration capped at {MAX_LEVELS} levels")
     if n_levels < 1 or n_particles < 0:
         raise InputError("need n_levels >= 1 and n_particles >= 0")
+    count = occupation_count(n_levels, n_particles, stat)
+    if count > MAX_OCCUPATION_STATES:
+        raise CapacityExceeded(f"{count} occupation states exceed the bound {MAX_OCCUPATION_STATES}")
 
 
 def enumerate_occupations(
@@ -218,7 +219,7 @@ def enumerate_occupations(
 ) -> Iterator[OccupationState]:
     """All Fock occupation vectors with the given total: 0/1 per level for
     FD, unrestricted for BE (and both MB kinds, which share BE support)."""
-    _check_enumeration_caps(n_levels, n_particles)
+    _check_enumeration_caps(n_levels, n_particles, stat)
     if stat is Statistics.FD:
         if n_particles > n_levels:
             return

@@ -328,8 +328,6 @@ _BASIS_PATTERNS: dict[str, tuple[Fraction, dict[tuple[int, int, int], int]]] = {
     ),
 }
 
-MIXED_BASIS_NAMES = ("s1", "s2", "s1p", "s2p")
-
 
 def _pattern_vector(name: str, levels: tuple[int, ...]) -> StateVector:
     norm_sq, coeffs = _BASIS_PATTERNS[name]
@@ -343,25 +341,13 @@ def _pattern_vector(name: str, levels: tuple[int, ...]) -> StateVector:
     return StateVector(3, amps)
 
 
-def _require_three_distinct(levels: Sequence[int]) -> tuple[int, ...]:
-    levels = _check_levels(levels)
-    if len(levels) != 3 or len(set(levels)) != 3:
-        raise RequiresDistinctLevels("defined for exactly three pairwise distinct levels")
-    return levels
-
-
-def mixed_basis_n3(levels: Sequence[int]) -> tuple[StateVector, StateVector, StateVector, StateVector]:
-    """The two mixed-symmetry pairs (s1, s2) and (s1', s2') for three
-    distinct levels; each pair spans a permutation-stable plane."""
-    levels = _require_three_distinct(levels)
-    return tuple(_pattern_vector(name, levels) for name in MIXED_BASIS_NAMES)
-
-
 def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
     """Orthonormal six-vector basis of the distinct-level orbit span:
     symmetric, antisymmetric (oriented negative on the input ordering),
     then the four mixed members."""
-    levels = _require_three_distinct(levels)
+    levels = _check_levels(levels)
+    if len(levels) != 3 or len(set(levels)) != 3:
+        raise RequiresDistinctLevels("defined for exactly three pairwise distinct levels")
     return tuple(_pattern_vector(name, levels) for name in ORBIT_BASIS_NAMES)
 
 
@@ -380,10 +366,11 @@ def decompose(
             if inner_product(b, basis[j]) != expected:
                 raise BasisNotOrthonormal(f"members {i} and {j} fail exact orthonormality")
     coeffs = [inner_product(b, v) for b in basis]
-    residual = v
+    residual = dict(v._amps)
     for c, b in zip(coeffs, basis):
-        residual = residual - b.scale(c)
-    return coeffs, residual
+        for s, a in b._amps.items():
+            residual[s] = residual.get(s, ZERO) - a * c
+    return coeffs, StateVector(v.n_particles, residual, v.basis_size)
 
 
 def exchange_degeneracy_dimension(levels: Sequence[int]) -> int:
@@ -421,12 +408,26 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     n = v.n_particles
     if n < 2:
         return SymmetryClass(SymmetryTag.SYMMETRIC)
-    swaps = [
-        Permutation.transposition(n, i, j) for i in range(n) for j in range(i + 1, n)
-    ]
-    if all(v.permuted(p) == v for p in swaps):
+    # The adjacent transpositions generate S_N, so only they are tested, on
+    # the amplitude map: each term's swapped state must carry the term's
+    # amplitude, or its negation.  List equality tries identity before ==,
+    # so the negation of each distinct amplitude object is taken once, from
+    # the vector's own objects where it is one.
+    states, values = list(v._amps), list(v._amps.values())
+
+    def swapped(k: int) -> list:
+        """The amplitude at each term's state with slots k, k + 1 exchanged."""
+        if all(s[k] == s[k + 1] for s in states):
+            return values  # the swap fixes every term, as in a one-level product state
+        return list(map(v._amps.get, map(itemgetter(*range(k), k + 1, k, *range(k + 2, n)), states)))
+
+    if all(swapped(k) == values for k in range(n - 1)):
         return SymmetryClass(SymmetryTag.SYMMETRIC)
-    if all(v.permuted(p) == -v for p in swaps):
+    objs = v._objects()
+    by_value = {a: a for a in objs.values()}
+    negated = {key: by_value.get(-a, -a) for key, a in objs.items()}
+    opposite = [negated[id(a)] for a in values]
+    if all(swapped(k) == opposite for k in range(n - 1)):
         return SymmetryClass(SymmetryTag.ANTISYMMETRIC)
     if n == 3:
         anchor = sorted(v.support()[0])

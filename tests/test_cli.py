@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -167,6 +168,8 @@ def test_expect_box_position(capsys):
     assert data["float"] == 0.5
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and out == "<box-x(L=1.0)> for particle 1 of parity:S state: 0.5\n"
+    args[4] = "1,100000"  # the operator is a rule: no 10^5 x 10^5 table is built
+    assert run_cli(args, capsys) == (0, out, "")
 
 
 def test_expect_box_position_where_entries_round_apart(capsys):
@@ -604,6 +607,55 @@ def test_exit_4_on_capacity(capsys):
     assert code == 4
     code, _, err = run_cli(["symmetrize", "-l", "a,b,c,d,e,f,g,h,i,j", "-p", "S"], capsys)
     assert code == 4 and "9!" in err
+
+
+def _refused(code, out, err, exit_code):
+    assert code == exit_code and out == "", (code, out, err)
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+def test_occupations_over_the_state_bound_refused_before_enumerating(capsys):
+    # C(31, 12) = 141 120 525 BE states: within the N and K caps, refused by count.
+    start = time.perf_counter()
+    code, out, err = run_cli(["occupations", "--n-levels", "20", "-N", "12", "--stat", "be"], capsys)
+    _refused(code, out, err, 4)
+    assert "141120525" in err and "184756" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_spectrum_file_degeneracy_refused_before_expanding(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("energy,degeneracy\n0,3\n1,1000000000000\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["partition", "--stat", "be", "--spectrum-file", str(path), "-N", "2", "--beta", "1"], capsys
+    )
+    _refused(code, out, err, 4)
+    assert "1000000000003 levels exceed" in err
+    assert time.perf_counter() - start < 1.0
+    path.write_text("energy,degeneracy\n0,5000\n1,5000\n2,1\n")  # passes the cap on the last row
+    _refused(*run_cli(["partition", "--stat", "be", "--spectrum-file", str(path), "-N", "2", "--beta", "1"],
+                      capsys), 4)
+    path.write_text("energy,degeneracy\n0,5000\n1,5000\n")  # exactly at the cap
+    assert run_cli(["partition", "--stat", "be", "--spectrum-file", str(path), "-N", "2", "--beta", "1"],
+                   capsys)[0] == 0
+
+
+def test_numeric_level_labels_build_no_table(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["symmetrize", "-l", "1,1000000", "-p", "S"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 3_000_000  # a table of 10^6 labels takes about 70 MB
+    assert out == (
+        "parity S unit vector on (1,1000000):\n"
+        "  |1,1000000>  1/2*sqrt(2)  (0.70710678118654757)\n"
+        "  |1000000,1>  1/2*sqrt(2)  (0.70710678118654757)\n"
+        "  raw_norm_squared = 1\n"
+    )
 
 
 def test_help_exits_zero(capsys):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -27,7 +29,6 @@ from idstat.observables import (
 )
 from idstat.symmetry import (
     exchange_degeneracy_dimension,
-    mixed_basis_n3,
     orbit_basis_n3,
     product_state_vector,
     symmetrize,
@@ -46,7 +47,7 @@ def test_symmetrized_states_share_energy_equally():
 
 
 def test_mixed_state_weights_are_symbolic_splittings():
-    s1, s2, _, _ = mixed_basis_n3((0, 1, 2))
+    s1, s2, _, _ = orbit_basis_n3((0, 1, 2))[2:]
     f = Fraction
     assert occupancy_weights(s1, 0) == [f(5, 12), f(5, 12), f(2, 12)]
     assert occupancy_weights(s1, 1) == [f(5, 12), f(5, 12), f(2, 12)]
@@ -57,7 +58,7 @@ def test_mixed_state_weights_are_symbolic_splittings():
 
 
 def test_mixed_state_expectations_instantiated():
-    s1, s2, _, _ = mixed_basis_n3((0, 1, 2))
+    s1, s2, _, _ = orbit_basis_n3((0, 1, 2))[2:]
     assert one_body_expectation(s1, H123, 0) == Fraction(7, 4)  # (5+10+6)/12
     assert one_body_expectation(s1, H123, 2) == Fraction(5, 2)  # (2+4+24)/12
     assert one_body_expectation(s2, H123, 0) == Fraction(9, 4)  # (1+2+6)/4
@@ -65,7 +66,7 @@ def test_mixed_state_expectations_instantiated():
 
 
 def test_energy_sum_rule_equals_total():
-    s1, s2, s1p, s2p = mixed_basis_n3((0, 1, 2))
+    s1, s2, s1p, s2p = orbit_basis_n3((0, 1, 2))[2:]
     vectors = [
         symmetrize((0, 1, 2), "S").vector,
         symmetrize((0, 1, 2), "A").vector,
@@ -149,8 +150,8 @@ def _oracle_vectors(family):
 
 ORACLE_OPERATORS = [
     OneBodyOperator.diagonal([Fraction(-3, 2), 5, Fraction(7, 3), 0]),
-    OneBodyOperator(
-        tuple(tuple(Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(4)) for i in range(4)),
+    OneBodyOperator.matrix(
+        [[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(4)] for i in range(4)],
         exact=True,
     ),
     box_position_operator(1.7, 4),
@@ -176,10 +177,7 @@ def test_sums_of_symmetrized_states_have_cross_terms():
     # pairs of terms that differ in one slot, or it would only test the tally.
     v = _oracle_vectors("sums")[0]
     op = ORACLE_OPERATORS[1]
-    diagonal_only = OneBodyOperator(
-        tuple(tuple(op.entry(i, j) if i == j else Fraction(0) for j in range(4)) for i in range(4)),
-        exact=True,
-    )
+    diagonal_only = OneBodyOperator.diagonal([op.entry(i, i) for i in range(4)])
     assert one_body_expectation(v, op, 2) != one_body_expectation(v, diagonal_only, 2)
 
 
@@ -225,7 +223,7 @@ def test_box_position_closed_form_values():
     op = box_position_operator(1.0, 2)
     assert op.entry(0, 0) == 0.5
     assert math.isclose(op.entry(0, 1), -16.0 / (9.0 * math.pi**2), rel_tol=1e-15)
-    assert op.entry(0, 1) == op.entry(1, 0)  # hermitian builder
+    assert op.entry(0, 1) == op.entry(1, 0)  # one evaluation serves both orders
     assert box_position_operator(1.0, 3).entry(0, 2) == 0.0  # even difference
 
 
@@ -233,7 +231,7 @@ def test_box_position_closed_form_values():
 def test_box_position_matrix_is_exactly_symmetric(size):
     for step in range(1, 301):
         length = step / 100
-        op = box_position_operator(length, size)  # the hermitian check runs here
+        op = box_position_operator(length, size)
         assert all(op.entry(i, j) == op.entry(j, i) for i in range(size) for j in range(size))
     # At L = 0.7, (m, n) = (5, 6) and (6, 5) round to different floats when
     # each is evaluated separately; both take the m < n value.
@@ -322,7 +320,49 @@ def test_momentum_degeneracy_counts():
 
 
 def test_operator_shape_validation():
-    with pytest.raises(ValueError):
-        OneBodyOperator(((1, 2), (3,)), exact=True)
-    with pytest.raises(ValueError):
-        OneBodyOperator(((0.0, 1.0), (2.0, 0.0)), exact=False, hermitian=True)
+    with pytest.raises(ValueError, match="square"):
+        OneBodyOperator.matrix(((1, 2), (3,)), exact=True)
+    with pytest.raises(ValueError, match="square"):
+        OneBodyOperator.matrix([[0.0, 1.0]], exact=False)
+    with pytest.raises(ValueError, match="not symmetric"):
+        OneBodyOperator.matrix(((0.0, 1.0), (2.0, 0.0)), exact=False)
+    with pytest.raises(ValueError, match="not symmetric"):
+        OneBodyOperator.matrix([[1, 0, Fraction(1, 3)], [0, 1, 0], [Fraction(1, 2), 0, 1]], exact=True)
+    op = OneBodyOperator.matrix(((0.0, 1.5), (1.5, 2.0)), exact=False)
+    assert op.dim == 2 and op.entry(1, 0) == op.entry(0, 1) == 1.5
+
+
+def test_operator_has_no_hermitian_flag():
+    fields = {f.name for f in dataclasses.fields(OneBodyOperator)}
+    assert fields == {"rule", "dim", "exact"}
+    assert callable(OneBodyOperator.entry)  # a method: the tracer counts its calls
+
+
+def test_box_position_operator_is_a_rule_at_any_size():
+    start = time.perf_counter()
+    op = box_position_operator(1.0, 10**9)
+    assert time.perf_counter() - start < 0.5
+    assert op.dim == 10**9
+    for m, n in [(1, 2), (5, 6), (1, 10**9), (999_999_998, 10**9 - 1), (10**9 - 1, 10**9)]:
+        i, j = m - 1, n - 1
+        assert op.entry(i, j) == op.entry(j, i)
+        assert op.entry(i, j) == -8.0 * 1.0 * m * n / (math.pi**2 * (m * m - n * n) ** 2)
+    assert op.entry(10**9 - 1, 10**9 - 1) == 0.5
+    assert op.entry(2, 10**9 - 2) == op.entry(10**9 - 2, 2) == 0.0  # even difference
+
+
+def _peak_bytes(build) -> int:
+    tracemalloc.start()
+    try:
+        op = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.dim == 2000
+    return peak
+
+
+def test_operators_store_no_table():
+    # A 2000 x 2000 table of floats or Fractions takes tens of MB.
+    assert _peak_bytes(lambda: box_position_operator(1.0, 2000)) < 10_000
+    assert _peak_bytes(lambda: OneBodyOperator.diagonal(range(2000))) < 1_000_000

@@ -18,14 +18,16 @@ LIBRARY = ("idstat.verify", "idstat.symmetry", "idstat.observables", "idstat.exa
 DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vector",
            "symmetrize_raw", "mb_free_energy", "momentum_degeneracy", "MAX_ENUM_N",
            "enumerate_permutations", "canonical_Z_recursive", "grand_Xi", "grand_Xi_series",
-           "momentum_multiset_sum", "single_particle_z")
+           "momentum_multiset_sum", "single_particle_z", "mixed_basis_n3", "MIXED_BASIS_NAMES")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
     "Permutation": ("identity", "compose", "__mul__", "inverse", "cycles", "cycle_notation", "to_json"),
     "StateVector": ("to_json", "from_json"),
-    "RadicalRational": ("to_json", "from_json"),
+    "RadicalRational": ("to_json", "from_json", "sqrt_rational"),
     "ThermoPoint": ("dimensionless", "mu"),
+    "Spectrum": ("shifted",),
+    "OneBodyOperator": ("hermitian",),
 }
 
 

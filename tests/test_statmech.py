@@ -17,6 +17,7 @@ from idstat.statmech import (
     MAX_CANONICAL_N,
     MAX_CUTOFF,
     MAX_LEVELS,
+    MAX_OCCUPATION_STATES,
     MAX_PARTICLES,
     Spectrum,
     Statistics,
@@ -65,7 +66,6 @@ def test_spectrum_sorts_and_offsets():
     s = spectrum_from_levels([2.0, 0.5, 1.0])
     assert s.energies == (0.5, 1.0, 2.0)
     assert s.offset == 0.5
-    assert s.shifted() == (0.0, 0.5, 1.5)
 
 
 def test_dimensionless_spectrum():
@@ -176,6 +176,12 @@ def test_enumeration_caps():
         list(enumerate_occupations(MAX_LEVELS + 1, 2, FD))
     with pytest.raises(CapacityExceeded):
         list(enumerate_occupations(4, MAX_PARTICLES + 1, BE))
+    assert MAX_OCCUPATION_STATES == math.comb(20, 10)
+    with pytest.raises(CapacityExceeded, match="657800 occupation states"):
+        next(enumerate_occupations(20, 7, BE))  # C(26, 7) states, within the N and K caps
+    assert next(enumerate_occupations(20, 10, FD)).total == 10  # FD's largest count
+    assert occupation_count(20, 6, BE) == 177100 <= MAX_OCCUPATION_STATES
+    assert next(enumerate_occupations(20, 6, BE)).total == 6
 
 
 def test_canonical_fd_frozen_example():
