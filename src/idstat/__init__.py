@@ -46,7 +46,7 @@ _EXPORTS = {
         "box1d_spectrum", "box3d_spectrum", "canonical_Z", "canonical_ln_Z",
         "dimensionless_spectrum", "enumerate_occupations", "extensivity_report",
         "free_energy_from_ln_Z", "grand_ln_Xi", "mb_ln_Z_continuum", "occupation_count",
-        "spectrum_from_csv", "spectrum_from_levels", "thermal_wavelength",
+        "occupation_vectors", "spectrum_from_csv", "spectrum_from_levels", "thermal_wavelength",
     ),
     "config": ("RunConfig", "load_config"),
     "verify": ("CheckResult", "run_verification", "verification_passed"),

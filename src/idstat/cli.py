@@ -155,7 +155,7 @@ def _occupations_text(data: dict) -> str:
     return "\n".join(
         [f"{data['statistics']} occupation states for N = {data['n_particles']} "
          f"on {data['n_levels']} levels: {data['count']} (closed form {data['closed_form']})"]
-        + ["  " + " ".join(str(c) for c in row) for row in data["states"]]
+        + ["  " + " ".join(map(str, row)) for row in data["states"]]
     )
 
 
@@ -347,7 +347,7 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
         "float": float(value),
     }
     rows = lambda d: [["particle", "operator", "exact", "float"],
-                     [d["particle"], d["operator"], d["exact"] or "", d["float"]]]
+                     [d["particle"], d["operator"], d["exact"], d["float"]]]
     return Report(data, rows, _expect_text)
 
 
@@ -355,7 +355,7 @@ def cmd_occupations(args, cfg: RunConfig) -> Report:
     from . import statmech
 
     stat = statmech.Statistics.parse(args.stat)
-    states = list(statmech.enumerate_occupations(args.n_levels, args.n_particles, stat))
+    states = list(statmech.occupation_vectors(args.n_levels, args.n_particles, stat))
     data = {
         "command": "occupations",
         "statistics": stat.value,
@@ -363,7 +363,7 @@ def cmd_occupations(args, cfg: RunConfig) -> Report:
         "n_particles": args.n_particles,
         "count": len(states),
         "closed_form": statmech.occupation_count(args.n_levels, args.n_particles, stat),
-        "states": [list(s.as_vector(args.n_levels)) for s in states],
+        "states": states,
     }
     rows = lambda d: [[f"level_{i+1}" for i in range(d["n_levels"])], *d["states"]]
     return Report(data, rows, _occupations_text)

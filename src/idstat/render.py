@@ -46,6 +46,9 @@ def _emit(obj, out: list) -> None:
             _emit(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {int}:  # plain ints, no bools: one join
+            out.append("[" + ",".join(map(str, obj)) + "]")
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -65,6 +68,8 @@ def canonical_json(obj) -> str:
 
 
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

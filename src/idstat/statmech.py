@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul
@@ -30,6 +31,7 @@ MAX_LEVELS = 20         # level count cap for enumeration
 MAX_OCCUPATION_STATES = math.comb(20, 10)  # enumerated states; FD's most under MAX_LEVELS
 MAX_CANONICAL_N = 50    # particle-number cap of the canonical BE/FD kernel
 MAX_CUTOFF = 10**4      # spectrum length cap
+REACH = 746.0           # exp(-x) is exactly 0.0 for every float x > REACH
 
 PLANCK_H_SI = 6.62607015e-34
 BOLTZMANN_K_SI = 1.380649e-23
@@ -134,19 +136,22 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
     expanded, lowest `cutoff` levels kept."""
     cutoff = _check_cutoff(cutoff)
     scale = _box_scale(length, mass, h)
-    bound = 2
+    # About (pi/6) r^3 - (3 pi/8) r^2 triples have nx^2+ny^2+nz^2 <= r^2, so
+    # r = (6 cutoff/pi)^(1/3) + 1 holds the lowest `cutoff` sums for every
+    # cutoff within the cap.  The complete shells s <= bound are enumerated
+    # directly, and the bound grows by a quarter while they fall short.
+    bound = int(((6.0 * cutoff / math.pi) ** (1.0 / 3.0) + 1.0) ** 2)
     while True:
-        # every triple with nx^2+ny^2+nz^2 <= bound^2 + 2 has all n <= bound,
-        # so shells up to that value are complete
-        complete = bound * bound + 2
-        sums = sorted(
-            nx * nx + ny * ny + nz * nz
-            for nx, ny, nz in itertools.product(range(1, bound + 1), repeat=3)
-            if nx * nx + ny * ny + nz * nz <= complete
-        )
+        squares = [n * n for n in range(math.isqrt(bound) + 1)]
+        sums = []
+        for nx in range(1, math.isqrt(bound - 2) + 1):
+            for ny in range(1, math.isqrt(bound - squares[nx] - 1) + 1):
+                base = squares[nx] + squares[ny]
+                sums.extend([base + q for q in squares[1:math.isqrt(bound - base) + 1]])
         if len(sums) >= cutoff:
             break
-        bound *= 2
+        bound += bound // 4 + 1
+    sums.sort()
     return Spectrum(
         tuple(scale * s for s in sums[:cutoff]),
         f"box3d(L={length},m={mass},h={h})",
@@ -192,12 +197,6 @@ class OccupationState:
     def total(self) -> int:
         return sum(c for _, c in self.counts)
 
-    def as_vector(self, n_levels: int) -> tuple[int, ...]:
-        vec = [0] * n_levels
-        for lv, c in self.counts:
-            vec[lv] = c
-        return tuple(vec)
-
     def energy(self, spectrum: Spectrum) -> float:
         return math.fsum(c * spectrum.energies[lv] for lv, c in self.counts)
 
@@ -214,23 +213,32 @@ def _check_enumeration_caps(n_levels: int, n_particles: int, stat: Statistics) -
         raise CapacityExceeded(f"{count} occupation states exceed the bound {MAX_OCCUPATION_STATES}")
 
 
+def occupation_vectors(n_levels: int, n_particles: int, stat: Statistics) -> Iterator[list[int]]:
+    """Every Fock occupation vector with the given total, as a list of
+    n_levels ints: 0/1 per level for FD, unrestricted for BE (and both MB
+    kinds, which share BE support)."""
+    _check_enumeration_caps(n_levels, n_particles, stat)
+    zeros = [0] * n_levels
+    if stat is Statistics.FD:
+        for chosen in itertools.combinations(range(n_levels), n_particles):
+            vec = zeros.copy()
+            for lv in chosen:
+                vec[lv] = 1
+            yield vec
+    else:
+        for combo in itertools.combinations_with_replacement(range(n_levels), n_particles):
+            vec = zeros.copy()
+            for lv in combo:
+                vec[lv] += 1
+            yield vec
+
+
 def enumerate_occupations(
     n_levels: int, n_particles: int, stat: Statistics
 ) -> Iterator[OccupationState]:
-    """All Fock occupation vectors with the given total: 0/1 per level for
-    FD, unrestricted for BE (and both MB kinds, which share BE support)."""
-    _check_enumeration_caps(n_levels, n_particles, stat)
-    if stat is Statistics.FD:
-        if n_particles > n_levels:
-            return
-        for chosen in itertools.combinations(range(n_levels), n_particles):
-            yield OccupationState(tuple((lv, 1) for lv in chosen))
-    else:
-        for combo in itertools.combinations_with_replacement(range(n_levels), n_particles):
-            counts = {}
-            for lv in combo:
-                counts[lv] = counts.get(lv, 0) + 1
-            yield OccupationState(tuple(sorted(counts.items())))
+    """The states of `occupation_vectors` as (level, count > 0) pairs."""
+    for vec in occupation_vectors(n_levels, n_particles, stat):
+        yield OccupationState(tuple((lv, c) for lv, c in enumerate(vec) if c))
 
 
 def occupation_count(n_levels: int, n_particles: int, stat: Statistics) -> int:
@@ -243,6 +251,15 @@ def occupation_count(n_levels: int, n_particles: int, stat: Statistics) -> int:
 # -- canonical partition functions ----------------------------------------
 
 
+def _reach(energies: Sequence[float], beta: float, ref: float) -> int:
+    """The number of levels with beta (e - ref) <= REACH.  This key is the
+    negated exponent the sums evaluate, and exp of anything below -REACH is
+    exactly 0.0, so every level past the reach adds an exact zero."""
+    if beta * (energies[-1] - ref) <= REACH:
+        return len(energies)
+    return bisect_right(energies, REACH, key=lambda e: beta * (e - ref))
+
+
 def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -> list[float]:
     """ln Z_0 .. ln Z_n_max for BE/FD: Z_n is the t^n coefficient of
     prod_k (1 - x_k t)^-1 (BE, h_n) or prod_k (1 + x_k t) (FD, e_n), with
@@ -251,16 +268,25 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     added.  BE entries lie in [1, C(K+n-1, n)].  FD row n is divided by its
     n-fermion ground weight, kept as a log, so its entries lie in [1, C(K, n)]
     and its multipliers exp(-beta (e_k - e_{n-1})) <= 1 cannot underflow on
-    cold, nearly filled spectra.  Within the caps every entry is below 1e136,
-    so no row needs rescaling.  More fermions than levels give -inf."""
+    cold, nearly filled spectra.  More fermions than levels give -inf.
+
+    Each row stops at the reach of its multipliers (`_reach`, relative to e_0
+    for BE and to the filled top e_{n-1} for FD).  Past it every multiplier
+    is exactly 0.0 and, within the caps, every entry is below 1e136, so each
+    further prefix sum adds an exact zero and repeats the last entry.  The
+    cut row is the full row's prefix bit for bit, and an FD row, whose reach
+    grows with its top, reads the previous row past its end as that last
+    entry repeated.  The work is N times the levels within 746/beta of the
+    filled top."""
     if n_max > MAX_CANONICAL_N:
         raise CapacityExceeded(f"N = {n_max} exceeds the canonical cap {MAX_CANONICAL_N}")
     energies = spectrum.energies
+    exp = math.exp
     ln_Z = [0.0]
     if stat is Statistics.BE:
         e0 = energies[0]
-        x = [math.exp(-beta * (e - e0)) for e in energies]
-        row = [1.0] * len(energies)
+        x = [exp(-beta * (e - e0)) for e in energies[:_reach(energies, beta, e0)]]
+        row = [1.0] * len(x)
         for n in range(1, n_max + 1):
             row = list(itertools.accumulate(map(mul, x, row)))
             # n beta e0; where beta n overflows, a zero or small e0 still gives
@@ -268,12 +294,13 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
             ground = beta * n * e0 if beta * n < math.inf else n * (beta * e0)
             ln_Z.append(math.log(row[-1]) - ground)
         return ln_Z
-    row = [1.0] * (len(energies) + 1)  # e_0 of the first 0..K levels
+    row = [1.0]  # e_0 of the first 0..K levels, all 1
     ground = 0.0
     for n in range(1, min(n_max, len(energies)) + 1):
         top = energies[n - 1]  # highest level of the n-fermion ground state
         ground += top
-        x = [math.exp(-beta * (e - top)) for e in energies[n - 1:]]
+        x = [exp(-beta * (e - top)) for e in energies[n - 1:_reach(energies, beta, top)]]
+        row += [row[-1]] * (len(x) - len(row))  # row n-1 past its reach
         row = list(itertools.accumulate(map(mul, x, row)))
         ln_Z.append(math.log(row[-1]) - beta * ground)
     return ln_Z + [-math.inf] * (n_max - len(energies))
@@ -318,15 +345,18 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     """ln of the grand partition product over levels.
 
     BE requires mu strictly below the lowest level; at or above it the
-    geometric occupation series diverges."""
+    geometric occupation series diverges.  The sum stops at the levels'
+    reach relative to mu (`_reach`): past it the BE term -log1p(-0.0) and
+    the FD softplus of a < -746 both add exactly 0."""
     if not 0 < beta < math.inf:
         raise InputError("beta must be positive and finite")
     if not stat.quantum:
         raise InputError("grand product defined here for BE/FD only")
     if stat is Statistics.BE and mu >= spectrum.offset:
         raise BoseDivergence(f"mu = {mu} is not below the lowest level {spectrum.offset}")
+    energies = spectrum.energies
     total = 0.0
-    for e in spectrum.energies:
+    for e in energies[:_reach(energies, beta, mu)]:
         a = beta * (mu - e)
         if stat is Statistics.BE:
             x = math.exp(a)

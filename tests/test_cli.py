@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 import idstat.symmetry as symmetry
-from idstat.cli import main
+from idstat.cli import HANDLERS, build_parser, main
 from idstat.config import RunConfig, load_config, parse_config_file
 from idstat.errors import InputError
-from idstat.render import Report, canonical_json, fmt_float
+from idstat.render import Report, canonical_json, csv_text, fmt_float
 
 
 def run_cli(args, capsys):
@@ -31,6 +31,16 @@ def run_cli(args, capsys):
 def test_canonical_json_shape():
     text = canonical_json({"b": 0.1, "a": [True, None, "x"], "n": 3})
     assert text == '{"a":[true,null,"x"],"b":0.10000000000000001,"n":3}'
+
+
+def test_canonical_json_int_lists():
+    # a list of plain ints is joined at once; bools and floats keep their own text
+    text = canonical_json([[0, 2, -10], (3,), [True, 0], [1, 2.5], []])
+    assert text == "[[0,2,-10],[3],[true,0],[1,2.5],[]]"
+
+
+def test_csv_none_is_an_empty_cell():
+    assert csv_text([["a", None, 1.5, False]]) == "a,,1.5,false\n"
 
 
 def test_fmt_float_17_digits():
@@ -189,6 +199,23 @@ def test_occupations_fd(capsys):
     data = json.loads(out)
     assert code == 0 and data["count"] == 6 and data["closed_form"] == 6
     assert all(sum(v) == 2 and max(v) == 1 for v in data["states"])
+
+
+def test_occupations_at_the_state_bound_keep_only_int_rows():
+    argv = ["occupations", "--n-levels", "20", "-N", "10", "--stat", "fd", "--output", "json"]
+    args = build_parser().parse_args(argv)
+    tracemalloc.start()
+    try:
+        report = HANDLERS["occupations"](args, RunConfig(output="json"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    states = report.data["states"]
+    assert report.data["count"] == len(states) == 184756
+    assert states[0] == [1] * 10 + [0] * 10 and states[-1] == [0] * 10 + [1] * 10
+    assert {type(c) for row in states[::997] for c in row} == {int}
+    # the rows take about 42 MB; an OccupationState per state would add over 100 MB
+    assert peak < 50_000_000, peak
 
 
 def test_partition_canonical_fd(capsys):

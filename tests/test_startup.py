@@ -28,6 +28,7 @@ DELETED_METHODS = {
     "ThermoPoint": ("dimensionless", "mu"),
     "Spectrum": ("shifted",),
     "OneBodyOperator": ("hermitian",),
+    "OccupationState": ("as_vector",),
 }
 
 

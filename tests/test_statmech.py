@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
+import types
 
 import pytest
 
+from idstat import statmech
 from idstat.errors import (
     BoseDivergence,
     CapacityExceeded,
@@ -33,9 +37,11 @@ from idstat.statmech import (
     grand_ln_Xi,
     mb_ln_Z_continuum,
     occupation_count,
+    occupation_vectors,
     spectrum_from_csv,
     spectrum_from_levels,
     thermal_wavelength,
+    _ln_Z_table,
 )
 from idstat.verify import _canonical_Z_recursive, _grand_Xi_series, _momentum_multiset_sum, _z1
 
@@ -165,9 +171,12 @@ def test_occupation_count_matches_enumeration(stat, n_levels, n_particles):
 
 
 def test_occupation_vector_and_energy():
+    assert list(occupation_vectors(3, 2, FD)) == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    assert list(occupation_vectors(2, 3, BE)) == [[3, 0], [2, 1], [1, 2], [0, 3]]
+    assert list(occupation_vectors(2, 3, FD)) == []
     spec = spectrum_from_levels([0.0, 1.0, 2.5])
-    occ = next(o for o in enumerate_occupations(3, 3, BE) if o.counts == ((0, 2), (2, 1)))
-    assert occ.as_vector(3) == (2, 0, 1)
+    occ = list(enumerate_occupations(3, 3, BE))[list(occupation_vectors(3, 3, BE)).index([2, 0, 1])]
+    assert occ.counts == ((0, 2), (2, 1))
     assert occ.energy(spec) == 2.5
 
 
@@ -179,6 +188,8 @@ def test_enumeration_caps():
     assert MAX_OCCUPATION_STATES == math.comb(20, 10)
     with pytest.raises(CapacityExceeded, match="657800 occupation states"):
         next(enumerate_occupations(20, 7, BE))  # C(26, 7) states, within the N and K caps
+    with pytest.raises(CapacityExceeded, match="657800 occupation states"):
+        next(occupation_vectors(20, 7, BE))
     assert next(enumerate_occupations(20, 10, FD)).total == 10  # FD's largest count
     assert occupation_count(20, 6, BE) == 177100 <= MAX_OCCUPATION_STATES
     assert next(enumerate_occupations(20, 6, BE)).total == 6
@@ -267,6 +278,155 @@ def test_recursion_fd_cold_conditioning(n):
     ) / (n * direct)
     assert abs(direct - rec) / direct <= 1e-13 * kappa
     assert math.isclose(direct, rec, rel_tol=1e-8)
+
+
+# -- the reach cut, against the untrimmed loops ----------------------------
+
+
+def untrimmed_ln_Z_table(energies, n_max, beta, stat):
+    """The canonical kernel with every level in every row, as it stood
+    before rows were cut at the Boltzmann reach."""
+    ln_Z = [0.0]
+    if stat is BE:
+        e0 = energies[0]
+        x = [math.exp(-beta * (e - e0)) for e in energies]
+        row = [1.0] * len(energies)
+        for n in range(1, n_max + 1):
+            row = list(itertools.accumulate(map(operator.mul, x, row)))
+            ground = beta * n * e0 if beta * n < math.inf else n * (beta * e0)
+            ln_Z.append(math.log(row[-1]) - ground)
+        return ln_Z
+    row = [1.0] * (len(energies) + 1)
+    ground = 0.0
+    for n in range(1, min(n_max, len(energies)) + 1):
+        top = energies[n - 1]
+        ground += top
+        x = [math.exp(-beta * (e - top)) for e in energies[n - 1:]]
+        row = list(itertools.accumulate(map(operator.mul, x, row)))
+        ln_Z.append(math.log(row[-1]) - beta * ground)
+    return ln_Z + [-math.inf] * (n_max - len(energies))
+
+
+def untrimmed_grand_ln_Xi(energies, beta, mu, stat):
+    """The grand sum over every level."""
+    if stat is BE and mu >= energies[0]:
+        raise BoseDivergence(f"mu = {mu} is not below the lowest level")
+    total = 0.0
+    for e in energies:
+        a = beta * (mu - e)
+        if stat is BE:
+            x = math.exp(a)
+            if x >= 1.0:
+                raise BoseDivergence(f"occupation factor {x} >= 1")
+            total -= math.log1p(-x)
+        else:
+            total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
+    return total
+
+
+def doubling_box3d_sums(cutoff):
+    """The lowest `cutoff` shell values nx^2+ny^2+nz^2, from cubes of
+    doubling side cut to their complete shells."""
+    bound = 2
+    while True:
+        complete = bound * bound + 2
+        sums = sorted(
+            s for s in (nx * nx + ny * ny + nz * nz
+                        for nx, ny, nz in itertools.product(range(1, bound + 1), repeat=3))
+            if s <= complete
+        )
+        if len(sums) >= cutoff:
+            return sums[:cutoff]
+        bound *= 2
+
+
+def reach_sweep(seed, cases):
+    """Seeded (energies, N, beta) inputs: beta from 1e-6 to 1e3, degenerate
+    levels, high or negative ground levels, N up to MAX_CANONICAL_N (also
+    N >= K), and in half the cases a cold spectrum whose span is 1 to 30
+    times 746/beta."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        k = rng.choice([rng.randint(1, 3), rng.randint(4, 60), rng.randint(60, 400)])
+        gaps = [0.0 if rng.random() < 0.3 else rng.expovariate(1.0) * 10 ** rng.uniform(-3, 2)
+                for _ in range(k - 1)]
+        beta = 10 ** rng.uniform(-6, 3)
+        if rng.random() < 0.5 and sum(gaps) > 0:  # stretch past the reach
+            stretch = 746.0 * rng.uniform(1.0, 30.0) / (beta * sum(gaps))
+            gaps = [g * stretch for g in gaps]
+        e0 = rng.uniform(-50.0, 50.0) if rng.random() < 0.3 else 0.0
+        energies = tuple(itertools.accumulate(gaps, initial=e0))
+        n = rng.choice([rng.randint(1, 6), rng.randint(1, MAX_CANONICAL_N), min(k + 3, MAX_CANONICAL_N)])
+        yield energies, n, beta
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+def test_kernel_equals_the_untrimmed_kernel(stat):
+    for energies, n, beta in reach_sweep(20261018, 400):
+        got = _ln_Z_table(Spectrum(energies), n, beta, stat)
+        assert got == untrimmed_ln_Z_table(energies, n, beta, stat), (energies[:4], len(energies), n, beta)
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+@pytest.mark.parametrize(
+    "spec, beta",
+    [
+        (dimensionless_spectrum(MAX_CUTOFF), 1e-6),  # nothing cut
+        (dimensionless_spectrum(MAX_CUTOFF), 8.9e-4),
+        (box1d_spectrum(MAX_CUTOFF), 2.4e-3),
+        (box1d_spectrum(9056), 4.2),
+        (box3d_spectrum(MAX_CUTOFF, length=0.7), 0.05),
+    ],
+)
+def test_kernel_equals_the_untrimmed_kernel_at_the_level_cap(stat, spec, beta):
+    n = MAX_CANONICAL_N
+    assert _ln_Z_table(spec, n, beta, stat) == untrimmed_ln_Z_table(spec.energies, n, beta, stat)
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+def test_kernel_computes_only_the_levels_in_reach(stat, monkeypatch):
+    spec, n, beta = dimensionless_spectrum(MAX_CUTOFF), 50, 1.0
+    want = untrimmed_ln_Z_table(spec.energies, n, beta, stat)
+    calls = 0
+
+    def counting_exp(x):
+        nonlocal calls
+        calls += 1
+        return math.exp(x)
+
+    counting_math = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    counting_math.exp = counting_exp
+    monkeypatch.setattr(statmech, "math", counting_math)
+    assert _ln_Z_table(spec, n, beta, stat) == want
+    # row n evaluates only levels n .. sqrt(n^2 + 746) <= 57 of the 10^4
+    assert 0 < calls <= n * 60
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+def test_grand_sum_equals_the_untrimmed_sum(stat):
+    rng = random.Random(1018)
+    for energies, _, beta in reach_sweep(2026, 300):
+        span = energies[-1] - energies[0]
+        for mu in (
+            energies[0] - rng.uniform(1e-9, 1e3) / beta,   # below
+            energies[0] + rng.random() * span,            # inside
+            energies[-1] + rng.uniform(1.0, 1e3) / beta,  # far above
+        ):
+            try:
+                want = untrimmed_grand_ln_Xi(energies, beta, mu, stat)
+            except BoseDivergence:
+                with pytest.raises(BoseDivergence):
+                    grand_ln_Xi(Spectrum(energies), beta, mu, stat)
+                continue
+            assert grand_ln_Xi(Spectrum(energies), beta, mu, stat) == want, (energies[:4], beta, mu)
+
+
+@pytest.mark.parametrize("length", [0.3, 1.0, 2.7])
+def test_box3d_spectrum_equals_the_doubling_builder(length):
+    scale = 1.0 / (8.0 * length * length)
+    for cutoff in [*range(1, 301), 6627, MAX_CUTOFF]:
+        want = tuple(scale * s for s in doubling_box3d_sums(cutoff))
+        assert box3d_spectrum(cutoff, length=length).energies == want, cutoff
 
 
 def test_monotonic_in_beta():
