@@ -445,16 +445,18 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
         raise InputError("canonical ensemble needs -N (or --mu for the grand ensemble)")
     ln_Z = statmech.canonical_ln_Z(spectrum, args.N, beta, stat)
     if ln_Z == -math.inf:  # more fermions than levels
-        Z, ln_Z = 0.0, None
+        Z, ln_Z, F = 0.0, None, None
     else:
         Z = math.exp(ln_Z) if abs(ln_Z) < 700 else None
+        T = 1.0 / (k * beta) if k * beta else math.inf  # free_energy_from_ln_Z refuses inf
+        F = statmech.free_energy_from_ln_Z(ln_Z, T, k)
     data.update(
         kind="canonical",
         N=args.N,
         method="generating-function" if stat.quantum else "closed-form",
         Z=Z,
         ln_Z=ln_Z,
-        F=statmech.free_energy_from_ln_Z(ln_Z, 1.0 / (k * beta), k) if ln_Z is not None else None,
+        F=F,
         note=statmech.FREE_ENERGY_NOTE,
     )
     return Report(data, _partition_rows, _partition_text)
@@ -483,11 +485,10 @@ def cmd_extensivity(args, cfg: RunConfig) -> Report:
         mass=args.mass,
         h=h,
         k=k,
-        continuum=not args.discrete,
         spectrum_builder=builder,
     )
     data = {"command": "extensivity"}
-    data.update(report.to_json())
+    data.update(report)
     return Report(data, lambda d: _table(_EXTENSIVITY_COLUMNS, d["rows"]),
                   lambda d: _extensivity_text(d, args.discrete))
 

@@ -69,7 +69,6 @@ class Spectrum:
     levels appear as repeated entries."""
 
     energies: tuple[float, ...]
-    source: str = "levels"
 
     def __post_init__(self):
         if not self.energies:
@@ -100,35 +99,39 @@ def _check_cutoff(cutoff: int) -> int:
     return cutoff
 
 
-def spectrum_from_levels(values: Sequence[float], source: str = "levels") -> Spectrum:
+def spectrum_from_levels(values: Sequence[float]) -> Spectrum:
     if len(values) > MAX_CUTOFF:
         raise CutoffTooLarge(f"{len(values)} levels exceed cap {MAX_CUTOFF}")
-    return Spectrum(tuple(float(v) for v in values), source)
+    return Spectrum(tuple(float(v) for v in values))
 
 
 def dimensionless_spectrum(cutoff: int) -> Spectrum:
     """e_n = n^2 for n = 1..cutoff."""
     cutoff = _check_cutoff(cutoff)
-    return Spectrum(tuple(float(n * n) for n in range(1, cutoff + 1)), "dimensionless")
+    return Spectrum(tuple(float(n * n) for n in range(1, cutoff + 1)))
 
 
 def _box_scale(length: float, mass: float, h: float) -> float:
-    """h^2 / (8 m L^2); a box needs a positive finite length, mass and h."""
+    """h^2 / (8 m L^2); a box needs a positive finite length, mass and h,
+    and a scale that stays finite.  A scale that rounds to 0 is kept."""
     if not all(math.isfinite(x) and x > 0 for x in (length, mass, h)):
         raise InputError(
             f"box length, mass and h must be positive and finite, got {length!r}, {mass!r}, {h!r}"
         )
-    return h * h / (8.0 * mass * length * length)
+    denominator = 8.0 * mass * length * length
+    scale = h * h / denominator if denominator else math.inf
+    if not math.isfinite(scale):
+        raise InputError(
+            f"h^2/(8 m L^2) is out of float range at L = {length!r}, m = {mass!r}, h = {h!r}"
+        )
+    return scale
 
 
 def box1d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
     """1-D hard-wall box: e_n = n^2 h^2 / (8 m L^2)."""
     cutoff = _check_cutoff(cutoff)
     scale = _box_scale(length, mass, h)
-    return Spectrum(
-        tuple(scale * n * n for n in range(1, cutoff + 1)),
-        f"box1d(L={length},m={mass},h={h})",
-    )
+    return Spectrum(tuple(scale * n * n for n in range(1, cutoff + 1)))
 
 
 def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
@@ -152,10 +155,7 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
             break
         bound += bound // 4 + 1
     sums.sort()
-    return Spectrum(
-        tuple(scale * s for s in sums[:cutoff]),
-        f"box3d(L={length},m={mass},h={h})",
-    )
+    return Spectrum(tuple(scale * s for s in sums[:cutoff]))
 
 
 def spectrum_from_csv(path: str) -> Spectrum:
@@ -181,24 +181,10 @@ def spectrum_from_csv(path: str) -> Spectrum:
                 energies.extend([e] * g)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: not a readable CSV text file ({exc})") from exc
-    return spectrum_from_levels(energies, f"file:{path}")
+    return spectrum_from_levels(energies)
 
 
 # -- occupation enumeration ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class OccupationState:
-    """Occupation numbers as sorted (level, count>0) pairs."""
-
-    counts: tuple[tuple[int, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def energy(self, spectrum: Spectrum) -> float:
-        return math.fsum(c * spectrum.energies[lv] for lv, c in self.counts)
 
 
 def _check_enumeration_caps(n_levels: int, n_particles: int, stat: Statistics) -> None:
@@ -231,14 +217,6 @@ def occupation_vectors(n_levels: int, n_particles: int, stat: Statistics) -> Ite
             for lv in combo:
                 vec[lv] += 1
             yield vec
-
-
-def enumerate_occupations(
-    n_levels: int, n_particles: int, stat: Statistics
-) -> Iterator[OccupationState]:
-    """The states of `occupation_vectors` as (level, count > 0) pairs."""
-    for vec in occupation_vectors(n_levels, n_particles, stat):
-        yield OccupationState(tuple((lv, c) for lv, c in enumerate(vec) if c))
 
 
 def occupation_count(n_levels: int, n_particles: int, stat: Statistics) -> int:
@@ -366,6 +344,8 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
         else:
             # softplus log(1 + e^a), stable for either sign of a
             total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
+    if not math.isfinite(total):
+        raise InputError(f"grand ln Xi is out of float range at beta = {beta!r}, mu = {mu!r}")
     return total
 
 
@@ -391,10 +371,6 @@ class ThermoPoint:
             raise InputError("N must be nonnegative")
         if not all(math.isfinite(x) and x > 0 for x in (self.mass, self.h, self.k)):
             raise InputError("constants must be positive and finite")
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / (self.k * self.T)
 
 
 def thermal_wavelength(tp: ThermoPoint) -> float:
@@ -443,44 +419,6 @@ def free_energy_from_ln_Z(ln_Z: float, T: float, k: float = 1.0) -> float:
 # -- extensivity report ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensivityRow:
-    V: float
-    N: int
-    ln_Z: float
-    F: float
-    F_per_particle: float
-    defect: float  # F(T,V,N) - N*F(T,V/N,1)
-
-
-@dataclass(frozen=True)
-class ExtensivityReport:
-    statistics: Statistics
-    T: float
-    note: str
-    rows: tuple[ExtensivityRow, ...]
-    checks: tuple[dict, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "statistics": self.statistics.value,
-            "T": self.T,
-            "note": self.note,
-            "rows": [
-                {
-                    "V": r.V,
-                    "N": r.N,
-                    "ln_Z": r.ln_Z,
-                    "F": r.F,
-                    "F_per_particle": r.F_per_particle,
-                    "extensivity_defect": r.defect,
-                }
-                for r in self.rows
-            ],
-            "checks": list(self.checks),
-        }
-
-
 def extensivity_report(
     stat: Statistics,
     T: float,
@@ -489,16 +427,15 @@ def extensivity_report(
     mass: float = 1.0,
     h: float = 1.0,
     k: float = 1.0,
-    continuum: bool = True,
     spectrum_builder: Callable[[float], Spectrum] | None = None,
-) -> ExtensivityReport:
+) -> dict:
     """F, F/N and the extensivity defect F(T,V,N) - N F(T,V/N,1) across
-    system sizes.  Continuum mode supports the MB kinds in closed form;
-    discrete mode builds a spectrum per volume and uses canonical_ln_Z."""
+    system sizes, as a dict of statistics, T, note, rows and checks.  Without
+    a spectrum_builder the MB kinds are taken in continuum closed form; with
+    one, each volume gets its spectrum and canonical_ln_Z."""
+    continuum = spectrum_builder is None
     if continuum and stat.quantum:
         raise InputError("continuum closed form applies to MB kinds only")
-    if not continuum and spectrum_builder is None:
-        raise InputError("discrete mode needs a spectrum_builder(V)")
 
     def ln_Z_at(V: float, N: int) -> float:
         if continuum:
@@ -520,7 +457,8 @@ def extensivity_report(
         defect = F - N * F_single
         if not math.isfinite(defect):
             raise InputError(f"extensivity defect is out of float range at T = {T!r}, V = {V!r}, N = {N}")
-        rows.append(ExtensivityRow(V, N, ln_Z, F, F / N, defect))
+        rows.append({"V": V, "N": N, "ln_Z": ln_Z, "F": F, "F_per_particle": F / N,
+                     "extensivity_defect": defect})
         if stat is Statistics.MB_NN and continuum:
             rel = abs(defect) / abs(F) if F else abs(defect)
             checks.append(
@@ -542,4 +480,4 @@ def extensivity_report(
                     "tolerance": 0.0,
                 }
             )
-    return ExtensivityReport(stat, T, FREE_ENERGY_NOTE, tuple(rows), tuple(checks))
+    return {"statistics": stat.value, "T": T, "note": FREE_ENERGY_NOTE, "rows": rows, "checks": checks}

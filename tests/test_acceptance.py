@@ -222,19 +222,20 @@ def test_criterion_09_extensivity():
     report = extensivity_report(
         Statistics.MB_NN, 0.9, [(1.7 * n, n) for n in (1, 2, 10, 100, 10**4)]
     )
-    for row in report.rows:
-        bound = 1e-12 * abs(row.F) if row.F else 1e-12
-        assert abs(row.defect) <= bound
+    for row in report["rows"]:
+        bound = 1e-12 * abs(row["F"]) if row["F"] else 1e-12
+        assert abs(row["extensivity_defect"]) <= bound
     fact = extensivity_report(
         Statistics.MB_FACT, 1.0, [(2.0 * n, n) for n in (2, 10, 100, 1000)]
     )
-    drifts = [r.defect for r in fact.rows]
+    drifts = [r["extensivity_defect"] for r in fact["rows"]]
     assert all(d != 0.0 for d in drifts)
-    for r in fact.rows:
-        expected = math.lgamma(r.N + 1) - r.N * math.log(r.N)  # ln N! - N ln N
-        assert abs(r.defect - expected) <= 1e-9 * abs(expected)
+    for r, defect in zip(fact["rows"], drifts):
+        n = r["N"]
+        expected = math.lgamma(n + 1) - n * math.log(n)  # ln N! - N ln N
+        assert abs(defect - expected) <= 1e-9 * abs(expected)
         # per-particle drift shrinks toward -kT like (ln N! - N ln N + N)/N -> 0
-        assert abs(r.defect / r.N + 1.0) < 1.0 / math.sqrt(r.N)
+        assert abs(defect / n + 1.0) < 1.0 / math.sqrt(n)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _ok(9, f"MB-NN extensive @ 1e-12 up to N = 10^4; MB-FACT drift = ln N! - N ln N ({elapsed:.3f}s)")

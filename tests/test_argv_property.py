@@ -1,0 +1,137 @@
+"""Seeded argv property test for the error boundary of `partition` and
+`extensivity`.
+
+Each case is a golden-corpus argv with a few options set, changed or
+dropped, or a draw of every option from scratch.  Options come from the
+subcommand's own parser actions, values from a pool for the option's type
+or from an edge pool.  Whatever the input, the command must
+answer (exit 0) or refuse (exit 2, 3 or 4) with exactly one `error:` line
+and nothing on stdout, before render time; it must never end in a
+traceback, and no number it prints may be nan, inf or a negative zero.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import re
+import time
+
+import pytest
+
+from idstat.cli import build_parser, main
+from test_golden import CORPUS
+
+SEED = 20261018
+CASES = 250
+SLOWEST_CASE_S = 2.0
+
+EDGE_VALUES = (
+    "0", "-0", "1e-320", "1e-300", "1e308", "nan", "inf", "-inf",
+    str(10**30), str(-(10**30)), "", " ", "é", "λ,μ",
+)
+#: Plausible values by the option's argparse type; string options by destination.
+INTS = ("0", "1", "2", "3", "5", "12", "50", "-1")
+NUMBERS = ("1", "0.5", "-2", "1e-300", "1e300", "1e308", "1e10", "5e-324")
+WORDS = {
+    "stat": ("be", "fd", "mb-nn", "mb-fact", " FD "),
+    "levels": ("0,1,2", "0,1", "1e-300,2e-300", "5,5,5", "-1e308,1e308", "0"),
+    "sizes": ("1:2,2:4", "1e-300:2", "2:1", "1e308:3", "1:0", "1e-320:1"),
+    "n_list": ("1,2,10", "1", "2,100", "10000", "0"),
+}
+#: Options that touch files are left out: a case reads and writes none.
+SKIPPED = {"--out", "--config", "--spectrum-file"}
+
+
+def _actions(command: str) -> list:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+            and not SKIPPED & set(a.option_strings)]
+
+
+def _seeds(command: str, actions: list) -> list:
+    """The golden corpus's argv for `command`, each as {action: value}."""
+    by_flag = {flag: a for a in actions for flag in a.option_strings}
+    seeds = []
+    for argv in CORPUS.values():
+        if argv[0] != command or SKIPPED & set(argv):
+            continue
+        tokens = iter(argv[1:])
+        seeds.append({by_flag[t]: None if by_flag[t].nargs == 0 else next(tokens) for t in tokens})
+    return seeds
+
+
+def _pool(action) -> tuple:
+    if action.choices:
+        return tuple(action.choices)
+    if action.type is int:
+        return INTS
+    if action.type is not None:  # the finite and positive number types
+        return NUMBERS
+    return WORDS.get(action.dest, ())
+
+
+def _value(rng: random.Random, action):
+    if action.nargs == 0:
+        return None
+    pool = _pool(action)
+    return rng.choice(EDGE_VALUES if not pool or rng.random() < 0.4 else pool)
+
+
+def _argv(rng: random.Random, command: str, actions: list, seeds: list) -> list:
+    """A corpus argv with one to three options set, changed or dropped, or
+    now and then a draw of every option from scratch."""
+    if rng.random() < 0.2:
+        options = {a: _value(rng, a) for a in actions if rng.random() < (0.95 if a.required else 0.3)}
+    else:
+        options = dict(rng.choice(seeds))
+        for _ in range(rng.randint(1, 3)):
+            action = rng.choice(actions)
+            if action in options and rng.random() < 0.3:
+                del options[action]
+            else:
+                options[action] = _value(rng, action)
+    argv = [command]
+    for action, value in options.items():
+        flag = rng.choice(action.option_strings)
+        argv.append(flag if value is None else f"{flag}={value}")  # one token: a value may start with '-'
+    return argv
+
+
+def _bad_float_tokens(text: str) -> list:
+    bad = []
+    for token in re.split(r"[\s,:;=()\[\]{}\"]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if value != value or value in (float("inf"), float("-inf")) or (value == 0 and token.startswith("-")):
+            bad.append(token)
+    return bad
+
+
+@pytest.mark.parametrize("command", ["partition", "extensivity"])
+def test_every_argv_answers_or_refuses_with_one_line(command, capsys):
+    rng = random.Random(f"{SEED}-{command}")
+    actions = _actions(command)
+    seeds = _seeds(command, actions)
+    answered = 0
+    for _ in range(CASES):
+        argv = _argv(rng, command, actions, seeds)
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code:
+            assert out == "", (argv, out)
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+            assert "cannot render" not in err, (argv, err)  # a library result was not finite
+        else:
+            answered += 1
+            assert not _bad_float_tokens(out), (argv, out)
+        assert elapsed < SLOWEST_CASE_S, (argv, elapsed)
+    assert answered >= CASES // 10  # the draw reaches the answering paths too

@@ -214,7 +214,7 @@ def test_occupations_at_the_state_bound_keep_only_int_rows():
     assert report.data["count"] == len(states) == 184756
     assert states[0] == [1] * 10 + [0] * 10 and states[-1] == [0] * 10 + [1] * 10
     assert {type(c) for row in states[::997] for c in row} == {int}
-    # the rows take about 42 MB; an OccupationState per state would add over 100 MB
+    # the rows take about 42 MB; a second object per state would add over 100 MB
     assert peak < 50_000_000, peak
 
 
@@ -578,6 +578,9 @@ EXTREME_FINITE_CASES = {
     # k T underflows to 0 in SI units
     "canonical-si-tiny-T": ["partition", "--stat", "fd", "--levels", "0,1,2", "-N", "2",
                             "--T", "1e-320", "--mode", "si"],
+    # k beta underflows to 0 in SI units, so kT = 1 / (k beta) is infinite
+    "canonical-si-tiny-beta": ["partition", "--stat", "fd", "--levels", "0,1,2", "-N", "2",
+                               "--beta", "5e-324", "--mode", "si"],
     # 1 / T overflows to an infinite beta, which the grand sum must refuse
     "grand-tiny-T": ["partition", "--stat", "fd", "--levels", "0,1,2", "--mu", "0.5", "--T", "1e-310"],
 }
@@ -640,6 +643,42 @@ def _refused(code, out, err, exit_code):
     assert code == exit_code and out == "", (code, out, err)
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+def test_partition_box_scale_out_of_float_range_refused(capsys):
+    # 8 m L^2 underflows to 0, so h^2 / (8 m L^2) has no float value
+    code, out, err = run_cli(
+        ["partition", "--stat", "be", "--box1d", "5", "--length", "1e-300", "-N", "1", "--beta", "1"], capsys
+    )
+    _refused(code, out, err, 2)
+    assert "h^2/(8 m L^2)" in err
+
+
+def test_extensivity_box_scale_out_of_float_range_refused(capsys):
+    code, out, err = run_cli(
+        ["extensivity", "--stat", "be", "--T", "1", "--discrete", "--sizes", "1e-300:2"], capsys
+    )
+    _refused(code, out, err, 2)
+    assert "h^2/(8 m L^2)" in err
+
+
+def test_partition_box_scale_rounding_to_zero_still_answers(capsys):
+    # h^2 / (8 m L^2) rounds to 0: five levels at zero energy give Z = 5
+    code, out, _ = run_cli(
+        ["partition", "--stat", "be", "--box1d", "5", "--length", "1e200", "-N", "1", "--beta", "1",
+         "--output", "json"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["ln_Z"] == math.log(5.0)
+
+
+def test_partition_grand_fd_ln_xi_out_of_float_range_refused(capsys):
+    # beta (mu - e) overflows to inf on both levels
+    code, out, err = run_cli(
+        ["partition", "--stat", "fd", "--levels", "0,1", "--mu", "1e300", "--beta", "1e10"], capsys
+    )
+    _refused(code, out, err, 2)
+    assert "grand ln Xi is out of float range" in err
 
 
 def test_occupations_over_the_state_bound_refused_before_enumerating(capsys):

@@ -5,6 +5,7 @@ library modules it uses."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 
 import pytest
@@ -18,17 +19,17 @@ LIBRARY = ("idstat.verify", "idstat.symmetry", "idstat.observables", "idstat.exa
 DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vector",
            "symmetrize_raw", "mb_free_energy", "momentum_degeneracy", "MAX_ENUM_N",
            "enumerate_permutations", "canonical_Z_recursive", "grand_Xi", "grand_Xi_series",
-           "momentum_multiset_sum", "single_particle_z", "mixed_basis_n3", "MIXED_BASIS_NAMES")
+           "momentum_multiset_sum", "single_particle_z", "mixed_basis_n3", "MIXED_BASIS_NAMES",
+           "OccupationState", "enumerate_occupations", "ExtensivityRow", "ExtensivityReport")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
     "Permutation": ("identity", "compose", "__mul__", "inverse", "cycles", "cycle_notation", "to_json"),
     "StateVector": ("to_json", "from_json"),
     "RadicalRational": ("to_json", "from_json", "sqrt_rational"),
-    "ThermoPoint": ("dimensionless", "mu"),
-    "Spectrum": ("shifted",),
+    "ThermoPoint": ("dimensionless", "mu", "beta"),
+    "Spectrum": ("shifted", "source"),
     "OneBodyOperator": ("hermitian",),
-    "OccupationState": ("as_vector",),
 }
 
 
@@ -100,3 +101,8 @@ def test_deleted_names_are_gone_from_every_submodule():
     for cls, methods in DELETED_METHODS.items():
         for method in methods:
             assert not hasattr(getattr(idstat, cls), method), (cls, method)
+
+
+def test_extensivity_report_has_no_continuum_keyword():
+    # continuum mode is the absence of a spectrum_builder
+    assert "continuum" not in inspect.signature(idstat.extensivity_report).parameters

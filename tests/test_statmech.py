@@ -31,7 +31,6 @@ from idstat.statmech import (
     canonical_Z,
     canonical_ln_Z,
     dimensionless_spectrum,
-    enumerate_occupations,
     extensivity_report,
     free_energy_from_ln_Z,
     grand_ln_Xi,
@@ -56,8 +55,8 @@ BE, FD, MB_NN, MB_FACT = (
 def enumerated_Z(spec, n, beta, stat):
     """Reference Z: the Boltzmann sum over every occupation state."""
     return math.fsum(
-        math.exp(-beta * occ.energy(spec))
-        for occ in enumerate_occupations(len(spec), n, stat)
+        math.exp(-beta * math.fsum(map(operator.mul, vec, spec.energies)))
+        for vec in occupation_vectors(len(spec), n, stat)
     )
 
 
@@ -83,6 +82,16 @@ def test_box1d_spectrum_scale_and_ratio():
     assert s.energies[0] == 1.0 / 8.0  # h^2/(8 m L^2) with unit constants
     assert s.energies[1] / s.energies[0] == 4.0
     assert box1d_spectrum(3, length=2.0).energies[0] == 1.0 / 32.0
+
+
+def test_box_spectra_refuse_a_scale_out_of_float_range():
+    # 8 m L^2 underflows to 0; h^2 overflows; h^2 / (8 m L^2) overflows
+    for kwargs in ({"length": 1e-300}, {"h": 1e200}, {"length": 1e-5, "mass": 1e-300}):
+        for builder in (box1d_spectrum, box3d_spectrum):
+            with pytest.raises(InputError, match=r"h\^2/\(8 m L\^2\) is out of float range"):
+                builder(3, **kwargs)
+    # a scale that merely rounds to 0 is kept
+    assert box1d_spectrum(3, length=1e200).energies == (0.0, 0.0, 0.0)
 
 
 def test_box3d_spectrum_degeneracies():
@@ -145,29 +154,29 @@ def test_level_count_caps():
 
 
 def test_enumerate_occupations_fd():
-    states = list(enumerate_occupations(4, 2, FD))
+    states = list(occupation_vectors(4, 2, FD))
     assert len(states) == math.comb(4, 2)
-    for occ in states:
-        assert occ.total == 2
-        assert all(c == 1 for _, c in occ.counts)
-    assert len({occ.counts for occ in states}) == len(states)
+    for vec in states:
+        assert sum(vec) == 2
+        assert set(vec) == {0, 1}
+    assert len(set(map(tuple, states))) == len(states)
 
 
 def test_enumerate_occupations_be_allows_repeats():
-    states = list(enumerate_occupations(4, 2, BE))
+    states = list(occupation_vectors(4, 2, BE))
     assert len(states) == math.comb(4 + 2 - 1, 2)
-    assert any(any(c == 2 for _, c in occ.counts) for occ in states)
+    assert any(2 in vec for vec in states)
     # MB kinds share BE support
-    assert len(list(enumerate_occupations(4, 2, MB_NN))) == len(states)
+    assert list(occupation_vectors(4, 2, MB_NN)) == states
 
 
 @pytest.mark.parametrize("stat", [BE, FD])
 @pytest.mark.parametrize("n_levels", [1, 2, 4, 6])
 @pytest.mark.parametrize("n_particles", [0, 1, 2, 3, 4])
 def test_occupation_count_matches_enumeration(stat, n_levels, n_particles):
-    states = list(enumerate_occupations(n_levels, n_particles, stat))
+    states = list(occupation_vectors(n_levels, n_particles, stat))
     assert len(states) == occupation_count(n_levels, n_particles, stat)
-    assert all(occ.total == n_particles for occ in states)
+    assert all(len(vec) == n_levels and sum(vec) == n_particles for vec in states)
 
 
 def test_occupation_vector_and_energy():
@@ -175,24 +184,21 @@ def test_occupation_vector_and_energy():
     assert list(occupation_vectors(2, 3, BE)) == [[3, 0], [2, 1], [1, 2], [0, 3]]
     assert list(occupation_vectors(2, 3, FD)) == []
     spec = spectrum_from_levels([0.0, 1.0, 2.5])
-    occ = list(enumerate_occupations(3, 3, BE))[list(occupation_vectors(3, 3, BE)).index([2, 0, 1])]
-    assert occ.counts == ((0, 2), (2, 1))
-    assert occ.energy(spec) == 2.5
+    assert [2, 0, 1] in list(occupation_vectors(3, 3, BE))
+    assert math.fsum(map(operator.mul, [2, 0, 1], spec.energies)) == 2.5
 
 
 def test_enumeration_caps():
     with pytest.raises(CapacityExceeded):
-        list(enumerate_occupations(MAX_LEVELS + 1, 2, FD))
+        list(occupation_vectors(MAX_LEVELS + 1, 2, FD))
     with pytest.raises(CapacityExceeded):
-        list(enumerate_occupations(4, MAX_PARTICLES + 1, BE))
+        list(occupation_vectors(4, MAX_PARTICLES + 1, BE))
     assert MAX_OCCUPATION_STATES == math.comb(20, 10)
     with pytest.raises(CapacityExceeded, match="657800 occupation states"):
-        next(enumerate_occupations(20, 7, BE))  # C(26, 7) states, within the N and K caps
-    with pytest.raises(CapacityExceeded, match="657800 occupation states"):
-        next(occupation_vectors(20, 7, BE))
-    assert next(enumerate_occupations(20, 10, FD)).total == 10  # FD's largest count
+        next(occupation_vectors(20, 7, BE))  # C(26, 7) states, within the N and K caps
+    assert sum(next(occupation_vectors(20, 10, FD))) == 10  # FD's largest count
     assert occupation_count(20, 6, BE) == 177100 <= MAX_OCCUPATION_STATES
-    assert next(enumerate_occupations(20, 6, BE)).total == 6
+    assert sum(next(occupation_vectors(20, 6, BE))) == 6
 
 
 def test_canonical_fd_frozen_example():
@@ -463,6 +469,13 @@ def test_grand_ln_xi_refuses_a_non_finite_beta():
                 grand_ln_Xi(spec, beta, -0.5, stat)
 
 
+def test_grand_ln_xi_refuses_a_sum_out_of_float_range():
+    # beta (mu - e) overflows to inf on both levels, so the FD softplus is inf
+    spec = spectrum_from_levels([0.0, 1.0])
+    with pytest.raises(InputError, match="grand ln Xi is out of float range at beta = 10000000000.0, mu = 1e"):
+        grand_ln_Xi(spec, 1e10, 1e300, FD)
+
+
 def test_continuum_ln_z_refuses_a_wavelength_out_of_float_range():
     for point in (ThermoPoint(T=1e308, V=1.0, N=2), ThermoPoint(T=1.0, V=1.0, N=2, mass=1e-308),
                   ThermoPoint(T=1e-300, V=1e-300, N=2)):
@@ -540,40 +553,44 @@ def test_momentum_multiset_sum_equals_z1_power():
 
 def test_extensivity_report_mb_nn():
     report = extensivity_report(MB_NN, 0.9, [(1.7 * n, n) for n in (1, 2, 10, 100)])
-    assert all(c["passed"] for c in report.checks)
-    f_per = [r.F_per_particle for r in report.rows]
+    assert all(c["passed"] for c in report["checks"])
+    f_per = [r["F_per_particle"] for r in report["rows"]]
     assert max(f_per) - min(f_per) <= 1e-12 * abs(f_per[0])
-    assert "F = -kT*ln(Z)" in report.note
+    assert "F = -kT*ln(Z)" in report["note"]
 
 
 def test_extensivity_report_mb_fact_drifts():
     report = extensivity_report(MB_FACT, 1.0, [(2.0 * n, n) for n in (1, 2, 10, 50)])
-    defects = [r.defect for r in report.rows]
+    defects = [r["extensivity_defect"] for r in report["rows"]]
     assert defects[0] == 0.0  # N = 1 is its own reference
     assert all(d != 0.0 for d in defects[1:])
     # per-particle defect approaches -kT like 0.5 ln(2 pi N)/N
     kT = 1.0
-    for r in report.rows[1:]:
-        residual = r.defect + kT * r.N - kT * 0.5 * math.log(2.0 * math.pi * r.N)
-        assert 0.0 < residual < kT / (12.0 * r.N) + 1e-9
+    for r in report["rows"][1:]:
+        n = r["N"]
+        residual = r["extensivity_defect"] + kT * n - kT * 0.5 * math.log(2.0 * math.pi * n)
+        assert 0.0 < residual < kT / (12.0 * n) + 1e-9
 
 
 def test_extensivity_report_discrete_fd():
     builder = lambda V: box1d_spectrum(12, length=V)
-    report = extensivity_report(
-        FD, 1.0, [(1.0, 2), (2.0, 4)], continuum=False, spectrum_builder=builder
-    )
-    assert report.rows[1].defect != 0.0
-    rows = report.to_json()["rows"]
+    sizes = [(1.0, 2), (2.0, 4)]
+    report = extensivity_report(FD, 1.0, sizes, spectrum_builder=builder)
+    assert list(report) == ["statistics", "T", "note", "rows", "checks"]
+    assert report["statistics"] == "fd" and report["T"] == 1.0
+    rows = report["rows"]
     assert [list(row) for row in rows] == [["V", "N", "ln_Z", "F", "F_per_particle", "extensivity_defect"]] * 2
-    assert [list(row.values()) for row in rows] == [
-        [r.V, r.N, r.ln_Z, r.F, r.F_per_particle, r.defect] for r in report.rows
-    ]
+    assert rows[1]["extensivity_defect"] != 0.0
+    for (V, N), row in zip(sizes, rows, strict=True):
+        ln_Z = canonical_ln_Z(builder(V), N, 1.0, FD)
+        F = free_energy_from_ln_Z(ln_Z, 1.0)
+        F_single = free_energy_from_ln_Z(canonical_ln_Z(builder(V / N), 1, 1.0, FD), 1.0)
+        assert list(row.values()) == [V, N, ln_Z, F, F / N, F - N * F_single]
 
 
 def test_extensivity_report_input_errors():
     with pytest.raises(InputError):
-        extensivity_report(FD, 1.0, [(1.0, 2)])  # quantum needs discrete mode
+        extensivity_report(FD, 1.0, [(1.0, 2)])  # quantum needs a spectrum_builder
     with pytest.raises(InputError):
         extensivity_report(MB_NN, 1.0, [(1.0, 0)])
 
@@ -586,4 +603,3 @@ def test_thermo_point_validation():
     for bad in ({"T": math.inf}, {"V": math.nan}, {"mass": math.inf}, {"h": math.nan}):
         with pytest.raises(InputError):
             ThermoPoint(**{"T": 1.0, "V": 1.0, "N": 1, **bad})
-    assert ThermoPoint(T=2.0, V=1.0, N=1).beta == 0.5
