@@ -1,8 +1,8 @@
 """Exact symmetrization, per-particle observables, and partition functions
 for systems of identical particles.
 
-The package keeps quantum amplitudes in exact radical-rational arithmetic
-(sums of rational multiples of square roots), builds (anti)symmetrized and
+The package keeps quantum amplitudes exact, each a rational times one
+square root per state vector, builds (anti)symmetrized and
 mixed-symmetry states for small particle numbers, evaluates one-body
 expectation values and degeneracy counts exactly, and cross-checks
 canonical and grand-canonical partition functions for Bose-Einstein,

@@ -29,6 +29,14 @@ class _Parser(argparse.ArgumentParser):
 
 # -- argument parsing helpers ------------------------------------------------
 
+#: Most digits of a numeric level label: a label is printed back, and up to
+#: 308 digits it also reads as a finite float.
+_MAX_LABEL_DIGITS = 308
+#: Most digits the --epsilon list may need all told (see _digits): the
+#: exact expectation combines every entry, and with a value up to the float
+#: range its text stays within CPython's 4300-digit int <-> str limit.
+_MAX_EPSILON_DIGITS = 3900
+
 
 def _parse_levels(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
     """Comma-separated level labels: all symbolic (a,b,c) or all numeric
@@ -42,7 +50,12 @@ def _parse_levels(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
         index = {label: i for i, label in enumerate(ordered)}
         return tuple(index[t] for t in tokens), dict(enumerate(ordered))
     if all(t.lstrip("+-").isdigit() for t in tokens):
-        values = [int(t) for t in tokens]
+        if any(len(t) > _MAX_LABEL_DIGITS for t in tokens):
+            raise InputError(f"numeric level labels have at most {_MAX_LABEL_DIGITS} digits")
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError as exc:  # digits int() does not read, such as superscripts
+            raise InputError(f"numeric level labels must be decimal integers: {exc}") from exc
         if any(v < 1 for v in values):
             raise InputError("numeric levels are 1-based quantum numbers")
         return tuple(v - 1 for v in values), {v - 1: str(v) for v in values}
@@ -54,6 +67,23 @@ def _parse_list(text: str, convert, what: str) -> list:
         return [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad {what} list {text!r}: {exc}") from exc
+
+
+def _digits(token: str) -> int:
+    """Most digits the rational `token` can need: its length plus the power
+    of ten its exponent asks for."""
+    return len(token) + abs(int(token.lower().partition("e")[2] or 0))
+
+
+def _rational(token: str):
+    """One exact --epsilon entry.  The expectation is printed as a float
+    too, so an entry past the float range is refused."""
+    from fractions import Fraction
+
+    value = Fraction(token)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"{token!r} is beyond the float range")
+    return value
 
 
 def _finite(text: str) -> float:
@@ -286,7 +316,7 @@ def cmd_mixed_basis(args, cfg: RunConfig) -> Report:
 
 
 def cmd_decompose(args, cfg: RunConfig) -> Report:
-    from . import exactnum, symmetry
+    from . import symmetry
 
     vec, labels, state_desc = _build_state(args)
     levels, _ = _parse_levels(args.levels)
@@ -301,7 +331,7 @@ def cmd_decompose(args, cfg: RunConfig) -> Report:
             for name, c in zip(ORBIT_BASIS_NAMES, coeffs)
         ],
         "residual_norm_squared": _amp_json(residual.norm_squared()),
-        "sum_of_squares": _amp_json(exactnum.sum_of_products((c, c, 1) for c in coeffs)),
+        "sum_of_squares": _amp_json(sum(c * c for c in coeffs)),
     }
     return Report(data, lambda d: _table(("basis", "exact", "float"), d["coefficients"]), _decompose_text)
 
@@ -317,8 +347,6 @@ def cmd_classify(args, cfg: RunConfig) -> Report:
 
 
 def cmd_expect(args, cfg: RunConfig) -> Report:
-    from fractions import Fraction
-
     from . import observables
 
     vec, labels, state_desc = _build_state(args)
@@ -328,7 +356,12 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
     if (args.epsilon is None) == (not args.box_x):
         raise InputError("choose exactly one operator: --epsilon values or --box-x")
     if args.epsilon is not None:
-        eps = _parse_list(args.epsilon, Fraction, "rational")
+        # Fraction reads every digit and builds 10**exponent however large,
+        # so the list is sized before any Fraction is built.
+        if (len(args.epsilon) > _MAX_EPSILON_DIGITS
+                or sum(_parse_list(args.epsilon, _digits, "rational")) > _MAX_EPSILON_DIGITS):
+            raise InputError(f"--epsilon {args.epsilon!r} needs more than {_MAX_EPSILON_DIGITS} digits")
+        eps = _parse_list(args.epsilon, _rational, "rational")
         if len(eps) < vec.basis_size:
             raise InputError(f"--epsilon needs at least {vec.basis_size} values, got {len(eps)}")
         op = observables.OneBodyOperator.diagonal(eps)

@@ -58,7 +58,7 @@ class NotNormalized(IdstatError):
 
 
 class NotRepresentable(IdstatError):
-    """Result would leave the supported exact-value ring."""
+    """Result is not a single term q*sqrt(r), as a sum across two radicands."""
 
 
 class BoseDivergence(IdstatError):

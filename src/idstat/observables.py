@@ -3,8 +3,10 @@ bookkeeping for the free sector.
 
 Single-particle operators act on one slot of a product state: the
 expectation of O on particle i contracts amplitudes over all state pairs
-that agree on every other slot.  With an exact (rational-entry) operator
-the result is a ring element; with a float-entry operator it is a float.
+that agree on every other slot.  A vector's amplitudes are rational values
+times one scale q*sqrt(r), so each sum runs over the values and is scaled
+by q^2 r once.  With an exact (rational-entry) operator the result is an
+exact rational; with a float-entry operator it is a float.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     NotNormalized,
     ZeroVectorInput,
 )
-from .exactnum import ONE, ZERO, RadicalRational, Rational, sum_of_products
+from .exactnum import ONE, ZERO, RadicalRational
 from .symmetry import Parity, StateVector, symmetrize
 
 
@@ -100,12 +102,13 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     `occupancy_weights`, is summed exactly: a float O_kk converts to a
     Fraction without rounding, so a float result is rounded once there.
     Cross terms only connect product states that agree on every slot
-    except `particle`, so they come from those groups alone; float ones
-    are added with math.fsum.
+    except `particle`, so they come from those groups alone; a float one
+    multiplies the two amplitudes rounded to floats, and they are added
+    with math.fsum.
     """
     _check_state(v, op, particle)
     tally, groups = v._one_body(particle)
-    diagonal = [(a, a, n * Fraction(op.entry(lv, lv))) for lv, a, n in tally]
+    diagonal = sum(n * a * a * Fraction(op.entry(lv, lv)) for lv, a, n in tally)
     cross = [
         (li, ai, lj, aj)
         for group in groups
@@ -113,11 +116,12 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
         for lj, aj in group
         if li != lj
     ]
+    square = v._scale * v._scale
     if op.exact:
-        return sum_of_products(diagonal + [(ai, aj, op.entry(li, lj)) for li, ai, lj, aj in cross])
+        return square * (diagonal + sum(ai * aj * op.entry(li, lj) for li, ai, lj, aj in cross))
+    amp = {a: float(v._scale * a) for _, a, _, _ in cross}
     return math.fsum(
-        [float(sum_of_products(diagonal))]
-        + [float(ai) * float(aj) * op.entry(li, lj) for li, ai, lj, aj in cross]
+        [float(square * diagonal)] + [amp[ai] * amp[aj] * op.entry(li, lj) for li, ai, lj, aj in cross]
     )
 
 
@@ -130,21 +134,17 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
         raise ZeroVectorInput("weights undefined on the zero vector")
     if not (0 <= particle < v.n_particles):
         raise ValueError(f"particle index {particle} out of range")
-    by_level: list[list] = [[] for _ in range(v.basis_size)]
+    by_level = [0] * v.basis_size
     for lv, a, n in v._one_body(particle)[0]:
-        by_level[lv].append((a, a, n))
-    return [sum_of_products(triples) if triples else ZERO for triples in by_level]
+        by_level[lv] += n * a * a
+    square = v._scale * v._scale
+    return [square * w for w in by_level]
 
 
 def energy_sum_rule(v: StateVector, op: OneBodyOperator):
     """Sum of the per-particle expectations over all slots."""
     values = [one_body_expectation(v, op, i) for i in range(v.n_particles)]
-    if op.exact:
-        total = ZERO
-        for val in values:
-            total = total + val
-        return total
-    return math.fsum(values)
+    return sum(values, ZERO) if op.exact else math.fsum(values)
 
 
 def position_expectation_symmetrized(

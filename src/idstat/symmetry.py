@@ -2,9 +2,10 @@
 permutation-adapted combinations built from them.
 
 A vector maps product states (tuples of level indices, slot i = particle i)
-to RadicalRational amplitudes.  Everything here is exact: norms, inner
-products, projections and residuals are ring elements, so "equals zero"
-means the amplitude map is empty, not "small".
+to exact amplitudes.  Each amplitude is a rational value times one scale
+q*sqrt(r) shared by the whole vector, so norms, inner products, projections
+and residuals are rational sums with the scale applied once, and "equals
+zero" means the amplitude map is empty, not "small".
 """
 
 from __future__ import annotations
@@ -14,17 +15,18 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
 from .errors import (
     BasisNotOrthonormal,
     CapacityExceeded,
+    NotRepresentable,
     RequiresDistinctLevels,
     ZeroVectorInput,
 )
-from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational, sum_of_products
+from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from .perm import Permutation
 
 Parity = Literal["S", "A"]
@@ -39,37 +41,45 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
 
 
 class StateVector:
-    """Sparse map from product states to exact amplitudes.
+    """Sparse map from product states to exact amplitudes: int or Rational
+    values, each times the one scale of the vector.
 
     A vector is never changed after it is built, so the norm and the
     one-body tallies of each slot are computed once and kept in `_memo`.
     """
 
-    __slots__ = ("n_particles", "basis_size", "_amps", "_memo")
+    __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo")
 
     def __init__(self, n_particles: int, amps: dict | None = None, basis_size: int = 0):
+        """`amps` maps states to ints, Rationals or RadicalRationals; the
+        nonzero ones must share one radicand."""
         self.n_particles = n_particles
-        clean: dict[tuple, RadicalRational] = {}
+        clean: dict[tuple, Fraction] = {}
+        radicand = None
         top = -1
         for state, amp in (amps or {}).items():
             state = _check_levels(state)
             if len(state) != n_particles:
                 raise ValueError(f"state {state} has wrong particle count")
-            amp = RadicalRational.of(amp)
-            if not amp.is_zero:
-                clean[state] = amp
+            for r, q in RadicalRational.of(amp).items():  # none for a zero amplitude
+                if radicand not in (None, r):
+                    raise NotRepresentable(f"radicands {radicand} and {r} share no scale")
+                radicand = r
+                clean[state] = q
                 top = max(top, max(state, default=-1))
         self._amps = clean
+        self._scale = RadicalRational(1, radicand or 1)
         self.basis_size = max(basis_size, top + 1)
         self._memo = {}
 
     @classmethod
-    def _trusted(cls, n_particles: int, amps: dict, basis_size: int) -> "StateVector":
+    def _trusted(cls, n_particles: int, amps: dict, basis_size: int,
+                 scale: RadicalRational) -> "StateVector":
         """Skip __init__'s checks: every key of `amps` must already be a
-        tuple of n_particles nonnegative ints below basis_size, and every
-        value a nonzero RadicalRational."""
+        tuple of n_particles nonnegative ints below basis_size, every value
+        a nonzero int or Rational, and `scale` nonzero."""
         v = cls.__new__(cls)
-        v.n_particles, v._amps, v.basis_size = n_particles, amps, basis_size
+        v.n_particles, v._amps, v.basis_size, v._scale = n_particles, amps, basis_size, scale
         v._memo = {}
         return v
 
@@ -80,14 +90,14 @@ class StateVector:
         return not self._amps
 
     def amplitude(self, state: Sequence[int]) -> RadicalRational:
-        return self._amps.get(tuple(state), ZERO)
+        a = self._amps.get(tuple(state))
+        return ZERO if a is None else self._scale * a
 
     def items(self) -> list[tuple[tuple, RadicalRational]]:
-        """Terms sorted lexicographically by product state."""
-        return sorted(self._amps.items())
-
-    def support(self) -> list[tuple]:
-        return sorted(self._amps)
+        """Terms sorted lexicographically by product state; the terms that
+        share a value share one amplitude object."""
+        scaled = {a: self._scale * a for a in set(self._amps.values())}
+        return sorted((s, scaled[a]) for s, a in self._amps.items())
 
     def __len__(self) -> int:
         return len(self._amps)
@@ -95,54 +105,22 @@ class StateVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.n_particles == other.n_particles and self._amps == other._amps
+        return self.n_particles == other.n_particles and self.items() == other.items()
 
-    def __hash__(self):
-        return hash((self.n_particles, tuple(self.items())))
-
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        if self.n_particles != other.n_particles:
-            raise ValueError("particle counts differ")
-        amps = dict(self._amps)
-        for s, a in other._amps.items():
-            amps[s] = amps.get(s, ZERO) + a
-        return StateVector(self.n_particles, amps, max(self.basis_size, other.basis_size))
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + other.scale(RadicalRational.of(-1))
-
-    def __neg__(self) -> "StateVector":
-        return self.scale(RadicalRational.of(-1))
-
-    def scale(self, c) -> "StateVector":
-        c = RadicalRational.of(c)
-        return StateVector(
-            self.n_particles, {s: a * c for s, a in self._amps.items()}, self.basis_size
-        )
-
-    def _objects(self) -> dict:
-        """The distinct amplitude objects by id; a symmetrized vector has
-        one or two however many terms it has."""
-        values = self._amps.values()
-        return dict(zip(map(id, values), values))
+    # -- rational sums, one scale --------------------------------------
 
     def norm_squared(self) -> RadicalRational:
         norm = self._memo.get("norm")
         if norm is None:
-            objs = self._objects()
-            counts = Counter(map(id, self._amps.values()))
-            norm = self._memo["norm"] = sum_of_products(
-                (objs[k], objs[k], n) for k, n in counts.items()
-            )
+            values = self._amps.values()
+            norm = self._memo["norm"] = self._scale * self._scale * sum(map(mul, values, values))
         return norm
 
     def _one_body(self, slot: int) -> tuple[list, list]:
         """What a one-body quantity of `slot` needs, computed once.
 
-        The tally [(level, amp, count)] counts the terms by the level in
-        `slot` and the amplitude object.  The cross groups [[(level, amp),
+        The tally [(level, value, count)] counts the terms by the level in
+        `slot` and the amplitude value.  The cross groups [[(level, value),
         ...]] hold the terms that agree on every other slot, two or more
         per group.  Two terms that differ in one slot only have different
         level sums, so when every term has the same sum (as on a permutation
@@ -151,9 +129,8 @@ class StateVector:
         key = ("slot", slot)
         memo = self._memo.get(key)
         if memo is None:
-            states, values = self._amps.keys(), self._amps.values()
-            objs = self._objects()
-            tally = Counter(zip(map(itemgetter(slot), states), map(id, values)))
+            states = self._amps.keys()
+            tally = Counter(zip(map(itemgetter(slot), states), self._amps.values()))
             groups: dict = {}
             if len(set(map(sum, states))) > 1:
                 others = [j for j in range(self.n_particles) if j != slot]
@@ -163,7 +140,7 @@ class StateVector:
                     if seen[spec := spectator(s)] > 1:
                         groups.setdefault(spec, []).append((s[slot], a))
             memo = self._memo[key] = (
-                [(lv, objs[k], n) for (lv, k), n in tally.items()],
+                [(lv, a, n) for (lv, a), n in tally.items()],
                 list(groups.values()),
             )
         return memo
@@ -173,6 +150,7 @@ class StateVector:
             self.n_particles,
             {p.apply(s): a for s, a in self._amps.items()},
             self.basis_size,
+            self._scale,
         )
 
     def __repr__(self) -> str:
@@ -183,18 +161,21 @@ class StateVector:
 def product_state_vector(levels: Sequence[int], basis_size: int = 0) -> StateVector:
     """The bare product state |l_1 ... l_N> as a unit vector."""
     levels = _check_levels(levels)
-    return StateVector(len(levels), {levels: ONE}, basis_size)
+    return StateVector(len(levels), {levels: 1}, basis_size)
+
+
+def _dot(u: dict, v: dict):
+    """Sum of value products over the states two value maps share."""
+    small, big = (u, v) if len(u) <= len(v) else (v, u)
+    return sum(a * b for s, a in small.items() if (b := big.get(s)) is not None)
 
 
 def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
     """Exact <u|v>; amplitudes are real so no conjugation is needed."""
     if u.n_particles != v.n_particles:
         raise ValueError("particle counts differ")
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    amps = big._amps
-    return sum_of_products(
-        (a, b, 1) for s, a in small._amps.items() if (b := amps.get(s)) is not None
-    )
+    dot = _dot(u._amps, v._amps)
+    return u._scale * v._scale * dot if dot else ZERO
 
 
 #: Largest permutation orbit (number of distinct orderings of the levels)
@@ -206,8 +187,8 @@ def _orbit(levels: Sequence[int], parity: Parity) -> tuple[tuple[int, ...], int,
     """Checked levels, their orbit size N!/prod(m_k!), prod(m_k!) and the
     1/sqrt(N!) weight of the raw sum, refused before any state is built.
 
-    The weight must be a ring element, so the ring's square-free split cap
-    refuses N >= 15 even when the orbit is small.
+    The weight must be an exact single-term radical, so the square-free
+    split cap refuses N >= 15 even when the orbit is small.
     """
     levels = _check_levels(levels)
     if parity not in ("S", "A"):
@@ -255,14 +236,11 @@ def _orderings(levels: tuple[int, ...]):
             sign = -sign
 
 
-def _orbit_vector(levels: tuple[int, ...], amp: RadicalRational, signed: bool) -> StateVector:
-    """amp (times the ordering's sign when `signed`) on every distinct ordering."""
-    if signed:
-        neg = -amp
-        amps = {s: amp if sg > 0 else neg for s, sg in _orderings(levels)}
-    else:
-        amps = {s: amp for s, _ in _orderings(levels)}
-    return StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1)
+def _orbit_vector(levels: tuple[int, ...], scale: RadicalRational, signed: bool) -> StateVector:
+    """scale (times the ordering's sign when `signed`) on every distinct ordering."""
+    orderings = _orderings(levels)
+    amps = dict(orderings) if signed else dict.fromkeys((s for s, _ in orderings), 1)
+    return StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale)
 
 
 @dataclass(frozen=True)
@@ -290,8 +268,8 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
         if repeats > 1:
             return SymmetrizeResult(StateVector(len(levels)), ZERO, True)
         return SymmetrizeResult(_orbit_vector(levels, weight, True), ONE, False)
-    amp = rsqrt_of_rational(Fraction(1, orbit))
-    return SymmetrizeResult(_orbit_vector(levels, amp, False), RadicalRational.of(repeats), False)
+    scale = rsqrt_of_rational(Fraction(1, orbit))
+    return SymmetrizeResult(_orbit_vector(levels, scale, False), RadicalRational.of(repeats), False)
 
 
 # Coefficient patterns for the N = 3 distinct-level orbit basis.  Keys are
@@ -331,14 +309,13 @@ _BASIS_PATTERNS: dict[str, tuple[Fraction, dict[tuple[int, int, int], int]]] = {
 
 def _pattern_vector(name: str, levels: tuple[int, ...]) -> StateVector:
     norm_sq, coeffs = _BASIS_PATTERNS[name]
-    scale = rsqrt_of_rational(norm_sq)
-    amps: dict[tuple, RadicalRational] = {}
+    amps: dict[tuple, int] = {}
     for image, k in coeffs.items():
         state = [0, 0, 0]
         for m in range(3):
             state[image[m] - 1] = levels[m]
-        amps[tuple(state)] = scale * k
-    return StateVector(3, amps)
+        amps[tuple(state)] = k
+    return StateVector._trusted(3, amps, max(levels) + 1, rsqrt_of_rational(norm_sq))
 
 
 def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
@@ -357,7 +334,9 @@ def decompose(
     """Exact coefficients of v in an orthonormal basis plus the residual.
 
     The basis is verified orthonormal exactly first; a residual of zero
-    (empty map) certifies the decomposition is complete.
+    (empty map) certifies the decomposition is complete.  The residual
+    keeps v's scale: for a member b of scale q*sqrt(r), <b|v> b is v's
+    scale times q^2 r (sum of b's values times v's) b's values.
     """
     basis = list(basis)
     for i, b in enumerate(basis):
@@ -367,10 +346,17 @@ def decompose(
                 raise BasisNotOrthonormal(f"members {i} and {j} fail exact orthonormality")
     coeffs = [inner_product(b, v) for b in basis]
     residual = dict(v._amps)
-    for c, b in zip(coeffs, basis):
-        for s, a in b._amps.items():
-            residual[s] = residual.get(s, ZERO) - a * c
-    return coeffs, StateVector(v.n_particles, residual, v.basis_size)
+    for b in basis:
+        ((r, q),) = b._scale.items()
+        weight = q * q * r * _dot(b._amps, v._amps)
+        if weight:
+            for s, a in b._amps.items():
+                residual[s] = residual.get(s, 0) - weight * a
+    residual = {s: a for s, a in residual.items() if a}
+    top = max((max(s, default=-1) for s in residual), default=-1)
+    return coeffs, StateVector._trusted(
+        v.n_particles, residual, max(v.basis_size, top + 1), v._scale
+    )
 
 
 def exchange_degeneracy_dimension(levels: Sequence[int]) -> int:
@@ -409,10 +395,8 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     if n < 2:
         return SymmetryClass(SymmetryTag.SYMMETRIC)
     # The adjacent transpositions generate S_N, so only they are tested, on
-    # the amplitude map: each term's swapped state must carry the term's
-    # amplitude, or its negation.  List equality tries identity before ==,
-    # so the negation of each distinct amplitude object is taken once, from
-    # the vector's own objects where it is one.
+    # the value map: each term's swapped state must carry the term's value,
+    # or its negation.
     states, values = list(v._amps), list(v._amps.values())
 
     def swapped(k: int) -> list:
@@ -423,15 +407,12 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
 
     if all(swapped(k) == values for k in range(n - 1)):
         return SymmetryClass(SymmetryTag.SYMMETRIC)
-    objs = v._objects()
-    by_value = {a: a for a in objs.values()}
-    negated = {key: by_value.get(-a, -a) for key, a in objs.items()}
-    opposite = [negated[id(a)] for a in values]
+    opposite = [-a for a in values]
     if all(swapped(k) == opposite for k in range(n - 1)):
         return SymmetryClass(SymmetryTag.ANTISYMMETRIC)
     if n == 3:
-        anchor = sorted(v.support()[0])
-        if len(set(anchor)) == 3 and all(sorted(s) == anchor for s in v.support()):
+        anchor = sorted(states[0])
+        if len(set(anchor)) == 3 and all(sorted(s) == anchor for s in states):
             basis = orbit_basis_n3(tuple(anchor))
             coeffs, residual = decompose(v, basis)
             if residual.is_zero:

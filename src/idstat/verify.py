@@ -121,10 +121,7 @@ def _check_pair_planes():
             for mapping in itertools.permutations(range(3)):
                 image = basis[name].permuted(Permutation(mapping))
                 coeffs, residual = symmetry.decompose(image, plane)
-                total = ZERO
-                for c in coeffs:
-                    total = total + c * c
-                ok = ok and residual.is_zero and total == ONE
+                ok = ok and residual.is_zero and sum(c * c for c in coeffs) == ONE
     return ok, "all 12 orbit images stay in their 2-plane", "zero residual, unit coefficient norm"
 
 
@@ -145,10 +142,7 @@ def _check_product_decomposition():
         rsqrt_of_rational(Fraction(1, 3)),
         ZERO,
     ]
-    total = ZERO
-    for c in coeffs:
-        total = total + c * c
-    ok = list(coeffs) == want and residual.is_zero and total == ONE
+    ok = list(coeffs) == want and residual.is_zero and sum(c * c for c in coeffs) == ONE
     return ok, "(" + ", ".join(str(c) for c in coeffs) + ")", (
         "(1/sqrt(6), -1/sqrt(6), 1/sqrt(3), 0, 1/sqrt(3), 0), zero residual"
     )
@@ -371,24 +365,34 @@ def _check_extensivity_mb_fact():
     )
 
 
-def _random_radical(rng: random.Random) -> RadicalRational:
-    value = RadicalRational.of(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
-    for _ in range(rng.randint(0, 2)):
-        q = Fraction(rng.randint(1, 8), rng.randint(1, 8))
-        term = rsqrt_of_rational(q) * RadicalRational.of(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-        value = value + term
-    return value
-
-
 def _check_float_shadow(seed: int):
+    """Products and same-radicand sums of single-term values, and vector
+    norms and inner products, against the same trees evaluated in floats."""
     rng = random.Random(seed)
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    def root() -> RadicalRational:
+        return rsqrt_of_rational(Fraction(rng.randint(1, 8), rng.randint(1, 8)))
+
+    def vector() -> symmetry.StateVector:  # rational values times one scale
+        scale = root()
+        states = [s for s in itertools.product(range(3), repeat=2) if rng.random() < 0.6]
+        return symmetry.StateVector(2, {s: scale * rational() for s in states})
+
     worst = 0.0
     for _ in range(60):
-        a, b, c = (_random_radical(rng) for _ in range(3))
-        exact = (a + b) * c - a * b
-        shadow = (float(a) + float(b)) * float(c) - float(a) * float(b)
-        scale = max(1.0, abs(shadow))
-        worst = max(worst, abs(float(exact) - shadow) / scale)
+        shared = root()
+        a, b, c = shared * rational(), shared * rational(), root() * rational()
+        u, v = vector(), vector()
+        fu, fv = ({s: float(x) for s, x in w.items()} for w in (u, v))
+        for exact, shadow in [
+            ((a + b) * c, (float(a) + float(b)) * float(c)),
+            (symmetry.inner_product(u, v), sum(x * fv.get(s, 0.0) for s, x in fu.items())),
+            (u.norm_squared(), sum(x * x for x in fu.values())),
+        ]:
+            worst = max(worst, abs(float(exact) - shadow) / max(1.0, abs(shadow)))
     return worst <= 1e-12, f"max relative gap = {worst:.3e} over 60 seeded trees", "<= 1e-12"
 
 

@@ -1,5 +1,6 @@
-"""Seeded argv property test for the error boundary of `partition` and
-`extensivity`.
+"""Seeded argv property test for the error boundary of `partition`,
+`extensivity` and the exact-state subcommands (`symmetrize`,
+`mixed-basis`, `decompose`, `classify`, `expect`).
 
 Each case is a golden-corpus argv with a few options set, changed or
 dropped, or a draw of every option from scratch.  Options come from the
@@ -23,7 +24,8 @@ from idstat.cli import build_parser, main
 from test_golden import CORPUS
 
 SEED = 20261018
-CASES = 250
+CASES = {"partition": 250, "extensivity": 250, "symmetrize": 120, "mixed-basis": 60,
+         "decompose": 120, "classify": 120, "expect": 200}
 SLOWEST_CASE_S = 2.0
 
 EDGE_VALUES = (
@@ -39,8 +41,21 @@ WORDS = {
     "sizes": ("1:2,2:4", "1e-300:2", "2:1", "1e308:3", "1:0", "1e-320:1"),
     "n_list": ("1,2,10", "1", "2,100", "10000", "0"),
 }
+#: Level labels of the exact-state subcommands, drawn in place of the edge
+#: pool: there a letter word such as "nan" is a label, echoed as a string.
+#: Nine distinct labels are left out: their 9! orderings take seconds.
+STATE_LEVELS = (
+    "a,b,c", "c,a,b", "a,b", "a", "1,2,3", "3,1,2", "1,3,3", "a,a,b", "b,a,a", "5,5,5",
+    "é,λ,μ", "α,β,γ", "²,1", "²", "1,²,3", "a,b,c,d,e,f,g,h,i,j", "1,2,3,4,5,6,7,8,9,10,11",
+    "a,a,a,a,a,a,b,b,c", "a,a,a,a,a,a,a,a,a,a,a,a", "1,1,1,1,1,1,1,1,1,1,1,2", "1,2000000",
+    "1," + "7" * 5001, "1," + "9" * 309, "0,1,2", "-1,2", "+1,2", "a,1", "", " ", "a,,b",
+)
+#: --epsilon entries; a draw joins one to five of them.
+EPSILON_ENTRIES = ("1", "2", "3", "1/2", "-5/3", "0.25", "1/0", "1_0", "-0", "nan", "1e400",
+                   "1e-400", "1e100000", "1e-4299", "1e308", "-1e308", "", "x", "²")
 #: Options that touch files are left out: a case reads and writes none.
 SKIPPED = {"--out", "--config", "--spectrum-file"}
+STATE_COMMANDS = ("symmetrize", "mixed-basis", "decompose", "classify", "expect")
 
 
 def _actions(command: str) -> list:
@@ -73,9 +88,13 @@ def _pool(action) -> tuple:
     return WORDS.get(action.dest, ())
 
 
-def _value(rng: random.Random, action):
+def _value(rng: random.Random, action, command: str):
     if action.nargs == 0:
         return None
+    if command in STATE_COMMANDS and action.dest == "levels":
+        return rng.choice(STATE_LEVELS)
+    if action.dest == "epsilon":
+        return ",".join(rng.choice(EPSILON_ENTRIES) for _ in range(rng.randint(1, 5)))
     pool = _pool(action)
     return rng.choice(EDGE_VALUES if not pool or rng.random() < 0.4 else pool)
 
@@ -84,7 +103,8 @@ def _argv(rng: random.Random, command: str, actions: list, seeds: list) -> list:
     """A corpus argv with one to three options set, changed or dropped, or
     now and then a draw of every option from scratch."""
     if rng.random() < 0.2:
-        options = {a: _value(rng, a) for a in actions if rng.random() < (0.95 if a.required else 0.3)}
+        options = {a: _value(rng, a, command) for a in actions
+                   if rng.random() < (0.95 if a.required else 0.3)}
     else:
         options = dict(rng.choice(seeds))
         for _ in range(rng.randint(1, 3)):
@@ -92,7 +112,7 @@ def _argv(rng: random.Random, command: str, actions: list, seeds: list) -> list:
             if action in options and rng.random() < 0.3:
                 del options[action]
             else:
-                options[action] = _value(rng, action)
+                options[action] = _value(rng, action, command)
     argv = [command]
     for action, value in options.items():
         flag = rng.choice(action.option_strings)
@@ -112,13 +132,13 @@ def _bad_float_tokens(text: str) -> list:
     return bad
 
 
-@pytest.mark.parametrize("command", ["partition", "extensivity"])
+@pytest.mark.parametrize("command", list(CASES))
 def test_every_argv_answers_or_refuses_with_one_line(command, capsys):
     rng = random.Random(f"{SEED}-{command}")
     actions = _actions(command)
     seeds = _seeds(command, actions)
     answered = 0
-    for _ in range(CASES):
+    for _ in range(CASES[command]):
         argv = _argv(rng, command, actions, seeds)
         start = time.perf_counter()
         code = main(argv)
@@ -134,4 +154,4 @@ def test_every_argv_answers_or_refuses_with_one_line(command, capsys):
             answered += 1
             assert not _bad_float_tokens(out), (argv, out)
         assert elapsed < SLOWEST_CASE_S, (argv, elapsed)
-    assert answered >= CASES // 10  # the draw reaches the answering paths too
+    assert answered >= CASES[command] // 10  # the draw reaches the answering paths too

@@ -724,6 +724,79 @@ def test_numeric_level_labels_build_no_table(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["symmetrize", "-l", "²,1", "-p", "S"],
+    ["classify", "--product", "--levels", "²"],
+])
+def test_level_labels_int_cannot_read_refused(argv, capsys):
+    # "²".isdigit() is true, but int("²") raises
+    code, out, err = run_cli(argv, capsys)
+    _refused(code, out, err, 2)
+    assert "'²'" in err
+
+
+def test_level_label_past_the_digit_limit_refused(capsys):
+    # int() and str() of a 5001-digit label raise past CPython's 4300-digit limit, and a
+    # label past 308 digits, printed back, would read as an infinite float
+    start = time.perf_counter()
+    for label in ("7" * 5001, "7" * 309):
+        code, out, err = run_cli(["symmetrize", "-l", "1," + label, "-p", "S"], capsys)
+        _refused(code, out, err, 2)
+        assert "at most 308 digits" in err
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run_cli(["symmetrize", "-l", "1," + "7" * 308, "-p", "S", "--output", "json"], capsys)
+    assert code == 0 and json.loads(out)["levels"] == ["1", "7" * 308]
+
+
+EXPECT_12 = ["expect", "--product", "--levels", "1,2"]
+
+
+@pytest.mark.parametrize("entries", ["1e10000000,2", "1e100000000,2", "1e100000,2", "0e100000,2", "1e-100000,2",
+                                     "1/" + "3" * 4301 + ",2", "0." + "0" * 4300 + "1,2", "1e" + "9" * 5000 + ",2",
+                                     "1e-2000,1e-2000", "1e-3900,1"])
+def test_expect_epsilon_past_the_digit_limit_refused(entries, capsys):
+    # Fraction would build 10**exponent or read every digit, taking seconds or minutes,
+    # or the exact expectation would need more digits than str() prints
+    start = time.perf_counter()
+    code, out, err = run_cli(EXPECT_12 + [f"--epsilon={entries}", "--particle", "2"], capsys)
+    _refused(code, out, err, 2)
+    assert "needs more than 3900 digits" in err and time.perf_counter() - start < 1.0
+
+
+def test_expect_epsilon_combining_past_the_str_limit_refused(capsys):
+    # each entry fits, but 1e308 + 1e-4299 needs 4608 digits: str() raised ValueError
+    code, out, err = run_cli(["expect", "--member=s1", "--levels=a,b,c", "--epsilon=1e-4299,1e308,5e-324",
+                              "--particle=1"], capsys)
+    _refused(code, out, err, 2)
+    code, out, err = run_cli(["expect", "--member=s1", "--levels=a,b,c", "--epsilon=1e-3200,1e308,5e-324",
+                              "--particle=1", "--output=json"], capsys)
+    assert code == 0, err
+    data = json.loads(out)
+    assert Fraction(data["exact"]) == (Fraction(5) * Fraction("1e-3200") + 5 * Fraction(10**308)
+                                       + 2 * Fraction("5e-324")) / 12
+    assert data["float"] == float(Fraction(data["exact"]))
+
+
+@pytest.mark.parametrize("entry", ["1e400", "-1e400", "2e308", "1.8e308"])
+def test_expect_epsilon_past_the_float_range_refused(entry, capsys):
+    # float() of the exact expectation would raise OverflowError
+    code, out, err = run_cli(EXPECT_12 + [f"--epsilon={entry},2", "--particle", "1"], capsys)
+    _refused(code, out, err, 2)
+    assert f"'{entry}' is beyond the float range" in err
+
+
+def test_expect_epsilon_edges_that_answer(capsys):
+    cases = {"1e-400": 0.0, "1e308": 1e308, "-1.5e3": -1500.0, "1_0": 10.0, "-0": 0.0, ".5": 0.5}
+    for entry, want in cases.items():
+        code, out, err = run_cli(EXPECT_12 + [f"--epsilon={entry},2", "--particle", "1", "--output", "json"],
+                                 capsys)
+        assert code == 0, (entry, err)
+        data = json.loads(out)
+        assert data["float"] == want and Fraction(data["exact"]) == Fraction(entry), entry
+    for entry in ("1/0", "nan", "1e", "0x10", "1ex"):
+        _refused(*run_cli(EXPECT_12 + [f"--epsilon={entry},2", "--particle", "1"], capsys), 2)
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"], capsys)[0] == 0
     assert run_cli(["partition", "--help"], capsys)[0] == 0

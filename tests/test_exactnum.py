@@ -1,4 +1,5 @@
-"""Ring arithmetic, exact square roots, float shadow, serialization."""
+"""Single-term radicals: products, same-radicand sums, exact square roots,
+float shadow."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from idstat.exactnum import (
     Rational,
     rsqrt_of_rational,
     square_free_split,
-    sum_of_products,
 )
 
 
@@ -44,7 +44,8 @@ def test_radd_half_sqrt2_twice_is_sqrt2():
 
 
 def test_radd_cancellation_gives_canonical_zero():
-    x = rsqrt_of_rational(Fraction(1, 2)) + rsqrt_of_rational(3) + 7
+    x = rsqrt_of_rational(Fraction(1, 2)) + rsqrt_of_rational(18) * 7
+    assert x.items() == [(2, Fraction(43, 2))]
     assert (x - x) == ZERO
     assert (x - x).is_zero
     assert (x - x).items() == []
@@ -91,45 +92,70 @@ def test_sqrt_squares_back():
 
 
 def test_unique_representation_equality():
-    assert rsqrt_of_rational(2) + rsqrt_of_rational(3) == rsqrt_of_rational(3) + rsqrt_of_rational(2)
-    assert (1 + rsqrt_of_rational(2)) * (1 - rsqrt_of_rational(2)) == -1
+    assert rsqrt_of_rational(2) * rsqrt_of_rational(3) == rsqrt_of_rational(3) * rsqrt_of_rational(2)
+    assert rsqrt_of_rational(2) * (ONE - 1) == ZERO
+    assert rsqrt_of_rational(Fraction(1, 2)) * 2 == rsqrt_of_rational(2)
     assert RadicalRational.of(Fraction(5, 12)) == Fraction(5, 12)
+    assert rsqrt_of_rational(2) != 1 and rsqrt_of_rational(2) != rsqrt_of_rational(3)
     assert ONE == 1
 
 
-def test_division_by_single_term():
-    x = 1 + rsqrt_of_rational(3)
-    halved = x / 2
-    assert halved == RadicalRational.of(Fraction(1, 2)) + rsqrt_of_rational(Fraction(3, 4))
-    y = x / rsqrt_of_rational(2)
-    assert y * rsqrt_of_rational(2) == x
+def test_single_term_products():
+    # q1 sqrt(r1) * q2 sqrt(r2) = q1 q2 g sqrt(r1 r2 / g^2), g = gcd(r1, r2)
+    a, b = rsqrt_of_rational(Fraction(4, 3)), rsqrt_of_rational(Fraction(9, 10))
+    assert a.items() == [(3, Fraction(2, 3))] and b.items() == [(10, Fraction(3, 10))]
+    assert (a * b).items() == [(30, Fraction(1, 5))]
+    assert (a * a).items() == [(1, Fraction(4, 3))]
+    assert (a * -b).items() == [(30, Fraction(-1, 5))]
+    assert (a * ZERO).items() == [] and (a * ZERO) == 0
+    assert (a * Fraction(3, 2)).items() == (Fraction(3, 2) * a).items() == [(3, Fraction(1))]
+    assert (-a).items() == [(3, Fraction(-2, 3))] and -(-a) == a
 
 
-def test_division_rules():
-    two_terms = 1 + rsqrt_of_rational(2)
-    with pytest.raises(NotRepresentable):
-        ONE / two_terms
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
+def test_sums_within_one_radicand():
+    h = rsqrt_of_rational(Fraction(1, 2))
+    assert (h + rsqrt_of_rational(8)).items() == [(2, Fraction(5, 2))]
+    assert (h - rsqrt_of_rational(Fraction(9, 2))).items() == [(2, Fraction(-1))]
+    assert (RadicalRational.of(Fraction(1, 3)) + 1).items() == (1 + RadicalRational.of(Fraction(1, 3))).items()
+    assert (1 + RadicalRational.of(Fraction(1, 3))) == Fraction(4, 3)
+    # zero joins any radicand
+    assert h + ZERO == ZERO + h == h - 0 == h
+    assert sum([h, h, h]) == rsqrt_of_rational(Fraction(9, 2))
+
+
+def test_sums_across_two_radicands_are_refused():
+    for a, b in [(rsqrt_of_rational(2), rsqrt_of_rational(3)), (ONE, rsqrt_of_rational(2)),
+                 (rsqrt_of_rational(6), 1)]:
+        with pytest.raises(NotRepresentable):
+            a + b
+        with pytest.raises(NotRepresentable):
+            b + a
+        with pytest.raises(NotRepresentable):
+            a - b
 
 
 def test_ring_axioms_small_pool():
-    pool = [
-        ZERO,
-        ONE,
-        RadicalRational.of(Fraction(-2, 3)),
-        rsqrt_of_rational(2),
-        rsqrt_of_rational(Fraction(3, 4)) - 1,
-        rsqrt_of_rational(6) + rsqrt_of_rational(2) * 2,
+    # Products of single-term values are associative and commutative; sums
+    # exist within one radicand, where they are too and * distributes.
+    root2, root3 = rsqrt_of_rational(2), rsqrt_of_rational(3)
+    pools = [
+        [ZERO, ONE, RadicalRational.of(Fraction(-2, 3)), RadicalRational.of(7)],
+        [ZERO, root2, root2 * Fraction(-5, 4), rsqrt_of_rational(Fraction(9, 2))],
     ]
-    for a in pool:
-        for b in pool:
-            assert a + b == b + a
+    factors = [ONE, root2, root3, root3 * Fraction(-1, 6), rsqrt_of_rational(Fraction(5, 6))]
+    for pool in pools:
+        for a in pool:
+            for b in pool:
+                assert a + b == b + a
+                for c in pool:
+                    assert (a + b) + c == a + (b + c)
+                for f in factors:
+                    assert f * (a + b) == f * a + f * b
+    for a in factors:
+        for b in factors:
             assert a * b == b * a
-            for c in pool:
-                assert (a + b) + c == a + (b + c)
+            for c in factors:
                 assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
 
 
 def test_float_shadow_random_trees():
@@ -138,11 +164,14 @@ def test_float_shadow_random_trees():
         RadicalRational.of(Fraction(n, d))
         for n in range(-3, 4)
         for d in (1, 2, 3)
-    ] + [rsqrt_of_rational(q) for q in (2, 3, Fraction(1, 2), Fraction(5, 6), 7)]
+    ] + [rsqrt_of_rational(q) for q in (2, 3, Fraction(1, 2), Fraction(5, 6), 7, 8, Fraction(1, 3))]
     leaves_float = [float(v) for v in leaves_exact]
+    radicand = [(v.items() or [(1, 0)])[0][0] for v in leaves_exact]
     for _ in range(300):
         i, j = rng.randrange(len(leaves_exact)), rng.randrange(len(leaves_exact))
         op = rng.choice(["+", "-", "*"])
+        if op != "*" and radicand[i] != radicand[j] and not (leaves_exact[i].is_zero or leaves_exact[j].is_zero):
+            op = "*"  # a sum across two radicands is not a single term
         if op == "+":
             exact, shadow = leaves_exact[i] + leaves_exact[j], leaves_float[i] + leaves_float[j]
         elif op == "-":
@@ -160,55 +189,15 @@ def test_capacity_radicand_cap():
     assert MAX_RADICAND == 10**6
 
 
-def _fold(triples):
-    return sum((a * b * w for a, b, w in triples), ZERO)
-
-
-def test_sum_of_products_matches_ring_fold():
-    rng = random.Random(20261018)
-    radicands = (1, 2, 3, 5, 6, 10, 15, 30)
-
-    def element():
-        return sum(
-            (rsqrt_of_rational(r) * Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-             for r in rng.sample(radicands, rng.randint(0, 4))),
-            ZERO,
-        )
-
-    shared = [element() for _ in range(4)]  # repeated objects, as in a state vector
-    for _ in range(200):
-        pool = shared + [element() for _ in range(3)]
-        triples = [
-            (rng.choice(pool), rng.choice(pool),
-             rng.choice([0, 1, -2, Fraction(rng.randint(-7, 7), rng.randint(1, 9))]))
-            for _ in range(rng.randint(0, 12))
-        ]
-        assert sum_of_products(triples) == _fold(triples)
-        assert sum_of_products(iter(triples)) == _fold(triples)
-
-
-def test_sum_of_products_cancels_to_the_empty_map():
-    a = rsqrt_of_rational(Fraction(1, 6)) + Fraction(2, 3)
-    b = rsqrt_of_rational(10) - 1
-    total = sum_of_products([(a, b, 3), (b, a, Fraction(-3, 2)), (a, b, Fraction(-3, 2))])
-    assert total.is_zero and total.items() == [] and total == ZERO
-    assert sum_of_products([]) == ZERO
-    half = rsqrt_of_rational(Fraction(1, 2))  # (1/2)*sqrt(2)
-    assert sum_of_products([(half, half, 1), (half, half, 1)]) == ONE
-
-
-def test_sum_of_products_refuses_past_the_radicand_cap():
-    with pytest.raises(CapacityExceeded):
-        sum_of_products([(ONE, ONE, 1), (rsqrt_of_rational(999983), rsqrt_of_rational(3), 1)])
-    with pytest.raises(TypeError):
-        sum_of_products([(ONE, ONE, 0.5)])
-
-
 def test_human_form():
     assert str(ZERO) == "0"
     assert str(rsqrt_of_rational(Fraction(1, 2))) == "1/2*sqrt(2)"
     assert str(RadicalRational.of(Fraction(5, 12))) == "5/12"
-    assert str(rsqrt_of_rational(Fraction(1, 6)) - Fraction(1, 2)) == "-1/2 + 1/6*sqrt(6)"
+    assert str(RadicalRational.of(Fraction(-5, 12))) == "-5/12"
+    assert str(-rsqrt_of_rational(Fraction(1, 6))) == "-1/6*sqrt(6)"
+    assert str(rsqrt_of_rational(Fraction(1, 6)) - rsqrt_of_rational(Fraction(2, 3))) == "-1/6*sqrt(6)"
+    with pytest.raises(TypeError):
+        RadicalRational.of(0.5)
 
 
 def test_hash_consistent_with_equality():

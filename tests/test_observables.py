@@ -28,6 +28,7 @@ from idstat.observables import (
     wave_coefficients,
 )
 from idstat.symmetry import (
+    StateVector,
     exchange_degeneracy_dimension,
     orbit_basis_n3,
     product_state_vector,
@@ -93,9 +94,9 @@ def test_expectation_validation_errors():
     with pytest.raises(DimensionMismatch):
         one_body_expectation(v, OneBodyOperator.diagonal([1, 2]), 0)
     with pytest.raises(NotNormalized):
-        one_body_expectation(v.scale(2), H123, 0)
+        one_body_expectation(StateVector(3, {(0, 1, 2): 2}), H123, 0)
     with pytest.raises(ZeroVectorInput):
-        one_body_expectation(v - v, H123, 0)
+        one_body_expectation(StateVector(3), H123, 0)
     with pytest.raises(ValueError):
         one_body_expectation(v, H123, 3)
 
@@ -117,11 +118,14 @@ def bucket_walk(v, op, particle):
 
 
 def _half_sum(*vectors):
-    """The unit vector along the sum of orthonormal vectors."""
-    total = vectors[0]
-    for v in vectors[1:]:
-        total = total + v
-    return total.scale(rsqrt_of_rational(Fraction(1, len(vectors))))
+    """The unit vector along the sum of orthonormal vectors that share one
+    radicand."""
+    total = {}
+    for v in vectors:
+        for s, a in v.items():
+            total[s] = total.get(s, ZERO) + a
+    scale = rsqrt_of_rational(Fraction(1, len(vectors)))
+    return StateVector(vectors[0].n_particles, {s: a * scale for s, a in total.items()})
 
 
 def _oracle_vectors(family):
@@ -136,15 +140,18 @@ def _oracle_vectors(family):
         return [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
     if family == "product":
         return [product_state_vector(s) for s in [(2,), (0, 3), (1, 1, 2), (3, 0, 2, 1)]]
+    # Members of one sum share a radicand, as every vector's amplitudes do.
     S = lambda *levels: symmetrize(levels, "S").vector
     A = lambda *levels: symmetrize(levels, "A").vector
+    P = product_state_vector
+    s2 = lambda *levels: orbit_basis_n3(levels)[3]  # amplitudes +-1/2, rational
     return [
         _half_sum(S(0, 0, 1), S(0, 0, 2)),  # (0, 0, 1) and (0, 0, 2) differ in one slot
-        _half_sum(A(0, 1, 2), A(0, 1, 3), S(1, 1, 3), S(3, 3, 3)),
+        _half_sum(A(0, 1, 2), A(0, 1, 3), S(1, 2, 3), S(0, 2, 3)),  # all 1/sqrt(6)
         _half_sum(S(0, 3), S(1, 2)),  # equal level sums: no two terms differ in one slot
         _half_sum(S(0, 1), A(2, 3)),  # unequal level sums and still no such pair
-        _half_sum(product_state_vector((0, 1, 2)), product_state_vector((0, 3, 2)), A(0, 1, 3)),
-        _half_sum(product_state_vector((1,)), product_state_vector((3,))),  # no spectator slots
+        _half_sum(P((0, 1, 2)), P((0, 3, 2)), s2(0, 1, 3)),  # rational members
+        _half_sum(P((1,)), P((3,))),  # no spectator slots
     ]
 
 
@@ -200,7 +207,7 @@ def test_norm_is_memoised_per_vector():
     first = v.norm_squared()
     assert v.norm_squared() is first and first == 1
     assert one_body_expectation(v, H123, 1) == one_body_expectation(v, H123, 1)
-    doubled = v.scale(2)
+    doubled = StateVector(4, {s: a * 2 for s, a in v.items()})
     assert doubled.norm_squared() == 4
     with pytest.raises(NotNormalized):
         one_body_expectation(doubled, H123, 0)

@@ -20,13 +20,16 @@ DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vecto
            "symmetrize_raw", "mb_free_energy", "momentum_degeneracy", "MAX_ENUM_N",
            "enumerate_permutations", "canonical_Z_recursive", "grand_Xi", "grand_Xi_series",
            "momentum_multiset_sum", "single_particle_z", "mixed_basis_n3", "MIXED_BASIS_NAMES",
-           "OccupationState", "enumerate_occupations", "ExtensivityRow", "ExtensivityReport")
+           "OccupationState", "enumerate_occupations", "ExtensivityRow", "ExtensivityReport",
+           "sum_of_products")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
     "Permutation": ("identity", "compose", "__mul__", "inverse", "cycles", "cycle_notation", "to_json"),
-    "StateVector": ("to_json", "from_json"),
-    "RadicalRational": ("to_json", "from_json", "sqrt_rational"),
+    "StateVector": ("to_json", "from_json", "__add__", "__sub__", "__neg__", "scale", "_objects",
+                    "support"),
+    "RadicalRational": ("to_json", "from_json", "sqrt_rational", "__truediv__", "__rsub__",
+                        "is_rational", "as_rational", "is_single_term"),
     "ThermoPoint": ("dimensionless", "mu", "beta"),
     "Spectrum": ("shifted", "source"),
     "OneBodyOperator": ("hermitian",),

@@ -14,6 +14,7 @@ import pytest
 from idstat.errors import (
     BasisNotOrthonormal,
     CapacityExceeded,
+    NotRepresentable,
     RequiresDistinctLevels,
     ZeroVectorInput,
 )
@@ -42,6 +43,10 @@ HALF = RadicalRational.of(Fraction(1, 2))
 
 def all_perms(n):
     return [Permutation(m) for m in permutations(range(n))]
+
+
+def negated(v):
+    return StateVector(v.n_particles, {s: -a for s, a in v.items()}, v.basis_size)
 
 
 def test_two_particle_symmetrize():
@@ -124,7 +129,7 @@ def test_orbit_basis_antisymmetric_orientation():
     anti = basis[1]
     assert anti.amplitude((0, 1, 2)) == -INV_SQRT6
     # opposite orientation of the plain antisymmetrizer
-    assert anti == -symmetrize((0, 1, 2), "A").vector
+    assert anti == negated(symmetrize((0, 1, 2), "A").vector)
 
 
 def test_inner_product_examples():
@@ -143,7 +148,7 @@ def test_parity_sectors_exhaustive(n):
     anti = symmetrize(levels, "A").vector
     for p in all_perms(n):
         assert sym.permuted(p) == sym
-        expected = anti if p.sign() == 1 else -anti
+        expected = anti if p.sign() == 1 else negated(anti)
         assert anti.permuted(p) == expected
 
 
@@ -200,7 +205,7 @@ def test_decompose_rejects_bad_basis():
     with pytest.raises(BasisNotOrthonormal):
         decompose(v, [v, v])
     with pytest.raises(BasisNotOrthonormal):
-        decompose(v, [v.scale(2)])
+        decompose(v, [StateVector(2, {(0, 1): 2})])
 
 
 @pytest.mark.parametrize(
@@ -248,8 +253,12 @@ def test_classify_mixed_members():
 
 
 def test_classify_in_plane_combination():
+    # s1 + sqrt(3) s2: both amplitudes carry sqrt(3), so the sum has one scale
     s1, s2, _, _ = orbit_basis_n3((0, 1, 2))[2:]
-    combo = s1.scale(Fraction(3, 5)) + s2.scale(Fraction(4, 5))
+    root3 = rsqrt_of_rational(3)
+    combo = StateVector(3, {s: s1.amplitude(s) + root3 * s2.amplitude(s) for s, _ in s1.items()})
+    coeffs, residual = decompose(combo, [s1, s2])
+    assert coeffs == [ONE, root3] and residual.is_zero
     cls = classify_symmetry(combo)
     assert cls.tag is SymmetryTag.MIXED and cls.pair == 1 and cls.member is None
 
@@ -267,17 +276,16 @@ def _tag_by_permuted_copies(v):
     swaps = [Permutation.transposition(n, i, j) for i in range(n) for j in range(i + 1, n)]
     if all(v.permuted(p) == v for p in swaps):
         return SymmetryTag.SYMMETRIC
-    if all(v.permuted(p) == -v for p in swaps):
+    if all(v.permuted(p) == negated(v) for p in swaps):
         return SymmetryTag.ANTISYMMETRIC
     return None
 
 
 def _forbid_copies(monkeypatch):
     def refuse(*args):
-        raise AssertionError("classify_symmetry built a permuted, scaled or negated copy")
+        raise AssertionError("classify_symmetry built a permuted copy")
 
-    for name in ("permuted", "scale", "__neg__"):
-        monkeypatch.setattr(StateVector, name, refuse)
+    monkeypatch.setattr(StateVector, "permuted", refuse)
 
 
 def test_classify_builds_no_copies_small_vectors(monkeypatch):
@@ -328,10 +336,11 @@ def test_classify_sees_one_wrong_amplitude():
         amps = dict(v.items())
         del amps[state]  # one term missing
         assert classify_symmetry(StateVector(4, amps)).tag is SymmetryTag.NONE
-    # Equal amplitudes held by distinct objects still count as equal.
+    # A copy built from a fresh amplitude object per term keeps its values
+    # in units of the bare root, not of the orbit's scale.
     for v, tag in ((anti, SymmetryTag.ANTISYMMETRIC), (sym, SymmetryTag.SYMMETRIC)):
-        copy = StateVector(4, {s: a + ZERO for s, a in v.items()})
-        assert len({id(a) for _, a in copy.items()}) == len(copy)
+        copy = StateVector(4, {s: a * 1 for s, a in v.items()})
+        assert copy == v and copy._scale != v._scale
         assert classify_symmetry(copy).tag is tag
 
 
@@ -360,7 +369,7 @@ def _group(n):
 
 
 def _fold_dot(u, v):
-    """<u|v> by folding ring products with +, independent of sum_of_products."""
+    """<u|v> by folding amplitude products with +, independent of the value sums."""
     return sum((a * v.amplitude(s) for s, a in u.items()), ZERO)
 
 
@@ -391,8 +400,10 @@ def test_symmetrize_matches_symmetric_group_walk(n):
                 if raw.is_zero:
                     want = raw
                 else:
-                    norm = rsqrt_of_rational(n2.as_rational())
-                    want = StateVector(len(levels), {s: a / norm for s, a in raw.items()})
+                    ((r, n2_value),) = n2.items()
+                    assert r == 1
+                    inverse_norm = rsqrt_of_rational(1 / n2_value)
+                    want = StateVector(len(levels), {s: a * inverse_norm for s, a in raw.items()})
                 assert res.vector == want and res.vector.basis_size == want.basis_size, (levels, parity)
 
 
@@ -440,7 +451,23 @@ def test_orbit_cap_counts_orderings_not_particles():
         symmetrize((0,) * 15, "S")
 
 
+def test_state_vector_holds_one_radicand():
+    v = StateVector(2, {(0, 1): rsqrt_of_rational(Fraction(1, 8)), (1, 0): rsqrt_of_rational(2)})
+    assert v.items() == [((0, 1), rsqrt_of_rational(Fraction(1, 8))), ((1, 0), rsqrt_of_rational(2))]
+    assert v.norm_squared() == Fraction(17, 8)
+    for amps in ({(0, 1): INV_SQRT2, (1, 0): INV_SQRT3}, {(0, 1): 1, (1, 0): INV_SQRT2}):
+        with pytest.raises(NotRepresentable):
+            StateVector(2, amps)
+
+
+def test_items_share_one_amplitude_per_value():
+    v = symmetrize(tuple(range(6)), "A").vector
+    terms = v.items()
+    assert len(terms) == 720 and len({id(a) for _, a in terms}) == 2
+    assert {a for _, a in terms} == {rsqrt_of_rational(Fraction(1, 720)), -rsqrt_of_rational(Fraction(1, 720))}
+
+
 def test_state_vector_drops_zero_amplitudes():
     v = StateVector(2, {(0, 1): ONE, (1, 0): ZERO})
-    assert v.support() == [(0, 1)]
-    assert (v - v).is_zero
+    assert [s for s, _ in v.items()] == [(0, 1)]
+    assert StateVector(2, {(0, 1): ZERO, (1, 0): 0}).is_zero
