@@ -55,7 +55,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()

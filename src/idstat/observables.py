@@ -99,30 +99,23 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     """<v| O acting on `particle` |v>; exact when the operator is exact.
 
     The diagonal part sum_k w_k O_kk, with the level weights w_k of
-    `occupancy_weights`, is summed exactly: a float O_kk converts to a
-    Fraction without rounding, so a float result is rounded once there.
-    Cross terms only connect product states that agree on every slot
-    except `particle`, so they come from those groups alone; a float one
-    multiplies the two amplitudes rounded to floats, and they are added
-    with math.fsum.
+    `occupancy_weights`, and the cross terms, which connect only product
+    states that agree on every slot except `particle`, are summed as exact
+    Fractions: a float entry converts without rounding, so a float result
+    is rounded once, at the end.
     """
     _check_state(v, op, particle)
     tally, groups = v._one_body(particle)
-    diagonal = sum(n * a * a * Fraction(op.entry(lv, lv)) for lv, a, n in tally)
-    cross = [
-        (li, ai, lj, aj)
+    total = sum(n * a * a * Fraction(op.entry(lv, lv)) for lv, a, n in tally)
+    total += sum(
+        ai * aj * Fraction(op.entry(li, lj))
         for group in groups
         for li, ai in group
         for lj, aj in group
         if li != lj
-    ]
-    square = v._scale * v._scale
-    if op.exact:
-        return square * (diagonal + sum(ai * aj * op.entry(li, lj) for li, ai, lj, aj in cross))
-    amp = {a: float(v._scale * a) for _, a, _, _ in cross}
-    return math.fsum(
-        [float(square * diagonal)] + [amp[ai] * amp[aj] * op.entry(li, lj) for li, ai, lj, aj in cross]
     )
+    value = v._scale * v._scale * total
+    return value if op.exact else float(value)
 
 
 def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:

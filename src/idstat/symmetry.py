@@ -89,10 +89,6 @@ class StateVector:
     def is_zero(self) -> bool:
         return not self._amps
 
-    def amplitude(self, state: Sequence[int]) -> RadicalRational:
-        a = self._amps.get(tuple(state))
-        return ZERO if a is None else self._scale * a
-
     def items(self) -> list[tuple[tuple, RadicalRational]]:
         """Terms sorted lexicographically by product state; the terms that
         share a value share one amplitude object."""
@@ -379,7 +375,7 @@ class SymmetryTag(str, Enum):
 @dataclass(frozen=True)
 class SymmetryClass:
     tag: SymmetryTag
-    pair: int | None = None       # 1 for span{s1,s2}, 2 for span{s1',s2'}
+    pair: int | None = None       # the s1/s2 or s1'/s2' plane of the level order that built it
     member: int | None = None     # set when collinear with a canonical member
 
     def to_json(self) -> dict:
@@ -410,19 +406,23 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     opposite = [-a for a in values]
     if all(swapped(k) == opposite for k in range(n - 1)):
         return SymmetryClass(SymmetryTag.ANTISYMMETRIC)
-    if n == 3:
-        anchor = sorted(states[0])
-        if len(set(anchor)) == 3 and all(sorted(s) == anchor for s in states):
-            basis = orbit_basis_n3(tuple(anchor))
-            coeffs, residual = decompose(v, basis)
-            if residual.is_zero:
-                live = [i for i, c in enumerate(coeffs) if not c.is_zero]
-                for pair, idxs in ((1, {2, 3}), (2, {4, 5})):
-                    if set(live) <= idxs:
-                        member = None
-                        if len(live) == 1:
-                            member = 1 if live[0] in (2, 4) else 2
-                        return SymmetryClass(SymmetryTag.MIXED, pair, member)
+    # On three distinct levels, particle swaps and level relabellings are two
+    # commuting S_3 actions on the orbit.  A vector with no S and no A part is
+    # in one of the six planes of the mixed sector when relabelling the two
+    # levels other than some c maps it to +v (pair 1) or -v (pair 2);
+    # swapping particles 1 and 2 then picks the member.
+    signs = dict(_orderings(states[0])) if n == 3 else {}
+    on_orbit = len(signs) == 6 and signs.keys() >= set(states)
+    if on_orbit and not sum(values) and not sum(map(mul, map(signs.get, states), values)):
+        for c in states[0]:
+            x, y = set(states[0]) - {c}
+            relabel = {x: y, y: x, c: c}
+            image = [v._amps.get(tuple(map(relabel.get, s))) for s in states]
+            for pair, same, other in ((1, values, opposite), (2, opposite, values)):
+                if image == same:
+                    flip = swapped(0)
+                    member = 1 if flip == same else 2 if flip == other else None
+                    return SymmetryClass(SymmetryTag.MIXED, pair, member)
     return SymmetryClass(SymmetryTag.NONE)
 
 

@@ -1,11 +1,14 @@
 """Seeded argv property test for the error boundary of `partition`,
-`extensivity` and the exact-state subcommands (`symmetrize`,
-`mixed-basis`, `decompose`, `classify`, `expect`).
+`extensivity`, `occupations`, `verify-paper` and the exact-state
+subcommands (`symmetrize`, `mixed-basis`, `decompose`, `classify`,
+`expect`).
 
 Each case is a golden-corpus argv with a few options set, changed or
 dropped, or a draw of every option from scratch.  Options come from the
 subcommand's own parser actions, values from a pool for the option's type
-or from an edge pool.  Whatever the input, the command must
+or from an edge pool; `occupations` and `verify-paper` also read `--config`
+files, drawn from a set written under the test's temporary directory.
+Whatever the input, the command must
 answer (exit 0) or refuse (exit 2, 3 or 4) with exactly one `error:` line
 and nothing on stdout, before render time; it must never end in a
 traceback, and no number it prints may be nan, inf or a negative zero.
@@ -25,7 +28,7 @@ from test_golden import CORPUS
 
 SEED = 20261018
 CASES = {"partition": 250, "extensivity": 250, "symmetrize": 120, "mixed-basis": 60,
-         "decompose": 120, "classify": 120, "expect": 200}
+         "decompose": 120, "classify": 120, "expect": 200, "occupations": 200, "verify-paper": 60}
 SLOWEST_CASE_S = 2.0
 
 EDGE_VALUES = (
@@ -53,9 +56,29 @@ STATE_LEVELS = (
 #: --epsilon entries; a draw joins one to five of them.
 EPSILON_ENTRIES = ("1", "2", "3", "1/2", "-5/3", "0.25", "1/0", "1_0", "-0", "nan", "1e400",
                    "1e-400", "1e100000", "1e-4299", "1e308", "-1e308", "", "x", "²")
-#: Options that touch files are left out: a case reads and writes none.
+#: Pools of one command's options by destination, in place of the type pools.
+SIZES = ("0", "-1", "1", "2", "3", "20", "21", str(10**20), "2.5", "1e3", "x")
+SEEDS = ("0", "1", "7", str(2**64), "-1", "1.5", "x")
+COMMAND_POOLS = {
+    "occupations": {"n_levels": SIZES, "n_particles": SIZES, "seed": SEEDS,
+                    "stat": ("be", "fd", "mb-nn", "mb-fact", " FD ", "BE", "boltzmann", "bose-einstein")},
+    "verify-paper": {"seed": SEEDS},
+}
+#: Options that touch files are left out: a case writes none, and reads a
+#: config file only where the command is in FILE_COMMANDS.
 SKIPPED = {"--out", "--config", "--spectrum-file"}
+FILE_COMMANDS = ("occupations", "verify-paper")
+#: Config files by name: bytes to write, a directory, or a path that does not exist.
+CONFIG_FILES = {
+    "missing.cfg": None, "dir.cfg": "dir", "binary.cfg": b"\xff\xfe\x00", "unknown-key.cfg": b"colour=red\n",
+    "bad-seed.cfg": b"seed=x\n", "negative-seed.cfg": b"seed=-3\n", "empty-value.cfg": b"output=\n",
+    "good.cfg": b"# comment\noutput=json\nseed=4\n",
+}
 STATE_COMMANDS = ("symmetrize", "mixed-basis", "decompose", "classify", "expect")
+
+
+def _skipped(command: str) -> set:
+    return SKIPPED - {"--config"} if command in FILE_COMMANDS else SKIPPED
 
 
 def _actions(command: str) -> list:
@@ -63,7 +86,19 @@ def _actions(command: str) -> list:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [a for a in sub.choices[command]._actions
             if a.option_strings and not isinstance(a, argparse._HelpAction)
-            and not SKIPPED & set(a.option_strings)]
+            and not _skipped(command) & set(a.option_strings)]
+
+
+def _config_files(directory) -> tuple:
+    paths = []
+    for name, content in CONFIG_FILES.items():
+        path = directory / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        paths.append(str(path))
+    return tuple(paths)
 
 
 def _seeds(command: str, actions: list) -> list:
@@ -71,7 +106,7 @@ def _seeds(command: str, actions: list) -> list:
     by_flag = {flag: a for a in actions for flag in a.option_strings}
     seeds = []
     for argv in CORPUS.values():
-        if argv[0] != command or SKIPPED & set(argv):
+        if argv[0] != command or _skipped(command) & set(argv):
             continue
         tokens = iter(argv[1:])
         seeds.append({by_flag[t]: None if by_flag[t].nargs == 0 else next(tokens) for t in tokens})
@@ -88,22 +123,24 @@ def _pool(action) -> tuple:
     return WORDS.get(action.dest, ())
 
 
-def _value(rng: random.Random, action, command: str):
+def _value(rng: random.Random, action, command: str, configs: tuple):
     if action.nargs == 0:
         return None
     if command in STATE_COMMANDS and action.dest == "levels":
         return rng.choice(STATE_LEVELS)
     if action.dest == "epsilon":
         return ",".join(rng.choice(EPSILON_ENTRIES) for _ in range(rng.randint(1, 5)))
-    pool = _pool(action)
+    if action.dest == "config":
+        return rng.choice(configs)
+    pool = COMMAND_POOLS.get(command, {}).get(action.dest) or _pool(action)
     return rng.choice(EDGE_VALUES if not pool or rng.random() < 0.4 else pool)
 
 
-def _argv(rng: random.Random, command: str, actions: list, seeds: list) -> list:
+def _argv(rng: random.Random, command: str, actions: list, seeds: list, configs: tuple) -> list:
     """A corpus argv with one to three options set, changed or dropped, or
     now and then a draw of every option from scratch."""
     if rng.random() < 0.2:
-        options = {a: _value(rng, a, command) for a in actions
+        options = {a: _value(rng, a, command, configs) for a in actions
                    if rng.random() < (0.95 if a.required else 0.3)}
     else:
         options = dict(rng.choice(seeds))
@@ -112,7 +149,7 @@ def _argv(rng: random.Random, command: str, actions: list, seeds: list) -> list:
             if action in options and rng.random() < 0.3:
                 del options[action]
             else:
-                options[action] = _value(rng, action, command)
+                options[action] = _value(rng, action, command, configs)
     argv = [command]
     for action, value in options.items():
         flag = rng.choice(action.option_strings)
@@ -133,13 +170,14 @@ def _bad_float_tokens(text: str) -> list:
 
 
 @pytest.mark.parametrize("command", list(CASES))
-def test_every_argv_answers_or_refuses_with_one_line(command, capsys):
+def test_every_argv_answers_or_refuses_with_one_line(command, capsys, tmp_path):
     rng = random.Random(f"{SEED}-{command}")
     actions = _actions(command)
     seeds = _seeds(command, actions)
+    configs = _config_files(tmp_path)
     answered = 0
     for _ in range(CASES[command]):
-        argv = _argv(rng, command, actions, seeds)
+        argv = _argv(rng, command, actions, seeds, configs)
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start

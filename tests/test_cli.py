@@ -3,6 +3,7 @@ exit codes, and the verification ledger."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -144,6 +145,18 @@ def test_classify_member_and_parity(capsys):
     assert code == 0 and data["tag"] == "mixed" and data["pair"] == 2 and data["member"] == 2
     code, out, _ = run_cli(["classify", "--parity", "S", "--levels", "a,b", "--output", "json"], capsys)
     assert json.loads(out)["tag"] == "symmetric"
+
+
+@pytest.mark.parametrize("triple", ["a,b,c", "3,8,5"])
+def test_classify_mixed_members_on_every_level_order(triple, capsys):
+    for labels in itertools.permutations(triple.split(",")):
+        levels = ",".join(labels)
+        for name, pair, member in (("s1", 1, 1), ("s2", 1, 2), ("s1p", 2, 1), ("s2p", 2, 2)):
+            code, out, _ = run_cli(["classify", "--member", name, "--levels", levels, "--output", "json"], capsys)
+            data = json.loads(out)
+            assert code == 0 and (data["tag"], data["pair"], data["member"]) == ("mixed", pair, member), (levels, name)
+    code, out, _ = run_cli(["classify", "--member", "s1", "--levels", "c,a,b"], capsys)
+    assert out == "member:s1 state on (c,a,b): tag = mixed, pair = 1, member = 1\n"
 
 
 def test_expect_mixed_energy(capsys):
@@ -469,6 +482,15 @@ def test_config_file_and_env_through_cli(tmp_path, monkeypatch, capsys):
     assert out.splitlines()[0] == "state,exact,float"  # env beats file
     _, out, _ = run_cli(args + ["--output", "pretty"], capsys)
     assert out.startswith("parity S unit vector")  # flag beats env
+
+
+def test_binary_config_file_refused(tmp_path, capsys):
+    # bytes that do not decode are a config file that cannot be read, not a traceback
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(["verify-paper", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read config file {path}") and len(err.splitlines()) == 1
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -27,7 +27,7 @@ DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vecto
 DELETED_METHODS = {
     "Permutation": ("identity", "compose", "__mul__", "inverse", "cycles", "cycle_notation", "to_json"),
     "StateVector": ("to_json", "from_json", "__add__", "__sub__", "__neg__", "scale", "_objects",
-                    "support"),
+                    "support", "amplitude"),
     "RadicalRational": ("to_json", "from_json", "sqrt_rational", "__truediv__", "__rsub__",
                         "is_rational", "as_rational", "is_single_term"),
     "ThermoPoint": ("dimensionless", "mu", "beta"),

@@ -5,12 +5,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from idstat.config import ORBIT_BASIS_NAMES
 from idstat.errors import (
     BasisNotOrthonormal,
     CapacityExceeded,
@@ -21,6 +23,7 @@ from idstat.errors import (
 from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from idstat.perm import Permutation
 from idstat.symmetry import (
+    _BASIS_PATTERNS,
     MAX_ORBIT,
     StateVector,
     SymmetryClass,
@@ -55,8 +58,8 @@ def test_two_particle_symmetrize():
     assert res.raw_norm_squared == ONE and not res.is_zero
 
     res = symmetrize((0, 1), "A")
-    assert res.vector.amplitude((0, 1)) == INV_SQRT2
-    assert res.vector.amplitude((1, 0)) == -INV_SQRT2
+    assert dict(res.vector.items()).get((0, 1), ZERO) == INV_SQRT2
+    assert dict(res.vector.items()).get((1, 0), ZERO) == -INV_SQRT2
 
 
 def test_three_particle_distinct_symmetrize():
@@ -67,7 +70,7 @@ def test_three_particle_distinct_symmetrize():
 
     res = symmetrize((0, 1, 2), "A")
     assert len(res.vector) == 6
-    assert res.vector.amplitude((0, 1, 2)) == INV_SQRT6  # identity term positive
+    assert dict(res.vector.items()).get((0, 1, 2), ZERO) == INV_SQRT6  # identity term positive
     assert {str(a) for _, a in res.vector.items()} == {"1/6*sqrt(6)", "-1/6*sqrt(6)"}
     assert res.raw_norm_squared == ONE
 
@@ -98,13 +101,13 @@ def test_all_equal_levels_symmetric():
 
 def test_mixed_basis_amplitudes():
     s1, s2, s1p, s2p = orbit_basis_n3((0, 1, 2))[2:]
-    assert s1.amplitude((0, 1, 2)) == INV_SQRT3
-    assert s1.amplitude((1, 0, 2)) == INV_SQRT3
-    assert s1.amplitude((0, 2, 1)) == -rsqrt_of_rational(Fraction(1, 12))
+    assert dict(s1.items()).get((0, 1, 2), ZERO) == INV_SQRT3
+    assert dict(s1.items()).get((1, 0, 2), ZERO) == INV_SQRT3
+    assert dict(s1.items()).get((0, 2, 1), ZERO) == -rsqrt_of_rational(Fraction(1, 12))
     assert len(s2) == 4
     assert {str(a) for _, a in s2.items()} == {"1/2", "-1/2"}
-    assert s2.amplitude((0, 2, 1)) == HALF
-    assert s2.amplitude((2, 0, 1)) == -HALF
+    assert dict(s2.items()).get((0, 2, 1), ZERO) == HALF
+    assert dict(s2.items()).get((2, 0, 1), ZERO) == -HALF
     for v in (s1, s2, s1p, s2p):
         assert v.norm_squared() == ONE
 
@@ -127,7 +130,7 @@ def test_orbit_basis_exactly_orthonormal():
 def test_orbit_basis_antisymmetric_orientation():
     basis = orbit_basis_n3((0, 1, 2))
     anti = basis[1]
-    assert anti.amplitude((0, 1, 2)) == -INV_SQRT6
+    assert dict(anti.items()).get((0, 1, 2), ZERO) == -INV_SQRT6
     # opposite orientation of the plain antisymmetrizer
     assert anti == negated(symmetrize((0, 1, 2), "A").vector)
 
@@ -256,7 +259,8 @@ def test_classify_in_plane_combination():
     # s1 + sqrt(3) s2: both amplitudes carry sqrt(3), so the sum has one scale
     s1, s2, _, _ = orbit_basis_n3((0, 1, 2))[2:]
     root3 = rsqrt_of_rational(3)
-    combo = StateVector(3, {s: s1.amplitude(s) + root3 * s2.amplitude(s) for s, _ in s1.items()})
+    a1, a2 = dict(s1.items()), dict(s2.items())
+    combo = StateVector(3, {s: a1.get(s, ZERO) + root3 * a2.get(s, ZERO) for s in a1})
     coeffs, residual = decompose(combo, [s1, s2])
     assert coeffs == [ONE, root3] and residual.is_zero
     cls = classify_symmetry(combo)
@@ -267,6 +271,99 @@ def test_classify_none_and_zero():
     assert classify_symmetry(product_state_vector((0, 1, 2))).tag is SymmetryTag.NONE
     with pytest.raises(ZeroVectorInput):
         classify_symmetry(StateVector(2))
+
+
+# -- N = 3: the mixed planes of every level order ------------------------------
+
+MIXED_MEMBERS = {"s1": (1, 1), "s2": (1, 2), "s1p": (2, 1), "s2p": (2, 2)}
+
+
+@pytest.mark.parametrize("triple", [(0, 1, 2), (2, 7, 4)])
+def test_classify_mixed_members_on_every_level_order(triple):
+    for levels in permutations(triple):
+        basis = dict(zip(ORBIT_BASIS_NAMES, orbit_basis_n3(levels)))
+        for name, (pair, member) in MIXED_MEMBERS.items():
+            got = classify_symmetry(basis[name])
+            assert got == SymmetryClass(SymmetryTag.MIXED, pair, member), (levels, name)
+    # a term off the orbit, or a level repeated, leaves no mixed plane
+    s1 = dict(orbit_basis_n3(triple)[2].items())
+    assert classify_symmetry(StateVector(3, {**s1, (0, 0, 3): s1[triple]})).tag is SymmetryTag.NONE
+    assert classify_symmetry(StateVector(3, {(0, 0, 1): 1, (0, 1, 0): -1})).tag is SymmetryTag.NONE
+
+
+@pytest.mark.parametrize("name, relabel, swap", [("s1", 1, 1), ("s2", 1, -1), ("s1p", -1, -1), ("s2p", -1, 1)])
+def test_basis_patterns_carry_the_parities_classify_reads(name, relabel, swap):
+    # Image (i, j, k) puts the first, second and third level in slots i, j, k:
+    # relabelling the first two levels exchanges i and j, and exchanging
+    # particles 1 and 2 exchanges the slot numbers 1 and 2.
+    _, coeffs = _BASIS_PATTERNS[name]
+    sign = {img: Permutation(tuple(m - 1 for m in img)).sign() for img in permutations((1, 2, 3))}
+    assert sum(coeffs.values()) == 0 == sum(sign[img] * k for img, k in coeffs.items())
+    scaled = {img: k * relabel for img, k in coeffs.items()}
+    assert {(j, i, k): a for (i, j, k), a in coeffs.items()} == scaled
+    slot = {1: 2, 2: 1, 3: 3}
+    scaled = {img: k * swap for img, k in coeffs.items()}
+    assert {tuple(map(slot.get, img)): a for img, a in coeffs.items()} == scaled
+    assert MIXED_MEMBERS[name] == (1 if relabel == 1 else 2, 1 if swap == relabel else 2)
+
+
+def _classify_by_decomposition(v):
+    """Oracle: decompose v in the orbit basis of each of the six orders of
+    its levels.  Two orders that differ in their first two levels span the
+    same planes, so a plane is named by its last level and pair; at most one
+    plane may hold v, and every order that finds it must agree on the member."""
+    found = set()
+    for levels in permutations(v.items()[0][0]):
+        coeffs, residual = decompose(v, orbit_basis_n3(levels))
+        assert residual.is_zero
+        live = [i for i, c in enumerate(coeffs) if not c.is_zero]
+        if live in ([0], [1]):
+            return SymmetryClass((SymmetryTag.SYMMETRIC, SymmetryTag.ANTISYMMETRIC)[live[0]])
+        for pair, idxs in ((1, {2, 3}), (2, {4, 5})):
+            if set(live) <= idxs:
+                member = 1 + live[0] % 2 if len(live) == 1 else None
+                found.add((levels[2], pair, member))
+    assert len(found) <= 1, found
+    if not found:
+        return SymmetryClass(SymmetryTag.NONE)
+    ((_, pair, member),) = found
+    return SymmetryClass(SymmetryTag.MIXED, pair, member)
+
+
+def _seeded_orbit_vectors(seed, count):
+    """Integer combinations on the orbit of three distinct levels: the two
+    members of one order's plane, a mix of the four mixed members (with an S
+    or A part now and then), and random amplitudes on the six orderings."""
+    rng = random.Random(seed)
+    vectors = []
+    while len(vectors) < count:
+        levels = tuple(rng.sample(range(6), 3))
+        kind = len(vectors) % 3
+        if kind == 2:
+            amps = {s: rng.randint(-2, 2) for s in permutations(levels)}
+        else:
+            if kind == 0:
+                first = rng.choice((2, 4))
+                weights = {first: rng.randint(-3, 3), first + 1: rng.randint(-3, 3)}
+            else:
+                weights = {i: rng.randint(-2, 2) for i in range(2, 6)}
+                if rng.random() < 0.3:
+                    weights[rng.randint(0, 1)] = rng.randint(-2, 2)
+            nums = [dict(b._amps) for b in orbit_basis_n3(levels)]
+            amps = {s: sum(w * nums[i].get(s, 0) for i, w in weights.items()) for s in permutations(levels)}
+        v = StateVector(3, amps)
+        if not v.is_zero:
+            vectors.append(v)
+    return vectors
+
+
+def test_classify_matches_decomposition_on_every_level_order():
+    vectors = _seeded_orbit_vectors(2024, 600)
+    got = [classify_symmetry(v) for v in vectors]
+    assert got == [_classify_by_decomposition(v) for v in vectors]
+    assert {(c.tag, c.pair, c.member) for c in got} == {
+        (SymmetryTag.NONE, None, None),
+        *((SymmetryTag.MIXED, pair, member) for pair in (1, 2) for member in (1, 2, None))}
 
 
 def _tag_by_permuted_copies(v):
@@ -305,10 +402,8 @@ def test_classify_builds_no_copies_orbit_bases(monkeypatch):
     got = {levels: [tuple(classify_symmetry(b).to_json().values()) for b in basis]
            for levels, basis in bases.items()}
     ends = [("symmetric", None, None), ("antisymmetric", None, None)]
-    assert got[(0, 1, 2)] == ends + [("mixed", 1, 1), ("mixed", 1, 2), ("mixed", 2, 1), ("mixed", 2, 2)]
-    # On (2, 0, 1) the mixed members are tagged 'none': the pair split of the
-    # [2,1] sector depends on the level order (a known open defect).
-    assert got[(2, 0, 1)] == ends + [("none", None, None)] * 4
+    members = [("mixed", 1, 1), ("mixed", 1, 2), ("mixed", 2, 1), ("mixed", 2, 2)]
+    assert got[(0, 1, 2)] == got[(2, 0, 1)] == ends + members
 
 
 def test_classify_builds_no_copies_seven_and_eight_particles(monkeypatch):
@@ -370,7 +465,8 @@ def _group(n):
 
 def _fold_dot(u, v):
     """<u|v> by folding amplitude products with +, independent of the value sums."""
-    return sum((a * v.amplitude(s) for s, a in u.items()), ZERO)
+    amps = dict(v.items())
+    return sum((a * amps.get(s, ZERO) for s, a in u.items()), ZERO)
 
 
 def _walk_counts(levels, parity):
