@@ -9,6 +9,7 @@ ledger.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -48,7 +49,7 @@ def _parse_levels(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
     if all(t.isalpha() for t in tokens):
         ordered = sorted(set(tokens))
         index = {label: i for i, label in enumerate(ordered)}
-        return tuple(index[t] for t in tokens), dict(enumerate(ordered))
+        return tuple([index[t] for t in tokens]), dict(enumerate(ordered))
     if all(t.lstrip("+-").isdigit() for t in tokens):
         if any(len(t) > _MAX_LABEL_DIGITS for t in tokens):
             raise InputError(f"numeric level labels have at most {_MAX_LABEL_DIGITS} digits")
@@ -58,7 +59,7 @@ def _parse_levels(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
             raise InputError(f"numeric level labels must be decimal integers: {exc}") from exc
         if any(v < 1 for v in values):
             raise InputError("numeric levels are 1-based quantum numbers")
-        return tuple(v - 1 for v in values), {v - 1: str(v) for v in values}
+        return tuple([v - 1 for v in values]), {v - 1: str(v) for v in values}
     raise InputError(f"mixed symbolic/numeric level labels in {text!r}")
 
 
@@ -556,7 +557,12 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # Built once per process and shared by every main() call.  Sharing is
+    # safe because parse_args keeps no state between calls: each call fills
+    # a fresh Namespace, every default is an immutable str, float or None,
+    # and _Parser.error raises instead of recording anything.
     parser = _Parser(prog="idstat", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")

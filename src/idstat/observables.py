@@ -55,7 +55,7 @@ class OneBodyOperator:
     def diagonal(cls, values: Sequence) -> "OneBodyOperator":
         """Exact diagonal operator, e.g. a single-particle Hamiltonian
         with caller-chosen rational level energies."""
-        vals = tuple(map(Fraction, values))
+        vals = tuple([Fraction(v) for v in values])
         zero = Fraction(0)
         return cls(lambda i, j: vals[i] if i == j else zero, len(vals), True)
 
@@ -66,7 +66,9 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
     Level index i stands for quantum number n = i + 1.  Diagonal entries
     are length/2; off-diagonal entries vanish for even n - m and are
     -8*length*m*n / (pi^2 (m^2 - n^2)^2) for odd n - m, evaluated for
-    m < n only: evaluating (n, m) separately can round differently.
+    m < n only: evaluating (n, m) separately can round differently.  An
+    entry out of float range (a length near the float maximum, or quantum
+    numbers past about 1e77) is refused when it is asked for.
     """
     if n_levels < 1:
         raise ValueError("need at least one level")
@@ -79,7 +81,13 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
         if (j - i) % 2 == 0:
             return 0.0
         m, n = i + 1, j + 1
-        return -8.0 * length * m * n / (math.pi**2 * (m * m - n * n) ** 2)
+        try:
+            value = -8.0 * length * m * n / (math.pi**2 * (m * m - n * n) ** 2)
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # (m^2 - n^2)^2 is an int past the float range
+            pass
+        raise InputError(f"box-x entry ({m}, {n}) is out of float range at length {length!r}")
 
     return OneBodyOperator(rule, n_levels, exact=False)
 
@@ -145,7 +153,7 @@ def position_expectation_symmetrized(
 ) -> float:
     """<x_i> in the (anti)symmetrized box state built from 1-based
     quantum numbers `levels`."""
-    internal = tuple(int(n) - 1 for n in levels)
+    internal = tuple([int(n) - 1 for n in levels])
     if any(i < 0 for i in internal):
         raise ValueError("box quantum numbers start at 1")
     res = symmetrize(internal, parity)
@@ -168,7 +176,7 @@ class PlaneWaveState:
     volume: Fraction = Fraction(1)
 
     def __post_init__(self):
-        momenta = tuple(tuple(Fraction(c) for c in p) for p in self.momenta)
+        momenta = tuple([tuple([Fraction(c) for c in p]) for p in self.momenta])
         if not momenta:
             raise ValueError("need at least one particle")
         d = len(momenta[0])
@@ -193,7 +201,7 @@ def plane_wave_energy(pw: PlaneWaveState) -> Fraction:
 def wave_coefficients(pw: PlaneWaveState, h=1) -> tuple[tuple[Fraction, ...], ...]:
     """Linear phase coefficients a_j = p_j / h of the product plane wave."""
     h = Fraction(h)
-    return tuple(tuple(c / h for c in p) for p in pw.momenta)
+    return tuple([tuple([c / h for c in p]) for p in pw.momenta])
 
 
 def energy_from_wave_coefficients(coeffs, mass, h=1) -> Fraction:

@@ -73,13 +73,11 @@ class Spectrum:
     def __post_init__(self):
         if not self.energies:
             raise InputError("spectrum must contain at least one level")
-        energies = tuple(float(e) for e in self.energies)
-        for e in energies:
-            if not math.isfinite(e):
-                raise InputError("spectrum energies must be finite")
-        if list(energies) != sorted(energies):
-            energies = tuple(sorted(energies))
-        object.__setattr__(self, "energies", energies)
+        energies = [float(e) for e in self.energies]
+        if not all(map(math.isfinite, energies)):
+            raise InputError("spectrum energies must be finite")
+        energies.sort()
+        object.__setattr__(self, "energies", tuple(energies))
 
     @property
     def offset(self) -> float:
@@ -102,13 +100,13 @@ def _check_cutoff(cutoff: int) -> int:
 def spectrum_from_levels(values: Sequence[float]) -> Spectrum:
     if len(values) > MAX_CUTOFF:
         raise CutoffTooLarge(f"{len(values)} levels exceed cap {MAX_CUTOFF}")
-    return Spectrum(tuple(float(v) for v in values))
+    return Spectrum(values)
 
 
 def dimensionless_spectrum(cutoff: int) -> Spectrum:
     """e_n = n^2 for n = 1..cutoff."""
     cutoff = _check_cutoff(cutoff)
-    return Spectrum(tuple(float(n * n) for n in range(1, cutoff + 1)))
+    return Spectrum([float(n * n) for n in range(1, cutoff + 1)])
 
 
 def _box_scale(length: float, mass: float, h: float) -> float:
@@ -131,7 +129,7 @@ def box1d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
     """1-D hard-wall box: e_n = n^2 h^2 / (8 m L^2)."""
     cutoff = _check_cutoff(cutoff)
     scale = _box_scale(length, mass, h)
-    return Spectrum(tuple(scale * n * n for n in range(1, cutoff + 1)))
+    return Spectrum([scale * n * n for n in range(1, cutoff + 1)])
 
 
 def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
@@ -155,7 +153,7 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
             break
         bound += bound // 4 + 1
     sums.sort()
-    return Spectrum(tuple(scale * s for s in sums[:cutoff]))
+    return Spectrum([scale * s for s in sums[:cutoff]])
 
 
 def spectrum_from_csv(path: str) -> Spectrum:

@@ -321,7 +321,7 @@ def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
     levels = _check_levels(levels)
     if len(levels) != 3 or len(set(levels)) != 3:
         raise RequiresDistinctLevels("defined for exactly three pairwise distinct levels")
-    return tuple(_pattern_vector(name, levels) for name in ORBIT_BASIS_NAMES)
+    return tuple([_pattern_vector(name, levels) for name in ORBIT_BASIS_NAMES])
 
 
 def decompose(
@@ -417,7 +417,7 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
         for c in states[0]:
             x, y = set(states[0]) - {c}
             relabel = {x: y, y: x, c: c}
-            image = [v._amps.get(tuple(map(relabel.get, s))) for s in states]
+            image = [v._amps.get(tuple([relabel[x] for x in s])) for s in states]
             for pair, same, other in ((1, values, opposite), (2, opposite, values)):
                 if image == same:
                     flip = swapped(0)

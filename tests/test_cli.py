@@ -3,9 +3,14 @@ exit codes, and the verification ledger."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
 import math
+import os
+import random
+import sys
 import time
 import tracemalloc
 from dataclasses import fields
@@ -822,6 +827,43 @@ def test_expect_epsilon_edges_that_answer(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"], capsys)[0] == 0
     assert run_cli(["partition", "--help"], capsys)[0] == 0
+
+
+# -- repeated in-process calls ----------------------------------------------
+
+
+def _creep_argvs() -> list:
+    """Canonical BE/FD `partition` argvs, one per spectrum source and K in
+    2..20; the statistics, energies, N and beta come from a fixed seed."""
+    rng = random.Random(2014)
+    argvs = []
+    for k, source in itertools.product(range(2, 21), ("--levels", "--box1d", "--dimensionless")):
+        spectrum = ",".join(f"{rng.uniform(0, 5):.3f}" for _ in range(k)) if source == "--levels" else str(k)
+        argvs.append(["partition", "--stat", rng.choice(("be", "fd")), source, spectrum,
+                      "-N", str(rng.randint(1, k)), "--beta", f"{rng.uniform(0.1, 3):.3g}", "--output", "json"])
+    return argvs
+
+
+def test_repeated_calls_do_not_grow_the_heap():
+    # A call leaves nothing allocated behind it.  A tuple built from a
+    # generator is allocated at a guessed length and then resized, so each
+    # such build parks one tuple in CPython's per-length free list, which
+    # only a full collection empties; with the collector off, so would a
+    # parser tree rebuilt per call.
+    argvs, passes = _creep_argvs(), 20
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert {main(argv) for argv in argvs} == {0}  # warm-up
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for _ in range(passes):
+                for argv in argvs:
+                    main(argv)
+            growth = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+    assert growth / (passes * len(argvs)) < 0.75
 
 
 # -- verification ledger ----------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from idstat.cli import HANDLERS, main
+from idstat.cli import HANDLERS, build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FORMATS = ("pretty", "json", "csv")
@@ -126,6 +126,27 @@ def test_out_file_equals_stdout(fmt, tmp_path):
         assert code == 0 and out == ""
         with open(target, newline="") as fh:
             assert fh.read() == _stdout(argv + ["--output", fmt])[1], name
+
+
+def test_one_parser_serves_every_call():
+    # The corpus twice, in reverse order, with --help and two refusals in
+    # between: the parser built once per process carries nothing from one
+    # call to the next.
+    cases = [(name, fmt) for fmt in FORMATS for name in sorted(CORPUS)][::-1]
+    for _ in range(2):
+        for name, fmt in cases:
+            code, out = _stdout(CORPUS[name] + ["--output", fmt])
+            with open(_path(name, fmt), newline="") as fh:
+                assert (code, out) == (0, fh.read()), (name, fmt)
+        code, out = _stdout(["--help"])
+        assert code == 0 and out.startswith("usage: idstat")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            for argv in (["partition", "--stat", "be", "--levels", "0,1", "-N", "1", "--beta", "-1"],
+                         ["classify", "--levels", "a,b,c"]):
+                assert _stdout(argv) == (2, "")
+        assert err.getvalue().count("error: ") == 2
+    assert build_parser.cache_info().misses == 1
 
 
 if __name__ == "__main__":

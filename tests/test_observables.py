@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 from scipy import integrate
 
-from idstat.errors import DimensionMismatch, NotNormalized, ZeroVectorInput
+from idstat.errors import DimensionMismatch, InputError, NotNormalized, ZeroVectorInput
 from idstat.exactnum import ZERO, RadicalRational, rsqrt_of_rational
 from idstat.observables import (
     OneBodyOperator,
@@ -356,6 +356,31 @@ def test_box_position_operator_is_a_rule_at_any_size():
         assert op.entry(i, j) == -8.0 * 1.0 * m * n / (math.pi**2 * (m * m - n * n) ** 2)
     assert op.entry(10**9 - 1, 10**9 - 1) == 0.5
     assert op.entry(2, 10**9 - 2) == op.entry(10**9 - 2, 2) == 0.0  # even difference
+
+
+def test_box_position_entry_out_of_float_range_is_refused():
+    # -8 * length overflows before the division at length 1e308, and (m^2 - n^2)^2
+    # is an int past the float range at n = 1e78: each entry is refused, and so is an
+    # expectation that asks for one, where it read -inf or ended in OverflowError.
+    half = rsqrt_of_rational(Fraction(1, 2))
+    crossed = StateVector(2, {(0, 0): half, (1, 0): half})  # slot 0 varies, slot 1 agrees
+    assert crossed.norm_squared() == 1
+    op = box_position_operator(1e308, 3)
+    with pytest.raises(InputError, match="out of float range"):
+        op.entry(0, 1)
+    with pytest.raises(InputError, match="out of float range"):
+        one_body_expectation(crossed, op, 0)
+    assert op.entry(0, 2) == 0.0 and op.entry(1, 1) == 5e307
+    with pytest.raises(InputError, match="out of float range"):
+        box_position_operator(1.0, 10**80).entry(0, 10**78 + 1)
+    # the finite entries just inside the range are the closed form, bit for bit
+    for length in (1e306, 1e307):
+        m, n = 1, 2
+        expected = -8.0 * length * m * n / (math.pi**2 * (m * m - n * n) ** 2)
+        assert math.isfinite(expected)
+        assert box_position_operator(length, 3).entry(0, 1) == expected
+        assert one_body_expectation(crossed, box_position_operator(length, 3), 0) == float(
+            Fraction(length / 2.0) + Fraction(expected))
 
 
 def _peak_bytes(build) -> int:

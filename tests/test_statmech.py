@@ -108,6 +108,34 @@ def test_box3d_spectrum_degeneracies():
     assert got == brute
 
 
+def _generator_spectrum(values) -> tuple:
+    """What Spectrum held when the builders and __post_init__ made their
+    tuples from generators: the floats of `values`, sorted."""
+    energies = tuple(float(e) for e in values)
+    return energies if list(energies) == sorted(energies) else tuple(sorted(energies))
+
+
+def test_spectrum_builders_keep_the_generator_floats():
+    rng = random.Random(7)
+    for k in (1, 2, 9, 10, 11, 57, 1000):
+        levels = [rng.choice((rng.uniform(-3, 3), rng.randint(-5, 5))) for _ in range(k)]
+        scale = statmech._box_scale(1.3, 0.7, 2.0)
+        built = [
+            (spectrum_from_levels(levels), _generator_spectrum(tuple(float(v) for v in levels))),
+            (Spectrum(levels), _generator_spectrum(levels)),
+            (dimensionless_spectrum(k), _generator_spectrum(tuple(float(n * n) for n in range(1, k + 1)))),
+            (box1d_spectrum(k, 1.3, 0.7, 2.0), _generator_spectrum(tuple(scale * n * n for n in range(1, k + 1)))),
+            (box3d_spectrum(k, 1.3, 0.7, 2.0),
+             _generator_spectrum(tuple(scale * s for s in doubling_box3d_sums(k)))),
+        ]
+        for spectrum, old in built:
+            assert type(spectrum.energies) is tuple
+            assert {type(e) for e in spectrum.energies} == {float}
+            assert len(spectrum.energies) == len(old) == k
+            assert all(e == o and math.copysign(1, e) == math.copysign(1, o)
+                       for e, o in zip(spectrum.energies, old)), k
+
+
 def test_spectrum_csv_round(tmp_path):
     p = tmp_path / "levels.csv"
     p.write_text("energy,degeneracy\n1.5,2\n0.5,1\n2.5,3\n")
