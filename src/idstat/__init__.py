@@ -20,9 +20,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": (
-        "BasisNotOrthonormal", "BoseDivergence", "CapacityExceeded", "CutoffTooLarge",
-        "DimensionMismatch", "IdstatError", "InputError", "LengthMismatch", "NegativeRadicand",
-        "NotNormalized", "NotRepresentable", "RequiresDistinctLevels", "ZeroVectorInput",
+        "BoseDivergence", "CapacityExceeded", "IdstatError", "InputError", "ZeroVectorInput",
     ),
     "exactnum": (
         "MAX_RADICAND", "ONE", "Rational", "RadicalRational", "ZERO", "rsqrt_of_rational",

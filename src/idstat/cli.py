@@ -260,19 +260,21 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
 
 
 def _build_state(args):
+    """The state the options name, the 0-based levels it was built on, and
+    its description."""
     from . import symmetry
 
-    levels, labels = _parse_levels(args.levels)
+    levels, _ = _parse_levels(args.levels)
     if args.member:
         basis = dict(zip(ORBIT_BASIS_NAMES, symmetry.orbit_basis_n3(levels)))
-        return basis[args.member], labels, f"member:{args.member}"
+        return basis[args.member], levels, f"member:{args.member}"
     if args.parity:
         parity = _parse_parity(args.parity)
         res = symmetry.symmetrize(levels, parity)
         if res.is_zero:
             raise InputError("antisymmetrization cancels for repeated levels; nothing to analyze")
-        return res.vector, labels, f"parity:{parity}"
-    return symmetry.product_state_vector(levels), labels, "product"
+        return res.vector, levels, f"parity:{parity}"
+    return symmetry.product_state_vector(levels), levels, "product"
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -319,8 +321,7 @@ def cmd_mixed_basis(args, cfg: RunConfig) -> Report:
 def cmd_decompose(args, cfg: RunConfig) -> Report:
     from . import symmetry
 
-    vec, labels, state_desc = _build_state(args)
-    levels, _ = _parse_levels(args.levels)
+    vec, levels, state_desc = _build_state(args)
     basis = symmetry.orbit_basis_n3(levels)
     coeffs, residual = symmetry.decompose(vec, list(basis))
     data = {
@@ -340,7 +341,7 @@ def cmd_decompose(args, cfg: RunConfig) -> Report:
 def cmd_classify(args, cfg: RunConfig) -> Report:
     from . import symmetry
 
-    vec, labels, state_desc = _build_state(args)
+    vec, _, state_desc = _build_state(args)
     cls = symmetry.classify_symmetry(vec)
     data = {"command": "classify", "state": state_desc, "levels": args.levels}
     data.update(cls.to_json())
@@ -350,7 +351,7 @@ def cmd_classify(args, cfg: RunConfig) -> Report:
 def cmd_expect(args, cfg: RunConfig) -> Report:
     from . import observables
 
-    vec, labels, state_desc = _build_state(args)
+    vec, _, state_desc = _build_state(args)
     if args.particle < 1 or args.particle > vec.n_particles:
         raise InputError(f"--particle must be in 1..{vec.n_particles}, got {args.particle}")
     particle = args.particle - 1
@@ -380,9 +381,7 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
         "exact": str(value) if op.exact else None,
         "float": float(value),
     }
-    rows = lambda d: [["particle", "operator", "exact", "float"],
-                     [d["particle"], d["operator"], d["exact"], d["float"]]]
-    return Report(data, rows, _expect_text)
+    return Report(data, lambda d: _table(("particle", "operator", "exact", "float"), [d]), _expect_text)
 
 
 def cmd_occupations(args, cfg: RunConfig) -> Report:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by idstat derives from IdstatError so callers (and the
-CLI error boundary) can catch one base class; `exit_code` is the CLI's exit
-status for the class.
+CLI error boundary) can catch one base class.  There is one class per CLI
+exit status, named by `exit_code`; ZeroVectorInput is the one input error
+callers catch by name.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ class IdstatError(Exception):
 
 
 class InputError(IdstatError):
-    """Malformed or inconsistent user input."""
+    """Malformed or inconsistent input: a bad argument, a value the exact
+    ring cannot hold as one term, or a state an operation is undefined on."""
+
+
+class ZeroVectorInput(InputError):
+    """Operation undefined on the zero vector."""
 
 
 class CapacityExceeded(IdstatError):
@@ -23,42 +29,6 @@ class CapacityExceeded(IdstatError):
     level count, spectrum cutoff, radicand size)."""
 
     exit_code = 4
-
-
-class CutoffTooLarge(CapacityExceeded):
-    """Spectrum cutoff above the supported level count."""
-
-
-class NegativeRadicand(IdstatError):
-    """Square root of a negative rational requested."""
-
-
-class LengthMismatch(IdstatError):
-    """Permutation order and state length disagree."""
-
-
-class RequiresDistinctLevels(IdstatError):
-    """Operation defined only for states with pairwise distinct levels."""
-
-
-class DimensionMismatch(IdstatError):
-    """Operator dimension too small for the state's level range."""
-
-
-class BasisNotOrthonormal(IdstatError):
-    """Decomposition target basis failed the exact orthonormality check."""
-
-
-class ZeroVectorInput(IdstatError):
-    """Operation undefined on the zero vector."""
-
-
-class NotNormalized(IdstatError):
-    """Expectation value requested for a vector with norm squared != 1."""
-
-
-class NotRepresentable(IdstatError):
-    """Result is not a single term q*sqrt(r), as a sum across two radicands."""
 
 
 class BoseDivergence(IdstatError):

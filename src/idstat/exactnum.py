@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CapacityExceeded, NegativeRadicand, NotRepresentable
+from .errors import CapacityExceeded, InputError
 
 Rational = Fraction
 
@@ -34,9 +34,10 @@ def square_free_split(n: int) -> tuple[int, int]:
     ``_MAX_SPLIT_INPUT`` so this stays fast.
     """
     if n < 1:
-        raise ValueError("square_free_split requires n >= 1")
+        raise InputError("square_free_split requires n >= 1")
     if n > _MAX_SPLIT_INPUT:
-        raise CapacityExceeded(f"cannot reduce radicand {n}: exceeds {_MAX_SPLIT_INPUT}")
+        # n is not printed: past 4300 digits its text is itself refused
+        raise CapacityExceeded(f"cannot reduce a radicand above {_MAX_SPLIT_INPUT}")
     square, free = 1, 1
     m = n
     f = 2
@@ -67,7 +68,7 @@ class RadicalRational:
     1..MAX_RADICAND (r = 1 for a rational, and for zero).
 
     Closed under * and unary -; + and - join only values that share a
-    radicand, or a zero, and raise NotRepresentable otherwise.
+    radicand, or a zero, and raise InputError otherwise.
     """
 
     __slots__ = ("_q", "_r")
@@ -99,7 +100,7 @@ class RadicalRational:
         if not self._q:
             return other
         if self._r != other._r:
-            raise NotRepresentable(
+            raise InputError(
                 f"cannot add {self} and {other}: radicands {self._r} and {other._r} make no single term"
             )
         return RadicalRational(self._q + other._q, self._r)
@@ -162,7 +163,7 @@ def rsqrt_of_rational(value) -> RadicalRational:
     """
     q = _coerce(value)
     if q < 0:
-        raise NegativeRadicand(f"sqrt of negative rational {q}")
+        raise InputError(f"sqrt of negative rational {q}")
     if q == 0:
         return RadicalRational()
     s, r = square_free_split(q.numerator * q.denominator)

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NotNormalized,
-    ZeroVectorInput,
-)
+from .errors import InputError, ZeroVectorInput
 from .exactnum import ONE, ZERO, RadicalRational
 from .symmetry import Parity, StateVector, symmetrize
 
@@ -46,9 +41,9 @@ class OneBodyOperator:
         rows = tuple(map(tuple, rows))
         n = len(rows)
         if any(len(row) != n for row in rows):
-            raise ValueError("operator matrix must be square")
+            raise InputError("operator matrix must be square")
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
-            raise ValueError("operator matrix is not symmetric")
+            raise InputError("operator matrix is not symmetric")
         return cls(lambda i, j: rows[i][j], n, exact)
 
     @classmethod
@@ -71,7 +66,7 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
     numbers past about 1e77) is refused when it is asked for.
     """
     if n_levels < 1:
-        raise ValueError("need at least one level")
+        raise InputError("need at least one level")
     if not (length > 0 and math.isfinite(length)):
         raise InputError(f"box length must be positive and finite, got {length!r}")
 
@@ -96,11 +91,11 @@ def _check_state(v: StateVector, op: OneBodyOperator, particle: int) -> None:
     if v.is_zero:
         raise ZeroVectorInput("expectation undefined on the zero vector")
     if not (0 <= particle < v.n_particles):
-        raise ValueError(f"particle index {particle} out of range")
+        raise InputError(f"particle index {particle} out of range")
     if op.dim < v.basis_size:
-        raise DimensionMismatch(f"operator dim {op.dim} < basis size {v.basis_size}")
+        raise InputError(f"operator dim {op.dim} < basis size {v.basis_size}")
     if v.norm_squared() != ONE:
-        raise NotNormalized("state vector must have norm squared exactly 1")
+        raise InputError("state vector must have norm squared exactly 1")
 
 
 def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
@@ -134,7 +129,7 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
     if v.is_zero:
         raise ZeroVectorInput("weights undefined on the zero vector")
     if not (0 <= particle < v.n_particles):
-        raise ValueError(f"particle index {particle} out of range")
+        raise InputError(f"particle index {particle} out of range")
     by_level = [0] * v.basis_size
     for lv, a, n in v._one_body(particle)[0]:
         by_level[lv] += n * a * a
@@ -155,7 +150,7 @@ def position_expectation_symmetrized(
     quantum numbers `levels`."""
     internal = tuple([int(n) - 1 for n in levels])
     if any(i < 0 for i in internal):
-        raise ValueError("box quantum numbers start at 1")
+        raise InputError("box quantum numbers start at 1")
     res = symmetrize(internal, parity)
     if res.is_zero:
         raise ZeroVectorInput("antisymmetrization cancelled: repeated level")
@@ -168,25 +163,22 @@ def position_expectation_symmetrized(
 
 @dataclass(frozen=True)
 class PlaneWaveState:
-    """N sharp momenta (rational components for exact identities), a mass,
-    and a box volume for the 1/sqrt(V) normalization bookkeeping."""
+    """N sharp momenta (rational components for exact identities) and a mass."""
 
     momenta: tuple[tuple[Fraction, ...], ...]
     mass: Fraction = Fraction(1)
-    volume: Fraction = Fraction(1)
 
     def __post_init__(self):
         momenta = tuple([tuple([Fraction(c) for c in p]) for p in self.momenta])
         if not momenta:
-            raise ValueError("need at least one particle")
+            raise InputError("need at least one particle")
         d = len(momenta[0])
         if any(len(p) != d for p in momenta):
-            raise ValueError("momentum vectors must share one dimension")
+            raise InputError("momentum vectors must share one dimension")
         object.__setattr__(self, "momenta", momenta)
         object.__setattr__(self, "mass", Fraction(self.mass))
-        object.__setattr__(self, "volume", Fraction(self.volume))
-        if self.mass <= 0 or self.volume <= 0:
-            raise ValueError("mass and volume must be positive")
+        if self.mass <= 0:
+            raise InputError("mass must be positive")
 
     @property
     def n_particles(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatch
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class Permutation:
     def __post_init__(self):
         n = len(self.mapping)
         if sorted(self.mapping) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
+            raise InputError(f"not a permutation of 0..{n - 1}: {self.mapping}")
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
@@ -47,7 +47,7 @@ class Permutation:
     def apply(self, state: Sequence) -> tuple:
         """Transport levels: result[p(i)] = state[i]."""
         if len(state) != self.n:
-            raise LengthMismatch(f"state length {len(state)} != permutation order {self.n}")
+            raise InputError(f"state length {len(state)} != permutation order {self.n}")
         out = [None] * self.n
         for i, level in enumerate(state):
             out[self.mapping[i]] = level

@@ -19,12 +19,7 @@ from enum import Enum
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .errors import (
-    BoseDivergence,
-    CapacityExceeded,
-    CutoffTooLarge,
-    InputError,
-)
+from .errors import BoseDivergence, CapacityExceeded, InputError
 
 MAX_PARTICLES = 12      # exhaustive occupation enumeration cap
 MAX_LEVELS = 20         # level count cap for enumeration
@@ -93,13 +88,13 @@ def _check_cutoff(cutoff: int) -> int:
     if cutoff < 1:
         raise InputError("cutoff must be at least 1")
     if cutoff > MAX_CUTOFF:
-        raise CutoffTooLarge(f"cutoff {cutoff} exceeds cap {MAX_CUTOFF}")
+        raise CapacityExceeded(f"cutoff {cutoff} exceeds cap {MAX_CUTOFF}")
     return cutoff
 
 
 def spectrum_from_levels(values: Sequence[float]) -> Spectrum:
     if len(values) > MAX_CUTOFF:
-        raise CutoffTooLarge(f"{len(values)} levels exceed cap {MAX_CUTOFF}")
+        raise CapacityExceeded(f"{len(values)} levels exceed cap {MAX_CUTOFF}")
     return Spectrum(values)
 
 
@@ -175,7 +170,7 @@ def spectrum_from_csv(path: str) -> Spectrum:
                 if g < 1:
                     raise InputError(f"{path}: degeneracy must be positive, got {g}")
                 if len(energies) + g > MAX_CUTOFF:  # refused before the row is expanded
-                    raise CutoffTooLarge(f"{path}: {len(energies) + g} levels exceed cap {MAX_CUTOFF}")
+                    raise CapacityExceeded(f"{path}: {len(energies) + g} levels exceed cap {MAX_CUTOFF}")
                 energies.extend([e] * g)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: not a readable CSV text file ({exc})") from exc

@@ -19,13 +19,7 @@ from operator import itemgetter, mul
 from typing import Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
-from .errors import (
-    BasisNotOrthonormal,
-    CapacityExceeded,
-    NotRepresentable,
-    RequiresDistinctLevels,
-    ZeroVectorInput,
-)
+from .errors import CapacityExceeded, InputError, ZeroVectorInput
 from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from .perm import Permutation
 
@@ -36,7 +30,7 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
     t = tuple(levels)
     for lv in t:
         if not isinstance(lv, int) or lv < 0:
-            raise ValueError(f"level indices must be nonnegative ints, got {lv!r}")
+            raise InputError(f"level indices must be nonnegative ints, got {lv!r}")
     return t
 
 
@@ -60,10 +54,10 @@ class StateVector:
         for state, amp in (amps or {}).items():
             state = _check_levels(state)
             if len(state) != n_particles:
-                raise ValueError(f"state {state} has wrong particle count")
+                raise InputError(f"state {state} has wrong particle count")
             for r, q in RadicalRational.of(amp).items():  # none for a zero amplitude
                 if radicand not in (None, r):
-                    raise NotRepresentable(f"radicands {radicand} and {r} share no scale")
+                    raise InputError(f"radicands {radicand} and {r} share no scale")
                 radicand = r
                 clean[state] = q
                 top = max(top, max(state, default=-1))
@@ -169,7 +163,7 @@ def _dot(u: dict, v: dict):
 def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
     """Exact <u|v>; amplitudes are real so no conjugation is needed."""
     if u.n_particles != v.n_particles:
-        raise ValueError("particle counts differ")
+        raise InputError("particle counts differ")
     dot = _dot(u._amps, v._amps)
     return u._scale * v._scale * dot if dot else ZERO
 
@@ -177,31 +171,10 @@ def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
 #: Largest permutation orbit (number of distinct orderings of the levels)
 #: that symmetrization builds; the work and memory grow with it, not with N!.
 MAX_ORBIT = math.factorial(9)
-
-
-def _orbit(levels: Sequence[int], parity: Parity) -> tuple[tuple[int, ...], int, int, RadicalRational]:
-    """Checked levels, their orbit size N!/prod(m_k!), prod(m_k!) and the
-    1/sqrt(N!) weight of the raw sum, refused before any state is built.
-
-    The weight must be an exact single-term radical, so the square-free
-    split cap refuses N >= 15 even when the orbit is small.
-    """
-    levels = _check_levels(levels)
-    if parity not in ("S", "A"):
-        raise ValueError(f"parity must be 'S' or 'A', got {parity!r}")
-    orbit = exchange_degeneracy_dimension(levels)
-    if orbit > MAX_ORBIT:
-        raise CapacityExceeded(
-            f"symmetrization orbit of {orbit} product states exceeds cap {MAX_ORBIT} = 9!"
-        )
-    n_fact = math.factorial(len(levels))
-    try:
-        weight = rsqrt_of_rational(Fraction(1, n_fact))
-    except CapacityExceeded as exc:
-        raise CapacityExceeded(
-            f"symmetrization weight 1/sqrt({len(levels)}!) is not representable: {exc}"
-        ) from exc
-    return levels, orbit, n_fact // orbit, weight
+#: Most particles symmetrization takes: up to 14 the raw sum's 1/sqrt(N!)
+#: weight is an exact single-term radical (14! is below the square-free
+#: split cap of exactnum) and its raw norm squared N!/|orbit| stays short.
+MAX_SYMMETRIZE_N = 14
 
 
 def _orderings(levels: tuple[int, ...]):
@@ -257,15 +230,27 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     with is_zero rather than raised.  Built directly in normalized form:
     1/sqrt(|orbit|) on each distinct ordering for 'S', with the raw norm
     squared prod(m_k!); +-1/sqrt(N!) for 'A' on distinct levels, raw norm
-    squared 1.  Cost and memory scale with |orbit| = N!/prod(m_k!).
+    squared 1.  Cost and memory scale with |orbit| = N!/prod(m_k!); more
+    than MAX_SYMMETRIZE_N particles or MAX_ORBIT orderings are refused.
     """
-    levels, orbit, repeats, weight = _orbit(levels, parity)
-    if parity == "A":
-        if repeats > 1:
-            return SymmetrizeResult(StateVector(len(levels)), ZERO, True)
-        return SymmetrizeResult(_orbit_vector(levels, weight, True), ONE, False)
+    levels = _check_levels(levels)
+    if parity not in ("S", "A"):
+        raise InputError(f"parity must be 'S' or 'A', got {parity!r}")
+    if len(levels) > MAX_SYMMETRIZE_N:  # before any factorial is taken
+        raise CapacityExceeded(
+            f"symmetrization of {len(levels)} particles exceeds cap {MAX_SYMMETRIZE_N}"
+        )
+    orbit = exchange_degeneracy_dimension(levels)
+    if orbit > MAX_ORBIT:
+        raise CapacityExceeded(
+            f"symmetrization orbit of {orbit} product states exceeds cap {MAX_ORBIT} = 9!"
+        )
+    repeats = math.factorial(len(levels)) // orbit
+    if parity == "A" and repeats > 1:
+        return SymmetrizeResult(StateVector(len(levels)), ZERO, True)
+    # on distinct levels |orbit| = N!, so one scale serves both parities
     scale = rsqrt_of_rational(Fraction(1, orbit))
-    return SymmetrizeResult(_orbit_vector(levels, scale, False), RadicalRational.of(repeats), False)
+    return SymmetrizeResult(_orbit_vector(levels, scale, parity == "A"), RadicalRational.of(repeats), False)
 
 
 # Coefficient patterns for the N = 3 distinct-level orbit basis.  Keys are
@@ -320,7 +305,7 @@ def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
     then the four mixed members."""
     levels = _check_levels(levels)
     if len(levels) != 3 or len(set(levels)) != 3:
-        raise RequiresDistinctLevels("defined for exactly three pairwise distinct levels")
+        raise InputError("defined for exactly three pairwise distinct levels")
     return tuple([_pattern_vector(name, levels) for name in ORBIT_BASIS_NAMES])
 
 
@@ -339,7 +324,7 @@ def decompose(
         for j in range(i, len(basis)):
             expected = ONE if i == j else ZERO
             if inner_product(b, basis[j]) != expected:
-                raise BasisNotOrthonormal(f"members {i} and {j} fail exact orthonormality")
+                raise InputError(f"members {i} and {j} fail exact orthonormality")
     coeffs = [inner_product(b, v) for b in basis]
     residual = dict(v._amps)
     for b in basis:

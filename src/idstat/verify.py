@@ -218,7 +218,7 @@ def _check_laplacian_control():
 def _check_plane_wave_energy():
     momenta = ((Fraction(1), Fraction(2), Fraction(-3)), (Fraction(1, 2), Fraction(0), Fraction(5, 6)))
     for h in (Fraction(1), Fraction(7, 5)):
-        pw = observables.PlaneWaveState(momenta, mass=Fraction(3), volume=Fraction(1))
+        pw = observables.PlaneWaveState(momenta, mass=Fraction(3))
         direct = observables.plane_wave_energy(pw)
         coeffs = observables.wave_coefficients(pw, h)
         via_wave = observables.energy_from_wave_coefficients(coeffs, Fraction(3), h)

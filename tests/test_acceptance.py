@@ -176,7 +176,7 @@ def test_criterion_07_plane_wave_sector():
         != 0
     )
     momenta = ((Fraction(1), Fraction(2), Fraction(-3)), (Fraction(1, 2), Fraction(0), Fraction(5, 6)))
-    pw = PlaneWaveState(momenta, mass=Fraction(3), volume=Fraction(1))
+    pw = PlaneWaveState(momenta, mass=Fraction(3))
     for h in (Fraction(1), Fraction(7, 5), Fraction(2)):
         assert plane_wave_energy(pw) == energy_from_wave_coefficients(
             wave_coefficients(pw, h), Fraction(3), h

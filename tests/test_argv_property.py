@@ -52,6 +52,9 @@ STATE_LEVELS = (
     "é,λ,μ", "α,β,γ", "²,1", "²", "1,²,3", "a,b,c,d,e,f,g,h,i,j", "1,2,3,4,5,6,7,8,9,10,11",
     "a,a,a,a,a,a,b,b,c", "a,a,a,a,a,a,a,a,a,a,a,a", "1,1,1,1,1,1,1,1,1,1,1,2", "1,2000000",
     "1," + "7" * 5001, "1," + "9" * 309, "0,1,2", "-1,2", "+1,2", "a,1", "", " ", "a,,b",
+    # past the particle cap of symmetrization, and (from about 1700 labels)
+    # with N! past the 4300-digit int <-> str limit
+    ",".join("a" * 15), ",".join("a" * 1700), ",".join(map(str, range(1, 3001))),
 )
 #: --epsilon entries; a draw joins one to five of them.
 EPSILON_ENTRIES = ("1", "2", "3", "1/2", "-5/3", "0.25", "1/0", "1_0", "-0", "nan", "1e400",

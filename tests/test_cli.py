@@ -672,6 +672,26 @@ def _refused(code, out, err, exit_code):
     assert "Traceback" not in err
 
 
+A15, A1700, A1800 = (",".join("a" * n) for n in (15, 1700, 1800))
+D3000 = ",".join(map(str, range(1, 3001)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["symmetrize", "-l", A15, "-p", "S"],
+    ["symmetrize", "-l", A1700, "-p", "S"],
+    ["classify", "--parity", "S", "--levels", A1800],
+    ["expect", "--parity", "S", "--levels", A1800, "--box-x", "--particle", "1"],
+    ["decompose", "--parity", "S", "--levels", A1800],
+    ["symmetrize", "-l", D3000, "-p", "S"],
+], ids=["15-copies", "1700-copies", "classify-1800", "expect-1800", "decompose-1800", "3000-distinct"])
+def test_symmetrize_particle_cap_refused_in_one_short_line(argv, capsys):
+    # from about 1700 levels N! has more than 4300 digits: neither it nor
+    # the orbit size may reach the message
+    code, out, err = run_cli(argv, capsys)
+    _refused(code, out, err, 4)
+    assert err.startswith("error: symmetrization of ") and err.endswith(" particles exceeds cap 14\n")
+
+
 def test_partition_box_scale_out_of_float_range_refused(capsys):
     # 8 m L^2 underflows to 0, so h^2 / (8 m L^2) has no float value
     code, out, err = run_cli(

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from idstat.errors import CapacityExceeded, NegativeRadicand, NotRepresentable
+from idstat.errors import CapacityExceeded, InputError
 from idstat.exactnum import (
     MAX_RADICAND,
     ONE,
@@ -81,7 +81,7 @@ def test_rsqrt_of_rational(value, expected):
 
 
 def test_rsqrt_of_negative_raises():
-    with pytest.raises(NegativeRadicand):
+    with pytest.raises(InputError):
         rsqrt_of_rational(Fraction(-1, 4))
 
 
@@ -126,11 +126,11 @@ def test_sums_within_one_radicand():
 def test_sums_across_two_radicands_are_refused():
     for a, b in [(rsqrt_of_rational(2), rsqrt_of_rational(3)), (ONE, rsqrt_of_rational(2)),
                  (rsqrt_of_rational(6), 1)]:
-        with pytest.raises(NotRepresentable):
+        with pytest.raises(InputError):
             a + b
-        with pytest.raises(NotRepresentable):
+        with pytest.raises(InputError):
             b + a
-        with pytest.raises(NotRepresentable):
+        with pytest.raises(InputError):
             a - b
 
 
@@ -187,6 +187,13 @@ def test_capacity_radicand_cap():
     with pytest.raises(CapacityExceeded):
         rsqrt_of_rational(999983) * rsqrt_of_rational(3)
     assert MAX_RADICAND == 10**6
+
+
+def test_split_refusal_does_not_print_the_radicand():
+    # 10**5000 has more digits than int -> str converts
+    for value in (Fraction(1, 10**5000), 10**5000):
+        with pytest.raises(CapacityExceeded, match="^cannot reduce a radicand above "):
+            rsqrt_of_rational(value)
 
 
 def test_human_form():

@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 from scipy import integrate
 
-from idstat.errors import DimensionMismatch, InputError, NotNormalized, ZeroVectorInput
+from idstat.errors import InputError, ZeroVectorInput
 from idstat.exactnum import ZERO, RadicalRational, rsqrt_of_rational
 from idstat.observables import (
     OneBodyOperator,
@@ -91,13 +91,13 @@ def test_momentum_share_for_diagonal_momentum_operator():
 
 def test_expectation_validation_errors():
     v = product_state_vector((0, 1, 2))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError):
         one_body_expectation(v, OneBodyOperator.diagonal([1, 2]), 0)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InputError):
         one_body_expectation(StateVector(3, {(0, 1, 2): 2}), H123, 0)
     with pytest.raises(ZeroVectorInput):
         one_body_expectation(StateVector(3), H123, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         one_body_expectation(v, H123, 3)
 
 
@@ -209,7 +209,7 @@ def test_norm_is_memoised_per_vector():
     assert one_body_expectation(v, H123, 1) == one_body_expectation(v, H123, 1)
     doubled = StateVector(4, {s: a * 2 for s, a in v.items()})
     assert doubled.norm_squared() == 4
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InputError):
         one_body_expectation(doubled, H123, 0)
 
 
@@ -327,13 +327,13 @@ def test_momentum_degeneracy_counts():
 
 
 def test_operator_shape_validation():
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(InputError, match="square"):
         OneBodyOperator.matrix(((1, 2), (3,)), exact=True)
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(InputError, match="square"):
         OneBodyOperator.matrix([[0.0, 1.0]], exact=False)
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(InputError, match="not symmetric"):
         OneBodyOperator.matrix(((0.0, 1.0), (2.0, 0.0)), exact=False)
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(InputError, match="not symmetric"):
         OneBodyOperator.matrix([[1, 0, Fraction(1, 3)], [0, 1, 0], [Fraction(1, 2), 0, 1]], exact=True)
     op = OneBodyOperator.matrix(((0.0, 1.5), (1.5, 2.0)), exact=False)
     assert op.dim == 2 and op.entry(1, 0) == op.entry(0, 1) == 1.5

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from idstat.errors import LengthMismatch
+from idstat.errors import InputError
 from idstat.perm import Permutation
 
 
@@ -61,7 +61,7 @@ def test_apply_preserves_multiset():
 
 
 def test_apply_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InputError):
         Permutation((0, 1)).apply((1, 2, 3))
 
 
@@ -79,5 +79,5 @@ def test_noncommutation_witness():
 
 
 def test_rejects_non_permutation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Permutation((0, 0, 2))

@@ -21,7 +21,9 @@ DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vecto
            "enumerate_permutations", "canonical_Z_recursive", "grand_Xi", "grand_Xi_series",
            "momentum_multiset_sum", "single_particle_z", "mixed_basis_n3", "MIXED_BASIS_NAMES",
            "OccupationState", "enumerate_occupations", "ExtensivityRow", "ExtensivityReport",
-           "sum_of_products")
+           "sum_of_products", "CutoffTooLarge", "NotRepresentable", "NegativeRadicand",
+           "LengthMismatch", "RequiresDistinctLevels", "DimensionMismatch", "BasisNotOrthonormal",
+           "NotNormalized")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
@@ -33,6 +35,7 @@ DELETED_METHODS = {
     "ThermoPoint": ("dimensionless", "mu", "beta"),
     "Spectrum": ("shifted", "source"),
     "OneBodyOperator": ("hermitian",),
+    "PlaneWaveState": ("volume",),
 }
 
 

@@ -11,12 +11,7 @@ import types
 import pytest
 
 from idstat import statmech
-from idstat.errors import (
-    BoseDivergence,
-    CapacityExceeded,
-    CutoffTooLarge,
-    InputError,
-)
+from idstat.errors import BoseDivergence, CapacityExceeded, InputError
 from idstat.statmech import (
     MAX_CANONICAL_N,
     MAX_CUTOFF,
@@ -175,9 +170,9 @@ def test_spectrum_csv_rejects_bad_input(tmp_path):
 
 
 def test_level_count_caps():
-    with pytest.raises(CutoffTooLarge):
+    with pytest.raises(CapacityExceeded):
         spectrum_from_levels([0.0] * (MAX_CUTOFF + 1))
-    with pytest.raises(CutoffTooLarge):
+    with pytest.raises(CapacityExceeded):
         dimensionless_spectrum(MAX_CUTOFF + 1)
 
 

@@ -13,18 +13,13 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from idstat.config import ORBIT_BASIS_NAMES
-from idstat.errors import (
-    BasisNotOrthonormal,
-    CapacityExceeded,
-    NotRepresentable,
-    RequiresDistinctLevels,
-    ZeroVectorInput,
-)
+from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
 from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from idstat.perm import Permutation
 from idstat.symmetry import (
     _BASIS_PATTERNS,
     MAX_ORBIT,
+    MAX_SYMMETRIZE_N,
     StateVector,
     SymmetryClass,
     SymmetryTag,
@@ -113,9 +108,9 @@ def test_mixed_basis_amplitudes():
 
 
 def test_mixed_basis_requires_three_distinct():
-    with pytest.raises(RequiresDistinctLevels):
+    with pytest.raises(InputError):
         orbit_basis_n3((0, 0, 1))
-    with pytest.raises(RequiresDistinctLevels):
+    with pytest.raises(InputError):
         orbit_basis_n3((0, 1))
 
 
@@ -205,9 +200,9 @@ def test_decompose_partial_basis_residual():
 
 def test_decompose_rejects_bad_basis():
     v = product_state_vector((0, 1))
-    with pytest.raises(BasisNotOrthonormal):
+    with pytest.raises(InputError):
         decompose(v, [v, v])
-    with pytest.raises(BasisNotOrthonormal):
+    with pytest.raises(InputError):
         decompose(v, [StateVector(2, {(0, 1): 2})])
 
 
@@ -543,8 +538,22 @@ def test_orbit_cap_counts_orderings_not_particles():
     res = symmetrize((0,) * 11 + (1,), "S")  # N = 12, orbit 12
     assert len(res.vector) == 12 and res.raw_norm_squared == math.factorial(11)
     assert symmetrize((0,) * 11 + (1,), "A").is_zero
-    with pytest.raises(CapacityExceeded):  # the 1/sqrt(15!) weight exceeds the ring
+    with pytest.raises(CapacityExceeded):  # more than MAX_SYMMETRIZE_N particles
         symmetrize((0,) * 15, "S")
+
+
+def test_particle_cap_is_checked_before_any_factorial():
+    assert MAX_SYMMETRIZE_N == 14
+    res = symmetrize((0,) * 14, "S")
+    assert len(res.vector) == 1 and res.raw_norm_squared == math.factorial(14)
+    assert symmetrize((0,) * 13 + (1,), "A").is_zero
+    # from about 1700 particles N! has more than 4300 digits, past the
+    # int <-> str limit: neither it nor the orbit size may reach the message
+    for levels in ((0,) * 15, (0,) * 1700, tuple(range(15)), tuple(range(3000))):
+        for parity in ("S", "A"):
+            with pytest.raises(CapacityExceeded) as info:
+                symmetrize(levels, parity)
+            assert str(info.value) == f"symmetrization of {len(levels)} particles exceeds cap 14"
 
 
 def test_state_vector_holds_one_radicand():
@@ -552,7 +561,7 @@ def test_state_vector_holds_one_radicand():
     assert v.items() == [((0, 1), rsqrt_of_rational(Fraction(1, 8))), ((1, 0), rsqrt_of_rational(2))]
     assert v.norm_squared() == Fraction(17, 8)
     for amps in ({(0, 1): INV_SQRT2, (1, 0): INV_SQRT3}, {(0, 1): 1, (1, 0): INV_SQRT2}):
-        with pytest.raises(NotRepresentable):
+        with pytest.raises(InputError):
             StateVector(2, amps)
 
 
