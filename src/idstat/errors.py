@@ -3,7 +3,7 @@
 Every error raised by idstat derives from IdstatError so callers (and the
 CLI error boundary) can catch one base class.  There is one class per CLI
 exit status, named by `exit_code`; ZeroVectorInput is the one input error
-callers catch by name.
+callers catch by name.  `shown` formats a refused argument for a message.
 """
 
 from __future__ import annotations
@@ -36,3 +36,26 @@ class BoseDivergence(IdstatError):
     the lowest level)."""
 
     exit_code = 3
+
+
+def shown(value, text=str) -> str:
+    """text(value) for a refusal message, with every int too long for
+    Python's int-to-text limit (4300 digits by default) shown by its digit
+    count, so that building the message cannot itself fail."""
+    try:
+        return text(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        pass
+    if isinstance(value, int):
+        n = abs(value)
+        digits = max(1, int((n.bit_length() - 1) * 0.30102999566398120))  # log10(2); never too many
+        while n >= 10**digits:
+            digits += 1
+        return f"<{'negative ' if value < 0 else ''}int of {digits} digits>"
+    if isinstance(value, tuple):  # as repr(tuple) and str(tuple) show it
+        items = [shown(item, repr) for item in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    if hasattr(value, "denominator"):  # a Fraction, as str shows it
+        tail = "" if value.denominator == 1 else f"/{shown(value.denominator)}"
+        return shown(value.numerator) + tail
+    return f"<{type(value).__name__} with an int too long to show>"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CapacityExceeded, InputError
+from .errors import CapacityExceeded, InputError, shown
 
 Rational = Fraction
 
@@ -101,7 +101,8 @@ class RadicalRational:
             return other
         if self._r != other._r:
             raise InputError(
-                f"cannot add {self} and {other}: radicands {self._r} and {other._r} make no single term"
+                f"cannot add {self._text(shown)} and {other._text(shown)}: "
+                f"radicands {self._r} and {other._r} make no single term"
             )
         return RadicalRational(self._q + other._q, self._r)
 
@@ -143,10 +144,11 @@ class RadicalRational:
         return float(self._q) * math.sqrt(self._r) + 0.0
 
     def __str__(self) -> str:
-        if not self._q:
-            return "0"
-        body = str(abs(self._q)) if self._r == 1 else f"{abs(self._q)}*sqrt({self._r})"
-        return body if self._q > 0 else f"-{body}"
+        return self._text(str)
+
+    def _text(self, text) -> str:
+        """text(q), times sqrt(r) unless r is 1."""
+        return text(self._q) if self._r == 1 else f"{text(self._q)}*sqrt({self._r})"
 
     def __repr__(self) -> str:
         return f"RadicalRational({self})"
@@ -163,7 +165,7 @@ def rsqrt_of_rational(value) -> RadicalRational:
     """
     q = _coerce(value)
     if q < 0:
-        raise InputError(f"sqrt of negative rational {q}")
+        raise InputError(f"sqrt of negative rational {shown(q)}")
     if q == 0:
         return RadicalRational()
     s, r = square_free_split(q.numerator * q.denominator)

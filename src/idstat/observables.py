@@ -16,9 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InputError, ZeroVectorInput
+from .errors import InputError, ZeroVectorInput, shown
 from .exactnum import ONE, ZERO, RadicalRational
 from .symmetry import Parity, StateVector, symmetrize
+
+
+def _rational(value) -> Fraction:
+    """Fraction(value), with a value it cannot read refused as input."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"not a rational number: {shown(value, repr)}") from None
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,7 @@ class OneBodyOperator:
     def diagonal(cls, values: Sequence) -> "OneBodyOperator":
         """Exact diagonal operator, e.g. a single-particle Hamiltonian
         with caller-chosen rational level energies."""
-        vals = tuple([Fraction(v) for v in values])
+        vals = tuple([_rational(v) for v in values])
         zero = Fraction(0)
         return cls(lambda i, j: vals[i] if i == j else zero, len(vals), True)
 
@@ -91,9 +99,9 @@ def _check_state(v: StateVector, op: OneBodyOperator, particle: int) -> None:
     if v.is_zero:
         raise ZeroVectorInput("expectation undefined on the zero vector")
     if not (0 <= particle < v.n_particles):
-        raise InputError(f"particle index {particle} out of range")
+        raise InputError(f"particle index {shown(particle)} out of range")
     if op.dim < v.basis_size:
-        raise InputError(f"operator dim {op.dim} < basis size {v.basis_size}")
+        raise InputError(f"operator dim {shown(op.dim)} < basis size {shown(v.basis_size)}")
     if v.norm_squared() != ONE:
         raise InputError("state vector must have norm squared exactly 1")
 
@@ -129,7 +137,7 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
     if v.is_zero:
         raise ZeroVectorInput("weights undefined on the zero vector")
     if not (0 <= particle < v.n_particles):
-        raise InputError(f"particle index {particle} out of range")
+        raise InputError(f"particle index {shown(particle)} out of range")
     by_level = [0] * v.basis_size
     for lv, a, n in v._one_body(particle)[0]:
         by_level[lv] += n * a * a
@@ -169,14 +177,14 @@ class PlaneWaveState:
     mass: Fraction = Fraction(1)
 
     def __post_init__(self):
-        momenta = tuple([tuple([Fraction(c) for c in p]) for p in self.momenta])
+        momenta = tuple([tuple([_rational(c) for c in p]) for p in self.momenta])
         if not momenta:
             raise InputError("need at least one particle")
         d = len(momenta[0])
         if any(len(p) != d for p in momenta):
             raise InputError("momentum vectors must share one dimension")
         object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "mass", Fraction(self.mass))
+        object.__setattr__(self, "mass", _rational(self.mass))
         if self.mass <= 0:
             raise InputError("mass must be positive")
 
@@ -192,15 +200,15 @@ def plane_wave_energy(pw: PlaneWaveState) -> Fraction:
 
 def wave_coefficients(pw: PlaneWaveState, h=1) -> tuple[tuple[Fraction, ...], ...]:
     """Linear phase coefficients a_j = p_j / h of the product plane wave."""
-    h = Fraction(h)
+    h = _rational(h)
     return tuple([tuple([c / h for c in p]) for p in pw.momenta])
 
 
 def energy_from_wave_coefficients(coeffs, mass, h=1) -> Fraction:
     """Kinetic energy recovered from phase coefficients:
     sum h^2 |a_j|^2 / (2 m).  Exact inverse of wave_coefficients."""
-    h, mass = Fraction(h), Fraction(mass)
-    return sum(sum(Fraction(c) * Fraction(c) for c in a) for a in coeffs) * h * h / (2 * mass)
+    h, mass = _rational(h), _rational(mass)
+    return sum(sum(_rational(c) ** 2 for c in a) for a in coeffs) * h * h / (2 * mass)
 
 
 def laplacian_condition_residual(linear_coeffs, quadratic_coeffs=None) -> Fraction:
@@ -211,10 +219,10 @@ def laplacian_condition_residual(linear_coeffs, quadratic_coeffs=None) -> Fracti
     coefficient contributes 2)."""
     for a in linear_coeffs:
         for c in a:
-            Fraction(c)  # validates
+            _rational(c)  # validates
     total = Fraction(0)
     if quadratic_coeffs is not None:
         for b in quadratic_coeffs:
             for c in b:
-                total += 2 * Fraction(c)
+                total += 2 * _rational(c)
     return total

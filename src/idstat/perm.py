@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class Permutation:
     def __post_init__(self):
         n = len(self.mapping)
         if sorted(self.mapping) != list(range(n)):
-            raise InputError(f"not a permutation of 0..{n - 1}: {self.mapping}")
+            raise InputError(f"not a permutation of 0..{n - 1}: {shown(self.mapping)}")
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":

@@ -19,14 +19,17 @@ from enum import Enum
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .errors import BoseDivergence, CapacityExceeded, InputError
+from .errors import BoseDivergence, CapacityExceeded, InputError, shown
 
 MAX_PARTICLES = 12      # exhaustive occupation enumeration cap
 MAX_LEVELS = 20         # level count cap for enumeration
 MAX_OCCUPATION_STATES = math.comb(20, 10)  # enumerated states; FD's most under MAX_LEVELS
 MAX_CANONICAL_N = 50    # particle-number cap of the canonical BE/FD kernel
 MAX_CUTOFF = 10**4      # spectrum length cap
-REACH = 746.0           # exp(-x) is exactly 0.0 for every float x > REACH
+# A term below 2^-54 times a positive float sum is under half an ulp of it, so
+# adding it leaves the sum bit for bit.  e^-QUIET is 2^-54 / e: the factor 1/e
+# covers the rounding of exp and of the products.
+QUIET = 54 * math.log(2.0) + 1.0
 
 PLANCK_H_SI = 6.62607015e-34
 BOLTZMANN_K_SI = 1.380649e-23
@@ -84,11 +87,14 @@ class Spectrum:
 
 
 def _check_cutoff(cutoff: int) -> int:
-    cutoff = int(cutoff)
+    try:
+        cutoff = int(cutoff)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"cutoff must be an integer, got {shown(cutoff, repr)}") from None
     if cutoff < 1:
         raise InputError("cutoff must be at least 1")
     if cutoff > MAX_CUTOFF:
-        raise CapacityExceeded(f"cutoff {cutoff} exceeds cap {MAX_CUTOFF}")
+        raise CapacityExceeded(f"cutoff {shown(cutoff)} exceeds cap {MAX_CUTOFF}")
     return cutoff
 
 
@@ -168,9 +174,9 @@ def spectrum_from_csv(path: str) -> Spectrum:
                 except (TypeError, ValueError) as exc:
                     raise InputError(f"{path}: bad spectrum row {row}") from exc
                 if g < 1:
-                    raise InputError(f"{path}: degeneracy must be positive, got {g}")
+                    raise InputError(f"{path}: degeneracy must be positive, got {shown(g)}")
                 if len(energies) + g > MAX_CUTOFF:  # refused before the row is expanded
-                    raise CapacityExceeded(f"{path}: {len(energies) + g} levels exceed cap {MAX_CUTOFF}")
+                    raise CapacityExceeded(f"{path}: {shown(len(energies) + g)} levels exceed cap {MAX_CUTOFF}")
                 energies.extend([e] * g)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: not a readable CSV text file ({exc})") from exc
@@ -222,13 +228,14 @@ def occupation_count(n_levels: int, n_particles: int, stat: Statistics) -> int:
 # -- canonical partition functions ----------------------------------------
 
 
-def _reach(energies: Sequence[float], beta: float, ref: float) -> int:
-    """The number of levels with beta (e - ref) <= REACH.  This key is the
-    negated exponent the sums evaluate, and exp of anything below -REACH is
-    exactly 0.0, so every level past the reach adds an exact zero."""
-    if beta * (energies[-1] - ref) <= REACH:
+def _reach(energies: Sequence[float], beta: float, ref: float, limit: float) -> int:
+    """The number of levels with beta (e - ref) <= limit.  This key is the
+    negated exponent the sums evaluate, so it grows along the ascending
+    levels and the terms past the reach are those with the smallest
+    exponentials."""
+    if beta * (energies[-1] - ref) <= limit:
         return len(energies)
-    return bisect_right(energies, REACH, key=lambda e: beta * (e - ref))
+    return bisect_right(energies, limit, key=lambda e: beta * (e - ref))
 
 
 def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -> list[float]:
@@ -241,22 +248,29 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     and its multipliers exp(-beta (e_k - e_{n-1})) <= 1 cannot underflow on
     cold, nearly filled spectra.  More fermions than levels give -inf.
 
-    Each row stops at the reach of its multipliers (`_reach`, relative to e_0
-    for BE and to the filled top e_{n-1} for FD).  Past it every multiplier
-    is exactly 0.0 and, within the caps, every entry is below 1e136, so each
-    further prefix sum adds an exact zero and repeats the last entry.  The
-    cut row is the full row's prefix bit for bit, and an FD row, whose reach
-    grows with its top, reads the previous row past its end as that last
-    entry repeated.  The work is N times the levels within 746/beta of the
-    filled top."""
+    Each row stops at its quiet reach, past which no product changes a bit
+    of the prefix sums.  Every row starts at exactly 1 (its first multiplier
+    is exp(-0.0)) and the multipliers do not increase along a row.
+      - BE: with x_0 = 1, h_n >= h_{n-1} entry by entry (in float too, as
+        rounding is monotone), so the running sum of row n is at least the
+        row n-1 entry each product takes, and every row stops where
+        beta (e - e_0) > QUIET.
+      - FD rows lack that order.  Their running sum is at least 1 and no
+        entry of row n-1 exceeds its last one, R, so row n stops where
+        beta (e - e_{n-1}) > QUIET + ln R and reads row n-1 past its end as
+        R repeated.
+    Past the reach each prefix sum repeats the last entry, so the cut row is
+    the full row's prefix bit for bit.  Within the caps R < 1e136, so no
+    reach passes 352/beta, short of where exp underflows.  The work is N
+    times the levels in the quiet reach."""
     if n_max > MAX_CANONICAL_N:
-        raise CapacityExceeded(f"N = {n_max} exceeds the canonical cap {MAX_CANONICAL_N}")
+        raise CapacityExceeded(f"N = {shown(n_max)} exceeds the canonical cap {MAX_CANONICAL_N}")
     energies = spectrum.energies
     exp = math.exp
     ln_Z = [0.0]
     if stat is Statistics.BE:
         e0 = energies[0]
-        x = [exp(-beta * (e - e0)) for e in energies[:_reach(energies, beta, e0)]]
+        x = [exp(-beta * (e - e0)) for e in energies[:_reach(energies, beta, e0, QUIET)]]
         row = [1.0] * len(x)
         for n in range(1, n_max + 1):
             row = list(itertools.accumulate(map(mul, x, row)))
@@ -270,7 +284,8 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     for n in range(1, min(n_max, len(energies)) + 1):
         top = energies[n - 1]  # highest level of the n-fermion ground state
         ground += top
-        x = [exp(-beta * (e - top)) for e in energies[n - 1:_reach(energies, beta, top)]]
+        reach = _reach(energies, beta, top, QUIET + math.log(row[-1]))
+        x = [exp(-beta * (e - top)) for e in energies[n - 1:reach]]
         row += [row[-1]] * (len(x) - len(row))  # row n-1 past its reach
         row = list(itertools.accumulate(map(mul, x, row)))
         ln_Z.append(math.log(row[-1]) - beta * ground)
@@ -316,9 +331,16 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     """ln of the grand partition product over levels.
 
     BE requires mu strictly below the lowest level; at or above it the
-    geometric occupation series diverges.  The sum stops at the levels'
-    reach relative to mu (`_reach`): past it the BE term -log1p(-0.0) and
-    the FD softplus of a < -746 both add exactly 0."""
+    geometric occupation series diverges.
+
+    The sum stops at its quiet reach above ref = max(mu, e_0).  Past ref the
+    terms do not increase, and a term at beta (e - ref) = s is at most
+    2 e^-s times the first one: the BE term -log(1 - e^-t) = sum_j e^-jt / j
+    falls at least as fast as e^-t, and the FD softplus log(1 + e^a) lies
+    between e^a / 2 and e^a for a <= 0 (concavity) and is at least log 2
+    for a >= 0.  The running sum is at least its first term, so past
+    s > QUIET + ln 2 every term is below 2^-54 / e times it, under half an
+    ulp, and adds exactly nothing."""
     if not 0 < beta < math.inf:
         raise InputError("beta must be positive and finite")
     if not stat.quantum:
@@ -327,7 +349,7 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
         raise BoseDivergence(f"mu = {mu} is not below the lowest level {spectrum.offset}")
     energies = spectrum.energies
     total = 0.0
-    for e in energies[:_reach(energies, beta, mu)]:
+    for e in energies[:_reach(energies, beta, max(mu, energies[0]), QUIET + math.log(2.0))]:
         a = beta * (mu - e)
         if stat is Statistics.BE:
             x = math.exp(a)

@@ -19,7 +19,7 @@ from operator import itemgetter, mul
 from typing import Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
-from .errors import CapacityExceeded, InputError, ZeroVectorInput
+from .errors import CapacityExceeded, InputError, ZeroVectorInput, shown
 from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from .perm import Permutation
 
@@ -30,7 +30,7 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
     t = tuple(levels)
     for lv in t:
         if not isinstance(lv, int) or lv < 0:
-            raise InputError(f"level indices must be nonnegative ints, got {lv!r}")
+            raise InputError(f"level indices must be nonnegative ints, got {shown(lv, repr)}")
     return t
 
 
@@ -54,7 +54,7 @@ class StateVector:
         for state, amp in (amps or {}).items():
             state = _check_levels(state)
             if len(state) != n_particles:
-                raise InputError(f"state {state} has wrong particle count")
+                raise InputError(f"state {shown(state)} has wrong particle count")
             for r, q in RadicalRational.of(amp).items():  # none for a zero amplitude
                 if radicand not in (None, r):
                     raise InputError(f"radicands {radicand} and {r} share no scale")

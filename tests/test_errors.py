@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from idstat import errors
-from idstat.errors import CapacityExceeded, IdstatError, InputError
-from idstat.exactnum import rsqrt_of_rational, square_free_split
+from idstat.errors import CapacityExceeded, IdstatError, InputError, shown
+from idstat.exactnum import RadicalRational, rsqrt_of_rational, square_free_split
 from idstat.observables import (
     OneBodyOperator,
     PlaneWaveState,
@@ -20,7 +20,15 @@ from idstat.observables import (
     position_expectation_symmetrized,
 )
 from idstat.perm import Permutation
-from idstat.statmech import MAX_CUTOFF, box1d_spectrum, spectrum_from_levels
+from idstat.statmech import (
+    MAX_CUTOFF,
+    Statistics,
+    box1d_spectrum,
+    canonical_ln_Z,
+    dimensionless_spectrum,
+    spectrum_from_csv,
+    spectrum_from_levels,
+)
 from idstat.symmetry import (
     StateVector,
     decompose,
@@ -31,6 +39,7 @@ from idstat.symmetry import (
 )
 
 H3 = OneBodyOperator.diagonal([1, 2, 3])
+HUGE = 10**5000  # past the 4300-digit int-to-text limit
 
 
 def test_one_class_per_exit_code():
@@ -73,7 +82,27 @@ MISUSES = {
     "plane-wave-mass": (lambda: PlaneWaveState(((1,),), mass=0), InputError),
     "cutoff": (lambda: box1d_spectrum(MAX_CUTOFF + 1), CapacityExceeded),
     "level-count": (lambda: spectrum_from_levels([0.0] * (MAX_CUTOFF + 1)), CapacityExceeded),
+    # arguments the builtin coercions cannot read
+    "cutoff-nan": (lambda: dimensionless_spectrum(float("nan")), InputError),
+    "diagonal-not-rational": (lambda: OneBodyOperator.diagonal(["x"]), InputError),
+    "plane-wave-not-rational": (lambda: PlaneWaveState((("x",),)), InputError),
 }
+
+#: Refusals whose message shows an int too long for Python's int-to-text limit.
+OVERSIZED = {
+    "cutoff-huge": (lambda: box1d_spectrum(HUGE), CapacityExceeded),
+    "canonical-N-huge": (lambda: canonical_ln_Z(spectrum_from_levels([0.0]), HUGE, 1.0, Statistics.BE),
+                         CapacityExceeded),
+    "permutation-huge": (lambda: Permutation((HUGE,)), InputError),
+    "negative-level-huge": (lambda: product_state_vector((-HUGE,)), InputError),
+    "state-particle-count-huge": (lambda: StateVector(1, {(HUGE, 0): 1}), InputError),
+    "expectation-particle-huge": (lambda: one_body_expectation(product_state_vector((0, 1)), H3, HUGE), InputError),
+    "expectation-dimension-huge": (lambda: one_body_expectation(product_state_vector((HUGE,)), H3, 0), InputError),
+    "weights-particle-huge": (lambda: occupancy_weights(product_state_vector((0, 1)), HUGE), InputError),
+    "negative-radicand-huge": (lambda: rsqrt_of_rational(Fraction(-1, HUGE)), InputError),
+    "sum-across-radicands-huge": (lambda: RadicalRational.of(Fraction(HUGE)) + rsqrt_of_rational(2), InputError),
+}
+MISUSES.update(OVERSIZED)
 
 
 @pytest.mark.parametrize("name", sorted(MISUSES))
@@ -83,3 +112,35 @@ def test_library_misuse_is_an_idstat_refusal(name):
         call()
     assert type(info.value) is expected
 
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_ints_are_shown_by_digit_count(name):
+    call, _ = OVERSIZED[name]
+    with pytest.raises(IdstatError) as info:
+        call()
+    message = str(info.value)
+    assert "int of 500" in message and len(message) < 200, message
+
+
+def test_shown_keeps_every_text_within_the_limit():
+    for value in (0, -7, 10**4299, -(10**4300 - 1), (0, 0, 2), (5,), Fraction(-3, 2), "x", 2.5):
+        assert shown(value) == str(value)
+        assert shown(value, repr) == repr(value)
+
+
+def test_shown_counts_the_digits_past_the_limit():
+    for k in range(4300, 4320):
+        assert shown(10**k) == f"<int of {k + 1} digits>"
+        assert shown(1 - 10**(k + 1)) == f"<negative int of {k + 1} digits>"
+    assert shown((1, -HUGE)) == shown((1, -HUGE), repr) == "(1, <negative int of 5001 digits>)"
+    assert shown((HUGE,)) == "(<int of 5001 digits>,)"
+    assert shown(Fraction(-1, HUGE)) == "-1/<int of 5001 digits>"
+    assert shown(Fraction(HUGE)) == "<int of 5001 digits>"
+
+
+def test_spectrum_file_degeneracies_past_the_limit(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"energy,degeneracy\n1,2\n2,{'9' * 4300}\n")
+    with pytest.raises(CapacityExceeded, match="int of 4301 digits"):
+        spectrum_from_csv(str(path))

@@ -68,6 +68,14 @@ CORPUS = {
                                "--mass", "1e-30", "--length", "1e-9", "--mode", "si"],
     "partition-grand-fd": ["partition", "--stat", "fd", "--levels", "0,1,2", "--mu", "0.5", "--beta", "2"],
     "partition-grand-fd-no-Xi": ["partition", "--stat", "fd", "--levels", "0,0.001", "--mu", "800", "--beta", "1"],
+    # cold spectra whose partition sums stop at their quiet reach: each file
+    # was written by the kernel that summed every level, so the cut keeps every bit
+    "partition-canonical-be-box1d-cold": ["partition", "--stat", "be", "--box1d", "9056", "-N", "50", "--beta", "4.2"],
+    "partition-canonical-fd-box1d-cold": ["partition", "--stat", "fd", "--box1d", "9056", "-N", "50", "--beta", "4.2"],
+    "partition-canonical-be-box3d-cold": ["partition", "--stat", "be", "--box3d", "10000", "-N", "50", "--beta", "2"],
+    "partition-canonical-fd-box3d-cold": ["partition", "--stat", "fd", "--box3d", "10000", "-N", "50", "--beta", "2"],
+    "partition-grand-be-box3d-cold": ["partition", "--stat", "be", "--box3d", "10000", "--mu", "0", "--beta", "5"],
+    "partition-grand-fd-box3d-cold": ["partition", "--stat", "fd", "--box3d", "10000", "--mu", "5", "--beta", "5"],
     "partition-continuum-si": ["partition", "--stat", "mb-fact", "--continuum", "--V", "1e-3", "--N", "1",
                                "--T", "300", "--mass", "6.6464731e-27", "--mode", "si"],
     "extensivity-mb-fact": ["extensivity", "--stat", "mb-fact", "--T", "2", "--sizes", "1:1,2:2,5:5"],

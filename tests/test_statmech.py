@@ -18,6 +18,7 @@ from idstat.statmech import (
     MAX_LEVELS,
     MAX_OCCUPATION_STATES,
     MAX_PARTICLES,
+    QUIET,
     Spectrum,
     Statistics,
     ThermoPoint,
@@ -314,7 +315,7 @@ def test_recursion_fd_cold_conditioning(n):
 
 def untrimmed_ln_Z_table(energies, n_max, beta, stat):
     """The canonical kernel with every level in every row, as it stood
-    before rows were cut at the Boltzmann reach."""
+    before rows were cut at their reach."""
     ln_Z = [0.0]
     if stat is BE:
         e0 = energies[0]
@@ -372,8 +373,9 @@ def doubling_box3d_sums(cutoff):
 def reach_sweep(seed, cases):
     """Seeded (energies, N, beta) inputs: beta from 1e-6 to 1e3, degenerate
     levels, high or negative ground levels, N up to MAX_CANONICAL_N (also
-    N >= K), and in half the cases a cold spectrum whose span is 1 to 30
-    times 746/beta."""
+    N >= K), and in half the cases a cold spectrum whose span is 20 to 746
+    or 746 to 22380 over beta, across the quiet reach of the rows and past
+    where exp underflows."""
     rng = random.Random(seed)
     for _ in range(cases):
         k = rng.choice([rng.randint(1, 3), rng.randint(4, 60), rng.randint(60, 400)])
@@ -381,12 +383,21 @@ def reach_sweep(seed, cases):
                 for _ in range(k - 1)]
         beta = 10 ** rng.uniform(-6, 3)
         if rng.random() < 0.5 and sum(gaps) > 0:  # stretch past the reach
-            stretch = 746.0 * rng.uniform(1.0, 30.0) / (beta * sum(gaps))
-            gaps = [g * stretch for g in gaps]
-        e0 = rng.uniform(-50.0, 50.0) if rng.random() < 0.3 else 0.0
+            span = rng.choice([rng.uniform(20.0, 746.0), 746.0 * rng.uniform(1.0, 30.0)])
+            gaps = [g * span / (beta * sum(gaps)) for g in gaps]
+        e0 = rng.choice([0.0, 0.0, rng.uniform(-50.0, 50.0), rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(3, 8)])
         energies = tuple(itertools.accumulate(gaps, initial=e0))
         n = rng.choice([rng.randint(1, 6), rng.randint(1, MAX_CANONICAL_N), min(k + 3, MAX_CANONICAL_N)])
         yield energies, n, beta
+
+
+def hot_head_cold_tail(head, ground=0.0):
+    """`head` levels within 1 of the ground level, whose kernel entries
+    reach about 1e123 at N = 50 for head 9950, then a tail of 50 levels
+    from 30 to 741 above it: at beta 1 the FD reach grows from 38 to 322
+    over the rows, so each tail level is cut from the early rows and kept
+    in the later ones."""
+    return Spectrum([ground + i / head for i in range(head)] + [ground + 30.0 + 14.5 * j for j in range(50)])
 
 
 @pytest.mark.parametrize("stat", [BE, FD])
@@ -405,11 +416,23 @@ def test_kernel_equals_the_untrimmed_kernel(stat):
         (box1d_spectrum(MAX_CUTOFF), 2.4e-3),
         (box1d_spectrum(9056), 4.2),
         (box3d_spectrum(MAX_CUTOFF, length=0.7), 0.05),
+        (box3d_spectrum(MAX_CUTOFF), 5.0),
+        (hot_head_cold_tail(9950), 1.0),
+        (hot_head_cold_tail(9950, ground=-7e5), 1.0),
+        (hot_head_cold_tail(400, ground=3e7), 1.0),
+        (Spectrum([2.5] * 9000 + [2.5 + 40.0 * j for j in range(1, 1001)]), 1.0),  # degenerate head
     ],
 )
 def test_kernel_equals_the_untrimmed_kernel_at_the_level_cap(stat, spec, beta):
     n = MAX_CANONICAL_N
     assert _ln_Z_table(spec, n, beta, stat) == untrimmed_ln_Z_table(spec.energies, n, beta, stat)
+
+
+def test_quiet_reach_stays_short_of_exp_underflow():
+    # the largest kernel entry within the caps is C(K+N-1, N) < 1e136, so no
+    # row reaches a level whose multiplier exp underflows to 0.0
+    widest = QUIET + math.log(math.comb(MAX_CUTOFF + MAX_CANONICAL_N - 1, MAX_CANONICAL_N))
+    assert widest < 352.0 < -math.log(5e-324)
 
 
 @pytest.mark.parametrize("stat", [BE, FD])
@@ -427,8 +450,11 @@ def test_kernel_computes_only_the_levels_in_reach(stat, monkeypatch):
     counting_math.exp = counting_exp
     monkeypatch.setattr(statmech, "math", counting_math)
     assert _ln_Z_table(spec, n, beta, stat) == want
-    # row n evaluates only levels n .. sqrt(n^2 + 746) <= 57 of the 10^4
-    assert 0 < calls <= n * 60
+    # FD row m keeps levels m .. sqrt(m^2 + QUIET + ln R) of the 10^4, each
+    # row's R being below e^0.5; BE evaluates the multipliers of its one
+    # reach, levels 1 .. sqrt(1 + QUIET), once
+    reach = [math.isqrt(m * m + 39) for m in range(1, n + 1)]
+    assert 0 < calls <= (reach[0] if stat is BE else sum(r - m + 1 for m, r in enumerate(reach, 1)))
 
 
 @pytest.mark.parametrize("stat", [BE, FD])
@@ -438,8 +464,11 @@ def test_grand_sum_equals_the_untrimmed_sum(stat):
         span = energies[-1] - energies[0]
         for mu in (
             energies[0] - rng.uniform(1e-9, 1e3) / beta,   # below
+            energies[0] - rng.uniform(30.0, 745.0) / beta,  # below, the first term tiny or subnormal
+            math.nextafter(energies[0], -math.inf),        # just below, the first term dominant
             energies[0] + rng.random() * span,            # inside
-            energies[-1] + rng.uniform(1.0, 1e3) / beta,  # far above
+            energies[-1] + rng.uniform(1.0, 1e3) / beta,  # above
+            energies[-1] + 10 ** rng.uniform(3, 6) / beta,  # far above
         ):
             try:
                 want = untrimmed_grand_ln_Xi(energies, beta, mu, stat)
@@ -448,6 +477,18 @@ def test_grand_sum_equals_the_untrimmed_sum(stat):
                     grand_ln_Xi(Spectrum(energies), beta, mu, stat)
                 continue
             assert grand_ln_Xi(Spectrum(energies), beta, mu, stat) == want, (energies[:4], beta, mu)
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+@pytest.mark.parametrize("spec", [hot_head_cold_tail(9950), box3d_spectrum(MAX_CUTOFF)])
+def test_grand_sum_equals_the_untrimmed_sum_at_the_level_cap(stat, spec):
+    e0 = spec.energies[0]
+    for beta in (1e-3, 0.3, 5.0):
+        for mu in (e0 - 1e-12, e0 - 0.5, e0 - 700.0 / beta, e0 + 3.0, spec.energies[-1] + 40.0 / beta):
+            if stat is BE and mu >= e0:
+                continue
+            want = untrimmed_grand_ln_Xi(spec.energies, beta, mu, stat)
+            assert grand_ln_Xi(spec, beta, mu, stat) == want, (beta, mu)
 
 
 @pytest.mark.parametrize("length", [0.3, 1.0, 2.7])
