@@ -47,7 +47,7 @@ _EXPORTS = {
         "occupation_vectors", "spectrum_from_csv", "spectrum_from_levels", "thermal_wavelength",
     ),
     "config": ("RunConfig", "load_config"),
-    "verify": ("CheckResult", "run_verification", "verification_passed"),
+    "verify": ("CheckResult", "run_verification"),
 }
 
 #: exported name -> the submodule that defines it

@@ -530,14 +530,15 @@ def cmd_verify_paper(args, cfg: RunConfig) -> Report:
     from . import verify
 
     results = verify.run_verification(cfg.seed)
+    statuses = [r.status for r in results]
     data = {
         "command": "verify-paper",
         "checks": [r.to_json() for r in results],
         "summary": {
-            "passed": sum(1 for r in results if r.status == "pass"),
-            "failed": sum(1 for r in results if r.status == "fail"),
-            "noted": verify.noted_count(results),
-            "ok": verify.verification_passed(results),
+            "passed": statuses.count("pass"),
+            "failed": statuses.count("fail"),
+            "noted": statuses.count("noted"),
+            "ok": "fail" not in statuses,
         },
     }
     return Report(data, lambda d: _table(_LEDGER_COLUMNS, d["checks"]), _ledger_text)

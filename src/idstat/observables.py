@@ -29,6 +29,14 @@ def _rational(value) -> Fraction:
         raise InputError(f"not a rational number: {shown(value, repr)}") from None
 
 
+def _positive(value, name: str) -> Fraction:
+    """A rational that must be positive, such as a mass or h."""
+    value = _rational(value)
+    if value <= 0:
+        raise InputError(f"{name} must be positive")
+    return value
+
+
 @dataclass(frozen=True)
 class OneBodyOperator:
     """Symmetric single-particle operator on levels 0..dim-1, given by a
@@ -184,13 +192,7 @@ class PlaneWaveState:
         if any(len(p) != d for p in momenta):
             raise InputError("momentum vectors must share one dimension")
         object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "mass", _rational(self.mass))
-        if self.mass <= 0:
-            raise InputError("mass must be positive")
-
-    @property
-    def n_particles(self) -> int:
-        return len(self.momenta)
+        object.__setattr__(self, "mass", _positive(self.mass, "mass"))
 
 
 def plane_wave_energy(pw: PlaneWaveState) -> Fraction:
@@ -200,14 +202,14 @@ def plane_wave_energy(pw: PlaneWaveState) -> Fraction:
 
 def wave_coefficients(pw: PlaneWaveState, h=1) -> tuple[tuple[Fraction, ...], ...]:
     """Linear phase coefficients a_j = p_j / h of the product plane wave."""
-    h = _rational(h)
+    h = _positive(h, "h")
     return tuple([tuple([c / h for c in p]) for p in pw.momenta])
 
 
 def energy_from_wave_coefficients(coeffs, mass, h=1) -> Fraction:
     """Kinetic energy recovered from phase coefficients:
     sum h^2 |a_j|^2 / (2 m).  Exact inverse of wave_coefficients."""
-    h, mass = _rational(h), _rational(mass)
+    h, mass = _positive(h, "h"), _positive(mass, "mass")
     return sum(sum(_rational(c) ** 2 for c in a) for a in coeffs) * h * h / (2 * mass)
 
 

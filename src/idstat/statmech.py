@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterator, Sequence
 
 from .errors import BoseDivergence, CapacityExceeded, InputError, shown
@@ -87,15 +87,18 @@ class Spectrum:
 
 
 def _check_cutoff(cutoff: int) -> int:
+    # a true int only: a float, a bool or a numeric string is refused, not truncated
     try:
-        cutoff = int(cutoff)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"cutoff must be an integer, got {shown(cutoff, repr)}") from None
-    if cutoff < 1:
+        value = None if isinstance(cutoff, bool) else index(cutoff)
+    except TypeError:
+        value = None
+    if value is None:
+        raise InputError(f"cutoff must be an integer, got {shown(cutoff, repr)}")
+    if value < 1:
         raise InputError("cutoff must be at least 1")
-    if cutoff > MAX_CUTOFF:
-        raise CapacityExceeded(f"cutoff {shown(cutoff)} exceeds cap {MAX_CUTOFF}")
-    return cutoff
+    if value > MAX_CUTOFF:
+        raise CapacityExceeded(f"cutoff {shown(value)} exceeds cap {MAX_CUTOFF}")
+    return value
 
 
 def spectrum_from_levels(values: Sequence[float]) -> Spectrum:
@@ -133,26 +136,26 @@ def box1d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
     return Spectrum([scale * n * n for n in range(1, cutoff + 1)])
 
 
+def _box3d_bound(cutoff: int) -> int:
+    """A shell value s whose complete shells nx^2+ny^2+nz^2 <= s hold the
+    lowest `cutoff` sums.  About (pi/6) r^3 - (3 pi/8) r^2 triples have a
+    sum <= r^2, so r = (6 cutoff/pi)^(1/3) + 1 is enough for every cutoff
+    within the cap; a test counts the shells for each one."""
+    return int(((6.0 * cutoff / math.pi) ** (1.0 / 3.0) + 1.0) ** 2)
+
+
 def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
     """3-D cubic box: e = (h^2 / 8 m L^2)(nx^2+ny^2+nz^2), degeneracies
     expanded, lowest `cutoff` levels kept."""
     cutoff = _check_cutoff(cutoff)
     scale = _box_scale(length, mass, h)
-    # About (pi/6) r^3 - (3 pi/8) r^2 triples have nx^2+ny^2+nz^2 <= r^2, so
-    # r = (6 cutoff/pi)^(1/3) + 1 holds the lowest `cutoff` sums for every
-    # cutoff within the cap.  The complete shells s <= bound are enumerated
-    # directly, and the bound grows by a quarter while they fall short.
-    bound = int(((6.0 * cutoff / math.pi) ** (1.0 / 3.0) + 1.0) ** 2)
-    while True:
-        squares = [n * n for n in range(math.isqrt(bound) + 1)]
-        sums = []
-        for nx in range(1, math.isqrt(bound - 2) + 1):
-            for ny in range(1, math.isqrt(bound - squares[nx] - 1) + 1):
-                base = squares[nx] + squares[ny]
-                sums.extend([base + q for q in squares[1:math.isqrt(bound - base) + 1]])
-        if len(sums) >= cutoff:
-            break
-        bound += bound // 4 + 1
+    bound = _box3d_bound(cutoff)
+    squares = [n * n for n in range(math.isqrt(bound) + 1)]
+    sums = []
+    for nx in range(1, math.isqrt(bound - 2) + 1):
+        for ny in range(1, math.isqrt(bound - squares[nx] - 1) + 1):
+            base = squares[nx] + squares[ny]
+            sums.extend([base + q for q in squares[1:math.isqrt(bound - base) + 1]])
     sums.sort()
     return Spectrum([scale * s for s in sums[:cutoff]])
 

@@ -44,7 +44,7 @@ class StateVector:
 
     __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo")
 
-    def __init__(self, n_particles: int, amps: dict | None = None, basis_size: int = 0):
+    def __init__(self, n_particles: int, amps: dict | None = None):
         """`amps` maps states to ints, Rationals or RadicalRationals; the
         nonzero ones must share one radicand."""
         self.n_particles = n_particles
@@ -63,7 +63,7 @@ class StateVector:
                 top = max(top, max(state, default=-1))
         self._amps = clean
         self._scale = RadicalRational(1, radicand or 1)
-        self.basis_size = max(basis_size, top + 1)
+        self.basis_size = top + 1
         self._memo = {}
 
     @classmethod
@@ -148,10 +148,10 @@ class StateVector:
         return f"StateVector<{self.n_particles}>({body or '0'})"
 
 
-def product_state_vector(levels: Sequence[int], basis_size: int = 0) -> StateVector:
+def product_state_vector(levels: Sequence[int]) -> StateVector:
     """The bare product state |l_1 ... l_N> as a unit vector."""
     levels = _check_levels(levels)
-    return StateVector(len(levels), {levels: 1}, basis_size)
+    return StateVector(len(levels), {levels: 1})
 
 
 def _dot(u: dict, v: dict):

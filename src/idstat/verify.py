@@ -4,9 +4,12 @@ Replays every identity the package is built around and reports one line
 per check.  Statuses: "pass" / "fail" for machine-checked identities, and
 "noted" for the two documented convention discrepancies (the orientation
 of the antisymmetric basis member and the free-energy sign), which are
-recorded rather than failed.  The second routes to quantities the library
-computes one way (the canonical recursion, the fugacity series, the
-momentum-multiset sum) live here as private oracles.
+recorded rather than failed.  The ledger is one table, `_ledger`: each
+row states a line's id, claim, tolerance, check and the check's
+arguments, and a check with a tolerance applies and prints the row's
+value.  The second routes to quantities the library computes one way
+(the canonical recursion, the fugacity series, the momentum-multiset sum)
+live here as private oracles.
 """
 
 from __future__ import annotations
@@ -43,17 +46,13 @@ class CheckResult:
         }
 
 
-def _third() -> RadicalRational:
-    return RadicalRational.of(Fraction(1, 3))
-
-
 def _weights_str(weights) -> str:
     return "[" + ", ".join(str(w) for w in weights) + "]"
 
 
 def _check_equal_share(parity: str):
     res = symmetry.symmetrize((0, 1, 2), parity)
-    expected = [_third()] * 3
+    expected = [RadicalRational.of(Fraction(1, 3))] * 3
     ok = True
     for i in range(3):
         ok = ok and observables.occupancy_weights(res.vector, i) == expected
@@ -182,7 +181,7 @@ def _check_degeneracy_multinomial():
     return ok, f"{checked} partitions, formula = orbit count in each", "exhaustive agreement"
 
 
-def _check_position_center():
+def _check_position_center(tol: float):
     worst = 0.0
     for length in (1.0, 2.5):
         for n in (2, 3):
@@ -193,7 +192,7 @@ def _check_position_center():
                             levels, length, particle, parity
                         )
                         worst = max(worst, abs(x - length / 2.0))
-    return worst <= 1e-10, f"max |<x_i> - L/2| = {worst:.3e}", "<= 1e-10"
+    return worst <= tol, f"max |<x_i> - L/2| = {worst:.3e}", f"<= {tol:g}"
 
 
 def _check_laplacian_linear():
@@ -275,7 +274,7 @@ def _grand_Xi_series(
     return math.fsum(math.exp(n * beta * mu + v) for n, v in enumerate(ln_Z))
 
 
-def _check_momentum_multiset():
+def _check_momentum_multiset(tol: float):
     energies = [0.0, 0.4, 0.9, 1.6, 2.5]
     beta = 1.0
     z1 = _z1(statmech.spectrum_from_levels(energies), beta)
@@ -283,10 +282,10 @@ def _check_momentum_multiset():
     for n in range(1, 5):
         lhs = _momentum_multiset_sum(energies, n, beta)
         worst = max(worst, abs(lhs - z1**n) / z1**n)
-    return worst <= 1e-12, f"max relative gap = {worst:.3e}", "z1^N, within 1e-12"
+    return worst <= tol, f"max relative gap = {worst:.3e}", f"z1^N, within {tol:g}"
 
 
-def _check_canonical_recursion():
+def _check_canonical_recursion(tol: float):
     spec = statmech.spectrum_from_levels([0.0, 0.5, 1.1, 1.8, 2.6, 3.5, 4.5, 5.6])
     worst = 0.0
     for stat in (statmech.Statistics.BE, statmech.Statistics.FD):
@@ -297,56 +296,41 @@ def _check_canonical_recursion():
                 kernel = statmech.canonical_Z(spec, n, beta, stat)
                 rec = _canonical_Z_recursive(spec, n, beta, stat)
                 worst = max(worst, abs(kernel - enum) / enum, abs(rec - enum) / enum)
-    return worst <= 1e-12, f"max relative gap = {worst:.3e}", "<= 1e-12"
+    return worst <= tol, f"max relative gap = {worst:.3e}", f"<= {tol:g}"
 
 
-def _check_fugacity_fd():
-    spec = statmech.spectrum_from_levels([0.0, 0.4, 1.1, 2.2])
-    beta, mu = 1.3, 0.2
-    product = math.exp(statmech.grand_ln_Xi(spec, beta, mu, statmech.Statistics.FD))
-    series = _grand_Xi_series(spec, beta, mu, statmech.Statistics.FD)
+def _check_fugacity(stat: statmech.Statistics, levels, beta: float, mu: float, kind: str, tol: float):
+    spec = statmech.spectrum_from_levels(levels)
+    product = math.exp(statmech.grand_ln_Xi(spec, beta, mu, stat))
+    series = _grand_Xi_series(spec, beta, mu, stat)
     rel = abs(product - series) / product
-    return rel <= 1e-12, f"relative gap = {rel:.3e}", "<= 1e-12 (finite polynomial identity)"
-
-
-def _check_fugacity_be():
-    spec = statmech.spectrum_from_levels([0.0, 0.6, 1.5])
-    beta, mu = 1.0, -0.8
-    product = math.exp(statmech.grand_ln_Xi(spec, beta, mu, statmech.Statistics.BE))
-    series = _grand_Xi_series(spec, beta, mu, statmech.Statistics.BE)
-    rel = abs(product - series) / product
-    return rel <= 1e-10, f"relative gap = {rel:.3e}", "<= 1e-10 (truncated series)"
+    return rel <= tol, f"relative gap = {rel:.3e}", f"<= {tol:g} ({kind})"
 
 
 def _check_bose_guard():
     spec = statmech.spectrum_from_levels([0.5, 1.0])
-    below_ok = math.exp(statmech.grand_ln_Xi(spec, 2.0, 0.5 - 1e-6, statmech.Statistics.BE)) > 0
-    raised_at = raised_above = False
-    try:
-        statmech.grand_ln_Xi(spec, 2.0, 0.5, statmech.Statistics.BE)
-    except statmech.BoseDivergence:
-        raised_at = True
-    try:
-        statmech.grand_ln_Xi(spec, 2.0, 0.7, statmech.Statistics.BE)
-    except statmech.BoseDivergence:
-        raised_above = True
-    ok = below_ok and raised_at and raised_above
+    ok = math.exp(statmech.grand_ln_Xi(spec, 2.0, 0.5 - 1e-6, statmech.Statistics.BE)) > 0
+    for mu in (0.5, 0.7):  # at and above the lowest level
+        try:
+            statmech.grand_ln_Xi(spec, 2.0, mu, statmech.Statistics.BE)
+        except statmech.BoseDivergence:
+            continue
+        ok = False
     return ok, "diverges at and above the lowest level, converges below", "guard exactly at mu = min energy"
 
 
-def _check_extensivity_mb_nn():
+def _check_extensivity_mb_nn(tol: float):
     report = statmech.extensivity_report(
         statmech.Statistics.MB_NN, 0.9, [(1.7 * n, n) for n in (1, 2, 10, 100, 10**4)]
     )
-    ok = all(c["passed"] for c in report["checks"])
     worst = max(
         (abs(r["extensivity_defect"]) / abs(r["F"]) if r["F"] else abs(r["extensivity_defect"]))
         for r in report["rows"]
     )
-    return ok, f"max relative defect = {worst:.3e}", "F(T,V,N) = N*F(T,V/N,1) within 1e-12"
+    return worst <= tol, f"max relative defect = {worst:.3e}", f"F(T,V,N) = N*F(T,V/N,1) within {tol:g}"
 
 
-def _check_extensivity_mb_fact():
+def _check_extensivity_mb_fact(tol: float):
     kT = 1.0
     report = statmech.extensivity_report(
         statmech.Statistics.MB_FACT, 1.0, [(2.0 * n, n) for n in (2, 10, 100, 1000)]
@@ -356,16 +340,16 @@ def _check_extensivity_mb_fact():
         n, defect = r["N"], r["extensivity_defect"]
         expected = kT * (math.lgamma(n + 1) - n * math.log(n))
         ok = ok and defect != 0.0
-        ok = ok and abs(defect - expected) <= 1e-9 * abs(expected)
+        ok = ok and abs(defect - expected) <= tol * abs(expected)
         # residual after adding back kT*N is the Stirling remainder
         resid = defect + kT * n - kT * 0.5 * math.log(2.0 * math.pi * n)
-        ok = ok and 0.0 < resid < kT / (12.0 * n) + 1e-9
+        ok = ok and 0.0 < resid < kT / (12.0 * n) + tol
     return ok, "defect = kT*(ln N! - N ln N), shrinking per particle", (
         "nonzero drift matching ln(N!) - N ln N + N"
     )
 
 
-def _check_float_shadow(seed: int):
+def _check_float_shadow(seed: int, tol: float):
     """Products and same-radicand sums of single-term values, and vector
     norms and inner products, against the same trees evaluated in floats."""
     rng = random.Random(seed)
@@ -393,182 +377,92 @@ def _check_float_shadow(seed: int):
             (u.norm_squared(), sum(x * x for x in fu.values())),
         ]:
             worst = max(worst, abs(float(exact) - shadow) / max(1.0, abs(shadow)))
-    return worst <= 1e-12, f"max relative gap = {worst:.3e} over 60 seeded trees", "<= 1e-12"
+    return worst <= tol, f"max relative gap = {worst:.3e} over 60 seeded trees", f"<= {tol:g}"
+
+
+def _ledger(seed: int) -> list[tuple]:
+    """The ledger in print order, one row per line: (id, claim, tolerance,
+    check, args).  A row's check is called as check(*args), with tol= the
+    row's tolerance when that is nonzero, and returns (ok, lhs, rhs).  A
+    noted row has no check, and its args are its lhs and rhs."""
+    BE, FD = statmech.Statistics.BE, statmech.Statistics.FD
+    return [
+        ("equal_share_S", "fully symmetric 3-particle state gives each particle mean energy (e1+e2+e3)/3",
+         0.0, _check_equal_share, ("S",)),
+        ("equal_share_A", "fully antisymmetric 3-particle state gives each particle mean energy (e1+e2+e3)/3",
+         0.0, _check_equal_share, ("A",)),
+        ("mixed_split_s1", "first mixed vector splits mean energies as (5,5,2)/12 and (2,2,8)/12",
+         0.0, _check_mixed_split, ("s1", [[(5, 12), (5, 12), (2, 12)]] * 2 + [[(2, 12), (2, 12), (8, 12)]])),
+        ("mixed_split_s2", "second mixed vector splits mean energies as (1,1,2)/4 and (1,1,0)/2",
+         0.0, _check_mixed_split, ("s2", [[(1, 4), (1, 4), (1, 2)]] * 2 + [[(1, 2), (1, 2), (0, 1)]])),
+        ("mixed_instantiated", "mixed-vector mean energies at (e1,e2,e3) = (1,2,3): 7/4, 5/2, 9/4, 3/2",
+         0.0, _check_mixed_instantiated, ()),
+        ("sum_rule_six", "per-particle mean energies sum to the total energy for all six basis vectors",
+         0.0, _check_sum_rule, ()),
+        ("basis_orthonormal", "the six distinct-level 3-particle basis vectors are exactly orthonormal",
+         0.0, _check_orthonormal, ()),
+        ("pair_plane_stable",
+         "every permutation image of a mixed pair decomposes in its own 2-plane with zero residual",
+         0.0, _check_pair_planes, ()),
+        ("parity_dimensions", "symmetric plus antisymmetric sectors span exactly 2 of the 6 dimensions",
+         0.0, _check_parity_dimensions, ()),
+        ("product_decomposition",
+         "the bare product state decomposes with coefficients "
+         "(1/sqrt(6), -1/sqrt(6), 1/sqrt(3), 0, 1/sqrt(3), 0) and zero residual",
+         0.0, _check_product_decomposition, ()),
+        ("decomposition_sign",
+         "the antisymmetric basis member is oriented opposite to the commonly displayed "
+         "expansion, so its projection coefficient is -1/sqrt(6) rather than +1/sqrt(6); "
+         "orientation chosen to keep the six-vector basis exactly orthonormal",
+         0.0, None, ("-1/sqrt(6)", "+1/sqrt(6) (displayed)")),
+        ("degeneracy_small", "exchange degeneracy is 1, 3, 6 for (a,a,a), (a,a,b), (a,b,c)",
+         0.0, _check_degeneracy_small, ()),
+        ("degeneracy_multinomial",
+         "multinomial N!/prod(n_k!) matches exhaustive orbit counting for all partitions, N <= 6",
+         0.0, _check_degeneracy_multinomial, ()),
+        ("position_center", "box eigenstate (anti)symmetrized combinations place every particle at L/2",
+         1e-10, _check_position_center, ()),
+        ("laplacian_linear", "linear-phase plane waves have exactly zero Laplacian residual",
+         0.0, _check_laplacian_linear, ()),
+        ("laplacian_control", "a quadratic phase control produces a nonzero Laplacian residual",
+         0.0, _check_laplacian_control, ()),
+        ("plane_wave_energy", "total energy equals sum |p|^2/2m through the wave-coefficient route, exactly",
+         0.0, _check_plane_wave_energy, ()),
+        ("momentum_multiset", "degeneracy-weighted momentum-multiset sum equals z1^N for N <= 4",
+         1e-12, _check_momentum_multiset, ()),
+        ("canonical_recursion",
+         "the canonical kernel and the recursion oracle match enumeration for BE and FD, N <= 5, 8 levels",
+         1e-12, _check_canonical_recursion, ()),
+        ("fugacity_fd", "grand product equals the finite fugacity polynomial for FD",
+         1e-12, _check_fugacity, (FD, [0.0, 0.4, 1.1, 2.2], 1.3, 0.2, "finite polynomial identity")),
+        ("fugacity_be", "grand product matches the truncated fugacity series for BE",
+         1e-10, _check_fugacity, (BE, [0.0, 0.6, 1.5], 1.0, -0.8, "truncated series")),
+        ("bose_guard", "Bose grand product diverges exactly when mu reaches the lowest level",
+         0.0, _check_bose_guard, ()),
+        ("extensivity_mb_nn", "per-subvolume Boltzmann free energy is extensive: F(T,V,N) = N*F(T,V/N,1)",
+         1e-12, _check_extensivity_mb_nn, ()),
+        ("extensivity_mb_fact",
+         "factorial-convention free energy drifts by kT*(ln N! - N ln N), nonzero and shrinking",
+         1e-9, _check_extensivity_mb_fact, ()),
+        ("free_energy_sign",
+         "free energies are reported with F = -kT*ln(Z); the opposite printed sign "
+         "convention is recorded here as a discrepancy, not applied",
+         0.0, None, ("F = -kT*ln(Z)", "F = +kT*ln(Z) (displayed)")),
+        ("float_shadow",
+         "exact radical arithmetic agrees with floating-point evaluation on seeded expression trees",
+         1e-12, _check_float_shadow, (seed,)),
+    ]
 
 
 def run_verification(seed: int = 0) -> list[CheckResult]:
-    results: list[CheckResult] = []
-
-    def add(check_id: str, claim: str, fn, tolerance: float = 0.0) -> None:
+    results = []
+    for check_id, claim, tol, check, args in _ledger(seed):
+        if check is None:
+            results.append(CheckResult(check_id, claim, "noted", *args, tol))
+            continue
         try:
-            ok, lhs, rhs = fn()
+            ok, lhs, rhs = check(*args, tol=tol) if tol else check(*args)
         except Exception as exc:  # a broken identity may surface as a raise
-            results.append(
-                CheckResult(check_id, claim, "fail", f"error: {exc!r}", "-", tolerance)
-            )
-            return
-        results.append(
-            CheckResult(check_id, claim, "pass" if ok else "fail", lhs, rhs, tolerance)
-        )
-
-    def note(check_id: str, claim: str, lhs: str, rhs: str) -> None:
-        results.append(CheckResult(check_id, claim, "noted", lhs, rhs, 0.0))
-
-    add(
-        "equal_share_S",
-        "fully symmetric 3-particle state gives each particle mean energy (e1+e2+e3)/3",
-        lambda: _check_equal_share("S"),
-    )
-    add(
-        "equal_share_A",
-        "fully antisymmetric 3-particle state gives each particle mean energy (e1+e2+e3)/3",
-        lambda: _check_equal_share("A"),
-    )
-    add(
-        "mixed_split_s1",
-        "first mixed vector splits mean energies as (5,5,2)/12 and (2,2,8)/12",
-        lambda: _check_mixed_split(
-            "s1", [[(5, 12), (5, 12), (2, 12)]] * 2 + [[(2, 12), (2, 12), (8, 12)]]
-        ),
-    )
-    add(
-        "mixed_split_s2",
-        "second mixed vector splits mean energies as (1,1,2)/4 and (1,1,0)/2",
-        lambda: _check_mixed_split(
-            "s2", [[(1, 4), (1, 4), (1, 2)]] * 2 + [[(1, 2), (1, 2), (0, 1)]]
-        ),
-    )
-    add(
-        "mixed_instantiated",
-        "mixed-vector mean energies at (e1,e2,e3) = (1,2,3): 7/4, 5/2, 9/4, 3/2",
-        _check_mixed_instantiated,
-    )
-    add(
-        "sum_rule_six",
-        "per-particle mean energies sum to the total energy for all six basis vectors",
-        _check_sum_rule,
-    )
-    add(
-        "basis_orthonormal",
-        "the six distinct-level 3-particle basis vectors are exactly orthonormal",
-        _check_orthonormal,
-    )
-    add(
-        "pair_plane_stable",
-        "every permutation image of a mixed pair decomposes in its own 2-plane with zero residual",
-        _check_pair_planes,
-    )
-    add(
-        "parity_dimensions",
-        "symmetric plus antisymmetric sectors span exactly 2 of the 6 dimensions",
-        _check_parity_dimensions,
-    )
-    add(
-        "product_decomposition",
-        "the bare product state decomposes with coefficients "
-        "(1/sqrt(6), -1/sqrt(6), 1/sqrt(3), 0, 1/sqrt(3), 0) and zero residual",
-        _check_product_decomposition,
-    )
-    note(
-        "decomposition_sign",
-        "the antisymmetric basis member is oriented opposite to the commonly displayed "
-        "expansion, so its projection coefficient is -1/sqrt(6) rather than +1/sqrt(6); "
-        "orientation chosen to keep the six-vector basis exactly orthonormal",
-        "-1/sqrt(6)",
-        "+1/sqrt(6) (displayed)",
-    )
-    add(
-        "degeneracy_small",
-        "exchange degeneracy is 1, 3, 6 for (a,a,a), (a,a,b), (a,b,c)",
-        _check_degeneracy_small,
-    )
-    add(
-        "degeneracy_multinomial",
-        "multinomial N!/prod(n_k!) matches exhaustive orbit counting for all partitions, N <= 6",
-        _check_degeneracy_multinomial,
-    )
-    add(
-        "position_center",
-        "box eigenstate (anti)symmetrized combinations place every particle at L/2",
-        _check_position_center,
-        tolerance=1e-10,
-    )
-    add(
-        "laplacian_linear",
-        "linear-phase plane waves have exactly zero Laplacian residual",
-        _check_laplacian_linear,
-    )
-    add(
-        "laplacian_control",
-        "a quadratic phase control produces a nonzero Laplacian residual",
-        _check_laplacian_control,
-    )
-    add(
-        "plane_wave_energy",
-        "total energy equals sum |p|^2/2m through the wave-coefficient route, exactly",
-        _check_plane_wave_energy,
-    )
-    add(
-        "momentum_multiset",
-        "degeneracy-weighted momentum-multiset sum equals z1^N for N <= 4",
-        _check_momentum_multiset,
-        tolerance=1e-12,
-    )
-    add(
-        "canonical_recursion",
-        "the canonical kernel and the recursion oracle match enumeration for BE and FD, "
-        "N <= 5, 8 levels",
-        _check_canonical_recursion,
-        tolerance=1e-12,
-    )
-    add(
-        "fugacity_fd",
-        "grand product equals the finite fugacity polynomial for FD",
-        _check_fugacity_fd,
-        tolerance=1e-12,
-    )
-    add(
-        "fugacity_be",
-        "grand product matches the truncated fugacity series for BE",
-        _check_fugacity_be,
-        tolerance=1e-10,
-    )
-    add(
-        "bose_guard",
-        "Bose grand product diverges exactly when mu reaches the lowest level",
-        _check_bose_guard,
-    )
-    add(
-        "extensivity_mb_nn",
-        "per-subvolume Boltzmann free energy is extensive: F(T,V,N) = N*F(T,V/N,1)",
-        _check_extensivity_mb_nn,
-        tolerance=1e-12,
-    )
-    add(
-        "extensivity_mb_fact",
-        "factorial-convention free energy drifts by kT*(ln N! - N ln N), nonzero and shrinking",
-        _check_extensivity_mb_fact,
-        tolerance=1e-9,
-    )
-    note(
-        "free_energy_sign",
-        "free energies are reported with F = -kT*ln(Z); the opposite printed sign "
-        "convention is recorded here as a discrepancy, not applied",
-        "F = -kT*ln(Z)",
-        "F = +kT*ln(Z) (displayed)",
-    )
-    add(
-        "float_shadow",
-        "exact radical arithmetic agrees with floating-point evaluation on seeded expression trees",
-        lambda: _check_float_shadow(seed),
-        tolerance=1e-12,
-    )
+            ok, lhs, rhs = False, f"error: {exc!r}", "-"
+        results.append(CheckResult(check_id, claim, "pass" if ok else "fail", lhs, rhs, tol))
     return results
-
-
-def verification_passed(results: list[CheckResult]) -> bool:
-    return all(r.status != "fail" for r in results)
-
-
-def noted_count(results: list[CheckResult]) -> int:
-    return sum(1 for r in results if r.status == "noted")

@@ -6,17 +6,19 @@ subcommands (`symmetrize`, `mixed-basis`, `decompose`, `classify`,
 Each case is a golden-corpus argv with a few options set, changed or
 dropped, or a draw of every option from scratch.  Options come from the
 subcommand's own parser actions, values from a pool for the option's type
-or from an edge pool; `occupations` and `verify-paper` also read `--config`
-files, drawn from a set written under the test's temporary directory.
-Whatever the input, the command must
-answer (exit 0) or refuse (exit 2, 3 or 4) with exactly one `error:` line
-and nothing on stdout, before render time; it must never end in a
-traceback, and no number it prints may be nan, inf or a negative zero.
+or from an edge pool.  File options draw from paths under the test's
+temporary directory: `--out` and `--spectrum-file` everywhere they exist,
+`--config` for `occupations` and `verify-paper`.  Whatever the input, the
+command must answer (exit 0) or refuse (exit 2, 3 or 4) with exactly one
+`error:` line and nothing on stdout or in the `--out` file, before render
+time; it must never end in a traceback, and no number it prints, to stdout
+or to the `--out` file, may be nan, inf or a negative zero.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import time
@@ -67,15 +69,24 @@ COMMAND_POOLS = {
                     "stat": ("be", "fd", "mb-nn", "mb-fact", " FD ", "BE", "boltzmann", "bose-einstein")},
     "verify-paper": {"seed": SEEDS},
 }
-#: Options that touch files are left out: a case writes none, and reads a
-#: config file only where the command is in FILE_COMMANDS.
-SKIPPED = {"--out", "--config", "--spectrum-file"}
+#: A config file is read only where the command is in FILE_COMMANDS.
+SKIPPED = {"--config"}
 FILE_COMMANDS = ("occupations", "verify-paper")
-#: Config files by name: bytes to write, a directory, or a path that does not exist.
-CONFIG_FILES = {
-    "missing.cfg": None, "dir.cfg": "dir", "binary.cfg": b"\xff\xfe\x00", "unknown-key.cfg": b"colour=red\n",
-    "bad-seed.cfg": b"seed=x\n", "negative-seed.cfg": b"seed=-3\n", "empty-value.cfg": b"output=\n",
-    "good.cfg": b"# comment\noutput=json\nseed=4\n",
+#: Files by the destination of the option that takes them, each by name:
+#: bytes to write, a directory, or a path that does not exist.
+FILES = {
+    "config": {
+        "missing.cfg": None, "dir.cfg": "dir", "binary.cfg": b"\xff\xfe\x00",
+        "unknown-key.cfg": b"colour=red\n", "bad-seed.cfg": b"seed=x\n", "negative-seed.cfg": b"seed=-3\n",
+        "empty-value.cfg": b"output=\n", "good.cfg": b"# comment\noutput=json\nseed=4\n",
+    },
+    "spectrum_file": {
+        "good.csv": b"energy,degeneracy\n0,1\n0.5,2\n1.5,1\n", "missing.csv": None, "dir.csv": "dir",
+        "binary.csv": b"\xff\xfe\x00\x01", "wide-row.csv": b"energy\n0,1\n",
+        "huge-degeneracy.csv": b"energy,degeneracy\n1,1000000000000\n",
+    },
+    # a writable file (made by the command), a directory, a path under a missing directory
+    "out": {"out.txt": None, "out-dir": "dir", os.path.join("missing-dir", "out.txt"): None},
 }
 STATE_COMMANDS = ("symmetrize", "mixed-basis", "decompose", "classify", "expect")
 
@@ -92,16 +103,19 @@ def _actions(command: str) -> list:
             and not _skipped(command) & set(a.option_strings)]
 
 
-def _config_files(directory) -> tuple:
-    paths = []
-    for name, content in CONFIG_FILES.items():
-        path = directory / name
-        if content == "dir":
-            path.mkdir()
-        elif content is not None:
-            path.write_bytes(content)
-        paths.append(str(path))
-    return tuple(paths)
+def _files(directory) -> dict:
+    """FILES written under `directory`: destination -> paths."""
+    paths = {}
+    for dest, files in FILES.items():
+        paths[dest] = []
+        for name, content in files.items():
+            path = directory / name
+            if content == "dir":
+                path.mkdir()
+            elif content is not None:
+                path.write_bytes(content)
+            paths[dest].append(str(path))
+    return paths
 
 
 def _seeds(command: str, actions: list) -> list:
@@ -126,24 +140,24 @@ def _pool(action) -> tuple:
     return WORDS.get(action.dest, ())
 
 
-def _value(rng: random.Random, action, command: str, configs: tuple):
+def _value(rng: random.Random, action, command: str, files: dict):
     if action.nargs == 0:
         return None
     if command in STATE_COMMANDS and action.dest == "levels":
         return rng.choice(STATE_LEVELS)
     if action.dest == "epsilon":
         return ",".join(rng.choice(EPSILON_ENTRIES) for _ in range(rng.randint(1, 5)))
-    if action.dest == "config":
-        return rng.choice(configs)
+    if action.dest in files:
+        return rng.choice(files[action.dest])
     pool = COMMAND_POOLS.get(command, {}).get(action.dest) or _pool(action)
     return rng.choice(EDGE_VALUES if not pool or rng.random() < 0.4 else pool)
 
 
-def _argv(rng: random.Random, command: str, actions: list, seeds: list, configs: tuple) -> list:
+def _argv(rng: random.Random, command: str, actions: list, seeds: list, files: dict) -> list:
     """A corpus argv with one to three options set, changed or dropped, or
     now and then a draw of every option from scratch."""
     if rng.random() < 0.2:
-        options = {a: _value(rng, a, command, configs) for a in actions
+        options = {a: _value(rng, a, command, files) for a in actions
                    if rng.random() < (0.95 if a.required else 0.3)}
     else:
         options = dict(rng.choice(seeds))
@@ -152,7 +166,7 @@ def _argv(rng: random.Random, command: str, actions: list, seeds: list, configs:
             if action in options and rng.random() < 0.3:
                 del options[action]
             else:
-                options[action] = _value(rng, action, command, configs)
+                options[action] = _value(rng, action, command, files)
     argv = [command]
     for action, value in options.items():
         flag = rng.choice(action.option_strings)
@@ -177,22 +191,29 @@ def test_every_argv_answers_or_refuses_with_one_line(command, capsys, tmp_path):
     rng = random.Random(f"{SEED}-{command}")
     actions = _actions(command)
     seeds = _seeds(command, actions)
-    configs = _config_files(tmp_path)
+    files = _files(tmp_path)
     answered = 0
     for _ in range(CASES[command]):
-        argv = _argv(rng, command, actions, seeds, configs)
+        argv = _argv(rng, command, actions, seeds, files)
+        target = next((t.split("=", 1)[1] for t in argv if t.startswith("--out=")), None)
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+        written = target is not None and os.path.isfile(target)
         if code:
-            assert out == "", (argv, out)
+            assert out == "" and not written, (argv, out)
             assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
             assert "cannot render" not in err, (argv, err)  # a library result was not finite
         else:
             answered += 1
-            assert not _bad_float_tokens(out), (argv, out)
+            if target is not None:  # the answer went to the file, which the next case must not find
+                assert out == "" and written, (argv, out)
+                with open(target) as fh:
+                    out = fh.read()
+                os.remove(target)
+            assert out and not _bad_float_tokens(out), (argv, out)
         assert elapsed < SLOWEST_CASE_S, (argv, elapsed)
     assert answered >= CASES[command] // 10  # the draw reaches the answering paths too

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 import idstat.symmetry as symmetry
+import idstat.verify as verify
 from idstat.cli import HANDLERS, build_parser, main
 from idstat.config import RunConfig, load_config, parse_config_file
 from idstat.errors import InputError
@@ -913,6 +915,42 @@ def test_verify_paper_negative_control(monkeypatch, capsys):
     assert data["summary"]["failed"] >= 1
     failed_ids = {c["id"] for c in data["checks"] if c["status"] == "fail"}
     assert "basis_orthonormal" in failed_ids
+
+
+def test_verify_paper_prints_the_tolerance_each_row_applies(capsys):
+    tolerance = {row[0]: row[2] for row in verify._ledger(0)}
+    code, out, _ = run_cli(["verify-paper", "--output", "json"], capsys)
+    checks = json.loads(out)["checks"]
+    assert code == 0 and [c["id"] for c in checks] == list(tolerance)
+    unnumbered = set()
+    for c in checks:
+        tol = tolerance[c["id"]]
+        assert c["tolerance"] == tol, c["id"]
+        if not tol:
+            continue
+        stated = re.findall(r"\d[\d.]*e[-+]?\d+", c["rhs"])  # a number the rhs text states
+        assert stated in ([f"{tol:g}"], []), c
+        if not stated:
+            unnumbered.add(c["id"])
+    assert sum(map(bool, tolerance.values())) == 8
+    assert unnumbered == {"extensivity_mb_fact"}
+
+
+def test_verify_paper_fails_a_row_tightened_past_its_gap(monkeypatch, capsys):
+    # the tolerance a row states is the one its check applies and prints
+    ledger = verify._ledger
+    monkeypatch.setattr(verify, "_ledger", lambda seed: [
+        row[:2] + (1e-30,) + row[3:] if row[0] == "canonical_recursion" else row for row in ledger(seed)])
+    code, out, _ = run_cli(["verify-paper", "--output", "json"], capsys)
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [(c["id"], c["tolerance"], c["rhs"]) for c in failed] == [
+        ("canonical_recursion", 1e-30, "<= 1e-30")]
+    code, out, _ = run_cli(["verify-paper"], capsys)
+    assert code == 1
+    line = next(x for x in out.splitlines() if " canonical_recursion " in x)
+    assert line.startswith("FAIL ") and line.endswith("| expected: <= 1e-30")
+    assert out.splitlines()[-1] == "summary: 23 passed, 1 failed, 2 noted"
 
 
 def test_verify_paper_csv_and_pretty(capsys):

@@ -15,15 +15,18 @@ from idstat.observables import (
     OneBodyOperator,
     PlaneWaveState,
     box_position_operator,
+    energy_from_wave_coefficients,
     occupancy_weights,
     one_body_expectation,
     position_expectation_symmetrized,
+    wave_coefficients,
 )
 from idstat.perm import Permutation
 from idstat.statmech import (
     MAX_CUTOFF,
     Statistics,
     box1d_spectrum,
+    box3d_spectrum,
     canonical_ln_Z,
     dimensionless_spectrum,
     spectrum_from_csv,
@@ -80,10 +83,19 @@ MISUSES = {
     "plane-wave-no-particle": (lambda: PlaneWaveState(()), InputError),
     "plane-wave-dimensions": (lambda: PlaneWaveState(((1,), (1, 2))), InputError),
     "plane-wave-mass": (lambda: PlaneWaveState(((1,),), mass=0), InputError),
+    "wave-coefficients-h-zero": (lambda: wave_coefficients(PlaneWaveState(((1,),)), 0), InputError),
+    "wave-coefficients-h-negative": (lambda: wave_coefficients(PlaneWaveState(((1,),)), -2), InputError),
+    "wave-energy-mass-zero": (lambda: energy_from_wave_coefficients(((1,),), 0), InputError),
+    "wave-energy-h-zero": (lambda: energy_from_wave_coefficients(((1,),), 1, 0), InputError),
     "cutoff": (lambda: box1d_spectrum(MAX_CUTOFF + 1), CapacityExceeded),
     "level-count": (lambda: spectrum_from_levels([0.0] * (MAX_CUTOFF + 1)), CapacityExceeded),
     # arguments the builtin coercions cannot read
     "cutoff-nan": (lambda: dimensionless_spectrum(float("nan")), InputError),
+    # a cutoff that is not a true int, refused rather than truncated
+    "cutoff-float": (lambda: dimensionless_spectrum(2.5), InputError),
+    "cutoff-bool": (lambda: dimensionless_spectrum(True), InputError),
+    "cutoff-box1d-float": (lambda: box1d_spectrum(3.9), InputError),
+    "cutoff-box3d-string": (lambda: box3d_spectrum("3"), InputError),
     "diagonal-not-rational": (lambda: OneBodyOperator.diagonal(["x"]), InputError),
     "plane-wave-not-rational": (lambda: PlaneWaveState((("x",),)), InputError),
 }

@@ -38,6 +38,7 @@ CORPUS = {
     "partition-continuum-mb-nn": ["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "2", "--T", "1"],
     "extensivity-mb-nn": ["extensivity", "--stat", "mb-nn", "--T", "1", "--n-list", "1,2,10,100,10000"],
     "verify-paper": ["verify-paper"],
+    "verify-paper-seed-7": ["verify-paper", "--seed", "7"],
     # exact states
     "symmetrize-abc-A": ["symmetrize", "-l", "a,b,c", "-p", "A"],
     "symmetrize-abcd-A": ["symmetrize", "-l", "b,a,d,c", "-p", "A"],

@@ -23,7 +23,7 @@ DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vecto
            "OccupationState", "enumerate_occupations", "ExtensivityRow", "ExtensivityReport",
            "sum_of_products", "CutoffTooLarge", "NotRepresentable", "NegativeRadicand",
            "LengthMismatch", "RequiresDistinctLevels", "DimensionMismatch", "BasisNotOrthonormal",
-           "NotNormalized")
+           "NotNormalized", "verification_passed", "noted_count")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
@@ -35,7 +35,7 @@ DELETED_METHODS = {
     "ThermoPoint": ("dimensionless", "mu", "beta"),
     "Spectrum": ("shifted", "source"),
     "OneBodyOperator": ("hermitian",),
-    "PlaneWaveState": ("volume",),
+    "PlaneWaveState": ("volume", "n_particles"),
 }
 
 

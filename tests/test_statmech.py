@@ -499,6 +499,20 @@ def test_box3d_spectrum_equals_the_doubling_builder(length):
         assert box3d_spectrum(cutoff, length=length).energies == want, cutoff
 
 
+def test_box3d_first_bound_holds_every_admitted_cutoff():
+    # box3d_spectrum enumerates the complete shells up to one bound, in one
+    # pass: count the sums each bound holds, for every cutoff within the cap
+    top = statmech._box3d_bound(MAX_CUTOFF)
+    per_shell = [0] * (top + 1)
+    side = math.isqrt(top) + 1
+    for nx, ny, nz in itertools.product(range(1, side), repeat=3):
+        if nx * nx + ny * ny + nz * nz <= top:
+            per_shell[nx * nx + ny * ny + nz * nz] += 1
+    held = list(itertools.accumulate(per_shell))
+    short = [c for c in range(1, MAX_CUTOFF + 1) if held[statmech._box3d_bound(c)] < c]
+    assert short == []
+
+
 def test_monotonic_in_beta():
     spec = spectrum_from_levels([0.0, 0.9, 1.4])
     for stat in (BE, FD, MB_NN, MB_FACT):

@@ -44,7 +44,7 @@ def all_perms(n):
 
 
 def negated(v):
-    return StateVector(v.n_particles, {s: -a for s, a in v.items()}, v.basis_size)
+    return StateVector(v.n_particles, {s: -a for s, a in v.items()})
 
 
 def test_two_particle_symmetrize():
