@@ -127,7 +127,11 @@ def _amp_json(value) -> dict:
 
 
 def _vector_terms(vec, labels) -> list[dict]:
-    return [{"state": [labels[i] for i in s], **_amp_json(a)} for s, a in vec.items()]
+    """One term per product state; the terms that share an amplitude object
+    (an orbit vector has one or two) share its exact and float views."""
+    terms = vec.items()
+    views = {key: _amp_json(a) for key, a in {id(a): a for _, a in terms}.items()}
+    return [{"state": [labels[i] for i in s], **views[id(a)]} for s, a in terms]
 
 
 def _table(columns, items) -> list:

@@ -46,8 +46,12 @@ def _emit(obj, out: list) -> None:
             _emit(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {int}:  # plain ints, no bools: one join
+        types = set(map(type, obj))
+        if types == {int}:  # plain ints, no bools: one join
             out.append("[" + ",".join(map(str, obj)) + "]")
+            return
+        if types == {str}:  # plain strs, no str enums: one join
+            out.append("[" + ",".join(map(encode_basestring_ascii, obj)) + "]")
             return
         out.append("[")
         for i, item in enumerate(obj):

@@ -10,12 +10,14 @@ zero" means the amplitude map is empty, not "small".
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter, mul
+from itertools import chain, combinations, groupby, repeat
+from operator import itemgetter, mul, neg
 from typing import Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
@@ -177,39 +179,51 @@ MAX_ORBIT = math.factorial(9)
 MAX_SYMMETRIZE_N = 14
 
 
-def _orderings(levels: tuple[int, ...]):
-    """Each distinct ordering of `levels` once, in lexicographic order, with
-    the sign of the permutation taking `levels` to it (meaningful only for
-    distinct levels).
+@functools.lru_cache(maxsize=128)  # every orbit of a shape reuses its stages; N <= 8 has 83
+def _insertions(n: int, m: int, size: int) -> tuple[tuple, tuple]:
+    """Every way to insert m copies of a new level among n placed ones.
 
-    Narayana's next-permutation step on the sorted levels: one swap and the
-    reversal of a suffix of length L, so the sign flips 1 + L // 2 times.
+    An ordering is a `size`-tuple whose first n slots hold the levels placed
+    so far and whose tail holds the levels still to place, smallest first,
+    so the new level's copies sit at n .. n + m - 1.  Each choice c of m
+    positions out of n + m is one getter that moves them there and keeps
+    the tail, with the parity of the inversions it adds: the copy at c[i]
+    has n - c[i] + i placed (smaller) levels after it.
+    """
+    getters, odd = [], []
+    for c in combinations(range(n + m), m):
+        placed = iter(range(n))
+        getters.append(itemgetter(*[n if j in c else next(placed) for j in range(n + m)],
+                                  *range(n + m, size)))
+        odd.append((m * n + m * (m - 1) // 2 - sum(c)) % 2)
+    return tuple(getters), tuple(odd)
+
+
+def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
+    """Each distinct ordering of `levels` once, mapped to the sign of the
+    permutation taking `levels` to it when `signed` (meaningful only for
+    distinct levels), else to 1.
+
+    Staged insertion: the orderings are built one distinct level at a time,
+    smallest first, each stage mapping one getter of `_insertions` over the
+    orderings so far, so no Python step runs per ordering.  A new level is
+    larger than every level placed, so an ordering's sign is its parent's,
+    negated when the insertion adds an odd number of inversions; the parity
+    of the input order's inversions is applied once, at the start.
     """
     inversions = sum(x > y for i, x in enumerate(levels) for y in levels[i + 1 :])
-    sign = -1 if inversions % 2 else 1
-    a = sorted(levels)
-    n = len(a)
-    while True:
-        yield tuple(a), sign
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[: i : -1]
-        if (n - i - 1) // 2 % 2 == 0:
-            sign = -sign
-
-
-def _orbit_vector(levels: tuple[int, ...], scale: RadicalRational, signed: bool) -> StateVector:
-    """scale (times the ordering's sign when `signed`) on every distinct ordering."""
-    orderings = _orderings(levels)
-    amps = dict(orderings) if signed else dict.fromkeys((s for s, _ in orderings), 1)
-    return StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale)
+    first = tuple(sorted(levels))
+    runs = [len(list(copies)) for _, copies in groupby(first)]
+    keys, values = [first], [-1 if inversions % 2 else 1]
+    n = runs[0] if runs else 0
+    for m in runs[1:]:
+        orderings, signs = list(keys), list(values)
+        getters, odd = _insertions(n, m, len(first))
+        keys = chain.from_iterable(map(map, getters, repeat(orderings)))
+        values = chain.from_iterable(map((signs, list(map(neg, signs))).__getitem__, odd))
+        n += m
+    # the last stage goes straight into the dict, never into a list
+    return dict(zip(keys, values)) if signed else dict.fromkeys(keys, 1)
 
 
 @dataclass(frozen=True)
@@ -230,8 +244,11 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     with is_zero rather than raised.  Built directly in normalized form:
     1/sqrt(|orbit|) on each distinct ordering for 'S', with the raw norm
     squared prod(m_k!); +-1/sqrt(N!) for 'A' on distinct levels, raw norm
-    squared 1.  Cost and memory scale with |orbit| = N!/prod(m_k!); more
-    than MAX_SYMMETRIZE_N particles or MAX_ORBIT orderings are refused.
+    squared 1.  The orderings and their signs come from `_orbit`, which
+    inserts one distinct level at a time with C-level maps, so each ordering
+    costs the building and hashing of its tuple.  Cost and memory scale with
+    |orbit| = N!/prod(m_k!); more than MAX_SYMMETRIZE_N particles or
+    MAX_ORBIT orderings are refused.
     """
     levels = _check_levels(levels)
     if parity not in ("S", "A"):
@@ -250,7 +267,9 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
         return SymmetrizeResult(StateVector(len(levels)), ZERO, True)
     # on distinct levels |orbit| = N!, so one scale serves both parities
     scale = rsqrt_of_rational(Fraction(1, orbit))
-    return SymmetrizeResult(_orbit_vector(levels, scale, parity == "A"), RadicalRational.of(repeats), False)
+    amps = _orbit(levels, parity == "A")
+    vector = StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale)
+    return SymmetrizeResult(vector, RadicalRational.of(repeats), False)
 
 
 # Coefficient patterns for the N = 3 distinct-level orbit basis.  Keys are
@@ -396,7 +415,7 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     # in one of the six planes of the mixed sector when relabelling the two
     # levels other than some c maps it to +v (pair 1) or -v (pair 2);
     # swapping particles 1 and 2 then picks the member.
-    signs = dict(_orderings(states[0])) if n == 3 else {}
+    signs = _orbit(states[0], True) if n == 3 else {}
     on_orbit = len(signs) == 6 and signs.keys() >= set(states)
     if on_orbit and not sum(values) and not sum(map(mul, map(signs.get, states), values)):
         for c in states[0]:

@@ -18,6 +18,7 @@ or to the `--out` file, may be nan, inf or a negative zero.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import re
@@ -26,6 +27,7 @@ import time
 import pytest
 
 from idstat.cli import build_parser, main
+from idstat.statmech import Statistics, canonical_ln_Z, spectrum_from_levels
 from test_golden import CORPUS
 
 SEED = 20261018
@@ -217,3 +219,16 @@ def test_every_argv_answers_or_refuses_with_one_line(command, capsys, tmp_path):
             assert out and not _bad_float_tokens(out), (argv, out)
         assert elapsed < SLOWEST_CASE_S, (argv, elapsed)
     assert answered >= CASES[command] // 10  # the draw reaches the answering paths too
+
+
+@pytest.mark.parametrize("stat", ["be", "fd"])
+def test_drawn_good_spectrum_file_answers(stat, capsys, tmp_path):
+    # The seeded draw reaches good.csv rarely and with options that refuse,
+    # so the file is read here on its own: energies 0, 0.5 (twice) and 1.5.
+    (good,) = [p for p in _files(tmp_path)["spectrum_file"] if p.endswith("good.csv")]
+    code = main(["partition", "--stat", stat, "--spectrum-file", good, "-N", "2", "--beta", "1",
+                 "--output", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "", err
+    want = canonical_ln_Z(spectrum_from_levels([0, 0.5, 0.5, 1.5]), 2, 1.0, Statistics(stat))
+    assert json.loads(out)["ln_Z"] == want

@@ -47,6 +47,17 @@ def test_canonical_json_int_lists():
     assert text == "[[0,2,-10],[3],[true,0],[1,2.5],[]]"
 
 
+def test_canonical_json_str_lists():
+    # a list of plain strs is joined at once; mixed with ints, None, bools or
+    # a str enum, each item keeps its own text
+    lists = [["a", "é", 'q"\\', ""], ("λ",), ["a", 1], [None, "b"], ["c", True, False],
+             [symmetry.SymmetryTag.MIXED, "d"], [0, "e", None, True]]
+    text = canonical_json(lists)
+    assert text == ('[["a","\\u00e9","q\\"\\\\",""],["\\u03bb"],["a",1],[null,"b"],["c",true,false],'
+                    '["mixed","d"],[0,"e",null,true]]')
+    assert text == json.dumps(lists, ensure_ascii=True, separators=(",", ":"))
+
+
 def test_csv_none_is_an_empty_cell():
     assert csv_text([["a", None, 1.5, False]]) == "a,,1.5,false\n"
 

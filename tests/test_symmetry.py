@@ -21,6 +21,7 @@ from idstat.symmetry import (
     MAX_ORBIT,
     MAX_SYMMETRIZE_N,
     StateVector,
+    _orbit,
     SymmetryClass,
     SymmetryTag,
     classify_symmetry,
@@ -496,6 +497,34 @@ def test_symmetrize_matches_symmetric_group_walk(n):
                     inverse_norm = rsqrt_of_rational(1 / n2_value)
                     want = StateVector(len(levels), {s: a * inverse_norm for s, a in raw.items()})
                 assert res.vector == want and res.vector.basis_size == want.basis_size, (levels, parity)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_orbit_matches_symmetric_group_walk(n):
+    # every ordering once; the sign of the permutation taking the input to
+    # it, on distinct levels
+    for multiset in combinations_with_replacement(range(4), n):
+        for levels in (multiset, multiset[::-1], multiset[1:] + multiset[:1]):
+            want = {}
+            for p, sign in _group(n):
+                want.setdefault(p.apply(levels), sign)
+            signed = _orbit(levels, True)
+            assert signed.keys() == want.keys() and set(signed.values()) <= {1, -1}, levels
+            if len(set(levels)) == n:
+                assert signed == want, levels
+            assert _orbit(levels, False) == dict.fromkeys(want, 1), levels
+
+
+def test_orbit_edge_shapes():
+    for signed in (True, False):
+        assert _orbit((), signed) == {(): 1}
+        assert _orbit((5,), signed) == {(5,): 1}
+        assert _orbit((3,) * 14, signed) == {(3,) * 14: 1}
+    levels = (3, 1, 4, 0, 5, 2, 8, 6, 7)
+    signs = _orbit(levels, True)
+    assert len(signs) == 362880 and sum(signs.values()) == 0
+    assert signs[levels] == 1 and signs[(1, 3) + levels[2:]] == -1
+    assert signs.keys() == set(permutations(levels))
 
 
 def _projector_dimensions(levels):
