@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -50,7 +51,7 @@ class Statistics(str, Enum):
     def parse(cls, text: str) -> "Statistics":
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a str
             raise InputError(
                 f"unknown statistics {text!r}; expected one of "
                 + ", ".join(s.value for s in cls)
@@ -71,7 +72,10 @@ class Spectrum:
     def __post_init__(self):
         if not self.energies:
             raise InputError("spectrum must contain at least one level")
-        energies = [float(e) for e in self.energies]
+        try:
+            energies = [float(e) for e in self.energies]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"spectrum energies must be real numbers ({exc})") from None
         if not all(map(math.isfinite, energies)):
             raise InputError("spectrum energies must be finite")
         energies.sort()
@@ -86,14 +90,20 @@ class Spectrum:
         return len(self.energies)
 
 
-def _check_cutoff(cutoff: int) -> int:
-    # a true int only: a float, a bool or a numeric string is refused, not truncated
+def _check_count(value, name: str) -> int:
+    """A count as a true int: a float, a bool or a numeric string is
+    refused, not truncated."""
     try:
-        value = None if isinstance(cutoff, bool) else index(cutoff)
+        count = None if isinstance(value, bool) else index(value)
     except TypeError:
-        value = None
-    if value is None:
-        raise InputError(f"cutoff must be an integer, got {shown(cutoff, repr)}")
+        count = None
+    if count is None:
+        raise InputError(f"{name} must be an integer, got {shown(value, repr)}")
+    return count
+
+
+def _check_cutoff(cutoff: int) -> int:
+    value = _check_count(cutoff, "cutoff")
     if value < 1:
         raise InputError("cutoff must be at least 1")
     if value > MAX_CUTOFF:
@@ -190,6 +200,7 @@ def spectrum_from_csv(path: str) -> Spectrum:
 
 
 def _check_enumeration_caps(n_levels: int, n_particles: int, stat: Statistics) -> None:
+    n_levels, n_particles = _check_count(n_levels, "level count"), _check_count(n_particles, "N")
     if n_particles > MAX_PARTICLES:
         raise CapacityExceeded(f"occupation enumeration capped at N = {MAX_PARTICLES}")
     if n_levels > MAX_LEVELS:
@@ -302,6 +313,7 @@ def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Stat
     other ln Z outside the float range is refused."""
     if not 0 < beta < math.inf:
         raise InputError("beta must be positive and finite")
+    n_particles = _check_count(n_particles, "N")
     if n_particles < 0:
         raise InputError("N must be nonnegative")
     if n_particles == 0:
@@ -323,8 +335,21 @@ def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Stat
 
 
 def canonical_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics) -> float:
-    """Canonical Z at integer particle number, exp(canonical_ln_Z)."""
-    return math.exp(canonical_ln_Z(spectrum, n_particles, beta, stat))
+    """Canonical Z at integer particle number, exp(canonical_ln_Z): exactly
+    0.0 for more fermions than levels.  A Z above the float range, or below
+    its normal range, is refused."""
+    ln_Z = canonical_ln_Z(spectrum, n_particles, beta, stat)
+    if ln_Z == -math.inf:
+        return 0.0
+    try:
+        Z = math.exp(ln_Z)
+    except OverflowError:
+        Z = math.inf
+    if not sys.float_info.min <= Z < math.inf:
+        raise InputError(
+            f"canonical Z = exp({ln_Z!r}) is out of float range at beta = {beta!r}, N = {n_particles}"
+        )
+    return Z
 
 
 # -- grand canonical --------------------------------------------------------

@@ -272,60 +272,33 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     return SymmetrizeResult(vector, RadicalRational.of(repeats), False)
 
 
-# Coefficient patterns for the N = 3 distinct-level orbit basis.  Keys are
-# 1-based slot images: image (i, j, k) is the product state whose slot i-1
-# holds the first input level, slot j-1 the second, slot k-1 the third.
-# Values are integer numerators; each pattern is scaled by sqrt(norm_sq)
-# with norm_sq listed first.  The antisymmetric member is oriented so the
-# input-ordered product state carries a NEGATIVE amplitude; symmetrize(.., "A")
-# uses the opposite (identity-positive) orientation.
-_BASIS_PATTERNS: dict[str, tuple[Fraction, dict[tuple[int, int, int], int]]] = {
-    "sym": (
-        Fraction(1, 6),
-        {(1, 2, 3): 1, (1, 3, 2): 1, (2, 1, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): 1},
-    ),
-    "antisym": (
-        Fraction(1, 6),
-        {(1, 2, 3): -1, (1, 3, 2): 1, (2, 1, 3): 1, (2, 3, 1): -1, (3, 1, 2): -1, (3, 2, 1): 1},
-    ),
-    "s1": (
-        Fraction(1, 12),
-        {(1, 2, 3): 2, (1, 3, 2): -1, (2, 1, 3): 2, (2, 3, 1): -1, (3, 1, 2): -1, (3, 2, 1): -1},
-    ),
-    "s2": (
-        Fraction(1, 4),
-        {(1, 3, 2): 1, (2, 3, 1): -1, (3, 1, 2): 1, (3, 2, 1): -1},
-    ),
-    "s1p": (
-        Fraction(1, 12),
-        {(1, 2, 3): 2, (1, 3, 2): 1, (2, 1, 3): -2, (2, 3, 1): -1, (3, 1, 2): -1, (3, 2, 1): 1},
-    ),
-    "s2p": (
-        Fraction(1, 4),
-        {(1, 3, 2): 1, (2, 3, 1): 1, (3, 1, 2): -1, (3, 2, 1): -1},
-    ),
+# Integer numerators of the N = 3 orbit basis on the orderings o of three
+# input levels l, where o is the product state (l[o0], l[o1], l[o2]).  The
+# symmetric member is 1 on each ordering, the antisymmetric member the
+# negated sign of o (so it is negative on the input ordering, opposite to
+# symmetrize(.., "A")); the four mixed members are listed.
+_MIXED_PATTERNS: dict[str, dict[tuple[int, int, int], int]] = {
+    "s1": {(0, 1, 2): 2, (0, 2, 1): -1, (1, 0, 2): 2, (2, 0, 1): -1, (1, 2, 0): -1, (2, 1, 0): -1},
+    "s2": {(0, 2, 1): 1, (2, 0, 1): -1, (1, 2, 0): 1, (2, 1, 0): -1},
+    "s1p": {(0, 1, 2): 2, (0, 2, 1): 1, (1, 0, 2): -2, (2, 0, 1): -1, (1, 2, 0): -1, (2, 1, 0): 1},
+    "s2p": {(0, 2, 1): 1, (2, 0, 1): 1, (1, 2, 0): -1, (2, 1, 0): -1},
 }
-
-
-def _pattern_vector(name: str, levels: tuple[int, ...]) -> StateVector:
-    norm_sq, coeffs = _BASIS_PATTERNS[name]
-    amps: dict[tuple, int] = {}
-    for image, k in coeffs.items():
-        state = [0, 0, 0]
-        for m in range(3):
-            state[image[m] - 1] = levels[m]
-        amps[tuple(state)] = k
-    return StateVector._trusted(3, amps, max(levels) + 1, rsqrt_of_rational(norm_sq))
+_SIGNS = _orbit((0, 1, 2), True)
+_END_PATTERNS = (dict.fromkeys(_SIGNS, 1), dict(zip(_SIGNS, map(neg, _SIGNS.values()))))
 
 
 def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
-    """Orthonormal six-vector basis of the distinct-level orbit span:
-    symmetric, antisymmetric (oriented negative on the input ordering),
-    then the four mixed members."""
+    """Orthonormal six-vector basis of the distinct-level orbit span, in
+    ORBIT_BASIS_NAMES order: each member is its pattern's numerators on the
+    orderings of `levels`, scaled by 1/sqrt(sum of their squares)."""
     levels = _check_levels(levels)
     if len(levels) != 3 or len(set(levels)) != 3:
         raise InputError("defined for exactly three pairwise distinct levels")
-    return tuple([_pattern_vector(name, levels) for name in ORBIT_BASIS_NAMES])
+    return tuple([
+        StateVector._trusted(3, {(levels[a], levels[b], levels[c]): k for (a, b, c), k in p.items()},
+                             max(levels) + 1, rsqrt_of_rational(Fraction(1, sum(k * k for k in p.values()))))
+        for p in (*_END_PATTERNS, *_MIXED_PATTERNS.values())
+    ])
 
 
 def decompose(
@@ -333,16 +306,17 @@ def decompose(
 ) -> tuple[list[RadicalRational], StateVector]:
     """Exact coefficients of v in an orthonormal basis plus the residual.
 
-    The basis is verified orthonormal exactly first; a residual of zero
-    (empty map) certifies the decomposition is complete.  The residual
-    keeps v's scale: for a member b of scale q*sqrt(r), <b|v> b is v's
-    scale times q^2 r (sum of b's values times v's) b's values.
+    The basis is verified orthonormal exactly first, from each member's
+    norm and the value dots between members: a member's scale is nonzero,
+    so two members are orthogonal exactly when their values are.  A
+    residual of zero (empty map) certifies the decomposition is complete.
+    The residual keeps v's scale: for a member b of scale q*sqrt(r),
+    <b|v> b is v's scale times q^2 r (sum of b's values times v's) b's values.
     """
     basis = list(basis)
     for i, b in enumerate(basis):
         for j in range(i, len(basis)):
-            expected = ONE if i == j else ZERO
-            if inner_product(b, basis[j]) != expected:
+            if (b.norm_squared() != ONE) if i == j else _dot(b._amps, basis[j]._amps):
                 raise InputError(f"members {i} and {j} fail exact orthonormality")
     coeffs = [inner_product(b, v) for b in basis]
     residual = dict(v._amps)
@@ -405,10 +379,11 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
             return values  # the swap fixes every term, as in a one-level product state
         return list(map(v._amps.get, map(itemgetter(*range(k), k + 1, k, *range(k + 2, n)), states)))
 
-    if all(swapped(k) == values for k in range(n - 1)):
+    flip = swapped(0)  # particles 1 and 2 exchanged: every test below reads it
+    if flip == values and all(swapped(k) == values for k in range(1, n - 1)):
         return SymmetryClass(SymmetryTag.SYMMETRIC)
     opposite = [-a for a in values]
-    if all(swapped(k) == opposite for k in range(n - 1)):
+    if flip == opposite and all(swapped(k) == opposite for k in range(1, n - 1)):
         return SymmetryClass(SymmetryTag.ANTISYMMETRIC)
     # On three distinct levels, particle swaps and level relabellings are two
     # commuting S_3 actions on the orbit.  A vector with no S and no A part is
@@ -424,7 +399,6 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
             image = [v._amps.get(tuple([relabel[x] for x in s])) for s in states]
             for pair, same, other in ((1, values, opposite), (2, opposite, values)):
                 if image == same:
-                    flip = swapped(0)
                     member = 1 if flip == same else 2 if flip == other else None
                     return SymmetryClass(SymmetryTag.MIXED, pair, member)
     return SymmetryClass(SymmetryTag.NONE)

@@ -19,7 +19,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 from . import observables, statmech, symmetry
 from .exactnum import ONE, RadicalRational, ZERO, rsqrt_of_rational
@@ -236,13 +237,15 @@ def _z1(spectrum: statmech.Spectrum, beta: float) -> float:
 
 def _momentum_multiset_sum(energies, n_particles: int, beta: float) -> float:
     """Sum over unordered momentum multisets of (distinct-ordering count)
-    x Boltzmann weight; equals z1^N by the multinomial theorem."""
+    x Boltzmann weight; equals z1^N by the multinomial theorem.  Each
+    multiset's energy is summed left to right, as built-in sum() did before
+    3.12, so the result is the same on every Python."""
     total = 0.0
     for multiset in itertools.combinations_with_replacement(range(len(energies)), n_particles):
         deg = math.factorial(n_particles)
         for lv in set(multiset):
             deg //= math.factorial(multiset.count(lv))
-        total += deg * math.exp(-beta * sum(energies[lv] for lv in multiset))
+        total += deg * math.exp(-beta * reduce(add, map(energies.__getitem__, multiset), 0.0))
     return total
 
 
@@ -365,6 +368,8 @@ def _check_float_shadow(seed: int, tol: float):
         states = [s for s in itertools.product(range(3), repeat=2) if rng.random() < 0.6]
         return symmetry.StateVector(2, {s: scale * rational() for s in states})
 
+    # the float sums run left to right, as built-in sum() did before 3.12
+    # compensated it, so the printed gap is the same on every Python
     worst = 0.0
     for _ in range(60):
         shared = root()
@@ -373,8 +378,8 @@ def _check_float_shadow(seed: int, tol: float):
         fu, fv = ({s: float(x) for s, x in w.items()} for w in (u, v))
         for exact, shadow in [
             ((a + b) * c, (float(a) + float(b)) * float(c)),
-            (symmetry.inner_product(u, v), sum(x * fv.get(s, 0.0) for s, x in fu.items())),
-            (u.norm_squared(), sum(x * x for x in fu.values())),
+            (symmetry.inner_product(u, v), reduce(add, (x * fv.get(s, 0.0) for s, x in fu.items()), 0.0)),
+            (u.norm_squared(), reduce(add, (x * x for x in fu.values()), 0.0)),
         ]:
             worst = max(worst, abs(float(exact) - shadow) / max(1.0, abs(shadow)))
     return worst <= tol, f"max relative gap = {worst:.3e} over 60 seeded trees", f"<= {tol:g}"

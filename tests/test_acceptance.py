@@ -249,12 +249,9 @@ def test_criterion_10_verify_paper_ledger(monkeypatch, capsys):
     assert data["summary"]["noted"] == 2
     noted = {c["id"] for c in data["checks"] if c["status"] == "noted"}
     assert noted == {"decomposition_sign", "free_energy_sign"}
-    bad = (
-        Fraction(1, 12),
-        {(1, 2, 3): 2, (1, 3, 2): -1, (2, 1, 3): 2, (2, 3, 1): -1, (3, 1, 2): -1, (3, 2, 1): 1},
-    )
+    bad = {(0, 1, 2): 2, (0, 2, 1): -1, (1, 0, 2): 2, (2, 0, 1): -1, (1, 2, 0): -1, (2, 1, 0): 1}
     with monkeypatch.context() as mp:
-        mp.setitem(symmetry._BASIS_PATTERNS, "s1", bad)
+        mp.setitem(symmetry._MIXED_PATTERNS, "s1", bad)
         code = main(["verify-paper", "--output", "json"])
         tampered = json.loads(capsys.readouterr().out)
     assert code == 1

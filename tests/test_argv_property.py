@@ -32,7 +32,7 @@ from test_golden import CORPUS
 
 SEED = 20261018
 CASES = {"partition": 250, "extensivity": 250, "symmetrize": 120, "mixed-basis": 60,
-         "decompose": 120, "classify": 120, "expect": 200, "occupations": 200, "verify-paper": 60}
+         "decompose": 200, "classify": 120, "expect": 200, "occupations": 200, "verify-paper": 60}
 SLOWEST_CASE_S = 2.0
 
 EDGE_VALUES = (

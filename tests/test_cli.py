@@ -915,11 +915,8 @@ def test_verify_paper_passes_with_two_noted(capsys):
 def test_verify_paper_negative_control(monkeypatch, capsys):
     # flip one sign in a mixed-basis pattern: the six vectors stop being
     # orthonormal and the suite must notice and fail
-    bad = (
-        Fraction(1, 12),
-        {(1, 2, 3): 2, (1, 3, 2): -1, (2, 1, 3): 2, (2, 3, 1): -1, (3, 1, 2): -1, (3, 2, 1): 1},
-    )
-    monkeypatch.setitem(symmetry._BASIS_PATTERNS, "s1", bad)
+    bad = {(0, 1, 2): 2, (0, 2, 1): -1, (1, 0, 2): 2, (2, 0, 1): -1, (1, 2, 0): -1, (2, 1, 0): 1}
+    monkeypatch.setitem(symmetry._MIXED_PATTERNS, "s1", bad)
     code, out, _ = run_cli(["verify-paper", "--output", "json"], capsys)
     data = json.loads(out)
     assert code == 1

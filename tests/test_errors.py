@@ -27,8 +27,10 @@ from idstat.statmech import (
     Statistics,
     box1d_spectrum,
     box3d_spectrum,
+    canonical_Z,
     canonical_ln_Z,
     dimensionless_spectrum,
+    occupation_vectors,
     spectrum_from_csv,
     spectrum_from_levels,
 )
@@ -98,6 +100,19 @@ MISUSES = {
     "cutoff-box3d-string": (lambda: box3d_spectrum("3"), InputError),
     "diagonal-not-rational": (lambda: OneBodyOperator.diagonal(["x"]), InputError),
     "plane-wave-not-rational": (lambda: PlaneWaveState((("x",),)), InputError),
+    "spectrum-energy-string": (lambda: spectrum_from_levels(["a"]), InputError),
+    "spectrum-energy-none": (lambda: spectrum_from_levels([1, None]), InputError),
+    "statistics-not-a-string": (lambda: Statistics.parse(5), InputError),
+    # particle and level counts take true ints only, as the cutoffs do
+    "canonical-N-float": (lambda: canonical_ln_Z(spectrum_from_levels([0, 1]), 2.5, 1.0, Statistics.BE), InputError),
+    "canonical-N-bool": (lambda: canonical_ln_Z(spectrum_from_levels([0, 1]), True, 1.0, Statistics.MB_NN),
+                         InputError),
+    "occupations-level-count-float": (lambda: list(occupation_vectors(3.5, 2, Statistics.BE)), InputError),
+    # ln Z is finite, but Z itself is past the float range or below its normal range
+    "canonical-Z-overflow": (lambda: canonical_Z(spectrum_from_levels([-100.0, -99.0]), 10, 1.0, Statistics.BE),
+                             InputError),
+    "canonical-Z-underflow": (lambda: canonical_Z(spectrum_from_levels([100.0, 101.0]), 10, 1.0, Statistics.BE),
+                              InputError),
 }
 
 #: Refusals whose message shows an int too long for Python's int-to-text limit.

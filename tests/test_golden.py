@@ -46,8 +46,10 @@ CORPUS = {
     "symmetrize-numeric-S": ["symmetrize", "-l", "1,3,3", "-p", "s"],
     "mixed-basis-default": ["mixed-basis"],
     "mixed-basis-cab": ["mixed-basis", "--levels", "c,a,b"],
+    "mixed-basis-full-cab": ["mixed-basis", "--full", "--levels", "c,a,b"],
     "decompose-A": ["decompose", "--parity", "A", "--levels", "a,b,c"],
     "decompose-s1p": ["decompose", "--member", "s1p", "--levels", "a,b,c"],
+    "decompose-s2-bca": ["decompose", "--member", "s2", "--levels", "b,c,a"],
     "classify-product": ["classify", "--product", "--levels", "a,b,c"],
     "classify-S": ["classify", "--parity", "S", "--levels", "a,b"],
     "classify-A": ["classify", "--parity", "A", "--levels", "a,b,c"],

@@ -17,7 +17,7 @@ from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
 from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from idstat.perm import Permutation
 from idstat.symmetry import (
-    _BASIS_PATTERNS,
+    _MIXED_PATTERNS,
     MAX_ORBIT,
     MAX_SYMMETRIZE_N,
     StateVector,
@@ -123,12 +123,13 @@ def test_orbit_basis_exactly_orthonormal():
             assert inner_product(u, v) == (ONE if i == j else ZERO)
 
 
-def test_orbit_basis_antisymmetric_orientation():
-    basis = orbit_basis_n3((0, 1, 2))
-    anti = basis[1]
-    assert dict(anti.items()).get((0, 1, 2), ZERO) == -INV_SQRT6
+@pytest.mark.parametrize("levels", list(permutations((0, 3, 7))), ids=lambda t: "-".join(map(str, t)))
+def test_orbit_basis_antisymmetric_orientation(levels):
+    sym, anti = orbit_basis_n3(levels)[:2]
+    assert dict(anti.items()).get(levels, ZERO) == -INV_SQRT6
+    assert sym == symmetrize(levels, "S").vector
     # opposite orientation of the plain antisymmetrizer
-    assert anti == negated(symmetrize((0, 1, 2), "A").vector)
+    assert anti == negated(symmetrize(levels, "A").vector)
 
 
 def test_inner_product_examples():
@@ -289,17 +290,15 @@ def test_classify_mixed_members_on_every_level_order(triple):
 
 @pytest.mark.parametrize("name, relabel, swap", [("s1", 1, 1), ("s2", 1, -1), ("s1p", -1, -1), ("s2p", -1, 1)])
 def test_basis_patterns_carry_the_parities_classify_reads(name, relabel, swap):
-    # Image (i, j, k) puts the first, second and third level in slots i, j, k:
-    # relabelling the first two levels exchanges i and j, and exchanging
-    # particles 1 and 2 exchanges the slot numbers 1 and 2.
-    _, coeffs = _BASIS_PATTERNS[name]
-    sign = {img: Permutation(tuple(m - 1 for m in img)).sign() for img in permutations((1, 2, 3))}
-    assert sum(coeffs.values()) == 0 == sum(sign[img] * k for img, k in coeffs.items())
-    scaled = {img: k * relabel for img, k in coeffs.items()}
-    assert {(j, i, k): a for (i, j, k), a in coeffs.items()} == scaled
-    slot = {1: 2, 2: 1, 3: 3}
-    scaled = {img: k * swap for img, k in coeffs.items()}
-    assert {tuple(map(slot.get, img)): a for img, a in coeffs.items()} == scaled
+    # Ordering o puts input level o[i] in slot i: relabelling the first two
+    # levels exchanges the values 0 and 1 of o, and exchanging particles 1
+    # and 2 exchanges o[0] and o[1].
+    pattern = _MIXED_PATTERNS[name]
+    assert sum(pattern.values()) == 0 == sum(Permutation(o).sign() * k for o, k in pattern.items())
+    relabelled = {tuple((1, 0, 2)[m] for m in o): k for o, k in pattern.items()}
+    assert relabelled == {o: k * relabel for o, k in pattern.items()}
+    exchanged = {(o[1], o[0], o[2]): k for o, k in pattern.items()}
+    assert exchanged == {o: k * swap for o, k in pattern.items()}
     assert MIXED_MEMBERS[name] == (1 if relabel == 1 else 2, 1 if swap == relabel else 2)
 
 
