@@ -40,7 +40,7 @@ _EXPORTS = {
         "position_expectation_symmetrized", "wave_coefficients",
     ),
     "statmech": (
-        "FREE_ENERGY_NOTE", "Spectrum", "Statistics", "ThermoPoint",
+        "FREE_ENERGY_NOTE", "Spectrum", "Statistics",
         "box1d_spectrum", "box3d_spectrum", "canonical_Z", "canonical_ln_Z",
         "dimensionless_spectrum", "extensivity_report",
         "free_energy_from_ln_Z", "grand_ln_Xi", "mb_ln_Z_continuum", "occupation_count",

@@ -445,8 +445,7 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
     if args.continuum:
         if args.V is None or args.N is None or args.T is None:
             raise InputError("--continuum needs --V, --N, and --T")
-        tp = statmech.ThermoPoint(T=args.T, V=args.V, N=args.N, mass=args.mass, h=h, k=k)
-        ln_Z = statmech.mb_ln_Z_continuum(tp, stat)
+        ln_Z = statmech.mb_ln_Z_continuum(args.T, args.V, args.N, stat, mass=args.mass, h=h, k=k)
         data.update(
             kind="continuum",
             T=args.T,
@@ -454,7 +453,7 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
             N=args.N,
             ln_Z=ln_Z,
             F=statmech.free_energy_from_ln_Z(ln_Z, args.T, k),
-            thermal_wavelength=statmech.thermal_wavelength(tp),
+            thermal_wavelength=statmech.thermal_wavelength(args.T, mass=args.mass, h=h, k=k),
             note=statmech.FREE_ENERGY_NOTE,
         )
         return Report(data, _partition_rows, _partition_text)

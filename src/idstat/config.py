@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import InputError
+from .errors import InputError, count
 
 MODES = ("dimensionless", "si")
 OUTPUT_FORMATS = ("json", "csv", "pretty")
@@ -35,8 +35,7 @@ class RunConfig:
             raise InputError(
                 f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}"
             )
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        count(self.seed, "seed")
 
 
 def _coerce(key: str, value: str):

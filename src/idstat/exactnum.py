@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CapacityExceeded, InputError, shown
+from .errors import CapacityExceeded, InputError, count, shown
 
 Rational = Fraction
 
@@ -33,8 +33,7 @@ def square_free_split(n: int) -> tuple[int, int]:
     Returns ``(s, r)``.  Trial division; callers keep ``n`` within
     ``_MAX_SPLIT_INPUT`` so this stays fast.
     """
-    if n < 1:
-        raise InputError("square_free_split requires n >= 1")
+    n = count(n, "square_free_split input", 1)
     if n > _MAX_SPLIT_INPUT:
         # n is not printed: past 4300 digits its text is itself refused
         raise CapacityExceeded(f"cannot reduce a radicand above {_MAX_SPLIT_INPUT}")
@@ -60,7 +59,7 @@ def _coerce(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected int or Rational, got {type(value).__name__}")
+    raise InputError(f"expected an int or a Rational, got {shown(value, repr)}")
 
 
 class RadicalRational:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InputError, ZeroVectorInput, shown
+from .errors import InputError, ZeroVectorInput, count, items, real, shown
 from .exactnum import ONE, ZERO, RadicalRational
 from .symmetry import Parity, StateVector, symmetrize
 
@@ -27,6 +27,12 @@ def _rational(value) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"not a rational number: {shown(value, repr)}") from None
+
+
+def _rational_rows(rows, name: str) -> list[tuple[Fraction, ...]]:
+    """A sequence of sequences of rationals, such as momenta or phase
+    coefficients."""
+    return [tuple([_rational(c) for c in items(row, name)]) for row in items(rows, name)]
 
 
 def _positive(value, name: str) -> Fraction:
@@ -54,7 +60,7 @@ class OneBodyOperator:
     @classmethod
     def matrix(cls, rows: Sequence[Sequence], exact: bool) -> "OneBodyOperator":
         """A caller's square matrix, refused unless it is symmetric."""
-        rows = tuple(map(tuple, rows))
+        rows = tuple([tuple(items(row, "matrix row")) for row in items(rows, "matrix")])
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InputError("operator matrix must be square")
@@ -66,7 +72,7 @@ class OneBodyOperator:
     def diagonal(cls, values: Sequence) -> "OneBodyOperator":
         """Exact diagonal operator, e.g. a single-particle Hamiltonian
         with caller-chosen rational level energies."""
-        vals = tuple([_rational(v) for v in values])
+        vals = tuple([_rational(v) for v in items(values, "operator values")])
         zero = Fraction(0)
         return cls(lambda i, j: vals[i] if i == j else zero, len(vals), True)
 
@@ -81,10 +87,7 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
     entry out of float range (a length near the float maximum, or quantum
     numbers past about 1e77) is refused when it is asked for.
     """
-    if n_levels < 1:
-        raise InputError("need at least one level")
-    if not (length > 0 and math.isfinite(length)):
-        raise InputError(f"box length must be positive and finite, got {length!r}")
+    n_levels, length = count(n_levels, "level count", 1), real(length, "box length", True)
 
     def rule(i: int, j: int) -> float:
         if i == j:
@@ -103,15 +106,11 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
     return OneBodyOperator(rule, n_levels, exact=False)
 
 
-def _check_state(v: StateVector, op: OneBodyOperator, particle: int) -> None:
+def _check_particle(v: StateVector, particle: int, what: str) -> None:
     if v.is_zero:
-        raise ZeroVectorInput("expectation undefined on the zero vector")
-    if not (0 <= particle < v.n_particles):
+        raise ZeroVectorInput(f"{what} undefined on the zero vector")
+    if count(particle, "particle index") >= v.n_particles:
         raise InputError(f"particle index {shown(particle)} out of range")
-    if op.dim < v.basis_size:
-        raise InputError(f"operator dim {shown(op.dim)} < basis size {shown(v.basis_size)}")
-    if v.norm_squared() != ONE:
-        raise InputError("state vector must have norm squared exactly 1")
 
 
 def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
@@ -123,7 +122,11 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     Fractions: a float entry converts without rounding, so a float result
     is rounded once, at the end.
     """
-    _check_state(v, op, particle)
+    _check_particle(v, particle, "expectation")
+    if op.dim < v.basis_size:
+        raise InputError(f"operator dim {shown(op.dim)} < basis size {shown(v.basis_size)}")
+    if v.norm_squared() != ONE:
+        raise InputError("state vector must have norm squared exactly 1")
     tally, groups = v._one_body(particle)
     total = sum(n * a * a * Fraction(op.entry(lv, lv)) for lv, a, n in tally)
     total += sum(
@@ -142,10 +145,7 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
     amplitudes over states whose slot holds level k.  For a diagonal
     operator with energies e_k the expectation is sum_k w_k e_k, so equal
     weights prove the symbolic equal-share identity for any energies."""
-    if v.is_zero:
-        raise ZeroVectorInput("weights undefined on the zero vector")
-    if not (0 <= particle < v.n_particles):
-        raise InputError(f"particle index {shown(particle)} out of range")
+    _check_particle(v, particle, "weights")
     by_level = [0] * v.basis_size
     for lv, a, n in v._one_body(particle)[0]:
         by_level[lv] += n * a * a
@@ -164,14 +164,10 @@ def position_expectation_symmetrized(
 ) -> float:
     """<x_i> in the (anti)symmetrized box state built from 1-based
     quantum numbers `levels`."""
-    internal = tuple([int(n) - 1 for n in levels])
-    if any(i < 0 for i in internal):
-        raise InputError("box quantum numbers start at 1")
-    res = symmetrize(internal, parity)
-    if res.is_zero:
-        raise ZeroVectorInput("antisymmetrization cancelled: repeated level")
-    op = box_position_operator(length, max(internal) + 1)
-    return one_body_expectation(res.vector, op, particle)
+    internal = tuple([count(n, "box quantum number", 1) - 1 for n in items(levels, "levels")])
+    vector = symmetrize(internal, parity).vector  # zero when "A" meets a repeated level: refused below
+    op = box_position_operator(length, max(internal, default=0) + 1)
+    return one_body_expectation(vector, op, particle)
 
 
 # -- free sector -------------------------------------------------------
@@ -185,7 +181,7 @@ class PlaneWaveState:
     mass: Fraction = Fraction(1)
 
     def __post_init__(self):
-        momenta = tuple([tuple([_rational(c) for c in p]) for p in self.momenta])
+        momenta = tuple(_rational_rows(self.momenta, "momenta"))
         if not momenta:
             raise InputError("need at least one particle")
         d = len(momenta[0])
@@ -210,7 +206,7 @@ def energy_from_wave_coefficients(coeffs, mass, h=1) -> Fraction:
     """Kinetic energy recovered from phase coefficients:
     sum h^2 |a_j|^2 / (2 m).  Exact inverse of wave_coefficients."""
     h, mass = _positive(h, "h"), _positive(mass, "mass")
-    return sum(sum(_rational(c) ** 2 for c in a) for a in coeffs) * h * h / (2 * mass)
+    return sum(c * c for a in _rational_rows(coeffs, "coefficients") for c in a) * h * h / (2 * mass)
 
 
 def laplacian_condition_residual(linear_coeffs, quadratic_coeffs=None) -> Fraction:
@@ -219,12 +215,7 @@ def laplacian_condition_residual(linear_coeffs, quadratic_coeffs=None) -> Fracti
     A pure linear phase gives exactly zero; the optional per-coordinate
     quadratic coefficients exist as a negative control (each unit
     coefficient contributes 2)."""
-    for a in linear_coeffs:
-        for c in a:
-            _rational(c)  # validates
-    total = Fraction(0)
-    if quadratic_coeffs is not None:
-        for b in quadratic_coeffs:
-            for c in b:
-                total += 2 * _rational(c)
-    return total
+    _rational_rows(linear_coeffs, "linear coefficients")  # validates
+    if quadratic_coeffs is None:
+        return Fraction(0)
+    return 2 * sum(map(sum, _rational_rows(quadratic_coeffs, "quadratic coefficients")), Fraction(0))

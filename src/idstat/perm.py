@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, shown
+from .errors import InputError, count, items, shown
 
 
 @dataclass(frozen=True)
@@ -17,9 +17,10 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise InputError(f"not a permutation of 0..{n - 1}: {shown(self.mapping)}")
+        mapping = tuple([count(i, "permutation entry") for i in items(self.mapping, "permutation")])
+        if sorted(mapping) != list(range(len(mapping))):
+            raise InputError(f"not a permutation of 0..{len(mapping) - 1}: {shown(mapping)}")
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":

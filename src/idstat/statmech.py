@@ -17,10 +17,10 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import index, mul
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .errors import BoseDivergence, CapacityExceeded, InputError, shown
+from .errors import BoseDivergence, CapacityExceeded, InputError, count, items, real, shown
 
 MAX_PARTICLES = 12      # exhaustive occupation enumeration cap
 MAX_LEVELS = 20         # level count cap for enumeration
@@ -48,12 +48,14 @@ class Statistics(str, Enum):
     MB_FACT = "mb-fact"
 
     @classmethod
-    def parse(cls, text: str) -> "Statistics":
+    def parse(cls, text) -> "Statistics":
+        if type(text) is cls:
+            return text
         try:
             return cls(text.strip().lower())
         except (AttributeError, ValueError):  # AttributeError: not a str
             raise InputError(
-                f"unknown statistics {text!r}; expected one of "
+                f"unknown statistics {shown(text, repr)}; expected one of "
                 + ", ".join(s.value for s in cls)
             ) from None
 
@@ -70,10 +72,13 @@ class Spectrum:
     energies: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.energies:
+        energies = items(self.energies, "spectrum energies")
+        if not energies:
             raise InputError("spectrum must contain at least one level")
+        if len(energies) > MAX_CUTOFF:
+            raise CapacityExceeded(f"{len(energies)} levels exceed cap {MAX_CUTOFF}")
         try:
-            energies = [float(e) for e in self.energies]
+            energies = [float(e) for e in energies]
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"spectrum energies must be real numbers ({exc})") from None
         if not all(map(math.isfinite, energies)):
@@ -90,30 +95,14 @@ class Spectrum:
         return len(self.energies)
 
 
-def _check_count(value, name: str) -> int:
-    """A count as a true int: a float, a bool or a numeric string is
-    refused, not truncated."""
-    try:
-        count = None if isinstance(value, bool) else index(value)
-    except TypeError:
-        count = None
-    if count is None:
-        raise InputError(f"{name} must be an integer, got {shown(value, repr)}")
-    return count
-
-
 def _check_cutoff(cutoff: int) -> int:
-    value = _check_count(cutoff, "cutoff")
-    if value < 1:
-        raise InputError("cutoff must be at least 1")
+    value = count(cutoff, "cutoff", 1)
     if value > MAX_CUTOFF:
         raise CapacityExceeded(f"cutoff {shown(value)} exceeds cap {MAX_CUTOFF}")
     return value
 
 
 def spectrum_from_levels(values: Sequence[float]) -> Spectrum:
-    if len(values) > MAX_CUTOFF:
-        raise CapacityExceeded(f"{len(values)} levels exceed cap {MAX_CUTOFF}")
     return Spectrum(values)
 
 
@@ -126,10 +115,7 @@ def dimensionless_spectrum(cutoff: int) -> Spectrum:
 def _box_scale(length: float, mass: float, h: float) -> float:
     """h^2 / (8 m L^2); a box needs a positive finite length, mass and h,
     and a scale that stays finite.  A scale that rounds to 0 is kept."""
-    if not all(math.isfinite(x) and x > 0 for x in (length, mass, h)):
-        raise InputError(
-            f"box length, mass and h must be positive and finite, got {length!r}, {mass!r}, {h!r}"
-        )
+    length, mass, h = real(length, "box length", True), real(mass, "mass", True), real(h, "h", True)
     denominator = 8.0 * mass * length * length
     scale = h * h / denominator if denominator else math.inf
     if not math.isfinite(scale):
@@ -183,11 +169,9 @@ def spectrum_from_csv(path: str) -> Spectrum:
                     raise InputError(f"{path}: line {reader.line_num} has more fields than the header")
                 try:
                     e = float(row["energy"])
-                    g = int(row.get("degeneracy") or 1)
+                    g = count(int(row.get("degeneracy") or 1), f"{path}: degeneracy", 1)
                 except (TypeError, ValueError) as exc:
                     raise InputError(f"{path}: bad spectrum row {row}") from exc
-                if g < 1:
-                    raise InputError(f"{path}: degeneracy must be positive, got {shown(g)}")
                 if len(energies) + g > MAX_CUTOFF:  # refused before the row is expanded
                     raise CapacityExceeded(f"{path}: {shown(len(energies) + g)} levels exceed cap {MAX_CUTOFF}")
                 energies.extend([e] * g)
@@ -199,24 +183,19 @@ def spectrum_from_csv(path: str) -> Spectrum:
 # -- occupation enumeration ---------------------------------------------
 
 
-def _check_enumeration_caps(n_levels: int, n_particles: int, stat: Statistics) -> None:
-    n_levels, n_particles = _check_count(n_levels, "level count"), _check_count(n_particles, "N")
-    if n_particles > MAX_PARTICLES:
-        raise CapacityExceeded(f"occupation enumeration capped at N = {MAX_PARTICLES}")
-    if n_levels > MAX_LEVELS:
-        raise CapacityExceeded(f"occupation enumeration capped at {MAX_LEVELS} levels")
-    if n_levels < 1 or n_particles < 0:
-        raise InputError("need n_levels >= 1 and n_particles >= 0")
-    count = occupation_count(n_levels, n_particles, stat)
-    if count > MAX_OCCUPATION_STATES:
-        raise CapacityExceeded(f"{count} occupation states exceed the bound {MAX_OCCUPATION_STATES}")
-
-
 def occupation_vectors(n_levels: int, n_particles: int, stat: Statistics) -> Iterator[list[int]]:
     """Every Fock occupation vector with the given total, as a list of
     n_levels ints: 0/1 per level for FD, unrestricted for BE (and both MB
     kinds, which share BE support)."""
-    _check_enumeration_caps(n_levels, n_particles, stat)
+    stat = Statistics.parse(stat)
+    n_levels, n_particles = count(n_levels, "level count", 1), count(n_particles, "N")
+    if n_particles > MAX_PARTICLES:
+        raise CapacityExceeded(f"occupation enumeration capped at N = {MAX_PARTICLES}")
+    if n_levels > MAX_LEVELS:
+        raise CapacityExceeded(f"occupation enumeration capped at {MAX_LEVELS} levels")
+    states = occupation_count(n_levels, n_particles, stat)
+    if states > MAX_OCCUPATION_STATES:
+        raise CapacityExceeded(f"{states} occupation states exceed the bound {MAX_OCCUPATION_STATES}")
     zeros = [0] * n_levels
     if stat is Statistics.FD:
         for chosen in itertools.combinations(range(n_levels), n_particles):
@@ -234,7 +213,8 @@ def occupation_vectors(n_levels: int, n_particles: int, stat: Statistics) -> Ite
 
 def occupation_count(n_levels: int, n_particles: int, stat: Statistics) -> int:
     """Closed-form state count: C(K, N) for FD, C(K+N-1, N) otherwise."""
-    if stat is Statistics.FD:
+    n_levels, n_particles = count(n_levels, "level count", 1), count(n_particles, "N")
+    if Statistics.parse(stat) is Statistics.FD:
         return math.comb(n_levels, n_particles)
     return math.comb(n_levels + n_particles - 1, n_particles)
 
@@ -311,11 +291,7 @@ def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Stat
     kernel (-inf for more fermions than levels), MB kinds in closed form
     with the single-particle sum taken relative to the ground level.  Any
     other ln Z outside the float range is refused."""
-    if not 0 < beta < math.inf:
-        raise InputError("beta must be positive and finite")
-    n_particles = _check_count(n_particles, "N")
-    if n_particles < 0:
-        raise InputError("N must be nonnegative")
+    beta, n_particles, stat = real(beta, "beta", True), count(n_particles, "N"), Statistics.parse(stat)
     if n_particles == 0:
         return 0.0
     if stat.quantum:
@@ -369,8 +345,7 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     for a >= 0.  The running sum is at least its first term, so past
     s > QUIET + ln 2 every term is below 2^-54 / e times it, under half an
     ulp, and adds exactly nothing."""
-    if not 0 < beta < math.inf:
-        raise InputError("beta must be positive and finite")
+    beta, mu, stat = real(beta, "beta", True), real(mu, "mu"), Statistics.parse(stat)
     if not stat.quantum:
         raise InputError("grand product defined here for BE/FD only")
     if stat is Statistics.BE and mu >= spectrum.offset:
@@ -392,57 +367,41 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     return total
 
 
-# -- thermodynamic points and Boltzmann closed forms ------------------------
+# -- Boltzmann closed forms ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
-    """Temperature, volume, particle number and constants; the defaults
-    h = k = m = 1 are the dimensionless mode."""
-
-    T: float
-    V: float
-    N: int
-    mass: float = 1.0
-    h: float = 1.0
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) and x > 0 for x in (self.T, self.V)):
-            raise InputError("T and V must be positive and finite")
-        if self.N < 0:
-            raise InputError("N must be nonnegative")
-        if not all(math.isfinite(x) and x > 0 for x in (self.mass, self.h, self.k)):
-            raise InputError("constants must be positive and finite")
-
-
-def thermal_wavelength(tp: ThermoPoint) -> float:
-    """Lambda = h / sqrt(2 pi m k T)."""
-    scale = 2.0 * math.pi * tp.mass * tp.k * tp.T
+def thermal_wavelength(T: float, *, mass: float = 1.0, h: float = 1.0, k: float = 1.0) -> float:
+    """Lambda = h / sqrt(2 pi m k T); the defaults h = k = m = 1 are the
+    dimensionless mode."""
+    T, mass, h, k = real(T, "T", True), real(mass, "mass", True), real(h, "h", True), real(k, "k", True)
+    scale = 2.0 * math.pi * mass * k * T
     if not scale > 0:
-        raise InputError(f"2 pi m k T underflows to zero at T = {tp.T!r}, mass = {tp.mass!r}")
-    return tp.h / math.sqrt(scale)
+        raise InputError(f"2 pi m k T underflows to zero at T = {T!r}, mass = {mass!r}")
+    return h / math.sqrt(scale)
 
 
-def mb_ln_Z_continuum(tp: ThermoPoint, stat: Statistics = Statistics.MB_NN) -> float:
+def mb_ln_Z_continuum(T: float, V: float, N: int, stat: Statistics = Statistics.MB_NN, *,
+                      mass: float = 1.0, h: float = 1.0, k: float = 1.0) -> float:
     """Continuum Boltzmann ln Z: N ln(V / (N Lambda^3)) for the
     per-particle-subvolume convention, N ln(V / Lambda^3) - ln N! for the
     factorial convention."""
-    if tp.N == 0:
+    V, N, stat = real(V, "V", True), count(N, "N"), Statistics.parse(stat)
+    wavelength = thermal_wavelength(T, mass=mass, h=h, k=k)
+    if N == 0:
         return 0.0
-    if stat not in (Statistics.MB_NN, Statistics.MB_FACT):
+    if stat.quantum:
         raise InputError("continuum closed form applies to MB kinds only")
     try:
-        cube = thermal_wavelength(tp) ** 3
+        cube = wavelength**3
         if stat is Statistics.MB_NN:
-            ln_Z = tp.N * math.log(tp.V / (tp.N * cube))
+            ln_Z = N * math.log(V / (N * cube))
         else:
-            ln_Z = tp.N * math.log(tp.V / cube) - math.lgamma(tp.N + 1)
+            ln_Z = N * math.log(V / cube) - math.lgamma(N + 1)
     except (ArithmeticError, ValueError):  # Lambda^3 or V / Lambda^3 left the float range
         ln_Z = math.nan
     if not math.isfinite(ln_Z):
         raise InputError(
-            f"continuum ln Z is out of float range at T = {tp.T!r}, V = {tp.V!r}, mass = {tp.mass!r}"
+            f"continuum ln Z is out of float range at T = {T!r}, V = {V!r}, mass = {mass!r}"
         )
     return ln_Z
 
@@ -476,13 +435,12 @@ def extensivity_report(
     system sizes, as a dict of statistics, T, note, rows and checks.  Without
     a spectrum_builder the MB kinds are taken in continuum closed form; with
     one, each volume gets its spectrum and canonical_ln_Z."""
+    stat, T, k = Statistics.parse(stat), real(T, "T", True), real(k, "k", True)
     continuum = spectrum_builder is None
-    if continuum and stat.quantum:
-        raise InputError("continuum closed form applies to MB kinds only")
 
     def ln_Z_at(V: float, N: int) -> float:
         if continuum:
-            return mb_ln_Z_continuum(ThermoPoint(T=T, V=V, N=N, mass=mass, h=h, k=k), stat)
+            return mb_ln_Z_continuum(T, V, N, stat, mass=mass, h=h, k=k)
         spec = spectrum_builder(V)
         ln_Z = canonical_ln_Z(spec, N, 1.0 / (k * T) if k * T else math.inf, stat)
         if ln_Z == -math.inf:
@@ -491,9 +449,10 @@ def extensivity_report(
 
     rows = []
     checks = []
-    for V, N in sizes:
-        if N < 1:
-            raise InputError("sizes need N >= 1")
+    for size in items(sizes, "sizes"):
+        if len(size := items(size, "size")) != 2:
+            raise InputError(f"a size must be a (V, N) pair, got {shown(size, repr)}")
+        V, N = real(size[0], "V", True), count(size[1], "N", 1)
         ln_Z = ln_Z_at(V, N)
         F = free_energy_from_ln_Z(ln_Z, T, k)
         F_single = free_energy_from_ln_Z(ln_Z_at(V / N, 1), T, k)

@@ -21,7 +21,7 @@ from operator import itemgetter, mul, neg
 from typing import Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
-from .errors import CapacityExceeded, InputError, ZeroVectorInput, shown
+from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, items, shown
 from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from .perm import Permutation
 
@@ -29,11 +29,7 @@ Parity = Literal["S", "A"]
 
 
 def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(levels)
-    for lv in t:
-        if not isinstance(lv, int) or lv < 0:
-            raise InputError(f"level indices must be nonnegative ints, got {shown(lv, repr)}")
-    return t
+    return tuple([count(lv, "level index") for lv in items(levels, "levels")])
 
 
 class StateVector:
@@ -49,7 +45,7 @@ class StateVector:
     def __init__(self, n_particles: int, amps: dict | None = None):
         """`amps` maps states to ints, Rationals or RadicalRationals; the
         nonzero ones must share one radicand."""
-        self.n_particles = n_particles
+        self.n_particles = count(n_particles, "particle count")
         clean: dict[tuple, Fraction] = {}
         radicand = None
         top = -1
@@ -252,7 +248,7 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     """
     levels = _check_levels(levels)
     if parity not in ("S", "A"):
-        raise InputError(f"parity must be 'S' or 'A', got {parity!r}")
+        raise InputError(f"parity must be 'S' or 'A', got {shown(parity, repr)}")
     if len(levels) > MAX_SYMMETRIZE_N:  # before any factorial is taken
         raise CapacityExceeded(
             f"symmetrization of {len(levels)} particles exceeds cap {MAX_SYMMETRIZE_N}"
@@ -313,7 +309,7 @@ def decompose(
     The residual keeps v's scale: for a member b of scale q*sqrt(r),
     <b|v> b is v's scale times q^2 r (sum of b's values times v's) b's values.
     """
-    basis = list(basis)
+    basis = items(basis, "basis")
     for i, b in enumerate(basis):
         for j in range(i, len(basis)):
             if (b.norm_squared() != ONE) if i == j else _dot(b._amps, basis[j]._amps):

@@ -4,6 +4,7 @@ public library refusal of a bad argument raised as one of them."""
 from __future__ import annotations
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from idstat.observables import (
     PlaneWaveState,
     box_position_operator,
     energy_from_wave_coefficients,
+    laplacian_condition_residual,
     occupancy_weights,
     one_body_expectation,
     position_expectation_symmetrized,
@@ -30,16 +32,23 @@ from idstat.statmech import (
     canonical_Z,
     canonical_ln_Z,
     dimensionless_spectrum,
+    extensivity_report,
+    grand_ln_Xi,
+    mb_ln_Z_continuum,
+    occupation_count,
     occupation_vectors,
     spectrum_from_csv,
     spectrum_from_levels,
+    thermal_wavelength,
 )
 from idstat.symmetry import (
     StateVector,
     decompose,
+    exchange_degeneracy_dimension,
     inner_product,
     orbit_basis_n3,
     product_state_vector,
+    symmetric_antisymmetric_dimensions,
     symmetrize,
 )
 
@@ -139,6 +148,142 @@ def test_library_misuse_is_an_idstat_refusal(name):
         call()
     assert type(info.value) is expected
 
+
+
+BE, FD, MB_NN = Statistics.BE, Statistics.FD, Statistics.MB_NN
+SPEC = spectrum_from_levels([0.0, 1.0, 2.0])
+PAIR = product_state_vector((0, 1))
+#: Values each slot admits: 2.5 for a real parameter, and True for the exact
+#: ring, which reads it as the int 1.  Every other swept value is refused.
+REAL, EXACT, NONE = (2.5,), (True,), ()
+
+#: (public call, argument) -> the call with that argument replaced, and the
+#: swept values it admits.  The other arguments are fixed and admissible.
+ARGUMENTS = {
+    # counts and indices
+    "dimensionless_spectrum(cutoff)": (lambda x: dimensionless_spectrum(x), NONE),
+    "box1d_spectrum(cutoff)": (lambda x: box1d_spectrum(x), NONE),
+    "box3d_spectrum(cutoff)": (lambda x: box3d_spectrum(x), NONE),
+    "occupation_vectors(n_levels)": (lambda x: list(occupation_vectors(x, 2, BE)), NONE),
+    "occupation_vectors(n_particles)": (lambda x: list(occupation_vectors(3, x, BE)), NONE),
+    "occupation_count(n_levels)": (lambda x: occupation_count(x, 2, BE), NONE),
+    "occupation_count(n_particles)": (lambda x: occupation_count(3, x, BE), NONE),
+    "canonical_ln_Z(N)": (lambda x: canonical_ln_Z(SPEC, x, 1.0, BE), NONE),
+    "mb_ln_Z_continuum(N)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, x), NONE),
+    "extensivity_report(N)": (lambda x: extensivity_report(MB_NN, 1.0, [(2.0, x)]), NONE),
+    "product_state_vector(level)": (lambda x: product_state_vector((0, x)), NONE),
+    "symmetrize(level)": (lambda x: symmetrize((0, x), "S"), NONE),
+    "orbit_basis_n3(level)": (lambda x: orbit_basis_n3((0, 1, x)), NONE),
+    "exchange_degeneracy_dimension(level)": (lambda x: exchange_degeneracy_dimension((0, x)), NONE),
+    "symmetric_antisymmetric_dimensions(level)": (lambda x: symmetric_antisymmetric_dimensions((0, x)), NONE),
+    "StateVector(n_particles)": (lambda x: StateVector(x, {}), NONE),
+    "StateVector(level)": (lambda x: StateVector(2, {(0, x): 1}), NONE),
+    "one_body_expectation(particle)": (lambda x: one_body_expectation(PAIR, H3, x), NONE),
+    "occupancy_weights(particle)": (lambda x: occupancy_weights(PAIR, x), NONE),
+    "position_expectation_symmetrized(level)": (lambda x: position_expectation_symmetrized((1, x), 1.0, 0, "S"),
+                                                NONE),
+    "position_expectation_symmetrized(particle)": (
+        lambda x: position_expectation_symmetrized((1, 2), 1.0, x, "S"), NONE),
+    "box_position_operator(n_levels)": (lambda x: box_position_operator(1.0, x), NONE),
+    "square_free_split(n)": (lambda x: square_free_split(x), NONE),
+    "Permutation(entry)": (lambda x: Permutation((x, 0)), NONE),
+    # real parameters
+    "canonical_ln_Z(beta)": (lambda x: canonical_ln_Z(SPEC, 2, x, BE), REAL),
+    "grand_ln_Xi(beta)": (lambda x: grand_ln_Xi(SPEC, x, 0.5, FD), REAL),
+    "grand_ln_Xi(mu)": (lambda x: grand_ln_Xi(SPEC, 1.0, x, FD), REAL),
+    "box1d_spectrum(length)": (lambda x: box1d_spectrum(3, x), REAL),
+    "box1d_spectrum(mass)": (lambda x: box1d_spectrum(3, 1.0, x), REAL),
+    "box1d_spectrum(h)": (lambda x: box1d_spectrum(3, 1.0, 1.0, x), REAL),
+    "box3d_spectrum(length)": (lambda x: box3d_spectrum(3, x), REAL),
+    "box_position_operator(length)": (lambda x: box_position_operator(x, 3).entry(0, 1), REAL),
+    "position_expectation_symmetrized(length)": (lambda x: position_expectation_symmetrized((1, 2), x, 0, "S"),
+                                                 REAL),
+    "thermal_wavelength(T)": (lambda x: thermal_wavelength(x), REAL),
+    "mb_ln_Z_continuum(T)": (lambda x: mb_ln_Z_continuum(x, 10.0, 5), REAL),
+    "mb_ln_Z_continuum(V)": (lambda x: mb_ln_Z_continuum(1.0, x, 5), REAL),
+    "mb_ln_Z_continuum(mass)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, 5, mass=x), REAL),
+    "mb_ln_Z_continuum(h)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, 5, h=x), REAL),
+    "mb_ln_Z_continuum(k)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, 5, k=x), REAL),
+    "extensivity_report(T)": (lambda x: extensivity_report(MB_NN, x, [(2.0, 2)]), REAL),
+    "extensivity_report(V)": (lambda x: extensivity_report(MB_NN, 1.0, [(x, 2)]), REAL),
+    "extensivity_report(k)": (lambda x: extensivity_report(MB_NN, 1.0, [(2.0, 2)], k=x), REAL),
+    # statistics
+    "occupation_vectors(stat)": (lambda x: list(occupation_vectors(3, 2, x)), NONE),
+    "occupation_count(stat)": (lambda x: occupation_count(3, 2, x), NONE),
+    "canonical_ln_Z(stat)": (lambda x: canonical_ln_Z(SPEC, 2, 1.0, x), NONE),
+    "grand_ln_Xi(stat)": (lambda x: grand_ln_Xi(SPEC, 1.0, -0.5, x), NONE),
+    "mb_ln_Z_continuum(stat)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, 5, x), NONE),
+    "extensivity_report(stat)": (lambda x: extensivity_report(x, 1.0, [(2.0, 2)]), NONE),
+    "Statistics.parse(text)": (lambda x: Statistics.parse(x), NONE),
+    # sequences
+    "spectrum_from_levels(values)": (lambda x: spectrum_from_levels(x), NONE),
+    "extensivity_report(sizes)": (lambda x: extensivity_report(MB_NN, 1.0, x), NONE),
+    "extensivity_report(size)": (lambda x: extensivity_report(MB_NN, 1.0, [x]), NONE),
+    "product_state_vector(levels)": (lambda x: product_state_vector(x), NONE),
+    "symmetrize(levels)": (lambda x: symmetrize(x, "S"), NONE),
+    "OneBodyOperator.diagonal(values)": (lambda x: OneBodyOperator.diagonal(x), NONE),
+    "position_expectation_symmetrized(levels)": (lambda x: position_expectation_symmetrized(x, 1.0, 0, "S"),
+                                                 NONE),
+    "Permutation(mapping)": (lambda x: Permutation(x), NONE),
+    "OneBodyOperator.matrix(rows)": (lambda x: OneBodyOperator.matrix(x, exact=True), NONE),
+    "OneBodyOperator.matrix(row)": (lambda x: OneBodyOperator.matrix([x], exact=True), NONE),
+    "PlaneWaveState(momenta)": (lambda x: PlaneWaveState(x), NONE),
+    "PlaneWaveState(momentum)": (lambda x: PlaneWaveState([x]), NONE),
+    "energy_from_wave_coefficients(coeffs)": (lambda x: energy_from_wave_coefficients(x, 1), NONE),
+    "laplacian_condition_residual(linear_coeffs)": (lambda x: laplacian_condition_residual(x), NONE),
+    "decompose(basis)": (lambda x: decompose(PAIR, x), NONE),
+    # exact ring values
+    "rsqrt_of_rational(value)": (lambda x: rsqrt_of_rational(x), EXACT),
+    "RadicalRational.of(value)": (lambda x: RadicalRational.of(x), EXACT),
+    "StateVector(amplitude)": (lambda x: StateVector(1, {(0,): x}), EXACT),
+}
+SWEPT = (True, 2.5, "2", None, math.nan)
+#: The same number in another type: an admitted value answers as this one does.
+SAME_NUMBER = {2.5: Fraction(5, 2), True: 1}
+
+
+@pytest.mark.parametrize("pair, value", [(pair, value) for pair in ARGUMENTS for value in SWEPT],
+                         ids=[f"{pair}-{value!r}" for pair in ARGUMENTS for value in SWEPT])
+def test_every_argument_answers_or_is_an_idstat_refusal(pair, value):
+    call, admits = ARGUMENTS[pair]
+    if value in admits:
+        assert call(value) == call(SAME_NUMBER[value])
+    else:
+        with pytest.raises(IdstatError):
+            call(value)
+
+
+def test_statistics_given_by_name_is_read_as_the_member():
+    # the name once selected the Bose rows, and the 1/N! normalization
+    assert list(occupation_vectors(3, 2, "fd")) == list(occupation_vectors(3, 2, FD)) == [
+        [1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    assert occupation_count(3, 2, "fd") == 3
+    ln_Z = mb_ln_Z_continuum(1.0, 10.0, 5, "mb-nn")
+    assert ln_Z == mb_ln_Z_continuum(1.0, 10.0, 5) and math.isclose(ln_Z, 17.249813900869817, rel_tol=1e-15)
+
+
+def test_non_integer_quantum_number_is_refused():
+    # int(2.5) - 1 once read (1, 2.5) as (1, 2)
+    with pytest.raises(InputError):
+        position_expectation_symmetrized((1, 2.5), 1.0, 0, "S")
+
+
+def test_non_integer_radicand_is_refused():
+    # square_free_split(2.5) once returned (1, 2.5)
+    with pytest.raises(InputError):
+        square_free_split(2.5)
+
+
+def test_nan_level_count_is_refused():
+    # nan < 1 is false, so a nan level count once built an operator
+    with pytest.raises(InputError):
+        box_position_operator(1.0, math.nan)
+
+
+def test_size_that_is_not_a_pair_is_refused():
+    for size in ((2.0,), (2.0, 2, 1), ()):
+        with pytest.raises(InputError):
+            extensivity_report(MB_NN, 1.0, [size])
 
 
 @pytest.mark.parametrize("name", sorted(OVERSIZED))

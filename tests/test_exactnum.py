@@ -203,7 +203,7 @@ def test_human_form():
     assert str(RadicalRational.of(Fraction(-5, 12))) == "-5/12"
     assert str(-rsqrt_of_rational(Fraction(1, 6))) == "-1/6*sqrt(6)"
     assert str(rsqrt_of_rational(Fraction(1, 6)) - rsqrt_of_rational(Fraction(2, 3))) == "-1/6*sqrt(6)"
-    with pytest.raises(TypeError):
+    with pytest.raises(InputError):
         RadicalRational.of(0.5)
 
 

@@ -14,7 +14,7 @@ import idstat
 
 #: What a fresh `import idstat, idstat.cli` must leave unloaded.
 LIBRARY = ("idstat.verify", "idstat.symmetry", "idstat.observables", "idstat.exactnum",
-           "idstat.perm", "idstat.statmech", "fractions")
+           "idstat.perm", "idstat.statmech", "fractions", "numbers", "decimal")
 
 DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vector",
            "symmetrize_raw", "mb_free_energy", "momentum_degeneracy", "MAX_ENUM_N",
@@ -23,7 +23,7 @@ DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vecto
            "OccupationState", "enumerate_occupations", "ExtensivityRow", "ExtensivityReport",
            "sum_of_products", "CutoffTooLarge", "NotRepresentable", "NegativeRadicand",
            "LengthMismatch", "RequiresDistinctLevels", "DimensionMismatch", "BasisNotOrthonormal",
-           "NotNormalized", "verification_passed", "noted_count")
+           "NotNormalized", "verification_passed", "noted_count", "ThermoPoint")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
@@ -32,7 +32,6 @@ DELETED_METHODS = {
                     "support", "amplitude"),
     "RadicalRational": ("to_json", "from_json", "sqrt_rational", "__truediv__", "__rsub__",
                         "is_rational", "as_rational", "is_single_term"),
-    "ThermoPoint": ("dimensionless", "mu", "beta"),
     "Spectrum": ("shifted", "source"),
     "OneBodyOperator": ("hermitian",),
     "PlaneWaveState": ("volume", "n_particles"),

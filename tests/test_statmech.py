@@ -21,7 +21,6 @@ from idstat.statmech import (
     QUIET,
     Spectrum,
     Statistics,
-    ThermoPoint,
     box1d_spectrum,
     box3d_spectrum,
     canonical_Z,
@@ -555,11 +554,10 @@ def test_grand_ln_xi_refuses_a_sum_out_of_float_range():
 
 
 def test_continuum_ln_z_refuses_a_wavelength_out_of_float_range():
-    for point in (ThermoPoint(T=1e308, V=1.0, N=2), ThermoPoint(T=1.0, V=1.0, N=2, mass=1e-308),
-                  ThermoPoint(T=1e-300, V=1e-300, N=2)):
+    for T, V, mass in ((1e308, 1.0, 1.0), (1.0, 1.0, 1e-308), (1e-300, 1e-300, 1.0)):
         for stat in (MB_NN, MB_FACT):
             with pytest.raises(InputError):
-                mb_ln_Z_continuum(point, stat)
+                mb_ln_Z_continuum(T, V, 2, stat, mass=mass)
 
 
 def test_fugacity_series_matches_product_fd():
@@ -579,8 +577,7 @@ def test_fugacity_series_matches_product_be():
 
 
 def test_thermal_wavelength_dimensionless():
-    tp = ThermoPoint(T=1.0 / (2.0 * math.pi), V=1.0, N=1)
-    assert math.isclose(thermal_wavelength(tp), 1.0, rel_tol=1e-15)
+    assert math.isclose(thermal_wavelength(1.0 / (2.0 * math.pi)), 1.0, rel_tol=1e-15)
 
 
 def test_thermal_wavelength_si_against_mpmath():
@@ -589,18 +586,18 @@ def test_thermal_wavelength_si_against_mpmath():
     from idstat.statmech import BOLTZMANN_K_SI, PLANCK_H_SI
 
     m_he = 6.6464731e-27
-    tp = ThermoPoint(T=300.0, V=1.0, N=1, mass=m_he, h=PLANCK_H_SI, k=BOLTZMANN_K_SI)
     mpmath.mp.dps = 50
     ref = mpmath.mpf(PLANCK_H_SI) / mpmath.sqrt(
         2 * mpmath.pi * mpmath.mpf(m_he) * mpmath.mpf(BOLTZMANN_K_SI) * 300
     )
-    assert abs(thermal_wavelength(tp) - float(ref)) / float(ref) < 1e-12
+    wavelength = thermal_wavelength(300.0, mass=m_he, h=PLANCK_H_SI, k=BOLTZMANN_K_SI)
+    assert abs(wavelength - float(ref)) / float(ref) < 1e-12
 
 
 def test_mb_free_energy_extensive_closed_form():
     v_per_n, T = 1.7, 0.9
     F_at = lambda V, N: free_energy_from_ln_Z(
-        mb_ln_Z_continuum(ThermoPoint(T=T, V=V, N=N)), T
+        mb_ln_Z_continuum(T, V, N), T
     )
     f1 = F_at(v_per_n, 1)
     for n in (1, 2, 10, 100, 10**4):
@@ -610,7 +607,7 @@ def test_mb_free_energy_extensive_closed_form():
 
 def test_mb_ln_z_rejects_quantum_kinds():
     with pytest.raises(InputError):
-        mb_ln_Z_continuum(ThermoPoint(T=1.0, V=1.0, N=1), BE)
+        mb_ln_Z_continuum(1.0, 1.0, 1, BE)
 
 
 def test_free_energy_sign_convention():
@@ -674,10 +671,11 @@ def test_extensivity_report_input_errors():
 
 
 def test_thermo_point_validation():
+    # the continuum point (T, V, N) and its constants, read by mb_ln_Z_continuum
     with pytest.raises(InputError):
-        ThermoPoint(T=0.0, V=1.0, N=1)
+        mb_ln_Z_continuum(0.0, 1.0, 1)
     with pytest.raises(InputError):
-        ThermoPoint(T=1.0, V=-1.0, N=1)
+        mb_ln_Z_continuum(1.0, -1.0, 1)
     for bad in ({"T": math.inf}, {"V": math.nan}, {"mass": math.inf}, {"h": math.nan}):
         with pytest.raises(InputError):
-            ThermoPoint(**{"T": 1.0, "V": 1.0, "N": 1, **bad})
+            mb_ln_Z_continuum(**{"T": 1.0, "V": 1.0, "N": 1, **bad})
