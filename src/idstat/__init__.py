@@ -34,10 +34,7 @@ _EXPORTS = {
         "symmetric_antisymmetric_dimensions", "symmetrize",
     ),
     "observables": (
-        "OneBodyOperator", "PlaneWaveState", "box_position_operator",
-        "energy_from_wave_coefficients", "energy_sum_rule", "laplacian_condition_residual",
-        "occupancy_weights", "one_body_expectation", "plane_wave_energy",
-        "position_expectation_symmetrized", "wave_coefficients",
+        "OneBodyOperator", "box_position_operator", "occupancy_weights", "one_body_expectation",
     ),
     "statmech": (
         "FREE_ENERGY_NOTE", "Spectrum", "Statistics",

@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import InputError, count
+from .errors import InputError, count, file_path
 
 MODES = ("dimensionless", "si")
 OUTPUT_FORMATS = ("json", "csv", "pretty")
@@ -50,7 +50,7 @@ def _coerce(key: str, value: str):
 
 def parse_config_file(path: str) -> dict:
     """key=value lines; blank lines and # comments ignored."""
-    settings: dict = {}
+    path, settings = file_path(path, "config file"), {}
     try:
         with open(path) as fh:
             lines = fh.readlines()

@@ -5,12 +5,13 @@ CLI error boundary) can catch one base class.  There is one class per CLI
 exit status, named by `exit_code`; ZeroVectorInput is the one input error
 callers catch by name.  `shown` formats a refused argument for a message.
 Public entry points read each argument by the rule for its kind: `count`,
-`real`, `items`, or `statmech.Statistics.parse` for a statistics.
+`real`, `items`, `file_path`, `instance` or `statmech.Statistics.parse`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from operator import index
 
 
@@ -100,3 +101,18 @@ def items(value, name: str) -> list | tuple:
     except TypeError:
         pass
     raise InputError(f"{name} must be a sequence, got {shown(value, repr)}")
+
+
+def file_path(value, name: str) -> str | os.PathLike:
+    """A str or an os.PathLike.  An int, which open() would take as a file
+    descriptor (and close), is refused with any other value."""
+    if isinstance(value, (str, os.PathLike)):
+        return value
+    raise InputError(f"{name} must be a path, got {shown(value, repr)}")
+
+
+def instance(value, cls: type, name: str):
+    """An instance of `cls`; another value is refused by its type's name."""
+    if isinstance(value, cls):
+        return value
+    raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")

@@ -1,5 +1,4 @@
-"""Per-particle observables on exact state vectors, plus plane-wave
-bookkeeping for the free sector.
+"""Per-particle observables on exact state vectors.
 
 Single-particle operators act on one slot of a product state: the
 expectation of O on particle i contracts amplitudes over all state pairs
@@ -16,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InputError, ZeroVectorInput, count, items, real, shown
-from .exactnum import ONE, ZERO, RadicalRational
-from .symmetry import Parity, StateVector, symmetrize
+from .errors import InputError, ZeroVectorInput, count, instance, items, real, shown
+from .exactnum import ONE, RadicalRational
+from .symmetry import StateVector
 
 
 def _rational(value) -> Fraction:
@@ -27,20 +26,6 @@ def _rational(value) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"not a rational number: {shown(value, repr)}") from None
-
-
-def _rational_rows(rows, name: str) -> list[tuple[Fraction, ...]]:
-    """A sequence of sequences of rationals, such as momenta or phase
-    coefficients."""
-    return [tuple([_rational(c) for c in items(row, name)]) for row in items(rows, name)]
-
-
-def _positive(value, name: str) -> Fraction:
-    """A rational that must be positive, such as a mass or h."""
-    value = _rational(value)
-    if value <= 0:
-        raise InputError(f"{name} must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -107,7 +92,7 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
 
 
 def _check_particle(v: StateVector, particle: int, what: str) -> None:
-    if v.is_zero:
+    if instance(v, StateVector, "vector").is_zero:
         raise ZeroVectorInput(f"{what} undefined on the zero vector")
     if count(particle, "particle index") >= v.n_particles:
         raise InputError(f"particle index {shown(particle)} out of range")
@@ -123,7 +108,7 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     is rounded once, at the end.
     """
     _check_particle(v, particle, "expectation")
-    if op.dim < v.basis_size:
+    if instance(op, OneBodyOperator, "operator").dim < v.basis_size:
         raise InputError(f"operator dim {shown(op.dim)} < basis size {shown(v.basis_size)}")
     if v.norm_squared() != ONE:
         raise InputError("state vector must have norm squared exactly 1")
@@ -151,71 +136,3 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
         by_level[lv] += n * a * a
     square = v._scale * v._scale
     return [square * w for w in by_level]
-
-
-def energy_sum_rule(v: StateVector, op: OneBodyOperator):
-    """Sum of the per-particle expectations over all slots."""
-    values = [one_body_expectation(v, op, i) for i in range(v.n_particles)]
-    return sum(values, ZERO) if op.exact else math.fsum(values)
-
-
-def position_expectation_symmetrized(
-    levels: Sequence[int], length: float, particle: int, parity: Parity
-) -> float:
-    """<x_i> in the (anti)symmetrized box state built from 1-based
-    quantum numbers `levels`."""
-    internal = tuple([count(n, "box quantum number", 1) - 1 for n in items(levels, "levels")])
-    vector = symmetrize(internal, parity).vector  # zero when "A" meets a repeated level: refused below
-    op = box_position_operator(length, max(internal, default=0) + 1)
-    return one_body_expectation(vector, op, particle)
-
-
-# -- free sector -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlaneWaveState:
-    """N sharp momenta (rational components for exact identities) and a mass."""
-
-    momenta: tuple[tuple[Fraction, ...], ...]
-    mass: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        momenta = tuple(_rational_rows(self.momenta, "momenta"))
-        if not momenta:
-            raise InputError("need at least one particle")
-        d = len(momenta[0])
-        if any(len(p) != d for p in momenta):
-            raise InputError("momentum vectors must share one dimension")
-        object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "mass", _positive(self.mass, "mass"))
-
-
-def plane_wave_energy(pw: PlaneWaveState) -> Fraction:
-    """Total kinetic energy sum |p_j|^2 / (2 m), exact."""
-    return sum(sum(c * c for c in p) for p in pw.momenta) / (2 * pw.mass)
-
-
-def wave_coefficients(pw: PlaneWaveState, h=1) -> tuple[tuple[Fraction, ...], ...]:
-    """Linear phase coefficients a_j = p_j / h of the product plane wave."""
-    h = _positive(h, "h")
-    return tuple([tuple([c / h for c in p]) for p in pw.momenta])
-
-
-def energy_from_wave_coefficients(coeffs, mass, h=1) -> Fraction:
-    """Kinetic energy recovered from phase coefficients:
-    sum h^2 |a_j|^2 / (2 m).  Exact inverse of wave_coefficients."""
-    h, mass = _positive(h, "h"), _positive(mass, "mass")
-    return sum(c * c for a in _rational_rows(coeffs, "coefficients") for c in a) * h * h / (2 * mass)
-
-
-def laplacian_condition_residual(linear_coeffs, quadratic_coeffs=None) -> Fraction:
-    """Laplacian of the phase polynomial sum_j (a_j . q_j) [+ sum_j b_j . q_j^2].
-
-    A pure linear phase gives exactly zero; the optional per-coordinate
-    quadratic coefficients exist as a negative control (each unit
-    coefficient contributes 2)."""
-    _rational_rows(linear_coeffs, "linear coefficients")  # validates
-    if quadratic_coeffs is None:
-        return Fraction(0)
-    return 2 * sum(map(sum, _rational_rows(quadratic_coeffs, "quadratic coefficients")), Fraction(0))

@@ -24,6 +24,9 @@ class Permutation:
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
+        n, i, j = count(n, "permutation size"), count(i, "slot i"), count(j, "slot j")
+        if max(i, j) >= n:
+            raise InputError(f"slots {shown(i)} and {shown(j)} must be below the size {shown(n)}")
         m = list(range(n))
         m[i], m[j] = m[j], m[i]
         return cls(tuple(m))

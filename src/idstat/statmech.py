@@ -20,13 +20,14 @@ from enum import Enum
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .errors import BoseDivergence, CapacityExceeded, InputError, count, items, real, shown
+from .errors import BoseDivergence, CapacityExceeded, InputError, count, file_path, instance, items, real, shown
 
 MAX_PARTICLES = 12      # exhaustive occupation enumeration cap
 MAX_LEVELS = 20         # level count cap for enumeration
 MAX_OCCUPATION_STATES = math.comb(20, 10)  # enumerated states; FD's most under MAX_LEVELS
 MAX_CANONICAL_N = 50    # particle-number cap of the canonical BE/FD kernel
 MAX_CUTOFF = 10**4      # spectrum length cap
+MAX_COUNT_DIGITS = 4300  # digits of a state count: Python's default int-to-text limit
 # A term below 2^-54 times a positive float sum is under half an ulp of it, so
 # adding it leaves the sum bit for bit.  e^-QUIET is 2^-54 / e: the factor 1/e
 # covers the rounding of exp and of the products.
@@ -158,7 +159,7 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
 
 def spectrum_from_csv(path: str) -> Spectrum:
     """CSV with header column `energy`, optional `degeneracy` (expanded)."""
-    energies: list[float] = []
+    path, energies = file_path(path, "spectrum file"), []
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -175,8 +176,8 @@ def spectrum_from_csv(path: str) -> Spectrum:
                 if len(energies) + g > MAX_CUTOFF:  # refused before the row is expanded
                     raise CapacityExceeded(f"{path}: {shown(len(energies) + g)} levels exceed cap {MAX_CUTOFF}")
                 energies.extend([e] * g)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"{path}: not a readable CSV text file ({exc})") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read spectrum file {path}: {exc}") from exc
     return spectrum_from_levels(energies)
 
 
@@ -196,27 +197,32 @@ def occupation_vectors(n_levels: int, n_particles: int, stat: Statistics) -> Ite
     states = occupation_count(n_levels, n_particles, stat)
     if states > MAX_OCCUPATION_STATES:
         raise CapacityExceeded(f"{states} occupation states exceed the bound {MAX_OCCUPATION_STATES}")
+    draws = itertools.combinations if stat is Statistics.FD else itertools.combinations_with_replacement
     zeros = [0] * n_levels
-    if stat is Statistics.FD:
-        for chosen in itertools.combinations(range(n_levels), n_particles):
-            vec = zeros.copy()
-            for lv in chosen:
-                vec[lv] = 1
-            yield vec
-    else:
-        for combo in itertools.combinations_with_replacement(range(n_levels), n_particles):
-            vec = zeros.copy()
-            for lv in combo:
-                vec[lv] += 1
-            yield vec
+    for drawn in draws(range(n_levels), n_particles):
+        vec = zeros.copy()
+        for lv in drawn:
+            vec[lv] += 1
+        yield vec
 
 
 def occupation_count(n_levels: int, n_particles: int, stat: Statistics) -> int:
-    """Closed-form state count: C(K, N) for FD, C(K+N-1, N) otherwise."""
+    """Closed-form state count C(n, N): n = K for FD, K + N - 1 otherwise.
+
+    A count past MAX_COUNT_DIGITS digits is refused before it is computed.
+    With m = min(N, n - N), (n/m)^m <= C(n, m) <= (e n/m)^m bound its digits
+    by logs of ints, and n/m >= 2 puts every m > 4 * MAX_COUNT_DIGITS past
+    the cap; only bounds within a digit of the cap need the exact count."""
     n_levels, n_particles = count(n_levels, "level count", 1), count(n_particles, "N")
-    if Statistics.parse(stat) is Statistics.FD:
-        return math.comb(n_levels, n_particles)
-    return math.comb(n_levels + n_particles - 1, n_particles)
+    n = n_levels if Statistics.parse(stat) is Statistics.FD else n_levels + n_particles - 1
+    m = min(n_particles, n - n_particles)  # C(n, N) = C(n, m); 0 when m < 0
+    if m > 0:
+        low = m * (math.log10(n) - math.log10(m)) if m <= 4 * MAX_COUNT_DIGITS else math.inf
+        if low > MAX_COUNT_DIGITS + 1 or (low + m * math.log10(math.e) > MAX_COUNT_DIGITS - 1
+                                          and math.comb(n, m) >= 10**MAX_COUNT_DIGITS):
+            raise CapacityExceeded(f"occupation count C({shown(n)}, {shown(n_particles)}) "
+                                   f"has more than {MAX_COUNT_DIGITS} digits")
+    return math.comb(n, n_particles)
 
 
 # -- canonical partition functions ----------------------------------------
@@ -291,6 +297,7 @@ def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Stat
     kernel (-inf for more fermions than levels), MB kinds in closed form
     with the single-particle sum taken relative to the ground level.  Any
     other ln Z outside the float range is refused."""
+    spectrum = instance(spectrum, Spectrum, "spectrum")
     beta, n_particles, stat = real(beta, "beta", True), count(n_particles, "N"), Statistics.parse(stat)
     if n_particles == 0:
         return 0.0
@@ -345,6 +352,7 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     for a >= 0.  The running sum is at least its first term, so past
     s > QUIET + ln 2 every term is below 2^-54 / e times it, under half an
     ulp, and adds exactly nothing."""
+    spectrum = instance(spectrum, Spectrum, "spectrum")
     beta, mu, stat = real(beta, "beta", True), real(mu, "mu"), Statistics.parse(stat)
     if not stat.quantum:
         raise InputError("grand product defined here for BE/FD only")

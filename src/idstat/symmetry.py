@@ -21,7 +21,7 @@ from operator import itemgetter, mul, neg
 from typing import Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
-from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, items, shown
+from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, instance, items, shown
 from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from .perm import Permutation
 
@@ -134,6 +134,7 @@ class StateVector:
         return memo
 
     def permuted(self, p: Permutation) -> "StateVector":
+        p = instance(p, Permutation, "permutation")
         return StateVector._trusted(
             self.n_particles,
             {p.apply(s): a for s, a in self._amps.items()},
@@ -160,6 +161,7 @@ def _dot(u: dict, v: dict):
 
 def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
     """Exact <u|v>; amplitudes are real so no conjugation is needed."""
+    u, v = instance(u, StateVector, "u"), instance(v, StateVector, "v")
     if u.n_particles != v.n_particles:
         raise InputError("particle counts differ")
     dot = _dot(u._amps, v._amps)
@@ -169,9 +171,9 @@ def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
 #: Largest permutation orbit (number of distinct orderings of the levels)
 #: that symmetrization builds; the work and memory grow with it, not with N!.
 MAX_ORBIT = math.factorial(9)
-#: Most particles symmetrization takes: up to 14 the raw sum's 1/sqrt(N!)
-#: weight is an exact single-term radical (14! is below the square-free
-#: split cap of exactnum) and its raw norm squared N!/|orbit| stays short.
+#: Most particles symmetrization takes.  The scale 1/sqrt(|orbit|), |orbit|
+#: <= MAX_ORBIT, meets no radicand cap; this cap keeps N! and prod(m_k!) short
+#: and refuses a long label list before any factorial of its length is taken.
 MAX_SYMMETRIZE_N = 14
 
 
@@ -230,7 +232,10 @@ class SymmetrizeResult:
 
     vector: StateVector
     raw_norm_squared: RadicalRational
-    is_zero: bool
+
+    @property
+    def is_zero(self) -> bool:
+        return self.vector.is_zero
 
 
 def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
@@ -260,12 +265,12 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
         )
     repeats = math.factorial(len(levels)) // orbit
     if parity == "A" and repeats > 1:
-        return SymmetrizeResult(StateVector(len(levels)), ZERO, True)
+        return SymmetrizeResult(StateVector(len(levels)), ZERO)
     # on distinct levels |orbit| = N!, so one scale serves both parities
     scale = rsqrt_of_rational(Fraction(1, orbit))
     amps = _orbit(levels, parity == "A")
     vector = StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale)
-    return SymmetrizeResult(vector, RadicalRational.of(repeats), False)
+    return SymmetrizeResult(vector, RadicalRational.of(repeats))
 
 
 # Integer numerators of the N = 3 orbit basis on the orderings o of three
@@ -309,17 +314,21 @@ def decompose(
     The residual keeps v's scale: for a member b of scale q*sqrt(r),
     <b|v> b is v's scale times q^2 r (sum of b's values times v's) b's values.
     """
-    basis = items(basis, "basis")
+    v = instance(v, StateVector, "vector")
+    basis = [instance(b, StateVector, "basis member") for b in items(basis, "basis")]
     for i, b in enumerate(basis):
         for j in range(i, len(basis)):
             if (b.norm_squared() != ONE) if i == j else _dot(b._amps, basis[j]._amps):
                 raise InputError(f"members {i} and {j} fail exact orthonormality")
-    coeffs = [inner_product(b, v) for b in basis]
-    residual = dict(v._amps)
+    coeffs, residual = [], dict(v._amps)
     for b in basis:
-        ((r, q),) = b._scale.items()
-        weight = q * q * r * _dot(b._amps, v._amps)
-        if weight:
+        if b.n_particles != v.n_particles:
+            raise InputError("particle counts differ")
+        dot = _dot(b._amps, v._amps)
+        coeffs.append(b._scale * v._scale * dot if dot else ZERO)  # <b|v>, as inner_product
+        if dot:
+            ((r, q),) = b._scale.items()
+            weight = q * q * r * dot
             for s, a in b._amps.items():
                 residual[s] = residual.get(s, 0) - weight * a
     residual = {s: a for s, a in residual.items() if a}
@@ -331,12 +340,9 @@ def decompose(
 
 def exchange_degeneracy_dimension(levels: Sequence[int]) -> int:
     """Number of distinct product states in the permutation orbit:
-    N! / prod(multiplicity!)."""
+    N! / prod(multiplicity!), with N! divided once."""
     levels = _check_levels(levels)
-    dim = math.factorial(len(levels))
-    for lv in set(levels):
-        dim //= math.factorial(levels.count(lv))
-    return dim
+    return math.factorial(len(levels)) // math.prod(map(math.factorial, Counter(levels).values()))
 
 
 class SymmetryTag(str, Enum):
@@ -359,7 +365,7 @@ class SymmetryClass:
 def classify_symmetry(v: StateVector) -> SymmetryClass:
     """Tag a vector symmetric/antisymmetric under every transposition, a
     member of an N = 3 mixed-symmetry stable plane, or none of those."""
-    if v.is_zero:
+    if instance(v, StateVector, "vector").is_zero:
         raise ZeroVectorInput("cannot classify the zero vector")
     n = v.n_particles
     if n < 2:

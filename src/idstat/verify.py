@@ -9,7 +9,7 @@ row states a line's id, claim, tolerance, check and the check's
 arguments, and a check with a tolerance applies and prints the row's
 value.  The second routes to quantities the library computes one way
 (the canonical recursion, the fugacity series, the momentum-multiset sum)
-live here as private oracles.
+live here as private oracles, and the plane-wave arithmetic as private code.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _check_sum_rule():
     ok = True
     vals = []
     for vec in symmetry.orbit_basis_n3((0, 1, 2)):
-        total = observables.energy_sum_rule(vec, op)
+        total = sum((observables.one_body_expectation(vec, op, i) for i in range(3)), ZERO)
         vals.append(str(total))
         ok = ok and total == six
     return ok, ", ".join(vals), "6 for each basis vector"
@@ -186,42 +186,44 @@ def _check_position_center(tol: float):
     worst = 0.0
     for length in (1.0, 2.5):
         for n in (2, 3):
-            for levels in itertools.combinations(range(1, 6), n):
+            for levels in itertools.combinations(range(5), n):  # box quantum numbers 1..5
+                op = observables.box_position_operator(length, max(levels) + 1)
                 for parity in ("S", "A"):
+                    vector = symmetry.symmetrize(levels, parity).vector
                     for particle in range(n):
-                        x = observables.position_expectation_symmetrized(
-                            levels, length, particle, parity
-                        )
+                        x = observables.one_body_expectation(vector, op, particle)
                         worst = max(worst, abs(x - length / 2.0))
     return worst <= tol, f"max |<x_i> - L/2| = {worst:.3e}", f"<= {tol:g}"
 
 
+def _laplacian(linear, quadratic=()) -> Fraction:
+    """Laplacian of the phase sum_j a_j . q_j + b_j . q_j^2 from its rows a_j
+    and b_j: each linear coefficient contributes 0, each quadratic one 2."""
+    return 2 * sum(map(sum, quadratic), Fraction(0))
+
+
+def _kinetic_energy(rows, mass: Fraction, h: Fraction = Fraction(1)) -> Fraction:
+    """sum_j h^2 |a_j|^2 / 2m: the kinetic energy of the momenta p_j = h a_j."""
+    return sum(c * c for a in rows for c in a) * h * h / (2 * mass)
+
+
 def _check_laplacian_linear():
-    cases = [
-        [(Fraction(1), Fraction(2), Fraction(3))],
-        [(Fraction(-1, 2), Fraction(0), Fraction(5, 7)), (Fraction(1, 3),) * 3],
-    ]
-    ok = all(
-        observables.laplacian_condition_residual(coeffs) == 0 for coeffs in cases
-    )
+    cases = [[(Fraction(1), Fraction(2), Fraction(3))],
+             [(Fraction(-1, 2), Fraction(0), Fraction(5, 7)), (Fraction(1, 3),) * 3]]
+    ok = all(_laplacian(coeffs) == 0 for coeffs in cases)
     return ok, "residual = 0 for linear phases", "0, exactly"
 
 
 def _check_laplacian_control():
-    r = observables.laplacian_condition_residual(
-        [(Fraction(1), Fraction(0), Fraction(0))],
-        quadratic_coeffs=[(Fraction(1), Fraction(1), Fraction(1))],
-    )
+    r = _laplacian([(Fraction(1), Fraction(0), Fraction(0))], [(Fraction(1), Fraction(1), Fraction(1))])
     return r != 0, f"quadratic control residual = {r}", "nonzero"
 
 
 def _check_plane_wave_energy():
     momenta = ((Fraction(1), Fraction(2), Fraction(-3)), (Fraction(1, 2), Fraction(0), Fraction(5, 6)))
-    for h in (Fraction(1), Fraction(7, 5)):
-        pw = observables.PlaneWaveState(momenta, mass=Fraction(3))
-        direct = observables.plane_wave_energy(pw)
-        coeffs = observables.wave_coefficients(pw, h)
-        via_wave = observables.energy_from_wave_coefficients(coeffs, Fraction(3), h)
+    direct = _kinetic_energy(momenta, Fraction(3))
+    for h in (Fraction(1), Fraction(7, 5)):  # through the phase coefficients p / h
+        via_wave = _kinetic_energy([[c / h for c in p] for p in momenta], Fraction(3), h)
         if direct != via_wave:
             return False, f"{direct} != {via_wave}", "exact equality"
     return True, "sum |p|^2 / 2m reproduced through the wave coefficients", "exact equality"

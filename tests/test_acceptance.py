@@ -14,30 +14,24 @@ import idstat.symmetry as symmetry
 from idstat import (
     ONE,
     OneBodyOperator,
-    PlaneWaveState,
     RadicalRational,
     Statistics,
     ZERO,
+    box_position_operator,
     canonical_Z,
     decompose,
-    energy_from_wave_coefficients,
-    energy_sum_rule,
     exchange_degeneracy_dimension,
     extensivity_report,
     grand_ln_Xi,
     inner_product,
-    laplacian_condition_residual,
     occupancy_weights,
     one_body_expectation,
     orbit_basis_n3,
-    plane_wave_energy,
-    position_expectation_symmetrized,
     product_state_vector,
     rsqrt_of_rational,
     spectrum_from_levels,
     symmetric_antisymmetric_dimensions,
     symmetrize,
-    wave_coefficients,
 )
 from idstat.cli import main
 from idstat.errors import BoseDivergence
@@ -45,6 +39,8 @@ from idstat.perm import Permutation
 from idstat.verify import (
     _canonical_Z_recursive,
     _grand_Xi_series,
+    _kinetic_energy,
+    _laplacian,
     _momentum_multiset_sum,
     _z1,
     run_verification,
@@ -85,7 +81,7 @@ def test_criterion_02_mixed_splittings_and_sum_rule():
     assert w("s2", 2) == [_frac(1, 2), _frac(1, 2), ZERO]
     op = OneBodyOperator.diagonal([1, 2, 3])
     for vec in basis.values():
-        assert energy_sum_rule(vec, op) == _frac(6)
+        assert sum((one_body_expectation(vec, op, i) for i in range(3)), ZERO) == _frac(6)
     _ok(2, "mixed splittings (5,5,2)/12, (2,2,8)/12, (1,1,2)/4, (1,1,0)/2 and sum rule, exact")
 
 
@@ -158,29 +154,24 @@ def test_criterion_06_position_center():
     worst = 0.0
     for length in (1.0, 2.5):
         for n in (2, 3):
-            for levels in itertools.combinations(range(1, 6), n):
+            for levels in itertools.combinations(range(5), n):  # box quantum numbers 1..5
+                op = box_position_operator(length, max(levels) + 1)
                 for parity in ("S", "A"):
+                    vector = symmetrize(levels, parity).vector
                     for particle in range(n):
-                        x = position_expectation_symmetrized(levels, length, particle, parity)
+                        x = one_body_expectation(vector, op, particle)
                         worst = max(worst, abs(x - length / 2.0))
     assert worst <= 1e-10
     _ok(6, f"<x_i> = L/2 for all box states, max error {worst:.2e} <= 1e-10")
 
 
 def test_criterion_07_plane_wave_sector():
-    assert laplacian_condition_residual([(Fraction(1), Fraction(-2), Fraction(3))]) == 0
-    assert (
-        laplacian_condition_residual(
-            [(Fraction(0),) * 3], quadratic_coeffs=[(Fraction(1), Fraction(0), Fraction(2))]
-        )
-        != 0
-    )
+    assert _laplacian([(Fraction(1), Fraction(-2), Fraction(3))]) == 0
+    assert _laplacian([(Fraction(0),) * 3], [(Fraction(1), Fraction(0), Fraction(2))]) != 0
     momenta = ((Fraction(1), Fraction(2), Fraction(-3)), (Fraction(1, 2), Fraction(0), Fraction(5, 6)))
-    pw = PlaneWaveState(momenta, mass=Fraction(3))
     for h in (Fraction(1), Fraction(7, 5), Fraction(2)):
-        assert plane_wave_energy(pw) == energy_from_wave_coefficients(
-            wave_coefficients(pw, h), Fraction(3), h
-        )
+        coeffs = [[c / h for c in p] for p in momenta]
+        assert _kinetic_energy(momenta, Fraction(3)) == _kinetic_energy(coeffs, Fraction(3), h)
     energies = [0.0, 0.4, 0.9, 1.6, 2.5]
     z1 = _z1(spectrum_from_levels(energies), 1.0)
     for n in range(1, 5):

@@ -14,14 +14,9 @@ from idstat.errors import CapacityExceeded, IdstatError, InputError, shown
 from idstat.exactnum import RadicalRational, rsqrt_of_rational, square_free_split
 from idstat.observables import (
     OneBodyOperator,
-    PlaneWaveState,
     box_position_operator,
-    energy_from_wave_coefficients,
-    laplacian_condition_residual,
     occupancy_weights,
     one_body_expectation,
-    position_expectation_symmetrized,
-    wave_coefficients,
 )
 from idstat.perm import Permutation
 from idstat.statmech import (
@@ -43,6 +38,7 @@ from idstat.statmech import (
 )
 from idstat.symmetry import (
     StateVector,
+    classify_symmetry,
     decompose,
     exchange_degeneracy_dimension,
     inner_product,
@@ -77,6 +73,8 @@ MISUSES = {
         lambda: StateVector(2, {(0, 1): rsqrt_of_rational(2), (1, 0): rsqrt_of_rational(3)}), InputError),
     "inner-product-particle-counts": (
         lambda: inner_product(product_state_vector((0,)), product_state_vector((0, 1))), InputError),
+    "decompose-particle-counts": (
+        lambda: decompose(product_state_vector((0,)), [product_state_vector((0, 1))]), InputError),
     "parity": (lambda: symmetrize((0, 1), "X"), InputError),
     "orbit-basis-repeated-level": (lambda: orbit_basis_n3((0, 0, 1)), InputError),
     "decompose-not-orthonormal": (
@@ -90,14 +88,6 @@ MISUSES = {
         InputError),
     "expectation-not-normalized": (lambda: one_body_expectation(StateVector(3, {(0, 1, 2): 2}), H3, 0), InputError),
     "weights-particle": (lambda: occupancy_weights(product_state_vector((0, 1)), 2), InputError),
-    "box-quantum-number": (lambda: position_expectation_symmetrized((0, 1), 1.0, 0, "S"), InputError),
-    "plane-wave-no-particle": (lambda: PlaneWaveState(()), InputError),
-    "plane-wave-dimensions": (lambda: PlaneWaveState(((1,), (1, 2))), InputError),
-    "plane-wave-mass": (lambda: PlaneWaveState(((1,),), mass=0), InputError),
-    "wave-coefficients-h-zero": (lambda: wave_coefficients(PlaneWaveState(((1,),)), 0), InputError),
-    "wave-coefficients-h-negative": (lambda: wave_coefficients(PlaneWaveState(((1,),)), -2), InputError),
-    "wave-energy-mass-zero": (lambda: energy_from_wave_coefficients(((1,),), 0), InputError),
-    "wave-energy-h-zero": (lambda: energy_from_wave_coefficients(((1,),), 1, 0), InputError),
     "cutoff": (lambda: box1d_spectrum(MAX_CUTOFF + 1), CapacityExceeded),
     "level-count": (lambda: spectrum_from_levels([0.0] * (MAX_CUTOFF + 1)), CapacityExceeded),
     # arguments the builtin coercions cannot read
@@ -108,7 +98,6 @@ MISUSES = {
     "cutoff-box1d-float": (lambda: box1d_spectrum(3.9), InputError),
     "cutoff-box3d-string": (lambda: box3d_spectrum("3"), InputError),
     "diagonal-not-rational": (lambda: OneBodyOperator.diagonal(["x"]), InputError),
-    "plane-wave-not-rational": (lambda: PlaneWaveState((("x",),)), InputError),
     "spectrum-energy-string": (lambda: spectrum_from_levels(["a"]), InputError),
     "spectrum-energy-none": (lambda: spectrum_from_levels([1, None]), InputError),
     "statistics-not-a-string": (lambda: Statistics.parse(5), InputError),
@@ -180,13 +169,12 @@ ARGUMENTS = {
     "StateVector(level)": (lambda x: StateVector(2, {(0, x): 1}), NONE),
     "one_body_expectation(particle)": (lambda x: one_body_expectation(PAIR, H3, x), NONE),
     "occupancy_weights(particle)": (lambda x: occupancy_weights(PAIR, x), NONE),
-    "position_expectation_symmetrized(level)": (lambda x: position_expectation_symmetrized((1, x), 1.0, 0, "S"),
-                                                NONE),
-    "position_expectation_symmetrized(particle)": (
-        lambda x: position_expectation_symmetrized((1, 2), 1.0, x, "S"), NONE),
     "box_position_operator(n_levels)": (lambda x: box_position_operator(1.0, x), NONE),
     "square_free_split(n)": (lambda x: square_free_split(x), NONE),
     "Permutation(entry)": (lambda x: Permutation((x, 0)), NONE),
+    "Permutation.transposition(n)": (lambda x: Permutation.transposition(x, 0, 1), NONE),
+    "Permutation.transposition(i)": (lambda x: Permutation.transposition(3, x, 0), NONE),
+    "Permutation.transposition(j)": (lambda x: Permutation.transposition(3, 0, x), NONE),
     # real parameters
     "canonical_ln_Z(beta)": (lambda x: canonical_ln_Z(SPEC, 2, x, BE), REAL),
     "grand_ln_Xi(beta)": (lambda x: grand_ln_Xi(SPEC, x, 0.5, FD), REAL),
@@ -196,8 +184,6 @@ ARGUMENTS = {
     "box1d_spectrum(h)": (lambda x: box1d_spectrum(3, 1.0, 1.0, x), REAL),
     "box3d_spectrum(length)": (lambda x: box3d_spectrum(3, x), REAL),
     "box_position_operator(length)": (lambda x: box_position_operator(x, 3).entry(0, 1), REAL),
-    "position_expectation_symmetrized(length)": (lambda x: position_expectation_symmetrized((1, 2), x, 0, "S"),
-                                                 REAL),
     "thermal_wavelength(T)": (lambda x: thermal_wavelength(x), REAL),
     "mb_ln_Z_continuum(T)": (lambda x: mb_ln_Z_continuum(x, 10.0, 5), REAL),
     "mb_ln_Z_continuum(V)": (lambda x: mb_ln_Z_continuum(1.0, x, 5), REAL),
@@ -222,16 +208,22 @@ ARGUMENTS = {
     "product_state_vector(levels)": (lambda x: product_state_vector(x), NONE),
     "symmetrize(levels)": (lambda x: symmetrize(x, "S"), NONE),
     "OneBodyOperator.diagonal(values)": (lambda x: OneBodyOperator.diagonal(x), NONE),
-    "position_expectation_symmetrized(levels)": (lambda x: position_expectation_symmetrized(x, 1.0, 0, "S"),
-                                                 NONE),
     "Permutation(mapping)": (lambda x: Permutation(x), NONE),
     "OneBodyOperator.matrix(rows)": (lambda x: OneBodyOperator.matrix(x, exact=True), NONE),
     "OneBodyOperator.matrix(row)": (lambda x: OneBodyOperator.matrix([x], exact=True), NONE),
-    "PlaneWaveState(momenta)": (lambda x: PlaneWaveState(x), NONE),
-    "PlaneWaveState(momentum)": (lambda x: PlaneWaveState([x]), NONE),
-    "energy_from_wave_coefficients(coeffs)": (lambda x: energy_from_wave_coefficients(x, 1), NONE),
-    "laplacian_condition_residual(linear_coeffs)": (lambda x: laplacian_condition_residual(x), NONE),
     "decompose(basis)": (lambda x: decompose(PAIR, x), NONE),
+    # objects
+    "inner_product(u)": (lambda x: inner_product(x, PAIR), NONE),
+    "inner_product(v)": (lambda x: inner_product(PAIR, x), NONE),
+    "classify_symmetry(v)": (lambda x: classify_symmetry(x), NONE),
+    "decompose(v)": (lambda x: decompose(x, [PAIR]), NONE),
+    "decompose(member)": (lambda x: decompose(PAIR, [x]), NONE),
+    "StateVector.permuted(p)": (lambda x: PAIR.permuted(x), NONE),
+    "one_body_expectation(v)": (lambda x: one_body_expectation(x, H3, 0), NONE),
+    "one_body_expectation(op)": (lambda x: one_body_expectation(PAIR, x, 0), NONE),
+    "occupancy_weights(v)": (lambda x: occupancy_weights(x, 0), NONE),
+    "canonical_ln_Z(spectrum)": (lambda x: canonical_ln_Z(x, 2, 1.0, BE), NONE),
+    "grand_ln_Xi(spectrum)": (lambda x: grand_ln_Xi(x, 1.0, -0.5, FD), NONE),
     # exact ring values
     "rsqrt_of_rational(value)": (lambda x: rsqrt_of_rational(x), EXACT),
     "RadicalRational.of(value)": (lambda x: RadicalRational.of(x), EXACT),
@@ -262,10 +254,33 @@ def test_statistics_given_by_name_is_read_as_the_member():
     assert ln_Z == mb_ln_Z_continuum(1.0, 10.0, 5) and math.isclose(ln_Z, 17.249813900869817, rel_tol=1e-15)
 
 
-def test_non_integer_quantum_number_is_refused():
-    # int(2.5) - 1 once read (1, 2.5) as (1, 2)
-    with pytest.raises(InputError):
-        position_expectation_symmetrized((1, 2.5), 1.0, 0, "S")
+def test_object_arguments_are_refused_by_name():
+    # each once ended in an AttributeError
+    for call, name in [
+        (lambda: inner_product(5, PAIR), "u must be a StateVector, got int"),
+        (lambda: classify_symmetry(5), "vector must be a StateVector"),
+        (lambda: decompose(PAIR, [5]), "basis member must be a StateVector"),
+        (lambda: PAIR.permuted((0,)), "permutation must be a Permutation, got tuple"),
+        (lambda: one_body_expectation(5, H3, 0), "vector must be a StateVector"),
+        (lambda: one_body_expectation(PAIR, 5, 0), "operator must be a OneBodyOperator"),
+        (lambda: occupancy_weights(5, 0), "vector must be a StateVector"),
+        (lambda: canonical_ln_Z([0.0, 1.0], 2, 1.0, "be"), "spectrum must be a Spectrum, got list"),
+        (lambda: grand_ln_Xi([0.0], 1.0, -1.0, "fd"), "spectrum must be a Spectrum, got list"),
+        # a zero particle count once answered 0.0 for a spectrum that is not one
+        (lambda: canonical_ln_Z([0.0, 1.0], 0, 1.0, "be"), "spectrum must be a Spectrum"),
+    ]:
+        with pytest.raises(InputError, match=name):
+            call()
+
+
+def test_transposition_slots_are_counts_below_the_size():
+    assert Permutation.transposition(3, 0, 2).mapping == (2, 1, 0)
+    assert Permutation.transposition(3, 1, 1).mapping == (0, 1, 2)
+    # (3, True, 0) once swapped slots 1 and 0, (3, -1, 0) the last slot, and
+    # (3, 0, 5) raised IndexError
+    for args in ((3, True, 0), (3, -1, 0), (3, 0, -1), (3, 0, 5), (3, 3, 0), (2.5, 0, 1), (0, 0, 0)):
+        with pytest.raises(InputError):
+            Permutation.transposition(*args)
 
 
 def test_non_integer_radicand_is_refused():
@@ -309,6 +324,39 @@ def test_shown_counts_the_digits_past_the_limit():
     assert shown((HUGE,)) == "(<int of 5001 digits>,)"
     assert shown(Fraction(-1, HUGE)) == "-1/<int of 5001 digits>"
     assert shown(Fraction(HUGE)) == "<int of 5001 digits>"
+
+
+FILE_READERS = """
+import os, sys
+from idstat.config import load_config, parse_config_file
+from idstat.errors import IdstatError
+from idstat.statmech import spectrum_from_csv
+for read in (spectrum_from_csv, parse_config_file, load_config):
+    for value in (0, 1, True, 2.5, None, float("nan"), b"x.csv", sys.argv[1]):
+        if read is load_config and value is None:
+            continue  # no config file: the defaults
+        try:
+            read(value)
+        except IdstatError:
+            pass
+        else:
+            raise SystemExit(f"{read.__name__}({value!r}) answered")
+        os.fstat(0), os.fstat(1)  # an int path once read a descriptor and closed it
+print("stdout still open")
+"""
+
+
+def test_file_readers_refuse_a_non_path_and_keep_descriptors_open(fresh_python, tmp_path):
+    # in a fresh process: pytest captures descriptors 0 and 1
+    proc = fresh_python(FILE_READERS, str(tmp_path / "missing.csv"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"stdout still open\n", b"")
+
+
+def test_missing_spectrum_file_is_refused_by_its_path(tmp_path):
+    # FileNotFoundError once left the library
+    path = str(tmp_path / "missing.csv")
+    with pytest.raises(InputError, match=f"cannot read spectrum file {path}"):
+        spectrum_from_csv(path)
 
 
 def test_spectrum_file_degeneracies_past_the_limit(tmp_path):

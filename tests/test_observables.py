@@ -1,4 +1,5 @@
-"""Per-particle expectations, box position matrix, plane-wave sector."""
+"""Per-particle expectations, box position matrix, and the free-sector
+arithmetic of the verification ledger."""
 
 from __future__ import annotations
 
@@ -16,16 +17,9 @@ from idstat.errors import InputError, ZeroVectorInput
 from idstat.exactnum import ZERO, RadicalRational, rsqrt_of_rational
 from idstat.observables import (
     OneBodyOperator,
-    PlaneWaveState,
     box_position_operator,
-    energy_from_wave_coefficients,
-    energy_sum_rule,
-    laplacian_condition_residual,
     occupancy_weights,
     one_body_expectation,
-    plane_wave_energy,
-    position_expectation_symmetrized,
-    wave_coefficients,
 )
 from idstat.symmetry import (
     StateVector,
@@ -34,6 +28,7 @@ from idstat.symmetry import (
     product_state_vector,
     symmetrize,
 )
+from idstat.verify import _kinetic_energy, _laplacian
 
 H123 = OneBodyOperator.diagonal([1, 2, 3])
 THIRD = Fraction(1, 3)
@@ -77,7 +72,7 @@ def test_energy_sum_rule_equals_total():
         s2p,
     ]
     for v in vectors:
-        assert energy_sum_rule(v, H123) == 6  # 1 + 2 + 3
+        assert sum(one_body_expectation(v, H123, i) for i in range(3)) == 6  # 1 + 2 + 3
 
 
 def test_momentum_share_for_diagonal_momentum_operator():
@@ -258,14 +253,18 @@ def test_symmetrized_eight_levels_expectation_is_fast():
 @pytest.mark.parametrize("levels", [(1, 2), (2, 5), (1, 2, 3), (1, 3, 5), (2, 3, 4)])
 @pytest.mark.parametrize("L", [1.0, 2.53])
 def test_position_expectation_is_box_center(parity, levels, L):
+    # level index i is box quantum number i + 1
+    internal = tuple(n - 1 for n in levels)
+    v = symmetrize(internal, parity).vector
+    op = box_position_operator(L, max(levels))
     for i in range(len(levels)):
-        x = position_expectation_symmetrized(levels, L, i, parity)
-        assert abs(x - L / 2.0) < 1e-10
+        assert abs(one_body_expectation(v, op, i) - L / 2.0) < 1e-10
 
 
 def test_position_expectation_zero_vector_flagged():
+    v = symmetrize((1, 1), "A").vector
     with pytest.raises(ZeroVectorInput):
-        position_expectation_symmetrized((2, 2), 1.0, 0, "A")
+        one_body_expectation(v, box_position_operator(1.0, 2), 0)
 
 
 def test_float_exchange_symmetry():
@@ -276,28 +275,26 @@ def test_float_exchange_symmetry():
 
 
 def test_plane_wave_energy_identity_exact():
-    pw = PlaneWaveState(
-        momenta=((Fraction(1), Fraction(2), Fraction(3)),
-                 (Fraction(-1), Fraction(0), Fraction(2)),
-                 (Fraction(1, 2), Fraction(1, 3), Fraction(0))),
-        mass=Fraction(3, 2),
-    )
-    e = plane_wave_energy(pw)
+    momenta = ((Fraction(1), Fraction(2), Fraction(3)),
+               (Fraction(-1), Fraction(0), Fraction(2)),
+               (Fraction(1, 2), Fraction(1, 3), Fraction(0)))
+    mass = Fraction(3, 2)
+    e = _kinetic_energy(momenta, mass)
     assert e == (14 + 5 + Fraction(13, 36)) / 3  # sum |p|^2 / (2m), m = 3/2
     for h in (1, Fraction(7, 5), 2):
-        coeffs = wave_coefficients(pw, h)
-        assert energy_from_wave_coefficients(coeffs, pw.mass, h) == e
+        coeffs = [[c / h for c in p] for p in momenta]  # the phase coefficients p / h
+        assert _kinetic_energy(coeffs, mass, h) == e
 
 
 def test_laplacian_of_linear_phase_is_exactly_zero():
     a = ((Fraction(1), Fraction(-2), Fraction(3)), (Fraction(1, 7), Fraction(0), Fraction(5)))
-    assert laplacian_condition_residual(a) == 0
+    assert _laplacian(a) == 0
 
 
 def test_laplacian_quadratic_negative_control():
     a = ((Fraction(1), Fraction(1), Fraction(1)),)
     q = ((Fraction(1), Fraction(1), Fraction(1)),)
-    assert laplacian_condition_residual(a, q) == 6  # 2 per dimension
+    assert _laplacian(a, q) == 6  # 2 per dimension
 
 
 def _fd_laplacian(f, point, h=1e-4):
@@ -312,11 +309,12 @@ def _fd_laplacian(f, point, h=1e-4):
 
 
 def test_laplacian_finite_difference_oracle():
-    a = [0.7, -1.3, 2.1]
-    linear = lambda q: sum(c * x for c, x in zip(a, q))
-    quad = lambda q: sum(x * x for x in q)
-    assert abs(_fd_laplacian(linear, [0.3, 0.9, -0.5])) < 1e-6
-    assert abs(_fd_laplacian(quad, [0.3, 0.9, -0.5]) - 6.0) < 1e-4
+    a = [Fraction(7, 10), Fraction(-13, 10), Fraction(21, 10)]
+    b = [Fraction(1), Fraction(0), Fraction(5, 2)]
+    linear = lambda q: sum(float(c) * x for c, x in zip(a, q))
+    quad = lambda q: linear(q) + sum(float(c) * x * x for c, x in zip(b, q))
+    assert abs(_fd_laplacian(linear, [0.3, 0.9, -0.5]) - float(_laplacian([a]))) < 1e-6
+    assert abs(_fd_laplacian(quad, [0.3, 0.9, -0.5]) - float(_laplacian([a], [b]))) < 1e-4
 
 
 def test_momentum_degeneracy_counts():

@@ -23,7 +23,9 @@ DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vecto
            "OccupationState", "enumerate_occupations", "ExtensivityRow", "ExtensivityReport",
            "sum_of_products", "CutoffTooLarge", "NotRepresentable", "NegativeRadicand",
            "LengthMismatch", "RequiresDistinctLevels", "DimensionMismatch", "BasisNotOrthonormal",
-           "NotNormalized", "verification_passed", "noted_count", "ThermoPoint")
+           "NotNormalized", "verification_passed", "noted_count", "ThermoPoint", "PlaneWaveState",
+           "plane_wave_energy", "wave_coefficients", "energy_from_wave_coefficients",
+           "laplacian_condition_residual", "energy_sum_rule", "position_expectation_symmetrized")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
@@ -34,7 +36,6 @@ DELETED_METHODS = {
                         "is_rational", "as_rational", "is_single_term"),
     "Spectrum": ("shifted", "source"),
     "OneBodyOperator": ("hermitian",),
-    "PlaneWaveState": ("volume", "n_particles"),
 }
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import time
 import types
 
 import pytest
@@ -14,6 +15,7 @@ from idstat import statmech
 from idstat.errors import BoseDivergence, CapacityExceeded, InputError
 from idstat.statmech import (
     MAX_CANONICAL_N,
+    MAX_COUNT_DIGITS,
     MAX_CUTOFF,
     MAX_LEVELS,
     MAX_OCCUPATION_STATES,
@@ -200,6 +202,40 @@ def test_occupation_count_matches_enumeration(stat, n_levels, n_particles):
     states = list(occupation_vectors(n_levels, n_particles, stat))
     assert len(states) == occupation_count(n_levels, n_particles, stat)
     assert all(len(vec) == n_levels and sum(vec) == n_particles for vec in states)
+
+
+def test_occupation_count_past_the_digit_cap_is_refused_at_once():
+    # C(2 * 10**6 - 1, 10**6) has 600 000 digits: math.comb took 35 s on it
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match="more than 4300 digits"):
+        occupation_count(10**6, 10**6, BE)
+    with pytest.raises(CapacityExceeded):
+        occupation_count(10**400, 10**400, MB_NN)
+    assert time.perf_counter() - start < 0.1
+    assert occupation_count(1, 10**400, BE) == 1  # C(n, n): one state, however large n
+    assert occupation_count(10**400, 10**400, FD) == 1
+    assert occupation_count(10**400, 1, FD) == 10**400
+    assert occupation_count(3, 10**400, FD) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 50, 500, 2000, 5000])
+def test_occupation_count_digit_cap_is_exact(m):
+    # the least n whose C(n, m) has more than MAX_COUNT_DIGITS digits, by bisection
+    limit = 10**MAX_COUNT_DIGITS
+    lo, hi = 2 * m, m * 10 ** (MAX_COUNT_DIGITS // m + 1)  # C(hi, m) >= (hi/m)^m >= limit
+    assert math.comb(lo, m) < limit <= math.comb(hi, m)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if math.comb(mid, m) >= limit else (mid, hi)
+    for n in (lo - 1, lo):  # admitted counts equal math.comb, as FD and BE
+        assert occupation_count(n, m, FD) == math.comb(n, m) == occupation_count(n - m + 1, m, BE)
+    for n in (hi, hi + 1):
+        for call in (lambda: occupation_count(n, m, FD), lambda: occupation_count(n - m + 1, m, BE)):
+            with pytest.raises(CapacityExceeded):
+                call()
+    # from m = 4 * MAX_COUNT_DIGITS on, even C(2m, m) is past the cap
+    with pytest.raises(CapacityExceeded):
+        occupation_count(2 * 4 * MAX_COUNT_DIGITS + 2, 4 * MAX_COUNT_DIGITS + 1, FD)
 
 
 def test_occupation_vector_and_energy():

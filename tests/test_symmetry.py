@@ -236,6 +236,21 @@ def test_exchange_degeneracy_matches_orbit_count(n):
         assert exchange_degeneracy_dimension(levels) == len(orbit)
 
 
+def test_exchange_degeneracy_of_long_label_lists():
+    # one count per distinct level once made the cost grow with N^2: 1.3 s at 10**4 labels
+    start = time.perf_counter()
+    assert exchange_degeneracy_dimension(range(10**5)) == math.factorial(10**5)
+    assert time.perf_counter() - start < 2.0
+    assert exchange_degeneracy_dimension([lv % 3 for lv in range(30)]) == math.factorial(30) // math.factorial(10) ** 3
+    assert exchange_degeneracy_dimension([7] * 1000) == 1
+
+
+def test_symmetrize_result_zero_flag_reads_the_vector():
+    for levels, parity in (((0, 0), "A"), ((0, 1), "A"), ((0, 0), "S")):
+        res = symmetrize(levels, parity)
+        assert res.is_zero is res.vector.is_zero is (levels == (0, 0) and parity == "A")
+
+
 def test_classify_symmetric_antisymmetric():
     sym = symmetrize((0, 1, 2), "S").vector
     anti = symmetrize((0, 1, 2), "A").vector
