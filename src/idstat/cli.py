@@ -65,7 +65,7 @@ def _parse_levels(text: str) -> tuple[tuple[int, ...], dict[int, str]]:
 
 def _parse_list(text: str, convert, what: str) -> list:
     try:
-        return [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [convert(tok) for tok in map(str.strip, text.split(",")) if tok]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad {what} list {text!r}: {exc}") from exc
 
@@ -575,6 +575,7 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="write output to this file instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # command name -> its own parser, read by _parse_args
 
     p = sub.add_parser("symmetrize", parents=[common], help="(anti)symmetrize a product state")
     p.add_argument("-n", type=int, dest="n_particles", help="particle count (checked against labels)")
@@ -636,9 +637,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, in one argparse pass.
+
+    The top-level parser defines only -h, and its subparsers action takes
+    every token after the command name, so a command's own parser can read
+    those tokens directly.  The top-level parser is left only the inputs
+    that never reach a command: none, -h/--help, or an unknown name.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         cfg = load_config(
             args.config, overrides={"mode": args.mode, "output": args.output, "seed": args.seed}
         )

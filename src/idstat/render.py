@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -52,6 +54,11 @@ def _emit(obj, out: list) -> None:
             return
         if types == {str}:  # plain strs, no str enums: one join
             out.append("[" + ",".join(map(encode_basestring_ascii, obj)) + "]")
+            return
+        if types == {list} and set(map(type, chain.from_iterable(obj))) == {int}:
+            # rows of plain ints, such as occupation vectors: no float, bool
+            # or key for the C encoder to render differently
+            out.append(json.dumps(obj, separators=(",", ":")))
             return
         out.append("[")
         for i, item in enumerate(obj):

@@ -98,9 +98,7 @@ def _skipped(command: str) -> set:
 
 
 def _actions(command: str) -> list:
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [a for a in sub.choices[command]._actions
+    return [a for a in build_parser().commands[command]._actions
             if a.option_strings and not isinstance(a, argparse._HelpAction)
             and not _skipped(command) & set(a.option_strings)]
 

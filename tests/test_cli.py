@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import itertools
 import json
 import math
@@ -21,10 +22,12 @@ import pytest
 
 import idstat.symmetry as symmetry
 import idstat.verify as verify
-from idstat.cli import HANDLERS, build_parser, main
+from idstat.cli import HANDLERS, _parse_args, build_parser, main
 from idstat.config import RunConfig, load_config, parse_config_file
 from idstat.errors import InputError
 from idstat.render import Report, canonical_json, csv_text, fmt_float
+from test_argv_property import CASES as PROPERTY_CASES, SEED as PROPERTY_SEED, _actions, _argv, _files, _seeds
+from test_golden import CORPUS, FORMATS
 
 
 def run_cli(args, capsys):
@@ -45,6 +48,23 @@ def test_canonical_json_int_lists():
     # a list of plain ints is joined at once; bools and floats keep their own text
     text = canonical_json([[0, 2, -10], (3,), [True, 0], [1, 2.5], []])
     assert text == "[[0,2,-10],[3],[true,0],[1,2.5],[]]"
+
+
+def test_canonical_json_int_rows():
+    # rows of plain ints go out in one C-encoder call; a row holding a bool,
+    # a float or an int subclass, and an empty row, keep each item's own text
+    class Tagged(int):
+        def __str__(self):
+            return f"tagged{int(self)}"
+
+    rows, head = [[0, 2, -10], [3], [10**30, 0]], "[[0,2,-10],[3],[1000000000000000000000000000000,0]"
+    assert canonical_json(rows) == head + "]"
+    for row, text in (([True, 0], "[true,0]"), ([1, 0.1, -0.0, 2.0], "[1,0.10000000000000001,0,2]"),
+                      ([Tagged(4), 1], "[tagged4,1]"), ([], "[]")):
+        assert canonical_json(rows + [row]) == f"{head},{text}]"
+    assert canonical_json([[], []]) == "[[],[]]"
+    with pytest.raises(InputError, match="non-finite"):
+        canonical_json(rows + [[1, math.nan]])
 
 
 def test_canonical_json_str_lists():
@@ -860,6 +880,59 @@ def test_expect_epsilon_edges_that_answer(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"], capsys)[0] == 0
     assert run_cli(["partition", "--help"], capsys)[0] == 0
+
+
+# -- argument dispatch ------------------------------------------------------
+
+
+def _parsed(parse, argv: list) -> tuple:
+    """What parsing `argv` gives: its namespace, its refusal, or its exit
+    code and stdout."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "parsed", vars(parse(list(argv)))
+    except InputError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def test_one_pass_parses_as_the_top_level_parser(tmp_path):
+    argvs = [CORPUS[name] + ["--output", fmt] for name in sorted(CORPUS) for fmt in FORMATS]
+    files = _files(tmp_path)
+    for command, cases in PROPERTY_CASES.items():  # the property test's draws
+        rng, actions = random.Random(f"{PROPERTY_SEED}-{command}"), _actions(command)
+        seeds = _seeds(command, actions)
+        argvs += [_argv(rng, command, actions, seeds, files) for _ in range(cases)]
+    partition = CORPUS["partition-canonical-fd"]
+    argvs += [
+        [], ["--help"], ["-h"], ["--he"], ["--bogus"], ["nosuch"], ["nosuch", "--help"],
+        ["partition", "--help"], ["partition", "--he"], [*partition, "-h"], ["verify-paper", "--help"],
+        ["--", *partition], ["--bogus", *partition],
+        ["partition", *partition[3:]],  # no --stat
+        ["classify", "--levels", "a,b,c"],  # none of the required state options
+        ["classify", "--product", "--parity", "S", "--levels", "a,b,c"],
+        [*partition, "--bogus"], [*partition, "extra"], [*partition, "--beta"], [*partition, "--output", "xml"],
+    ]
+    parser = build_parser()
+    for argv in argvs:
+        assert _parsed(_parse_args, argv) == _parsed(parser.parse_args, argv), argv
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
+    parser, calls = build_parser(), []
+
+    def counted(name, parse):
+        return lambda *args: calls.append(name) or parse(*args)
+
+    for name, p in [("idstat", parser), *parser.commands.items()]:
+        monkeypatch.setattr(p, "parse_known_args", counted(name, p.parse_known_args))
+    assert run_cli(CORPUS["partition-canonical-fd"], capsys)[0] == 0
+    assert run_cli(["classify", "--levels", "a,b,c"], capsys)[0] == 2
+    assert run_cli(["nosuch"], capsys)[0] == 2
+    assert run_cli(["--help"], capsys)[0] == 0
+    assert calls == ["partition", "classify", "idstat", "idstat"]
 
 
 # -- repeated in-process calls ----------------------------------------------

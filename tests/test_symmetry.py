@@ -18,6 +18,7 @@ from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
 from idstat.perm import Permutation
 from idstat.symmetry import (
     _MIXED_PATTERNS,
+    MAX_DEGENERACY_LABELS,
     MAX_ORBIT,
     MAX_SYMMETRIZE_N,
     StateVector,
@@ -243,6 +244,14 @@ def test_exchange_degeneracy_of_long_label_lists():
     assert time.perf_counter() - start < 2.0
     assert exchange_degeneracy_dimension([lv % 3 for lv in range(30)]) == math.factorial(30) // math.factorial(10) ** 3
     assert exchange_degeneracy_dimension([7] * 1000) == 1
+
+
+def test_exchange_degeneracy_past_the_label_cap_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match=f"{MAX_DEGENERACY_LABELS + 1} labels exceeds cap"):
+        exchange_degeneracy_dimension((0,) * (MAX_DEGENERACY_LABELS + 1))
+    assert time.perf_counter() - start < 0.5
+    assert exchange_degeneracy_dimension((0,) * MAX_DEGENERACY_LABELS) == 1
 
 
 def test_symmetrize_result_zero_flag_reads_the_vector():
