@@ -484,7 +484,10 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
         Z, ln_Z, F = 0.0, None, None
     else:
         Z = math.exp(ln_Z) if abs(ln_Z) < 700 else None
-        T = 1.0 / (k * beta) if k * beta else math.inf  # free_energy_from_ln_Z refuses inf
+        T = 1.0 / (k * beta) if k * beta else math.inf
+        if T == math.inf:
+            raise InputError(f"kT = 1/beta is out of float range at beta = {beta!r}: "
+                             "T is too large or beta too small")
         F = statmech.free_energy_from_ln_Z(ln_Z, T, k)
     data.update(
         kind="canonical",

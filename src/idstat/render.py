@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable
 
 from .errors import InputError
@@ -60,6 +61,8 @@ def _emit(obj, out: list) -> None:
             # or key for the C encoder to render differently
             out.append(json.dumps(obj, separators=(",", ":")))
             return
+        if types == {dict} and _emit_records(obj, out):
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -68,6 +71,31 @@ def _emit(obj, out: list) -> None:
         out.append("]")
     else:
         raise InputError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def _emit_records(records: list, out: list) -> bool:
+    """Emit a list of plain dicts that share one set of two or more str
+    keys, which are sorted and encoded once for the list.  Emit nothing and
+    return False for any other list of dicts."""
+    keys = sorted(key for key in records[0] if isinstance(key, str))
+    if len(keys) < 2 or set(map(len, records)) != {len(keys)}:
+        return False
+    try:
+        rows = list(map(itemgetter(*keys), records))
+    except KeyError:  # a dict with other keys
+        return False
+    heads = ["{" + encode_basestring_ascii(keys[0]) + ":"]
+    heads += ["," + encode_basestring_ascii(key) + ":" for key in keys[1:]]
+    out.append("[")
+    for i, row in enumerate(rows):
+        if i:
+            out.append(",")
+        for head, value in zip(heads, row):
+            out.append(head)
+            _emit(value, out)
+        out.append("}")
+    out.append("]")
+    return True
 
 
 def canonical_json(obj) -> str:

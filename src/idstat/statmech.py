@@ -15,9 +15,11 @@ import itertools
 import math
 import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul
+from functools import reduce
+from operator import add, mul, neg, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import BoseDivergence, CapacityExceeded, InputError, count, file_path, instance, items, real, shown
@@ -79,13 +81,24 @@ class Spectrum:
         if len(energies) > MAX_CUTOFF:
             raise CapacityExceeded(f"{len(energies)} levels exceed cap {MAX_CUTOFF}")
         try:
-            energies = [float(e) for e in energies]
+            energies = list(map(float, energies))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"spectrum energies must be real numbers ({exc})") from None
         if not all(map(math.isfinite, energies)):
             raise InputError("spectrum energies must be finite")
         energies.sort()
         object.__setattr__(self, "energies", tuple(energies))
+
+    @classmethod
+    def _ascending(cls, energies: list[float]) -> "Spectrum":
+        """Skip __post_init__'s checks: `energies` must be 1..MAX_CUTOFF
+        floats in ascending order, none of them nan or -inf.  Only the
+        largest one is checked, since an overflowing product is +inf."""
+        if not math.isfinite(energies[-1]):
+            raise InputError("spectrum energies must be finite")
+        spectrum = cls.__new__(cls)
+        object.__setattr__(spectrum, "energies", tuple(energies))
+        return spectrum
 
     @property
     def offset(self) -> float:
@@ -110,7 +123,7 @@ def spectrum_from_levels(values: Sequence[float]) -> Spectrum:
 def dimensionless_spectrum(cutoff: int) -> Spectrum:
     """e_n = n^2 for n = 1..cutoff."""
     cutoff = _check_cutoff(cutoff)
-    return Spectrum([float(n * n) for n in range(1, cutoff + 1)])
+    return Spectrum._ascending([float(n * n) for n in range(1, cutoff + 1)])
 
 
 def _box_scale(length: float, mass: float, h: float) -> float:
@@ -130,7 +143,7 @@ def box1d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
     """1-D hard-wall box: e_n = n^2 h^2 / (8 m L^2)."""
     cutoff = _check_cutoff(cutoff)
     scale = _box_scale(length, mass, h)
-    return Spectrum([scale * n * n for n in range(1, cutoff + 1)])
+    return Spectrum._ascending([scale * n * n for n in range(1, cutoff + 1)])
 
 
 def _box3d_bound(cutoff: int) -> int:
@@ -143,7 +156,8 @@ def _box3d_bound(cutoff: int) -> int:
 
 def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
     """3-D cubic box: e = (h^2 / 8 m L^2)(nx^2+ny^2+nz^2), degeneracies
-    expanded, lowest `cutoff` levels kept."""
+    expanded, lowest `cutoff` levels kept.  The sums are counted by shell
+    value, and each shell's energy is computed once."""
     cutoff = _check_cutoff(cutoff)
     scale = _box_scale(length, mass, h)
     bound = _box3d_bound(cutoff)
@@ -153,8 +167,13 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
         for ny in range(1, math.isqrt(bound - squares[nx] - 1) + 1):
             base = squares[nx] + squares[ny]
             sums.extend([base + q for q in squares[1:math.isqrt(bound - base) + 1]])
-    sums.sort()
-    return Spectrum([scale * s for s in sums[:cutoff]])
+    shells = Counter(sums)
+    energies = []
+    for s in sorted(shells):
+        if len(energies) >= cutoff:
+            break
+        energies += [scale * s] * shells[s]
+    return Spectrum._ascending(energies[:cutoff])
 
 
 def spectrum_from_csv(path: str) -> Spectrum:
@@ -262,7 +281,12 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     Past the reach each prefix sum repeats the last entry, so the cut row is
     the full row's prefix bit for bit.  Within the caps R < 1e136, so no
     reach passes 352/beta, short of where exp underflows.  The work is N
-    times the levels in the quiet reach."""
+    times the levels in the quiet reach.
+
+    An FD row whose top level equals the last row's takes that row's
+    multipliers from its own top on, the same expression on the same
+    operands, and evaluates only the levels its reach adds: on a degenerate
+    spectrum each distinct top pays for its exponentials once."""
     if n_max > MAX_CANONICAL_N:
         raise CapacityExceeded(f"N = {shown(n_max)} exceeds the canonical cap {MAX_CANONICAL_N}")
     energies = spectrum.energies
@@ -280,12 +304,17 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
             ln_Z.append(math.log(row[-1]) - ground)
         return ln_Z
     row = [1.0]  # e_0 of the first 0..K levels, all 1
+    x = []  # the multipliers of the last row, from its top level on
     ground = 0.0
     for n in range(1, min(n_max, len(energies)) + 1):
         top = energies[n - 1]  # highest level of the n-fermion ground state
         ground += top
         reach = _reach(energies, beta, top, QUIET + math.log(row[-1]))
-        x = [exp(-beta * (e - top)) for e in energies[n - 1:reach]]
+        if n > 1 and top == energies[n - 2]:
+            x = x[1:reach - n + 2]  # a repeated top: row n-1's, from level n-1 on
+        else:
+            x = []
+        x += [exp(-beta * (e - top)) for e in energies[n - 1 + len(x):reach]]
         row += [row[-1]] * (len(x) - len(row))  # row n-1 past its reach
         row = list(itertools.accumulate(map(mul, x, row)))
         ln_Z.append(math.log(row[-1]) - beta * ground)
@@ -359,17 +388,19 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     if stat is Statistics.BE and mu >= spectrum.offset:
         raise BoseDivergence(f"mu = {mu} is not below the lowest level {spectrum.offset}")
     energies = spectrum.energies
-    total = 0.0
-    for e in energies[:_reach(energies, beta, max(mu, energies[0]), QUIET + math.log(2.0))]:
-        a = beta * (mu - e)
-        if stat is Statistics.BE:
-            x = math.exp(a)
-            if x >= 1.0:
-                raise BoseDivergence(f"occupation factor {x} >= 1")
-            total -= math.log1p(-x)
-        else:
-            # softplus log(1 + e^a), stable for either sign of a
-            total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
+    levels = energies[:_reach(energies, beta, max(mu, energies[0]), QUIET + math.log(2.0))]
+    a = list(map(mul, itertools.repeat(beta), map(sub, itertools.repeat(mu), levels)))  # beta (mu - e)
+    # terms added left to right: sum() of floats is compensated from 3.12 on
+    if stat is Statistics.BE:
+        x = list(map(math.exp, a))
+        if max(x) >= 1.0:
+            raise BoseDivergence(f"occupation factor {max(x)} >= 1")
+        total = reduce(sub, map(math.log1p, map(neg, x)), 0.0)
+    else:
+        # softplus log(1 + e^a), stable for either sign of a
+        softplus = map(add, map(max, a, itertools.repeat(0.0)),
+                       map(math.log1p, map(math.exp, map(neg, map(abs, a)))))
+        total = reduce(add, softplus, 0.0)
     if not math.isfinite(total):
         raise InputError(f"grand ln Xi is out of float range at beta = {beta!r}, mu = {mu!r}")
     return total
@@ -417,6 +448,7 @@ def mb_ln_Z_continuum(T: float, V: float, N: int, stat: Statistics = Statistics.
 def free_energy_from_ln_Z(ln_Z: float, T: float, k: float = 1.0) -> float:
     """F = -k T ln Z (thermodynamic standard sign); an F outside the float
     range is refused."""
+    ln_Z, T, k = real(ln_Z, "ln Z"), real(T, "T", True), real(k, "k", True)
     F = -k * T * ln_Z
     if not math.isfinite(F):
         raise InputError(

@@ -67,6 +67,26 @@ def test_canonical_json_int_rows():
         canonical_json(rows + [[1, math.nan]])
 
 
+def test_canonical_json_records():
+    # a list of dicts with one set of str keys, sorted and encoded once,
+    # reads as each dict rendered alone; any other list of dicts keeps each
+    # item's own path
+    class Mapping(dict):
+        pass
+
+    records = [{"state": ["a", "b"], "exact": "1/2", "float": 0.5}, {"float": -0.0, "exact": "-1", "state": []},
+               {"exact": None, "state": {"z": 1, "a": [True]}, "float": 2}]
+    others = [{"exact": "1", "float": 1.0}, {"only": 1}, {}, {"y": 1, "x": 2}, Mapping(b=1, a=2)]
+    for items in [records, *([*records, other] for other in others), [{"b": 1}, {"b": 2}], [{}, {}],
+                  [{"a": 1, "\u00e9": 2.5}]]:
+        assert canonical_json(items) == "[" + ",".join(map(canonical_json, items)) + "]"
+    assert canonical_json(records[:1]) == '[{"exact":"1/2","float":0.5,"state":["a","b"]}]'
+    with pytest.raises(InputError, match="JSON object keys must be strings"):
+        canonical_json([{1: "a", 2: "b"}, {1: "c", 2: "d"}])
+    with pytest.raises(InputError, match="non-finite"):
+        canonical_json([*records, {"exact": "x", "float": math.inf, "state": []}])
+
+
 def test_canonical_json_str_lists():
     # a list of plain strs is joined at once; mixed with ints, None, bools or
     # a str enum, each item keeps its own text
@@ -431,7 +451,7 @@ def test_partition_tiny_beta_F_out_of_float_range_refused(beta, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
-    assert "out of float range" in err and "beta" in err
+    assert "out of float range" in err and "beta" in err and "T is too large or beta too small" in err
 
 
 EXTENSIVITY_OVERFLOW = {

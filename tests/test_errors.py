@@ -28,6 +28,7 @@ from idstat.statmech import (
     canonical_ln_Z,
     dimensionless_spectrum,
     extensivity_report,
+    free_energy_from_ln_Z,
     grand_ln_Xi,
     mb_ln_Z_continuum,
     occupation_count,
@@ -193,6 +194,9 @@ ARGUMENTS = {
     "extensivity_report(T)": (lambda x: extensivity_report(MB_NN, x, [(2.0, 2)]), REAL),
     "extensivity_report(V)": (lambda x: extensivity_report(MB_NN, 1.0, [(x, 2)]), REAL),
     "extensivity_report(k)": (lambda x: extensivity_report(MB_NN, 1.0, [(2.0, 2)], k=x), REAL),
+    "free_energy_from_ln_Z(ln_Z)": (lambda x: free_energy_from_ln_Z(x, 1.0), REAL),
+    "free_energy_from_ln_Z(T)": (lambda x: free_energy_from_ln_Z(-1.0, x), REAL),
+    "free_energy_from_ln_Z(k)": (lambda x: free_energy_from_ln_Z(-1.0, 1.0, x), REAL),
     # statistics
     "occupation_vectors(stat)": (lambda x: list(occupation_vectors(3, 2, x)), NONE),
     "occupation_count(stat)": (lambda x: occupation_count(3, 2, x), NONE),
@@ -243,6 +247,19 @@ def test_every_argument_answers_or_is_an_idstat_refusal(pair, value):
     else:
         with pytest.raises(IdstatError):
             call(value)
+
+
+def test_free_energy_reads_a_real_ln_z_and_a_positive_t_and_k():
+    # each once answered 1.0, answered a negative temperature's -2.0, or
+    # raised a bare TypeError
+    for args, text in (((-1.0, True), "T must be a positive finite number, got True"),
+                       ((-1.0, -2.0), "T must be a positive finite number, got -2.0"),
+                       ((-1.0, "2"), "T must be a positive finite number, got '2'"),
+                       ((-1.0, 1.0, 0.0), "k must be a positive finite number, got 0.0"),
+                       ((None, 1.0), "ln Z must be a finite number, got None")):
+        with pytest.raises(InputError, match=text):
+            free_energy_from_ln_Z(*args)
+    assert free_energy_from_ln_Z(-1.0, 2.0) == 2.0
 
 
 def test_statistics_given_by_name_is_read_as_the_member():

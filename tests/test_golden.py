@@ -79,6 +79,14 @@ CORPUS = {
     "partition-canonical-fd-box3d-cold": ["partition", "--stat", "fd", "--box3d", "10000", "-N", "50", "--beta", "2"],
     "partition-grand-be-box3d-cold": ["partition", "--stat", "be", "--box3d", "10000", "--mu", "0", "--beta", "5"],
     "partition-grand-fd-box3d-cold": ["partition", "--stat", "fd", "--box3d", "10000", "--mu", "5", "--beta", "5"],
+    # degenerate tops and hot grand sums: each file was written by the kernel
+    # that evaluated every multiplier of every row, and by the per-level grand loop
+    "partition-canonical-fd-box3d-hot": ["partition", "--stat", "fd", "--box3d", "10000", "-N", "50",
+                                         "--beta", "0.001"],
+    "partition-canonical-fd-spectrum-file": ["partition", "--stat", "fd", "--spectrum-file",
+                                             os.path.join(GOLDEN, "spectrum.csv"), "-N", "4", "--beta", "0.5"],
+    "partition-grand-be-box3d-hot": ["partition", "--stat", "be", "--box3d", "10000", "--mu", "0", "--beta", "0.001"],
+    "partition-grand-fd-box3d-hot": ["partition", "--stat", "fd", "--box3d", "10000", "--mu", "5", "--beta", "0.001"],
     "partition-continuum-si": ["partition", "--stat", "mb-fact", "--continuum", "--V", "1e-3", "--N", "1",
                                "--T", "300", "--mass", "6.6464731e-27", "--mode", "si"],
     "extensivity-mb-fact": ["extensivity", "--stat", "mb-fact", "--T", "2", "--sizes", "1:1,2:2,5:5"],

@@ -474,22 +474,13 @@ def test_quiet_reach_stays_short_of_exp_underflow():
 def test_kernel_computes_only_the_levels_in_reach(stat, monkeypatch):
     spec, n, beta = dimensionless_spectrum(MAX_CUTOFF), 50, 1.0
     want = untrimmed_ln_Z_table(spec.energies, n, beta, stat)
-    calls = 0
-
-    def counting_exp(x):
-        nonlocal calls
-        calls += 1
-        return math.exp(x)
-
-    counting_math = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
-    counting_math.exp = counting_exp
-    monkeypatch.setattr(statmech, "math", counting_math)
+    calls = counted_exp(monkeypatch)
     assert _ln_Z_table(spec, n, beta, stat) == want
     # FD row m keeps levels m .. sqrt(m^2 + QUIET + ln R) of the 10^4, each
     # row's R being below e^0.5; BE evaluates the multipliers of its one
     # reach, levels 1 .. sqrt(1 + QUIET), once
     reach = [math.isqrt(m * m + 39) for m in range(1, n + 1)]
-    assert 0 < calls <= (reach[0] if stat is BE else sum(r - m + 1 for m, r in enumerate(reach, 1)))
+    assert 0 < calls[0] <= (reach[0] if stat is BE else sum(r - m + 1 for m, r in enumerate(reach, 1)))
 
 
 @pytest.mark.parametrize("stat", [BE, FD])
@@ -546,6 +537,235 @@ def test_box3d_first_bound_holds_every_admitted_cutoff():
     held = list(itertools.accumulate(per_shell))
     short = [c for c in range(1, MAX_CUTOFF + 1) if held[statmech._box3d_bound(c)] < c]
     assert short == []
+
+
+# -- degenerate spectra pay once, against the per-row and per-level loops ----
+
+
+def per_row_ln_Z_table(energies, n_max, beta, stat):
+    """The canonical kernel as it stood before FD rows reused multipliers:
+    every row evaluates its own, from its top level to its quiet reach."""
+    ln_Z = [0.0]
+    if stat is BE:
+        e0 = energies[0]
+        x = [math.exp(-beta * (e - e0)) for e in energies[:statmech._reach(energies, beta, e0, QUIET)]]
+        row = [1.0] * len(x)
+        for n in range(1, n_max + 1):
+            row = list(itertools.accumulate(map(operator.mul, x, row)))
+            ground = beta * n * e0 if beta * n < math.inf else n * (beta * e0)
+            ln_Z.append(math.log(row[-1]) - ground)
+        return ln_Z
+    row = [1.0]
+    ground = 0.0
+    for n in range(1, min(n_max, len(energies)) + 1):
+        top = energies[n - 1]
+        ground += top
+        reach = statmech._reach(energies, beta, top, QUIET + math.log(row[-1]))
+        x = [math.exp(-beta * (e - top)) for e in energies[n - 1:reach]]
+        row += [row[-1]] * (len(x) - len(row))
+        row = list(itertools.accumulate(map(operator.mul, x, row)))
+        ln_Z.append(math.log(row[-1]) - beta * ground)
+    return ln_Z + [-math.inf] * (n_max - len(energies))
+
+
+def per_level_grand_ln_Xi(energies, beta, mu, stat):
+    """The grand sum as it stood before it ran in C-level passes: one level
+    at a time, up to its quiet reach."""
+    if stat is BE and mu >= energies[0]:
+        raise BoseDivergence(f"mu = {mu} is not below the lowest level {energies[0]}")
+    total = 0.0
+    for e in energies[:statmech._reach(energies, beta, max(mu, energies[0]), QUIET + math.log(2.0))]:
+        a = beta * (mu - e)
+        if stat is BE:
+            x = math.exp(a)
+            if x >= 1.0:
+                raise BoseDivergence(f"occupation factor {x} >= 1")
+            total -= math.log1p(-x)
+        else:
+            total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
+    if not math.isfinite(total):
+        raise InputError(f"grand ln Xi is out of float range at beta = {beta!r}, mu = {mu!r}")
+    return total
+
+
+def sorted_sums_box3d(cutoff, length=1.0, mass=1.0, h=1.0):
+    """box3d_spectrum as it stood before it counted shells: every sum
+    scaled, after one sort of all of them."""
+    cutoff = statmech._check_cutoff(cutoff)
+    scale = statmech._box_scale(length, mass, h)
+    bound = statmech._box3d_bound(cutoff)
+    squares = [n * n for n in range(math.isqrt(bound) + 1)]
+    sums = []
+    for nx in range(1, math.isqrt(bound - 2) + 1):
+        for ny in range(1, math.isqrt(bound - squares[nx] - 1) + 1):
+            base = squares[nx] + squares[ny]
+            sums.extend([base + q for q in squares[1:math.isqrt(bound - base) + 1]])
+    sums.sort()
+    return Spectrum([scale * s for s in sums[:cutoff]])
+
+
+def outcome(call):
+    """A call's float as its repr (bit for bit, nan and -0.0 included), a
+    list of floats as their reprs, or its refusal's type and text."""
+    try:
+        value = call()
+    except (BoseDivergence, CapacityExceeded, InputError) as exc:
+        return type(exc), str(exc)
+    return list(map(repr, value)) if isinstance(value, (list, tuple)) else repr(value)
+
+
+BETAS = (1e-4, 1e-3, 0.05, 1.0, 5.0, 30.0)
+
+
+def degenerate_csv_spectra(tmp_path, seed, cases):
+    """Seeded CSV spectra whose rows carry degeneracies up to 100 (and
+    sometimes repeat an energy over rows), up to the level cap."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        rows, e = [], rng.uniform(-5.0, 5.0)
+        for _ in range(rng.randint(1, 120)):
+            rows.append((e, rng.choice([1, 2, 3, rng.randint(1, 100)])))
+            e += 0.0 if rng.random() < 0.1 else rng.expovariate(1.0) * 10 ** rng.uniform(-2, 1.5)
+        while sum(g for _, g in rows) > MAX_CUTOFF:
+            rows.pop()
+        rng.shuffle(rows)
+        path = tmp_path / f"degenerate-{i}.csv"
+        path.write_text("energy,degeneracy\n" + "".join(f"{e!r},{g}\n" for e, g in rows))
+        yield spectrum_from_csv(str(path)), 10 ** rng.uniform(-4, math.log10(30.0))
+
+
+# 100 shells of 100 levels, 1000 apart: at beta 1e-3 the FD rows' reach grows
+# from 39 shells to all 100 while every top is the ground level
+WIDE_SHELLS = [1000.0 * (j // 100) for j in range(MAX_CUTOFF)]
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+@pytest.mark.parametrize("cutoff", [10, 729, MAX_CUTOFF])
+def test_kernel_equals_the_per_row_kernel_on_box3d(stat, cutoff):
+    for length in (0.3, 1.0, 2.7):
+        energies = box3d_spectrum(cutoff, length=length).energies
+        for beta in BETAS:
+            got = outcome(lambda: _ln_Z_table(Spectrum(energies), MAX_CANONICAL_N, beta, stat))
+            assert got == outcome(lambda: per_row_ln_Z_table(energies, MAX_CANONICAL_N, beta, stat)), (length, beta)
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+def test_kernel_equals_the_per_row_kernel_on_degenerate_spectra(stat, tmp_path):
+    spectra = [*degenerate_csv_spectra(tmp_path, 2210, 40), (Spectrum(WIDE_SHELLS), 1e-3),
+               (Spectrum([0.0] * 60), 1.0), (Spectrum([1.0, 1.0, 2.0]), 1e308)]
+    for spec, beta in spectra:
+        for n_max in (1, 7, MAX_CANONICAL_N):
+            got = outcome(lambda: _ln_Z_table(spec, n_max, beta, stat))
+            assert got == outcome(lambda: per_row_ln_Z_table(spec.energies, n_max, beta, stat)), (len(spec), beta)
+
+
+def test_kernel_refusals_are_unchanged_on_degenerate_spectra():
+    # ln Z out of float range, the particle cap, and more fermions than levels
+    spec = Spectrum([1.0, 1.0, 2.0])
+    for stat in (BE, FD):
+        table = per_row_ln_Z_table(spec.energies, 3, 1e308, stat)
+        assert not math.isfinite(table[-1])
+        assert outcome(lambda: _ln_Z_table(spec, 3, 1e308, stat)) == list(map(repr, table))
+        with pytest.raises(InputError, match="canonical ln Z is out of float range at beta = 1e"):
+            canonical_ln_Z(spec, 3, 1e308, stat)
+        with pytest.raises(CapacityExceeded):
+            canonical_ln_Z(box3d_spectrum(MAX_CUTOFF), MAX_CANONICAL_N + 1, 1e-3, stat)
+    assert canonical_ln_Z(spec, 4, 1.0, FD) == -math.inf
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+def test_grand_sum_equals_the_per_level_sum(stat, tmp_path):
+    spectra = [(box3d_spectrum(cutoff, length=length), beta)
+               for cutoff in (10, 729, MAX_CUTOFF) for length in (0.3, 2.7) for beta in BETAS]
+    spectra += [*degenerate_csv_spectra(tmp_path, 1910, 30), (Spectrum(WIDE_SHELLS), 1e-3)]
+    for spec, beta in spectra:
+        e0, top = spec.energies[0], spec.energies[-1]
+        # below, just below (the first factor rounds to 1), inside, above, and past exp overflow
+        for mu in (e0 - 3.0 / beta, e0 - 1e-3, math.nextafter(e0, -math.inf), e0, (e0 + top) / 2,
+                   top + 5.0 / beta, 1e300):
+            got = outcome(lambda: grand_ln_Xi(spec, beta, mu, stat))
+            assert got == outcome(lambda: per_level_grand_ln_Xi(spec.energies, beta, mu, stat)), (len(spec), beta, mu)
+
+
+def test_grand_sum_refusals_are_unchanged():
+    spec = Spectrum([0.0, 0.0, 1.0])
+    for beta, mu, stat, kind, text in (
+        (1.0, 0.0, BE, BoseDivergence, "mu = 0.0 is not below the lowest level 0.0"),
+        (1e-3, -1e-300, BE, BoseDivergence, "occupation factor 1.0 >= 1"),
+        (1e10, 1e300, FD, InputError, "grand ln Xi is out of float range at beta = 10000000000.0, mu = 1e+300"),
+    ):
+        assert outcome(lambda: grand_ln_Xi(spec, beta, mu, stat)) == (kind, text)
+        assert outcome(lambda: per_level_grand_ln_Xi(spec.energies, beta, mu, stat)) == (kind, text)
+
+
+def test_box3d_spectrum_equals_the_sorted_sums():
+    for cutoff in (*range(1, 60), 10, 100, 729, 1000, 6627, MAX_CUTOFF):
+        for length, mass, h in ((1.0, 1.0, 1.0), (0.3, 1.0, 1.0), (2.7, 0.5, 3.0), (1e150, 1.0, 1.0)):
+            got = outcome(lambda: box3d_spectrum(cutoff, length, mass, h).energies)
+            assert got == outcome(lambda: sorted_sums_box3d(cutoff, length, mass, h).energies), (cutoff, length)
+    # refusals: the cutoff, the scale, and energies past the float range
+    for args in ((0,), (MAX_CUTOFF + 1,), (True,), (5, 1e-300), (5, 1.0, 1.0, 1e200), (MAX_CUTOFF, 1.0, 1.0, 1e154)):
+        want = outcome(lambda: sorted_sums_box3d(*args).energies)
+        assert isinstance(want, tuple) and outcome(lambda: box3d_spectrum(*args).energies) == want, args
+
+
+def test_every_builder_spectrum_equals_the_checked_one(tmp_path):
+    csv_path = tmp_path / "levels.csv"
+    csv_path.write_text("energy,degeneracy\n2.5,3\n-1,2\n0.25,1\n")
+    built = [spectrum_from_csv(str(csv_path)), spectrum_from_levels([3, 1.5, -2])]
+    for cutoff in (1, 2, 10, 729, MAX_CUTOFF):
+        built += [dimensionless_spectrum(cutoff), box1d_spectrum(cutoff), box1d_spectrum(cutoff, 0.3, 2.0, 1.7),
+                  box3d_spectrum(cutoff), box3d_spectrum(cutoff, 2.7, 0.5, 3.0), box1d_spectrum(cutoff, 1e200)]
+    for spectrum in built:
+        checked = Spectrum(list(spectrum.energies))
+        assert spectrum == checked and type(spectrum.energies) is tuple
+        assert list(map(repr, spectrum.energies)) == list(map(repr, checked.energies))
+    # an energy past the float range is refused as the checked constructor refuses it
+    for builder in (box1d_spectrum, box3d_spectrum):
+        with pytest.raises(InputError, match="spectrum energies must be finite"):
+            builder(MAX_CUTOFF, 1.0, 1.0, 1e154)
+
+
+def counted_exp(monkeypatch) -> list:
+    """Replace statmech's math.exp with one that counts its calls in the
+    returned one-item list."""
+    calls = [0]
+
+    def counting_exp(x):
+        calls[0] += 1
+        return math.exp(x)
+
+    counting_math = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    counting_math.exp = counting_exp
+    monkeypatch.setattr(statmech, "math", counting_math)
+    return calls
+
+
+def test_fd_rows_pay_once_per_distinct_top(monkeypatch):
+    # every level is in reach of every row: a row with a new top evaluates
+    # its K - n + 1 multipliers, a row that repeats the last top none
+    box3d, plain = box3d_spectrum(MAX_CUTOFF), dimensionless_spectrum(MAX_CUTOFF)
+    want_box3d = _ln_Z_table(box3d, MAX_CANONICAL_N, 1e-3, FD)
+    want_plain = _ln_Z_table(plain, MAX_CANONICAL_N, 1e-9, FD)
+    calls = counted_exp(monkeypatch)
+    assert _ln_Z_table(box3d, MAX_CANONICAL_N, 1e-3, FD) == want_box3d
+    new_tops = [n for n in range(1, MAX_CANONICAL_N + 1) if n == 1 or box3d.energies[n - 1] != box3d.energies[n - 2]]
+    assert len(new_tops) == 15
+    assert calls[0] == sum(MAX_CUTOFF - n + 1 for n in new_tops) == 149_684  # 498 775 when every row paid
+    calls[0] = 0
+    # no level repeats: every row still pays for each level it reaches
+    assert _ln_Z_table(plain, MAX_CANONICAL_N, 1e-9, FD) == want_plain
+    assert calls[0] == sum(MAX_CUTOFF - n + 1 for n in range(1, MAX_CANONICAL_N + 1)) == 498_775
+
+
+def test_fd_rows_on_a_repeated_top_evaluate_only_the_levels_the_reach_adds(monkeypatch):
+    # every top is the ground level, and the reach grows from 39 shells to 100
+    spec = Spectrum(WIDE_SHELLS)
+    want = per_row_ln_Z_table(spec.energies, MAX_CANONICAL_N, 1e-3, FD)
+    assert statmech._reach(spec.energies, 1e-3, 0.0, QUIET) == 3900  # the first row's
+    calls = counted_exp(monkeypatch)
+    assert _ln_Z_table(spec, MAX_CANONICAL_N, 1e-3, FD) == want
+    assert calls[0] == MAX_CUTOFF  # each multiplier once
 
 
 def test_monotonic_in_beta():
