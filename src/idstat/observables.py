@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import InputError, ZeroVectorInput, count, instance, items, real, shown
-from .exactnum import ONE, RadicalRational
+from .exactnum import ONE, ZERO, RadicalRational
 from .symmetry import StateVector
 
 
@@ -44,8 +45,11 @@ class OneBodyOperator:
 
     @classmethod
     def matrix(cls, rows: Sequence[Sequence], exact: bool) -> "OneBodyOperator":
-        """A caller's square matrix, refused unless it is symmetric."""
-        rows = tuple([tuple(items(row, "matrix row")) for row in items(rows, "matrix")])
+        """A caller's square matrix, refused unless it is symmetric.  Each
+        entry is read when the operator is built: as a Rational when
+        `exact`, else as a finite float (a str, a bool or None is refused)."""
+        read = _rational if exact else (lambda x: real(x, "operator entry"))
+        rows = tuple([tuple(map(read, items(row, "matrix row"))) for row in items(rows, "matrix")])
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InputError("operator matrix must be square")
@@ -98,30 +102,44 @@ def _check_particle(v: StateVector, particle: int, what: str) -> None:
         raise InputError(f"particle index {shown(particle)} out of range")
 
 
+def _sum_of_products(pairs) -> Fraction:
+    """Exact sum of x * y over pairs of ints, Rationals or finite floats:
+    the integer numerators of the products are added over one common
+    denominator and one Fraction is built at the end.  A y of another
+    kind (an operator rule's nan, say) is refused as input."""
+    nums, dens = [], []
+    for x, y in pairs:
+        xn, xd = x.as_integer_ratio()
+        try:
+            yn, yd = y.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError):
+            raise InputError(f"operator entry {shown(y, repr)} is not an int, a Rational or a finite float") from None
+        nums.append(xn * yn)
+        dens.append(xd * yd)
+    den = math.lcm(*dens)
+    return Fraction(sum([n * (den // d) for n, d in zip(nums, dens)]), den)
+
+
 def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     """<v| O acting on `particle` |v>; exact when the operator is exact.
 
-    The diagonal part sum_k w_k O_kk, with the level weights w_k of
-    `occupancy_weights`, and the cross terms, which connect only product
-    states that agree on every slot except `particle`, are summed as exact
-    Fractions: a float entry converts without rounding, so a float result
-    is rounded once, at the end.
+    The diagonal part sum_k w_k O_kk, over the levels k with a nonzero
+    weight w_k of `occupancy_weights`, and the cross terms, which connect
+    only product states that agree on every slot except `particle`, are
+    summed exactly: a float entry converts without rounding, so a float
+    result is rounded once, at the end.
     """
     _check_particle(v, particle, "expectation")
     if instance(op, OneBodyOperator, "operator").dim < v.basis_size:
         raise InputError(f"operator dim {shown(op.dim)} < basis size {shown(v.basis_size)}")
     if v.norm_squared() != ONE:
         raise InputError("state vector must have norm squared exactly 1")
-    tally, groups = v._one_body(particle)
-    total = sum(n * a * a * Fraction(op.entry(lv, lv)) for lv, a, n in tally)
-    total += sum(
-        ai * aj * Fraction(op.entry(li, lj))
-        for group in groups
-        for li, ai in group
-        for lj, aj in group
-        if li != lj
-    )
-    value = v._scale * v._scale * total
+    weights, groups = v._one_body(particle)
+    entry = op.entry
+    pairs = [(w, entry(lv, lv)) for lv, w in weights.items()]
+    # each unordered pair of a group once, doubled: O is symmetric
+    pairs += [(2 * ai * aj, entry(li, lj)) for group in groups for (li, ai), (lj, aj) in combinations(group, 2)]
+    value = RadicalRational(v._square() * _sum_of_products(pairs))
     return value if op.exact else float(value)
 
 
@@ -131,8 +149,8 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
     operator with energies e_k the expectation is sum_k w_k e_k, so equal
     weights prove the symbolic equal-share identity for any energies."""
     _check_particle(v, particle, "weights")
-    by_level = [0] * v.basis_size
-    for lv, a, n in v._one_body(particle)[0]:
-        by_level[lv] += n * a * a
-    square = v._scale * v._scale
-    return [square * w for w in by_level]
+    square = v._square()
+    by_level = [ZERO] * v.basis_size
+    for lv, w in v._one_body(particle)[0].items():
+        by_level[lv] = RadicalRational(square * w)
+    return by_level

@@ -36,11 +36,14 @@ class StateVector:
     """Sparse map from product states to exact amplitudes: int or Rational
     values, each times the one scale of the vector.
 
-    A vector is never changed after it is built, so the norm and the
-    one-body tallies of each slot are computed once and kept in `_memo`.
+    A vector is never changed after it is built, so the norm, the square of
+    the scale and the one-body weights of each slot are computed once and
+    kept in `_memo`.  `_one_multiset` marks a vector whose states are all
+    orderings of one level multiset: a symmetrized state, an orbit basis
+    member, or a permutation of either.
     """
 
-    __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo")
+    __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo", "_one_multiset")
 
     def __init__(self, n_particles: int, amps: dict | None = None):
         """`amps` maps states to ints, Rationals or RadicalRationals; the
@@ -63,16 +66,19 @@ class StateVector:
         self._scale = RadicalRational(1, radicand or 1)
         self.basis_size = top + 1
         self._memo = {}
+        self._one_multiset = False
 
     @classmethod
     def _trusted(cls, n_particles: int, amps: dict, basis_size: int,
-                 scale: RadicalRational) -> "StateVector":
+                 scale: RadicalRational, one_multiset: bool = False) -> "StateVector":
         """Skip __init__'s checks: every key of `amps` must already be a
         tuple of n_particles nonnegative ints below basis_size, every value
-        a nonzero int or Rational, and `scale` nonzero."""
+        a nonzero int or Rational, and `scale` nonzero; `one_multiset` only
+        when every key is an ordering of one multiset."""
         v = cls.__new__(cls)
         v.n_particles, v._amps, v.basis_size, v._scale = n_particles, amps, basis_size, scale
         v._memo = {}
+        v._one_multiset = one_multiset
         return v
 
     # -- inspection ----------------------------------------------------
@@ -97,40 +103,57 @@ class StateVector:
 
     # -- rational sums, one scale --------------------------------------
 
+    def _square(self) -> Fraction:
+        """q^2 r for the scale q*sqrt(r): a sum of value products times this
+        is the sum of the amplitude products."""
+        square = self._memo.get("square")
+        if square is None:
+            ((r, q),) = self._scale.items()
+            square = self._memo["square"] = q * q * r
+        return square
+
     def norm_squared(self) -> RadicalRational:
         norm = self._memo.get("norm")
         if norm is None:
             values = self._amps.values()
-            norm = self._memo["norm"] = self._scale * self._scale * sum(map(mul, values, values))
+            norm = self._memo["norm"] = RadicalRational(self._square() * sum(map(mul, values, values)))
         return norm
 
-    def _one_body(self, slot: int) -> tuple[list, list]:
+    def _one_body(self, slot: int) -> tuple[dict, list]:
         """What a one-body quantity of `slot` needs, computed once.
 
-        The tally [(level, value, count)] counts the terms by the level in
-        `slot` and the amplitude value.  The cross groups [[(level, value),
-        ...]] hold the terms that agree on every other slot, two or more
-        per group.  Two terms that differ in one slot only have different
-        level sums, so when every term has the same sum (as on a permutation
-        orbit) there are no groups and the spectators are never counted.
+        The weights {level: sum of squared values} add up the terms by the
+        level in `slot`; when every value has the same square (as on a
+        symmetrized state) they are that square times a count of the
+        levels, else they fold a tally of the terms by (level, value).  The
+        cross groups [[(level, value), ...]] hold the terms that agree on
+        every other slot, two or more per group.  Two terms that differ in
+        one slot only have different level multisets and level sums, so a
+        vector marked `_one_multiset`, or one whose terms all have the same
+        level sum, has no groups, and its spectators are never counted.
         """
         key = ("slot", slot)
         memo = self._memo.get(key)
         if memo is None:
-            states = self._amps.keys()
-            tally = Counter(zip(map(itemgetter(slot), states), self._amps.values()))
+            states, values = self._amps.keys(), self._amps.values()
+            levels = map(itemgetter(slot), states)
+            squares = {a * a for a in set(values)}
+            if len(squares) == 1:
+                (square,) = squares
+                weights = {lv: n * square for lv, n in Counter(levels).items()}
+            else:
+                weights = {}
+                for (lv, a), n in Counter(zip(levels, values)).items():
+                    weights[lv] = weights.get(lv, 0) + n * a * a
             groups: dict = {}
-            if len(set(map(sum, states))) > 1:
+            if not self._one_multiset and len(set(map(sum, states))) > 1:
                 others = [j for j in range(self.n_particles) if j != slot]
                 spectator = itemgetter(*others) if others else (lambda s: ())
                 seen = Counter(map(spectator, states))
                 for s, a in self._amps.items():
                     if seen[spec := spectator(s)] > 1:
                         groups.setdefault(spec, []).append((s[slot], a))
-            memo = self._memo[key] = (
-                [(lv, a, n) for (lv, a), n in tally.items()],
-                list(groups.values()),
-            )
+            memo = self._memo[key] = (weights, list(groups.values()))
         return memo
 
     def permuted(self, p: Permutation) -> "StateVector":
@@ -140,6 +163,7 @@ class StateVector:
             {p.apply(s): a for s, a in self._amps.items()},
             self.basis_size,
             self._scale,
+            self._one_multiset,
         )
 
     def __repr__(self) -> str:
@@ -273,7 +297,7 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     # on distinct levels |orbit| = N!, so one scale serves both parities
     scale = rsqrt_of_rational(Fraction(1, orbit))
     amps = _orbit(levels, parity == "A")
-    vector = StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale)
+    vector = StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale, True)
     return SymmetrizeResult(vector, RadicalRational.of(repeats))
 
 
@@ -301,7 +325,8 @@ def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
         raise InputError("defined for exactly three pairwise distinct levels")
     return tuple([
         StateVector._trusted(3, {(levels[a], levels[b], levels[c]): k for (a, b, c), k in p.items()},
-                             max(levels) + 1, rsqrt_of_rational(Fraction(1, sum(k * k for k in p.values()))))
+                             max(levels) + 1, rsqrt_of_rational(Fraction(1, sum(k * k for k in p.values()))),
+                             True)
         for p in (*_END_PATTERNS, *_MIXED_PATTERNS.values())
     ])
 
@@ -331,8 +356,7 @@ def decompose(
         dot = _dot(b._amps, v._amps)
         coeffs.append(b._scale * v._scale * dot if dot else ZERO)  # <b|v>, as inner_product
         if dot:
-            ((r, q),) = b._scale.items()
-            weight = q * q * r * dot
+            weight = b._square() * dot
             for s, a in b._amps.items():
                 residual[s] = residual.get(s, 0) - weight * a
     residual = {s: a for s, a in residual.items() if a}

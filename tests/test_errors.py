@@ -82,6 +82,23 @@ MISUSES = {
         lambda: decompose(product_state_vector((0, 1)), [product_state_vector((0, 1))] * 2), InputError),
     "matrix-not-square": (lambda: OneBodyOperator.matrix(((1, 2), (3,)), exact=True), InputError),
     "matrix-not-symmetric": (lambda: OneBodyOperator.matrix(((0.0, 1.0), (2.0, 0.0)), exact=False), InputError),
+    # each matrix entry is read when the operator is built; each of these once
+    # raised a bare ValueError, OverflowError or TypeError in the expectation,
+    # or was read as 1.5
+    "matrix-entry-nan": (lambda: OneBodyOperator.matrix([[math.nan, 0.0], [0.0, 1.0]], exact=False), InputError),
+    "matrix-entry-inf": (lambda: OneBodyOperator.matrix([[math.inf, 0.0], [0.0, 1.0]], exact=False), InputError),
+    "matrix-entry-none": (lambda: OneBodyOperator.matrix([[None, 0.0], [0.0, 1.0]], exact=False), InputError),
+    "matrix-entry-string": (lambda: OneBodyOperator.matrix([["1.5", 0.0], [0.0, 1.0]], exact=False), InputError),
+    "matrix-entry-not-rational": (lambda: OneBodyOperator.matrix([["a", 0], [0, 1]], exact=True), InputError),
+    "matrix-entry-nan-exact": (lambda: OneBodyOperator.matrix([[math.nan, 0], [0, 1]], exact=True), InputError),
+    "matrix-entry-nan-pair": (
+        lambda: OneBodyOperator.matrix([[1.0, math.nan], [math.nan, 1.0]], exact=False), InputError),
+    "rule-entry-nan": (
+        lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: math.nan, 2, False), 0),
+        InputError),
+    "rule-entry-string": (
+        lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: "1", 2, True), 0),
+        InputError),
     "box-no-levels": (lambda: box_position_operator(1.0, 0), InputError),
     "expectation-particle": (lambda: one_body_expectation(product_state_vector((0, 1, 2)), H3, 3), InputError),
     "expectation-dimension": (
@@ -288,6 +305,17 @@ def test_object_arguments_are_refused_by_name():
     ]:
         with pytest.raises(InputError, match=name):
             call()
+
+
+def test_matrix_entries_are_refused_for_what_they_are():
+    # a nan pair was once refused as "not symmetric", and "1.5" read as 1.5
+    for rows, exact, text in (([[1.0, math.nan], [math.nan, 1.0]], False, "entry must be a finite number, got nan"),
+                              ([["1.5", 0.0], [0.0, 1.0]], False, "entry must be a finite number, got '1.5'")):
+        with pytest.raises(InputError, match=text):
+            OneBodyOperator.matrix(rows, exact)
+    pair = symmetrize((0, 1), "S").vector
+    assert one_body_expectation(pair, OneBodyOperator.matrix([[1, 0], [0, "1/3"]], exact=True), 0) == Fraction(2, 3)
+    assert one_body_expectation(pair, OneBodyOperator.matrix([[1, 0.5], [0.5, 2]], exact=False), 0) == 1.5
 
 
 def test_transposition_slots_are_counts_below_the_size():

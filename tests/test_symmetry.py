@@ -15,6 +15,7 @@ import pytest
 from idstat.config import ORBIT_BASIS_NAMES
 from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
 from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
+from idstat.observables import OneBodyOperator, box_position_operator, occupancy_weights, one_body_expectation
 from idstat.perm import Permutation
 from idstat.symmetry import (
     _MIXED_PATTERNS,
@@ -456,6 +457,64 @@ def test_classify_sees_one_wrong_amplitude():
         copy = StateVector(4, {s: a * 1 for s, a in v.items()})
         assert copy == v and copy._scale != v._scale
         assert classify_symmetry(copy).tag is tag
+
+
+def _marked_vectors():
+    """Every vector the builders mark: symmetrized states on N <= 6 levels,
+    S and A, with and without repeats, in sorted and reversed order; the
+    orbit basis on two level orders; and a permutation of each."""
+    built = [symmetrize(levels[::order], parity).vector
+             for n in range(1, 7)
+             for levels in combinations_with_replacement(range(4), n)
+             for parity in "SA"
+             for order in (1, -1)]
+    built += [symmetrize((5, 0, 3, 1, 4, 2), parity).vector for parity in "SA"]
+    built = [v for v in built if not v.is_zero]
+    built += [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
+    cycle = lambda n: Permutation(tuple(range(1, n)) + (0,))
+    return built + [v.permuted(cycle(v.n_particles)) for v in built]
+
+
+def test_builders_mark_vectors_of_one_level_multiset():
+    vectors = _marked_vectors()
+    assert len(vectors) > 600
+    for v in vectors:
+        assert v._one_multiset, v
+        assert len({tuple(sorted(s)) for s in v._amps}) == 1, v
+
+
+def test_public_vectors_and_residuals_are_not_marked():
+    v = symmetrize((0, 1, 2), "S").vector
+    copy = StateVector(3, dict(v.items()))
+    assert copy == v and not copy._one_multiset
+    assert not copy.permuted(Permutation((1, 2, 0)))._one_multiset
+    assert not product_state_vector((0, 1, 2))._one_multiset
+    basis = orbit_basis_n3((0, 1, 2))
+    for members in (basis[:2], basis):
+        _, residual = decompose(product_state_vector((0, 1, 2)), members)
+        assert not residual._one_multiset
+    assert not decompose(v, basis[2:])[1]._one_multiset  # v itself is marked
+
+
+def test_marked_vectors_match_their_unmarked_copies():
+    # A marked vector skips the search for cross groups; a copy through the
+    # public constructor runs it (and holds its values in other units).
+    exact_op = OneBodyOperator.matrix(
+        [[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(6)] for i in range(6)], exact=True)
+    ops = (exact_op, box_position_operator(1.7, 6))
+    for v in _marked_vectors():
+        copy = StateVector(v.n_particles, dict(v.items()))
+        assert not copy._one_multiset and copy.norm_squared() == v.norm_squared() == 1
+        for i in range(v.n_particles):
+            weights, groups = v._one_body(i)
+            copy_weights, copy_groups = copy._one_body(i)
+            assert groups == copy_groups == []
+            assert {lv: v._square() * w for lv, w in weights.items()} == {
+                lv: copy._square() * w for lv, w in copy_weights.items()}
+            assert occupancy_weights(copy, i) == occupancy_weights(v, i)
+            for op in ops:
+                got, want = one_body_expectation(v, op, i), one_body_expectation(copy, op, i)
+                assert got == want and type(got) is type(want), (v, i)
 
 
 def test_classify_long_product_states():
