@@ -22,16 +22,12 @@ _EXPORTS = {
     "errors": (
         "BoseDivergence", "CapacityExceeded", "IdstatError", "InputError", "ZeroVectorInput",
     ),
-    "exactnum": (
-        "MAX_RADICAND", "ONE", "Rational", "RadicalRational", "ZERO", "rsqrt_of_rational",
-        "square_free_split",
-    ),
+    "exactnum": ("ONE", "RadicalRational", "ZERO", "rsqrt_of_rational"),
     "perm": ("Permutation",),
     "symmetry": (
         "MAX_ORBIT", "ORBIT_BASIS_NAMES", "StateVector", "SymmetrizeResult", "SymmetryClass",
         "SymmetryTag", "classify_symmetry", "decompose", "exchange_degeneracy_dimension",
-        "inner_product", "orbit_basis_n3", "product_state_vector",
-        "symmetric_antisymmetric_dimensions", "symmetrize",
+        "orbit_basis_n3", "product_state_vector", "symmetric_antisymmetric_dimensions", "symmetrize",
     ),
     "observables": (
         "OneBodyOperator", "box_position_operator", "occupancy_weights", "one_body_expectation",

@@ -6,7 +6,7 @@ such as 1/sqrt(N!), 1/sqrt(|orbit|) or 1/sqrt(|pattern|^2); a state vector
 keeps rational values and one such scale (see `symmetry`).
 
 Rational coefficients are stdlib :class:`fractions.Fraction` objects
-(always reduced, positive denominator), re-exported here as ``Rational``.
+(always reduced, positive denominator).
 """
 
 from __future__ import annotations
@@ -14,26 +14,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CapacityExceeded, InputError, count, shown
+from .errors import CapacityExceeded, InputError, shown
 
-Rational = Fraction
-
-#: Largest square-free radicand a value may carry.
-MAX_RADICAND = 10**6
+# Largest square-free radicand a value may carry.
+_MAX_RADICAND = 10**6
 
 # Inputs to the square-free split may be as large as a coefficient
 # numerator times denominator; factoring by trial division beyond this
 # bound would stall, so refuse early.
-_MAX_SPLIT_INPUT = MAX_RADICAND**2
+_MAX_SPLIT_INPUT = _MAX_RADICAND**2
 
 
-def square_free_split(n: int) -> tuple[int, int]:
-    """Split ``n >= 1`` as ``s*s * r`` with ``r`` square-free.
+def _square_free_split(n: int) -> tuple[int, int]:
+    """Split the int ``n >= 1`` as ``s*s * r`` with ``r`` square-free.
 
-    Returns ``(s, r)``.  Trial division; callers keep ``n`` within
-    ``_MAX_SPLIT_INPUT`` so this stays fast.
+    Returns ``(s, r)``.  Trial division, so ``n`` past ``_MAX_SPLIT_INPUT``
+    is refused.
     """
-    n = count(n, "square_free_split input", 1)
     if n > _MAX_SPLIT_INPUT:
         # n is not printed: past 4300 digits its text is itself refused
         raise CapacityExceeded(f"cannot reduce a radicand above {_MAX_SPLIT_INPUT}")
@@ -64,7 +61,7 @@ def _coerce(value) -> Fraction:
 
 class RadicalRational:
     """The value q*sqrt(r), with q rational and r a square-free int in
-    1..MAX_RADICAND (r = 1 for a rational, and for zero).
+    1.._MAX_RADICAND (r = 1 for a rational, and for zero).
 
     Closed under * and unary -; + and - join only values that share a
     radicand, or a zero, and raise InputError otherwise.
@@ -119,8 +116,8 @@ class RadicalRational:
         # radicands square-free makes the reduced product square-free again.
         g = math.gcd(self._r, other._r)
         rad = (self._r // g) * (other._r // g)
-        if rad > MAX_RADICAND:
-            raise CapacityExceeded(f"product radicand {rad} exceeds cap {MAX_RADICAND}")
+        if rad > _MAX_RADICAND:
+            raise CapacityExceeded(f"product radicand {rad} exceeds cap {_MAX_RADICAND}")
         return RadicalRational(self._q * other._q * g, rad)
 
     __rmul__ = __mul__
@@ -167,7 +164,7 @@ def rsqrt_of_rational(value) -> RadicalRational:
         raise InputError(f"sqrt of negative rational {shown(q)}")
     if q == 0:
         return RadicalRational()
-    s, r = square_free_split(q.numerator * q.denominator)
-    if r > MAX_RADICAND:
-        raise CapacityExceeded(f"square-free radicand {r} exceeds cap {MAX_RADICAND}")
+    s, r = _square_free_split(q.numerator * q.denominator)
+    if r > _MAX_RADICAND:
+        raise CapacityExceeded(f"square-free radicand {r} exceeds cap {_MAX_RADICAND}")
     return RadicalRational(Fraction(s, q.denominator), r)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .errors import InputError, ZeroVectorInput, count, instance, items, real, shown
+from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, instance, items, real, shown
 from .exactnum import ONE, ZERO, RadicalRational
 from .symmetry import StateVector
 
@@ -42,20 +42,6 @@ class OneBodyOperator:
 
     def entry(self, i: int, j: int):
         return self.rule(i, j) if i <= j else self.rule(j, i)
-
-    @classmethod
-    def matrix(cls, rows: Sequence[Sequence], exact: bool) -> "OneBodyOperator":
-        """A caller's square matrix, refused unless it is symmetric.  Each
-        entry is read when the operator is built: as a Rational when
-        `exact`, else as a finite float (a str, a bool or None is refused)."""
-        read = _rational if exact else (lambda x: real(x, "operator entry"))
-        rows = tuple([tuple(map(read, items(row, "matrix row"))) for row in items(rows, "matrix")])
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise InputError("operator matrix must be square")
-        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
-            raise InputError("operator matrix is not symmetric")
-        return cls(lambda i, j: rows[i][j], n, exact)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "OneBodyOperator":
@@ -143,12 +129,24 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     return value if op.exact else float(value)
 
 
+#: Most levels occupancy_weights lists.  The list has an entry for every
+#: level index up to the vector's largest, weighted or not, so its size is
+#: set by that level, not by the terms: 10**6 entries take 8 MB.
+MAX_WEIGHT_LEVELS = 10**6
+
+
 def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
     """Per-level probability weights of one particle: w_k = sum of squared
-    amplitudes over states whose slot holds level k.  For a diagonal
-    operator with energies e_k the expectation is sum_k w_k e_k, so equal
-    weights prove the symbolic equal-share identity for any energies."""
+    amplitudes over states whose slot holds level k, for k = 0 .. the
+    vector's largest level.  For a diagonal operator with energies e_k the
+    expectation is sum_k w_k e_k, so equal weights prove the symbolic
+    equal-share identity for any energies.  A vector with a level at or
+    past MAX_WEIGHT_LEVELS is refused before the list is built."""
     _check_particle(v, particle, "weights")
+    if v.basis_size > MAX_WEIGHT_LEVELS:
+        raise CapacityExceeded(
+            f"occupancy weights of {shown(v.basis_size)} levels exceed cap {MAX_WEIGHT_LEVELS}"
+        )
     square = v._square()
     by_level = [ZERO] * v.basis_size
     for lv, w in v._one_body(particle)[0].items():

@@ -128,9 +128,8 @@ class StateVector:
         levels, else they fold a tally of the terms by (level, value).  The
         cross groups [[(level, value), ...]] hold the terms that agree on
         every other slot, two or more per group.  Two terms that differ in
-        one slot only have different level multisets and level sums, so a
-        vector marked `_one_multiset`, or one whose terms all have the same
-        level sum, has no groups, and its spectators are never counted.
+        one slot only have different level multisets, so a vector marked
+        `_one_multiset` has no groups, and its spectators are never counted.
         """
         key = ("slot", slot)
         memo = self._memo.get(key)
@@ -146,7 +145,7 @@ class StateVector:
                 for (lv, a), n in Counter(zip(levels, values)).items():
                     weights[lv] = weights.get(lv, 0) + n * a * a
             groups: dict = {}
-            if not self._one_multiset and len(set(map(sum, states))) > 1:
+            if not self._one_multiset:
                 others = [j for j in range(self.n_particles) if j != slot]
                 spectator = itemgetter(*others) if others else (lambda s: ())
                 seen = Counter(map(spectator, states))
@@ -181,15 +180,6 @@ def _dot(u: dict, v: dict):
     """Sum of value products over the states two value maps share."""
     small, big = (u, v) if len(u) <= len(v) else (v, u)
     return sum(a * b for s, a in small.items() if (b := big.get(s)) is not None)
-
-
-def inner_product(u: StateVector, v: StateVector) -> RadicalRational:
-    """Exact <u|v>; amplitudes are real so no conjugation is needed."""
-    u, v = instance(u, StateVector, "u"), instance(v, StateVector, "v")
-    if u.n_particles != v.n_particles:
-        raise InputError("particle counts differ")
-    dot = _dot(u._amps, v._amps)
-    return u._scale * v._scale * dot if dot else ZERO
 
 
 #: Largest permutation orbit (number of distinct orderings of the levels)
@@ -354,7 +344,7 @@ def decompose(
         if b.n_particles != v.n_particles:
             raise InputError("particle counts differ")
         dot = _dot(b._amps, v._amps)
-        coeffs.append(b._scale * v._scale * dot if dot else ZERO)  # <b|v>, as inner_product
+        coeffs.append(b._scale * v._scale * dot if dot else ZERO)  # <b|v>
         if dot:
             weight = b._square() * dot
             for s, a in b._amps.items():

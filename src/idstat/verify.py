@@ -9,7 +9,8 @@ row states a line's id, claim, tolerance, check and the check's
 arguments, and a check with a tolerance applies and prints the row's
 value.  The second routes to quantities the library computes one way
 (the canonical recursion, the fugacity series, the momentum-multiset sum)
-live here as private oracles, and the plane-wave arithmetic as private code.
+live here as private oracles, and the plane-wave arithmetic and the exact
+inner product as private code.
 """
 
 from __future__ import annotations
@@ -98,13 +99,19 @@ def _check_sum_rule():
     return ok, ", ".join(vals), "6 for each basis vector"
 
 
+def _inner_product(u: symmetry.StateVector, v: symmetry.StateVector) -> RadicalRational:
+    """Exact <u|v>: the value dot times both scales; amplitudes are real."""
+    dot = symmetry._dot(u._amps, v._amps)
+    return u._scale * v._scale * dot if dot else ZERO
+
+
 def _check_orthonormal():
     basis = symmetry.orbit_basis_n3((0, 1, 2))
     ok = True
     worst = "identity"
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
-            g = symmetry.inner_product(u, v)
+            g = _inner_product(u, v)
             want = ONE if i == j else ZERO
             if g != want:
                 ok = False
@@ -380,7 +387,7 @@ def _check_float_shadow(seed: int, tol: float):
         fu, fv = ({s: float(x) for s, x in w.items()} for w in (u, v))
         for exact, shadow in [
             ((a + b) * c, (float(a) + float(b)) * float(c)),
-            (symmetry.inner_product(u, v), reduce(add, (x * fv.get(s, 0.0) for s, x in fu.items()), 0.0)),
+            (_inner_product(u, v), reduce(add, (x * fv.get(s, 0.0) for s, x in fu.items()), 0.0)),
             (u.norm_squared(), reduce(add, (x * x for x in fu.values()), 0.0)),
         ]:
             worst = max(worst, abs(float(exact) - shadow) / max(1.0, abs(shadow)))

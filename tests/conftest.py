@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures, and helpers the tests import from here."""
 
 from __future__ import annotations
 
@@ -9,6 +9,20 @@ import sys
 import pytest
 
 import idstat
+from idstat.observables import OneBodyOperator
+
+
+def matrix(rows, exact: bool) -> OneBodyOperator:
+    """The operator whose entries are read from a square table: Rationals
+    when `exact`, else floats.  Only the upper triangle is read."""
+    rows = [list(row) for row in rows]
+    return OneBodyOperator(lambda i, j: rows[i][j], len(rows), exact)
+
+
+def sign(p) -> int:
+    """+1 for an even permutation, -1 for an odd one, by inversion count."""
+    m = p.mapping
+    return -1 if sum(x > y for i, x in enumerate(m) for y in m[i + 1:]) % 2 else 1
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from idstat import (
     exchange_degeneracy_dimension,
     extensivity_report,
     grand_ln_Xi,
-    inner_product,
     occupancy_weights,
     one_body_expectation,
     orbit_basis_n3,
@@ -39,6 +38,7 @@ from idstat.perm import Permutation
 from idstat.verify import (
     _canonical_Z_recursive,
     _grand_Xi_series,
+    _inner_product,
     _kinetic_energy,
     _laplacian,
     _momentum_multiset_sum,
@@ -90,7 +90,7 @@ def test_criterion_03_basis_structure():
     vectors = [basis[name] for name in symmetry.ORBIT_BASIS_NAMES]
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
-            assert inner_product(u, v) == (ONE if i == j else ZERO)
+            assert _inner_product(u, v) == (ONE if i == j else ZERO)
     for pair in (("s1", "s2"), ("s1p", "s2p")):
         plane = [basis[pair[0]], basis[pair[1]]]
         for name in pair:

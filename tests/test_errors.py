@@ -11,7 +11,7 @@ import pytest
 
 from idstat import errors
 from idstat.errors import CapacityExceeded, IdstatError, InputError, shown
-from idstat.exactnum import RadicalRational, rsqrt_of_rational, square_free_split
+from idstat.exactnum import RadicalRational, rsqrt_of_rational
 from idstat.observables import (
     OneBodyOperator,
     box_position_operator,
@@ -42,7 +42,6 @@ from idstat.symmetry import (
     classify_symmetry,
     decompose,
     exchange_degeneracy_dimension,
-    inner_product,
     orbit_basis_n3,
     product_state_vector,
     symmetric_antisymmetric_dimensions,
@@ -63,7 +62,6 @@ def test_one_class_per_exit_code():
 
 
 MISUSES = {
-    "split-below-one": (lambda: square_free_split(0), InputError),
     "sum-across-radicands": (lambda: rsqrt_of_rational(2) + rsqrt_of_rational(3), InputError),
     "negative-radicand": (lambda: rsqrt_of_rational(Fraction(-1, 4)), InputError),
     "not-a-permutation": (lambda: Permutation((0, 0, 2)), InputError),
@@ -72,27 +70,12 @@ MISUSES = {
     "state-particle-count": (lambda: StateVector(2, {(0,): 1}), InputError),
     "state-two-radicands": (
         lambda: StateVector(2, {(0, 1): rsqrt_of_rational(2), (1, 0): rsqrt_of_rational(3)}), InputError),
-    "inner-product-particle-counts": (
-        lambda: inner_product(product_state_vector((0,)), product_state_vector((0, 1))), InputError),
     "decompose-particle-counts": (
         lambda: decompose(product_state_vector((0,)), [product_state_vector((0, 1))]), InputError),
     "parity": (lambda: symmetrize((0, 1), "X"), InputError),
     "orbit-basis-repeated-level": (lambda: orbit_basis_n3((0, 0, 1)), InputError),
     "decompose-not-orthonormal": (
         lambda: decompose(product_state_vector((0, 1)), [product_state_vector((0, 1))] * 2), InputError),
-    "matrix-not-square": (lambda: OneBodyOperator.matrix(((1, 2), (3,)), exact=True), InputError),
-    "matrix-not-symmetric": (lambda: OneBodyOperator.matrix(((0.0, 1.0), (2.0, 0.0)), exact=False), InputError),
-    # each matrix entry is read when the operator is built; each of these once
-    # raised a bare ValueError, OverflowError or TypeError in the expectation,
-    # or was read as 1.5
-    "matrix-entry-nan": (lambda: OneBodyOperator.matrix([[math.nan, 0.0], [0.0, 1.0]], exact=False), InputError),
-    "matrix-entry-inf": (lambda: OneBodyOperator.matrix([[math.inf, 0.0], [0.0, 1.0]], exact=False), InputError),
-    "matrix-entry-none": (lambda: OneBodyOperator.matrix([[None, 0.0], [0.0, 1.0]], exact=False), InputError),
-    "matrix-entry-string": (lambda: OneBodyOperator.matrix([["1.5", 0.0], [0.0, 1.0]], exact=False), InputError),
-    "matrix-entry-not-rational": (lambda: OneBodyOperator.matrix([["a", 0], [0, 1]], exact=True), InputError),
-    "matrix-entry-nan-exact": (lambda: OneBodyOperator.matrix([[math.nan, 0], [0, 1]], exact=True), InputError),
-    "matrix-entry-nan-pair": (
-        lambda: OneBodyOperator.matrix([[1.0, math.nan], [math.nan, 1.0]], exact=False), InputError),
     "rule-entry-nan": (
         lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: math.nan, 2, False), 0),
         InputError),
@@ -116,6 +99,7 @@ MISUSES = {
     "cutoff-box1d-float": (lambda: box1d_spectrum(3.9), InputError),
     "cutoff-box3d-string": (lambda: box3d_spectrum("3"), InputError),
     "diagonal-not-rational": (lambda: OneBodyOperator.diagonal(["x"]), InputError),
+    "diagonal-entry-nan": (lambda: OneBodyOperator.diagonal([1, math.nan]), InputError),
     "spectrum-energy-string": (lambda: spectrum_from_levels(["a"]), InputError),
     "spectrum-energy-none": (lambda: spectrum_from_levels([1, None]), InputError),
     "statistics-not-a-string": (lambda: Statistics.parse(5), InputError),
@@ -142,6 +126,7 @@ OVERSIZED = {
     "expectation-particle-huge": (lambda: one_body_expectation(product_state_vector((0, 1)), H3, HUGE), InputError),
     "expectation-dimension-huge": (lambda: one_body_expectation(product_state_vector((HUGE,)), H3, 0), InputError),
     "weights-particle-huge": (lambda: occupancy_weights(product_state_vector((0, 1)), HUGE), InputError),
+    "weights-levels-huge": (lambda: occupancy_weights(product_state_vector((HUGE,)), 0), CapacityExceeded),
     "negative-radicand-huge": (lambda: rsqrt_of_rational(Fraction(-1, HUGE)), InputError),
     "sum-across-radicands-huge": (lambda: RadicalRational.of(Fraction(HUGE)) + rsqrt_of_rational(2), InputError),
 }
@@ -188,11 +173,7 @@ ARGUMENTS = {
     "one_body_expectation(particle)": (lambda x: one_body_expectation(PAIR, H3, x), NONE),
     "occupancy_weights(particle)": (lambda x: occupancy_weights(PAIR, x), NONE),
     "box_position_operator(n_levels)": (lambda x: box_position_operator(1.0, x), NONE),
-    "square_free_split(n)": (lambda x: square_free_split(x), NONE),
     "Permutation(entry)": (lambda x: Permutation((x, 0)), NONE),
-    "Permutation.transposition(n)": (lambda x: Permutation.transposition(x, 0, 1), NONE),
-    "Permutation.transposition(i)": (lambda x: Permutation.transposition(3, x, 0), NONE),
-    "Permutation.transposition(j)": (lambda x: Permutation.transposition(3, 0, x), NONE),
     # real parameters
     "canonical_ln_Z(beta)": (lambda x: canonical_ln_Z(SPEC, 2, x, BE), REAL),
     "grand_ln_Xi(beta)": (lambda x: grand_ln_Xi(SPEC, x, 0.5, FD), REAL),
@@ -230,12 +211,8 @@ ARGUMENTS = {
     "symmetrize(levels)": (lambda x: symmetrize(x, "S"), NONE),
     "OneBodyOperator.diagonal(values)": (lambda x: OneBodyOperator.diagonal(x), NONE),
     "Permutation(mapping)": (lambda x: Permutation(x), NONE),
-    "OneBodyOperator.matrix(rows)": (lambda x: OneBodyOperator.matrix(x, exact=True), NONE),
-    "OneBodyOperator.matrix(row)": (lambda x: OneBodyOperator.matrix([x], exact=True), NONE),
     "decompose(basis)": (lambda x: decompose(PAIR, x), NONE),
     # objects
-    "inner_product(u)": (lambda x: inner_product(x, PAIR), NONE),
-    "inner_product(v)": (lambda x: inner_product(PAIR, x), NONE),
     "classify_symmetry(v)": (lambda x: classify_symmetry(x), NONE),
     "decompose(v)": (lambda x: decompose(x, [PAIR]), NONE),
     "decompose(member)": (lambda x: decompose(PAIR, [x]), NONE),
@@ -291,7 +268,6 @@ def test_statistics_given_by_name_is_read_as_the_member():
 def test_object_arguments_are_refused_by_name():
     # each once ended in an AttributeError
     for call, name in [
-        (lambda: inner_product(5, PAIR), "u must be a StateVector, got int"),
         (lambda: classify_symmetry(5), "vector must be a StateVector"),
         (lambda: decompose(PAIR, [5]), "basis member must be a StateVector"),
         (lambda: PAIR.permuted((0,)), "permutation must be a Permutation, got tuple"),
@@ -305,33 +281,6 @@ def test_object_arguments_are_refused_by_name():
     ]:
         with pytest.raises(InputError, match=name):
             call()
-
-
-def test_matrix_entries_are_refused_for_what_they_are():
-    # a nan pair was once refused as "not symmetric", and "1.5" read as 1.5
-    for rows, exact, text in (([[1.0, math.nan], [math.nan, 1.0]], False, "entry must be a finite number, got nan"),
-                              ([["1.5", 0.0], [0.0, 1.0]], False, "entry must be a finite number, got '1.5'")):
-        with pytest.raises(InputError, match=text):
-            OneBodyOperator.matrix(rows, exact)
-    pair = symmetrize((0, 1), "S").vector
-    assert one_body_expectation(pair, OneBodyOperator.matrix([[1, 0], [0, "1/3"]], exact=True), 0) == Fraction(2, 3)
-    assert one_body_expectation(pair, OneBodyOperator.matrix([[1, 0.5], [0.5, 2]], exact=False), 0) == 1.5
-
-
-def test_transposition_slots_are_counts_below_the_size():
-    assert Permutation.transposition(3, 0, 2).mapping == (2, 1, 0)
-    assert Permutation.transposition(3, 1, 1).mapping == (0, 1, 2)
-    # (3, True, 0) once swapped slots 1 and 0, (3, -1, 0) the last slot, and
-    # (3, 0, 5) raised IndexError
-    for args in ((3, True, 0), (3, -1, 0), (3, 0, -1), (3, 0, 5), (3, 3, 0), (2.5, 0, 1), (0, 0, 0)):
-        with pytest.raises(InputError):
-            Permutation.transposition(*args)
-
-
-def test_non_integer_radicand_is_refused():
-    # square_free_split(2.5) once returned (1, 2.5)
-    with pytest.raises(InputError):
-        square_free_split(2.5)
 
 
 def test_nan_level_count_is_refused():

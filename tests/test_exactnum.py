@@ -11,20 +11,13 @@ import pytest
 
 from idstat.errors import CapacityExceeded, InputError
 from idstat.exactnum import (
-    MAX_RADICAND,
+    _MAX_RADICAND,
     ONE,
     ZERO,
     RadicalRational,
-    Rational,
+    _square_free_split,
     rsqrt_of_rational,
-    square_free_split,
 )
-
-
-def test_rational_is_reduced_with_positive_denominator():
-    q = Rational(6, -8)
-    assert q.numerator == -3 and q.denominator == 4
-    assert Rational(0, 5) == 0
 
 
 @pytest.mark.parametrize(
@@ -32,7 +25,7 @@ def test_rational_is_reduced_with_positive_denominator():
     [(1, (1, 1)), (4, (2, 1)), (12, (2, 3)), (360, (6, 10)), (999983, (1, 999983))],
 )
 def test_square_free_split(n, expected):
-    s, r = square_free_split(n)
+    s, r = _square_free_split(n)
     assert (s, r) == expected
     assert s * s * r == n
 
@@ -186,7 +179,7 @@ def test_capacity_radicand_cap():
         rsqrt_of_rational(1000003)  # prime above the cap
     with pytest.raises(CapacityExceeded):
         rsqrt_of_rational(999983) * rsqrt_of_rational(3)
-    assert MAX_RADICAND == 10**6
+    assert _MAX_RADICAND == 10**6
 
 
 def test_split_refusal_does_not_print_the_radicand():

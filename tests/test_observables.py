@@ -13,9 +13,11 @@ from itertools import combinations_with_replacement
 import pytest
 from scipy import integrate
 
-from idstat.errors import InputError, ZeroVectorInput
+from conftest import matrix
+from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
 from idstat.exactnum import ZERO, RadicalRational, rsqrt_of_rational
 from idstat.observables import (
+    MAX_WEIGHT_LEVELS,
     OneBodyOperator,
     box_position_operator,
     occupancy_weights,
@@ -152,10 +154,7 @@ def _oracle_vectors(family):
 
 ORACLE_OPERATORS = [
     OneBodyOperator.diagonal([Fraction(-3, 2), 5, Fraction(7, 3), 0]),
-    OneBodyOperator.matrix(
-        [[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(4)] for i in range(4)],
-        exact=True,
-    ),
+    matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(4)] for i in range(4)], exact=True),
     box_position_operator(1.7, 4),
 ]
 
@@ -321,19 +320,6 @@ def test_momentum_degeneracy_counts():
         assert exchange_degeneracy_dimension(momenta) == count
 
 
-def test_operator_shape_validation():
-    with pytest.raises(InputError, match="square"):
-        OneBodyOperator.matrix(((1, 2), (3,)), exact=True)
-    with pytest.raises(InputError, match="square"):
-        OneBodyOperator.matrix([[0.0, 1.0]], exact=False)
-    with pytest.raises(InputError, match="not symmetric"):
-        OneBodyOperator.matrix(((0.0, 1.0), (2.0, 0.0)), exact=False)
-    with pytest.raises(InputError, match="not symmetric"):
-        OneBodyOperator.matrix([[1, 0, Fraction(1, 3)], [0, 1, 0], [Fraction(1, 2), 0, 1]], exact=True)
-    op = OneBodyOperator.matrix(((0.0, 1.5), (1.5, 2.0)), exact=False)
-    assert op.dim == 2 and op.entry(1, 0) == op.entry(0, 1) == 1.5
-
-
 def test_operator_has_no_hermitian_flag():
     fields = {f.name for f in dataclasses.fields(OneBodyOperator)}
     assert fields == {"rule", "dim", "exact"}
@@ -393,3 +379,23 @@ def test_operators_store_no_table():
     # A 2000 x 2000 table of floats or Fractions takes tens of MB.
     assert _peak_bytes(lambda: box_position_operator(1.0, 2000)) < 10_000
     assert _peak_bytes(lambda: OneBodyOperator.diagonal(range(2000))) < 1_000_000
+
+
+def test_weights_refuse_a_high_level_before_building_the_list():
+    # the list has an entry for every level index up to the largest: a
+    # two-term state on level 10**9 once asked for about 7.6 GB
+    v = symmetrize((10**9, 0), "S").vector
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapacityExceeded, match=f"of 1000000001 levels exceed cap {MAX_WEIGHT_LEVELS}"):
+            occupancy_weights(v, 0)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 100_000, (elapsed, peak)
+    # the largest level the cap admits still answers, one entry per level
+    weights = occupancy_weights(symmetrize((MAX_WEIGHT_LEVELS - 1, 0), "S").vector, 1)
+    assert len(weights) == MAX_WEIGHT_LEVELS
+    assert weights[0] == weights[-1] == Fraction(1, 2) and not any(weights[1:-1])

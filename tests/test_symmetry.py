@@ -12,10 +12,11 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from conftest import matrix, sign
 from idstat.config import ORBIT_BASIS_NAMES
 from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
 from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
-from idstat.observables import OneBodyOperator, box_position_operator, occupancy_weights, one_body_expectation
+from idstat.observables import box_position_operator, occupancy_weights, one_body_expectation
 from idstat.perm import Permutation
 from idstat.symmetry import (
     _MIXED_PATTERNS,
@@ -29,12 +30,12 @@ from idstat.symmetry import (
     classify_symmetry,
     decompose,
     exchange_degeneracy_dimension,
-    inner_product,
     orbit_basis_n3,
     product_state_vector,
     symmetric_antisymmetric_dimensions,
     symmetrize,
 )
+from idstat.verify import _inner_product
 
 INV_SQRT2 = rsqrt_of_rational(Fraction(1, 2))
 INV_SQRT3 = rsqrt_of_rational(Fraction(1, 3))
@@ -122,7 +123,7 @@ def test_orbit_basis_exactly_orthonormal():
     assert len(basis) == 6
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
-            assert inner_product(u, v) == (ONE if i == j else ZERO)
+            assert _inner_product(u, v) == (ONE if i == j else ZERO)
 
 
 @pytest.mark.parametrize("levels", list(permutations((0, 3, 7))), ids=lambda t: "-".join(map(str, t)))
@@ -137,10 +138,10 @@ def test_orbit_basis_antisymmetric_orientation(levels):
 def test_inner_product_examples():
     sym = symmetrize((0, 1, 2), "S").vector
     anti = symmetrize((0, 1, 2), "A").vector
-    assert inner_product(sym, sym) == ONE
-    assert inner_product(sym, anti) == ZERO
+    assert _inner_product(sym, sym) == ONE
+    assert _inner_product(sym, anti) == ZERO
     s1 = orbit_basis_n3((0, 1, 2))[2]
-    assert inner_product(s1, product_state_vector((0, 1, 2))) == INV_SQRT3
+    assert _inner_product(s1, product_state_vector((0, 1, 2))) == INV_SQRT3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -150,7 +151,7 @@ def test_parity_sectors_exhaustive(n):
     anti = symmetrize(levels, "A").vector
     for p in all_perms(n):
         assert sym.permuted(p) == sym
-        expected = anti if p.sign() == 1 else negated(anti)
+        expected = anti if sign(p) == 1 else negated(anti)
         assert anti.permuted(p) == expected
 
 
@@ -162,7 +163,7 @@ def test_permutation_preserves_norm():
 
 def test_transposition_rotates_inside_mixed_pair():
     s1, s2, _, _ = orbit_basis_n3((0, 1, 2))[2:]
-    swap23 = Permutation.transposition(3, 1, 2)
+    swap23 = Permutation((0, 2, 1))
     coeffs, residual = decompose(s1.permuted(swap23), [s1, s2])
     assert residual.is_zero
     assert coeffs[0] == RadicalRational.of(Fraction(-1, 2))
@@ -319,7 +320,7 @@ def test_basis_patterns_carry_the_parities_classify_reads(name, relabel, swap):
     # levels exchanges the values 0 and 1 of o, and exchanging particles 1
     # and 2 exchanges o[0] and o[1].
     pattern = _MIXED_PATTERNS[name]
-    assert sum(pattern.values()) == 0 == sum(Permutation(o).sign() * k for o, k in pattern.items())
+    assert sum(pattern.values()) == 0 == sum(sign(Permutation(o)) * k for o, k in pattern.items())
     relabelled = {tuple((1, 0, 2)[m] for m in o): k for o, k in pattern.items()}
     assert relabelled == {o: k * relabel for o, k in pattern.items()}
     exchanged = {(o[1], o[0], o[2]): k for o, k in pattern.items()}
@@ -390,7 +391,8 @@ def _tag_by_permuted_copies(v):
     """Oracle: the symmetric or antisymmetric tag from a permuted copy (and
     a negated copy) for every transposition; None when neither holds."""
     n = v.n_particles
-    swaps = [Permutation.transposition(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    swaps = [Permutation(tuple(j if k == i else i if k == j else k for k in range(n)))
+             for i in range(n) for j in range(i + 1, n)]
     if all(v.permuted(p) == v for p in swaps):
         return SymmetryTag.SYMMETRIC
     if all(v.permuted(p) == negated(v) for p in swaps):
@@ -499,8 +501,7 @@ def test_public_vectors_and_residuals_are_not_marked():
 def test_marked_vectors_match_their_unmarked_copies():
     # A marked vector skips the search for cross groups; a copy through the
     # public constructor runs it (and holds its values in other units).
-    exact_op = OneBodyOperator.matrix(
-        [[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(6)] for i in range(6)], exact=True)
+    exact_op = matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(6)] for i in range(6)], exact=True)
     ops = (exact_op, box_position_operator(1.7, 6))
     for v in _marked_vectors():
         copy = StateVector(v.n_particles, dict(v.items()))
@@ -538,7 +539,7 @@ def test_parity_sector_dimensions():
 
 @functools.cache
 def _group(n):
-    return [(p, p.sign()) for p in all_perms(n)]
+    return [(p, sign(p)) for p in all_perms(n)]
 
 
 def _fold_dot(u, v):
