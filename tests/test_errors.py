@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import matrix
 from idstat import errors
 from idstat.errors import CapacityExceeded, IdstatError, InputError, shown
 from idstat.exactnum import RadicalRational, rsqrt_of_rational
@@ -50,6 +51,15 @@ from idstat.symmetry import (
 
 H3 = OneBodyOperator.diagonal([1, 2, 3])
 HUGE = 10**5000  # past the 4300-digit int-to-text limit
+#: Particle 0 of this pair reads the diagonal of a 2-level operator, and of
+#: MIXED the off-diagonal entry too: its terms differ in slot 0 only.
+SYM01 = symmetrize((0, 1), "S").vector
+MIXED = StateVector(2, {(0, 0): rsqrt_of_rational(Fraction(1, 2)), (1, 0): rsqrt_of_rational(Fraction(1, 2))})
+
+
+def entry_read(rows, exact, v=SYM01):
+    """The particle-0 expectation of the operator whose rule reads `rows`."""
+    return one_body_expectation(v, matrix(rows, exact), 0)
 
 
 def test_one_class_per_exit_code():
@@ -82,6 +92,15 @@ MISUSES = {
     "rule-entry-string": (
         lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: "1", 2, True), 0),
         InputError),
+    # each entry an expectation reads is checked there; each of these once
+    # raised a bare ValueError, OverflowError or TypeError, or was read as 1.5
+    "matrix-entry-nan": (lambda: entry_read([[math.nan, 0.0], [0.0, 1.0]], False), InputError),
+    "matrix-entry-inf": (lambda: entry_read([[math.inf, 0.0], [0.0, 1.0]], False), InputError),
+    "matrix-entry-none": (lambda: entry_read([[None, 0.0], [0.0, 1.0]], False), InputError),
+    "matrix-entry-string": (lambda: entry_read([["1.5", 0.0], [0.0, 1.0]], False), InputError),
+    "matrix-entry-not-rational": (lambda: entry_read([["a", 0], [0, 1]], True), InputError),
+    "matrix-entry-nan-exact": (lambda: entry_read([[math.nan, 0], [0, 1]], True), InputError),
+    "matrix-entry-nan-pair": (lambda: entry_read([[1.0, math.nan], [math.nan, 1.0]], False, MIXED), InputError),
     "box-no-levels": (lambda: box_position_operator(1.0, 0), InputError),
     "expectation-particle": (lambda: one_body_expectation(product_state_vector((0, 1, 2)), H3, 3), InputError),
     "expectation-dimension": (
@@ -161,6 +180,7 @@ ARGUMENTS = {
     "occupation_count(n_levels)": (lambda x: occupation_count(x, 2, BE), NONE),
     "occupation_count(n_particles)": (lambda x: occupation_count(3, x, BE), NONE),
     "canonical_ln_Z(N)": (lambda x: canonical_ln_Z(SPEC, x, 1.0, BE), NONE),
+    "canonical_Z(N)": (lambda x: canonical_Z(SPEC, x, 1.0, BE), NONE),
     "mb_ln_Z_continuum(N)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, x), NONE),
     "extensivity_report(N)": (lambda x: extensivity_report(MB_NN, 1.0, [(2.0, x)]), NONE),
     "product_state_vector(level)": (lambda x: product_state_vector((0, x)), NONE),
@@ -176,14 +196,20 @@ ARGUMENTS = {
     "Permutation(entry)": (lambda x: Permutation((x, 0)), NONE),
     # real parameters
     "canonical_ln_Z(beta)": (lambda x: canonical_ln_Z(SPEC, 2, x, BE), REAL),
+    "canonical_Z(beta)": (lambda x: canonical_Z(SPEC, 2, x, BE), REAL),
     "grand_ln_Xi(beta)": (lambda x: grand_ln_Xi(SPEC, x, 0.5, FD), REAL),
     "grand_ln_Xi(mu)": (lambda x: grand_ln_Xi(SPEC, 1.0, x, FD), REAL),
     "box1d_spectrum(length)": (lambda x: box1d_spectrum(3, x), REAL),
     "box1d_spectrum(mass)": (lambda x: box1d_spectrum(3, 1.0, x), REAL),
     "box1d_spectrum(h)": (lambda x: box1d_spectrum(3, 1.0, 1.0, x), REAL),
     "box3d_spectrum(length)": (lambda x: box3d_spectrum(3, x), REAL),
+    "box3d_spectrum(mass)": (lambda x: box3d_spectrum(3, 1.0, x), REAL),
+    "box3d_spectrum(h)": (lambda x: box3d_spectrum(3, 1.0, 1.0, x), REAL),
     "box_position_operator(length)": (lambda x: box_position_operator(x, 3).entry(0, 1), REAL),
     "thermal_wavelength(T)": (lambda x: thermal_wavelength(x), REAL),
+    "thermal_wavelength(mass)": (lambda x: thermal_wavelength(1.0, mass=x), REAL),
+    "thermal_wavelength(h)": (lambda x: thermal_wavelength(1.0, h=x), REAL),
+    "thermal_wavelength(k)": (lambda x: thermal_wavelength(1.0, k=x), REAL),
     "mb_ln_Z_continuum(T)": (lambda x: mb_ln_Z_continuum(x, 10.0, 5), REAL),
     "mb_ln_Z_continuum(V)": (lambda x: mb_ln_Z_continuum(1.0, x, 5), REAL),
     "mb_ln_Z_continuum(mass)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, 5, mass=x), REAL),
@@ -191,6 +217,8 @@ ARGUMENTS = {
     "mb_ln_Z_continuum(k)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, 5, k=x), REAL),
     "extensivity_report(T)": (lambda x: extensivity_report(MB_NN, x, [(2.0, 2)]), REAL),
     "extensivity_report(V)": (lambda x: extensivity_report(MB_NN, 1.0, [(x, 2)]), REAL),
+    "extensivity_report(mass)": (lambda x: extensivity_report(MB_NN, 1.0, [(2.0, 2)], mass=x), REAL),
+    "extensivity_report(h)": (lambda x: extensivity_report(MB_NN, 1.0, [(2.0, 2)], h=x), REAL),
     "extensivity_report(k)": (lambda x: extensivity_report(MB_NN, 1.0, [(2.0, 2)], k=x), REAL),
     "free_energy_from_ln_Z(ln_Z)": (lambda x: free_energy_from_ln_Z(x, 1.0), REAL),
     "free_energy_from_ln_Z(T)": (lambda x: free_energy_from_ln_Z(-1.0, x), REAL),
@@ -199,6 +227,8 @@ ARGUMENTS = {
     "occupation_vectors(stat)": (lambda x: list(occupation_vectors(3, 2, x)), NONE),
     "occupation_count(stat)": (lambda x: occupation_count(3, 2, x), NONE),
     "canonical_ln_Z(stat)": (lambda x: canonical_ln_Z(SPEC, 2, 1.0, x), NONE),
+    "canonical_Z(stat)": (lambda x: canonical_Z(SPEC, 2, 1.0, x), NONE),
+    "symmetrize(parity)": (lambda x: symmetrize((0, 1), x), NONE),
     "grand_ln_Xi(stat)": (lambda x: grand_ln_Xi(SPEC, 1.0, -0.5, x), NONE),
     "mb_ln_Z_continuum(stat)": (lambda x: mb_ln_Z_continuum(1.0, 10.0, 5, x), NONE),
     "extensivity_report(stat)": (lambda x: extensivity_report(x, 1.0, [(2.0, 2)]), NONE),
@@ -209,6 +239,9 @@ ARGUMENTS = {
     "extensivity_report(size)": (lambda x: extensivity_report(MB_NN, 1.0, [x]), NONE),
     "product_state_vector(levels)": (lambda x: product_state_vector(x), NONE),
     "symmetrize(levels)": (lambda x: symmetrize(x, "S"), NONE),
+    "orbit_basis_n3(levels)": (lambda x: orbit_basis_n3(x), NONE),
+    "exchange_degeneracy_dimension(levels)": (lambda x: exchange_degeneracy_dimension(x), NONE),
+    "symmetric_antisymmetric_dimensions(levels)": (lambda x: symmetric_antisymmetric_dimensions(x), NONE),
     "OneBodyOperator.diagonal(values)": (lambda x: OneBodyOperator.diagonal(x), NONE),
     "Permutation(mapping)": (lambda x: Permutation(x), NONE),
     "decompose(basis)": (lambda x: decompose(PAIR, x), NONE),
@@ -221,6 +254,7 @@ ARGUMENTS = {
     "one_body_expectation(op)": (lambda x: one_body_expectation(PAIR, x, 0), NONE),
     "occupancy_weights(v)": (lambda x: occupancy_weights(x, 0), NONE),
     "canonical_ln_Z(spectrum)": (lambda x: canonical_ln_Z(x, 2, 1.0, BE), NONE),
+    "canonical_Z(spectrum)": (lambda x: canonical_Z(x, 2, 1.0, BE), NONE),
     "grand_ln_Xi(spectrum)": (lambda x: grand_ln_Xi(x, 1.0, -0.5, FD), NONE),
     # exact ring values
     "rsqrt_of_rational(value)": (lambda x: rsqrt_of_rational(x), EXACT),
@@ -281,6 +315,17 @@ def test_object_arguments_are_refused_by_name():
     ]:
         with pytest.raises(InputError, match=name):
             call()
+
+
+def test_matrix_entries_are_refused_for_what_they_are():
+    # a nan pair was once refused as "not symmetric", and "1.5" read as 1.5
+    for rows, v, text in (([[1.0, math.nan], [math.nan, 1.0]], MIXED, "operator entry nan is not"),
+                          ([["1.5", 0.0], [0.0, 1.0]], SYM01, "operator entry '1.5' is not")):
+        with pytest.raises(InputError, match=text):
+            entry_read(rows, False, v)
+    assert entry_read([[1, 0], [0, Fraction(1, 3)]], True) == Fraction(2, 3)
+    assert entry_read([[1, 0.5], [0.5, 2]], False) == 1.5
+    assert entry_read([[1, 0.5], [0.5, 2]], False, MIXED) == 2.0
 
 
 def test_nan_level_count_is_refused():
