@@ -382,7 +382,7 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
         "levels": args.levels,
         "operator": op_desc,
         "particle": args.particle,
-        "exact": str(value) if op.exact else None,
+        "exact": None if isinstance(value, float) else str(value),
         "float": float(value),
     }
     return Report(data, lambda d: _table(("particle", "operator", "exact", "float"), [d]), _expect_text)

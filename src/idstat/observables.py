@@ -4,41 +4,45 @@ Single-particle operators act on one slot of a product state: the
 expectation of O on particle i contracts amplitudes over all state pairs
 that agree on every other slot.  A vector's amplitudes are rational values
 times one scale q*sqrt(r), so each sum runs over the values and is scaled
-by q^2 r once.  With an exact (rational-entry) operator the result is an
-exact rational; with a float-entry operator it is a float.
+by q^2 r once.  The result is exact, or rounded once to a float when an
+operator entry it read is a float.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
 
 from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, instance, items, real, shown
 from .exactnum import ONE, ZERO, RadicalRational
 from .symmetry import StateVector
 
 
-def _rational(value) -> Fraction:
-    """Fraction(value), with a value it cannot read refused as input."""
+def _ratio(y) -> tuple[int, int]:
+    """An operator number, an int, a Rational or a finite float, as its exact
+    (numerator, denominator); any other value (a str, nan) is refused."""
     try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InputError(f"not a rational number: {shown(value, repr)}") from None
+        return y.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        raise InputError(f"operator entry {shown(y, repr)} is not an int, a Rational or a finite float") from None
 
 
 @dataclass(frozen=True)
 class OneBodyOperator:
     """Symmetric single-particle operator on levels 0..dim-1, given by a
     rule for its entries rather than a table: `rule(i, j)` is asked only for
-    i <= j, so entry(i, j) == entry(j, i) by construction.  Entries are all
-    Rational (exact=True) or all float (exact=False)."""
+    i <= j, so entry(i, j) == entry(j, i) by construction.  An entry is an
+    int, a Rational or a finite float, read when an expectation asks for it."""
 
     rule: Callable[[int, int], object]
     dim: int
-    exact: bool
+
+    def __post_init__(self):
+        instance(self.rule, Callable, "operator rule")
+        object.__setattr__(self, "dim", count(self.dim, "operator dim"))
 
     def entry(self, i: int, j: int):
         return self.rule(i, j) if i <= j else self.rule(j, i)
@@ -47,9 +51,9 @@ class OneBodyOperator:
     def diagonal(cls, values: Sequence) -> "OneBodyOperator":
         """Exact diagonal operator, e.g. a single-particle Hamiltonian
         with caller-chosen rational level energies."""
-        vals = tuple([_rational(v) for v in items(values, "operator values")])
+        vals = tuple([Fraction(*_ratio(v)) for v in items(values, "operator values")])
         zero = Fraction(0)
-        return cls(lambda i, j: vals[i] if i == j else zero, len(vals), True)
+        return cls(lambda i, j: vals[i] if i == j else zero, len(vals))
 
 
 def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
@@ -78,7 +82,7 @@ def box_position_operator(length: float, n_levels: int) -> OneBodyOperator:
             pass
         raise InputError(f"box-x entry ({m}, {n}) is out of float range at length {length!r}")
 
-    return OneBodyOperator(rule, n_levels, exact=False)
+    return OneBodyOperator(rule, n_levels)
 
 
 def _check_particle(v: StateVector, particle: int, what: str) -> None:
@@ -89,17 +93,13 @@ def _check_particle(v: StateVector, particle: int, what: str) -> None:
 
 
 def _sum_of_products(pairs) -> Fraction:
-    """Exact sum of x * y over pairs of ints, Rationals or finite floats:
-    the integer numerators of the products are added over one common
-    denominator and one Fraction is built at the end.  A y of another
-    kind (an operator rule's nan, say) is refused as input."""
+    """Exact sum of x * y over pairs of a weight x and an operator entry y,
+    each y read by `_ratio`: the integer numerators of the products are
+    added over one common denominator and one Fraction is built at the end."""
     nums, dens = [], []
     for x, y in pairs:
         xn, xd = x.as_integer_ratio()
-        try:
-            yn, yd = y.as_integer_ratio()
-        except (AttributeError, ValueError, OverflowError):
-            raise InputError(f"operator entry {shown(y, repr)} is not an int, a Rational or a finite float") from None
+        yn, yd = _ratio(y)
         nums.append(xn * yn)
         dens.append(xd * yd)
     den = math.lcm(*dens)
@@ -107,7 +107,7 @@ def _sum_of_products(pairs) -> Fraction:
 
 
 def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
-    """<v| O acting on `particle` |v>; exact when the operator is exact.
+    """<v| O acting on `particle` |v>; a float when an entry it read is a float.
 
     The diagonal part sum_k w_k O_kk, over the levels k with a nonzero
     weight w_k of `occupancy_weights`, and the cross terms, which connect
@@ -126,7 +126,7 @@ def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     # each unordered pair of a group once, doubled: O is symmetric
     pairs += [(2 * ai * aj, entry(li, lj)) for group in groups for (li, ai), (lj, aj) in combinations(group, 2)]
     value = RadicalRational(v._square() * _sum_of_products(pairs))
-    return value if op.exact else float(value)
+    return float(value) if any([isinstance(y, float) for _, y in pairs]) else value
 
 
 #: Most levels occupancy_weights lists.  The list has an entry for every

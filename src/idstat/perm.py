@@ -29,6 +29,7 @@ class Permutation:
 
     def apply(self, state: Sequence) -> tuple:
         """Transport levels: result[mapping[i]] = state[i]."""
+        state = items(state, "state")
         if len(state) != self.n:
             raise InputError(f"state length {len(state)} != permutation order {self.n}")
         out = [None] * self.n

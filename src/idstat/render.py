@@ -50,9 +50,6 @@ def _emit(obj, out: list) -> None:
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         types = set(map(type, obj))
-        if types == {int}:  # plain ints, no bools: one join
-            out.append("[" + ",".join(map(str, obj)) + "]")
-            return
         if types == {str}:  # plain strs, no str enums: one join
             out.append("[" + ",".join(map(encode_basestring_ascii, obj)) + "]")
             return

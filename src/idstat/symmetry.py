@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,14 +46,14 @@ class StateVector:
 
     __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo", "_one_multiset")
 
-    def __init__(self, n_particles: int, amps: dict | None = None):
+    def __init__(self, n_particles: int, amps: Mapping | None = None):
         """`amps` maps states to ints, Rationals or RadicalRationals; the
-        nonzero ones must share one radicand."""
+        nonzero ones must share one radicand.  None is the zero vector."""
         self.n_particles = count(n_particles, "particle count")
         clean: dict[tuple, Fraction] = {}
         radicand = None
         top = -1
-        for state, amp in (amps or {}).items():
+        for state, amp in ({} if amps is None else instance(amps, Mapping, "amplitudes")).items():
             state = _check_levels(state)
             if len(state) != n_particles:
                 raise InputError(f"state {shown(state)} has wrong particle count")

@@ -12,11 +12,11 @@ import idstat
 from idstat.observables import OneBodyOperator
 
 
-def matrix(rows, exact: bool) -> OneBodyOperator:
-    """The operator whose entries are read from a square table: Rationals
-    when `exact`, else floats.  Only the upper triangle is read."""
+def matrix(rows) -> OneBodyOperator:
+    """The operator whose entries are read from a square table.  Only the
+    upper triangle is read."""
     rows = [list(row) for row in rows]
-    return OneBodyOperator(lambda i, j: rows[i][j], len(rows), exact)
+    return OneBodyOperator(lambda i, j: rows[i][j], len(rows))
 
 
 def sign(p) -> int:

@@ -45,7 +45,7 @@ def test_canonical_json_shape():
 
 
 def test_canonical_json_int_lists():
-    # a list of plain ints is joined at once; bools and floats keep their own text
+    # a list of plain ints goes out item by item; bools and floats keep their own text
     text = canonical_json([[0, 2, -10], (3,), [True, 0], [1, 2.5], []])
     assert text == "[[0,2,-10],[3],[true,0],[1,2.5],[]]"
 

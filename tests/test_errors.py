@@ -57,9 +57,9 @@ SYM01 = symmetrize((0, 1), "S").vector
 MIXED = StateVector(2, {(0, 0): rsqrt_of_rational(Fraction(1, 2)), (1, 0): rsqrt_of_rational(Fraction(1, 2))})
 
 
-def entry_read(rows, exact, v=SYM01):
+def entry_read(rows, v=SYM01):
     """The particle-0 expectation of the operator whose rule reads `rows`."""
-    return one_body_expectation(v, matrix(rows, exact), 0)
+    return one_body_expectation(v, matrix(rows), 0)
 
 
 def test_one_class_per_exit_code():
@@ -87,20 +87,20 @@ MISUSES = {
     "decompose-not-orthonormal": (
         lambda: decompose(product_state_vector((0, 1)), [product_state_vector((0, 1))] * 2), InputError),
     "rule-entry-nan": (
-        lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: math.nan, 2, False), 0),
+        lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: math.nan, 2), 0),
         InputError),
     "rule-entry-string": (
-        lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: "1", 2, True), 0),
+        lambda: one_body_expectation(product_state_vector((0, 1)), OneBodyOperator(lambda i, j: "1", 2), 0),
         InputError),
     # each entry an expectation reads is checked there; each of these once
     # raised a bare ValueError, OverflowError or TypeError, or was read as 1.5
-    "matrix-entry-nan": (lambda: entry_read([[math.nan, 0.0], [0.0, 1.0]], False), InputError),
-    "matrix-entry-inf": (lambda: entry_read([[math.inf, 0.0], [0.0, 1.0]], False), InputError),
-    "matrix-entry-none": (lambda: entry_read([[None, 0.0], [0.0, 1.0]], False), InputError),
-    "matrix-entry-string": (lambda: entry_read([["1.5", 0.0], [0.0, 1.0]], False), InputError),
-    "matrix-entry-not-rational": (lambda: entry_read([["a", 0], [0, 1]], True), InputError),
-    "matrix-entry-nan-exact": (lambda: entry_read([[math.nan, 0], [0, 1]], True), InputError),
-    "matrix-entry-nan-pair": (lambda: entry_read([[1.0, math.nan], [math.nan, 1.0]], False, MIXED), InputError),
+    "matrix-entry-nan": (lambda: entry_read([[math.nan, 0.0], [0.0, 1.0]]), InputError),
+    "matrix-entry-inf": (lambda: entry_read([[math.inf, 0.0], [0.0, 1.0]]), InputError),
+    "matrix-entry-none": (lambda: entry_read([[None, 0.0], [0.0, 1.0]]), InputError),
+    "matrix-entry-string": (lambda: entry_read([["1.5", 0.0], [0.0, 1.0]]), InputError),
+    "matrix-entry-not-rational": (lambda: entry_read([["a", 0], [0, 1]]), InputError),
+    "matrix-entry-nan-exact": (lambda: entry_read([[math.nan, 0], [0, 1]]), InputError),
+    "matrix-entry-nan-pair": (lambda: entry_read([[1.0, math.nan], [math.nan, 1.0]], MIXED), InputError),
     "box-no-levels": (lambda: box_position_operator(1.0, 0), InputError),
     "expectation-particle": (lambda: one_body_expectation(product_state_vector((0, 1, 2)), H3, 3), InputError),
     "expectation-dimension": (
@@ -119,6 +119,8 @@ MISUSES = {
     "cutoff-box3d-string": (lambda: box3d_spectrum("3"), InputError),
     "diagonal-not-rational": (lambda: OneBodyOperator.diagonal(["x"]), InputError),
     "diagonal-entry-nan": (lambda: OneBodyOperator.diagonal([1, math.nan]), InputError),
+    # a str value is refused, as a rule's "1" is: Fraction() once parsed it
+    "diagonal-entry-string": (lambda: OneBodyOperator.diagonal(["1/3"]), InputError),
     "spectrum-energy-string": (lambda: spectrum_from_levels(["a"]), InputError),
     "spectrum-energy-none": (lambda: spectrum_from_levels([1, None]), InputError),
     "statistics-not-a-string": (lambda: Statistics.parse(5), InputError),
@@ -194,6 +196,7 @@ ARGUMENTS = {
     "occupancy_weights(particle)": (lambda x: occupancy_weights(PAIR, x), NONE),
     "box_position_operator(n_levels)": (lambda x: box_position_operator(1.0, x), NONE),
     "Permutation(entry)": (lambda x: Permutation((x, 0)), NONE),
+    "OneBodyOperator(dim)": (lambda x: OneBodyOperator(lambda i, j: 1, x), NONE),
     # real parameters
     "canonical_ln_Z(beta)": (lambda x: canonical_ln_Z(SPEC, 2, x, BE), REAL),
     "canonical_Z(beta)": (lambda x: canonical_Z(SPEC, 2, x, BE), REAL),
@@ -244,6 +247,7 @@ ARGUMENTS = {
     "symmetric_antisymmetric_dimensions(levels)": (lambda x: symmetric_antisymmetric_dimensions(x), NONE),
     "OneBodyOperator.diagonal(values)": (lambda x: OneBodyOperator.diagonal(x), NONE),
     "Permutation(mapping)": (lambda x: Permutation(x), NONE),
+    "Permutation.apply(state)": (lambda x: Permutation((1, 0)).apply(x), NONE),
     "decompose(basis)": (lambda x: decompose(PAIR, x), NONE),
     # objects
     "classify_symmetry(v)": (lambda x: classify_symmetry(x), NONE),
@@ -252,6 +256,7 @@ ARGUMENTS = {
     "StateVector.permuted(p)": (lambda x: PAIR.permuted(x), NONE),
     "one_body_expectation(v)": (lambda x: one_body_expectation(x, H3, 0), NONE),
     "one_body_expectation(op)": (lambda x: one_body_expectation(PAIR, x, 0), NONE),
+    "OneBodyOperator(rule)": (lambda x: OneBodyOperator(x, 2), NONE),
     "occupancy_weights(v)": (lambda x: occupancy_weights(x, 0), NONE),
     "canonical_ln_Z(spectrum)": (lambda x: canonical_ln_Z(x, 2, 1.0, BE), NONE),
     "canonical_Z(spectrum)": (lambda x: canonical_Z(x, 2, 1.0, BE), NONE),
@@ -307,6 +312,8 @@ def test_object_arguments_are_refused_by_name():
         (lambda: PAIR.permuted((0,)), "permutation must be a Permutation, got tuple"),
         (lambda: one_body_expectation(5, H3, 0), "vector must be a StateVector"),
         (lambda: one_body_expectation(PAIR, 5, 0), "operator must be a OneBodyOperator"),
+        (lambda: OneBodyOperator(5, 2), "operator rule must be a Callable, got int"),
+        (lambda: StateVector(2, [((0, 1), 1)]), "amplitudes must be a Mapping, got list"),
         (lambda: occupancy_weights(5, 0), "vector must be a StateVector"),
         (lambda: canonical_ln_Z([0.0, 1.0], 2, 1.0, "be"), "spectrum must be a Spectrum, got list"),
         (lambda: grand_ln_Xi([0.0], 1.0, -1.0, "fd"), "spectrum must be a Spectrum, got list"),
@@ -317,15 +324,40 @@ def test_object_arguments_are_refused_by_name():
             call()
 
 
+def test_state_vector_amplitudes_must_be_a_mapping():
+    # each once ended in a bare AttributeError, and [] built the zero vector
+    for amps in (True, 2.5, "2", math.nan, []):
+        with pytest.raises(InputError, match="amplitudes must be a Mapping"):
+            StateVector(2, amps)
+    assert StateVector(2, None) == StateVector(2) == StateVector(2, {})
+
+
+def test_empty_diagonal_operator_builds():
+    # the dim is read as a count >= 0, so an empty diagonal still builds
+    assert OneBodyOperator.diagonal([]).dim == 0
+
+
+def test_permutation_applies_to_a_sequence_only():
+    # "ab" was once transported as ('b', 'a')
+    with pytest.raises(InputError, match="state must be a sequence"):
+        Permutation((1, 0)).apply("ab")
+    assert Permutation((1, 0)).apply(iter("ab")) == ("b", "a")
+
+
 def test_matrix_entries_are_refused_for_what_they_are():
     # a nan pair was once refused as "not symmetric", and "1.5" read as 1.5
     for rows, v, text in (([[1.0, math.nan], [math.nan, 1.0]], MIXED, "operator entry nan is not"),
                           ([["1.5", 0.0], [0.0, 1.0]], SYM01, "operator entry '1.5' is not")):
         with pytest.raises(InputError, match=text):
-            entry_read(rows, False, v)
-    assert entry_read([[1, 0], [0, Fraction(1, 3)]], True) == Fraction(2, 3)
-    assert entry_read([[1, 0.5], [0.5, 2]], False) == 1.5
-    assert entry_read([[1, 0.5], [0.5, 2]], False, MIXED) == 2.0
+            entry_read(rows, v)
+    assert entry_read([[1, 0], [0, Fraction(1, 3)]]) == Fraction(2, 3)
+    # SYM01 reads only the diagonal: int entries give an exact value, float
+    # entries a float; MIXED reads the float off-diagonal entry too
+    exact = entry_read([[1, 0.5], [0.5, 2]])
+    assert exact == Fraction(3, 2) and type(exact) is RadicalRational
+    inexact = entry_read([[1.0, 0.5], [0.5, 2.0]])
+    assert inexact == 1.5 and type(inexact) is float
+    assert entry_read([[1, 0.5], [0.5, 2]], MIXED) == 2.0
 
 
 def test_nan_level_count_is_refused():

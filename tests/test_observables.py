@@ -101,17 +101,19 @@ def test_expectation_validation_errors():
 def bucket_walk(v, op, particle):
     """Oracle: every pair of terms that agree on all slots but `particle`,
     found by slicing each term's spectator levels, folded with `+` as exact
-    values; a float operator's sum is rounded once, at the end."""
+    values; when a float entry was read, the sum is rounded once, at the end."""
     buckets = {}
     for state, amp in v.items():
         spectator = state[:particle] + state[particle + 1 :]
         buckets.setdefault(spectator, []).append((state[particle], amp))
-    total = ZERO
+    total, read_float = ZERO, False
     for g in buckets.values():
         for li, ai in g:
             for lj, aj in g:
-                total = total + ai * aj * Fraction(op.entry(li, lj))
-    return total if op.exact else float(total)
+                entry = op.entry(li, lj)
+                read_float = read_float or isinstance(entry, float)
+                total = total + ai * aj * Fraction(entry)
+    return float(total) if read_float else total
 
 
 def _half_sum(*vectors):
@@ -154,7 +156,7 @@ def _oracle_vectors(family):
 
 ORACLE_OPERATORS = [
     OneBodyOperator.diagonal([Fraction(-3, 2), 5, Fraction(7, 3), 0]),
-    matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(4)] for i in range(4)], exact=True),
+    matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(4)] for i in range(4)]),
     box_position_operator(1.7, 4),
 ]
 
@@ -320,9 +322,17 @@ def test_momentum_degeneracy_counts():
         assert exchange_degeneracy_dimension(momenta) == count
 
 
+def test_diagonal_refuses_a_string_before_parsing_it():
+    # Fraction("1e10000000") ran for about 11 s before the operator was built
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="operator entry '1e10000000' is not"):
+        OneBodyOperator.diagonal(["1e10000000"])
+    assert time.perf_counter() - start < 0.05
+
+
 def test_operator_has_no_hermitian_flag():
     fields = {f.name for f in dataclasses.fields(OneBodyOperator)}
-    assert fields == {"rule", "dim", "exact"}
+    assert fields == {"rule", "dim"}
     assert callable(OneBodyOperator.entry)  # a method: the tracer counts its calls
 
 

@@ -501,7 +501,7 @@ def test_public_vectors_and_residuals_are_not_marked():
 def test_marked_vectors_match_their_unmarked_copies():
     # A marked vector skips the search for cross groups; a copy through the
     # public constructor runs it (and holds its values in other units).
-    exact_op = matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(6)] for i in range(6)], exact=True)
+    exact_op = matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(6)] for i in range(6)])
     ops = (exact_op, box_position_operator(1.7, 6))
     for v in _marked_vectors():
         copy = StateVector(v.n_particles, dict(v.items()))
