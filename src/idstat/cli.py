@@ -563,80 +563,97 @@ HANDLERS = {
 }
 
 
+#: Each command and its one-line help, in the order --help lists them.
+COMMANDS = {
+    "symmetrize": "(anti)symmetrize a product state",
+    "mixed-basis": "distinct-level 3-particle basis",
+    "decompose": "decompose a state on the six-vector basis",
+    "classify": "classify exchange symmetry",
+    "expect": "per-particle expectation value",
+    "occupations": "enumerate occupation states",
+    "partition": "canonical Z, grand Xi, or continuum ln Z",
+    "extensivity": "F(T,V,N) vs N*F(T,V/N,1) table",
+    "verify-paper": "replay every identity and report a ledger",
+}
+
+
+# Each parser is built once per process and shared by every main() call.
+# Sharing is safe because parse_args keeps no state between calls: each call
+# fills a fresh Namespace, every default is an immutable str, float or None,
+# and _Parser.error raises instead of recording anything.
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command: what `idstat <name>` parses with."""
+    p = _Parser(prog=f"idstat {name}")
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--mode", choices=MODES, help="unit system")
+    p.add_argument("--output", choices=OUTPUT_FORMATS, help="output format")
+    p.add_argument("--seed", type=int, help="seed for randomized sweeps")
+    p.add_argument("--out", help="write output to this file instead of stdout")
+
+    if name in ("decompose", "classify", "expect"):
+        _add_state_options(p)
+    if name == "symmetrize":
+        p.add_argument("-n", type=int, dest="n_particles", help="particle count (checked against labels)")
+        p.add_argument("--levels", "-l", required=True, help="comma-separated level labels")
+        p.add_argument("--parity", "-p", required=True, help="S or A")
+    elif name == "mixed-basis":
+        p.add_argument("--levels", "-l", default="a,b,c", help="three distinct level labels")
+        p.add_argument("--full", action="store_true", help="include the symmetric and antisymmetric members")
+    elif name == "expect":
+        p.add_argument("--particle", type=int, required=True, help="1-based particle index")
+        p.add_argument("--epsilon", help="diagonal operator values, comma-separated rationals")
+        p.add_argument("--box-x", action="store_true", help="box position operator")
+        p.add_argument("--length", type=_positive, default=1.0, help="box length for --box-x")
+    elif name == "occupations":
+        p.add_argument("--n-levels", type=int, required=True, dest="n_levels")
+        p.add_argument("-N", "--N", type=int, required=True, dest="n_particles")
+        p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
+    elif name == "partition":
+        p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
+        p.add_argument("--levels", help="energies, comma-separated")
+        p.add_argument("--spectrum-file", dest="spectrum_file", help="CSV with energy[,degeneracy]")
+        p.add_argument("--box1d", type=int, help="1-D box spectrum with this many levels")
+        p.add_argument("--box3d", type=int, help="3-D box spectrum with this many levels")
+        p.add_argument("--dimensionless", type=int, help="n^2 spectrum with this many levels")
+        p.add_argument("--length", type=_positive, default=1.0, help="box length")
+        p.add_argument("--mass", type=_positive, default=1.0)
+        p.add_argument("-N", "--N", type=int, dest="N", help="particle number (canonical)")
+        p.add_argument("--mu", type=_finite, help="chemical potential (grand)")
+        p.add_argument("--beta", type=_positive, help="inverse temperature")
+        p.add_argument("--T", type=_positive, dest="T", help="temperature")
+        p.add_argument("--continuum", action="store_true", help="closed-form Boltzmann gas")
+        p.add_argument("--V", type=_positive, dest="V", help="volume (continuum)")
+    elif name == "extensivity":
+        p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
+        p.add_argument("--T", type=_positive, required=True, dest="T")
+        p.add_argument("--sizes", help="comma-separated V:N pairs")
+        p.add_argument("--per-volume", type=_positive, default=1.0, dest="per_volume",
+                       help="volume per particle when using --n-list")
+        p.add_argument("--n-list", dest="n_list", default="1,2,10,100,10000",
+                       help="particle numbers when --sizes is not given")
+        p.add_argument("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
+        p.add_argument("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
+        p.add_argument("--mass", type=_positive, default=1.0)
+    return p
+
+
 @functools.cache
 def build_parser() -> _Parser:
-    # Built once per process and shared by every main() call.  Sharing is
-    # safe because parse_args keeps no state between calls: each call fills
-    # a fresh Namespace, every default is an immutable str, float or None,
-    # and _Parser.error raises instead of recording anything.
+    """The top-level parser, for the inputs that name no command: none,
+    -h/--help, or an unknown name.  Its subparsers are the cached command
+    parsers, so `build_parser().commands[name]` is the parser `idstat
+    <name>` uses."""
     parser = _Parser(prog="idstat", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--mode", choices=MODES, help="unit system")
-    common.add_argument("--output", choices=OUTPUT_FORMATS, help="output format")
-    common.add_argument("--seed", type=int, help="seed for randomized sweeps")
-    common.add_argument("--out", help="write output to this file instead of stdout")
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.commands = sub.choices  # command name -> its own parser, read by _parse_args
-
-    p = sub.add_parser("symmetrize", parents=[common], help="(anti)symmetrize a product state")
-    p.add_argument("-n", type=int, dest="n_particles", help="particle count (checked against labels)")
-    p.add_argument("--levels", "-l", required=True, help="comma-separated level labels")
-    p.add_argument("--parity", "-p", required=True, help="S or A")
-
-    p = sub.add_parser("mixed-basis", parents=[common], help="distinct-level 3-particle basis")
-    p.add_argument("--levels", "-l", default="a,b,c", help="three distinct level labels")
-    p.add_argument("--full", action="store_true", help="include the symmetric and antisymmetric members")
-
-    p = sub.add_parser("decompose", parents=[common], help="decompose a state on the six-vector basis")
-    _add_state_options(p)
-
-    p = sub.add_parser("classify", parents=[common], help="classify exchange symmetry")
-    _add_state_options(p)
-
-    p = sub.add_parser("expect", parents=[common], help="per-particle expectation value")
-    _add_state_options(p)
-    p.add_argument("--particle", type=int, required=True, help="1-based particle index")
-    p.add_argument("--epsilon", help="diagonal operator values, comma-separated rationals")
-    p.add_argument("--box-x", action="store_true", help="box position operator")
-    p.add_argument("--length", type=_positive, default=1.0, help="box length for --box-x")
-
-    p = sub.add_parser("occupations", parents=[common], help="enumerate occupation states")
-    p.add_argument("--n-levels", type=int, required=True, dest="n_levels")
-    p.add_argument("-N", "--N", type=int, required=True, dest="n_particles")
-    p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
-
-    p = sub.add_parser("partition", parents=[common], help="canonical Z, grand Xi, or continuum ln Z")
-    p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
-    p.add_argument("--levels", help="energies, comma-separated")
-    p.add_argument("--spectrum-file", dest="spectrum_file", help="CSV with energy[,degeneracy]")
-    p.add_argument("--box1d", type=int, help="1-D box spectrum with this many levels")
-    p.add_argument("--box3d", type=int, help="3-D box spectrum with this many levels")
-    p.add_argument("--dimensionless", type=int, help="n^2 spectrum with this many levels")
-    p.add_argument("--length", type=_positive, default=1.0, help="box length")
-    p.add_argument("--mass", type=_positive, default=1.0)
-    p.add_argument("-N", "--N", type=int, dest="N", help="particle number (canonical)")
-    p.add_argument("--mu", type=_finite, help="chemical potential (grand)")
-    p.add_argument("--beta", type=_positive, help="inverse temperature")
-    p.add_argument("--T", type=_positive, dest="T", help="temperature")
-    p.add_argument("--continuum", action="store_true", help="closed-form Boltzmann gas")
-    p.add_argument("--V", type=_positive, dest="V", help="volume (continuum)")
-
-    p = sub.add_parser("extensivity", parents=[common], help="F(T,V,N) vs N*F(T,V/N,1) table")
-    p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
-    p.add_argument("--T", type=_positive, required=True, dest="T")
-    p.add_argument("--sizes", help="comma-separated V:N pairs")
-    p.add_argument("--per-volume", type=_positive, default=1.0, dest="per_volume",
-                   help="volume per particle when using --n-list")
-    p.add_argument("--n-list", dest="n_list", default="1,2,10,100,10000",
-                   help="particle numbers when --sizes is not given")
-    p.add_argument("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
-    p.add_argument("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
-    p.add_argument("--mass", type=_positive, default=1.0)
-
-    sub.add_parser("verify-paper", parents=[common], help="replay every identity and report a ledger")
-
+    # add_parser passes its parser_class the prog it makes ("idstat <name>")
+    # and the extra `command` keyword given below
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=lambda command, **_: _command_parser(command))
+    for name, text in COMMANDS.items():
+        sub.add_parser(name, help=text, command=name)
+    parser.commands = sub.choices  # command name -> its own parser
     return parser
 
 
@@ -644,15 +661,13 @@ def _parse_args(argv: list) -> argparse.Namespace:
     """What build_parser().parse_args(argv) returns, in one argparse pass.
 
     The top-level parser defines only -h, and its subparsers action takes
-    every token after the command name, so a command's own parser can read
-    those tokens directly.  The top-level parser is left only the inputs
-    that never reach a command: none, -h/--help, or an unknown name.
+    every token after the command name, so the named command's parser can
+    read those tokens directly.  The top-level parser is built only for the
+    inputs that never reach a command: none, -h/--help, or an unknown name.
     """
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args = _command_parser(argv[0]).parse_args(argv[1:])
     args.command = argv[0]
     return args
 

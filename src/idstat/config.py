@@ -4,7 +4,6 @@ variables, and explicit overrides, applied in that order."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 
 from .errors import InputError, count, file_path
 
@@ -20,22 +19,25 @@ ENV_PREFIX = "IDSTAT_"
 _FIELDS = ("mode", "output", "seed")
 
 
-@dataclass(frozen=True)
+def _checked(settings: dict) -> dict:
+    """`settings` after the rule of each key it sets, in field order."""
+    if "mode" in settings and settings["mode"] not in MODES:
+        raise InputError(f"mode must be one of {MODES}, got {settings['mode']!r}")
+    if "output" in settings and settings["output"] not in OUTPUT_FORMATS:
+        raise InputError(f"output must be one of {OUTPUT_FORMATS}, got {settings['output']!r}")
+    if "seed" in settings:
+        count(settings["seed"], "seed")
+    return settings
+
+
 class RunConfig:
     """Execution settings shared by the command-line entry points."""
 
-    mode: str = "dimensionless"
-    output: str = "pretty"
-    seed: int = 0
+    __slots__ = _FIELDS
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.output not in OUTPUT_FORMATS:
-            raise InputError(
-                f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}"
-            )
-        count(self.seed, "seed")
+    def __init__(self, mode: str = "dimensionless", output: str = "pretty", seed: int = 0):
+        _checked({"mode": mode, "output": output, "seed": seed})
+        self.mode, self.output, self.seed = mode, output, seed
 
 
 def _coerce(key: str, value: str):
@@ -84,18 +86,15 @@ def load_config(
     environ=None,
     overrides: dict | None = None,
 ) -> RunConfig:
-    """Defaults, then config file, then environment, then explicit overrides."""
-    cfg = RunConfig()
-    if config_path is not None:
-        cfg = replace(cfg, **parse_config_file(config_path))
-    env = env_overrides(environ)
-    if env:
-        cfg = replace(cfg, **env)
+    """Defaults, then config file, then environment, then explicit
+    overrides.  Each layer's settings are checked as it is read, so a bad
+    value is refused even where a later layer overrides it."""
+    settings = _checked(parse_config_file(config_path)) if config_path is not None else {}
+    settings.update(_checked(env_overrides(environ)))
     if overrides:
         clean = {k: v for k, v in overrides.items() if v is not None}
         unknown = set(clean) - set(_FIELDS)
         if unknown:
             raise InputError(f"unknown config overrides: {sorted(unknown)}")
-        if clean:
-            cfg = replace(cfg, **clean)
-    return cfg
+        settings.update(_checked(clean))
+    return RunConfig(**settings)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,19 +29,17 @@ def _ratio(y) -> tuple[int, int]:
         raise InputError(f"operator entry {shown(y, repr)} is not an int, a Rational or a finite float") from None
 
 
-@dataclass(frozen=True)
 class OneBodyOperator:
     """Symmetric single-particle operator on levels 0..dim-1, given by a
     rule for its entries rather than a table: `rule(i, j)` is asked only for
     i <= j, so entry(i, j) == entry(j, i) by construction.  An entry is an
     int, a Rational or a finite float, read when an expectation asks for it."""
 
-    rule: Callable[[int, int], object]
-    dim: int
+    __slots__ = ("rule", "dim")
 
-    def __post_init__(self):
-        instance(self.rule, Callable, "operator rule")
-        object.__setattr__(self, "dim", count(self.dim, "operator dim"))
+    def __init__(self, rule: Callable[[int, int], object], dim: int):
+        self.rule = instance(rule, Callable, "operator rule")
+        self.dim = count(dim, "operator dim")
 
     def entry(self, i: int, j: int):
         return self.rule(i, j) if i <= j else self.rule(j, i)

@@ -7,21 +7,30 @@ Positions are 0-based.  The action convention is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, count, items, shown
 
 
-@dataclass(frozen=True)
 class Permutation:
-    mapping: tuple[int, ...]
+    """A permutation of 0..n-1 as the tuple of its images; two are equal
+    when their tuples are."""
 
-    def __post_init__(self):
-        mapping = tuple([count(i, "permutation entry") for i in items(self.mapping, "permutation")])
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: Sequence[int]):
+        mapping = tuple([count(i, "permutation entry") for i in items(mapping, "permutation")])
         if sorted(mapping) != list(range(len(mapping))):
             raise InputError(f"not a permutation of 0..{len(mapping) - 1}: {shown(mapping)}")
-        object.__setattr__(self, "mapping", mapping)
+        self.mapping: tuple[int, ...] = mapping
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.mapping == other.mapping
+
+    def __hash__(self) -> int:
+        return hash(self.mapping)
 
     @property
     def n(self) -> int:

@@ -3,15 +3,16 @@ significant digits for floats), CSV tables, and plain-text reports."""
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-from dataclasses import dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable
+
+try:
+    from _json import encode_basestring_ascii  # the C encoder, without loading the json package
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 
@@ -51,11 +52,13 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, (list, tuple)):
         types = set(map(type, obj))
         if types == {str}:  # plain strs, no str enums: one join
-            out.append("[" + ",".join(map(encode_basestring_ascii, obj)) + "]")
+            out.append(_str_list(obj))
             return
         if types == {list} and set(map(type, chain.from_iterable(obj))) == {int}:
             # rows of plain ints, such as occupation vectors: no float, bool
             # or key for the C encoder to render differently
+            import json
+
             out.append(json.dumps(obj, separators=(",", ":")))
             return
         if types == {dict} and _emit_records(obj, out):
@@ -70,28 +73,51 @@ def _emit(obj, out: list) -> None:
         raise InputError(f"cannot render {type(obj).__name__} as JSON")
 
 
+#: The text of each value of one exact scalar type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: fmt_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _str_list(items: list) -> str:
+    return "[" + ",".join(map(encode_basestring_ascii, items)) + "]"
+
+
+def _column(values: list) -> list:
+    """The JSON text of each value.  When all values share one scalar
+    type, its formatter is applied once per distinct value, and a column of
+    lists of plain strs is joined list by list; any other column renders
+    value by value."""
+    types = set(map(type, values))
+    kind = types.pop() if len(types) == 1 else None
+    if kind is list and set(map(type, chain.from_iterable(values))) <= {str}:
+        return list(map(_str_list, values))
+    text = _SCALARS.get(kind)
+    if text is None:
+        return list(map(canonical_json, values))
+    distinct = set(values)
+    return list(map(dict(zip(distinct, map(text, distinct))).__getitem__, values))
+
+
 def _emit_records(records: list, out: list) -> bool:
     """Emit a list of plain dicts that share one set of two or more str
-    keys, which are sorted and encoded once for the list.  Emit nothing and
-    return False for any other list of dicts."""
+    keys, which are sorted and encoded once for the list, column by column.
+    Emit nothing and return False for any other list of dicts."""
     keys = sorted(key for key in records[0] if isinstance(key, str))
     if len(keys) < 2 or set(map(len, records)) != {len(keys)}:
         return False
     try:
-        rows = list(map(itemgetter(*keys), records))
+        columns = [list(map(itemgetter(key), records)) for key in keys]
     except KeyError:  # a dict with other keys
         return False
     heads = ["{" + encode_basestring_ascii(keys[0]) + ":"]
     heads += ["," + encode_basestring_ascii(key) + ":" for key in keys[1:]]
-    out.append("[")
-    for i, row in enumerate(rows):
-        if i:
-            out.append(",")
-        for head, value in zip(heads, row):
-            out.append(head)
-            _emit(value, out)
-        out.append("}")
-    out.append("]")
+    cells = [map(head.__add__, _column(column)) for head, column in zip(heads, columns)]
+    out.append("[" + ",".join(map("".join, zip(*cells, repeat("}")))) + "]")
     return True
 
 
@@ -114,6 +140,8 @@ def _cell(value) -> str:
 
 
 def csv_text(rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -133,15 +161,15 @@ def table_text(rows, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class Report:
     """One command result: `data` is the JSON output, and the CSV rows and
     the pretty text are functions of it, built only for the format asked
     for."""
 
-    data: dict
-    rows: Callable[[dict], list]
-    text: Callable[[dict], str]
+    __slots__ = ("data", "rows", "text")
+
+    def __init__(self, data: dict, rows: Callable[[dict], list], text: Callable[[dict], str]):
+        self.data, self.rows, self.text = data, rows, text
 
     def render(self, fmt: str) -> str:
         if fmt == "json":

@@ -10,13 +10,11 @@ runs in log space wherever overflow threatens.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add, mul, neg, sub
@@ -67,15 +65,15 @@ class Statistics(str, Enum):
         return self in (Statistics.BE, Statistics.FD)
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Finite ascending list of single-particle energies; degenerate
-    levels appear as repeated entries."""
+    levels appear as repeated entries.  Two spectra are equal when their
+    energies are."""
 
-    energies: tuple[float, ...]
+    __slots__ = ("energies",)
 
-    def __post_init__(self):
-        energies = items(self.energies, "spectrum energies")
+    def __init__(self, energies: Sequence[float]):
+        energies = items(energies, "spectrum energies")
         if not energies:
             raise InputError("spectrum must contain at least one level")
         if len(energies) > MAX_CUTOFF:
@@ -87,18 +85,26 @@ class Spectrum:
         if not all(map(math.isfinite, energies)):
             raise InputError("spectrum energies must be finite")
         energies.sort()
-        object.__setattr__(self, "energies", tuple(energies))
+        self.energies: tuple[float, ...] = tuple(energies)
 
     @classmethod
     def _ascending(cls, energies: list[float]) -> "Spectrum":
-        """Skip __post_init__'s checks: `energies` must be 1..MAX_CUTOFF
-        floats in ascending order, none of them nan or -inf.  Only the
-        largest one is checked, since an overflowing product is +inf."""
+        """Skip __init__'s checks: `energies` must be 1..MAX_CUTOFF floats
+        in ascending order, none of them nan or -inf.  Only the largest one
+        is checked, since an overflowing product is +inf."""
         if not math.isfinite(energies[-1]):
             raise InputError("spectrum energies must be finite")
         spectrum = cls.__new__(cls)
-        object.__setattr__(spectrum, "energies", tuple(energies))
+        spectrum.energies = tuple(energies)
         return spectrum
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return self.energies == other.energies
+
+    def __hash__(self) -> int:
+        return hash(self.energies)
 
     @property
     def offset(self) -> float:
@@ -178,6 +184,8 @@ def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float
 
 def spectrum_from_csv(path: str) -> Spectrum:
     """CSV with header column `energy`, optional `degeneracy` (expanded)."""
+    import csv
+
     path, energies = file_path(path, "spectrum file"), []
     try:
         with open(path, newline="") as fh:

@@ -14,12 +14,11 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter, mul, neg
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
 from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, instance, items, shown
@@ -216,10 +215,11 @@ def _insertions(n: int, m: int, size: int) -> tuple[tuple, tuple]:
     return tuple(getters), tuple(odd)
 
 
-def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
-    """Each distinct ordering of `levels` once, mapped to the sign of the
-    permutation taking `levels` to it when `signed` (meaningful only for
-    distinct levels), else to 1.
+def _orderings(levels: tuple[int, ...], signed: bool) -> tuple[Iterable, Iterable]:
+    """Each distinct ordering of `levels` once, and in step with them the
+    sign of the permutation taking `levels` to each (meaningful only for
+    distinct levels; all 1 unless `signed`), as two lazy iterables: the last
+    stage is never held in a list.
 
     Staged insertion: the orderings are built one distinct level at a time,
     smallest first, each stage mapping one getter of `_insertions` over the
@@ -228,7 +228,7 @@ def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
     negated when the insertion adds an odd number of inversions; the parity
     of the input order's inversions is applied once, at the start.
     """
-    inversions = sum(x > y for i, x in enumerate(levels) for y in levels[i + 1 :])
+    inversions = sum(x > y for i, x in enumerate(levels) for y in levels[i + 1 :]) if signed else 0
     first = tuple(sorted(levels))
     runs = [len(list(copies)) for _, copies in groupby(first)]
     keys, values = [first], [-1 if inversions % 2 else 1]
@@ -239,18 +239,42 @@ def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
         keys = chain.from_iterable(map(map, getters, repeat(orderings)))
         values = chain.from_iterable(map((signs, list(map(neg, signs))).__getitem__, odd))
         n += m
-    # the last stage goes straight into the dict, never into a list
+    return keys, values
+
+
+def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
+    """`_orderings` as one dict, each ordering mapped to its sign when
+    `signed`, else to 1."""
+    keys, values = _orderings(levels, signed)
     return dict(zip(keys, values)) if signed else dict.fromkeys(keys, 1)
 
 
-@dataclass(frozen=True)
+def _orbit_size(levels: tuple, limit: int) -> int | None:
+    """The number of distinct orderings of `levels`, or None when it is
+    above `limit`.  The count grows by the stages of `_orderings`, m copies
+    placed among n levels multiplying it by comb(n, m), and the first stage
+    past `limit` ends it: comb(n, m) >= n when 0 < m < n, so a long level
+    list is answered before any large binomial is taken."""
+    size, n = 1, 0
+    for m in (len(list(copies)) for _, copies in groupby(sorted(levels))):
+        n += m
+        if m < n and n > limit:
+            return None
+        size *= math.comb(n, m)
+        if size > limit:
+            return None
+    return size
+
+
 class SymmetrizeResult:
     """Output of symmetrize: the unit vector (or the zero vector when the
     alternating sum cancels), plus the squared norm of the raw
     1/sqrt(N!)-weighted sum before renormalization."""
 
-    vector: StateVector
-    raw_norm_squared: RadicalRational
+    __slots__ = ("vector", "raw_norm_squared")
+
+    def __init__(self, vector: StateVector, raw_norm_squared: RadicalRational):
+        self.vector, self.raw_norm_squared = vector, raw_norm_squared
 
     @property
     def is_zero(self) -> bool:
@@ -332,7 +356,10 @@ def decompose(
     so two members are orthogonal exactly when their values are.  A
     residual of zero (empty map) certifies the decomposition is complete.
     The residual keeps v's scale: for a member b of scale q*sqrt(r),
-    <b|v> b is v's scale times q^2 r (sum of b's values times v's) b's values.
+    <b|v> b is v's scale times the weight q^2 r (sum of b's values times
+    v's) times b's values.  The weights share one denominator, so the sum
+    of the projections is an int sum per state, and each residual value is
+    built once from it.
     """
     v = instance(v, StateVector, "vector")
     basis = [instance(b, StateVector, "basis member") for b in items(basis, "basis")]
@@ -340,17 +367,26 @@ def decompose(
         for j in range(i, len(basis)):
             if (b.norm_squared() != ONE) if i == j else _dot(b._amps, basis[j]._amps):
                 raise InputError(f"members {i} and {j} fail exact orthonormality")
-    coeffs, residual = [], dict(v._amps)
+    coeffs, weights = [], []
     for b in basis:
         if b.n_particles != v.n_particles:
             raise InputError("particle counts differ")
         dot = _dot(b._amps, v._amps)
         coeffs.append(b._scale * v._scale * dot if dot else ZERO)  # <b|v>
         if dot:
-            weight = b._square() * dot
-            for s, a in b._amps.items():
-                residual[s] = residual.get(s, 0) - weight * a
-    residual = {s: a for s, a in residual.items() if a}
+            weights.append((b._amps, b._square() * dot))
+    den = math.lcm(*[w.denominator for _, w in weights])
+    projected: dict = {}  # state -> den times the sum of the projections
+    for amps, w in weights:
+        k = w.numerator * (den // w.denominator)
+        for s, a in amps.items():
+            projected[s] = projected.get(s, 0) + k * a
+    residual = dict(v._amps)
+    for s, t in projected.items():
+        if num := residual.get(s, 0) * den - t:
+            residual[s] = Fraction(num, den)
+        else:
+            residual.pop(s, None)
     top = max((max(s, default=-1) for s in residual), default=-1)
     return coeffs, StateVector._trusted(
         v.n_particles, residual, max(v.basis_size, top + 1), v._scale
@@ -376,14 +412,67 @@ class SymmetryTag(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
 class SymmetryClass:
-    tag: SymmetryTag
-    pair: int | None = None       # the s1/s2 or s1'/s2' plane of the level order that built it
-    member: int | None = None     # set when collinear with a canonical member
+    """A classify_symmetry result: `pair` is the s1/s2 or s1'/s2' plane of
+    the level order that built the vector, `member` is set when the vector
+    is collinear with a canonical member.  Equal when all three are."""
+
+    __slots__ = ("tag", "pair", "member")
+
+    def __init__(self, tag: SymmetryTag, pair: int | None = None, member: int | None = None):
+        self.tag, self.pair, self.member = tag, pair, member
+
+    def _key(self) -> tuple:
+        return self.tag, self.pair, self.member
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymmetryClass):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SymmetryClass(tag={self.tag!r}, pair={self.pair!r}, member={self.member!r})"
 
     def to_json(self) -> dict:
         return {"tag": self.tag.value, "pair": self.pair, "member": self.member}
+
+
+def _exchange_tag(amps: dict) -> SymmetryTag:
+    """SYMMETRIC (ANTISYMMETRIC) when every transposition of particles maps
+    the value map `amps` to itself (to its negation), else NONE.
+
+    That holds exactly when the support is a union of whole orbits and the
+    values on each orbit are one value a (a times the sign of each ordering
+    relative to the first, on distinct levels only: a swap of two equal
+    levels fixes the state, and a = -a has no nonzero solution).  Each orbit
+    is streamed once from `_orderings` and read whole, and is kept only when
+    other terms are left; one larger than the terms left cannot fit and is
+    never built.
+    """
+    symmetric = antisymmetric = True
+    left = amps.keys()
+    while left:
+        first = next(iter(left))
+        size = _orbit_size(first, len(left))
+        if size is None:
+            return SymmetryTag.NONE
+        distinct = len(set(first)) == len(first)
+        orderings, signs = _orderings(first, distinct)
+        if size < len(left):
+            orderings = list(orderings)  # read again below, to take them out of `left`
+        values = list(map(amps.get, orderings))
+        if None in values:  # an ordering outside the support
+            return SymmetryTag.NONE
+        a = amps[first]
+        symmetric = symmetric and values.count(a) == len(values)
+        antisymmetric = antisymmetric and distinct and values == list(map(mul, signs, repeat(a)))
+        if not (symmetric or antisymmetric):
+            return SymmetryTag.NONE
+        left = left - set(orderings) if size < len(left) else ()
+    return SymmetryTag.SYMMETRIC if symmetric else SymmetryTag.ANTISYMMETRIC
 
 
 def classify_symmetry(v: StateVector) -> SymmetryClass:
@@ -391,34 +480,20 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     member of an N = 3 mixed-symmetry stable plane, or none of those."""
     if instance(v, StateVector, "vector").is_zero:
         raise ZeroVectorInput("cannot classify the zero vector")
-    n = v.n_particles
-    if n < 2:
-        return SymmetryClass(SymmetryTag.SYMMETRIC)
-    # The adjacent transpositions generate S_N, so only they are tested, on
-    # the value map: each term's swapped state must carry the term's value,
-    # or its negation.
-    states, values = list(v._amps), list(v._amps.values())
-
-    def swapped(k: int) -> list:
-        """The amplitude at each term's state with slots k, k + 1 exchanged."""
-        if all(s[k] == s[k + 1] for s in states):
-            return values  # the swap fixes every term, as in a one-level product state
-        return list(map(v._amps.get, map(itemgetter(*range(k), k + 1, k, *range(k + 2, n)), states)))
-
-    flip = swapped(0)  # particles 1 and 2 exchanged: every test below reads it
-    if flip == values and all(swapped(k) == values for k in range(1, n - 1)):
-        return SymmetryClass(SymmetryTag.SYMMETRIC)
-    opposite = [-a for a in values]
-    if flip == opposite and all(swapped(k) == opposite for k in range(1, n - 1)):
-        return SymmetryClass(SymmetryTag.ANTISYMMETRIC)
+    tag = _exchange_tag(v._amps)
+    if tag is not SymmetryTag.NONE or v.n_particles != 3:
+        return SymmetryClass(tag)
     # On three distinct levels, particle swaps and level relabellings are two
     # commuting S_3 actions on the orbit.  A vector with no S and no A part is
     # in one of the six planes of the mixed sector when relabelling the two
     # levels other than some c maps it to +v (pair 1) or -v (pair 2);
     # swapping particles 1 and 2 then picks the member.
-    signs = _orbit(states[0], True) if n == 3 else {}
-    on_orbit = len(signs) == 6 and signs.keys() >= set(states)
+    states, values = list(v._amps), list(v._amps.values())
+    signs = _orbit(states[0], True)
+    on_orbit = len(signs) == 6 and signs.keys() >= v._amps.keys()
     if on_orbit and not sum(values) and not sum(map(mul, map(signs.get, states), values)):
+        opposite = [-a for a in values]
+        flip = [v._amps.get((b, a, c)) for a, b, c in states]  # particles 1 and 2 exchanged
         for c in states[0]:
             x, y = set(states[0]) - {c}
             relabel = {x: y, y: x, c: c}

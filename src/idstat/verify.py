@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -28,14 +27,14 @@ from .exactnum import ONE, RadicalRational, ZERO, rsqrt_of_rational
 from .perm import Permutation
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    check_id: str
-    claim: str
-    status: str  # pass | fail | noted
-    lhs: str
-    rhs: str
-    tolerance: float
+    """One ledger line; `status` is pass, fail or noted."""
+
+    __slots__ = ("check_id", "claim", "status", "lhs", "rhs", "tolerance")
+
+    def __init__(self, check_id: str, claim: str, status: str, lhs: str, rhs: str, tolerance: float):
+        self.check_id, self.claim, self.status = check_id, claim, status
+        self.lhs, self.rhs, self.tolerance = lhs, rhs, tolerance
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,6 @@ import re
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -125,7 +124,7 @@ def test_config_defaults_and_validation():
         RunConfig(mode="imperial")
     with pytest.raises(InputError):
         RunConfig(output="yaml")
-    assert [f.name for f in fields(RunConfig)] == ["mode", "output", "seed"]
+    assert list(RunConfig.__slots__) == ["mode", "output", "seed"]
 
 
 def test_config_file_parsing(tmp_path):

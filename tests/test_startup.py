@@ -1,20 +1,33 @@
 """Package start-up: `import idstat` loads no submodule, each exported name
 resolves lazily to its submodule's object, and a command loads only the
-library modules it uses."""
+library modules it uses, and builds the parser of its own command only."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
 import idstat
+from idstat import cli
 
-#: What a fresh `import idstat, idstat.cli` must leave unloaded.
+#: What a fresh `import idstat, idstat.cli` must leave unloaded: the library
+#: modules, and the standard modules only some commands use (csv, json's
+#: decoder) or none does (dataclasses and the inspect it loads).
 LIBRARY = ("idstat.verify", "idstat.symmetry", "idstat.observables", "idstat.exactnum",
-           "idstat.perm", "idstat.statmech", "fractions", "numbers", "decimal")
+           "idstat.perm", "idstat.statmech", "fractions", "numbers", "decimal",
+           "dataclasses", "inspect", "csv", "json.decoder")
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+#: Every `idstat ...` line of the README's shell example, comment dropped.
+EXAMPLES = [shlex.split(line.partition("#")[0])[1:]
+            for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+            for line in block.splitlines() if line.startswith("idstat ")]
 
 DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vector",
            "symmetrize_raw", "mb_free_energy", "momentum_degeneracy", "MAX_ENUM_N",
@@ -41,17 +54,19 @@ DELETED_METHODS = {
 }
 
 
-START = "import json, sys\nimport idstat, idstat.cli\n"
+START = "import sys\nimport idstat, idstat.cli\n"
 
 
-def _printed(fresh_python, code: str) -> list:
-    proc = fresh_python(code)
+def _printed(fresh_python, code: str, *argv: str) -> list:
+    """The `result` that `code` sets, read back as JSON; json is imported
+    only after `code` has run."""
+    proc = fresh_python(code + "import json\nprint(json.dumps(result))\n", *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 def test_start_up_loads_no_library_module(fresh_python):
-    loaded = _printed(fresh_python, START + "print(json.dumps(sorted(sys.modules)))")
+    loaded = _printed(fresh_python, START + "result = sorted(sys.modules)\n")
     assert not set(LIBRARY) & set(loaded)
     assert {m for m in loaded if m.startswith("idstat")} == {
         "idstat", "idstat.cli", "idstat.config", "idstat.errors", "idstat.render"}
@@ -67,10 +82,52 @@ def test_partition_adds_only_statmech(fresh_python):
         "    code = idstat.cli.main(['partition', '--stat', 'fd', '--levels', '0,1,2', '-N', '2',"
         " '--beta', '1'])\n"
         "assert code == 0\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
+        "result = sorted(set(sys.modules) - before)\n"
     )
     assert [m for m in added if m.startswith("idstat")] == ["idstat.statmech"]
     assert "fractions" not in added
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[0] for argv in EXAMPLES} == set(cli.COMMANDS) == set(cli.HANDLERS)
+
+
+@pytest.mark.parametrize("argv", EXAMPLES, ids=" ".join)
+def test_readme_example_loads_no_dataclasses(fresh_python, argv):
+    loaded = _printed(
+        fresh_python,
+        START
+        + "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = idstat.cli.main(sys.argv[1:])\n"
+        "assert code == 0\n"
+        "result = sorted(sys.modules)\n",
+        *argv,
+    )
+    assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+def test_a_known_command_builds_only_its_own_parser(fresh_python):
+    built = _printed(
+        fresh_python,
+        START
+        + "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = idstat.cli.main(['partition', '--stat', 'fd', '--levels', '0,1,2', '-N', '2',"
+        " '--beta', '1'])\n"
+        "assert code == 0\n"
+        "result = [idstat.cli.build_parser.cache_info().misses,"
+        " idstat.cli._command_parser.cache_info().currsize]\n"
+    )
+    assert built == [0, 1]
+
+
+def test_the_top_level_parser_holds_the_command_parsers():
+    commands = cli.build_parser().commands
+    assert list(commands) == list(cli.COMMANDS)
+    for name in cli.COMMANDS:
+        assert commands[name] is cli._command_parser(name), name
+        assert commands[name].prog == f"idstat {name}"
 
 
 def test_every_export_is_its_submodule_attribute():

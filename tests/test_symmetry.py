@@ -418,6 +418,34 @@ def test_classify_builds_no_copies_small_vectors(monkeypatch):
     assert [classify_symmetry(v) for v in vectors] == expected
 
 
+def test_classify_vectors_on_several_orbits(monkeypatch):
+    # The support may be several orbits: S (A) needs each one whole, with
+    # its own value (times the sign); some sums drop a term or change one.
+    rng, vectors = random.Random(26), []
+    for _ in range(300):
+        n, amps = rng.randint(2, 4), {}
+        for _ in range(rng.randint(2, 3)):
+            levels, value, parity = [rng.randrange(4) for _ in range(n)], rng.choice((1, -1, 2, 3)), rng.choice("SA")
+            for p in set(permutations(range(n))):
+                state = tuple(levels[i] for i in p)
+                amps[state] = amps.get(state, 0) + value * (sign(Permutation(p)) if parity == "A" else 1)
+        amps = {s: a for s, a in amps.items() if a}
+        if amps and rng.random() < 0.3:
+            state = rng.choice(sorted(amps))
+            if rng.random() < 0.5:
+                del amps[state]
+            else:
+                amps[state] += 1
+        if amps:
+            vectors.append(StateVector(n, amps))
+    expected = [_tag_by_permuted_copies(v) for v in vectors]
+    assert {SymmetryTag.SYMMETRIC, SymmetryTag.ANTISYMMETRIC, None} <= set(expected)
+    _forbid_copies(monkeypatch)
+    for v, tag in zip(vectors, expected):
+        got = classify_symmetry(v).tag
+        assert (got if got in (SymmetryTag.SYMMETRIC, SymmetryTag.ANTISYMMETRIC) else None) == tag, v
+
+
 def test_classify_builds_no_copies_orbit_bases(monkeypatch):
     bases = {levels: orbit_basis_n3(levels) for levels in [(0, 1, 2), (2, 0, 1)]}
     _forbid_copies(monkeypatch)
