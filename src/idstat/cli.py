@@ -509,7 +509,10 @@ def cmd_extensivity(args, cfg: RunConfig) -> Report:
     if args.sizes is not None:
         sizes = _parse_list(args.sizes, _size, "V:N")
     else:
-        sizes = [(args.per_volume * n, n) for n in _parse_list(args.n_list, int, "integer")]
+        try:
+            sizes = [(args.per_volume * n, n) for n in _parse_list(args.n_list, int, "integer")]
+        except OverflowError:  # an N past the float range
+            raise InputError("V = per-volume * N is out of float range: an --n-list entry is too large") from None
     if not sizes:
         raise InputError("no system sizes given")
 

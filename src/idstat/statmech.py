@@ -291,42 +291,35 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     reach passes 352/beta, short of where exp underflows.  The work is N
     times the levels in the quiet reach.
 
-    An FD row whose top level equals the last row's takes that row's
+    A row whose reference level equals the last row's keeps that row's
     multipliers from its own top on, the same expression on the same
-    operands, and evaluates only the levels its reach adds: on a degenerate
-    spectrum each distinct top pays for its exponentials once."""
+    operands, and evaluates only the levels its reach adds.  A BE row never
+    moves e_0 and never grows its reach, so it keeps row 1's plan whole; on
+    a degenerate spectrum each distinct FD top pays for its exponentials
+    once."""
     if n_max > MAX_CANONICAL_N:
         raise CapacityExceeded(f"N = {shown(n_max)} exceeds the canonical cap {MAX_CANONICAL_N}")
     energies = spectrum.energies
     exp = math.exp
+    fermions = stat is Statistics.FD
     ln_Z = [0.0]
-    if stat is Statistics.BE:
-        e0 = energies[0]
-        x = [exp(-beta * (e - e0)) for e in energies[:_reach(energies, beta, e0, QUIET)]]
-        row = [1.0] * len(x)
-        for n in range(1, n_max + 1):
-            row = list(itertools.accumulate(map(mul, x, row)))
-            # n beta e0; where beta n overflows, a zero or small e0 still gives
-            # the exact 0 or a finite term
-            ground = beta * n * e0 if beta * n < math.inf else n * (beta * e0)
-            ln_Z.append(math.log(row[-1]) - ground)
-        return ln_Z
-    row = [1.0]  # e_0 of the first 0..K levels, all 1
+    row = [1.0]  # Z_0 of the first 0..K levels, all 1
     x = []  # the multipliers of the last row, from its top level on
     ground = 0.0
-    for n in range(1, min(n_max, len(energies)) + 1):
-        top = energies[n - 1]  # highest level of the n-fermion ground state
-        ground += top
-        reach = _reach(energies, beta, top, QUIET + math.log(row[-1]))
-        if n > 1 and top == energies[n - 2]:
-            x = x[1:reach - n + 2]  # a repeated top: row n-1's, from level n-1 on
-        else:
-            x = []
-        x += [exp(-beta * (e - top)) for e in energies[n - 1 + len(x):reach]]
-        row += [row[-1]] * (len(x) - len(row))  # row n-1 past its reach
+    for n in range(1, (min(n_max, len(energies)) if fermions else n_max) + 1):
+        if fermions or n == 1:  # a BE row keeps row 1's e_0, reach and multipliers
+            top = energies[n - 1]  # highest level of the n-fermion ground state
+            ground += top
+            reach = _reach(energies, beta, top, QUIET + math.log(row[-1]))
+            x = x[1:reach - n + 2] if n > 1 and top == energies[n - 2] else []  # a repeated top: row n-1's
+            x += [exp(-beta * (e - top)) for e in energies[n - 1 + len(x):reach]]
+            row += [row[-1]] * (len(x) - len(row))  # row n-1 past its reach
         row = list(itertools.accumulate(map(mul, x, row)))
-        ln_Z.append(math.log(row[-1]) - beta * ground)
-    return ln_Z + [-math.inf] * (n_max - len(energies))
+        if fermions:
+            ln_Z.append(math.log(row[-1]) - beta * ground)
+        else:  # n beta e0; where beta n overflows, a zero or small e0 still gives the exact 0 or a finite term
+            ln_Z.append(math.log(row[-1]) - (beta * n * top if beta * n < math.inf else n * (beta * top)))
+    return ln_Z + [-math.inf] * (n_max + 1 - len(ln_Z))
 
 
 def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Statistics) -> float:
@@ -345,12 +338,15 @@ def canonical_ln_Z(spectrum: Spectrum, n_particles: int, beta: float, stat: Stat
     else:
         e0 = spectrum.offset
         ln_z1 = math.log(math.fsum(math.exp(-beta * (e - e0)) for e in spectrum.energies)) - beta * e0
-        if stat is Statistics.MB_NN:
-            ln_Z = n_particles * ln_z1 - n_particles * math.log(n_particles)
-        else:
-            ln_Z = n_particles * ln_z1 - math.lgamma(n_particles + 1)
+        try:
+            if stat is Statistics.MB_NN:
+                ln_Z = n_particles * ln_z1 - n_particles * math.log(n_particles)
+            else:
+                ln_Z = n_particles * ln_z1 - math.lgamma(n_particles + 1)
+        except OverflowError:  # an N past the float range
+            ln_Z = math.nan
     if not math.isfinite(ln_Z):
-        raise InputError(f"canonical ln Z is out of float range at beta = {beta!r}, N = {n_particles}")
+        raise InputError(f"canonical ln Z is out of float range at beta = {beta!r}, N = {shown(n_particles)}")
     return ln_Z
 
 

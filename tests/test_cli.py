@@ -471,6 +471,25 @@ def test_extensivity_huge_T_out_of_float_range_refused(case, capsys):
     assert "out of float range" in err and f"T = {float(T)!r}" in err
 
 
+def test_extensivity_n_list_past_the_float_range_refused(capsys):
+    # V = per-volume * N has no float for a 401-digit N
+    argv = ["extensivity", "--stat", "mb-nn", "--T", "1", "--n-list", "1" + "0" * 400]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "out of float range" in err and "--n-list" in err
+
+
+@pytest.mark.parametrize("stat", ["mb-nn", "mb-fact"])
+def test_partition_mb_N_past_the_float_range_refused(stat, capsys):
+    # N ln z1 and ln N! have no float for a 401-digit N
+    argv = ["partition", "--stat", stat, "--levels", "0,1", "-N", "1" + "0" * 400, "--beta", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "canonical ln Z is out of float range" in err
+
+
 NEGATIVE_ZERO_F = ["partition", "--stat", "be", "--levels", "0,1,2", "-N", "2", "--beta", "1e300"]
 ZERO_F = {"json": '"F":0,', "csv": "\nF,0\n", "pretty": "\n  F = 0\n"}
 

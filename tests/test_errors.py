@@ -141,6 +141,10 @@ OVERSIZED = {
     "cutoff-huge": (lambda: box1d_spectrum(HUGE), CapacityExceeded),
     "canonical-N-huge": (lambda: canonical_ln_Z(spectrum_from_levels([0.0]), HUGE, 1.0, Statistics.BE),
                          CapacityExceeded),
+    "canonical-mb-nn-N-huge": (lambda: canonical_ln_Z(spectrum_from_levels([0, 1]), HUGE, 1.0, Statistics.MB_NN),
+                               InputError),
+    "canonical-mb-fact-N-huge": (lambda: canonical_ln_Z(spectrum_from_levels([0, 1]), HUGE, 1.0, Statistics.MB_FACT),
+                                 InputError),
     "permutation-huge": (lambda: Permutation((HUGE,)), InputError),
     "negative-level-huge": (lambda: product_state_vector((-HUGE,)), InputError),
     "state-particle-count-huge": (lambda: StateVector(1, {(HUGE, 0): 1}), InputError),

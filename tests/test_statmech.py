@@ -475,12 +475,20 @@ def test_kernel_computes_only_the_levels_in_reach(stat, monkeypatch):
     spec, n, beta = dimensionless_spectrum(MAX_CUTOFF), 50, 1.0
     want = untrimmed_ln_Z_table(spec.energies, n, beta, stat)
     calls = counted_exp(monkeypatch)
+    plans, reach_of = [0], statmech._reach
+
+    def counting_reach(*args):
+        plans[0] += 1
+        return reach_of(*args)
+
+    monkeypatch.setattr(statmech, "_reach", counting_reach)
     assert _ln_Z_table(spec, n, beta, stat) == want
     # FD row m keeps levels m .. sqrt(m^2 + QUIET + ln R) of the 10^4, each
-    # row's R being below e^0.5; BE evaluates the multipliers of its one
-    # reach, levels 1 .. sqrt(1 + QUIET), once
+    # row's R being below e^0.5; BE plans once and evaluates the multipliers
+    # of its one reach, levels 1 .. sqrt(1 + QUIET), once
     reach = [math.isqrt(m * m + 39) for m in range(1, n + 1)]
     assert 0 < calls[0] <= (reach[0] if stat is BE else sum(r - m + 1 for m, r in enumerate(reach, 1)))
+    assert plans[0] == (1 if stat is BE else n)
 
 
 @pytest.mark.parametrize("stat", [BE, FD])
