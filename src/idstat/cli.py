@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from .config import MODES, ORBIT_BASIS_NAMES, OUTPUT_FORMATS, RunConfig, load_config
@@ -254,13 +255,17 @@ def _ledger_text(data: dict) -> str:
 # -- state construction shared by decompose / classify / expect --------------
 
 
-def _add_state_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--levels", "-l", required=True, help="comma-separated level labels")
+def _add_state_options(p: argparse.ArgumentParser, add) -> tuple[bool, tuple]:
+    """Add the options that name a state, --levels through `add`; returns
+    whether their group is required and the Actions of its members."""
+    add("--levels", "-l", required=True, help="comma-separated level labels")
     kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--product", action="store_true", help="bare product state")
-    kind.add_argument("--member", choices=ORBIT_BASIS_NAMES,
-                      help="distinct-level 3-particle basis member")
-    kind.add_argument("--parity", "-p", help="S or A: (anti)symmetrized state")
+    return kind.required, (
+        kind.add_argument("--product", action="store_true", help="bare product state"),
+        kind.add_argument("--member", choices=ORBIT_BASIS_NAMES,
+                          help="distinct-level 3-particle basis member"),
+        kind.add_argument("--parity", "-p", help="S or A: (anti)symmetrized state"),
+    )
 
 
 def _build_state(args):
@@ -580,66 +585,129 @@ COMMANDS = {
 }
 
 
+#: A token that starts with "-" and that argparse still reads as a value:
+#: a negative number, in a form every supported Python's argparse takes as
+#: one while no option string looks like a negative number (none does here).
+_NEGATIVE = r"-\d+|-\d*\.\d+"
+
+
+def _plain_parser(options: list, group: tuple, group_required: bool):
+    """The plain parse of one command, from the Actions of its options
+    (each one store or store_true) and of its mutually exclusive group.
+
+    It takes an argv only when every token is an exact option string, each
+    value follows its option as its own token and starts with no "-"
+    (unless it is a negative number), every value passes `type` and
+    `choices`, the required options are given and the group has at most one
+    member given (one when it is required).  Then it returns the Namespace
+    parse_args would; for any other argv it returns None, and parse_args,
+    which owns usage, help, abbreviations and every refusal, reads it.
+    """
+    table = {flag: action for action in options for flag in action.option_strings}
+    defaults = {action.dest: action.default for action in options}
+    required = {action for action in options if action.required}
+    group = set(group)
+
+    def parse(argv: list) -> argparse.Namespace | None:
+        args, seen, tokens = argparse.Namespace(), set(), iter(argv)
+        values = vars(args)
+        values.update(defaults)
+        for token in tokens:
+            action = table.get(token)
+            if action is None:
+                return None
+            if action.nargs == 0:  # store_true
+                value = action.const
+            else:
+                text = next(tokens, "-")  # a missing value declines as "-" does
+                if text[:1] == "-" and not re.fullmatch(_NEGATIVE, text):
+                    return None
+                try:
+                    value = text if action.type is None else action.type(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            values[action.dest] = value
+            seen.add(action)
+        kinds = len(group & seen)
+        if required - seen or kinds > 1 or (group_required and not kinds):
+            return None
+        return args
+
+    return parse
+
+
 # Each parser is built once per process and shared by every main() call.
 # Sharing is safe because parse_args keeps no state between calls: each call
 # fills a fresh Namespace, every default is an immutable str, float or None,
-# and _Parser.error raises instead of recording anything.
+# and _Parser.error raises instead of recording anything.  The plain parse
+# copies the defaults into each Namespace it returns.
 
 
 @functools.cache
 def _command_parser(name: str) -> _Parser:
-    """The parser of one command: what `idstat <name>` parses with."""
+    """The parser of one command: what `idstat <name>` parses with.  Its
+    `parse_plain` is the plain parse of the same options."""
     p = _Parser(prog=f"idstat {name}")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--mode", choices=MODES, help="unit system")
-    p.add_argument("--output", choices=OUTPUT_FORMATS, help="output format")
-    p.add_argument("--seed", type=int, help="seed for randomized sweeps")
-    p.add_argument("--out", help="write output to this file instead of stdout")
+    options = []  # the Action of each option, in the order added
 
+    def add(*flags, **kwargs):
+        options.append(p.add_argument(*flags, **kwargs))
+
+    add("--config", help="key=value config file")
+    add("--mode", choices=MODES, help="unit system")
+    add("--output", choices=OUTPUT_FORMATS, help="output format")
+    add("--seed", type=int, help="seed for randomized sweeps")
+    add("--out", help="write output to this file instead of stdout")
+
+    group_required, group = False, ()
     if name in ("decompose", "classify", "expect"):
-        _add_state_options(p)
+        group_required, group = _add_state_options(p, add)
+        options += group
     if name == "symmetrize":
-        p.add_argument("-n", type=int, dest="n_particles", help="particle count (checked against labels)")
-        p.add_argument("--levels", "-l", required=True, help="comma-separated level labels")
-        p.add_argument("--parity", "-p", required=True, help="S or A")
+        add("-n", type=int, dest="n_particles", help="particle count (checked against labels)")
+        add("--levels", "-l", required=True, help="comma-separated level labels")
+        add("--parity", "-p", required=True, help="S or A")
     elif name == "mixed-basis":
-        p.add_argument("--levels", "-l", default="a,b,c", help="three distinct level labels")
-        p.add_argument("--full", action="store_true", help="include the symmetric and antisymmetric members")
+        add("--levels", "-l", default="a,b,c", help="three distinct level labels")
+        add("--full", action="store_true", help="include the symmetric and antisymmetric members")
     elif name == "expect":
-        p.add_argument("--particle", type=int, required=True, help="1-based particle index")
-        p.add_argument("--epsilon", help="diagonal operator values, comma-separated rationals")
-        p.add_argument("--box-x", action="store_true", help="box position operator")
-        p.add_argument("--length", type=_positive, default=1.0, help="box length for --box-x")
+        add("--particle", type=int, required=True, help="1-based particle index")
+        add("--epsilon", help="diagonal operator values, comma-separated rationals")
+        add("--box-x", action="store_true", help="box position operator")
+        add("--length", type=_positive, default=1.0, help="box length for --box-x")
     elif name == "occupations":
-        p.add_argument("--n-levels", type=int, required=True, dest="n_levels")
-        p.add_argument("-N", "--N", type=int, required=True, dest="n_particles")
-        p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
+        add("--n-levels", type=int, required=True, dest="n_levels")
+        add("-N", "--N", type=int, required=True, dest="n_particles")
+        add("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
     elif name == "partition":
-        p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
-        p.add_argument("--levels", help="energies, comma-separated")
-        p.add_argument("--spectrum-file", dest="spectrum_file", help="CSV with energy[,degeneracy]")
-        p.add_argument("--box1d", type=int, help="1-D box spectrum with this many levels")
-        p.add_argument("--box3d", type=int, help="3-D box spectrum with this many levels")
-        p.add_argument("--dimensionless", type=int, help="n^2 spectrum with this many levels")
-        p.add_argument("--length", type=_positive, default=1.0, help="box length")
-        p.add_argument("--mass", type=_positive, default=1.0)
-        p.add_argument("-N", "--N", type=int, dest="N", help="particle number (canonical)")
-        p.add_argument("--mu", type=_finite, help="chemical potential (grand)")
-        p.add_argument("--beta", type=_positive, help="inverse temperature")
-        p.add_argument("--T", type=_positive, dest="T", help="temperature")
-        p.add_argument("--continuum", action="store_true", help="closed-form Boltzmann gas")
-        p.add_argument("--V", type=_positive, dest="V", help="volume (continuum)")
+        add("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
+        add("--levels", help="energies, comma-separated")
+        add("--spectrum-file", dest="spectrum_file", help="CSV with energy[,degeneracy]")
+        add("--box1d", type=int, help="1-D box spectrum with this many levels")
+        add("--box3d", type=int, help="3-D box spectrum with this many levels")
+        add("--dimensionless", type=int, help="n^2 spectrum with this many levels")
+        add("--length", type=_positive, default=1.0, help="box length")
+        add("--mass", type=_positive, default=1.0)
+        add("-N", "--N", type=int, dest="N", help="particle number (canonical)")
+        add("--mu", type=_finite, help="chemical potential (grand)")
+        add("--beta", type=_positive, help="inverse temperature")
+        add("--T", type=_positive, dest="T", help="temperature")
+        add("--continuum", action="store_true", help="closed-form Boltzmann gas")
+        add("--V", type=_positive, dest="V", help="volume (continuum)")
     elif name == "extensivity":
-        p.add_argument("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
-        p.add_argument("--T", type=_positive, required=True, dest="T")
-        p.add_argument("--sizes", help="comma-separated V:N pairs")
-        p.add_argument("--per-volume", type=_positive, default=1.0, dest="per_volume",
-                       help="volume per particle when using --n-list")
-        p.add_argument("--n-list", dest="n_list", default="1,2,10,100,10000",
-                       help="particle numbers when --sizes is not given")
-        p.add_argument("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
-        p.add_argument("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
-        p.add_argument("--mass", type=_positive, default=1.0)
+        add("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
+        add("--T", type=_positive, required=True, dest="T")
+        add("--sizes", help="comma-separated V:N pairs")
+        add("--per-volume", type=_positive, default=1.0, dest="per_volume",
+            help="volume per particle when using --n-list")
+        add("--n-list", dest="n_list", default="1,2,10,100,10000",
+            help="particle numbers when --sizes is not given")
+        add("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
+        add("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
+        add("--mass", type=_positive, default=1.0)
+    p.parse_plain = _plain_parser(options, group, group_required)
     return p
 
 
@@ -661,16 +729,21 @@ def build_parser() -> _Parser:
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """What build_parser().parse_args(argv) returns, in one argparse pass.
+    """What build_parser().parse_args(argv) returns, in at most one argparse
+    pass.
 
     The top-level parser defines only -h, and its subparsers action takes
     every token after the command name, so the named command's parser can
-    read those tokens directly.  The top-level parser is built only for the
+    read those tokens directly: its plain parse when the argv has the plain
+    form, else its parse_args.  The top-level parser is built only for the
     inputs that never reach a command: none, -h/--help, or an unknown name.
     """
     if not argv or argv[0] not in COMMANDS:
         return build_parser().parse_args(argv)
-    args = _command_parser(argv[0]).parse_args(argv[1:])
+    parser = _command_parser(argv[0])
+    args = parser.parse_plain(argv[1:])
+    if args is None:
+        args = parser.parse_args(argv[1:])
     args.command = argv[0]
     return args
 

@@ -440,7 +440,7 @@ class SymmetryClass:
         return {"tag": self.tag.value, "pair": self.pair, "member": self.member}
 
 
-def _exchange_tag(amps: dict) -> SymmetryTag:
+def _exchange_tag(amps: dict, one_multiset: bool = False) -> SymmetryTag:
     """SYMMETRIC (ANTISYMMETRIC) when every transposition of particles maps
     the value map `amps` to itself (to its negation), else NONE.
 
@@ -450,7 +450,9 @@ def _exchange_tag(amps: dict) -> SymmetryTag:
     levels fixes the state, and a = -a has no nonzero solution).  Each orbit
     is streamed once from `_orderings` and read whole, and is kept only when
     other terms are left; one larger than the terms left cannot fit and is
-    never built.
+    never built.  When `one_multiset` (every state an ordering of one
+    multiset) and the terms are as many as the orderings, the support is
+    that one orbit, so the S test reads only the values.
     """
     symmetric = antisymmetric = True
     left = amps.keys()
@@ -460,6 +462,10 @@ def _exchange_tag(amps: dict) -> SymmetryTag:
         if size is None:
             return SymmetryTag.NONE
         distinct = len(set(first)) == len(first)
+        if one_multiset and size == len(left):
+            if list(amps.values()).count(amps[first]) == size:
+                return SymmetryTag.SYMMETRIC
+            symmetric = False
         orderings, signs = _orderings(first, distinct)
         if size < len(left):
             orderings = list(orderings)  # read again below, to take them out of `left`
@@ -480,7 +486,7 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     member of an N = 3 mixed-symmetry stable plane, or none of those."""
     if instance(v, StateVector, "vector").is_zero:
         raise ZeroVectorInput("cannot classify the zero vector")
-    tag = _exchange_tag(v._amps)
+    tag = _exchange_tag(v._amps, v._one_multiset)
     if tag is not SymmetryTag.NONE or v.n_particles != 3:
         return SymmetryClass(tag)
     # On three distinct levels, particle swaps and level relabellings are two

@@ -952,13 +952,29 @@ def test_one_pass_parses_as_the_top_level_parser(tmp_path):
         ["classify", "--levels", "a,b,c"],  # none of the required state options
         ["classify", "--product", "--parity", "S", "--levels", "a,b,c"],
         [*partition, "--bogus"], [*partition, "extra"], [*partition, "--beta"], [*partition, "--output", "xml"],
+        # the edges of the plain parse: an option given twice, negative numbers (plain and not),
+        # attached and abbreviated forms, an option or nothing where a value belongs, empty and
+        # blank values, a group member twice and two members, and values type or choices refuse
+        [*partition, "-N", "3", "--beta", "2"], [*partition[:7], "--mu", "-0.5", "--beta", "1"],
+        [*partition[:5], "-N", "-1", "--beta", "1"], [*partition[:7], "--mu", "-.5", "--beta", "1"],
+        [*partition[:7], "--mu", "-1e-05", "--beta", "1"], [*partition[:5], "-N", "-1.5", "--beta", "1"],
+        [*partition[:7], "--beta=1"], [*partition[:7], "--bet", "1"], [*partition[:5], "-N2", "--beta", "1"],
+        [*partition[:3], "--levels", "--beta", "1", "-N", "2"], [*partition, "--levels"],
+        [*partition[:3], "--levels", "", *partition[5:]], [*partition[:3], "--levels", " ", *partition[5:]],
+        [*partition, "--out", ""], [*partition, "--seed", " "], [*partition, "--seed", ""], [*partition, "--out", "-"],
+        ["classify", "--product", "--product", "--levels", "a,b,c"],
+        ["classify", "--product", "--member", "s1", "--levels", "a,b,c"],
+        ["classify", "--member", "s9", "--levels", "a,b,c"], ["classify", "-p", "S", "-l", "a,b", "-l", "a,c"],
+        [*partition, "--seed", "1.5"], [*partition, "--seed", " 7 "], [*partition, "--beta", "0"],
     ]
     parser = build_parser()
     for argv in argvs:
         assert _parsed(_parse_args, argv) == _parsed(parser.parse_args, argv), argv
 
 
-def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
+def _argparse_calls(monkeypatch) -> list:
+    """The names of the parsers whose parse_known_args runs from now on:
+    "idstat" for the top-level parser, else the command's."""
     parser, calls = build_parser(), []
 
     def counted(name, parse):
@@ -966,11 +982,24 @@ def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
 
     for name, p in [("idstat", parser), *parser.commands.items()]:
         monkeypatch.setattr(p, "parse_known_args", counted(name, p.parse_known_args))
+    return calls
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
+    # a plain argv takes no argparse pass; a refused one takes its command's parser only
+    calls = _argparse_calls(monkeypatch)
     assert run_cli(CORPUS["partition-canonical-fd"], capsys)[0] == 0
     assert run_cli(["classify", "--levels", "a,b,c"], capsys)[0] == 2
     assert run_cli(["nosuch"], capsys)[0] == 2
     assert run_cli(["--help"], capsys)[0] == 0
-    assert calls == ["partition", "classify", "idstat", "idstat"]
+    assert calls == ["classify", "idstat", "idstat"]
+
+
+def test_every_corpus_argv_takes_the_plain_parse(monkeypatch):
+    calls = _argparse_calls(monkeypatch)
+    for name, fmt in itertools.product(sorted(CORPUS), FORMATS):
+        args = _parse_args(CORPUS[name] + ["--output", fmt])
+        assert (args.command, args.output, calls) == (CORPUS[name][0], fmt, []), name
 
 
 # -- repeated in-process calls ----------------------------------------------

@@ -546,6 +546,17 @@ def test_marked_vectors_match_their_unmarked_copies():
                 assert got == want and type(got) is type(want), (v, i)
 
 
+def test_marked_vectors_get_the_tags_of_their_unmarked_copies():
+    # A marked vector's S test reads its values only; a copy through the
+    # public constructor streams its orbit for both tests.
+    tags = set()
+    for v in _marked_vectors():
+        got = classify_symmetry(v)
+        assert got == classify_symmetry(StateVector(v.n_particles, dict(v.items()))), v
+        tags.add(got.tag)
+    assert tags == {SymmetryTag.SYMMETRIC, SymmetryTag.ANTISYMMETRIC, SymmetryTag.MIXED}
+
+
 def test_classify_long_product_states():
     # A swap that fixes every term is not built, so N - 1 swaps of an
     # N-slot product state cost O(N), not an N x N table of swapped slots.
