@@ -255,12 +255,12 @@ def _ledger_text(data: dict) -> str:
 # -- state construction shared by decompose / classify / expect --------------
 
 
-def _add_state_options(p: argparse.ArgumentParser, add) -> tuple[bool, tuple]:
+def _add_state_options(p: argparse.ArgumentParser, add) -> tuple:
     """Add the options that name a state, --levels through `add`; returns
-    whether their group is required and the Actions of its members."""
+    the Actions of the members of their required group."""
     add("--levels", "-l", required=True, help="comma-separated level labels")
     kind = p.add_mutually_exclusive_group(required=True)
-    return kind.required, (
+    return (
         kind.add_argument("--product", action="store_true", help="bare product state"),
         kind.add_argument("--member", choices=ORBIT_BASIS_NAMES,
                           help="distinct-level 3-particle basis member"),
@@ -466,7 +466,7 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
     if args.T is not None and args.beta is not None:
         raise InputError("give either --beta or --T, not both")
     if args.T is not None:
-        beta = 1.0 / (k * args.T) if k * args.T else math.inf  # the kernels refuse inf
+        beta = statmech._beta_at(args.T, k)
     elif args.beta is not None:
         beta = args.beta
     else:
@@ -591,15 +591,16 @@ COMMANDS = {
 _NEGATIVE = r"-\d+|-\d*\.\d+"
 
 
-def _plain_parser(options: list, group: tuple, group_required: bool):
+def _plain_parser(options: list, group: tuple):
     """The plain parse of one command, from the Actions of its options
-    (each one store or store_true) and of its mutually exclusive group.
+    (each one store or store_true) and of its required mutually exclusive
+    group, if it has one.
 
     It takes an argv only when every token is an exact option string, each
     value follows its option as its own token and starts with no "-"
     (unless it is a negative number), every value passes `type` and
-    `choices`, the required options are given and the group has at most one
-    member given (one when it is required).  Then it returns the Namespace
+    `choices`, the required options are given and the group, if any, has
+    exactly one member given.  Then it returns the Namespace
     parse_args would; for any other argv it returns None, and parse_args,
     which owns usage, help, abbreviations and every refusal, reads it.
     """
@@ -630,8 +631,7 @@ def _plain_parser(options: list, group: tuple, group_required: bool):
                     return None
             values[action.dest] = value
             seen.add(action)
-        kinds = len(group & seen)
-        if required - seen or kinds > 1 or (group_required and not kinds):
+        if required - seen or (group and len(group & seen) != 1):
             return None
         return args
 
@@ -661,9 +661,9 @@ def _command_parser(name: str) -> _Parser:
     add("--seed", type=int, help="seed for randomized sweeps")
     add("--out", help="write output to this file instead of stdout")
 
-    group_required, group = False, ()
+    group = ()
     if name in ("decompose", "classify", "expect"):
-        group_required, group = _add_state_options(p, add)
+        group = _add_state_options(p, add)
         options += group
     if name == "symmetrize":
         add("-n", type=int, dest="n_particles", help="particle count (checked against labels)")
@@ -707,7 +707,7 @@ def _command_parser(name: str) -> _Parser:
         add("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
         add("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
         add("--mass", type=_positive, default=1.0)
-    p.parse_plain = _plain_parser(options, group, group_required)
+    p.parse_plain = _plain_parser(options, group)
     return p
 
 

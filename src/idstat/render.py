@@ -23,56 +23,6 @@ def fmt_float(x: float) -> str:
     return format(float(x) + 0.0, ".17g")  # + 0.0 turns -0.0 into 0.0
 
 
-def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise InputError(f"JSON object keys must be strings, got {key!r}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(encode_basestring_ascii(key))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        types = set(map(type, obj))
-        if types == {str}:  # plain strs, no str enums: one join
-            out.append(_str_list(obj))
-            return
-        if types == {list} and set(map(type, chain.from_iterable(obj))) == {int}:
-            # rows of plain ints, such as occupation vectors: no float, bool
-            # or key for the C encoder to render differently
-            import json
-
-            out.append(json.dumps(obj, separators=(",", ":")))
-            return
-        if types == {dict} and _emit_records(obj, out):
-            return
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise InputError(f"cannot render {type(obj).__name__} as JSON")
-
-
 #: The text of each value of one exact scalar type.
 _SCALARS = {
     str: encode_basestring_ascii,
@@ -83,50 +33,67 @@ _SCALARS = {
 }
 
 
-def _str_list(items: list) -> str:
-    return "[" + ",".join(map(encode_basestring_ascii, items)) + "]"
+def _json(obj) -> str:
+    text = _SCALARS.get(type(obj))
+    if text is not None:
+        return text(obj)
+    if isinstance(obj, dict):
+        try:
+            pairs = [encode_basestring_ascii(key) + ":" + _json(obj[key]) for key in sorted(obj)]
+        except TypeError:  # sorted() or the encoder meets a key that is not a str
+            for key in obj:
+                if not isinstance(key, str):
+                    raise InputError(f"JSON object keys must be strings, got {key!r}") from None
+            raise
+        return "{" + ",".join(pairs) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_column(obj)) + "]"
+    if isinstance(obj, str):  # a str enum: its value
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):  # an int subclass: its own str()
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    raise InputError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _column(values: list) -> list:
-    """The JSON text of each value.  When all values share one scalar
-    type, its formatter is applied once per distinct value, and a column of
-    lists of plain strs is joined list by list; any other column renders
-    value by value."""
+def _column(values) -> list:
+    """The JSON text of each value in a list.
+
+    A run of one exact scalar type is formatted once per distinct value.
+    Rows of plain ints or of plain strs are joined row by row.  Plain dicts
+    that share one set of str keys are rendered key by key, each key's
+    values again one column.  Anything else is rendered value by value."""
     types = set(map(type, values))
     kind = types.pop() if len(types) == 1 else None
-    if kind is list and set(map(type, chain.from_iterable(values))) <= {str}:
-        return list(map(_str_list, values))
     text = _SCALARS.get(kind)
-    if text is None:
-        return list(map(canonical_json, values))
-    distinct = set(values)
-    return list(map(dict(zip(distinct, map(text, distinct))).__getitem__, values))
-
-
-def _emit_records(records: list, out: list) -> bool:
-    """Emit a list of plain dicts that share one set of two or more str
-    keys, which are sorted and encoded once for the list, column by column.
-    Emit nothing and return False for any other list of dicts."""
-    keys = sorted(key for key in records[0] if isinstance(key, str))
-    if len(keys) < 2 or set(map(len, records)) != {len(keys)}:
-        return False
-    try:
-        columns = [list(map(itemgetter(key), records)) for key in keys]
-    except KeyError:  # a dict with other keys
-        return False
-    heads = ["{" + encode_basestring_ascii(keys[0]) + ":"]
-    heads += ["," + encode_basestring_ascii(key) + ":" for key in keys[1:]]
-    cells = [map(head.__add__, _column(column)) for head, column in zip(heads, columns)]
-    out.append("[" + ",".join(map("".join, zip(*cells, repeat("}")))) + "]")
-    return True
+    if text is not None:
+        distinct = set(values)
+        return list(map(dict(zip(distinct, map(text, distinct))).__getitem__, values))
+    if kind is list:
+        items = set(map(type, chain.from_iterable(values)))
+        if items <= {int}:  # no bool, float or int subclass for repr to render differently
+            return list(map(str.replace, map(repr, values), repeat(" "), repeat("")))
+        if items == {str}:
+            return ["[" + ",".join(map(encode_basestring_ascii, row)) + "]" for row in values]
+    elif kind is dict and values[0] and len(set(map(len, values))) == 1:
+        try:  # a key that is not a str, or a dict as long as the first that lacks one of its keys
+            keys = sorted(values[0])
+            heads = ["," + encode_basestring_ascii(key) + ":" for key in keys]
+            columns = [list(map(itemgetter(key), values)) for key in keys]
+        except (TypeError, KeyError):
+            pass  # each dict renders (or is refused) alone
+        else:
+            heads[0] = "{" + heads[0][1:]
+            cells = [map(head.__add__, _column(column)) for head, column in zip(heads, columns)]
+            return list(map("".join, zip(*cells, repeat("}"))))
+    return list(map(_json, values))
 
 
 def canonical_json(obj) -> str:
     """Byte-deterministic JSON: keys sorted, floats at 17 significant
     digits, no insignificant whitespace."""
-    out: list = []
-    _emit(obj, out)
-    return "".join(out)
+    return _json(obj)
 
 
 def _cell(value) -> str:

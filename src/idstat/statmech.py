@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from functools import reduce
@@ -396,10 +396,14 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     a = list(map(mul, itertools.repeat(beta), map(sub, itertools.repeat(mu), levels)))  # beta (mu - e)
     # terms added left to right: sum() of floats is compensated from 3.12 on
     if stat is Statistics.BE:
-        x = list(map(math.exp, a))
-        if max(x) >= 1.0:
-            raise BoseDivergence(f"occupation factor {max(x)} >= 1")
-        total = reduce(sub, map(math.log1p, map(neg, x)), 0.0)
+        if a[0] == 0.0:
+            raise InputError(f"beta (e_0 - mu) underflows to 0 at beta = {beta!r}, mu = {mu!r}")
+        # -log(1 - e^a): log(-expm1(a)) keeps its digits for a > -ln 2, near
+        # condensation, and log1p(-exp(a)) below (Maechler 2012); a falls
+        # along the levels, so the near terms come first
+        near = bisect_left(a, math.log(2.0), key=neg)
+        total = reduce(sub, itertools.chain(map(math.log, map(neg, map(math.expm1, a[:near]))),
+                                            map(math.log1p, map(neg, map(math.exp, a[near:])))), 0.0)
     else:
         # softplus log(1 + e^a), stable for either sign of a
         softplus = map(add, map(max, a, itertools.repeat(0.0)),
@@ -411,6 +415,15 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
 
 
 # -- Boltzmann closed forms ---------------------------------------------------
+
+
+def _beta_at(T: float, k: float) -> float:
+    """beta = 1 / (k T) for a positive finite T and k; a beta past the float
+    range is refused under T's name."""
+    beta = 1.0 / (k * T) if k * T else math.inf
+    if not 0.0 < beta < math.inf:
+        raise InputError(f"beta = 1/(kT) is out of float range at T = {T!r}, k = {k!r}")
+    return beta
 
 
 def thermal_wavelength(T: float, *, mass: float = 1.0, h: float = 1.0, k: float = 1.0) -> float:
@@ -486,7 +499,7 @@ def extensivity_report(
         if continuum:
             return mb_ln_Z_continuum(T, V, N, stat, mass=mass, h=h, k=k)
         spec = spectrum_builder(V)
-        ln_Z = canonical_ln_Z(spec, N, 1.0 / (k * T) if k * T else math.inf, stat)
+        ln_Z = canonical_ln_Z(spec, N, _beta_at(T, k), stat)
         if ln_Z == -math.inf:
             raise InputError(f"{N} fermions do not fit in {len(spec)} levels")
         return ln_Z

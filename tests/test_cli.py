@@ -80,8 +80,10 @@ def test_canonical_json_records():
                   [{"a": 1, "\u00e9": 2.5}]]:
         assert canonical_json(items) == "[" + ",".join(map(canonical_json, items)) + "]"
     assert canonical_json(records[:1]) == '[{"exact":"1/2","float":0.5,"state":["a","b"]}]'
-    with pytest.raises(InputError, match="JSON object keys must be strings"):
-        canonical_json([{1: "a", 2: "b"}, {1: "c", 2: "d"}])
+    for bad in ([{1: "a", 2: "b"}, {1: "c", 2: "d"}], {1: "a", "b": 2}, {"b": 2, 1: "a"},
+                [{"a": 1, "b": 2}, {"a": 3, 2: 4}], [{"a": 1, "b": 2}, {"a": 3, "b": 4, 2: 5}]):
+        with pytest.raises(InputError, match="JSON object keys must be strings"):
+            canonical_json(bad)
     with pytest.raises(InputError, match="non-finite"):
         canonical_json([*records, {"exact": "x", "float": math.inf, "state": []}])
 
@@ -95,6 +97,88 @@ def test_canonical_json_str_lists():
     assert text == ('[["a","\\u00e9","q\\"\\\\",""],["\\u03bb"],["a",1],[null,"b"],["c",true,false],'
                     '["mixed","d"],[0,"e",null,true]]')
     assert text == json.dumps(lists, ensure_ascii=True, separators=(",", ":"))
+
+
+class _Count(int):
+    pass
+
+
+_KEYS = ("a", "b", "exact", "state", "\u00e9")
+_STRS = ("", "a", "x y", "\u00e9", "\u03bb\u2192\U0001d49c", 'q"\\', "\n")
+#: One draw of each scalar kind: a list of one kind shares one exact type.
+_SCALAR_DRAWS = (
+    lambda rng: rng.choice(_STRS),
+    lambda rng: rng.random() < 0.5,
+    lambda rng: rng.randint(-3, 3) if rng.random() < 0.8 else rng.randint(-10**30, 10**30),
+    lambda rng: _Count(rng.randint(-3, 3)),
+    lambda rng: rng.choice([0.5, -0.0, 0.0, 2.0, 1e-300, -1.5e300, rng.uniform(-1e3, 1e3)]),
+    lambda rng: None,
+    lambda rng: symmetry.SymmetryTag.MIXED,
+)
+_SHAPES = ("scalars", "int rows", "str rows", "records", "loose records", "tuples", "mixed")
+
+
+def _draw(rng, shape, depth=0):
+    """One list item of the given shape; records and mixed items nest."""
+    if shape == "scalars" or depth > 2:
+        return rng.choice(_SCALAR_DRAWS)(rng)
+    if shape == "int rows":
+        return [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+    if shape == "str rows":
+        return [rng.choice(_STRS) for _ in range(rng.randint(0, 4))]
+    if shape in ("records", "loose records"):
+        keys = _KEYS[:3] if shape == "records" else rng.sample(_KEYS, rng.randint(0, 4))
+        return {key: _draw(rng, rng.choice(_SHAPES), depth + 1) for key in keys}
+    if shape == "tuples":
+        return tuple(_draw(rng, "scalars") for _ in range(rng.randint(0, 3)))
+    return [_draw(rng, rng.choice(_SHAPES), depth + 1) for _ in range(rng.randint(0, 3))]
+
+
+def _odd(rng, shape, item):
+    """An item that breaks the shape's run: a bool, float or int subclass
+    in an int row, a non-str in a str row, a record with other keys, or an
+    item of another shape."""
+    if shape == "int rows":
+        return [*item, rng.choice([True, False, 1.5, -0.0, _Count(7)])]
+    if shape == "str rows":
+        return [*item, rng.choice([1, None, True, symmetry.SymmetryTag.NONE])]
+    if shape == "records":
+        other = dict(item)
+        change = rng.choice(["add", "drop", "rename"])
+        if change != "add":
+            del other[rng.choice(_KEYS[:3])]
+        if change != "drop":
+            other[rng.choice(_KEYS[3:])] = _draw(rng, "scalars")
+        return other
+    return _draw(rng, rng.choice(_SHAPES))
+
+
+def _plain(value):
+    """What json.loads reads back: tuples as lists."""
+    if isinstance(value, (list, tuple)):
+        return list(map(_plain, value))
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def test_canonical_json_lists_render_as_their_items():
+    # seeded lists of one shape, some with one item that breaks it: each
+    # reads as its items rendered alone and joined, and json.loads reads back
+    # the values (tuples as lists; floats, -0.0 and int subclasses equal)
+    rng = random.Random(20261020)
+    for _ in range(400):
+        shape = rng.choice(_SHAPES)
+        kind = rng.choice(_SCALAR_DRAWS)
+        draw = (lambda: kind(rng)) if shape == "scalars" else (lambda: _draw(rng, shape))
+        xs = [draw() for _ in range(rng.randint(0, 8))]
+        if xs and rng.random() < 0.5:
+            at = rng.randrange(len(xs))
+            xs[at] = _odd(rng, shape, xs[at])
+        text = canonical_json(xs)
+        assert text == "[" + ",".join(map(canonical_json, xs)) + "]", xs
+        assert json.loads(text) == _plain(xs), xs
+        assert text.isascii()
 
 
 def test_csv_none_is_an_empty_cell():
@@ -681,6 +765,8 @@ EXTREME_FINITE_CASES = {
                                "--beta", "5e-324", "--mode", "si"],
     # 1 / T overflows to an infinite beta, which the grand sum must refuse
     "grand-tiny-T": ["partition", "--stat", "fd", "--levels", "0,1,2", "--mu", "0.5", "--T", "1e-310"],
+    # the same beta, for each discrete box of the extensivity table
+    "extensivity-tiny-T": ["extensivity", "--stat", "be", "--T", "1e-320", "--discrete", "--n-list", "1,2"],
 }
 
 
@@ -690,6 +776,8 @@ def test_exit_2_on_extreme_finite_values(name, capsys):
     assert code == 2 and out == "", f"{name} gave {code}"
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "non-finite" not in err  # refused as input, not at render time
+    if name.endswith("tiny-T"):  # a beta = 1/(kT) past the float range is refused under T's name
+        assert re.search(r"beta = 1/\(kT\) is out of float range at T = 1e-3[12]0, k = ", err), err
 
 
 BAD_SPECTRUM_FILES = {

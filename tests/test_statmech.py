@@ -372,6 +372,14 @@ def untrimmed_ln_Z_table(energies, n_max, beta, stat):
     return ln_Z + [-math.inf] * (n_max - len(energies))
 
 
+def be_grand_term(a, beta, mu):
+    """log(1 - e^a), a = beta (mu - e) < 0: log(-expm1(a)) near condensation
+    (a > -ln 2), log1p(-exp(a)) below; an a that underflows to 0 is refused."""
+    if a == 0.0:
+        raise InputError(f"beta (e_0 - mu) underflows to 0 at beta = {beta!r}, mu = {mu!r}")
+    return math.log(-math.expm1(a)) if a > -math.log(2.0) else math.log1p(-math.exp(a))
+
+
 def untrimmed_grand_ln_Xi(energies, beta, mu, stat):
     """The grand sum over every level."""
     if stat is BE and mu >= energies[0]:
@@ -380,10 +388,7 @@ def untrimmed_grand_ln_Xi(energies, beta, mu, stat):
     for e in energies:
         a = beta * (mu - e)
         if stat is BE:
-            x = math.exp(a)
-            if x >= 1.0:
-                raise BoseDivergence(f"occupation factor {x} >= 1")
-            total -= math.log1p(-x)
+            total -= be_grand_term(a, beta, mu)
         else:
             total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
     return total
@@ -506,8 +511,8 @@ def test_grand_sum_equals_the_untrimmed_sum(stat):
         ):
             try:
                 want = untrimmed_grand_ln_Xi(energies, beta, mu, stat)
-            except BoseDivergence:
-                with pytest.raises(BoseDivergence):
+            except (BoseDivergence, InputError) as exc:
+                with pytest.raises(type(exc)):
                     grand_ln_Xi(Spectrum(energies), beta, mu, stat)
                 continue
             assert grand_ln_Xi(Spectrum(energies), beta, mu, stat) == want, (energies[:4], beta, mu)
@@ -585,10 +590,7 @@ def per_level_grand_ln_Xi(energies, beta, mu, stat):
     for e in energies[:statmech._reach(energies, beta, max(mu, energies[0]), QUIET + math.log(2.0))]:
         a = beta * (mu - e)
         if stat is BE:
-            x = math.exp(a)
-            if x >= 1.0:
-                raise BoseDivergence(f"occupation factor {x} >= 1")
-            total -= math.log1p(-x)
+            total -= be_grand_term(a, beta, mu)
         else:
             total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
     if not math.isfinite(total):
@@ -699,11 +701,15 @@ def test_grand_sum_refusals_are_unchanged():
     spec = Spectrum([0.0, 0.0, 1.0])
     for beta, mu, stat, kind, text in (
         (1.0, 0.0, BE, BoseDivergence, "mu = 0.0 is not below the lowest level 0.0"),
-        (1e-3, -1e-300, BE, BoseDivergence, "occupation factor 1.0 >= 1"),
+        (1e-30, -1e-300, BE, InputError, "beta (e_0 - mu) underflows to 0 at beta = 1e-30, mu = -1e-300"),
         (1e10, 1e300, FD, InputError, "grand ln Xi is out of float range at beta = 10000000000.0, mu = 1e+300"),
     ):
         assert outcome(lambda: grand_ln_Xi(spec, beta, mu, stat)) == (kind, text)
         assert outcome(lambda: per_level_grand_ln_Xi(spec.energies, beta, mu, stat)) == (kind, text)
+    # near condensation the first factor rounds to 1, and the sum still answers
+    want = -2 * math.log(1e-303) - math.log(-math.expm1(-1e-3))
+    assert grand_ln_Xi(spec, 1e-3, -1e-300, BE) == per_level_grand_ln_Xi(spec.energies, 1e-3, -1e-300, BE)
+    assert math.isclose(grand_ln_Xi(spec, 1e-3, -1e-300, BE), want, rel_tol=1e-15)
 
 
 def test_box3d_spectrum_equals_the_sorted_sums():
@@ -842,6 +848,21 @@ def test_fugacity_series_matches_product_be():
 
 def test_thermal_wavelength_dimensionless():
     assert math.isclose(thermal_wavelength(1.0 / (2.0 * math.pi)), 1.0, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.69, 0.7, 2.0])
+def test_grand_be_near_condensation_against_mpmath(s):
+    # s = beta (e_0 - mu): log(1 - e^-s) keeps its digits as s -> 0
+    import mpmath
+
+    levels = [0.0, 0.25, 1.0, 1.0, 2.5]
+    for beta in (1e-3, 1.0, 40.0):
+        mu = levels[0] - s / beta
+        with mpmath.workdps(50):
+            terms = [mpmath.log(-mpmath.expm1(mpmath.mpf(beta) * (mpmath.mpf(mu) - e))) for e in levels]
+            want = float(-mpmath.fsum(terms))
+        got = grand_ln_Xi(Spectrum(levels), beta, mu, BE)
+        assert abs(got - want) <= 1e-14 * abs(want), (s, beta, got, want)
 
 
 def test_thermal_wavelength_si_against_mpmath():
