@@ -23,10 +23,22 @@ from .render import Report, fmt_float, table_text
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raise instead of exiting so main() owns the exit code."""
+    """Raise instead of exiting so main() owns the exit code, and read a
+    value in exponent form such as -1e-3 as a negative number, which
+    argparse's own pattern (in every supported Python) takes for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"^(?:{_NEGATIVE})$")
 
     def error(self, message):
         raise InputError(message)
+
+
+#: A token that starts with "-" and that both parses read as a value: a
+#: negative number, plain or in exponent form.  No option string looks like
+#: a negative number here, so argparse never takes one for an option.
+_NEGATIVE = r"-\d+|-\d*\.\d+|-\d*\.?\d+[eE][+-]?\d+"
 
 
 # -- argument parsing helpers ------------------------------------------------
@@ -583,12 +595,6 @@ COMMANDS = {
     "extensivity": "F(T,V,N) vs N*F(T,V/N,1) table",
     "verify-paper": "replay every identity and report a ledger",
 }
-
-
-#: A token that starts with "-" and that argparse still reads as a value:
-#: a negative number, in a form every supported Python's argparse takes as
-#: one while no option string looks like a negative number (none does here).
-_NEGATIVE = r"-\d+|-\d*\.\d+"
 
 
 def _plain_parser(options: list, group: tuple):

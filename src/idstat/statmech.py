@@ -396,14 +396,18 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     a = list(map(mul, itertools.repeat(beta), map(sub, itertools.repeat(mu), levels)))  # beta (mu - e)
     # terms added left to right: sum() of floats is compensated from 3.12 on
     if stat is Statistics.BE:
-        if a[0] == 0.0:
-            raise InputError(f"beta (e_0 - mu) underflows to 0 at beta = {beta!r}, mu = {mu!r}")
-        # -log(1 - e^a): log(-expm1(a)) keeps its digits for a > -ln 2, near
-        # condensation, and log1p(-exp(a)) below (Maechler 2012); a falls
-        # along the levels, so the near terms come first
-        near = bisect_left(a, math.log(2.0), key=neg)
-        total = reduce(sub, itertools.chain(map(math.log, map(neg, map(math.expm1, a[:near]))),
-                                            map(math.log1p, map(neg, map(math.exp, a[near:])))), 0.0)
+        # -log(1 - e^a): an a below the normal range (0 or subnormal, with
+        # few digits or none left) gives -log(-a) = -log beta - log(e - mu),
+        # log(-expm1(a)) keeps its digits for a > -ln 2, near condensation,
+        # and log1p(-exp(a)) below (Maechler 2012); a falls along the
+        # levels, so each kind of term is one run, the tiny ones first
+        tiny = bisect_left(a, sys.float_info.min, key=neg) if -a[0] < sys.float_info.min else 0
+        near = bisect_left(a, math.log(2.0), tiny, key=neg)
+        gaps = map(sub, levels[:tiny], itertools.repeat(mu))  # e - mu
+        total = reduce(sub, itertools.chain(
+            map(add, itertools.repeat(math.log(beta)), map(math.log, gaps)),
+            map(math.log, map(neg, map(math.expm1, a[tiny:near]))),
+            map(math.log1p, map(neg, map(math.exp, a[near:])))), 0.0)
     else:
         # softplus log(1 + e^a), stable for either sign of a
         softplus = map(add, map(max, a, itertools.repeat(0.0)),

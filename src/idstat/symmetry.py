@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, groupby, permutations, repeat
 from operator import itemgetter, mul, neg
 from typing import Iterable, Literal, Sequence
 
@@ -38,7 +38,8 @@ class StateVector:
 
     A vector is never changed after it is built, so the norm, the square of
     the scale and the one-body weights of each slot are computed once and
-    kept in `_memo`.  `_one_multiset` marks a vector whose states are all
+    kept in `_memo`; a builder that makes unit vectors stores the norm 1
+    there when it builds them.  `_one_multiset` marks a vector whose states are all
     orderings of one level multiset: a symmetrized state, an orbit basis
     member, or a permutation of either.
     """
@@ -70,14 +71,16 @@ class StateVector:
 
     @classmethod
     def _trusted(cls, n_particles: int, amps: dict, basis_size: int,
-                 scale: RadicalRational, one_multiset: bool = False) -> "StateVector":
+                 scale: RadicalRational, one_multiset: bool = False,
+                 norm: RadicalRational | None = None) -> "StateVector":
         """Skip __init__'s checks: every key of `amps` must already be a
         tuple of n_particles nonnegative ints below basis_size, every value
         a nonzero int or Rational, and `scale` nonzero; `one_multiset` only
-        when every key is an ordering of one multiset."""
+        when every key is an ordering of one multiset; `norm`, when given,
+        the squared norm the builder knows the vector has."""
         v = cls.__new__(cls)
         v.n_particles, v._amps, v.basis_size, v._scale = n_particles, amps, basis_size, scale
-        v._memo = {}
+        v._memo = {} if norm is None else {"norm": norm}
         v._one_multiset = one_multiset
         return v
 
@@ -125,31 +128,40 @@ class StateVector:
         The weights {level: sum of squared values} add up the terms by the
         level in `slot`; when every value has the same square (as on a
         symmetrized state) they are that square times a count of the
-        levels, else they fold a tally of the terms by (level, value).  The
-        cross groups [[(level, value), ...]] hold the terms that agree on
-        every other slot, two or more per group.  Two terms that differ in
-        one slot only have different level multisets, so a vector marked
-        `_one_multiset` has no groups, and its spectators are never counted.
+        levels, else they fold a tally of the terms by (level, value).  A
+        vector marked `_one_multiset` with as many terms as its orbit has
+        orderings holds the whole orbit, where level k fills each slot in
+        |orbit| m_k / N orderings, so the count is read off the multiset.
+        The cross groups [[(level, value), ...]] hold the terms that agree
+        on every other slot, two or more per group.  Two such terms differ
+        in one slot only, so they have different level multisets and
+        different level sums: a marked vector, or one whose terms all have
+        one level sum, has no groups, and its spectators are never counted.
         """
         key = ("slot", slot)
         memo = self._memo.get(key)
         if memo is None:
-            states, values = self._amps.keys(), self._amps.values()
-            levels = map(itemgetter(slot), states)
+            amps = self._amps
+            states, values = amps.keys(), amps.values()
             squares = {a * a for a in set(values)}
             if len(squares) == 1:
                 (square,) = squares
-                weights = {lv: n * square for lv, n in Counter(levels).items()}
+                first = next(iter(states))
+                if self._one_multiset and _orbit_size(first, len(amps)) == len(amps):
+                    counts = {lv: len(amps) * m // len(first) for lv, m in Counter(first).items()}
+                else:
+                    counts = Counter(map(itemgetter(slot), states))
+                weights = {lv: n * square for lv, n in counts.items()}
             else:
                 weights = {}
-                for (lv, a), n in Counter(zip(levels, values)).items():
+                for (lv, a), n in Counter(zip(map(itemgetter(slot), states), values)).items():
                     weights[lv] = weights.get(lv, 0) + n * a * a
             groups: dict = {}
-            if not self._one_multiset:
+            if not self._one_multiset and len(set(map(sum, states))) > 1:
                 others = [j for j in range(self.n_particles) if j != slot]
                 spectator = itemgetter(*others) if others else (lambda s: ())
                 seen = Counter(map(spectator, states))
-                for s, a in self._amps.items():
+                for s, a in amps.items():
                     if seen[spec := spectator(s)] > 1:
                         groups.setdefault(spec, []).append((s[slot], a))
             memo = self._memo[key] = (weights, list(groups.values()))
@@ -221,17 +233,38 @@ def _orderings(levels: tuple[int, ...], signed: bool) -> tuple[Iterable, Iterabl
     distinct levels; all 1 unless `signed`), as two lazy iterables: the last
     stage is never held in a list.
 
-    Staged insertion: the orderings are built one distinct level at a time,
-    smallest first, each stage mapping one getter of `_insertions` over the
-    orderings so far, so no Python step runs per ordering.  A new level is
-    larger than every level placed, so an ordering's sign is its parent's,
-    negated when the insertion adds an odd number of inversions; the parity
-    of the input order's inversions is applied once, at the start.
+    Distinct levels: the orderings are `itertools.permutations` of the
+    sorted levels, in lexicographic order.  Block d of that order, where the
+    first slot holds the d-th smallest level, is the order of the other
+    levels with d more inversions, so its signs are (-1)^d times the signs
+    of one level fewer; each stream is built from the last by list
+    concatenation, and the last one is a chain of its blocks.
+
+    Repeated levels, where `permutations` would yield duplicates: staged
+    insertion builds the orderings one distinct level at a time, smallest
+    first, each stage mapping one getter of `_insertions` over the
+    orderings so far.  A new level is larger than every level placed, so an
+    ordering's sign is its parent's, negated when the insertion adds an odd
+    number of inversions.
+
+    Either way no Python step runs per ordering, and the parity of the
+    input order's inversions is applied once, to the first ordering's sign.
     """
     inversions = sum(x > y for i, x in enumerate(levels) for y in levels[i + 1 :]) if signed else 0
     first = tuple(sorted(levels))
+    sign = -1 if inversions % 2 else 1
+    if len(set(first)) == len(first) > 1:
+        if not signed:
+            return permutations(first), repeat(1, math.factorial(len(first)))
+        signs = [sign]  # of the orderings of j levels, j = 1 .. N - 1
+        for j in range(2, len(first)):
+            flipped = list(map(neg, signs))
+            signs = (signs + flipped) * (j // 2) + signs * (j % 2)
+        blocks = (signs, list(map(neg, signs)))
+        blocks = blocks * (len(first) // 2) + blocks[:1] * (len(first) % 2)
+        return permutations(first), chain.from_iterable(blocks)
     runs = [len(list(copies)) for _, copies in groupby(first)]
-    keys, values = [first], [-1 if inversions % 2 else 1]
+    keys, values = [first], [sign]
     n = runs[0] if runs else 0
     for m in runs[1:]:
         orderings, signs = list(keys), list(values)
@@ -288,9 +321,11 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     with is_zero rather than raised.  Built directly in normalized form:
     1/sqrt(|orbit|) on each distinct ordering for 'S', with the raw norm
     squared prod(m_k!); +-1/sqrt(N!) for 'A' on distinct levels, raw norm
-    squared 1.  The orderings and their signs come from `_orbit`, which
-    inserts one distinct level at a time with C-level maps, so each ordering
-    costs the building and hashing of its tuple.  Cost and memory scale with
+    squared 1.  The orderings and their signs come from `_orbit`:
+    `itertools.permutations` on distinct levels, staged insertion of one
+    distinct level at a time on repeated ones, both at C level, so each
+    ordering costs the building and hashing of its tuple.  The vector
+    carries its squared norm 1.  Cost and memory scale with
     |orbit| = N!/prod(m_k!); more than MAX_SYMMETRIZE_N particles or
     MAX_ORBIT orderings are refused.
     """
@@ -312,7 +347,7 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     # on distinct levels |orbit| = N!, so one scale serves both parities
     scale = rsqrt_of_rational(Fraction(1, orbit))
     amps = _orbit(levels, parity == "A")
-    vector = StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale, True)
+    vector = StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale, True, ONE)
     return SymmetrizeResult(vector, RadicalRational.of(repeats))
 
 
@@ -341,7 +376,7 @@ def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
     return tuple([
         StateVector._trusted(3, {(levels[a], levels[b], levels[c]): k for (a, b, c), k in p.items()},
                              max(levels) + 1, rsqrt_of_rational(Fraction(1, sum(k * k for k in p.values()))),
-                             True)
+                             True, ONE)
         for p in (*_END_PATTERNS, *_MIXED_PATTERNS.values())
     ])
 

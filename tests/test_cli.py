@@ -396,6 +396,17 @@ def test_partition_grand_be(capsys):
     assert math.isclose(data["Xi"], 2.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("mu, beta", [("-1e-3", "1"), ("-2.5E+1", "1"), ("-.5e1", "2"), ("-3e-294", "1e-30")])
+def test_negative_value_in_exponent_form_is_a_value(mu, beta, capsys):
+    # spaced (the plain parse), attached and spaced with an abbreviated
+    # option (both argparse): one answer, byte for byte
+    base = ["partition", "--stat", "be", "--levels", "0,1"]
+    spaced = run_cli([*base, "--mu", mu, "--beta", beta], capsys)
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert run_cli([*base, f"--mu={mu}", "--beta", beta], capsys) == spaced
+    assert run_cli([*base, "--mu", mu, "--bet", beta], capsys) == spaced
+
+
 def test_partition_continuum_mb(capsys):
     code, out, _ = run_cli(
         ["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "2", "--T", "1", "--output", "json"],

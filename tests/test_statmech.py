@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
 import types
 
@@ -372,11 +373,12 @@ def untrimmed_ln_Z_table(energies, n_max, beta, stat):
     return ln_Z + [-math.inf] * (n_max - len(energies))
 
 
-def be_grand_term(a, beta, mu):
-    """log(1 - e^a), a = beta (mu - e) < 0: log(-expm1(a)) near condensation
-    (a > -ln 2), log1p(-exp(a)) below; an a that underflows to 0 is refused."""
-    if a == 0.0:
-        raise InputError(f"beta (e_0 - mu) underflows to 0 at beta = {beta!r}, mu = {mu!r}")
+def be_grand_term(a, beta, mu, e):
+    """log(1 - e^a), a = beta (mu - e) < 0: log(-a) = log beta + log(e - mu)
+    for an a below the normal range (0 or subnormal), log(-expm1(a)) near
+    condensation (a > -ln 2), log1p(-exp(a)) below."""
+    if -a < sys.float_info.min:
+        return math.log(beta) + math.log(e - mu)
     return math.log(-math.expm1(a)) if a > -math.log(2.0) else math.log1p(-math.exp(a))
 
 
@@ -388,7 +390,7 @@ def untrimmed_grand_ln_Xi(energies, beta, mu, stat):
     for e in energies:
         a = beta * (mu - e)
         if stat is BE:
-            total -= be_grand_term(a, beta, mu)
+            total -= be_grand_term(a, beta, mu, e)
         else:
             total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
     return total
@@ -590,7 +592,7 @@ def per_level_grand_ln_Xi(energies, beta, mu, stat):
     for e in energies[:statmech._reach(energies, beta, max(mu, energies[0]), QUIET + math.log(2.0))]:
         a = beta * (mu - e)
         if stat is BE:
-            total -= be_grand_term(a, beta, mu)
+            total -= be_grand_term(a, beta, mu, e)
         else:
             total += max(a, 0.0) + math.log1p(math.exp(-abs(a)))
     if not math.isfinite(total):
@@ -701,11 +703,14 @@ def test_grand_sum_refusals_are_unchanged():
     spec = Spectrum([0.0, 0.0, 1.0])
     for beta, mu, stat, kind, text in (
         (1.0, 0.0, BE, BoseDivergence, "mu = 0.0 is not below the lowest level 0.0"),
-        (1e-30, -1e-300, BE, InputError, "beta (e_0 - mu) underflows to 0 at beta = 1e-30, mu = -1e-300"),
         (1e10, 1e300, FD, InputError, "grand ln Xi is out of float range at beta = 10000000000.0, mu = 1e+300"),
     ):
         assert outcome(lambda: grand_ln_Xi(spec, beta, mu, stat)) == (kind, text)
         assert outcome(lambda: per_level_grand_ln_Xi(spec.energies, beta, mu, stat)) == (kind, text)
+    # a beta (e_0 - mu) that underflows to 0 answers: each such term is -log(beta (e - mu))
+    want = -3 * math.log(1e-30) - 2 * math.log(1e-300)
+    assert grand_ln_Xi(spec, 1e-30, -1e-300, BE) == per_level_grand_ln_Xi(spec.energies, 1e-30, -1e-300, BE)
+    assert math.isclose(grand_ln_Xi(spec, 1e-30, -1e-300, BE), want, rel_tol=1e-15)
     # near condensation the first factor rounds to 1, and the sum still answers
     want = -2 * math.log(1e-303) - math.log(-math.expm1(-1e-3))
     assert grand_ln_Xi(spec, 1e-3, -1e-300, BE) == per_level_grand_ln_Xi(spec.energies, 1e-3, -1e-300, BE)
@@ -863,6 +868,22 @@ def test_grand_be_near_condensation_against_mpmath(s):
             want = float(-mpmath.fsum(terms))
         got = grand_ln_Xi(Spectrum(levels), beta, mu, BE)
         assert abs(got - want) <= 1e-14 * abs(want), (s, beta, got, want)
+
+
+@pytest.mark.parametrize("levels", [[0.0, 1.0], [0.0, 0.0, 1e-12, 1e-9, 2.5, 3e8]])
+def test_grand_be_subnormal_exponent_against_mpmath(levels):
+    # beta (mu - e) at or below the subnormal range: 0 for mu = -1e-300 and
+    # rounded to one or a few digits for the others, on the first levels only
+    import mpmath
+
+    beta = 1e-30
+    for mu in (-1e-300, -3e-294, -1e-290):
+        with mpmath.workdps(50):
+            terms = [mpmath.log(-mpmath.expm1(mpmath.mpf(beta) * (mpmath.mpf(mu) - e))) for e in levels]
+            want = float(-mpmath.fsum(terms))
+        got = grand_ln_Xi(Spectrum(levels), beta, mu, BE)
+        assert abs(got - want) <= 1e-14 * abs(want), (mu, got, want)
+        assert got == per_level_grand_ln_Xi(levels, beta, mu, BE)
 
 
 def test_thermal_wavelength_si_against_mpmath():

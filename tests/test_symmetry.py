@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from operator import mul
 
 import pytest
 
@@ -25,6 +26,7 @@ from idstat.symmetry import (
     MAX_SYMMETRIZE_N,
     StateVector,
     _orbit,
+    _orderings,
     SymmetryClass,
     SymmetryTag,
     classify_symmetry,
@@ -635,6 +637,85 @@ def test_orbit_matches_symmetric_group_walk(n):
             if len(set(levels)) == n:
                 assert signed == want, levels
             assert _orbit(levels, False) == dict.fromkeys(want, 1), levels
+
+
+def _inversions(seq) -> int:
+    return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_distinct_orderings_are_the_permutations_with_their_signs(n):
+    # the distinct-level path on up to 7 levels, in three input orders: each
+    # ordering once, in lexicographic order, with the sign (-1)^inversions of
+    # the permutation of positions taking the input to it
+    rng = random.Random(f"orderings-{n}")
+    levels = tuple(rng.sample(range(3 * n), n))
+    for ordered in (tuple(sorted(levels)), tuple(sorted(levels, reverse=True)), levels):
+        keys, values = _orderings(ordered, True)
+        keys, values = list(keys), list(values)
+        assert keys == sorted(permutations(ordered)) and len(values) == len(keys), ordered
+        position = {lv: i for i, lv in enumerate(ordered)}
+        for o, value in zip(keys, values):
+            assert value == (-1) ** _inversions([position[lv] for lv in o]), (ordered, o)
+        unsigned = _orderings(ordered, False)
+        assert list(unsigned[0]) == keys and list(unsigned[1]) == [1] * len(keys)
+
+
+def _full_orbit_vectors():
+    """Marked vectors holding their whole orbit: symmetrized states on up
+    to 7 levels, S and A, distinct and repeated, in two orders, and a
+    permutation of each."""
+    shapes = [tuple(range(n)) for n in range(1, 8)]
+    shapes += [(0, 0, 1), (0, 1, 1, 1), (0, 0, 1, 2, 2), (3, 3, 3, 0, 1, 1), (0, 0, 1, 1, 2, 2, 3)]
+    built = [symmetrize(levels[::order], parity).vector
+             for levels in shapes for parity in "SA" for order in (1, -1)]
+    built = [v for v in built if not v.is_zero]
+    cycle = lambda n: Permutation(tuple(range(1, n)) + (0,))
+    return built + [v.permuted(cycle(v.n_particles)) for v in built]
+
+
+def test_full_orbit_weights_match_the_unmarked_count():
+    # the weights read off the multiset are the ones a count of the terms gives
+    vectors = _full_orbit_vectors()
+    assert any(len(v) == math.factorial(7) for v in vectors)
+    for v in vectors:
+        assert v._one_multiset and exchange_degeneracy_dimension(next(iter(v._amps))) == len(v)
+        copy = StateVector(v.n_particles, dict(v.items()))
+        for i in range(v.n_particles):
+            weights, groups = v._one_body(i)
+            copy_weights, copy_groups = copy._one_body(i)
+            assert groups == copy_groups == []
+            assert {lv: v._square() * w for lv, w in weights.items()} == {
+                lv: copy._square() * w for lv, w in copy_weights.items()}, (v, i)
+
+
+def test_unmarked_cross_groups_match_a_spectator_walk():
+    # the level-sum pre-check drops no group: terms that agree on every
+    # other slot, walked pair by pair
+    S = lambda *levels: symmetrize(levels, "S").vector
+    half = rsqrt_of_rational(Fraction(1, 2))
+    vectors = [StateVector(v.n_particles, dict(v.items())) for v in _full_orbit_vectors()[:12]]
+    for u, w in ((S(0, 3), S(1, 2)), (S(0, 0, 1), S(0, 0, 2)), (S(0, 1, 2), S(0, 1, 3))):
+        vectors.append(StateVector(u.n_particles, {s: a * half for s, a in [*u.items(), *w.items()]}))
+    for v in vectors:
+        for i in range(v.n_particles):
+            want = {}
+            for s, a in v._amps.items():
+                if any(t[:i] + t[i + 1:] == s[:i] + s[i + 1:] for t in v._amps if t != s):
+                    want.setdefault(s[:i] + s[i + 1:], []).append((s[i], a))
+            assert v._one_body(i)[1] == list(want.values()), (v, i)
+
+
+def test_builders_store_the_norm_a_recount_gives():
+    built = [symmetrize(levels, parity).vector
+             for levels in [(0,), (2, 0, 1), (1, 1, 0, 3), (4, 6, 5, 0, 3, 1, 2)] for parity in "SA"]
+    built += [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
+    built = [v for v in built if not v.is_zero]
+    assert len(built) == 19
+    for v in built:
+        assert v._memo == {"norm": ONE}, v  # stored when built, before any read
+        values = v._amps.values()
+        assert RadicalRational(v._square() * sum(map(mul, values, values))) == v.norm_squared() == ONE
 
 
 def test_orbit_edge_shapes():
