@@ -38,13 +38,12 @@ class StateVector:
 
     A vector is never changed after it is built, so the norm, the square of
     the scale and the one-body weights of each slot are computed once and
-    kept in `_memo`; a builder that makes unit vectors stores the norm 1
-    there when it builds them.  `_one_multiset` marks a vector whose states are all
-    orderings of one level multiset: a symmetrized state, an orbit basis
-    member, or a permutation of either.
+    kept in `_memo`.  `symmetrize` returns the subclass `_OrbitState`, which
+    answers these from its levels and builds its terms only when they are
+    read.
     """
 
-    __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo", "_one_multiset")
+    __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo")
 
     def __init__(self, n_particles: int, amps: Mapping | None = None):
         """`amps` maps states to ints, Rationals or RadicalRationals; the
@@ -67,28 +66,23 @@ class StateVector:
         self._scale = RadicalRational(1, radicand or 1)
         self.basis_size = top + 1
         self._memo = {}
-        self._one_multiset = False
 
     @classmethod
     def _trusted(cls, n_particles: int, amps: dict, basis_size: int,
-                 scale: RadicalRational, one_multiset: bool = False,
-                 norm: RadicalRational | None = None) -> "StateVector":
+                 scale: RadicalRational) -> "StateVector":
         """Skip __init__'s checks: every key of `amps` must already be a
         tuple of n_particles nonnegative ints below basis_size, every value
-        a nonzero int or Rational, and `scale` nonzero; `one_multiset` only
-        when every key is an ordering of one multiset; `norm`, when given,
-        the squared norm the builder knows the vector has."""
+        a nonzero int or Rational, and `scale` nonzero."""
         v = cls.__new__(cls)
         v.n_particles, v._amps, v.basis_size, v._scale = n_particles, amps, basis_size, scale
-        v._memo = {} if norm is None else {"norm": norm}
-        v._one_multiset = one_multiset
+        v._memo = {}
         return v
 
     # -- inspection ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._amps
+        return not len(self)
 
     def items(self) -> list[tuple[tuple, RadicalRational]]:
         """Terms sorted lexicographically by product state; the terms that
@@ -125,39 +119,23 @@ class StateVector:
     def _one_body(self, slot: int) -> tuple[dict, list]:
         """What a one-body quantity of `slot` needs, computed once.
 
-        The weights {level: sum of squared values} add up the terms by the
-        level in `slot`; when every value has the same square (as on a
-        symmetrized state) they are that square times a count of the
-        levels, else they fold a tally of the terms by (level, value).  A
-        vector marked `_one_multiset` with as many terms as its orbit has
-        orderings holds the whole orbit, where level k fills each slot in
-        |orbit| m_k / N orderings, so the count is read off the multiset.
-        The cross groups [[(level, value), ...]] hold the terms that agree
-        on every other slot, two or more per group.  Two such terms differ
-        in one slot only, so they have different level multisets and
-        different level sums: a marked vector, or one whose terms all have
-        one level sum, has no groups, and its spectators are never counted.
+        The weights {level: sum of squared values} fold a tally of the
+        terms by (level in `slot`, value).  The cross groups [[(level,
+        value), ...]] hold the terms that agree on every other slot, two or
+        more per group.  Two such terms differ in one slot only, so they have
+        different level sums: a vector whose terms all have one level sum
+        has no groups, and its spectators are never counted.
         """
         key = ("slot", slot)
         memo = self._memo.get(key)
         if memo is None:
             amps = self._amps
             states, values = amps.keys(), amps.values()
-            squares = {a * a for a in set(values)}
-            if len(squares) == 1:
-                (square,) = squares
-                first = next(iter(states))
-                if self._one_multiset and _orbit_size(first, len(amps)) == len(amps):
-                    counts = {lv: len(amps) * m // len(first) for lv, m in Counter(first).items()}
-                else:
-                    counts = Counter(map(itemgetter(slot), states))
-                weights = {lv: n * square for lv, n in counts.items()}
-            else:
-                weights = {}
-                for (lv, a), n in Counter(zip(map(itemgetter(slot), states), values)).items():
-                    weights[lv] = weights.get(lv, 0) + n * a * a
+            weights = {}
+            for (lv, a), n in Counter(zip(map(itemgetter(slot), states), values)).items():
+                weights[lv] = weights.get(lv, 0) + n * a * a
             groups: dict = {}
-            if not self._one_multiset and len(set(map(sum, states))) > 1:
+            if len(set(map(sum, states))) > 1:
                 others = [j for j in range(self.n_particles) if j != slot]
                 spectator = itemgetter(*others) if others else (lambda s: ())
                 seen = Counter(map(spectator, states))
@@ -168,14 +146,14 @@ class StateVector:
         return memo
 
     def permuted(self, p: Permutation) -> "StateVector":
-        p = instance(p, Permutation, "permutation")
-        return StateVector._trusted(
-            self.n_particles,
-            {p.apply(s): a for s, a in self._amps.items()},
-            self.basis_size,
-            self._scale,
-            self._one_multiset,
-        )
+        """Each term's state moved as `Permutation.apply` moves it, by one
+        getter of the inverse mapping (the identity on N <= 1)."""
+        n = instance(p, Permutation, "permutation").n
+        if len(self) and n != self.n_particles:  # as `apply` refuses each term
+            raise InputError(f"state length {self.n_particles} != permutation order {n}")
+        move = itemgetter(*sorted(range(n), key=p.mapping.__getitem__)) if n > 1 else tuple
+        moved = dict(zip(map(move, self._amps), self._amps.values()))
+        return StateVector._trusted(self.n_particles, moved, self.basis_size, self._scale)
 
     def __repr__(self) -> str:
         body = " ".join(f"{s}:{a}" for s, a in self.items())
@@ -299,6 +277,36 @@ def _orbit_size(levels: tuple, limit: int) -> int | None:
     return size
 
 
+class _OrbitState(StateVector):
+    """A symmetrized state held as its levels in input order, |orbit| and
+    scale.  Every particle has the level distribution m_k/N, so its length,
+    norm, slot weights and tag need no terms; `_orbit` builds them once,
+    when `_amps` is first read (`items`, `==`, a dot, `permuted`)."""
+
+    __slots__ = ("_levels", "_size", "_tag", "_terms")
+
+    def __init__(self, levels: tuple[int, ...], antisymmetric: bool, size: int, scale: RadicalRational):
+        self.n_particles, self.basis_size, self._scale = len(levels), max(levels, default=-1) + 1, scale
+        self._levels, self._size, self._terms, self._memo = levels, size, None, {"norm": ONE}
+        # a swap negates it under 'A' on N >= 2; N <= 1 has no swap, and its one ordering has sign 1
+        self._tag = SymmetryTag.ANTISYMMETRIC if antisymmetric and len(levels) > 1 else SymmetryTag.SYMMETRIC
+
+    @property
+    def _amps(self) -> dict:
+        if self._terms is None:
+            self._terms = _orbit(self._levels, self._tag is SymmetryTag.ANTISYMMETRIC)
+        return self._terms
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _one_body(self, slot: int) -> tuple[dict, list]:
+        """Level k fills the slot in |orbit| m_k / N orderings, each of value
+        +-1; orderings of one multiset never differ in one slot only, so
+        there are no cross groups."""
+        return {lv: self._size * m // self.n_particles for lv, m in Counter(self._levels).items()}, []
+
+
 class SymmetrizeResult:
     """Output of symmetrize: the unit vector (or the zero vector when the
     alternating sum cancels), plus the squared norm of the raw
@@ -318,16 +326,14 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     """Symmetrized (parity 'S') or antisymmetrized ('A') unit vector.
 
     Repeated levels under 'A' cancel to the zero vector, which is reported
-    with is_zero rather than raised.  Built directly in normalized form:
-    1/sqrt(|orbit|) on each distinct ordering for 'S', with the raw norm
-    squared prod(m_k!); +-1/sqrt(N!) for 'A' on distinct levels, raw norm
-    squared 1.  The orderings and their signs come from `_orbit`:
-    `itertools.permutations` on distinct levels, staged insertion of one
-    distinct level at a time on repeated ones, both at C level, so each
-    ordering costs the building and hashing of its tuple.  The vector
-    carries its squared norm 1.  Cost and memory scale with
-    |orbit| = N!/prod(m_k!); more than MAX_SYMMETRIZE_N particles or
-    MAX_ORBIT orderings are refused.
+    with is_zero rather than raised.  Otherwise the vector is an
+    `_OrbitState` in normalized form: 1/sqrt(|orbit|) on each distinct
+    ordering for 'S', with the raw norm squared prod(m_k!); +-1/sqrt(N!)
+    for 'A' on distinct levels, raw norm squared 1.  It answers its norm,
+    slot weights and tag from the levels in O(N), and builds its orderings
+    and their signs by `_orbit` when its terms are read: cost and memory
+    then scale with |orbit| = N!/prod(m_k!).  More than MAX_SYMMETRIZE_N
+    particles or MAX_ORBIT orderings are refused before the state is built.
     """
     levels = _check_levels(levels)
     if parity not in ("S", "A"):
@@ -346,9 +352,7 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
         return SymmetrizeResult(StateVector(len(levels)), ZERO)
     # on distinct levels |orbit| = N!, so one scale serves both parities
     scale = rsqrt_of_rational(Fraction(1, orbit))
-    amps = _orbit(levels, parity == "A")
-    vector = StateVector._trusted(len(levels), amps, max(levels, default=-1) + 1, scale, True, ONE)
-    return SymmetrizeResult(vector, RadicalRational.of(repeats))
+    return SymmetrizeResult(_OrbitState(levels, parity == "A", orbit, scale), RadicalRational.of(repeats))
 
 
 # Integer numerators of the N = 3 orbit basis on the orderings o of three
@@ -375,8 +379,7 @@ def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
         raise InputError("defined for exactly three pairwise distinct levels")
     return tuple([
         StateVector._trusted(3, {(levels[a], levels[b], levels[c]): k for (a, b, c), k in p.items()},
-                             max(levels) + 1, rsqrt_of_rational(Fraction(1, sum(k * k for k in p.values()))),
-                             True, ONE)
+                             max(levels) + 1, rsqrt_of_rational(Fraction(1, sum(k * k for k in p.values()))))
         for p in (*_END_PATTERNS, *_MIXED_PATTERNS.values())
     ])
 
@@ -475,7 +478,7 @@ class SymmetryClass:
         return {"tag": self.tag.value, "pair": self.pair, "member": self.member}
 
 
-def _exchange_tag(amps: dict, one_multiset: bool = False) -> SymmetryTag:
+def _exchange_tag(amps: dict) -> SymmetryTag:
     """SYMMETRIC (ANTISYMMETRIC) when every transposition of particles maps
     the value map `amps` to itself (to its negation), else NONE.
 
@@ -485,9 +488,7 @@ def _exchange_tag(amps: dict, one_multiset: bool = False) -> SymmetryTag:
     levels fixes the state, and a = -a has no nonzero solution).  Each orbit
     is streamed once from `_orderings` and read whole, and is kept only when
     other terms are left; one larger than the terms left cannot fit and is
-    never built.  When `one_multiset` (every state an ordering of one
-    multiset) and the terms are as many as the orderings, the support is
-    that one orbit, so the S test reads only the values.
+    never built.
     """
     symmetric = antisymmetric = True
     left = amps.keys()
@@ -497,10 +498,6 @@ def _exchange_tag(amps: dict, one_multiset: bool = False) -> SymmetryTag:
         if size is None:
             return SymmetryTag.NONE
         distinct = len(set(first)) == len(first)
-        if one_multiset and size == len(left):
-            if list(amps.values()).count(amps[first]) == size:
-                return SymmetryTag.SYMMETRIC
-            symmetric = False
         orderings, signs = _orderings(first, distinct)
         if size < len(left):
             orderings = list(orderings)  # read again below, to take them out of `left`
@@ -521,7 +518,7 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     member of an N = 3 mixed-symmetry stable plane, or none of those."""
     if instance(v, StateVector, "vector").is_zero:
         raise ZeroVectorInput("cannot classify the zero vector")
-    tag = _exchange_tag(v._amps, v._one_multiset)
+    tag = v._tag if isinstance(v, _OrbitState) else _exchange_tag(v._amps)
     if tag is not SymmetryTag.NONE or v.n_particles != 3:
         return SymmetryClass(tag)
     # On three distinct levels, particle swaps and level relabellings are two

@@ -52,11 +52,12 @@ def _weights_str(weights) -> str:
 
 
 def _check_equal_share(parity: str):
-    res = symmetry.symmetrize((0, 1, 2), parity)
+    v = symmetry.symmetrize((0, 1, 2), parity).vector
     expected = [RadicalRational.of(Fraction(1, 3))] * 3
     ok = True
-    for i in range(3):
-        ok = ok and observables.occupancy_weights(res.vector, i) == expected
+    for u in (v, symmetry.StateVector(3, dict(v.items()))):  # its levels, then its terms
+        for i in range(3):
+            ok = ok and observables.occupancy_weights(u, i) == expected
     return ok, "per-particle level weights all 1/3", _weights_str(expected)
 
 
@@ -196,8 +197,9 @@ def _check_position_center(tol: float):
                 op = observables.box_position_operator(length, max(levels) + 1)
                 for parity in ("S", "A"):
                     vector = symmetry.symmetrize(levels, parity).vector
-                    for particle in range(n):
-                        x = observables.one_body_expectation(vector, op, particle)
+                    copy = symmetry.StateVector(n, dict(vector.items()))  # walked term by term
+                    for u, particle in itertools.product((vector, copy), range(n)):
+                        x = observables.one_body_expectation(u, op, particle)
                         worst = max(worst, abs(x - length / 2.0))
     return worst <= tol, f"max |<x_i> - L/2| = {worst:.3e}", f"<= {tol:g}"
 

@@ -17,7 +17,7 @@ from conftest import matrix, sign
 from idstat.config import ORBIT_BASIS_NAMES
 from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
 from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
-from idstat.observables import box_position_operator, occupancy_weights, one_body_expectation
+from idstat.observables import OneBodyOperator, box_position_operator, occupancy_weights, one_body_expectation
 from idstat.perm import Permutation
 from idstat.symmetry import (
     _MIXED_PATTERNS,
@@ -491,72 +491,111 @@ def test_classify_sees_one_wrong_amplitude():
         assert classify_symmetry(copy).tag is tag
 
 
-def _marked_vectors():
-    """Every vector the builders mark: symmetrized states on N <= 6 levels,
-    S and A, with and without repeats, in sorted and reversed order; the
-    orbit basis on two level orders; and a permutation of each."""
+def _orbit_states():
+    """Every symmetrized state on N <= 7 levels: each multiset of levels
+    0..3 with N <= 6, and the distinct levels 0..N-1 with N = 5..7, in
+    sorted and reversed order, under S and A; the zero vectors of A on
+    repeated levels are left out."""
+    multisets = [m for n in range(7) for m in combinations_with_replacement(range(4), n)]
+    multisets += [tuple(range(n)) for n in range(5, 8)]
     built = [symmetrize(levels[::order], parity).vector
-             for n in range(1, 7)
-             for levels in combinations_with_replacement(range(4), n)
-             for parity in "SA"
-             for order in (1, -1)]
-    built += [symmetrize((5, 0, 3, 1, 4, 2), parity).vector for parity in "SA"]
-    built = [v for v in built if not v.is_zero]
-    built += [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
-    cycle = lambda n: Permutation(tuple(range(1, n)) + (0,))
-    return built + [v.permuted(cycle(v.n_particles)) for v in built]
+             for levels in multisets for parity in "SA" for order in (1, -1)]
+    return [v for v in built if not v.is_zero]
 
 
-def test_builders_mark_vectors_of_one_level_multiset():
-    vectors = _marked_vectors()
-    assert len(vectors) > 600
-    for v in vectors:
-        assert v._one_multiset, v
-        assert len({tuple(sorted(s)) for s in v._amps}) == 1, v
-
-
-def test_public_vectors_and_residuals_are_not_marked():
-    v = symmetrize((0, 1, 2), "S").vector
-    copy = StateVector(3, dict(v.items()))
-    assert copy == v and not copy._one_multiset
-    assert not copy.permuted(Permutation((1, 2, 0)))._one_multiset
-    assert not product_state_vector((0, 1, 2))._one_multiset
-    basis = orbit_basis_n3((0, 1, 2))
-    for members in (basis[:2], basis):
-        _, residual = decompose(product_state_vector((0, 1, 2)), members)
-        assert not residual._one_multiset
-    assert not decompose(v, basis[2:])[1]._one_multiset  # v itself is marked
-
-
-def test_marked_vectors_match_their_unmarked_copies():
-    # A marked vector skips the search for cross groups; a copy through the
-    # public constructor runs it (and holds its values in other units).
-    exact_op = matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(6)] for i in range(6)])
-    ops = (exact_op, box_position_operator(1.7, 6))
-    for v in _marked_vectors():
-        copy = StateVector(v.n_particles, dict(v.items()))
-        assert not copy._one_multiset and copy.norm_squared() == v.norm_squared() == 1
-        for i in range(v.n_particles):
+def test_orbit_states_answer_as_their_term_walk():
+    # What an orbit state reads off its levels is what a copy through the
+    # public constructor gets by walking its terms (and the copy holds its
+    # values in units of the bare root, not +-1).
+    exact_op = matrix([[Fraction(i * j + 1, i + j + 2) - (i == j) for j in range(7)] for i in range(7)])
+    ops = (exact_op, box_position_operator(1.7, 7))
+    states, tags = _orbit_states(), set()
+    assert {v.n_particles for v in states} == set(range(8)) and len(states) == 464
+    for v in states:
+        n = v.n_particles
+        copy = StateVector(n, dict(v.items()))
+        assert type(v) is not StateVector and type(copy) is StateVector
+        assert v.items() == copy.items() and len(v) == len(copy) and not v.is_zero and not copy.is_zero
+        assert v.norm_squared() == copy.norm_squared() == ONE
+        for i in range(n):
             weights, groups = v._one_body(i)
             copy_weights, copy_groups = copy._one_body(i)
             assert groups == copy_groups == []
             assert {lv: v._square() * w for lv, w in weights.items()} == {
-                lv: copy._square() * w for lv, w in copy_weights.items()}
-            assert occupancy_weights(copy, i) == occupancy_weights(v, i)
+                lv: copy._square() * w for lv, w in copy_weights.items()}, (v, i)
+            assert occupancy_weights(v, i) == occupancy_weights(copy, i)
             for op in ops:
                 got, want = one_body_expectation(v, op, i), one_body_expectation(copy, op, i)
                 assert got == want and type(got) is type(want), (v, i)
+        tag = classify_symmetry(v)
+        assert tag == classify_symmetry(copy), v
+        tags.add(tag.tag)
+        if n == 3:
+            levels = v.items()[0][0]
+            basis = orbit_basis_n3(levels if len(set(levels)) == 3 else (0, 1, 2))
+            assert decompose(v, basis) == decompose(copy, basis), v
+    assert tags == {SymmetryTag.SYMMETRIC, SymmetryTag.ANTISYMMETRIC}
 
 
-def test_marked_vectors_get_the_tags_of_their_unmarked_copies():
-    # A marked vector's S test reads its values only; a copy through the
-    # public constructor streams its orbit for both tests.
+def test_orbit_states_build_no_terms_for_o_n_answers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the orbit was built")
+
+    monkeypatch.setattr("idstat.symmetry._orbit", refuse)
+    monkeypatch.setattr("idstat.symmetry._orderings", refuse)
+    energies = OneBodyOperator.diagonal(range(1, 10))
+    for parity, tag in (("A", SymmetryTag.ANTISYMMETRIC), ("S", SymmetryTag.SYMMETRIC)):
+        v = symmetrize((3, 1, 4, 0, 5, 2, 8, 6, 7), parity).vector  # 9! orderings
+        assert len(v) == math.factorial(9) and not v.is_zero and v.norm_squared() == ONE
+        for i in (0, 4, 8):
+            assert occupancy_weights(v, i) == [RadicalRational.of(Fraction(1, 9))] * 9
+            assert one_body_expectation(v, energies, i) == 5
+            assert one_body_expectation(v, box_position_operator(2.0, 9), i) == 1.0
+        assert classify_symmetry(v) == SymmetryClass(tag)
+
+
+def test_permuted_states_and_basis_members_get_the_tags_of_their_copies():
+    # A permuted orbit state and an orbit basis member are plain vectors:
+    # each streams its orbit for both tests, in its own value units.
+    cycle = lambda n: Permutation(tuple(range(1, n)) + (0,))
+    vectors = [v.permuted(cycle(v.n_particles)) for v in _orbit_states() if 1 <= v.n_particles <= 6]
+    vectors += [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
     tags = set()
-    for v in _marked_vectors():
+    for v in vectors:
         got = classify_symmetry(v)
         assert got == classify_symmetry(StateVector(v.n_particles, dict(v.items()))), v
         tags.add(got.tag)
     assert tags == {SymmetryTag.SYMMETRIC, SymmetryTag.ANTISYMMETRIC, SymmetryTag.MIXED}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+def test_permuted_moves_each_term_as_apply_does(n):
+    # one getter of the inverse mapping against Permutation.apply per term,
+    # on S, A and mixed vectors; N <= 1 has only the identity
+    rng = random.Random(f"permuted-{n}")
+    levels = tuple(rng.sample(range(n + 3), n))
+    mixed = StateVector(n, {tuple(rng.choices(range(4), k=n)): Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))
+                            for _ in range(40)})
+    identity = tuple(range(n))
+    perms = {Permutation(identity), Permutation(identity[::-1])}
+    perms |= {Permutation(rng.sample(identity, n)) for _ in range(3)}
+    for v in [symmetrize(levels, parity).vector for parity in "SA"] + [mixed]:
+        for p in perms:
+            got = v.permuted(p)
+            assert got._amps == {p.apply(s): a for s, a in v._amps.items()}, (v, p)
+            assert (got.n_particles, got.basis_size, got._scale) == (v.n_particles, v.basis_size, v._scale)
+
+
+def test_permuted_refuses_as_apply_does():
+    v = symmetrize((0, 1, 2), "A").vector
+    with pytest.raises(InputError) as got:
+        v.permuted(Permutation((1, 0)))
+    with pytest.raises(InputError) as want:
+        Permutation((1, 0)).apply((0, 1, 2))
+    assert str(got.value) == str(want.value) == "state length 3 != permutation order 2"
+    with pytest.raises(InputError, match="permutation must be a Permutation, got tuple"):
+        v.permuted((1, 0, 2))
+    assert StateVector(3).permuted(Permutation((1, 0))).is_zero  # no term to refuse
 
 
 def test_classify_long_product_states():
@@ -661,40 +700,13 @@ def test_distinct_orderings_are_the_permutations_with_their_signs(n):
         assert list(unsigned[0]) == keys and list(unsigned[1]) == [1] * len(keys)
 
 
-def _full_orbit_vectors():
-    """Marked vectors holding their whole orbit: symmetrized states on up
-    to 7 levels, S and A, distinct and repeated, in two orders, and a
-    permutation of each."""
-    shapes = [tuple(range(n)) for n in range(1, 8)]
-    shapes += [(0, 0, 1), (0, 1, 1, 1), (0, 0, 1, 2, 2), (3, 3, 3, 0, 1, 1), (0, 0, 1, 1, 2, 2, 3)]
-    built = [symmetrize(levels[::order], parity).vector
-             for levels in shapes for parity in "SA" for order in (1, -1)]
-    built = [v for v in built if not v.is_zero]
-    cycle = lambda n: Permutation(tuple(range(1, n)) + (0,))
-    return built + [v.permuted(cycle(v.n_particles)) for v in built]
-
-
-def test_full_orbit_weights_match_the_unmarked_count():
-    # the weights read off the multiset are the ones a count of the terms gives
-    vectors = _full_orbit_vectors()
-    assert any(len(v) == math.factorial(7) for v in vectors)
-    for v in vectors:
-        assert v._one_multiset and exchange_degeneracy_dimension(next(iter(v._amps))) == len(v)
-        copy = StateVector(v.n_particles, dict(v.items()))
-        for i in range(v.n_particles):
-            weights, groups = v._one_body(i)
-            copy_weights, copy_groups = copy._one_body(i)
-            assert groups == copy_groups == []
-            assert {lv: v._square() * w for lv, w in weights.items()} == {
-                lv: copy._square() * w for lv, w in copy_weights.items()}, (v, i)
-
-
-def test_unmarked_cross_groups_match_a_spectator_walk():
+def test_cross_groups_match_a_spectator_walk():
     # the level-sum pre-check drops no group: terms that agree on every
     # other slot, walked pair by pair
     S = lambda *levels: symmetrize(levels, "S").vector
     half = rsqrt_of_rational(Fraction(1, 2))
-    vectors = [StateVector(v.n_particles, dict(v.items())) for v in _full_orbit_vectors()[:12]]
+    vectors = [StateVector(n, dict(symmetrize(tuple(range(n))[::order], parity).vector.items()))
+               for n in range(1, 4) for parity in "SA" for order in (1, -1)]
     for u, w in ((S(0, 3), S(1, 2)), (S(0, 0, 1), S(0, 0, 2)), (S(0, 1, 2), S(0, 1, 3))):
         vectors.append(StateVector(u.n_particles, {s: a * half for s, a in [*u.items(), *w.items()]}))
     for v in vectors:
@@ -704,18 +716,6 @@ def test_unmarked_cross_groups_match_a_spectator_walk():
                 if any(t[:i] + t[i + 1:] == s[:i] + s[i + 1:] for t in v._amps if t != s):
                     want.setdefault(s[:i] + s[i + 1:], []).append((s[i], a))
             assert v._one_body(i)[1] == list(want.values()), (v, i)
-
-
-def test_builders_store_the_norm_a_recount_gives():
-    built = [symmetrize(levels, parity).vector
-             for levels in [(0,), (2, 0, 1), (1, 1, 0, 3), (4, 6, 5, 0, 3, 1, 2)] for parity in "SA"]
-    built += [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
-    built = [v for v in built if not v.is_zero]
-    assert len(built) == 19
-    for v in built:
-        assert v._memo == {"norm": ONE}, v  # stored when built, before any read
-        values = v._amps.values()
-        assert RadicalRational(v._square() * sum(map(mul, values, values))) == v.norm_squared() == ONE
 
 
 def test_orbit_edge_shapes():
