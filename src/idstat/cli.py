@@ -662,9 +662,11 @@ def _command_parser(name: str) -> _Parser:
         options.append(p.add_argument(*flags, **kwargs))
 
     add("--config", help="key=value config file")
-    add("--mode", choices=MODES, help="unit system")
+    if name in ("partition", "extensivity"):  # the commands that read the mode
+        add("--mode", choices=MODES, help="unit system")
     add("--output", choices=OUTPUT_FORMATS, help="output format")
-    add("--seed", type=int, help="seed for randomized sweeps")
+    if name == "verify-paper":  # the one command that reads the seed
+        add("--seed", type=int, help="seed for randomized sweeps")
     add("--out", help="write output to this file instead of stdout")
 
     group = ()
@@ -758,7 +760,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         cfg = load_config(
-            args.config, overrides={"mode": args.mode, "output": args.output, "seed": args.seed}
+            args.config, overrides={key: getattr(args, key, None) for key in RunConfig.__slots__}
         )
         report = HANDLERS[args.command](args, cfg)
         text = report.render(cfg.output)

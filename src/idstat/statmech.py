@@ -513,7 +513,7 @@ def extensivity_report(
     for size in items(sizes, "sizes"):
         if len(size := items(size, "size")) != 2:
             raise InputError(f"a size must be a (V, N) pair, got {shown(size, repr)}")
-        V, N = real(size[0], "V", True), count(size[1], "N", 1)
+        N, V = count(size[1], "N", 1), real(size[0], "V", True)  # N first: --n-list 0 makes V = 0 too
         ln_Z = ln_Z_at(V, N)
         F = free_energy_from_ln_Z(ln_Z, T, k)
         F_single = free_energy_from_ln_Z(ln_Z_at(V / N, 1), T, k)

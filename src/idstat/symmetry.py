@@ -10,14 +10,13 @@ zero" means the amplitude map is empty, not "small".
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, groupby, permutations, repeat
-from operator import itemgetter, mul, neg
+from operator import eq, itemgetter, mul, neg
 from typing import Iterable, Literal, Sequence
 
 from .config import ORBIT_BASIS_NAMES
@@ -122,9 +121,8 @@ class StateVector:
         The weights {level: sum of squared values} fold a tally of the
         terms by (level in `slot`, value).  The cross groups [[(level,
         value), ...]] hold the terms that agree on every other slot, two or
-        more per group.  Two such terms differ in one slot only, so they have
-        different level sums: a vector whose terms all have one level sum
-        has no groups, and its spectators are never counted.
+        more per group, found by one count of the spectators (the other
+        slots) of each term.  An orbit state answers both from its levels.
         """
         key = ("slot", slot)
         memo = self._memo.get(key)
@@ -135,13 +133,12 @@ class StateVector:
             for (lv, a), n in Counter(zip(map(itemgetter(slot), states), values)).items():
                 weights[lv] = weights.get(lv, 0) + n * a * a
             groups: dict = {}
-            if len(set(map(sum, states))) > 1:
-                others = [j for j in range(self.n_particles) if j != slot]
-                spectator = itemgetter(*others) if others else (lambda s: ())
-                seen = Counter(map(spectator, states))
-                for s, a in amps.items():
-                    if seen[spec := spectator(s)] > 1:
-                        groups.setdefault(spec, []).append((s[slot], a))
+            others = [j for j in range(self.n_particles) if j != slot]
+            spectator = itemgetter(*others) if others else (lambda s: ())
+            seen = Counter(map(spectator, states))
+            for s, a in amps.items():
+                if seen[spec := spectator(s)] > 1:
+                    groups.setdefault(spec, []).append((s[slot], a))
             memo = self._memo[key] = (weights, list(groups.values()))
         return memo
 
@@ -185,7 +182,6 @@ MAX_SYMMETRIZE_N = 14
 MAX_DEGENERACY_LABELS = 10**5
 
 
-@functools.lru_cache(maxsize=128)  # every orbit of a shape reuses its stages; N <= 8 has 83
 def _insertions(n: int, m: int, size: int) -> tuple[tuple, tuple]:
     """Every way to insert m copies of a new level among n placed ones.
 
@@ -194,7 +190,8 @@ def _insertions(n: int, m: int, size: int) -> tuple[tuple, tuple]:
     so the new level's copies sit at n .. n + m - 1.  Each choice c of m
     positions out of n + m is one getter that moves them there and keeps
     the tail, with the parity of the inversions it adds: the copy at c[i]
-    has n - c[i] + i placed (smaller) levels after it.
+    has n - c[i] + i placed (smaller) levels after it.  Nothing is cached:
+    only a repeated-level orbit state whose terms are read builds these.
     """
     getters, odd = [], []
     for c in combinations(range(n + m), m):
@@ -258,23 +255,6 @@ def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
     `signed`, else to 1."""
     keys, values = _orderings(levels, signed)
     return dict(zip(keys, values)) if signed else dict.fromkeys(keys, 1)
-
-
-def _orbit_size(levels: tuple, limit: int) -> int | None:
-    """The number of distinct orderings of `levels`, or None when it is
-    above `limit`.  The count grows by the stages of `_orderings`, m copies
-    placed among n levels multiplying it by comb(n, m), and the first stage
-    past `limit` ends it: comb(n, m) >= n when 0 < m < n, so a long level
-    list is answered before any large binomial is taken."""
-    size, n = 1, 0
-    for m in (len(list(copies)) for _, copies in groupby(sorted(levels))):
-        n += m
-        if m < n and n > limit:
-            return None
-        size *= math.comb(n, m)
-        if size > limit:
-            return None
-    return size
 
 
 class _OrbitState(StateVector):
@@ -479,37 +459,25 @@ class SymmetryClass:
 
 
 def _exchange_tag(amps: dict) -> SymmetryTag:
-    """SYMMETRIC (ANTISYMMETRIC) when every transposition of particles maps
-    the value map `amps` to itself (to its negation), else NONE.
-
-    That holds exactly when the support is a union of whole orbits and the
-    values on each orbit are one value a (a times the sign of each ordering
-    relative to the first, on distinct levels only: a swap of two equal
-    levels fixes the state, and a = -a has no nonzero solution).  Each orbit
-    is streamed once from `_orderings` and read whole, and is kept only when
-    other terms are left; one larger than the terms left cannot fit and is
-    never built.
+    """SYMMETRIC (ANTISYMMETRIC) when every swap of two adjacent particles
+    maps the value map `amps` to itself (to its negation), else NONE: those
+    swaps generate S_N, and the sign is a homomorphism.  Each swap maps the
+    states by one getter.  A swap that fixes every term takes one comparison
+    per term and no getter, and fails A, since v = -v has no nonzero solution.
     """
+    states, values = list(amps), list(amps.values())
+    negated = list(map(neg, values))
+    n = len(states[0])
     symmetric = antisymmetric = True
-    left = amps.keys()
-    while left:
-        first = next(iter(left))
-        size = _orbit_size(first, len(left))
-        if size is None:
-            return SymmetryTag.NONE
-        distinct = len(set(first)) == len(first)
-        orderings, signs = _orderings(first, distinct)
-        if size < len(left):
-            orderings = list(orderings)  # read again below, to take them out of `left`
-        values = list(map(amps.get, orderings))
-        if None in values:  # an ordering outside the support
-            return SymmetryTag.NONE
-        a = amps[first]
-        symmetric = symmetric and values.count(a) == len(values)
-        antisymmetric = antisymmetric and distinct and values == list(map(mul, signs, repeat(a)))
+    for i in range(n - 1):
+        if all(map(eq, map(itemgetter(i), states), map(itemgetter(i + 1), states))):
+            antisymmetric = False
+        else:
+            moved = list(map(amps.get, map(itemgetter(*range(i), i + 1, i, *range(i + 2, n)), states)))
+            symmetric = symmetric and moved == values
+            antisymmetric = antisymmetric and moved == negated
         if not (symmetric or antisymmetric):
             return SymmetryTag.NONE
-        left = left - set(orderings) if size < len(left) else ()
     return SymmetryTag.SYMMETRIC if symmetric else SymmetryTag.ANTISYMMETRIC
 
 
@@ -527,7 +495,7 @@ def classify_symmetry(v: StateVector) -> SymmetryClass:
     # levels other than some c maps it to +v (pair 1) or -v (pair 2);
     # swapping particles 1 and 2 then picks the member.
     states, values = list(v._amps), list(v._amps.values())
-    signs = _orbit(states[0], True)
+    signs = {(states[0][a], states[0][b], states[0][c]): k for (a, b, c), k in _SIGNS.items()}
     on_orbit = len(signs) == 6 and signs.keys() >= v._amps.keys()
     if on_orbit and not sum(values) and not sum(map(mul, map(signs.get, states), values)):
         opposite = [-a for a in values]

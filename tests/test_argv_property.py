@@ -67,7 +67,7 @@ EPSILON_ENTRIES = ("1", "2", "3", "1/2", "-5/3", "0.25", "1/0", "1_0", "-0", "na
 SIZES = ("0", "-1", "1", "2", "3", "20", "21", str(10**20), "2.5", "1e3", "x")
 SEEDS = ("0", "1", "7", str(2**64), "-1", "1.5", "x")
 COMMAND_POOLS = {
-    "occupations": {"n_levels": SIZES, "n_particles": SIZES, "seed": SEEDS,
+    "occupations": {"n_levels": SIZES, "n_particles": SIZES,
                     "stat": ("be", "fd", "mb-nn", "mb-fact", " FD ", "BE", "boltzmann", "bose-einstein")},
     "verify-paper": {"seed": SEEDS},
 }

@@ -575,6 +575,15 @@ def test_extensivity_n_list_past_the_float_range_refused(capsys):
     assert "out of float range" in err and "--n-list" in err
 
 
+@pytest.mark.parametrize("n_list", ["0", "-1", "2,0"])
+def test_extensivity_n_list_below_one_refused_by_N(n_list, capsys):
+    # V = per-volume * N is not positive either; the refusal names the N the user gave
+    argv = ["extensivity", "--stat", "mb-fact", "--T", "1", "--n-list", n_list]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: N must be an integer >= 1, got {n_list.split(',')[-1]}\n", err
+
+
 @pytest.mark.parametrize("stat", ["mb-nn", "mb-fact"])
 def test_partition_mb_N_past_the_float_range_refused(stat, capsys):
     # N ln z1 and ln N! have no float for a 401-digit N
@@ -1019,6 +1028,24 @@ def test_help_exits_zero(capsys):
     assert run_cli(["partition", "--help"], capsys)[0] == 0
 
 
+READERS = {"--mode": ("partition", "extensivity"), "--seed": ("verify-paper",)}
+
+
+@pytest.mark.parametrize("option", sorted(READERS))
+def test_mode_and_seed_are_options_only_where_read(option, capsys):
+    # every other command refuses them as unknown, as plain argv and with the value attached
+    value = {"--mode": "si", "--seed": "7"}[option]
+    for name, parser in build_parser().commands.items():
+        flags = {f for a in parser._actions for f in a.option_strings}
+        assert (option in flags) == (name in READERS[option]), name
+        if name in READERS[option]:
+            continue
+        argv = next(argv for argv in CORPUS.values() if argv[0] == name)
+        for extra in ([option, value], [f"{option}={value}"]):
+            code, out, err = run_cli([*argv, *extra], capsys)
+            assert (code, out) == (2, "") and err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+
+
 # -- argument dispatch ------------------------------------------------------
 
 
@@ -1060,11 +1087,13 @@ def test_one_pass_parses_as_the_top_level_parser(tmp_path):
         [*partition[:7], "--beta=1"], [*partition[:7], "--bet", "1"], [*partition[:5], "-N2", "--beta", "1"],
         [*partition[:3], "--levels", "--beta", "1", "-N", "2"], [*partition, "--levels"],
         [*partition[:3], "--levels", "", *partition[5:]], [*partition[:3], "--levels", " ", *partition[5:]],
-        [*partition, "--out", ""], [*partition, "--seed", " "], [*partition, "--seed", ""], [*partition, "--out", "-"],
+        [*partition, "--out", ""], ["verify-paper", "--seed", " "], ["verify-paper", "--seed", ""], [*partition, "--out", "-"],
         ["classify", "--product", "--product", "--levels", "a,b,c"],
         ["classify", "--product", "--member", "s1", "--levels", "a,b,c"],
         ["classify", "--member", "s9", "--levels", "a,b,c"], ["classify", "-p", "S", "-l", "a,b", "-l", "a,c"],
-        [*partition, "--seed", "1.5"], [*partition, "--seed", " 7 "], [*partition, "--beta", "0"],
+        ["verify-paper", "--seed", "1.5"], ["verify-paper", "--seed", " 7 "], [*partition, "--beta", "0"],
+        # an option only another command reads
+        [*partition, "--seed", "7"], ["verify-paper", "--mode", "si"],
     ]
     parser = build_parser()
     for argv in argvs:

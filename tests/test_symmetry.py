@@ -423,14 +423,24 @@ def test_classify_builds_no_copies_small_vectors(monkeypatch):
 def test_classify_vectors_on_several_orbits(monkeypatch):
     # The support may be several orbits: S (A) needs each one whole, with
     # its own value (times the sign); some sums drop a term or change one.
-    rng, vectors = random.Random(26), []
-    for _ in range(300):
-        n, amps = rng.randint(2, 4), {}
-        for _ in range(rng.randint(2, 3)):
-            levels, value, parity = [rng.randrange(4) for _ in range(n)], rng.choice((1, -1, 2, 3)), rng.choice("SA")
-            for p in set(permutations(range(n))):
-                state = tuple(levels[i] for i in p)
-                amps[state] = amps.get(state, 0) + value * (sign(Permutation(p)) if parity == "A" else 1)
+    # Other maps repeat one pair of adjacent slots in every term, so that
+    # swap fixes them all: S may hold there, A never does.
+    rng, vectors, fixed = random.Random(26), [], []
+    for _ in range(400):
+        n, amps = rng.randint(1, 5), {}
+        pair = n > 1 and rng.random() < 0.2
+        if pair:
+            j, constant = rng.randrange(n - 1), rng.random() < 0.5
+            for _ in range(rng.randint(1, 4)):
+                levels = [rng.randrange(3)] * n if constant else [rng.randrange(3) for _ in range(n)]
+                levels[j + 1] = levels[j]
+                amps[tuple(levels)] = rng.choice((1, -1, 2))
+        else:
+            for _ in range(rng.randint(2, 3)):
+                levels, value, parity = [rng.randrange(4) for _ in range(n)], rng.choice((1, -1, 2, 3)), rng.choice("SA")
+                for p in set(permutations(range(n))):
+                    state = tuple(levels[i] for i in p)
+                    amps[state] = amps.get(state, 0) + value * (sign(Permutation(p)) if parity == "A" else 1)
         amps = {s: a for s, a in amps.items() if a}
         if amps and rng.random() < 0.3:
             state = rng.choice(sorted(amps))
@@ -440,8 +450,11 @@ def test_classify_vectors_on_several_orbits(monkeypatch):
                 amps[state] += 1
         if amps:
             vectors.append(StateVector(n, amps))
+            fixed.append(pair)
     expected = [_tag_by_permuted_copies(v) for v in vectors]
     assert {SymmetryTag.SYMMETRIC, SymmetryTag.ANTISYMMETRIC, None} <= set(expected)
+    assert {tag for tag, pair in zip(expected, fixed) if pair} == {SymmetryTag.SYMMETRIC, None}
+    assert {v.n_particles for v in vectors} == {1, 2, 3, 4, 5}
     _forbid_copies(monkeypatch)
     for v, tag in zip(vectors, expected):
         got = classify_symmetry(v).tag
@@ -606,6 +619,31 @@ def test_classify_long_product_states():
     assert classify_symmetry(product_state_vector((4,) * 19999 + (5,))).tag is SymmetryTag.NONE
     assert classify_symmetry(product_state_vector((5,) + (4,) * 19999)).tag is SymmetryTag.NONE
     assert time.perf_counter() - start < 2.0
+
+
+def test_classify_builds_no_orbit_for_plain_vectors(monkeypatch):
+    # Product states, public copies of orbit states and N = 3 basis members
+    # are tagged by adjacent swaps and the S_3 patterns: no orbit is built,
+    # not even for a two-term vector on 20000 particles.
+    vectors = [product_state_vector(levels) for n in range(7) for levels in itertools.product(range(3), repeat=n)]
+    vectors += [StateVector(v.n_particles, dict(v.items())) for v in _orbit_states() if v.n_particles <= 6]
+    expected = [SymmetryClass(_tag_by_permuted_copies(v) or SymmetryTag.NONE) for v in vectors]
+    basis = orbit_basis_n3((2, 0, 3))
+    vectors += basis
+    expected += [SymmetryClass(SymmetryTag(tag), pair, member) for tag, pair, member in
+                 [("symmetric", None, None), ("antisymmetric", None, None),
+                  ("mixed", 1, 1), ("mixed", 1, 2), ("mixed", 2, 1), ("mixed", 2, 2)]]
+    n = 20000
+    vectors += [StateVector(n, {(0,) * n: 1, (1,) * n: 2}), StateVector(n, {(0,) * n: 1, (0,) * (n - 1) + (1,): 1})]
+    expected += [SymmetryClass(SymmetryTag.SYMMETRIC), SymmetryClass(SymmetryTag.NONE)]
+
+    def refuse(*args):
+        raise AssertionError("an orbit was built")
+
+    monkeypatch.setattr("idstat.symmetry._orbit", refuse)
+    monkeypatch.setattr("idstat.symmetry._orderings", refuse)
+    for v, want in zip(vectors, expected):
+        assert classify_symmetry(v) == want, v
 
 
 def test_parity_sector_dimensions():
