@@ -15,7 +15,7 @@ import re
 import sys
 
 from .config import MODES, ORBIT_BASIS_NAMES, OUTPUT_FORMATS, RunConfig, load_config
-from .errors import IdstatError, InputError
+from .errors import IdstatError, InputError, count
 from .render import Report, fmt_float, table_text
 
 # Each handler imports the library modules it uses when it runs, so a fresh
@@ -526,8 +526,10 @@ def cmd_extensivity(args, cfg: RunConfig) -> Report:
     if args.sizes is not None:
         sizes = _parse_list(args.sizes, _size, "V:N")
     else:
+        # N before V, as extensivity_report reads them: an N below 1 is refused as N
+        ns = [count(n, "N", 1) for n in _parse_list(args.n_list, int, "integer")]
         try:
-            sizes = [(args.per_volume * n, n) for n in _parse_list(args.n_list, int, "integer")]
+            sizes = [(args.per_volume * n, n) for n in ns]
         except OverflowError:  # an N past the float range
             raise InputError("V = per-volume * N is out of float range: an --n-list entry is too large") from None
     if not sizes:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, instance, items, real, shown
 from .exactnum import ONE, ZERO, RadicalRational
@@ -106,22 +105,18 @@ def _sum_of_products(pairs) -> Fraction:
 def one_body_expectation(v: StateVector, op: OneBodyOperator, particle: int):
     """<v| O acting on `particle` |v>; a float when an entry it read is a float.
 
-    The diagonal part sum_k w_k O_kk, over the levels k with a nonzero
-    weight w_k of `occupancy_weights`, and the cross terms, which connect
-    only product states that agree on every slot except `particle`, are
-    summed exactly: a float entry converts without rounding, so a float
-    result is rounded once, at the end.
+    The sum of rho_ij O_ij over the entries of the particle's one-body
+    density rho (the weights of `occupancy_weights` on its diagonal, and
+    the cross terms of the product states that agree on every slot except
+    `particle` off it) is exact: a float entry converts without rounding,
+    so a float result is rounded once, at the end.
     """
     _check_particle(v, particle, "expectation")
     if instance(op, OneBodyOperator, "operator").dim < v.basis_size:
         raise InputError(f"operator dim {shown(op.dim)} < basis size {shown(v.basis_size)}")
     if v.norm_squared() != ONE:
         raise InputError("state vector must have norm squared exactly 1")
-    weights, groups = v._one_body(particle)
-    entry = op.entry
-    pairs = [(w, entry(lv, lv)) for lv, w in weights.items()]
-    # each unordered pair of a group once, doubled: O is symmetric
-    pairs += [(2 * ai * aj, entry(li, lj)) for group in groups for (li, ai), (lj, aj) in combinations(group, 2)]
+    pairs = [(w, op.entry(i, j)) for (i, j), w in v._one_body(particle).items()]
     value = RadicalRational(v._square() * _sum_of_products(pairs))
     return float(value) if any([isinstance(y, float) for _, y in pairs]) else value
 
@@ -146,6 +141,7 @@ def occupancy_weights(v: StateVector, particle: int) -> list[RadicalRational]:
         )
     square = v._square()
     by_level = [ZERO] * v.basis_size
-    for lv, w in v._one_body(particle)[0].items():
-        by_level[lv] = RadicalRational(square * w)
+    for (i, j), w in v._one_body(particle).items():
+        if i == j:
+            by_level[i] = RadicalRational(square * w)
     return by_level

@@ -36,7 +36,7 @@ class StateVector:
     values, each times the one scale of the vector.
 
     A vector is never changed after it is built, so the norm, the square of
-    the scale and the one-body weights of each slot are computed once and
+    the scale and the one-body density of each slot are computed once and
     kept in `_memo`.  `symmetrize` returns the subclass `_OrbitState`, which
     answers these from its levels and builds its terms only when they are
     read.
@@ -115,32 +115,27 @@ class StateVector:
             norm = self._memo["norm"] = RadicalRational(self._square() * sum(map(mul, values, values)))
         return norm
 
-    def _one_body(self, slot: int) -> tuple[dict, list]:
-        """What a one-body quantity of `slot` needs, computed once.
-
-        The weights {level: sum of squared values} fold a tally of the
-        terms by (level in `slot`, value).  The cross groups [[(level,
-        value), ...]] hold the terms that agree on every other slot, two or
-        more per group, found by one count of the spectators (the other
-        slots) of each term.  An orbit state answers both from its levels.
-        """
+    def _one_body(self, slot: int) -> dict:
+        """The one-body density of `slot` in value units, computed once:
+        {(i, j): sum of a*b} over the pairs of terms that agree on every
+        other slot and hold levels i <= j in `slot`, a term with itself on
+        the diagonal and both orders off it, found by one grouping of the
+        terms by their other slots.  An entry whose pairs cancel is kept, at
+        0.  An orbit state answers from its levels."""
         key = ("slot", slot)
-        memo = self._memo.get(key)
-        if memo is None:
-            amps = self._amps
-            states, values = amps.keys(), amps.values()
-            weights = {}
-            for (lv, a), n in Counter(zip(map(itemgetter(slot), states), values)).items():
-                weights[lv] = weights.get(lv, 0) + n * a * a
+        density = self._memo.get(key)
+        if density is None:
             groups: dict = {}
-            others = [j for j in range(self.n_particles) if j != slot]
-            spectator = itemgetter(*others) if others else (lambda s: ())
-            seen = Counter(map(spectator, states))
-            for s, a in amps.items():
-                if seen[spec := spectator(s)] > 1:
-                    groups.setdefault(spec, []).append((s[slot], a))
-            memo = self._memo[key] = (weights, list(groups.values()))
-        return memo
+            for s, a in self._amps.items():
+                groups.setdefault(s[:slot] + s[slot + 1:], []).append((s[slot], a))
+            density = self._memo[key] = {}
+            for group in groups.values():
+                for x, (i, a) in enumerate(group):
+                    density[i, i] = density.get((i, i), 0) + a * a
+                    for j, b in group[x + 1:]:
+                        ij = (i, j) if i < j else (j, i)
+                        density[ij] = density.get(ij, 0) + 2 * a * b
+        return density
 
     def permuted(self, p: Permutation) -> "StateVector":
         """Each term's state moved as `Permutation.apply` moves it, by one
@@ -170,11 +165,13 @@ def _dot(u: dict, v: dict):
 
 
 #: Largest permutation orbit (number of distinct orderings of the levels)
-#: that symmetrization builds; the work and memory grow with it, not with N!.
+#: whose terms a symmetrized state builds; the work and memory grow with it,
+#: not with N!.  Its length, norm, densities and tag answer past it.
 MAX_ORBIT = math.factorial(9)
-#: Most particles symmetrization takes.  The scale 1/sqrt(|orbit|), |orbit|
-#: <= MAX_ORBIT, meets no radicand cap; this cap keeps N! and prod(m_k!) short
-#: and refuses a long label list before any factorial of its length is taken.
+#: Most particles symmetrization takes.  The scale 1/sqrt(|orbit|) has a
+#: square-free radicand of primes up to N, so it meets no radicand cap; this
+#: cap keeps N! and prod(m_k!) short and refuses a long label list before any
+#: factorial of its length is taken.
 MAX_SYMMETRIZE_N = 14
 #: Most labels exchange_degeneracy_dimension takes.  Its division of N! by
 #: prod(m_k!) is quadratic in CPython: 10**5 labels take 0.2 s (all distinct)
@@ -182,86 +179,71 @@ MAX_SYMMETRIZE_N = 14
 MAX_DEGENERACY_LABELS = 10**5
 
 
-def _insertions(n: int, m: int, size: int) -> tuple[tuple, tuple]:
-    """Every way to insert m copies of a new level among n placed ones.
-
-    An ordering is a `size`-tuple whose first n slots hold the levels placed
-    so far and whose tail holds the levels still to place, smallest first,
-    so the new level's copies sit at n .. n + m - 1.  Each choice c of m
+def _insertions(n: int, m: int, size: int) -> tuple:
+    """Every way to insert m copies of a new level among n placed ones, as
+    getters: an ordering is a `size`-tuple whose first n slots hold the
+    levels placed so far and whose tail the levels still to place, smallest
+    first, so the copies sit at n .. n + m - 1, and each choice of m
     positions out of n + m is one getter that moves them there and keeps
-    the tail, with the parity of the inversions it adds: the copy at c[i]
-    has n - c[i] + i placed (smaller) levels after it.  Nothing is cached:
-    only a repeated-level orbit state whose terms are read builds these.
-    """
-    getters, odd = [], []
+    the tail.  Only a repeated-level orbit whose terms are read builds these."""
+    getters = []
     for c in combinations(range(n + m), m):
         placed = iter(range(n))
         getters.append(itemgetter(*[n if j in c else next(placed) for j in range(n + m)],
                                   *range(n + m, size)))
-        odd.append((m * n + m * (m - 1) // 2 - sum(c)) % 2)
-    return tuple(getters), tuple(odd)
+    return tuple(getters)
 
 
-def _orderings(levels: tuple[int, ...], signed: bool) -> tuple[Iterable, Iterable]:
-    """Each distinct ordering of `levels` once, and in step with them the
-    sign of the permutation taking `levels` to each (meaningful only for
-    distinct levels; all 1 unless `signed`), as two lazy iterables: the last
-    stage is never held in a list.
-
-    Distinct levels: the orderings are `itertools.permutations` of the
-    sorted levels, in lexicographic order.  Block d of that order, where the
-    first slot holds the d-th smallest level, is the order of the other
-    levels with d more inversions, so its signs are (-1)^d times the signs
-    of one level fewer; each stream is built from the last by list
-    concatenation, and the last one is a chain of its blocks.
-
-    Repeated levels, where `permutations` would yield duplicates: staged
-    insertion builds the orderings one distinct level at a time, smallest
-    first, each stage mapping one getter of `_insertions` over the
-    orderings so far.  A new level is larger than every level placed, so an
-    ordering's sign is its parent's, negated when the insertion adds an odd
-    number of inversions.
-
-    Either way no Python step runs per ordering, and the parity of the
-    input order's inversions is applied once, to the first ordering's sign.
-    """
-    inversions = sum(x > y for i, x in enumerate(levels) for y in levels[i + 1 :]) if signed else 0
+def _orderings(levels: tuple[int, ...]) -> Iterable[tuple]:
+    """Each distinct ordering of `levels` once, lazily, with no Python step
+    per ordering.  Distinct levels: `itertools.permutations` of the sorted
+    levels, in lexicographic order.  Repeated levels, where `permutations`
+    would yield duplicates: staged insertion, one distinct level at a time,
+    smallest first, each stage mapping one getter of `_insertions` over the
+    orderings so far; the last stage is never held in a list."""
     first = tuple(sorted(levels))
-    sign = -1 if inversions % 2 else 1
-    if len(set(first)) == len(first) > 1:
-        if not signed:
-            return permutations(first), repeat(1, math.factorial(len(first)))
-        signs = [sign]  # of the orderings of j levels, j = 1 .. N - 1
-        for j in range(2, len(first)):
-            flipped = list(map(neg, signs))
-            signs = (signs + flipped) * (j // 2) + signs * (j % 2)
-        blocks = (signs, list(map(neg, signs)))
-        blocks = blocks * (len(first) // 2) + blocks[:1] * (len(first) % 2)
-        return permutations(first), chain.from_iterable(blocks)
+    if len(set(first)) == len(first):
+        return permutations(first)
     runs = [len(list(copies)) for _, copies in groupby(first)]
-    keys, values = [first], [sign]
-    n = runs[0] if runs else 0
+    orderings, n = [first], runs[0]
     for m in runs[1:]:
-        orderings, signs = list(keys), list(values)
-        getters, odd = _insertions(n, m, len(first))
-        keys = chain.from_iterable(map(map, getters, repeat(orderings)))
-        values = chain.from_iterable(map((signs, list(map(neg, signs))).__getitem__, odd))
+        orderings = chain.from_iterable(map(map, _insertions(n, m, len(first)), repeat(list(orderings))))
         n += m
-    return keys, values
+    return orderings
+
+
+def _signs(levels: tuple[int, ...]) -> Iterable[int]:
+    """In step with `_orderings` of distinct `levels`, the sign of the
+    permutation taking `levels` to each (repeated levels have no
+    antisymmetric orbit).  Block d of the lexicographic order, where the
+    first slot holds the d-th smallest level, has the signs of one level
+    fewer times (-1)^d; each stream is built from the last by list
+    concatenation, the last is a lazy chain of its blocks, and the parity of
+    the input order is applied once, to the first sign."""
+    inversions = sum(x > y for i, x in enumerate(levels) for y in levels[i + 1 :])
+    n = max(len(levels), 1)  # no levels have one ordering, as one level has
+    signs = [-1 if inversions % 2 else 1]  # of the orderings of j levels, j = 1 .. n - 1
+    for j in range(2, n):
+        flipped = list(map(neg, signs))
+        signs = (signs + flipped) * (j // 2) + signs * (j % 2)
+    blocks = (signs, list(map(neg, signs)))
+    return chain.from_iterable(blocks * (n // 2) + blocks[:1] * (n % 2))
 
 
 def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
-    """`_orderings` as one dict, each ordering mapped to its sign when
-    `signed`, else to 1."""
-    keys, values = _orderings(levels, signed)
-    return dict(zip(keys, values)) if signed else dict.fromkeys(keys, 1)
+    """`_orderings` as one dict, each ordering mapped to its `_signs` sign
+    when `signed` and the levels are distinct, else to 1."""
+    if signed and len(set(levels)) == len(levels):
+        return dict(zip(_orderings(levels), _signs(levels)))
+    return dict.fromkeys(_orderings(levels), 1)
 
 
 class _OrbitState(StateVector):
     """A symmetrized state held as its levels in input order, |orbit| and
     scale.  Every particle has the level distribution m_k/N, so its length,
-    norm, slot weights and tag need no terms; `_orbit` builds them once,
-    when `_amps` is first read (`items`, `==`, a dot, `permuted`)."""
+    norm, slot densities and tag need no terms; `_orbit` builds them once,
+    when `_amps` is first read (`items`, `==`, a dot, `permuted`), and an
+    orbit of more than MAX_ORBIT orderings is refused then."""
 
     __slots__ = ("_levels", "_size", "_tag", "_terms")
 
@@ -274,17 +256,21 @@ class _OrbitState(StateVector):
     @property
     def _amps(self) -> dict:
         if self._terms is None:
+            if self._size > MAX_ORBIT:
+                raise CapacityExceeded(
+                    f"symmetrization orbit of {self._size} product states exceeds cap {MAX_ORBIT} = 9!"
+                )
             self._terms = _orbit(self._levels, self._tag is SymmetryTag.ANTISYMMETRIC)
         return self._terms
 
     def __len__(self) -> int:
         return self._size
 
-    def _one_body(self, slot: int) -> tuple[dict, list]:
+    def _one_body(self, slot: int) -> dict:
         """Level k fills the slot in |orbit| m_k / N orderings, each of value
         +-1; orderings of one multiset never differ in one slot only, so
-        there are no cross groups."""
-        return {lv: self._size * m // self.n_particles for lv, m in Counter(self._levels).items()}, []
+        the density is diagonal."""
+        return {(lv, lv): self._size * m // self.n_particles for lv, m in Counter(self._levels).items()}
 
 
 class SymmetrizeResult:
@@ -310,10 +296,11 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
     `_OrbitState` in normalized form: 1/sqrt(|orbit|) on each distinct
     ordering for 'S', with the raw norm squared prod(m_k!); +-1/sqrt(N!)
     for 'A' on distinct levels, raw norm squared 1.  It answers its norm,
-    slot weights and tag from the levels in O(N), and builds its orderings
-    and their signs by `_orbit` when its terms are read: cost and memory
-    then scale with |orbit| = N!/prod(m_k!).  More than MAX_SYMMETRIZE_N
-    particles or MAX_ORBIT orderings are refused before the state is built.
+    slot densities and tag from the levels in O(N), and builds its
+    orderings, with their signs under 'A', by `_orbit` when its terms are
+    read: cost and memory then scale with |orbit| = N!/prod(m_k!), and more
+    than MAX_ORBIT orderings are refused then.  More than MAX_SYMMETRIZE_N
+    particles are refused before the state is built.
     """
     levels = _check_levels(levels)
     if parity not in ("S", "A"):
@@ -323,10 +310,6 @@ def symmetrize(levels: Sequence[int], parity: Parity) -> SymmetrizeResult:
             f"symmetrization of {len(levels)} particles exceeds cap {MAX_SYMMETRIZE_N}"
         )
     orbit = exchange_degeneracy_dimension(levels)
-    if orbit > MAX_ORBIT:
-        raise CapacityExceeded(
-            f"symmetrization orbit of {orbit} product states exceeds cap {MAX_ORBIT} = 9!"
-        )
     repeats = math.factorial(len(levels)) // orbit
     if parity == "A" and repeats > 1:
         return SymmetrizeResult(StateVector(len(levels)), ZERO)

@@ -584,6 +584,14 @@ def test_extensivity_n_list_below_one_refused_by_N(n_list, capsys):
     assert err == f"error: N must be an integer >= 1, got {n_list.split(',')[-1]}\n", err
 
 
+def test_extensivity_n_list_below_one_refused_by_N_before_V(capsys):
+    # a 401-digit N below 1 has no float V; N is read first and named
+    n_list = "-1" + "0" * 400
+    code, out, err = run_cli(["extensivity", "--stat", "mb-nn", "--T", "1", "--n-list", n_list], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: N must be an integer >= 1, got {n_list}\n", err
+
+
 @pytest.mark.parametrize("stat", ["mb-nn", "mb-fact"])
 def test_partition_mb_N_past_the_float_range_refused(stat, capsys):
     # N ln z1 and ln N! have no float for a 401-digit N
@@ -869,6 +877,26 @@ def test_symmetrize_particle_cap_refused_in_one_short_line(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     _refused(code, out, err, 4)
     assert err.startswith("error: symmetrization of ") and err.endswith(" particles exceeds cap 14\n")
+
+
+def test_orbit_states_past_the_orbit_cap_answer_from_their_levels(capsys):
+    # only the terms of an orbit past 9! orderings are refused: symmetrize
+    # prints them (exit 4), expect and classify answer without them
+    L14 = ",".join("abcdefghijklmn")
+    code, out, _ = run_cli(["expect", "--parity", "S", "--levels", "a," + L14[:-2], "--epsilon",
+                            ",".join(map(str, range(1, 14))), "--particle", "3"], capsys)
+    assert code == 0 and out.endswith(": 46/7 = 6.5714285714285712\n"), out
+    code, out, _ = run_cli(["classify", "--parity", "A", "--levels", L14], capsys)
+    assert code == 0 and out == f"parity:A state on ({L14}): tag = antisymmetric\n"
+    code, out, err = run_cli(["symmetrize", "-l", L14[:19], "-p", "S"], capsys)
+    _refused(code, out, err, 4)
+    assert err == "error: symmetrization orbit of 3628800 product states exceeds cap 362880 = 9!\n"
+    # A on repeated levels is the zero vector however long its orbit
+    code, out, _ = run_cli(["symmetrize", "-l", "a," + L14[:19], "-p", "A"], capsys)
+    assert code == 0 and out == f"parity A on (a,{L14[:19]}): zero vector (alternating sum cancels)\n"
+    code, out, err = run_cli(["decompose", "--parity", "S", "--levels", L14[:19]], capsys)
+    _refused(code, out, err, 2)
+    assert err == "error: defined for exactly three pairwise distinct levels\n"
 
 
 def test_partition_box_scale_out_of_float_range_refused(capsys):

@@ -27,6 +27,7 @@ from idstat.symmetry import (
     StateVector,
     _orbit,
     _orderings,
+    _signs,
     SymmetryClass,
     SymmetryTag,
     classify_symmetry,
@@ -531,11 +532,11 @@ def test_orbit_states_answer_as_their_term_walk():
         assert v.items() == copy.items() and len(v) == len(copy) and not v.is_zero and not copy.is_zero
         assert v.norm_squared() == copy.norm_squared() == ONE
         for i in range(n):
-            weights, groups = v._one_body(i)
-            copy_weights, copy_groups = copy._one_body(i)
-            assert groups == copy_groups == []
-            assert {lv: v._square() * w for lv, w in weights.items()} == {
-                lv: copy._square() * w for lv, w in copy_weights.items()}, (v, i)
+            # one density, in probability units: diagonal on both, since
+            # orderings of one multiset never differ in one slot only
+            density = {ij: v._square() * w for ij, w in v._one_body(i).items()}
+            assert density == {ij: copy._square() * w for ij, w in copy._one_body(i).items()}, (v, i)
+            assert all(i == j for i, j in density), (v, i)
             assert occupancy_weights(v, i) == occupancy_weights(copy, i)
             for op in ops:
                 got, want = one_body_expectation(v, op, i), one_body_expectation(copy, op, i)
@@ -701,66 +702,91 @@ def test_symmetrize_matches_symmetric_group_walk(n):
 
 
 @pytest.mark.parametrize("n", range(8))
-def test_orbit_matches_symmetric_group_walk(n):
-    # every ordering once; the sign of the permutation taking the input to
-    # it, on distinct levels
+def test_orbit_matches_symmetric_group_walk(n, monkeypatch):
+    # every distinct ordering once, each multiset in three input orders; the
+    # sign of the permutation taking the input to it on distinct levels, and
+    # no sign computed on repeated levels, which have no antisymmetric orbit
     for multiset in combinations_with_replacement(range(4), n):
         for levels in (multiset, multiset[::-1], multiset[1:] + multiset[:1]):
             want = {}
             for p, sign in _group(n):
                 want.setdefault(p.apply(levels), sign)
-            signed = _orbit(levels, True)
-            assert signed.keys() == want.keys() and set(signed.values()) <= {1, -1}, levels
+            orderings = list(_orderings(levels))
+            assert len(orderings) == len(set(orderings)) == len(want) and set(orderings) == want.keys(), levels
             if len(set(levels)) == n:
-                assert signed == want, levels
+                assert _orbit(levels, True) == want, levels
+            else:
+                with monkeypatch.context() as m:
+                    m.setattr("idstat.symmetry._signs", _refuse_signs)
+                    assert _orbit(levels, True) == dict.fromkeys(want, 1), levels
             assert _orbit(levels, False) == dict.fromkeys(want, 1), levels
+
+
+def _refuse_signs(levels):
+    raise AssertionError(f"signs computed for {levels}")
 
 
 def _inversions(seq) -> int:
     return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(8))
 def test_distinct_orderings_are_the_permutations_with_their_signs(n):
     # the distinct-level path on up to 7 levels, in three input orders: each
-    # ordering once, in lexicographic order, with the sign (-1)^inversions of
-    # the permutation of positions taking the input to it
+    # ordering once, in lexicographic order, and in step with them the sign
+    # (-1)^inversions of the permutation of positions taking the input to it
     rng = random.Random(f"orderings-{n}")
     levels = tuple(rng.sample(range(3 * n), n))
     for ordered in (tuple(sorted(levels)), tuple(sorted(levels, reverse=True)), levels):
-        keys, values = _orderings(ordered, True)
-        keys, values = list(keys), list(values)
+        keys, values = list(_orderings(ordered)), list(_signs(ordered))
         assert keys == sorted(permutations(ordered)) and len(values) == len(keys), ordered
         position = {lv: i for i, lv in enumerate(ordered)}
         for o, value in zip(keys, values):
             assert value == (-1) ** _inversions([position[lv] for lv in o]), (ordered, o)
-        unsigned = _orderings(ordered, False)
-        assert list(unsigned[0]) == keys and list(unsigned[1]) == [1] * len(keys)
 
 
-def test_cross_groups_match_a_spectator_walk():
-    # the level-sum pre-check drops no group: terms that agree on every
-    # other slot, walked pair by pair
+def test_density_matches_a_pairwise_walk():
+    # every ordered pair of terms that agree on every other slot adds a*b to
+    # the entry of its two levels, smaller first; public copies of orbit
+    # states, superpositions of two of them, and a vector whose two cross
+    # pairs of (0, 1) cancel, in each slot
     S = lambda *levels: symmetrize(levels, "S").vector
     half = rsqrt_of_rational(Fraction(1, 2))
     vectors = [StateVector(n, dict(symmetrize(tuple(range(n))[::order], parity).vector.items()))
-               for n in range(1, 4) for parity in "SA" for order in (1, -1)]
-    for u, w in ((S(0, 3), S(1, 2)), (S(0, 0, 1), S(0, 0, 2)), (S(0, 1, 2), S(0, 1, 3))):
+               for n in range(1, 5) for parity in "SA" for order in (1, -1)]
+    for u, w in ((S(0, 3), S(1, 2)), (S(0, 0, 1), S(0, 0, 2)), (S(0, 1, 2), S(0, 1, 3)),
+                 (S(0, 1, 2, 3), S(0, 1, 2, 4)), (S(0, 0, 1, 2), S(0, 0, 1, 3))):
         vectors.append(StateVector(u.n_particles, {s: a * half for s, a in [*u.items(), *w.items()]}))
+    h = Fraction(1, 2)
+    cancelling = StateVector(2, {(0, 0): h, (1, 0): h, (0, 1): h, (1, 1): -h})
+    vectors.append(cancelling)
+    assert {len(v) for v in vectors} >= {1, 2, 6, 24, 48} and {v.n_particles for v in vectors} == {1, 2, 3, 4}
     for v in vectors:
         for i in range(v.n_particles):
             want = {}
             for s, a in v._amps.items():
-                if any(t[:i] + t[i + 1:] == s[:i] + s[i + 1:] for t in v._amps if t != s):
-                    want.setdefault(s[:i] + s[i + 1:], []).append((s[i], a))
-            assert v._one_body(i)[1] == list(want.values()), (v, i)
+                for t, b in v._amps.items():
+                    if t[:i] + t[i + 1:] == s[:i] + s[i + 1:]:
+                        ij = tuple(sorted((s[i], t[i])))
+                        want[ij] = want.get(ij, 0) + a * b
+            assert v._one_body(i) == want, (v, i)
+    for i in range(2):
+        # the cancelled entry is kept, so its operator entry is still read: a float entry makes a float
+        assert cancelling._one_body(i) == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2), (0, 1): 0}
+        got = one_body_expectation(cancelling, box_position_operator(1.7, 2), i)
+        assert got == 0.85 and type(got) is float
+        got = one_body_expectation(cancelling, OneBodyOperator(lambda p, q: Fraction(p + 1) if p == q else 0.5, 2), i)
+        assert got == 1.5 and type(got) is float
 
 
-def test_orbit_edge_shapes():
+def test_orbit_edge_shapes(monkeypatch):
     for signed in (True, False):
         assert _orbit((), signed) == {(): 1}
         assert _orbit((5,), signed) == {(5,): 1}
-        assert _orbit((3,) * 14, signed) == {(3,) * 14: 1}
+    assert list(_signs(())) == list(_signs((5,))) == [1]
+    with monkeypatch.context() as m:  # fourteen copies of one level: no 13! signs
+        m.setattr("idstat.symmetry._signs", _refuse_signs)
+        assert _orbit((3,) * 14, True) == _orbit((3,) * 14, False) == {(3,) * 14: 1}
     levels = (3, 1, 4, 0, 5, 2, 8, 6, 7)
     signs = _orbit(levels, True)
     assert len(signs) == 362880 and sum(signs.values()) == 0
@@ -800,11 +826,22 @@ def test_parity_sector_dimensions_match_projector_images(n):
 
 
 def test_orbit_cap_counts_orderings_not_particles():
+    # Past MAX_ORBIT orderings a state still answers from its levels; only
+    # reading its terms is refused.
     assert MAX_ORBIT == math.factorial(9)
-    with pytest.raises(CapacityExceeded):
-        symmetrize(tuple(range(10)), "S")
-    with pytest.raises(CapacityExceeded):
-        symmetrize((0, 0) + tuple(range(1, 9)), "A")  # 10!/2 orderings
+    for levels, parity in (((4, 1, 0, 9, 2, 7, 3, 5, 8, 6), "S"), (tuple(range(10)), "A"),
+                           ((0, 0) + tuple(range(1, 9)), "S")):
+        v = symmetrize(levels, parity).vector
+        orbit = exchange_degeneracy_dimension(levels)
+        assert len(v) == orbit > MAX_ORBIT and not v.is_zero and v.norm_squared() == ONE
+        weights = [RadicalRational.of(Fraction(levels.count(k), 10)) for k in range(max(levels) + 1)]
+        assert occupancy_weights(v, 3) == weights
+        assert classify_symmetry(v).tag is (SymmetryTag.SYMMETRIC if parity == "S" else SymmetryTag.ANTISYMMETRIC)
+        for read in (v.items, lambda: v == v, lambda: decompose(v, [v]), lambda: v.permuted(Permutation(range(10)))):
+            with pytest.raises(CapacityExceeded) as info:
+                read()
+            assert str(info.value) == f"symmetrization orbit of {orbit} product states exceeds cap 362880 = 9!"
+    assert symmetrize((0, 0) + tuple(range(1, 9)), "A").is_zero  # 10!/2 orderings, no antisymmetric one
     res = symmetrize((0,) * 11 + (1,), "S")  # N = 12, orbit 12
     assert len(res.vector) == 12 and res.raw_norm_squared == math.factorial(11)
     assert symmetrize((0,) * 11 + (1,), "A").is_zero
