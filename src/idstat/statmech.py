@@ -300,7 +300,7 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     if n_max > MAX_CANONICAL_N:
         raise CapacityExceeded(f"N = {shown(n_max)} exceeds the canonical cap {MAX_CANONICAL_N}")
     energies = spectrum.energies
-    exp = math.exp
+    exp, nb = math.exp, -beta  # exp(nb * d) is exp(-beta * d): unary minus binds first
     fermions = stat is Statistics.FD
     ln_Z = [0.0]
     row = [1.0]  # Z_0 of the first 0..K levels, all 1
@@ -312,7 +312,7 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
             ground += top
             reach = _reach(energies, beta, top, QUIET + math.log(row[-1]))
             x = x[1:reach - n + 2] if n > 1 and top == energies[n - 2] else []  # a repeated top: row n-1's
-            x += [exp(-beta * (e - top)) for e in energies[n - 1 + len(x):reach]]
+            x += [exp(nb * (e - top)) for e in energies[n - 1 + len(x):reach]]
             row += [row[-1]] * (len(x) - len(row))  # row n-1 past its reach
         row = list(itertools.accumulate(map(mul, x, row)))
         if fermions:

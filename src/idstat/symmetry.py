@@ -15,6 +15,7 @@ from collections import Counter
 from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, groupby, permutations, repeat
 from operator import eq, itemgetter, mul, neg
 from typing import Iterable, Literal, Sequence
@@ -33,7 +34,7 @@ def _check_levels(levels: Sequence[int]) -> tuple[int, ...]:
 
 class StateVector:
     """Sparse map from product states to exact amplitudes: int or Rational
-    values, each times the one scale of the vector.
+    values, each times the one scale of the vector (an integral value is an int).
 
     A vector is never changed after it is built, so the norm, the square of
     the scale and the one-body density of each slot are computed once and
@@ -59,7 +60,7 @@ class StateVector:
                 if radicand not in (None, r):
                     raise InputError(f"radicands {radicand} and {r} share no scale")
                 radicand = r
-                clean[state] = q
+                clean[state] = q.numerator if q.denominator == 1 else q
                 top = max(top, max(state, default=-1))
         self._amps = clean
         self._scale = RadicalRational(1, radicand or 1)
@@ -100,12 +101,12 @@ class StateVector:
     # -- rational sums, one scale --------------------------------------
 
     def _square(self) -> Fraction:
-        """q^2 r for the scale q*sqrt(r): a sum of value products times this
-        is the sum of the amplitude products."""
+        """q^2 r for the scale q*sqrt(r), one Fraction: a sum of value
+        products times this is the sum of the amplitude products."""
         square = self._memo.get("square")
         if square is None:
             ((r, q),) = self._scale.items()
-            square = self._memo["square"] = q * q * r
+            square = self._memo["square"] = Fraction(q.numerator**2 * r, q.denominator**2)
         return square
 
     def norm_squared(self) -> RadicalRational:
@@ -159,9 +160,10 @@ def product_state_vector(levels: Sequence[int]) -> StateVector:
 
 
 def _dot(u: dict, v: dict):
-    """Sum of value products over the states two value maps share."""
+    """Sum of value products over the states two value maps share, in one
+    C-level pass over the smaller map: an int when both hold ints."""
     small, big = (u, v) if len(u) <= len(v) else (v, u)
-    return sum(a * b for s, a in small.items() if (b := big.get(s)) is not None)
+    return sum(map(mul, small.values(), map(big.get, small, repeat(0))))
 
 
 #: Largest permutation orbit (number of distinct orderings of the levels)
@@ -333,6 +335,11 @@ _SIGNS = _orbit((0, 1, 2), True)
 _END_PATTERNS = (dict.fromkeys(_SIGNS, 1), dict(zip(_SIGNS, map(neg, _SIGNS.values()))))
 
 
+@cache
+def _unit_scale(sum_of_squares: int) -> RadicalRational:  # 4, 6 or 12 for the basis
+    return rsqrt_of_rational(Fraction(1, sum_of_squares))
+
+
 def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
     """Orthonormal six-vector basis of the distinct-level orbit span, in
     ORBIT_BASIS_NAMES order: each member is its pattern's numerators on the
@@ -342,7 +349,7 @@ def orbit_basis_n3(levels: Sequence[int]) -> tuple[StateVector, ...]:
         raise InputError("defined for exactly three pairwise distinct levels")
     return tuple([
         StateVector._trusted(3, {(levels[a], levels[b], levels[c]): k for (a, b, c), k in p.items()},
-                             max(levels) + 1, rsqrt_of_rational(Fraction(1, sum(k * k for k in p.values()))))
+                             max(levels) + 1, _unit_scale(sum(map(mul, p.values(), p.values()))))
         for p in (*_END_PATTERNS, *_MIXED_PATTERNS.values())
     ])
 
@@ -352,40 +359,48 @@ def decompose(
 ) -> tuple[list[RadicalRational], StateVector]:
     """Exact coefficients of v in an orthonormal basis plus the residual.
 
-    The basis is verified orthonormal exactly first, from each member's
-    norm and the value dots between members: a member's scale is nonzero,
-    so two members are orthogonal exactly when their values are.  A
-    residual of zero (empty map) certifies the decomposition is complete.
-    The residual keeps v's scale: for a member b of scale q*sqrt(r),
-    <b|v> b is v's scale times the weight q^2 r (sum of b's values times
-    v's) times b's values.  The weights share one denominator, so the sum
-    of the projections is an int sum per state, and each residual value is
-    built once from it.
+    The basis is verified orthonormal exactly first, in pair order (i, i),
+    (i, i + 1), ..: a member of scale square n/d is a unit vector exactly
+    when n times its value dot with itself is d, and, its scale being
+    nonzero, two members are orthogonal exactly when their value dot is 0.
+    A residual of zero (empty map) certifies the decomposition is complete.
+    <b|v> is the value dot times the product of the scales, one
+    RadicalRational.  The residual keeps v's scale: for a member b of scale
+    q*sqrt(r), <b|v> b is v's scale times the weight q^2 r (value dot),
+    an int ratio, times b's values.  The weights share one denominator, so
+    the sum of the projections is an int sum per state, and each residual
+    value is built once from it, an int where it is integral.
     """
     v = instance(v, StateVector, "vector")
     basis = [instance(b, StateVector, "basis member") for b in items(basis, "basis")]
     for i, b in enumerate(basis):
-        for j in range(i, len(basis)):
-            if (b.norm_squared() != ONE) if i == j else _dot(b._amps, basis[j]._amps):
+        square = b._square()
+        if square.numerator * _dot(b._amps, b._amps) != square.denominator:
+            raise InputError(f"members {i} and {i} fail exact orthonormality")
+        for j in range(i + 1, len(basis)):
+            if _dot(b._amps, basis[j]._amps):
                 raise InputError(f"members {i} and {j} fail exact orthonormality")
     coeffs, weights = [], []
     for b in basis:
         if b.n_particles != v.n_particles:
             raise InputError("particle counts differ")
-        dot = _dot(b._amps, v._amps)
-        coeffs.append(b._scale * v._scale * dot if dot else ZERO)  # <b|v>
-        if dot:
-            weights.append((b._amps, b._square() * dot))
-    den = math.lcm(*[w.denominator for _, w in weights])
+        if not (dot := _dot(b._amps, v._amps)):
+            coeffs.append(ZERO)
+            continue
+        ((r, q),) = (b._scale * v._scale).items()  # the radicand cap is checked here
+        coeffs.append(RadicalRational(q * dot, r))  # <b|v>
+        square = b._square()
+        weights.append((b._amps, square.numerator * dot.numerator, square.denominator * dot.denominator))
+    den = math.lcm(*[d for _, _, d in weights])
     projected: dict = {}  # state -> den times the sum of the projections
-    for amps, w in weights:
-        k = w.numerator * (den // w.denominator)
+    for amps, n, d in weights:
+        k = n * (den // d)
         for s, a in amps.items():
             projected[s] = projected.get(s, 0) + k * a
     residual = dict(v._amps)
     for s, t in projected.items():
         if num := residual.get(s, 0) * den - t:
-            residual[s] = Fraction(num, den)
+            residual[s] = Fraction(num, den) if num % den else num // den
         else:
             residual.pop(s, None)
     top = max((max(s, default=-1) for s in residual), default=-1)

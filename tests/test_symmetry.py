@@ -16,7 +16,7 @@ import pytest
 from conftest import matrix, sign
 from idstat.config import ORBIT_BASIS_NAMES
 from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
-from idstat.exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
+from idstat.exactnum import _MAX_RADICAND, ONE, ZERO, RadicalRational, rsqrt_of_rational
 from idstat.observables import OneBodyOperator, box_position_operator, occupancy_weights, one_body_expectation
 from idstat.perm import Permutation
 from idstat.symmetry import (
@@ -212,6 +212,139 @@ def test_decompose_rejects_bad_basis():
         decompose(v, [v, v])
     with pytest.raises(InputError):
         decompose(v, [StateVector(2, {(0, 1): 2})])
+
+
+def _fraction_decompose(v, basis):
+    """Oracle: the decomposition on Fraction products that the integer sums
+    replaced, step for step: the Gram check by `norm_squared` and a dot per
+    pair, each coefficient as scale times scale times dot, and the residual
+    over the common denominator of Fraction weights, each value it builds a
+    Fraction.  Returns the coefficients and the residual's value map."""
+
+    def dot(u, w):
+        small, big = (u, w) if len(u) <= len(w) else (w, u)
+        return sum(a * b for s, a in small.items() if (b := big.get(s)) is not None)
+
+    for i, b in enumerate(basis):
+        for j in range(i, len(basis)):
+            if (b.norm_squared() != ONE) if i == j else dot(b._amps, basis[j]._amps):
+                raise InputError(f"members {i} and {j} fail exact orthonormality")
+    coeffs, weights = [], []
+    for b in basis:
+        if b.n_particles != v.n_particles:
+            raise InputError("particle counts differ")
+        d = dot(b._amps, v._amps)
+        coeffs.append(b._scale * v._scale * d if d else ZERO)
+        if d:
+            ((r, q),) = b._scale.items()
+            weights.append((b._amps, q * q * r * d))
+    den = math.lcm(*[w.denominator for _, w in weights])
+    projected = {}
+    for amps, w in weights:
+        k = w.numerator * (den // w.denominator)
+        for s, a in amps.items():
+            projected[s] = projected.get(s, 0) + k * a
+    residual = dict(v._amps)
+    for s, t in projected.items():
+        if num := residual.get(s, 0) * den - t:
+            residual[s] = Fraction(num, den)
+        else:
+            residual.pop(s, None)
+    return coeffs, residual
+
+
+def _decompositions_agree(v, levels):
+    """decompose and the Fraction oracle, each on a fresh basis (no memo
+    shared), give equal coefficients of one type and equal residuals."""
+    coeffs, residual = decompose(v, orbit_basis_n3(levels))
+    want, want_residual = _fraction_decompose(v, orbit_basis_n3(levels))
+    assert coeffs == want and list(map(type, coeffs)) == list(map(type, want)), (v, levels)
+    assert residual._amps == want_residual and residual._scale == v._scale, (v, levels)
+    assert residual.items() == StateVector._trusted(3, want_residual, residual.basis_size, v._scale).items()
+    return coeffs, residual
+
+
+def test_decompose_matches_the_fraction_oracle_on_every_level_order():
+    rng = random.Random(34)
+    roots = {2: rsqrt_of_rational(2), 3: rsqrt_of_rational(3)}
+    cases = residuals = 0
+    for triple in itertools.combinations(range(5), 3):
+        for levels in permutations(triple):
+            spare = next(lv for lv in range(5) if lv not in triple)
+            vectors = [product_state_vector(o) for o in permutations(levels)]
+            vectors += [product_state_vector((levels[0], levels[0], levels[1])),
+                        product_state_vector((spare, levels[1], levels[2]))]
+            vectors += list(orbit_basis_n3(levels)) + list(orbit_basis_n3((spare, levels[0], levels[2])))
+            vectors += [symmetrize(lv, p).vector for lv in (levels, (levels[0], levels[0], levels[2]),
+                                                             (levels[1], levels[2], spare)) for p in "SA"]
+            for _ in range(4):
+                states = list(permutations(levels)) + [(spare, levels[0], levels[1]), (levels[2],) * 3]
+                root = roots[rng.choice((2, 3))]
+                vectors.append(StateVector(3, {s: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * root
+                                               for s in rng.sample(states, rng.randint(1, len(states)))}))
+            for v in vectors:
+                if not v.is_zero:
+                    cases += 1
+                    residuals += not _decompositions_agree(v, levels)[1].is_zero
+    assert min(residuals, cases - residuals) > 600, (cases, residuals)  # partial and complete ones
+
+
+def test_decompose_stores_integral_residual_values_as_ints():
+    pair = StateVector(2, {(0, 1): INV_SQRT2, (1, 0): INV_SQRT2})
+    _, residual = decompose(StateVector(2, {(0, 1): 3, (1, 0): 1, (1, 1): 5}), [pair])
+    assert residual._amps == {(0, 1): 1, (1, 0): -1, (1, 1): 5}
+    assert {type(a) for a in residual._amps.values()} == {int}
+    _, residual = decompose(product_state_vector((0, 0, 1)), [symmetrize((0, 0, 1), "S").vector])
+    assert residual._amps == {(0, 0, 1): Fraction(2, 3), (0, 1, 0): Fraction(-1, 3), (1, 0, 0): Fraction(-1, 3)}
+
+
+def test_decompose_refuses_the_first_failing_pair_in_pair_order():
+    """One member with norm 4 and one copied member: the refusal names the
+    pair the Fraction oracle names first, on every placement of the two."""
+    base = orbit_basis_n3((2, 0, 1))
+    for bad in range(6):
+        for j, k in itertools.permutations([m for m in range(6) if m != bad], 2):
+            basis = list(base)
+            basis[bad] = StateVector(3, {s: 2 * a for s, a in base[bad].items()})
+            basis[k] = base[j]
+            messages = []
+            for run in (decompose, _fraction_decompose):
+                with pytest.raises(InputError) as info:
+                    run(product_state_vector((0, 1, 2)), basis)
+                messages.append(str(info.value))
+            first = min((bad, bad), tuple(sorted((j, k))))
+            assert messages == [f"members {first[0]} and {first[1]} fail exact orthonormality"] * 2
+
+
+def test_decompose_refuses_a_zero_member_and_a_radicand_past_the_cap():
+    basis = list(orbit_basis_n3((0, 1, 2)))
+    for at in (0, 3, 5):
+        with pytest.raises(InputError, match=f"^members {at} and {at} fail exact orthonormality$"):
+            decompose(product_state_vector((0, 1, 2)), basis[:at] + [StateVector(3)] + basis[at + 1:])
+    assert 2 * 999983 > _MAX_RADICAND  # 999983 is prime
+    member = StateVector(1, {(0,): INV_SQRT2, (1,): INV_SQRT2})
+    for run in (decompose, _fraction_decompose):
+        with pytest.raises(CapacityExceeded, match="^product radicand 1999966 exceeds cap"):
+            run(StateVector(1, {(0,): rsqrt_of_rational(999983)}), [member])
+        # a zero dot builds no scale product, so it meets no cap
+        coeffs, _ = run(StateVector(1, {(2,): rsqrt_of_rational(999983)}), [member])
+        assert coeffs == [ZERO]
+
+
+def test_state_vector_stores_integral_amplitudes_as_ints():
+    amps = {(0, 1): 3, (1, 0): Fraction(4, 2), (1, 1): Fraction(1, 2), (0, 0): RadicalRational.of(Fraction(-6, 3))}
+    v = StateVector(2, amps)
+    assert v._amps == {(0, 1): 3, (1, 0): 2, (1, 1): Fraction(1, 2), (0, 0): -2}
+    assert {s: type(a) for s, a in v._amps.items()} == {(0, 1): int, (1, 0): int, (1, 1): Fraction, (0, 0): int}
+    want = [((0, 0), -2), ((0, 1), 3), ((1, 0), 2), ((1, 1), Fraction(1, 2))]
+    assert v.items() == [(s, RadicalRational.of(Fraction(a))) for s, a in want]
+    assert all(type(a) is RadicalRational and type(a._q) is Fraction for _, a in v.items())
+    assert v.norm_squared() == RadicalRational.of(Fraction(69, 4))  # 4 + 9 + 4 + 1/4
+    assert v == StateVector(2, {s: Fraction(a) for s, a in want})
+    root = StateVector(2, {(0, 1): 2 * rsqrt_of_rational(2), (1, 0): -rsqrt_of_rational(2)})
+    assert root._amps == {(0, 1): 2, (1, 0): -1} and {type(a) for a in root._amps.values()} == {int}
+    assert root.items() == [((0, 1), 2 * rsqrt_of_rational(2)), ((1, 0), -rsqrt_of_rational(2))]
+    assert root.norm_squared() == 10 and root._square() == 2
 
 
 @pytest.mark.parametrize(
