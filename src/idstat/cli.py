@@ -24,21 +24,22 @@ from .render import Report, fmt_float, table_text
 
 class _Parser(argparse.ArgumentParser):
     """Raise instead of exiting so main() owns the exit code, and read a
-    value in exponent form such as -1e-3 as a negative number, which
-    argparse's own pattern (in every supported Python) takes for an option."""
+    token that starts with a negative number, such as -1e-3, -1,0 or -5/3,2,
+    as a value, which argparse's own pattern (in every supported Python)
+    takes for an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(rf"^(?:{_NEGATIVE})$")
+        self._negative_number_matcher = re.compile(_NEGATIVE)  # argparse calls .match: a prefix
 
     def error(self, message):
         raise InputError(message)
 
 
-#: A token that starts with "-" and that both parses read as a value: a
-#: negative number, plain or in exponent form.  No option string looks like
-#: a negative number here, so argparse never takes one for an option.
-_NEGATIVE = r"-\d+|-\d*\.\d+|-\d*\.?\d+[eE][+-]?\d+"
+#: How a token that both parses read as a value may start with "-": "-" or
+#: "-." then a digit, as a negative number, list or rational does.  No option
+#: string starts so here, so argparse never takes one for an option.
+_NEGATIVE = r"-\.?\d"
 
 
 # -- argument parsing helpers ------------------------------------------------
@@ -606,8 +607,8 @@ def _plain_parser(options: list, group: tuple):
 
     It takes an argv only when every token is an exact option string, each
     value follows its option as its own token and starts with no "-"
-    (unless it is a negative number), every value passes `type` and
-    `choices`, the required options are given and the group, if any, has
+    (unless it starts as a negative number does), every value passes
+    `type` and `choices`, the required options are given and the group, if any, has
     exactly one member given.  Then it returns the Namespace
     parse_args would; for any other argv it returns None, and parse_args,
     which owns usage, help, abbreviations and every refusal, reads it.
@@ -629,7 +630,7 @@ def _plain_parser(options: list, group: tuple):
                 value = action.const
             else:
                 text = next(tokens, "-")  # a missing value declines as "-" does
-                if text[:1] == "-" and not re.fullmatch(_NEGATIVE, text):
+                if text[:1] == "-" and not re.match(_NEGATIVE, text):
                     return None
                 try:
                     value = text if action.type is None else action.type(text)

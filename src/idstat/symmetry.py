@@ -23,7 +23,6 @@ from typing import Iterable, Literal, Sequence
 from .config import ORBIT_BASIS_NAMES
 from .errors import CapacityExceeded, InputError, ZeroVectorInput, count, instance, items, shown
 from .exactnum import ONE, ZERO, RadicalRational, rsqrt_of_rational
-from .perm import Permutation
 
 Parity = Literal["S", "A"]
 
@@ -36,14 +35,13 @@ class StateVector:
     """Sparse map from product states to exact amplitudes: int or Rational
     values, each times the one scale of the vector (an integral value is an int).
 
-    A vector is never changed after it is built, so the norm, the square of
-    the scale and the one-body density of each slot are computed once and
-    kept in `_memo`.  `symmetrize` returns the subclass `_OrbitState`, which
-    answers these from its levels and builds its terms only when they are
-    read.
+    A vector holds its terms and its scale and nothing else: the norm and
+    the one-body density of a slot are computed each time they are asked
+    for.  `symmetrize` returns the subclass `_OrbitState`, which answers
+    these from its levels and builds its terms only when they are read.
     """
 
-    __slots__ = ("n_particles", "basis_size", "_amps", "_scale", "_memo")
+    __slots__ = ("n_particles", "basis_size", "_amps", "_scale")
 
     def __init__(self, n_particles: int, amps: Mapping | None = None):
         """`amps` maps states to ints, Rationals or RadicalRationals; the
@@ -65,7 +63,6 @@ class StateVector:
         self._amps = clean
         self._scale = RadicalRational(1, radicand or 1)
         self.basis_size = top + 1
-        self._memo = {}
 
     @classmethod
     def _trusted(cls, n_particles: int, amps: dict, basis_size: int,
@@ -75,7 +72,6 @@ class StateVector:
         a nonzero int or Rational, and `scale` nonzero."""
         v = cls.__new__(cls)
         v.n_particles, v._amps, v.basis_size, v._scale = n_particles, amps, basis_size, scale
-        v._memo = {}
         return v
 
     # -- inspection ----------------------------------------------------
@@ -103,50 +99,33 @@ class StateVector:
     def _square(self) -> Fraction:
         """q^2 r for the scale q*sqrt(r), one Fraction: a sum of value
         products times this is the sum of the amplitude products."""
-        square = self._memo.get("square")
-        if square is None:
-            ((r, q),) = self._scale.items()
-            square = self._memo["square"] = Fraction(q.numerator**2 * r, q.denominator**2)
-        return square
+        ((r, q),) = self._scale.items()
+        return Fraction(q.numerator**2 * r, q.denominator**2)
 
     def norm_squared(self) -> RadicalRational:
-        norm = self._memo.get("norm")
-        if norm is None:
-            values = self._amps.values()
-            norm = self._memo["norm"] = RadicalRational(self._square() * sum(map(mul, values, values)))
-        return norm
+        """<v|v>: the square of the scale times the sum of the squared
+        values, summed when asked; an orbit state answers 1."""
+        values = self._amps.values()
+        return RadicalRational(self._square() * sum(map(mul, values, values)))
 
     def _one_body(self, slot: int) -> dict:
-        """The one-body density of `slot` in value units, computed once:
-        {(i, j): sum of a*b} over the pairs of terms that agree on every
-        other slot and hold levels i <= j in `slot`, a term with itself on
-        the diagonal and both orders off it, found by one grouping of the
+        """The one-body density of `slot` in value units, computed when
+        asked: {(i, j): sum of a*b} over the pairs of terms that agree on
+        every other slot and hold levels i <= j in `slot`, a term with itself
+        on the diagonal and both orders off it, found by one grouping of the
         terms by their other slots.  An entry whose pairs cancel is kept, at
         0.  An orbit state answers from its levels."""
-        key = ("slot", slot)
-        density = self._memo.get(key)
-        if density is None:
-            groups: dict = {}
-            for s, a in self._amps.items():
-                groups.setdefault(s[:slot] + s[slot + 1:], []).append((s[slot], a))
-            density = self._memo[key] = {}
-            for group in groups.values():
-                for x, (i, a) in enumerate(group):
-                    density[i, i] = density.get((i, i), 0) + a * a
-                    for j, b in group[x + 1:]:
-                        ij = (i, j) if i < j else (j, i)
-                        density[ij] = density.get(ij, 0) + 2 * a * b
+        groups: dict = {}
+        for s, a in self._amps.items():
+            groups.setdefault(s[:slot] + s[slot + 1:], []).append((s[slot], a))
+        density: dict = {}
+        for group in groups.values():
+            for x, (i, a) in enumerate(group):
+                density[i, i] = density.get((i, i), 0) + a * a
+                for j, b in group[x + 1:]:
+                    ij = (i, j) if i < j else (j, i)
+                    density[ij] = density.get(ij, 0) + 2 * a * b
         return density
-
-    def permuted(self, p: Permutation) -> "StateVector":
-        """Each term's state moved as `Permutation.apply` moves it, by one
-        getter of the inverse mapping (the identity on N <= 1)."""
-        n = instance(p, Permutation, "permutation").n
-        if len(self) and n != self.n_particles:  # as `apply` refuses each term
-            raise InputError(f"state length {self.n_particles} != permutation order {n}")
-        move = itemgetter(*sorted(range(n), key=p.mapping.__getitem__)) if n > 1 else tuple
-        moved = dict(zip(map(move, self._amps), self._amps.values()))
-        return StateVector._trusted(self.n_particles, moved, self.basis_size, self._scale)
 
     def __repr__(self) -> str:
         body = " ".join(f"{s}:{a}" for s, a in self.items())
@@ -243,15 +222,15 @@ def _orbit(levels: tuple[int, ...], signed: bool) -> dict:
 class _OrbitState(StateVector):
     """A symmetrized state held as its levels in input order, |orbit| and
     scale.  Every particle has the level distribution m_k/N, so its length,
-    norm, slot densities and tag need no terms; `_orbit` builds them once,
-    when `_amps` is first read (`items`, `==`, a dot, `permuted`), and an
-    orbit of more than MAX_ORBIT orderings is refused then."""
+    norm (1), slot densities and tag need no terms; `_orbit` builds them
+    once, when `_amps` is first read (`items`, `==`, a dot), and an orbit of
+    more than MAX_ORBIT orderings is refused then."""
 
     __slots__ = ("_levels", "_size", "_tag", "_terms")
 
     def __init__(self, levels: tuple[int, ...], antisymmetric: bool, size: int, scale: RadicalRational):
         self.n_particles, self.basis_size, self._scale = len(levels), max(levels, default=-1) + 1, scale
-        self._levels, self._size, self._terms, self._memo = levels, size, None, {"norm": ONE}
+        self._levels, self._size, self._terms = levels, size, None
         # a swap negates it under 'A' on N >= 2; N <= 1 has no swap, and its one ordering has sign 1
         self._tag = SymmetryTag.ANTISYMMETRIC if antisymmetric and len(levels) > 1 else SymmetryTag.SYMMETRIC
 
@@ -267,6 +246,9 @@ class _OrbitState(StateVector):
 
     def __len__(self) -> int:
         return self._size
+
+    def norm_squared(self) -> RadicalRational:
+        return ONE
 
     def _one_body(self, slot: int) -> dict:
         """Level k fills the slot in |orbit| m_k / N orderings, each of value
@@ -373,15 +355,15 @@ def decompose(
     """
     v = instance(v, StateVector, "vector")
     basis = [instance(b, StateVector, "basis member") for b in items(basis, "basis")]
-    for i, b in enumerate(basis):
-        square = b._square()
+    squares = [b._square() for b in basis]
+    for i, (b, square) in enumerate(zip(basis, squares)):
         if square.numerator * _dot(b._amps, b._amps) != square.denominator:
             raise InputError(f"members {i} and {i} fail exact orthonormality")
         for j in range(i + 1, len(basis)):
             if _dot(b._amps, basis[j]._amps):
                 raise InputError(f"members {i} and {j} fail exact orthonormality")
     coeffs, weights = [], []
-    for b in basis:
+    for b, square in zip(basis, squares):
         if b.n_particles != v.n_particles:
             raise InputError("particle counts differ")
         if not (dot := _dot(b._amps, v._amps)):
@@ -389,7 +371,6 @@ def decompose(
             continue
         ((r, q),) = (b._scale * v._scale).items()  # the radicand cap is checked here
         coeffs.append(RadicalRational(q * dot, r))  # <b|v>
-        square = b._square()
         weights.append((b._amps, square.numerator * dot.numerator, square.denominator * dot.denominator))
     den = math.lcm(*[d for _, _, d in weights])
     projected: dict = {}  # state -> den times the sum of the projections

@@ -20,11 +20,10 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import observables, statmech, symmetry
 from .exactnum import ONE, RadicalRational, ZERO, rsqrt_of_rational
-from .perm import Permutation
 
 
 class CheckResult:
@@ -124,9 +123,10 @@ def _check_pair_planes():
     ok = True
     for pair in (("s1", "s2"), ("s1p", "s2p")):
         plane = [basis[pair[0]], basis[pair[1]]]
-        for name in pair:
-            for mapping in itertools.permutations(range(3)):
-                image = basis[name].permuted(Permutation(mapping))
+        for v in plane:
+            for order in itertools.permutations(range(3)):  # slot k of an image reads slot order[k]
+                moved = dict(zip(map(itemgetter(*order), v._amps), v._amps.values()))
+                image = symmetry.StateVector._trusted(3, moved, v.basis_size, v._scale)
                 coeffs, residual = symmetry.decompose(image, plane)
                 ok = ok and residual.is_zero and sum(c * c for c in coeffs) == ONE
     return ok, "all 12 orbit images stay in their 2-plane", "zero residual, unit coefficient norm"

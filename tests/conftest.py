@@ -10,6 +10,7 @@ import pytest
 
 import idstat
 from idstat.observables import OneBodyOperator
+from idstat.symmetry import StateVector
 
 
 def matrix(rows) -> OneBodyOperator:
@@ -23,6 +24,12 @@ def sign(p) -> int:
     """+1 for an even permutation, -1 for an odd one, by inversion count."""
     m = p.mapping
     return -1 if sum(x > y for i, x in enumerate(m) for y in m[i + 1:]) % 2 else 1
+
+
+def moved(v: StateVector, p) -> StateVector:
+    """`v` with each term's state moved by `p.apply` (particle i's level to
+    slot p.mapping[i]), in v's own values and scale."""
+    return StateVector._trusted(v.n_particles, {p.apply(s): a for s, a in v._amps.items()}, v.basis_size, v._scale)
 
 
 @pytest.fixture

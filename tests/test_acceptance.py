@@ -10,6 +10,7 @@ import math
 import time
 from fractions import Fraction
 
+from conftest import moved
 import idstat.symmetry as symmetry
 from idstat import (
     ONE,
@@ -95,7 +96,7 @@ def test_criterion_03_basis_structure():
         plane = [basis[pair[0]], basis[pair[1]]]
         for name in pair:
             for mapping in itertools.permutations(range(3)):
-                coeffs, residual = decompose(basis[name].permuted(Permutation(mapping)), plane)
+                coeffs, residual = decompose(moved(basis[name], Permutation(mapping)), plane)
                 assert residual.is_zero
                 total = ZERO
                 for c in coeffs:

@@ -8,7 +8,10 @@ dropped, or a draw of every option from scratch.  Options come from the
 subcommand's own parser actions, values from a pool for the option's type
 or from an edge pool.  File options draw from paths under the test's
 temporary directory: `--out` and `--spectrum-file` everywhere they exist,
-`--config` for `occupations` and `verify-paper`.  Whatever the input, the
+`--config` for `occupations` and `verify-paper`.  Half the draws write each
+value as its own token after its option, where the value cannot be read as
+an option, so the plain parse reads them; the others attach every value
+with "=", which argparse reads.  Whatever the input, the
 command must answer (exit 0) or refuse (exit 2, 3 or 4) with exactly one
 `error:` line and nothing on stdout or in the `--out` file, before render
 time; it must never end in a traceback, and no number it prints, to stdout
@@ -155,7 +158,7 @@ def _value(rng: random.Random, action, command: str, files: dict):
 
 def _argv(rng: random.Random, command: str, actions: list, seeds: list, files: dict) -> list:
     """A corpus argv with one to three options set, changed or dropped, or
-    now and then a draw of every option from scratch."""
+    now and then a draw of every option from scratch; spaced or attached."""
     if rng.random() < 0.2:
         options = {a: _value(rng, a, command, files) for a in actions
                    if rng.random() < (0.95 if a.required else 0.3)}
@@ -167,11 +170,25 @@ def _argv(rng: random.Random, command: str, actions: list, seeds: list, files: d
                 del options[action]
             else:
                 options[action] = _value(rng, action, command, files)
+    spaced = rng.random() < 0.5
     argv = [command]
     for action, value in options.items():
         flag = rng.choice(action.option_strings)
-        argv.append(flag if value is None else f"{flag}={value}")  # one token: a value may start with '-'
+        if value is None:
+            argv.append(flag)
+        elif spaced and (value[:1] != "-" or re.match(r"-\.?\d", value)):  # a value, not an option
+            argv += [flag, value]
+        else:
+            argv.append(f"{flag}={value}")
     return argv
+
+
+def _out_target(argv: list) -> str | None:
+    """The --out path of an argv, spaced or attached."""
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--out":
+            return value
+    return next((t.split("=", 1)[1] for t in argv if t.startswith("--out=")), None)
 
 
 def _bad_float_tokens(text: str) -> list:
@@ -195,7 +212,7 @@ def test_every_argv_answers_or_refuses_with_one_line(command, capsys, tmp_path):
     answered = 0
     for _ in range(CASES[command]):
         argv = _argv(rng, command, actions, seeds, files)
-        target = next((t.split("=", 1)[1] for t in argv if t.startswith("--out=")), None)
+        target = _out_target(argv)
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start

@@ -407,6 +407,45 @@ def test_negative_value_in_exponent_form_is_a_value(mu, beta, capsys):
     assert run_cli([*base, "--mu", mu, "--bet", beta], capsys) == spaced
 
 
+SPACED_NEGATIVE_STARTS = [
+    ["partition", "--stat", "be", "--levels", "-1,0", "-N", "2", "--beta", "1"],
+    ["partition", "--stat", "be", "--levels", "-1e-3,2", "-N", "2", "--beta", "1"],
+    ["expect", "--levels", "1,2", "--parity", "S", "--epsilon", "-5/3,2", "--particle", "1"],
+    ["expect", "--levels", "1,2", "--parity", "S", "--epsilon", "-0.5,2", "--particle", "1"],
+    ["expect", "--levels", "1,2", "--parity", "S", "--epsilon", "-.5,2", "--particle", "1"],
+]
+
+
+def _negative_start(argv: list) -> int:
+    return next(i for i, token in enumerate(argv) if re.match(r"-\.?\d", token))
+
+
+@pytest.mark.parametrize("argv", SPACED_NEGATIVE_STARTS, ids=lambda argv: argv[_negative_start(argv)])
+def test_value_that_starts_with_a_negative_number_reads_the_same_spaced(argv, capsys):
+    # a list or rational whose first entry is negative: the spaced form (the
+    # plain parse) answers as the attached form (argparse) does, byte for byte
+    i = _negative_start(argv)
+    spaced = run_cli(argv, capsys)
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert run_cli([*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]], capsys) == spaced
+
+
+@pytest.mark.parametrize("levels", ["-x", "-.x", "-e3"])
+def test_dash_and_no_digit_starts_no_value(levels, capsys):
+    # "-" or "-." with no digit after it is not a negative number: spaced,
+    # the option is left without its value, as argparse says
+    argv = ["partition", "--stat", "be", "--levels", levels, "-N", "2", "--beta", "1"]
+    assert run_cli(argv, capsys) == (2, "", "error: argument --levels: expected one argument\n")
+
+
+def test_joined_short_option_is_still_an_option(capsys):
+    # "-N5" starts with "-" and no digit: it stays -N with the value 5
+    base = ["partition", "--stat", "be", "--levels", "0,1", "--beta", "1"]
+    joined = run_cli([*base, "-N5"], capsys)
+    assert joined[0] == 0 and joined[2] == ""
+    assert run_cli([*base, "-N", "5"], capsys) == joined
+
+
 def test_partition_continuum_mb(capsys):
     code, out, _ = run_cli(
         ["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "2", "--T", "1", "--output", "json"],
@@ -1122,6 +1161,8 @@ def test_one_pass_parses_as_the_top_level_parser(tmp_path):
         ["verify-paper", "--seed", "1.5"], ["verify-paper", "--seed", " 7 "], [*partition, "--beta", "0"],
         # an option only another command reads
         [*partition, "--seed", "7"], ["verify-paper", "--mode", "si"],
+        # a value that starts with a negative number, and one that starts with "-" and no number
+        *SPACED_NEGATIVE_STARTS, [*partition[:3], "--levels", "-x", *partition[5:]],
     ]
     parser = build_parser()
     for argv in argvs:

@@ -257,7 +257,6 @@ ARGUMENTS = {
     "classify_symmetry(v)": (lambda x: classify_symmetry(x), NONE),
     "decompose(v)": (lambda x: decompose(x, [PAIR]), NONE),
     "decompose(member)": (lambda x: decompose(PAIR, [x]), NONE),
-    "StateVector.permuted(p)": (lambda x: PAIR.permuted(x), NONE),
     "one_body_expectation(v)": (lambda x: one_body_expectation(x, H3, 0), NONE),
     "one_body_expectation(op)": (lambda x: one_body_expectation(PAIR, x, 0), NONE),
     "OneBodyOperator(rule)": (lambda x: OneBodyOperator(x, 2), NONE),
@@ -313,7 +312,6 @@ def test_object_arguments_are_refused_by_name():
     for call, name in [
         (lambda: classify_symmetry(5), "vector must be a StateVector"),
         (lambda: decompose(PAIR, [5]), "basis member must be a StateVector"),
-        (lambda: PAIR.permuted((0,)), "permutation must be a Permutation, got tuple"),
         (lambda: one_body_expectation(5, H3, 0), "vector must be a StateVector"),
         (lambda: one_body_expectation(PAIR, 5, 0), "operator must be a OneBodyOperator"),
         (lambda: OneBodyOperator(5, 2), "operator rule must be a Callable, got int"),

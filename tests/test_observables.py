@@ -194,10 +194,9 @@ def test_weights_and_norm_match_a_fold_of_plus(family):
             assert occupancy_weights(v, i) == weights
 
 
-def test_norm_is_memoised_per_vector():
+def test_norm_and_expectation_repeat_and_a_non_unit_vector_is_refused():
     v = symmetrize((0, 1, 1, 2), "S").vector
-    first = v.norm_squared()
-    assert v.norm_squared() is first and first == 1
+    assert v.norm_squared() == v.norm_squared() == 1
     assert one_body_expectation(v, H123, 1) == one_body_expectation(v, H123, 1)
     doubled = StateVector(4, {s: a * 2 for s, a in v.items()})
     assert doubled.norm_squared() == 4
