@@ -8,11 +8,11 @@ ledger.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import re
 import sys
+import types
 
 from .config import MODES, ORBIT_BASIS_NAMES, OUTPUT_FORMATS, RunConfig, load_config
 from .errors import IdstatError, InputError, count
@@ -21,24 +21,8 @@ from .render import Report, fmt_float, table_text
 # Each handler imports the library modules it uses when it runs, so a fresh
 # process loads only what its command needs.
 
-
-class _Parser(argparse.ArgumentParser):
-    """Raise instead of exiting so main() owns the exit code, and read a
-    token that starts with a negative number, such as -1e-3, -1,0 or -5/3,2,
-    as a value, which argparse's own pattern (in every supported Python)
-    takes for an option."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(_NEGATIVE)  # argparse calls .match: a prefix
-
-    def error(self, message):
-        raise InputError(message)
-
-
-#: How a token that both parses read as a value may start with "-": "-" or
-#: "-." then a digit, as a negative number, list or rational does.  No option
-#: string starts so here, so argparse never takes one for an option.
+#: How a spaced value may start with "-": "-" or "-." then a digit, as a
+#: negative number, list or rational does.  No flag starts so.
 _NEGATIVE = r"-\.?\d"
 
 
@@ -102,22 +86,22 @@ def _rational(token: str):
 
 
 def _finite(text: str) -> float:
-    """argparse type: a finite number."""
+    """Option type: a finite number."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise InputError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _positive(text: str) -> float:
-    """argparse type: a positive finite number (temperature, volume, mass,
+    """Option type: a positive finite number (temperature, volume, mass,
     length)."""
     value = _finite(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        raise InputError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -266,19 +250,6 @@ def _ledger_text(data: dict) -> str:
 
 
 # -- state construction shared by decompose / classify / expect --------------
-
-
-def _add_state_options(p: argparse.ArgumentParser, add) -> tuple:
-    """Add the options that name a state, --levels through `add`; returns
-    the Actions of the members of their required group."""
-    add("--levels", "-l", required=True, help="comma-separated level labels")
-    kind = p.add_mutually_exclusive_group(required=True)
-    return (
-        kind.add_argument("--product", action="store_true", help="bare product state"),
-        kind.add_argument("--member", choices=ORBIT_BASIS_NAMES,
-                          help="distinct-level 3-particle basis member"),
-        kind.add_argument("--parity", "-p", help="S or A: (anti)symmetrized state"),
-    )
 
 
 def _build_state(args):
@@ -433,15 +404,17 @@ def _units(cfg: RunConfig) -> tuple[float, float]:
     return 1.0, 1.0
 
 
+#: The spectrum sources of `partition`: the canonical and grand forms read
+#: exactly one, and --continuum none.
+_SOURCES = ("levels", "spectrum_file", "box1d", "box3d", "dimensionless")
+
+
 def _build_spectrum(args, h: float) -> statmech.Spectrum:
     from . import statmech
 
-    sources = (args.levels, args.spectrum_file, args.box1d, args.box3d, args.dimensionless)
-    if sum(source is not None for source in sources) != 1:
-        raise InputError(
-            "choose exactly one spectrum source: --levels, --spectrum-file, "
-            "--box1d, --box3d, or --dimensionless"
-        )
+    if sum(getattr(args, source) is not None for source in _SOURCES) != 1:
+        raise InputError("choose exactly one spectrum source: --levels, --spectrum-file, "
+                         "--box1d, --box3d, or --dimensionless")
     if args.levels is not None:
         return statmech.spectrum_from_levels(_parse_list(args.levels, float, "number"))
     if args.spectrum_file is not None:
@@ -461,21 +434,20 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
     data = {"command": "partition", "statistics": stat.value}
 
     if args.continuum:
+        unread = [dest for dest in ("beta", "mu", *_SOURCES) if getattr(args, dest) is not None]
+        if unread:
+            raise InputError(f"--continuum does not read --{unread[0].replace('_', '-')}")
         if args.V is None or args.N is None or args.T is None:
             raise InputError("--continuum needs --V, --N, and --T")
         ln_Z = statmech.mb_ln_Z_continuum(args.T, args.V, args.N, stat, mass=args.mass, h=h, k=k)
-        data.update(
-            kind="continuum",
-            T=args.T,
-            V=args.V,
-            N=args.N,
-            ln_Z=ln_Z,
-            F=statmech.free_energy_from_ln_Z(ln_Z, args.T, k),
-            thermal_wavelength=statmech.thermal_wavelength(args.T, mass=args.mass, h=h, k=k),
-            note=statmech.FREE_ENERGY_NOTE,
-        )
+        data.update(kind="continuum", T=args.T, V=args.V, N=args.N, ln_Z=ln_Z,
+                    F=statmech.free_energy_from_ln_Z(ln_Z, args.T, k),
+                    thermal_wavelength=statmech.thermal_wavelength(args.T, mass=args.mass, h=h, k=k),
+                    note=statmech.FREE_ENERGY_NOTE)
         return Report(data, _partition_rows, _partition_text)
 
+    if args.V is not None:
+        raise InputError("--V is read only with --continuum")
     if args.T is not None and args.beta is not None:
         raise InputError("give either --beta or --T, not both")
     if args.T is not None:
@@ -536,6 +508,8 @@ def cmd_extensivity(args, cfg: RunConfig) -> Report:
     if not sizes:
         raise InputError("no system sizes given")
 
+    if args.box1d is not None and not args.discrete:
+        raise InputError("--box1d is read only with --discrete")
     builder = None
     if args.discrete:
         cutoff = args.box1d if args.box1d is not None else 12
@@ -600,69 +574,22 @@ COMMANDS = {
 }
 
 
-def _plain_parser(options: list, group: tuple):
-    """The plain parse of one command, from the Actions of its options
-    (each one store or store_true) and of its required mutually exclusive
-    group, if it has one.
-
-    It takes an argv only when every token is an exact option string, each
-    value follows its option as its own token and starts with no "-"
-    (unless it starts as a negative number does), every value passes
-    `type` and `choices`, the required options are given and the group, if any, has
-    exactly one member given.  Then it returns the Namespace
-    parse_args would; for any other argv it returns None, and parse_args,
-    which owns usage, help, abbreviations and every refusal, reads it.
-    """
-    table = {flag: action for action in options for flag in action.option_strings}
-    defaults = {action.dest: action.default for action in options}
-    required = {action for action in options if action.required}
-    group = set(group)
-
-    def parse(argv: list) -> argparse.Namespace | None:
-        args, seen, tokens = argparse.Namespace(), set(), iter(argv)
-        values = vars(args)
-        values.update(defaults)
-        for token in tokens:
-            action = table.get(token)
-            if action is None:
-                return None
-            if action.nargs == 0:  # store_true
-                value = action.const
-            else:
-                text = next(tokens, "-")  # a missing value declines as "-" does
-                if text[:1] == "-" and not re.match(_NEGATIVE, text):
-                    return None
-                try:
-                    value = text if action.type is None else action.type(text)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
-                    return None
-                if action.choices is not None and value not in action.choices:
-                    return None
-            values[action.dest] = value
-            seen.add(action)
-        if required - seen or (group and len(group & seen) != 1):
-            return None
-        return args
-
-    return parse
+#: -h/--help, the first option of every command and the only one of `idstat`.
+_HELP = (("-h", "--help"), {"action": "help", "help": "show this help message and exit"})
+#: The options of decompose, classify and expect that name the state: a
+#: required mutually exclusive group, so exactly one of them is given.
+_STATE_KIND = ((("--product",), {"action": "store_true", "help": "bare product state"}),
+               (("--member",), {"choices": ORBIT_BASIS_NAMES, "help": "distinct-level 3-particle basis member"}),
+               (("--parity", "-p"), {"help": "S or A: (anti)symmetrized state"}))
 
 
-# Each parser is built once per process and shared by every main() call.
-# Sharing is safe because parse_args keeps no state between calls: each call
-# fills a fresh Namespace, every default is an immutable str, float or None,
-# and _Parser.error raises instead of recording anything.  The plain parse
-# copies the defaults into each Namespace it returns.
+def _options(name: str) -> list:
+    """The options of `idstat <name>` in --help order, as (flags, settings)
+    with add_argument keywords: every argv is read from this table."""
+    options = [_HELP]
 
-
-@functools.cache
-def _command_parser(name: str) -> _Parser:
-    """The parser of one command: what `idstat <name>` parses with.  Its
-    `parse_plain` is the plain parse of the same options."""
-    p = _Parser(prog=f"idstat {name}")
-    options = []  # the Action of each option, in the order added
-
-    def add(*flags, **kwargs):
-        options.append(p.add_argument(*flags, **kwargs))
+    def add(*flags, **settings):
+        options.append((flags, settings))
 
     add("--config", help="key=value config file")
     if name in ("partition", "extensivity"):  # the commands that read the mode
@@ -672,10 +599,9 @@ def _command_parser(name: str) -> _Parser:
         add("--seed", type=int, help="seed for randomized sweeps")
     add("--out", help="write output to this file instead of stdout")
 
-    group = ()
     if name in ("decompose", "classify", "expect"):
-        group = _add_state_options(p, add)
-        options += group
+        add("--levels", "-l", required=True, help="comma-separated level labels")
+        options += _STATE_KIND
     if name == "symmetrize":
         add("-n", type=int, dest="n_particles", help="particle count (checked against labels)")
         add("--levels", "-l", required=True, help="comma-separated level labels")
@@ -718,50 +644,125 @@ def _command_parser(name: str) -> _Parser:
         add("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
         add("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
         add("--mass", type=_positive, default=1.0)
-    p.parse_plain = _plain_parser(options, group)
-    return p
+    return options
+
+
+def _help(name: str | None) -> str:
+    """The --help text of `idstat <name>`, or of `idstat`: argparse's one use."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="idstat", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, text in COMMANDS.items():
+        child = sub.add_parser(command, help=text, add_help=False)
+        for option in _options(command):
+            if option == _STATE_KIND[0]:
+                group = child.add_mutually_exclusive_group(required=True)
+            (group if option in _STATE_KIND else child).add_argument(*option[0], **option[1])
+    return (sub.choices[name] if name else parser).format_help()
+
+
+def _match(token: str, known) -> tuple | None:
+    """None if argparse reads `token` as a value, else the flag it names
+    (None if no flag in `known` does) and the value attached to it, if any."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--" or token in known:  # "--" is no flag, and no value either
+        return (None if token == "--" else token), None
+    head, eq, tail = token.partition("=")
+    if eq and head in known:
+        return head, tail
+    if token[1] == "-":  # a unique prefix of a long flag
+        found = [(flag, tail if eq else None) for flag in known if flag.startswith(head)]
+    else:  # a short flag with its value joined
+        found = [(token[:2], token[2:])] if token[:2] in known else []
+    if len(found) > 1:
+        raise InputError(f"ambiguous option: {token} could match {', '.join(flag for flag, _ in found)}")
+    if found:
+        return found[0]
+    return None if re.match(_NEGATIVE, token) or " " in token else (None, None)
 
 
 @functools.cache
-def build_parser() -> _Parser:
-    """The top-level parser, for the inputs that name no command: none,
-    -h/--help, or an unknown name.  Its subparsers are the cached command
-    parsers, so `build_parser().commands[name]` is the parser `idstat
-    <name>` uses."""
-    parser = _Parser(prog="idstat", description=__doc__)
-    # add_parser passes its parser_class the prog it makes ("idstat <name>")
-    # and the extra `command` keyword given below
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda command, **_: _command_parser(command))
-    for name, text in COMMANDS.items():
-        sub.add_parser(name, help=text, command=name)
-    parser.commands = sub.choices  # command name -> its own parser
-    return parser
+def _flag_table(name: str | None) -> tuple:
+    """The options of `idstat <name>` (of `idstat` when None) as the parse
+    reads them, built once per process and shared, so never changed: each
+    flag's (flags, settings, attribute named as argparse names it), the
+    state-kind group, the required options and each attribute's default."""
+    options = _options(name) if name else [_HELP]
+    dests = [s.get("dest") or next(f for f in flags if f[1] == "-")[2:].replace("-", "_") for flags, s in options]
+    table = {flag: (flags, s, dest) for (flags, s), dest in zip(options, dests) for flag in flags}
+    defaults = {dest: s.get("default", False if s.get("action") else None)  # help, first, has no attribute
+                for (_, s), dest in zip(options[1:], dests[1:])}
+    return (table, [flags for flags, s in options if (flags, s) in _STATE_KIND],
+            [flags for flags, s in options if s.get("required")], {**defaults, "command": name})
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
-    """What build_parser().parse_args(argv) returns, in at most one argparse
-    pass.
+def _read(name: str | None, argv: list):
+    """The values the argv of `idstat <name>` gives by attribute, or None
+    if -h/--help comes before any error."""
+    table, group, required, defaults = _flag_table(name)
+    kinds = [(t, None) if t in table else _match(t, table) if t[:1] == "-" else None for t in argv]
+    values, seen, i = dict(defaults), [], 0
+    while i < len(argv):
+        kind, i = kinds[i], i + 1
+        if kind is None or kind[0] is None:
+            raise InputError(f"unrecognized arguments: {argv[i - 1]}")
+        (flags, settings, dest), value = table[kind[0]], kind[1]
+        try:
+            if settings.get("action"):  # help or store_true: no value
+                if value is not None:
+                    raise InputError(f"ignored explicit argument {value!r}")
+                if settings["action"] == "help":
+                    return None
+                value = True
+            elif value is None:  # the value is the next token
+                if i == len(argv) or kinds[i] is not None:
+                    raise InputError("expected one argument")
+                value, i = argv[i], i + 1
+            convert, choices = settings.get("type"), settings.get("choices")
+            try:
+                value = value if convert is None else convert(value)
+            except ValueError:
+                raise InputError(f"invalid {convert.__name__} value: {value!r}") from None
+            if choices is not None and value not in choices:
+                raise InputError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+            other = [f for f in seen if f in group and f != flags] if flags in group else None
+            if other:
+                raise InputError(f"not allowed with argument {'/'.join(other[0])}")
+        except InputError as exc:
+            raise InputError(f"argument {'/'.join(flags)}: {exc}") from None
+        seen.append(flags)
+        values[dest] = value
+    missing = ["/".join(flags) for flags in required if flags not in seen]
+    if missing:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
+    if group and not set(group) & set(seen):
+        raise InputError(f"one of the arguments {' '.join(map('/'.join, group))} is required")
+    return values
 
-    The top-level parser defines only -h, and its subparsers action takes
-    every token after the command name, so the named command's parser can
-    read those tokens directly: its plain parse when the argv has the plain
-    form, else its parse_args.  The top-level parser is built only for the
-    inputs that never reach a command: none, -h/--help, or an unknown name.
-    """
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    parser = _command_parser(argv[0])
-    args = parser.parse_plain(argv[1:])
-    if args is None:
-        args = parser.parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+
+def _parse(argv: list):
+    """The namespace of an idstat argv, or the --help text it asks for."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command is None:
+            raise InputError("the following arguments are required: command")
+        if command == "--" or _match(command, _HELP[0]) is None:  # a value: the name of no command
+            raise InputError(f"argument command: invalid choice: {command!r} "
+                             f"(choose from {', '.join(map(repr, COMMANDS))})")
+        _read(None, [command])  # refuses all but -h/--help
+        return _help(None)
+    values = _read(command, argv[1:])
+    return _help(command) if values is None else types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):  # --help
+            sys.stdout.write(args)
+            return 0
         cfg = load_config(
             args.config, overrides={key: getattr(args, key, None) for key in RunConfig.__slots__}
         )
@@ -774,8 +775,6 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except SystemExit as exc:  # --help
-        return 0 if not exc.code else int(exc.code)
     except (IdstatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

@@ -5,13 +5,12 @@ subcommands (`symmetrize`, `mixed-basis`, `decompose`, `classify`,
 
 Each case is a golden-corpus argv with a few options set, changed or
 dropped, or a draw of every option from scratch.  Options come from the
-subcommand's own parser actions, values from a pool for the option's type
+subcommand's own option table, values from a pool for the option's type
 or from an edge pool.  File options draw from paths under the test's
 temporary directory: `--out` and `--spectrum-file` everywhere they exist,
 `--config` for `occupations` and `verify-paper`.  Half the draws write each
 value as its own token after its option, where the value cannot be read as
-an option, so the plain parse reads them; the others attach every value
-with "=", which argparse reads.  Whatever the input, the
+an option; the others attach every value with "=".  Whatever the input, the
 command must answer (exit 0) or refuse (exit 2, 3 or 4) with exactly one
 `error:` line and nothing on stdout or in the `--out` file, before render
 time; it must never end in a traceback, and no number it prints, to stdout
@@ -20,7 +19,7 @@ or to the `--out` file, may be nan, inf or a negative zero.
 
 from __future__ import annotations
 
-import argparse
+import collections
 import json
 import os
 import random
@@ -29,7 +28,8 @@ import time
 
 import pytest
 
-from idstat.cli import build_parser, main
+from idstat import cli
+from idstat.cli import main
 from idstat.statmech import Statistics, canonical_ln_Z, spectrum_from_levels
 from test_golden import CORPUS
 
@@ -42,7 +42,7 @@ EDGE_VALUES = (
     "0", "-0", "1e-320", "1e-300", "1e308", "nan", "inf", "-inf",
     str(10**30), str(-(10**30)), "", " ", "é", "λ,μ",
 )
-#: Plausible values by the option's argparse type; string options by destination.
+#: Plausible values by the option's type; string options by destination.
 INTS = ("0", "1", "2", "3", "5", "12", "50", "-1")
 NUMBERS = ("1", "0.5", "-2", "1e-300", "1e300", "1e308", "1e10", "5e-324")
 WORDS = {
@@ -100,10 +100,17 @@ def _skipped(command: str) -> set:
     return SKIPPED - {"--config"} if command in FILE_COMMANDS else SKIPPED
 
 
+#: What the draw reads of an option, named as argparse names it on an Action.
+Option = collections.namedtuple("Option", "option_strings dest required nargs choices type")
+
+
 def _actions(command: str) -> list:
-    return [a for a in build_parser().commands[command]._actions
-            if a.option_strings and not isinstance(a, argparse._HelpAction)
-            and not _skipped(command) & set(a.option_strings)]
+    """The options of `command` in its table's order, -h/--help and the skipped ones left out."""
+    table = cli._flag_table(command)[0]  # flag -> (flags, settings, attribute)
+    return [Option(flags, table[flags[0]][2], settings.get("required", False),
+                   0 if settings.get("action") else None, settings.get("choices"), settings.get("type"))
+            for flags, settings in cli._options(command)
+            if settings.get("action") != "help" and not _skipped(command) & set(flags)]
 
 
 def _files(directory) -> dict:

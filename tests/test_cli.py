@@ -3,6 +3,7 @@ exit codes, and the verification ledger."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -21,7 +22,8 @@ import pytest
 
 import idstat.symmetry as symmetry
 import idstat.verify as verify
-from idstat.cli import HANDLERS, _parse_args, build_parser, main
+from idstat import cli
+from idstat.cli import HANDLERS, main
 from idstat.config import RunConfig, load_config, parse_config_file
 from idstat.errors import InputError
 from idstat.render import Report, canonical_json, csv_text, fmt_float
@@ -357,7 +359,7 @@ def test_occupations_fd(capsys):
 
 def test_occupations_at_the_state_bound_keep_only_int_rows():
     argv = ["occupations", "--n-levels", "20", "-N", "10", "--stat", "fd", "--output", "json"]
-    args = build_parser().parse_args(argv)
+    args = cli._parse(argv)
     tracemalloc.start()
     try:
         report = HANDLERS["occupations"](args, RunConfig(output="json"))
@@ -398,8 +400,8 @@ def test_partition_grand_be(capsys):
 
 @pytest.mark.parametrize("mu, beta", [("-1e-3", "1"), ("-2.5E+1", "1"), ("-.5e1", "2"), ("-3e-294", "1e-30")])
 def test_negative_value_in_exponent_form_is_a_value(mu, beta, capsys):
-    # spaced (the plain parse), attached and spaced with an abbreviated
-    # option (both argparse): one answer, byte for byte
+    # spaced, attached, and spaced with an abbreviated option: one answer,
+    # byte for byte
     base = ["partition", "--stat", "be", "--levels", "0,1"]
     spaced = run_cli([*base, "--mu", mu, "--beta", beta], capsys)
     assert spaced[0] == 0 and spaced[2] == ""
@@ -422,8 +424,8 @@ def _negative_start(argv: list) -> int:
 
 @pytest.mark.parametrize("argv", SPACED_NEGATIVE_STARTS, ids=lambda argv: argv[_negative_start(argv)])
 def test_value_that_starts_with_a_negative_number_reads_the_same_spaced(argv, capsys):
-    # a list or rational whose first entry is negative: the spaced form (the
-    # plain parse) answers as the attached form (argparse) does, byte for byte
+    # a list or rational whose first entry is negative: the spaced form
+    # answers as the attached form does, byte for byte
     i = _negative_start(argv)
     spaced = run_cli(argv, capsys)
     assert spaced[0] == 0 and spaced[2] == ""
@@ -444,6 +446,32 @@ def test_joined_short_option_is_still_an_option(capsys):
     joined = run_cli([*base, "-N5"], capsys)
     assert joined[0] == 0 and joined[2] == ""
     assert run_cli([*base, "-N", "5"], capsys) == joined
+
+
+def test_continuum_refuses_the_options_it_does_not_read(capsys):
+    # --beta, --mu and every spectrum source: exit 2, one error line naming the option
+    base = ["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "2", "--T", "1"]
+    assert run_cli([*base, "--beta", "5", "--levels", "0,1", "--mu", "3"], capsys) == (
+        2, "", "error: --continuum does not read --beta\n")
+    for option, value in (("--mu", "3"), ("--levels", "0,1"), ("--spectrum-file", "x.csv"), ("--box1d", "5"),
+                          ("--box3d", "5"), ("--dimensionless", "5")):
+        assert run_cli([*base, option, value], capsys) == (2, "", f"error: --continuum does not read {option}\n")
+
+
+def test_canonical_form_refuses_V(capsys):
+    argv = ["partition", "--stat", "be", "--levels", "0,1", "-N", "2", "--beta", "1", "--V", "2"]
+    assert run_cli(argv, capsys) == (2, "", "error: --V is read only with --continuum\n")
+
+
+def test_grand_form_refuses_V(capsys):
+    argv = ["partition", "--stat", "be", "--levels", "0,1", "--mu", "-1", "--beta", "1", "--V", "2"]
+    assert run_cli(argv, capsys) == (2, "", "error: --V is read only with --continuum\n")
+
+
+def test_extensivity_without_discrete_refuses_box1d(capsys):
+    argv = ["extensivity", "--stat", "mb-nn", "--T", "1", "--box1d", "5"]
+    assert run_cli(argv, capsys) == (2, "", "error: --box1d is read only with --discrete\n")
+    assert run_cli([*argv, "--discrete"], capsys)[0] == 0
 
 
 def test_partition_continuum_mb(capsys):
@@ -1102,8 +1130,8 @@ READERS = {"--mode": ("partition", "extensivity"), "--seed": ("verify-paper",)}
 def test_mode_and_seed_are_options_only_where_read(option, capsys):
     # every other command refuses them as unknown, as plain argv and with the value attached
     value = {"--mode": "si", "--seed": "7"}[option]
-    for name, parser in build_parser().commands.items():
-        flags = {f for a in parser._actions for f in a.option_strings}
+    for name in cli.COMMANDS:
+        flags = {flag for flags, _ in cli._options(name) for flag in flags}
         assert (option in flags) == (name in READERS[option]), name
         if name in READERS[option]:
             continue
@@ -1113,20 +1141,73 @@ def test_mode_and_seed_are_options_only_where_read(option, capsys):
             assert (code, out) == (2, "") and err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
 
 
-# -- argument dispatch ------------------------------------------------------
+# -- the one parse, with argparse as its oracle -----------------------------
+
+
+class _Oracle(argparse.ArgumentParser):
+    """argparse as idstat used it before reading argvs itself: an error
+    raises InputError, and a token that starts as a negative number does
+    (cli._NEGATIVE) is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(cli._NEGATIVE)  # argparse calls .match: a prefix
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _argparse_type(convert):
+    """An option type for argparse, which shows an ArgumentTypeError's text
+    where idstat's types raise InputError."""
+    def typed(text):
+        try:
+            return convert(text)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert if convert is int else typed
+
+
+def _oracle() -> _Oracle:
+    """argparse's parser of an idstat argv, built from the option tables:
+    a top-level parser with one subparser per command."""
+    parser = _Oracle(prog="idstat", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Oracle)
+    for name, text in cli.COMMANDS.items():
+        command, group = sub.add_parser(name, help=text, add_help=False), None
+        for flags, settings in cli._options(name):
+            target = command
+            if (flags, settings) in cli._STATE_KIND:
+                group = target = group or command.add_mutually_exclusive_group(required=True)
+            if "type" in settings:
+                settings = dict(settings, type=_argparse_type(settings["type"]))
+            target.add_argument(*flags, **settings)
+    return parser
 
 
 def _parsed(parse, argv: list) -> tuple:
-    """What parsing `argv` gives: its namespace, its refusal, or its exit
-    code and stdout."""
+    """What parsing `argv` gives: its namespace, its refusal, or the --help
+    text (which argparse prints before it exits)."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return "parsed", vars(parse(list(argv)))
+            parsed = parse(list(argv))
     except InputError as exc:
         return "refused", str(exc)
     except SystemExit as exc:
-        return "exit", exc.code, out.getvalue()
+        return "help", exc.code, out.getvalue()
+    return ("help", 0, parsed) if isinstance(parsed, str) else ("parsed", vars(parsed))
+
+
+#: The argvs of the comparison below whose refusal the parse words its own
+#: way: it refuses at the first token no option takes, where argparse reads
+#: on, then names every such token, or first a missing command.
+REWORDED = {
+    ("--bogus",): "unrecognized arguments: --bogus",
+    (*CORPUS["partition-canonical-fd"], "--seed", "7"): "unrecognized arguments: --seed",
+    ("verify-paper", "--mode", "si"): "unrecognized arguments: --mode",
+}
 
 
 def test_one_pass_parses_as_the_top_level_parser(tmp_path):
@@ -1145,7 +1226,7 @@ def test_one_pass_parses_as_the_top_level_parser(tmp_path):
         ["classify", "--levels", "a,b,c"],  # none of the required state options
         ["classify", "--product", "--parity", "S", "--levels", "a,b,c"],
         [*partition, "--bogus"], [*partition, "extra"], [*partition, "--beta"], [*partition, "--output", "xml"],
-        # the edges of the plain parse: an option given twice, negative numbers (plain and not),
+        # edges: an option given twice, negative numbers (plain and not),
         # attached and abbreviated forms, an option or nothing where a value belongs, empty and
         # blank values, a group member twice and two members, and values type or choices refuse
         [*partition, "-N", "3", "--beta", "2"], [*partition[:7], "--mu", "-0.5", "--beta", "1"],
@@ -1161,42 +1242,30 @@ def test_one_pass_parses_as_the_top_level_parser(tmp_path):
         ["verify-paper", "--seed", "1.5"], ["verify-paper", "--seed", " 7 "], [*partition, "--beta", "0"],
         # an option only another command reads
         [*partition, "--seed", "7"], ["verify-paper", "--mode", "si"],
+        # "=" after a short flag, a short flag's value joined, an ambiguous prefix, a value given
+        # to a flag that takes none
+        [*partition[:5], "-N=2", "--beta", "1"], ["classify", "--product", "-la,b,c"], [*partition, "--m", "si"],
+        [*partition, "--continuum=1"],
         # a value that starts with a negative number, and one that starts with "-" and no number
         *SPACED_NEGATIVE_STARTS, [*partition[:3], "--levels", "-x", *partition[5:]],
     ]
-    parser = build_parser()
+    oracle = _oracle()
     for argv in argvs:
-        assert _parsed(_parse_args, argv) == _parsed(parser.parse_args, argv), argv
+        parsed, expected = _parsed(cli._parse, argv), _parsed(oracle.parse_args, argv)
+        if tuple(argv) in REWORDED:
+            assert expected[0] == "refused" and parsed == ("refused", REWORDED[tuple(argv)]), (argv, expected)
+        else:
+            assert parsed == expected, argv
 
 
-def _argparse_calls(monkeypatch) -> list:
-    """The names of the parsers whose parse_known_args runs from now on:
-    "idstat" for the top-level parser, else the command's."""
-    parser, calls = build_parser(), []
-
-    def counted(name, parse):
-        return lambda *args: calls.append(name) or parse(*args)
-
-    for name, p in [("idstat", parser), *parser.commands.items()]:
-        monkeypatch.setattr(p, "parse_known_args", counted(name, p.parse_known_args))
-    return calls
-
-
-def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
-    # a plain argv takes no argparse pass; a refused one takes its command's parser only
-    calls = _argparse_calls(monkeypatch)
-    assert run_cli(CORPUS["partition-canonical-fd"], capsys)[0] == 0
-    assert run_cli(["classify", "--levels", "a,b,c"], capsys)[0] == 2
-    assert run_cli(["nosuch"], capsys)[0] == 2
-    assert run_cli(["--help"], capsys)[0] == 0
-    assert calls == ["classify", "idstat", "idstat"]
-
-
-def test_every_corpus_argv_takes_the_plain_parse(monkeypatch):
-    calls = _argparse_calls(monkeypatch)
-    for name, fmt in itertools.product(sorted(CORPUS), FORMATS):
-        args = _parse_args(CORPUS[name] + ["--output", fmt])
-        assert (args.command, args.output, calls) == (CORPUS[name][0], fmt, []), name
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_is_the_oracles_help(command, monkeypatch, capsys):
+    # byte for byte at a fixed width: exit 0, the text on stdout, nothing on stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    _, code, text = _parsed(_oracle().parse_args, argv)
+    assert text.startswith(f"usage: idstat {command or ''}".rstrip())
+    assert run_cli(argv, capsys) == (code, text, "") and code == 0
 
 
 # -- repeated in-process calls ----------------------------------------------

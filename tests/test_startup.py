@@ -1,6 +1,6 @@
 """Package start-up: `import idstat` loads no submodule, each exported name
 resolves lazily to its submodule's object, and a command loads only the
-library modules it uses, and builds the parser of its own command only."""
+library modules it uses, and none loads argparse but --help."""
 
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ import idstat
 from idstat import cli
 
 #: What a fresh `import idstat, idstat.cli` must leave unloaded: the library
-#: modules, and the standard modules only some commands use (csv, json's
-#: decoder) or none does (dataclasses and the inspect it loads).
+#: modules, the standard modules only some commands use (csv, json's
+#: decoder) or none does (dataclasses and the inspect it loads), and the
+#: argparse (with its gettext) that only --help uses.
 LIBRARY = ("idstat.verify", "idstat.symmetry", "idstat.observables", "idstat.exactnum",
            "idstat.perm", "idstat.statmech", "fractions", "numbers", "decimal",
-           "dataclasses", "inspect", "csv", "json.decoder")
+           "dataclasses", "inspect", "csv", "json.decoder", "argparse", "gettext")
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 #: Every `idstat ...` line of the README's shell example, comment dropped.
@@ -107,27 +108,15 @@ def test_readme_example_loads_no_dataclasses(fresh_python, argv):
     assert not {"dataclasses", "inspect", "idstat.perm"} & set(loaded)  # no command moves slots by a Permutation
 
 
-def test_a_known_command_builds_only_its_own_parser(fresh_python):
-    built = _printed(
-        fresh_python,
-        START
-        + "import contextlib, io\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = idstat.cli.main(['partition', '--stat', 'fd', '--levels', '0,1,2', '-N', '2',"
-        " '--beta', '1'])\n"
-        "assert code == 0\n"
-        "result = [idstat.cli.build_parser.cache_info().misses,"
-        " idstat.cli._command_parser.cache_info().currsize]\n"
-    )
-    assert built == [0, 1]
-
-
-def test_the_top_level_parser_holds_the_command_parsers():
-    commands = cli.build_parser().commands
-    assert list(commands) == list(cli.COMMANDS)
-    for name in cli.COMMANDS:
-        assert commands[name] is cli._command_parser(name), name
-        assert commands[name].prog == f"idstat {name}"
+def test_a_command_loads_no_argparse(fresh_python):
+    # argparse, and the gettext it imports, only formats --help
+    run = START + ("import contextlib, io\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    assert idstat.cli.main(sys.argv[1:]) == 0\n"
+                   "result = sorted(sys.modules)\n")
+    loaded = _printed(fresh_python, run, "partition", "--stat", "fd", "--levels", "0,1,2", "-N", "2", "--beta", "1")
+    assert not {"argparse", "gettext"} & set(loaded)
+    assert "argparse" in _printed(fresh_python, run, "partition", "--help")
 
 
 def test_every_export_is_its_submodule_attribute():
