@@ -23,7 +23,6 @@ _EXPORTS = {
         "BoseDivergence", "CapacityExceeded", "IdstatError", "InputError", "ZeroVectorInput",
     ),
     "exactnum": ("ONE", "RadicalRational", "ZERO", "rsqrt_of_rational"),
-    "perm": ("Permutation",),
     "symmetry": (
         "MAX_ORBIT", "ORBIT_BASIS_NAMES", "StateVector", "SymmetrizeResult", "SymmetryClass",
         "SymmetryTag", "classify_symmetry", "decompose", "exchange_degeneracy_dimension",

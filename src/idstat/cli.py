@@ -258,10 +258,10 @@ def _build_state(args):
     from . import symmetry
 
     levels, _ = _parse_levels(args.levels)
-    if args.member:
+    if args.member is not None:
         basis = dict(zip(ORBIT_BASIS_NAMES, symmetry.orbit_basis_n3(levels)))
         return basis[args.member], levels, f"member:{args.member}"
-    if args.parity:
+    if args.parity is not None:
         parity = _parse_parity(args.parity)
         res = symmetry.symmetrize(levels, parity)
         if res.is_zero:
@@ -271,6 +271,14 @@ def _build_state(args):
 
 
 # -- subcommand handlers ------------------------------------------------------
+
+
+def _refuse_unread(args, form: str, dests) -> None:
+    """Refuse the first option of `dests` that is given, as one the form
+    that option `form` chooses never reads; each is named by its attribute."""
+    unread = [dest for dest in dests if getattr(args, dest) is not None]
+    if unread:
+        raise InputError(f"--{form} does not read --{unread[0]}".replace("_", "-"))
 
 
 def cmd_symmetrize(args, cfg: RunConfig) -> Report:
@@ -351,6 +359,7 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
     if (args.epsilon is None) == (not args.box_x):
         raise InputError("choose exactly one operator: --epsilon values or --box-x")
     if args.epsilon is not None:
+        _refuse_unread(args, "epsilon", ("length",))
         # Fraction reads every digit and builds 10**exponent however large,
         # so the list is sized before any Fraction is built.
         if (len(args.epsilon) > _MAX_EPSILON_DIGITS
@@ -362,8 +371,9 @@ def cmd_expect(args, cfg: RunConfig) -> Report:
         op = observables.OneBodyOperator.diagonal(eps)
         op_desc = "diag(" + ",".join(str(e) for e in eps) + ")"
     else:
-        op = observables.box_position_operator(args.length, vec.basis_size)
-        op_desc = f"box-x(L={args.length})"
+        length = args.length or 1.0
+        op = observables.box_position_operator(length, vec.basis_size)
+        op_desc = f"box-x(L={length})"
     value = observables.one_body_expectation(vec, op, particle)
     data = {
         "command": "expect",
@@ -412,17 +422,20 @@ _SOURCES = ("levels", "spectrum_file", "box1d", "box3d", "dimensionless")
 def _build_spectrum(args, h: float) -> statmech.Spectrum:
     from . import statmech
 
-    if sum(getattr(args, source) is not None for source in _SOURCES) != 1:
+    given = [source for source in _SOURCES if getattr(args, source) is not None]
+    if len(given) != 1:
         raise InputError("choose exactly one spectrum source: --levels, --spectrum-file, "
                          "--box1d, --box3d, or --dimensionless")
+    if given[0] not in ("box1d", "box3d"):
+        _refuse_unread(args, given[0], ("length", "mass"))
     if args.levels is not None:
         return statmech.spectrum_from_levels(_parse_list(args.levels, float, "number"))
     if args.spectrum_file is not None:
         return statmech.spectrum_from_csv(args.spectrum_file)
     if args.box1d is not None:
-        return statmech.box1d_spectrum(args.box1d, args.length, args.mass, h)
+        return statmech.box1d_spectrum(args.box1d, args.length or 1.0, args.mass or 1.0, h)
     if args.box3d is not None:
-        return statmech.box3d_spectrum(args.box3d, args.length, args.mass, h)
+        return statmech.box3d_spectrum(args.box3d, args.length or 1.0, args.mass or 1.0, h)
     return statmech.dimensionless_spectrum(args.dimensionless)
 
 
@@ -434,15 +447,14 @@ def cmd_partition(args, cfg: RunConfig) -> Report:
     data = {"command": "partition", "statistics": stat.value}
 
     if args.continuum:
-        unread = [dest for dest in ("beta", "mu", *_SOURCES) if getattr(args, dest) is not None]
-        if unread:
-            raise InputError(f"--continuum does not read --{unread[0].replace('_', '-')}")
+        _refuse_unread(args, "continuum", ("beta", "mu", *_SOURCES, "length"))
         if args.V is None or args.N is None or args.T is None:
             raise InputError("--continuum needs --V, --N, and --T")
-        ln_Z = statmech.mb_ln_Z_continuum(args.T, args.V, args.N, stat, mass=args.mass, h=h, k=k)
+        mass = args.mass or 1.0
+        ln_Z = statmech.mb_ln_Z_continuum(args.T, args.V, args.N, stat, mass=mass, h=h, k=k)
         data.update(kind="continuum", T=args.T, V=args.V, N=args.N, ln_Z=ln_Z,
                     F=statmech.free_energy_from_ln_Z(ln_Z, args.T, k),
-                    thermal_wavelength=statmech.thermal_wavelength(args.T, mass=args.mass, h=h, k=k),
+                    thermal_wavelength=statmech.thermal_wavelength(args.T, mass=mass, h=h, k=k),
                     note=statmech.FREE_ENERGY_NOTE)
         return Report(data, _partition_rows, _partition_text)
 
@@ -497,12 +509,15 @@ def cmd_extensivity(args, cfg: RunConfig) -> Report:
     stat = statmech.Statistics.parse(args.stat)
     h, k = _units(cfg)
     if args.sizes is not None:
+        _refuse_unread(args, "sizes", ("n_list", "per_volume"))
         sizes = _parse_list(args.sizes, _size, "V:N")
     else:
         # N before V, as extensivity_report reads them: an N below 1 is refused as N
-        ns = [count(n, "N", 1) for n in _parse_list(args.n_list, int, "integer")]
+        n_list = "1,2,10,100,10000" if args.n_list is None else args.n_list
+        ns = [count(n, "N", 1) for n in _parse_list(n_list, int, "integer")]
+        per_volume = args.per_volume or 1.0
         try:
-            sizes = [(args.per_volume * n, n) for n in ns]
+            sizes = [(per_volume * n, n) for n in ns]
         except OverflowError:  # an N past the float range
             raise InputError("V = per-volume * N is out of float range: an --n-list entry is too large") from None
     if not sizes:
@@ -585,7 +600,10 @@ _STATE_KIND = ((("--product",), {"action": "store_true", "help": "bare product s
 
 def _options(name: str) -> list:
     """The options of `idstat <name>` in --help order, as (flags, settings)
-    with add_argument keywords: every argv is read from this table."""
+    with add_argument keywords: every argv is read from this table.  An
+    option that only some forms read has no default, so None is "not
+    given": the other forms refuse it, and the handler applies its value
+    where it is read."""
     options = [_HELP]
 
     def add(*flags, **settings):
@@ -613,7 +631,7 @@ def _options(name: str) -> list:
         add("--particle", type=int, required=True, help="1-based particle index")
         add("--epsilon", help="diagonal operator values, comma-separated rationals")
         add("--box-x", action="store_true", help="box position operator")
-        add("--length", type=_positive, default=1.0, help="box length for --box-x")
+        add("--length", type=_positive, help="box length for --box-x")
     elif name == "occupations":
         add("--n-levels", type=int, required=True, dest="n_levels")
         add("-N", "--N", type=int, required=True, dest="n_particles")
@@ -625,8 +643,8 @@ def _options(name: str) -> list:
         add("--box1d", type=int, help="1-D box spectrum with this many levels")
         add("--box3d", type=int, help="3-D box spectrum with this many levels")
         add("--dimensionless", type=int, help="n^2 spectrum with this many levels")
-        add("--length", type=_positive, default=1.0, help="box length")
-        add("--mass", type=_positive, default=1.0)
+        add("--length", type=_positive, help="box length")
+        add("--mass", type=_positive)
         add("-N", "--N", type=int, dest="N", help="particle number (canonical)")
         add("--mu", type=_finite, help="chemical potential (grand)")
         add("--beta", type=_positive, help="inverse temperature")
@@ -637,10 +655,8 @@ def _options(name: str) -> list:
         add("--stat", required=True, help="be, fd, mb-nn, or mb-fact")
         add("--T", type=_positive, required=True, dest="T")
         add("--sizes", help="comma-separated V:N pairs")
-        add("--per-volume", type=_positive, default=1.0, dest="per_volume",
-            help="volume per particle when using --n-list")
-        add("--n-list", dest="n_list", default="1,2,10,100,10000",
-            help="particle numbers when --sizes is not given")
+        add("--per-volume", type=_positive, dest="per_volume", help="volume per particle when using --n-list")
+        add("--n-list", dest="n_list", help="particle numbers when --sizes is not given")
         add("--discrete", action="store_true", help="discrete 1-D box spectra instead of continuum")
         add("--box1d", type=int, help="levels per box in --discrete mode (default 12)")
         add("--mass", type=_positive, default=1.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from operator import itemgetter
 
 import pytest
 
@@ -20,16 +21,24 @@ def matrix(rows) -> OneBodyOperator:
     return OneBodyOperator(lambda i, j: rows[i][j], len(rows))
 
 
-def sign(p) -> int:
+def sign(mapping) -> int:
     """+1 for an even permutation, -1 for an odd one, by inversion count."""
-    m = p.mapping
-    return -1 if sum(x > y for i, x in enumerate(m) for y in m[i + 1:]) % 2 else 1
+    return -1 if sum(x > y for i, x in enumerate(mapping) for y in mapping[i + 1:]) % 2 else 1
 
 
-def moved(v: StateVector, p) -> StateVector:
-    """`v` with each term's state moved by `p.apply` (particle i's level to
-    slot p.mapping[i]), in v's own values and scale."""
-    return StateVector._trusted(v.n_particles, {p.apply(s): a for s, a in v._amps.items()}, v.basis_size, v._scale)
+def mover(mapping):
+    """The map of a state tuple that moves particle i's level to slot
+    mapping[i]: one getter, reading the inverse mapping (slot k reads the
+    slot i with mapping[i] == k)."""
+    inverse = sorted(range(len(mapping)), key=mapping.__getitem__)
+    return itemgetter(*inverse) if len(inverse) > 1 else tuple  # one getter index would yield a bare level
+
+
+def moved(v: StateVector, mapping) -> StateVector:
+    """`v` with each term's state moved by `mover(mapping)`, in v's own
+    values and scale."""
+    return StateVector._trusted(v.n_particles, dict(zip(map(mover(mapping), v._amps), v._amps.values())),
+                                v.basis_size, v._scale)
 
 
 @pytest.fixture

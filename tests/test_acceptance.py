@@ -35,7 +35,6 @@ from idstat import (
 )
 from idstat.cli import main
 from idstat.errors import BoseDivergence
-from idstat.perm import Permutation
 from idstat.verify import (
     _canonical_Z_recursive,
     _grand_Xi_series,
@@ -96,7 +95,7 @@ def test_criterion_03_basis_structure():
         plane = [basis[pair[0]], basis[pair[1]]]
         for name in pair:
             for mapping in itertools.permutations(range(3)):
-                coeffs, residual = decompose(moved(basis[name], Permutation(mapping)), plane)
+                coeffs, residual = decompose(moved(basis[name], mapping), plane)
                 assert residual.is_zero
                 total = ZERO
                 for c in coeffs:

@@ -77,6 +77,14 @@ COMMAND_POOLS = {
 #: A config file is read only where the command is in FILE_COMMANDS.
 SKIPPED = {"--config"}
 FILE_COMMANDS = ("occupations", "verify-paper")
+#: Options that only some forms of a command read, by the options that make
+#: such a form.  An edit sets one in a corpus argv only where it is read, so
+#: that the edits still reach the answering paths; a draw from scratch sets
+#: it anywhere.
+READ_ONLY_WITH = {
+    "partition": {"length": {"box1d", "box3d"}, "mass": {"box1d", "box3d", "continuum"}},
+    "expect": {"length": {"box_x"}},
+}
 #: Files by the destination of the option that takes them, each by name:
 #: bytes to write, a directory, or a path that does not exist.
 FILES = {
@@ -173,9 +181,10 @@ def _argv(rng: random.Random, command: str, actions: list, seeds: list, files: d
         options = dict(rng.choice(seeds))
         for _ in range(rng.randint(1, 3)):
             action = rng.choice(actions)
+            readers = READ_ONLY_WITH.get(command, {}).get(action.dest)
             if action in options and rng.random() < 0.3:
                 del options[action]
-            else:
+            elif readers is None or readers & {a.dest for a in options}:
                 options[action] = _value(rng, action, command, files)
     spaced = rng.random() < 0.5
     argv = [command]

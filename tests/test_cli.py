@@ -468,6 +468,51 @@ def test_grand_form_refuses_V(capsys):
     assert run_cli(argv, capsys) == (2, "", "error: --V is read only with --continuum\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "decompose", "expect"])
+def test_empty_parity_is_refused(command, capsys):
+    # an empty --parity once named no state kind, and the product state answered
+    argv = [command, "--parity", "", "--levels", "a,b,c"]
+    if command == "expect":
+        argv += ["--epsilon", "1,2,3", "--particle", "1"]
+    assert run_cli(argv, capsys) == (2, "", "error: parity must be S or A, got ''\n")
+
+
+#: Options a form never reads, each once ignored with exit 0: argv and the
+#: one error line.
+UNREAD_OPTIONS = {
+    "partition-levels-length": (["partition", "--stat", "be", "--levels", "0,1", "-N", "2", "--beta", "1",
+                                 "--length", "5"], "--levels does not read --length"),
+    "partition-dimensionless-mass": (["partition", "--stat", "be", "--dimensionless", "4", "-N", "2", "--beta", "1",
+                                      "--mass", "3"], "--dimensionless does not read --mass"),
+    "partition-grand-levels-mass": (["partition", "--stat", "be", "--levels", "0,1", "--mu", "-1", "--beta", "1",
+                                     "--mass", "2"], "--levels does not read --mass"),
+    "partition-continuum-length": (["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "2", "--T",
+                                    "1", "--length", "7"], "--continuum does not read --length"),
+    "extensivity-sizes-n-list": (["extensivity", "--stat", "mb-nn", "--T", "1", "--sizes", "1:1,2:2",
+                                  "--n-list", "5", "--per-volume", "9"], "--sizes does not read --n-list"),
+    "expect-epsilon-length": (["expect", "--parity", "S", "--levels", "1,2", "--epsilon", "1,2", "--length", "3",
+                               "--particle", "1"], "--epsilon does not read --length"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_OPTIONS))
+def test_option_the_form_never_reads_is_refused(case, capsys):
+    argv, error = UNREAD_OPTIONS[case]
+    assert run_cli(argv, capsys) == (2, "", f"error: {error}\n")
+
+
+def test_unread_options_take_their_value_where_read(capsys):
+    # an omitted --length, --mass, --n-list or --per-volume reads as its old default
+    for argv, given in (
+        (["partition", "--stat", "be", "--box1d", "4", "-N", "2", "--beta", "1"], ["--length", "1", "--mass", "1"]),
+        (["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "2", "--T", "1"], ["--mass", "1"]),
+        (["extensivity", "--stat", "mb-nn", "--T", "1"], ["--n-list", "1,2,10,100,10000", "--per-volume", "1"]),
+        (["expect", "--parity", "S", "--levels", "1,2", "--box-x", "--particle", "1"], ["--length", "1"]),
+    ):
+        omitted = run_cli(argv, capsys)
+        assert omitted[0] == 0 and omitted == run_cli([*argv, *given], capsys), argv
+
+
 def test_extensivity_without_discrete_refuses_box1d(capsys):
     argv = ["extensivity", "--stat", "mb-nn", "--T", "1", "--box1d", "5"]
     assert run_cli(argv, capsys) == (2, "", "error: --box1d is read only with --discrete\n")

@@ -19,7 +19,6 @@ from idstat.observables import (
     occupancy_weights,
     one_body_expectation,
 )
-from idstat.perm import Permutation
 from idstat.statmech import (
     MAX_CUTOFF,
     Statistics,
@@ -74,8 +73,6 @@ def test_one_class_per_exit_code():
 MISUSES = {
     "sum-across-radicands": (lambda: rsqrt_of_rational(2) + rsqrt_of_rational(3), InputError),
     "negative-radicand": (lambda: rsqrt_of_rational(Fraction(-1, 4)), InputError),
-    "not-a-permutation": (lambda: Permutation((0, 0, 2)), InputError),
-    "permutation-length": (lambda: Permutation((0, 1)).apply((1, 2, 3)), InputError),
     "negative-level": (lambda: product_state_vector((0, -1)), InputError),
     "state-particle-count": (lambda: StateVector(2, {(0,): 1}), InputError),
     "state-two-radicands": (
@@ -145,7 +142,6 @@ OVERSIZED = {
                                InputError),
     "canonical-mb-fact-N-huge": (lambda: canonical_ln_Z(spectrum_from_levels([0, 1]), HUGE, 1.0, Statistics.MB_FACT),
                                  InputError),
-    "permutation-huge": (lambda: Permutation((HUGE,)), InputError),
     "negative-level-huge": (lambda: product_state_vector((-HUGE,)), InputError),
     "state-particle-count-huge": (lambda: StateVector(1, {(HUGE, 0): 1}), InputError),
     "expectation-particle-huge": (lambda: one_body_expectation(product_state_vector((0, 1)), H3, HUGE), InputError),
@@ -199,7 +195,6 @@ ARGUMENTS = {
     "one_body_expectation(particle)": (lambda x: one_body_expectation(PAIR, H3, x), NONE),
     "occupancy_weights(particle)": (lambda x: occupancy_weights(PAIR, x), NONE),
     "box_position_operator(n_levels)": (lambda x: box_position_operator(1.0, x), NONE),
-    "Permutation(entry)": (lambda x: Permutation((x, 0)), NONE),
     "OneBodyOperator(dim)": (lambda x: OneBodyOperator(lambda i, j: 1, x), NONE),
     # real parameters
     "canonical_ln_Z(beta)": (lambda x: canonical_ln_Z(SPEC, 2, x, BE), REAL),
@@ -250,8 +245,6 @@ ARGUMENTS = {
     "exchange_degeneracy_dimension(levels)": (lambda x: exchange_degeneracy_dimension(x), NONE),
     "symmetric_antisymmetric_dimensions(levels)": (lambda x: symmetric_antisymmetric_dimensions(x), NONE),
     "OneBodyOperator.diagonal(values)": (lambda x: OneBodyOperator.diagonal(x), NONE),
-    "Permutation(mapping)": (lambda x: Permutation(x), NONE),
-    "Permutation.apply(state)": (lambda x: Permutation((1, 0)).apply(x), NONE),
     "decompose(basis)": (lambda x: decompose(PAIR, x), NONE),
     # objects
     "classify_symmetry(v)": (lambda x: classify_symmetry(x), NONE),
@@ -337,13 +330,6 @@ def test_state_vector_amplitudes_must_be_a_mapping():
 def test_empty_diagonal_operator_builds():
     # the dim is read as a count >= 0, so an empty diagonal still builds
     assert OneBodyOperator.diagonal([]).dim == 0
-
-
-def test_permutation_applies_to_a_sequence_only():
-    # "ab" was once transported as ('b', 'a')
-    with pytest.raises(InputError, match="state must be a sequence"):
-        Permutation((1, 0)).apply("ab")
-    assert Permutation((1, 0)).apply(iter("ab")) == ("b", "a")
 
 
 def test_matrix_entries_are_refused_for_what_they_are():

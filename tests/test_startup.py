@@ -40,12 +40,10 @@ DELETED = ("radd", "rmul", "noncommutation_witness", "NoWitness", "permute_vecto
            "NotNormalized", "verification_passed", "noted_count", "ThermoPoint", "PlaneWaveState",
            "plane_wave_energy", "wave_coefficients", "energy_from_wave_coefficients",
            "laplacian_condition_residual", "energy_sum_rule", "position_expectation_symmetrized",
-           "inner_product", "square_free_split", "MAX_RADICAND", "Rational")
+           "inner_product", "square_free_split", "MAX_RADICAND", "Rational", "Permutation")
 
 #: Methods deleted from exported classes: class name -> method names.
 DELETED_METHODS = {
-    "Permutation": ("identity", "compose", "__mul__", "inverse", "cycles", "cycle_notation", "to_json",
-                    "sign", "transposition", "__call__"),
     "StateVector": ("to_json", "from_json", "__add__", "__sub__", "__neg__", "scale", "_objects",
                     "support", "amplitude", "permuted"),
     "RadicalRational": ("to_json", "from_json", "sqrt_rational", "__truediv__", "__rsub__",
@@ -105,7 +103,7 @@ def test_readme_example_loads_no_dataclasses(fresh_python, argv):
         "result = sorted(sys.modules)\n",
         *argv,
     )
-    assert not {"dataclasses", "inspect", "idstat.perm"} & set(loaded)  # no command moves slots by a Permutation
+    assert not {"dataclasses", "inspect", "idstat.perm"} & set(loaded)
 
 
 def test_a_command_loads_no_argparse(fresh_python):
@@ -157,6 +155,15 @@ def test_deleted_names_are_gone_from_every_submodule():
             # looked up on the class and its bases, not on its metaclass,
             # which has a __call__ of its own
             assert not any(method in vars(base) for base in getattr(idstat, cls).__mro__), (cls, method)
+
+
+def test_perm_module_defines_no_public_name():
+    # the module holds only its docstring; no exported name comes from it
+    module = importlib.import_module("idstat.perm")
+    assert [name for name in vars(module) if not name.startswith("_")] == []
+    assert "perm" not in idstat._EXPORTS
+    with pytest.raises(AttributeError):
+        idstat.Permutation
 
 
 def test_extensivity_report_has_no_continuum_keyword():

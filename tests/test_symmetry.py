@@ -13,12 +13,11 @@ from operator import mul
 
 import pytest
 
-from conftest import matrix, moved, sign
+from conftest import matrix, moved, mover, sign
 from idstat.config import ORBIT_BASIS_NAMES
 from idstat.errors import CapacityExceeded, InputError, ZeroVectorInput
 from idstat.exactnum import _MAX_RADICAND, ONE, ZERO, RadicalRational, rsqrt_of_rational
 from idstat.observables import OneBodyOperator, box_position_operator, occupancy_weights, one_body_expectation
-from idstat.perm import Permutation
 from idstat.symmetry import (
     _MIXED_PATTERNS,
     MAX_DEGENERACY_LABELS,
@@ -44,10 +43,6 @@ INV_SQRT2 = rsqrt_of_rational(Fraction(1, 2))
 INV_SQRT3 = rsqrt_of_rational(Fraction(1, 3))
 INV_SQRT6 = rsqrt_of_rational(Fraction(1, 6))
 HALF = RadicalRational.of(Fraction(1, 2))
-
-
-def all_perms(n):
-    return [Permutation(m) for m in permutations(range(n))]
 
 
 def negated(v):
@@ -152,7 +147,7 @@ def test_parity_sectors_exhaustive(n):
     levels = tuple(range(n))
     sym = symmetrize(levels, "S").vector
     anti = symmetrize(levels, "A").vector
-    for p in all_perms(n):
+    for p in permutations(range(n)):
         assert moved(sym, p) == sym
         expected = anti if sign(p) == 1 else negated(anti)
         assert moved(anti, p) == expected
@@ -160,14 +155,13 @@ def test_parity_sectors_exhaustive(n):
 
 def test_permutation_preserves_norm():
     s1 = orbit_basis_n3((0, 1, 2))[2]
-    for p in all_perms(3):
+    for p in permutations(range(3)):
         assert moved(s1, p).norm_squared() == ONE
 
 
 def test_transposition_rotates_inside_mixed_pair():
     s1, s2, _, _ = orbit_basis_n3((0, 1, 2))[2:]
-    swap23 = Permutation((0, 2, 1))
-    coeffs, residual = decompose(moved(s1, swap23), [s1, s2])
+    coeffs, residual = decompose(moved(s1, (0, 2, 1)), [s1, s2])
     assert residual.is_zero
     assert coeffs[0] == RadicalRational.of(Fraction(-1, 2))
     assert coeffs[1] == rsqrt_of_rational(Fraction(3, 4))  # sqrt(3)/2
@@ -175,7 +169,7 @@ def test_transposition_rotates_inside_mixed_pair():
 
 def test_mixed_pairs_are_stable_planes():
     s1, s2, s1p, s2p = orbit_basis_n3((0, 1, 2))[2:]
-    for p in all_perms(3):
+    for p in permutations(range(3)):
         for v in (s1, s2):
             coeffs, residual = decompose(moved(v, p), [s1, s2])
             assert residual.is_zero
@@ -371,8 +365,7 @@ def test_exchange_degeneracy_matches_orbit_count(n):
         for idx, mult in enumerate(shape):
             levels.extend([idx] * mult)
         levels = tuple(levels)
-        orbit = {p.apply(levels) for p in all_perms(n)}
-        assert exchange_degeneracy_dimension(levels) == len(orbit)
+        assert exchange_degeneracy_dimension(levels) == len(set(permutations(levels)))
 
 
 def test_exchange_degeneracy_of_long_label_lists():
@@ -456,7 +449,7 @@ def test_basis_patterns_carry_the_parities_classify_reads(name, relabel, swap):
     # levels exchanges the values 0 and 1 of o, and exchanging particles 1
     # and 2 exchanges o[0] and o[1].
     pattern = _MIXED_PATTERNS[name]
-    assert sum(pattern.values()) == 0 == sum(sign(Permutation(o)) * k for o, k in pattern.items())
+    assert sum(pattern.values()) == 0 == sum(sign(o) * k for o, k in pattern.items())
     relabelled = {tuple((1, 0, 2)[m] for m in o): k for o, k in pattern.items()}
     assert relabelled == {o: k * relabel for o, k in pattern.items()}
     exchanged = {(o[1], o[0], o[2]): k for o, k in pattern.items()}
@@ -527,7 +520,7 @@ def _tag_by_permuted_copies(v):
     """Oracle: the symmetric or antisymmetric tag from a permuted copy (and
     a negated copy) for every transposition; None when neither holds."""
     n = v.n_particles
-    swaps = [Permutation(tuple(j if k == i else i if k == j else k for k in range(n)))
+    swaps = [tuple(j if k == i else i if k == j else k for k in range(n))
              for i in range(n) for j in range(i + 1, n)]
     if all(moved(v, p) == v for p in swaps):
         return SymmetryTag.SYMMETRIC
@@ -575,7 +568,7 @@ def test_classify_vectors_on_several_orbits(monkeypatch):
                 levels, value, parity = [rng.randrange(4) for _ in range(n)], rng.choice((1, -1, 2, 3)), rng.choice("SA")
                 for p in set(permutations(range(n))):
                     state = tuple(levels[i] for i in p)
-                    amps[state] = amps.get(state, 0) + value * (sign(Permutation(p)) if parity == "A" else 1)
+                    amps[state] = amps.get(state, 0) + value * (sign(p) if parity == "A" else 1)
         amps = {s: a for s, a in amps.items() if a}
         if amps and rng.random() < 0.3:
             state = rng.choice(sorted(amps))
@@ -705,7 +698,7 @@ def test_orbit_states_build_no_terms_for_o_n_answers(monkeypatch):
 def test_permuted_states_and_basis_members_get_the_tags_of_their_copies():
     # A permuted orbit state and an orbit basis member are plain vectors:
     # each streams its orbit for both tests, in its own value units.
-    cycle = lambda n: Permutation(tuple(range(1, n)) + (0,))
+    cycle = lambda n: tuple(range(1, n)) + (0,)
     vectors = [moved(v, cycle(v.n_particles)) for v in _orbit_states() if 1 <= v.n_particles <= 6]
     vectors += [*orbit_basis_n3((0, 2, 3)), *orbit_basis_n3((3, 1, 0))]
     tags = set()
@@ -719,7 +712,7 @@ def test_permuted_states_and_basis_members_get_the_tags_of_their_copies():
 @pytest.mark.parametrize("name", ["s1", "s2", "s1p", "s2p"])
 def test_ledger_pair_plane_images_move_each_term_as_apply_does(name, monkeypatch):
     # the ledger moves slots by one getter per term; the six images it
-    # decomposes of a member are the six that Permutation.apply makes, in
+    # decomposes of a member are the six that conftest.moved makes, in
     # the member's own values and scale
     images = []
 
@@ -733,7 +726,7 @@ def test_ledger_pair_plane_images_move_each_term_as_apply_does(name, monkeypatch
     v = dict(zip(ORBIT_BASIS_NAMES, orbit_basis_n3((0, 1, 2))))[name]
     k = ["s1", "s2", "s1p", "s2p"].index(name)
     got = images[6 * k:6 * k + 6]
-    want = [moved(v, p) for p in all_perms(3)]
+    want = [moved(v, p) for p in permutations(range(3))]
     assert sorted(map(repr, got)) == sorted(map(repr, want))
     for image in got:
         assert image._amps == next(w._amps for w in want if w == image)
@@ -786,7 +779,7 @@ def test_parity_sector_dimensions():
 
 @functools.cache
 def _group(n):
-    return [(p, sign(p)) for p in all_perms(n)]
+    return [(p, sign(p)) for p in permutations(range(n))]
 
 
 def _fold_dot(u, v):
@@ -799,7 +792,7 @@ def _walk_counts(levels, parity):
     """sum_P (+-1)^P P|levels> as integer coefficients, walking all of S_N."""
     counts = {}
     for p, sign in _group(len(levels)):
-        s = p.apply(levels)
+        s = mover(p)(levels)
         counts[s] = counts.get(s, 0) + (1 if parity == "S" else sign)
     return {s: k for s, k in counts.items() if k}
 
@@ -838,7 +831,7 @@ def test_orbit_matches_symmetric_group_walk(n, monkeypatch):
         for levels in (multiset, multiset[::-1], multiset[1:] + multiset[:1]):
             want = {}
             for p, sign in _group(n):
-                want.setdefault(p.apply(levels), sign)
+                want.setdefault(mover(p)(levels), sign)
             orderings = list(_orderings(levels))
             assert len(orderings) == len(set(orderings)) == len(want) and set(orderings) == want.keys(), levels
             if len(set(levels)) == n:
@@ -926,7 +919,7 @@ def _projector_dimensions(levels):
     """Rank of the S and A projector images of every ordering in the orbit,
     each image a walk over S_N (integer coefficients, the common 1/sqrt(N!)
     dropped), by exact collinearity with the first."""
-    orbit = sorted({p.apply(levels) for p, _ in _group(len(levels))})
+    orbit = sorted(set(permutations(levels)))
     dims = []
     for parity in ("S", "A"):
         images = [u for u in (_walk_counts(s, parity) for s in orbit) if u]
