@@ -492,6 +492,14 @@ UNREAD_OPTIONS = {
                                   "--n-list", "5", "--per-volume", "9"], "--sizes does not read --n-list"),
     "expect-epsilon-length": (["expect", "--parity", "S", "--levels", "1,2", "--epsilon", "1,2", "--length", "3",
                                "--particle", "1"], "--epsilon does not read --length"),
+    "partition-levels-mass": (["partition", "--stat", "fd", "--levels", "0,1,2", "-N", "2", "--beta", "1",
+                               "--mass", "2"], "--levels does not read --mass"),
+    "partition-dimensionless-length": (["partition", "--stat", "be", "--dimensionless", "4", "-N", "2", "--beta",
+                                        "1", "--length", "2"], "--dimensionless does not read --length"),
+    "partition-grand-levels-length": (["partition", "--stat", "fd", "--levels", "0,1", "--mu", "-1", "--beta", "1",
+                                       "--length", "2"], "--levels does not read --length"),
+    "extensivity-sizes-per-volume": (["extensivity", "--stat", "mb-nn", "--T", "1", "--sizes", "1:1,2:2",
+                                      "--per-volume", "9"], "--sizes does not read --per-volume"),
 }
 
 
@@ -499,6 +507,34 @@ UNREAD_OPTIONS = {
 def test_option_the_form_never_reads_is_refused(case, capsys):
     argv, error = UNREAD_OPTIONS[case]
     assert run_cli(argv, capsys) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("option", ["--length", "--mass"])
+def test_spectrum_file_form_never_reads_box_options(option, tmp_path, capsys):
+    path = tmp_path / "spec.csv"
+    path.write_text("energy\n0\n1\n")
+    argv = ["partition", "--stat", "be", "--spectrum-file", str(path), "-N", "2", "--beta", "1"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert run_cli([*argv, option, "2"], capsys) == (2, "", f"error: --spectrum-file does not read {option}\n")
+
+
+#: A zero where the form reads the option: the parse refuses it, so the
+#: handler's "not given" test never meets a zero it could read as 1.0.
+ZERO_OPTIONS = {
+    "partition-box1d-length": ["partition", "--stat", "be", "--box1d", "4", "-N", "2", "--beta", "1", "--length"],
+    "partition-box3d-mass": ["partition", "--stat", "be", "--box3d", "2", "-N", "2", "--beta", "1", "--mass"],
+    "partition-continuum-mass": ["partition", "--stat", "mb-nn", "--continuum", "--V", "1", "--N", "2", "--T", "1",
+                                 "--mass"],
+    "extensivity-per-volume": ["extensivity", "--stat", "mb-nn", "--T", "1", "--per-volume"],
+    "expect-box-x-length": ["expect", "--parity", "S", "--levels", "1,2", "--box-x", "--particle", "1", "--length"],
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_OPTIONS))
+def test_zero_is_refused_where_the_option_is_read(case, capsys):
+    argv = ZERO_OPTIONS[case]
+    error = f"error: argument {argv[-1]}: expected a positive number, got '0'\n"
+    assert run_cli([*argv, "0"], capsys) == (2, "", error)
 
 
 def test_unread_options_take_their_value_where_read(capsys):
