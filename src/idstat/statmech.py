@@ -14,7 +14,6 @@ import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from enum import Enum
 from functools import reduce
 from operator import add, mul, neg, sub
@@ -114,6 +113,59 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.energies)
 
+    def _levels_in_reach(self, beta: float, limit: float, top: int = 0, mu: float = -math.inf) -> Sequence[float]:
+        """The lowest levels, ascending, at least every e with
+        beta (e - ref) <= limit, ref = max(mu, energies[top]): here the
+        whole tuple, uncopied."""
+        return self.energies
+
+
+class _Squares(Spectrum):
+    """The closed form e_n = scale n^2, n = 1..count, of the box1d and
+    dimensionless spectra.  A level is built only when it is read, as
+    `scale * n * n`; `energies` builds them all."""
+
+    __slots__ = ("count", "scale")
+
+    def __init__(self, count: int, scale: float):
+        """Skip Spectrum's checks: the levels ascend, and only the largest
+        one can leave the float range."""
+        self.count, self.scale = count, scale
+        if not math.isfinite(self._built(count, count)[0]):
+            raise InputError("spectrum energies must be finite")
+
+    def _built(self, first: int, last: int) -> tuple[float, ...]:
+        """Levels first..last, counted from 1."""
+        scale = self.scale
+        return tuple([scale * n * n for n in range(first, last + 1)])
+
+    @property
+    def energies(self) -> tuple[float, ...]:
+        return self._built(1, self.count)
+
+    @property
+    def offset(self) -> float:
+        return self._built(1, 1)[0]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def _levels_in_reach(self, beta: float, limit: float, top: int = 0, mu: float = -math.inf) -> Sequence[float]:
+        """The levels up to the reach, from the closed form.  Every level in
+        reach lies at or below span = ref + limit / beta, up to rounding, so
+        isqrt(span / scale) is a guess; the walk past it then takes each next
+        level whose key beta (e - ref) is within the limit.  The key does not
+        fall along the levels, so the prefix holds every level in reach."""
+        count = self.count
+        ref = max(mu, self._built(top + 1, top + 1)[0])
+        span = ref + limit / beta
+        # a span below the top level (so finite) puts the scale above 0 and
+        # span / scale at most count^2 (count^2 <= 10^8 is exact)
+        n = count if span >= self._built(count, count)[0] else math.isqrt(int(span / self.scale))
+        while n < count and beta * (self._built(n + 1, n + 1)[0] - ref) <= limit:
+            n += 1
+        return self._built(1, n)
+
 
 def _check_cutoff(cutoff: int) -> int:
     value = count(cutoff, "cutoff", 1)
@@ -127,9 +179,9 @@ def spectrum_from_levels(values: Sequence[float]) -> Spectrum:
 
 
 def dimensionless_spectrum(cutoff: int) -> Spectrum:
-    """e_n = n^2 for n = 1..cutoff."""
-    cutoff = _check_cutoff(cutoff)
-    return Spectrum._ascending([float(n * n) for n in range(1, cutoff + 1)])
+    """e_n = n^2 for n = 1..cutoff, built as each level is read.  1.0 * n * n
+    is float(n * n) exactly: n^2 <= 10^8 is below 2^53."""
+    return _Squares(_check_cutoff(cutoff), 1.0)
 
 
 def _box_scale(length: float, mass: float, h: float) -> float:
@@ -146,10 +198,10 @@ def _box_scale(length: float, mass: float, h: float) -> float:
 
 
 def box1d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
-    """1-D hard-wall box: e_n = n^2 h^2 / (8 m L^2)."""
+    """1-D hard-wall box: e_n = n^2 h^2 / (8 m L^2), built as each level is
+    read."""
     cutoff = _check_cutoff(cutoff)
-    scale = _box_scale(length, mass, h)
-    return Spectrum._ascending([scale * n * n for n in range(1, cutoff + 1)])
+    return _Squares(cutoff, _box_scale(length, mass, h))
 
 
 def _box3d_bound(cutoff: int) -> int:
@@ -162,23 +214,26 @@ def _box3d_bound(cutoff: int) -> int:
 
 def box3d_spectrum(cutoff: int, length: float = 1.0, mass: float = 1.0, h: float = 1.0) -> Spectrum:
     """3-D cubic box: e = (h^2 / 8 m L^2)(nx^2+ny^2+nz^2), degeneracies
-    expanded, lowest `cutoff` levels kept.  The sums are counted by shell
-    value, and each shell's energy is computed once."""
+    expanded, lowest `cutoff` levels kept.  Each shell value counts its
+    ordered triples x <= y <= z, each standing for its 6, 3 or 1
+    distinct orderings, and each shell's energy is computed once."""
     cutoff = _check_cutoff(cutoff)
     scale = _box_scale(length, mass, h)
     bound = _box3d_bound(cutoff)
     squares = [n * n for n in range(math.isqrt(bound) + 1)]
-    sums = []
-    for nx in range(1, math.isqrt(bound - 2) + 1):
-        for ny in range(1, math.isqrt(bound - squares[nx] - 1) + 1):
-            base = squares[nx] + squares[ny]
-            sums.extend([base + q for q in squares[1:math.isqrt(bound - base) + 1]])
-    shells = Counter(sums)
+    shells = [0] * (bound + 1)
+    for x in range(1, math.isqrt(bound // 3) + 1):
+        for y in range(x, math.isqrt((bound - squares[x]) // 2) + 1):
+            base = squares[x] + squares[y]
+            shells[base + squares[y]] += 3 if x < y else 1  # z = y
+            orderings = 6 if x < y else 3
+            for q in squares[y + 1:math.isqrt(bound - base) + 1]:  # z > y
+                shells[base + q] += orderings
     energies = []
-    for s in sorted(shells):
+    for s, degeneracy in enumerate(shells):
         if len(energies) >= cutoff:
             break
-        energies += [scale * s] * shells[s]
+        energies += [scale * s] * degeneracy
     return Spectrum._ascending(energies[:cutoff])
 
 
@@ -291,6 +346,16 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     reach passes 352/beta, short of where exp underflows.  The work is N
     times the levels in the quiet reach.
 
+    The table reads only the spectrum's levels up to one reach that covers
+    every row's, so a closed-form spectrum builds no level past it.  BE
+    takes the reach of e_0 at QUIET.  FD takes that of its highest filled
+    top at QUIET + ln C(K, j) + 1, j = min(N - 1, K // 2).  No row has a
+    higher top, and row n's R, an entry of row n - 1, is at most
+    C(K, n - 1) <= C(K, j) for n <= N, so no row's limit passes the bound;
+    the 1 covers the rounding of R and of the log.  A lower reference or
+    limit gives a reach no longer, and on the covering prefix each row's
+    reach is the one it has on the whole spectrum.
+
     A row whose reference level equals the last row's keeps that row's
     multipliers from its own top on, the same expression on the same
     operands, and evaluates only the levels its reach adds.  A BE row never
@@ -299,9 +364,14 @@ def _ln_Z_table(spectrum: Spectrum, n_max: int, beta: float, stat: Statistics) -
     once."""
     if n_max > MAX_CANONICAL_N:
         raise CapacityExceeded(f"N = {shown(n_max)} exceeds the canonical cap {MAX_CANONICAL_N}")
-    energies = spectrum.energies
-    exp, nb = math.exp, -beta  # exp(nb * d) is exp(-beta * d): unary minus binds first
     fermions = stat is Statistics.FD
+    if fermions:
+        levels = len(spectrum)
+        energies = spectrum._levels_in_reach(
+            beta, QUIET + math.log(math.comb(levels, min(n_max - 1, levels // 2))) + 1.0, min(n_max, levels) - 1)
+    else:
+        energies = spectrum._levels_in_reach(beta, QUIET)
+    exp, nb = math.exp, -beta  # exp(nb * d) is exp(-beta * d): unary minus binds first
     ln_Z = [0.0]
     row = [1.0]  # Z_0 of the first 0..K levels, all 1
     x = []  # the multipliers of the last row, from its top level on
@@ -384,14 +454,15 @@ def grand_ln_Xi(spectrum: Spectrum, beta: float, mu: float, stat: Statistics) ->
     between e^a / 2 and e^a for a <= 0 (concavity) and is at least log 2
     for a >= 0.  The running sum is at least its first term, so past
     s > QUIET + ln 2 every term is below 2^-54 / e times it, under half an
-    ulp, and adds exactly nothing."""
+    ulp, and adds exactly nothing.  The sum reads the spectrum's levels up
+    to that one reach, so a closed-form spectrum builds no level past it."""
     spectrum = instance(spectrum, Spectrum, "spectrum")
     beta, mu, stat = real(beta, "beta", True), real(mu, "mu"), Statistics.parse(stat)
     if not stat.quantum:
         raise InputError("grand product defined here for BE/FD only")
     if stat is Statistics.BE and mu >= spectrum.offset:
         raise BoseDivergence(f"mu = {mu} is not below the lowest level {spectrum.offset}")
-    energies = spectrum.energies
+    energies = spectrum._levels_in_reach(beta, QUIET + math.log(2.0), mu=mu)
     levels = energies[:_reach(energies, beta, max(mu, energies[0]), QUIET + math.log(2.0))]
     a = list(map(mul, itertools.repeat(beta), map(sub, itertools.repeat(mu), levels)))  # beta (mu - e)
     # terms added left to right: sum() of floats is compensated from 3.12 on

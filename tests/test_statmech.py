@@ -738,11 +738,110 @@ def test_every_builder_spectrum_equals_the_checked_one(tmp_path):
     for spectrum in built:
         checked = Spectrum(list(spectrum.energies))
         assert spectrum == checked and type(spectrum.energies) is tuple
+        assert hash(spectrum) == hash(checked)  # interchangeable as dict keys
         assert list(map(repr, spectrum.energies)) == list(map(repr, checked.energies))
     # an energy past the float range is refused as the checked constructor refuses it
     for builder in (box1d_spectrum, box3d_spectrum):
         with pytest.raises(InputError, match="spectrum energies must be finite"):
             builder(MAX_CUTOFF, 1.0, 1.0, 1e154)
+
+
+# -- closed-form spectra build only the levels the sums reach -----------------
+
+
+CLOSED_FORMS = {
+    "dimensionless": dimensionless_spectrum,
+    "box1d": box1d_spectrum,
+    "box1d-small": lambda k: box1d_spectrum(k, 0.3, 2.0, 1.7),
+    "box1d-wide": lambda k: box1d_spectrum(k, 40.0, 3.0, 0.5),
+}
+each_closed_form = pytest.mark.parametrize("build", list(CLOSED_FORMS.values()), ids=list(CLOSED_FORMS))
+
+
+@each_closed_form
+@pytest.mark.parametrize("stat", [BE, FD])
+def test_closed_form_spectra_answer_as_their_tuple_twins(build, stat):
+    for cutoff in (1, 2, 20, 729, 9056, MAX_CUTOFF):
+        spec = build(cutoff)
+        twin = Spectrum(list(spec.energies))
+        assert (len(spec), spec.offset, spec, hash(spec)) == (len(twin), twin.offset, twin, hash(twin))
+        for beta in (1e-6, 1e-3, 0.05, 1.0, 4.2, 1e3):
+            for n in (1, 7, MAX_CANONICAL_N, cutoff + 3):
+                got = outcome(lambda: canonical_ln_Z(spec, n, beta, stat))
+                assert got == outcome(lambda: canonical_ln_Z(twin, n, beta, stat)), (cutoff, beta, n)
+            e0, top = twin.energies[0], twin.energies[-1]
+            # below, just below, inside, far above, and past exp overflow
+            for mu in (e0 - 3.0 / beta, math.nextafter(e0, -math.inf), (e0 + top) / 2, top + 1e3 / beta, 1e300):
+                got = outcome(lambda: grand_ln_Xi(spec, beta, mu, stat))
+                assert got == outcome(lambda: grand_ln_Xi(twin, beta, mu, stat)), (cutoff, beta, mu)
+
+
+@each_closed_form
+def test_closed_form_prefix_holds_every_level_in_reach(build):
+    # the guess from the closed form can fall short by rounding (a beta far
+    # above the levels' spacing puts ref + limit / beta on ref): the walk
+    # past it takes each level the key admits
+    spec = build(MAX_CUTOFF)
+    energies = spec.energies
+    for beta in (1e-6, 1e-3, 1.0, 4.2, 1e3, 1e12, 1e300):
+        for top in (0, 1, 6, 49, 729, MAX_CUTOFF - 1):
+            for limit in (QUIET, QUIET + math.log(2.0), 300.0):
+                for mu in (-math.inf, energies[top] + 0.5, energies[-1], 1e300):
+                    prefix = spec._levels_in_reach(beta, limit, top, mu)
+                    reach = statmech._reach(energies, beta, max(mu, energies[top]), limit)
+                    assert reach <= len(prefix) and prefix == energies[:len(prefix)], (beta, top, limit, mu)
+
+
+@each_closed_form
+def test_closed_form_prefix_covers_every_row_of_the_sums(build, monkeypatch):
+    # the reaches the kernel and the grand sum take on the tuple twin, where
+    # the prefix is every level, stay within the prefix the closed form hands
+    # over: FD rows' limits QUIET + ln R grow with R up to the ln C(K, j) bound
+    reaches, prefixes = [], []
+    reach_of, prefix_of = statmech._reach, statmech._Squares._levels_in_reach
+
+    def recorded_reach(*args):
+        reaches.append(reach_of(*args))
+        return reaches[-1]
+
+    def recorded_prefix(*args, **kwargs):
+        prefixes.append(prefix_of(*args, **kwargs))
+        return prefixes[-1]
+
+    monkeypatch.setattr(statmech, "_reach", recorded_reach)
+    monkeypatch.setattr(statmech._Squares, "_levels_in_reach", recorded_prefix)
+    for cutoff in (20, 729, MAX_CUTOFF):
+        spec = build(cutoff)
+        twin = Spectrum(spec.energies)
+        for beta in (1e-6, 1e-4, 1e-3, 0.05, 1.0, 4.2, 1e3):
+            calls = [(_ln_Z_table, (n, beta, stat)) for n in (1, 7, MAX_CANONICAL_N) for stat in (BE, FD)]
+            calls += [(grand_ln_Xi, (beta, mu, FD)) for mu in (0.0, spec.offset + 40.0 / beta)]
+            for call, args in calls:
+                reaches.clear()
+                prefixes.clear()
+                call(twin, *args)
+                call(spec, *args)
+                assert len(prefixes) == 1 and max(reaches) <= len(prefixes[0]), (cutoff, beta, call.__name__, args)
+
+
+@pytest.mark.parametrize("stat", [BE, FD])
+def test_cold_closed_form_spectrum_builds_only_the_levels_in_reach(stat, monkeypatch):
+    built, build = [0], statmech._Squares._built
+
+    def counting_build(self, first, last):
+        built[0] += last - first + 1
+        return build(self, first, last)
+
+    monkeypatch.setattr(statmech._Squares, "_built", counting_build)
+    spec = box1d_spectrum(9056)
+    ln_Z = canonical_ln_Z(spec, 50, 4.2, stat)
+    assert 0 < built[0] <= 64  # 9056 when the builder made every level
+    assert len(spec) == 9056
+    assert ln_Z == canonical_ln_Z(Spectrum(list(spec.energies)), 50, 4.2, stat)
+    assert spec.energies == tuple(n * n / 8.0 for n in range(1, 9057))
+    # a spectrum that holds its tuple hands it over uncopied
+    twin = Spectrum(spec.energies)
+    assert twin._levels_in_reach(4.2, QUIET) is twin.energies
 
 
 def counted_exp(monkeypatch) -> list:
